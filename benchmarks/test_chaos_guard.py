@@ -30,6 +30,7 @@ from repro.deploy import (
     FaultInjector,
     HookSpec,
     ImageSpec,
+    PublishOptions,
 )
 from repro.scenarios import build_fleet_publisher
 from repro.suit import UpdateStatus
@@ -66,14 +67,14 @@ def _chaos_trial() -> dict:
     publisher = build_fleet_publisher(devices=DEVICES, loss=LOSS, seed=77)
     publisher.chaos = FaultInjector(SCRIPTED_CRASHES)
     result = publisher.publish(_spec())
-    assert result.converged, result.reason
+    assert result.ok, result.reason
     assert publisher.chaos.crashes == len(SCRIPTED_CRASHES)
     assert publisher.chaos.reboots == len(SCRIPTED_CRASHES)
     for device in publisher.fleet.devices:
         assert device.radio.worker.storage.highest_sequence(
             publisher.slot) == result.sequence_number
     return {
-        "devices_converged": sum(row.ok for row in result.devices),
+        "devices_converged": sum(row.ok for row in result.rows()),
         "reboots": result.total_reboots,
         "retriggers": result.total_retries,
     }
@@ -85,15 +86,15 @@ def _unreachable_demo() -> dict:
     publisher = build_fleet_publisher(devices=3, loss=0.0, seed=77)
     publisher.chaos = FaultInjector(
         [CrashAt("dev1", at_us=1_000.0, down_us=None)])
-    result = publisher.publish(_spec(), max_windows=300)
-    assert not result.converged
+    result = publisher.publish(_spec(), PublishOptions(max_windows=300))
+    assert not result.ok
     unreachable = result.unreachable()
     assert [row.device.name for row in unreachable] == ["dev1"]
     assert unreachable[0].result.status is UpdateStatus.UNREACHABLE
-    others = [row for row in result.devices if row.device.name != "dev1"]
+    others = [row for row in result.rows() if row.device.name != "dev1"]
     assert all(row.ok for row in others)
     return {
-        "converged": result.converged,
+        "converged": result.ok,
         "unreachable": len(unreachable),
         "others_converged": len(others),
         "raised": False,

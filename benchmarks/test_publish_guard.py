@@ -27,6 +27,7 @@ from repro.deploy import (
     DeploymentSpec,
     HookSpec,
     ImageSpec,
+    PublishOptions,
     plan,
 )
 from repro.scenarios import build_fleet_publisher
@@ -80,18 +81,19 @@ def _one_trial() -> tuple[list[float], int]:
     publisher = build_fleet_publisher(devices=DEVICES)
     spec = _spec()
     rollout = publisher.publish(spec)
-    assert rollout.converged, rollout.reason
+    assert rollout.ok, rollout.reason
     assert all(plan(device.engine, spec).empty
                for device in publisher.fleet.devices)
-    walls = {row.device.name: row.wall_s for row in rollout.devices}
+    walls = {row.device.name: row.wall_s for row in rollout.rows()}
 
-    replay = publisher.publish(spec, sequence_number=rollout.sequence_number)
+    replay = publisher.publish(
+        spec, PublishOptions(sequence_number=rollout.sequence_number))
     assert all(row.result.status is UpdateStatus.SEQUENCE_REPLAY
-               for row in replay.devices), "a replayed sequence was accepted"
+               for row in replay.rows()), "a replayed sequence was accepted"
 
     republish = publisher.publish(spec)
-    assert republish.converged
-    assert all(row.actions == 0 for row in republish.devices), \
+    assert republish.ok
+    assert all(row.actions == 0 for row in republish.rows()), \
         "an identical republish planned actions"
 
     return ([walls[f"dev{index}"] for index in range(DEVICES)],

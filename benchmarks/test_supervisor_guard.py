@@ -9,11 +9,13 @@ root:
   converges fleet-wide and the device's row is flagged ``QUARANTINED``
   (reported, counted, not failed).
 * **Runaway-container waste bound** — a clean but runaway cycle hog
-  (every run far over its per-run cycle ceiling) fired repeatedly on a
-  supervised versus an unsupervised engine.  The supervisor's overrun
-  streak quarantines the hog after a few runs, so the supervised engine
-  spends a fraction of the modelled cycles the unsupervised one burns
-  re-running it forever.  The guard holds ``supervised/unsupervised``
+  (every run far over its per-run cycle ceiling) fired repeatedly on an
+  engine whose supervisor enforces that ceiling versus one whose
+  supervisor has no ceiling (the unsupervised baseline: the hog never
+  faults, so nothing else stops it).  The overrun streak quarantines
+  the hog after a few runs, so the supervised engine spends a fraction
+  of the modelled cycles the unsupervised one burns re-running it
+  forever.  The guard holds ``supervised/unsupervised``
   at or below :data:`WASTE_RATIO_BAR`.
 """
 
@@ -75,15 +77,15 @@ def _publish_trial() -> dict:
     looper = sick.engine.load(assemble(POISON, name="sensor"))
     sick.engine.attach_periodic(looper, 1_000.0)
     result = publisher.publish(_spec())
-    assert result.converged, result.reason
-    rows = {row.device.name: row for row in result.devices}
+    assert result.ok, result.reason
+    rows = {row.device.name: row for row in result.rows()}
     assert rows["dev1"].result.status is UpdateStatus.QUARANTINED
     assert rows["dev0"].result.status is UpdateStatus.OK
     assert sick.radio.worker.storage.highest_sequence(
         publisher.slot) == result.sequence_number
     return {
         "devices_total": DEVICES,
-        "devices_converged": sum(row.ok for row in result.devices),
+        "devices_converged": sum(row.ok for row in result.rows()),
         "quarantined_devices": len(result.quarantined_devices()),
         "quarantined_slots": rows["dev1"].quarantined,
         "fault_delta": rows["dev1"].fault_delta,
@@ -95,11 +97,9 @@ def _runaway_cycles(supervised: bool) -> int:
     from repro.core.hooks import Hook
 
     kernel = Kernel(nrf52840())
-    if supervised:
-        engine = HostingEngine(kernel, supervisor=SupervisorConfig(
-            cycle_ceiling=1_000, overrun_streak=3))
-    else:
-        engine = HostingEngine(kernel, supervisor=False)
+    config = (SupervisorConfig(cycle_ceiling=1_000, overrun_streak=3)
+              if supervised else SupervisorConfig())
+    engine = HostingEngine(kernel, supervisor=config)
     engine.register_hook(Hook("bench.runaway", mode=HookMode.SYNC))
     engine.attach(engine.load(assemble(CYCLE_HOG, name="hog")),
                   "bench.runaway")

@@ -66,7 +66,7 @@ def make_spec(name: str, count: int, value: int) -> DeploymentSpec:
 
 
 def show(result) -> None:
-    for row in result.devices:
+    for row in result.rows():
         print(f"    {row.device.name:6} {row.role:9} "
               f"{row.result.status.value:17} {row.actions} actions  "
               f"{row.wall_s * 1e3:6.2f} ms wall  "
@@ -92,12 +92,12 @@ def main() -> None:
     replay = publisher.publish(
         v1, PublishOptions(sequence_number=rollout.sequence_number))
     print("   statuses: "
-          + ", ".join(r.result.status.value for r in replay.devices))
+          + ", ".join(r.result.status.value for r in replay.rows()))
 
     print("\n3. republishing the identical spec under a new sequence")
     republish = publisher.publish(v1)
     print(f"   converged with "
-          f"{sum(r.actions for r in republish.devices)} total actions "
+          f"{sum(r.actions for r in republish.rows())} total actions "
           f"(seq {republish.sequence_number})")
 
     # The health gate: max 1000 modelled cycles per run for the worker

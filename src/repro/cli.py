@@ -478,7 +478,7 @@ def cmd_publish(args: argparse.Namespace) -> int:
     def table(result) -> None:
         print(f"{'device':8} {'role':9} {'status':17} {'actions':>7} "
               f"{'wall ms':>8} {'cache':>12}")
-        for row in result.devices:
+        for row in result.rows():
             print(f"{row.device.name:8} {row.role:9} "
                   f"{row.result.status.value:17} {row.actions:>7} "
                   f"{row.wall_s * 1e3:>8.2f} "
@@ -500,13 +500,13 @@ def cmd_publish(args: argparse.Namespace) -> int:
     replay = publisher.publish(
         base, PublishOptions(sequence_number=rollout.sequence_number))
     refused = all(row.result.status.value == "sequence-replay"
-                  for row in replay.devices)
+                  for row in replay.rows())
     print(f"  refused fleet-wide: {refused}")
 
     print("\nstage 3: republish the same spec under a new sequence")
     republish = publisher.publish(base)
-    idempotent = (republish.converged
-                  and all(row.actions == 0 for row in republish.devices))
+    idempotent = (republish.ok
+                  and all(row.actions == 0 for row in republish.rows()))
     print(f"  idempotent (zero actions everywhere): {idempotent}")
 
     print(f"\nstage 4: canary publish of {poisoned.name!r} "
@@ -528,7 +528,7 @@ def cmd_publish(args: argparse.Namespace) -> int:
     fixed_converged = all(plan(device.engine, fixed).empty
                           for device in fleet.devices)
     print(f"  fleet converged on {fixed.name!r}: {fixed_converged}")
-    ok = (rollout.converged
+    ok = (rollout.ok
           and (len(fleet.devices) < 2 or bool(speedups))
           and refused and idempotent
           and bad.rolled_back and untouched and good.promoted
@@ -561,7 +561,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     def table(result) -> None:
         print(f"{'device':8} {'status':17} {'retries':>7} {'reboots':>7} "
               f"{'wall ms':>8}")
-        for row in result.devices:
+        for row in result.rows():
             print(f"{row.device.name:8} {row.result.status.value:17} "
                   f"{row.retries:>7} {row.reboots:>7} "
                   f"{row.wall_s * 1e3:>8.2f}")
@@ -574,7 +574,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print(f"  t={event.at_us / 1e3:8.1f}ms  {event}")
     rollout = publisher.publish(base)
     table(rollout)
-    print(f"  converged: {rollout.converged}  "
+    print(f"  converged: {rollout.ok}  "
           f"(reboots {rollout.total_reboots}, "
           f"re-triggers {rollout.total_retries})")
     print(f"  injector: crashes={injector.crashes} "
@@ -587,14 +587,14 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     partial = publisher.publish(base, PublishOptions(max_windows=300))
     table(partial)
     unreachable = [row.device.name for row in partial.unreachable()]
-    print(f"  converged: {partial.converged} "
+    print(f"  converged: {partial.ok} "
           f"(unreachable: {', '.join(unreachable) or 'none'})")
     print("  degraded gracefully instead of raising: True")
-    ok = (rollout.converged
+    ok = (rollout.ok
           and injector.quiescent
-          and not partial.converged
+          and not partial.ok
           and unreachable == [names[-1]]
-          and all(row.ok for row in partial.devices
+          and all(row.ok for row in partial.rows()
                   if row.device.name != names[-1]))
     return 0 if ok else 1
 

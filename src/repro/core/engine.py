@@ -58,7 +58,7 @@ class SlotSnapshot(NamedTuple):
     """One slot's runtime baseline (see :meth:`HostingEngine
     .runtime_snapshot`): the container object plus its run/cycle
     counters at snapshot time, and the supervisor's health record for
-    the slot (``None`` when unsupervised or never observed)."""
+    the slot (``None`` when never observed)."""
 
     container: FemtoContainer
     runs: int
@@ -110,7 +110,7 @@ class HostingEngine:
         kernel: Kernel,
         implementation: str = "femto-containers",
         saul: SaulRegistry | None = None,
-        supervisor: "SupervisorConfig | bool | None" = True,
+        supervisor: SupervisorConfig | None = None,
     ) -> None:
         if implementation not in VM_CLASSES:
             raise EngineError(
@@ -136,17 +136,9 @@ class HostingEngine:
         #: Execution context (valid while a container runs).
         self.current_container: FemtoContainer | None = None
         self.current_pdu: CoapResponseContext | None = None
-        #: Crash-loop/overrun watchdog.  ``True`` wires the default
-        #: policy, a :class:`~repro.vm.supervisor.SupervisorConfig`
-        #: customizes it, and a falsy value restores the legacy
-        #: lifetime-fault detach (no quarantine, no probation).
-        self.supervisor: "ContainerSupervisor | None"
-        if supervisor:
-            config = supervisor if isinstance(supervisor, SupervisorConfig) \
-                else None
-            self.supervisor = ContainerSupervisor(self, config)
-        else:
-            self.supervisor = None
+        #: Crash-loop/overrun watchdog (``supervisor=None``: the default
+        #: :class:`~repro.vm.supervisor.SupervisorConfig` policy).
+        self.supervisor = ContainerSupervisor(self, supervisor)
         self._register_default_hooks()
 
     # -- firmware-provided hooks ------------------------------------------------
@@ -276,8 +268,7 @@ class HostingEngine:
         hook.containers.append(container)
         if hook.mode is HookMode.THREAD:
             self._spawn_worker(container)
-        if self.supervisor is not None:
-            self.supervisor.notify_attach(container, hook.name)
+        self.supervisor.notify_attach(container, hook.name)
         return container
 
     def detach(self, container: FemtoContainer) -> None:
@@ -468,16 +459,7 @@ class HostingEngine:
             pdu.payload_length = max(
                 0, min(int(value) - pdu.header_length, pdu.payload_capacity)
             )
-        if self.supervisor is not None:
-            self.supervisor.observe(container, run)
-        elif (
-            fault is not None
-            and container.fault_count >= self.FAULT_DETACH_THRESHOLD
-            and container.hook is not None
-        ):
-            # Legacy containment: detach after a lifetime fault budget,
-            # no quarantine/probation (supervisor disabled).
-            self.detach(container)
+        self.supervisor.observe(container, run)
         return run
 
     # -- periodic (timer hook) convenience ----------------------------------------
@@ -517,8 +499,8 @@ class HostingEngine:
         snapshot on purpose: run and cycle counters live on the
         instance, so a later reader can compute deltas even for a
         container the engine fault-detached in the meantime (fleet
-        canary health gates rely on exactly that).  Supervised slots
-        additionally carry their live health record — including slots
+        canary health gates rely on exactly that).  Every slot
+        additionally carries its live health record — including slots
         whose container is currently *quarantined* (detached), so a
         fleet health reader sees the sick slot, not a silent absence.
         """
@@ -527,16 +509,14 @@ class HostingEngine:
             if container.hook is None:
                 continue
             key = (container.hook.name, container.name)
-            health = (self.supervisor.health(*key)
-                      if self.supervisor is not None else None)
             snapshot[key] = SlotSnapshot(
-                container, container.runs, container.total_cycles, health)
-        if self.supervisor is not None:
-            for key, health in self.supervisor.counters().items():
-                if key not in snapshot and health.quarantined:
-                    snapshot[key] = SlotSnapshot(
-                        health.container, health.container.runs,
-                        health.container.total_cycles, health)
+                container, container.runs, container.total_cycles,
+                self.supervisor.health(*key))
+        for key, health in self.supervisor.counters().items():
+            if key not in snapshot and health.quarantined:
+                snapshot[key] = SlotSnapshot(
+                    health.container, health.container.runs,
+                    health.container.total_cycles, health)
         return snapshot
 
     def fault_counts(self) -> dict[tuple[str, str], int]:

@@ -12,8 +12,11 @@ imperative ``create_tenant``/``load``/``attach`` primitives:
   hot-swapping edited images by content hash through ``engine.replace``;
 * :mod:`repro.deploy.fleet` — :class:`Fleet` stamps one spec onto N
   simulated devices, sharing the process-wide image cache across boards
-  with per-device clock/wall/cache accounting; :class:`HealthGate`
-  judges canary bakes on faults, cycle budgets and store divergence;
+  with per-device clock/wall/cache accounting;
+* :mod:`repro.deploy.staged` — :class:`StagedRollout` implements canary
+  staging once (converge canaries, bake, gate, promote or revert) for
+  both direct and over-the-air canaries; :class:`HealthGate` judges canary
+  bakes on faults, cycle budgets and store divergence;
 * :mod:`repro.deploy.publish` — :class:`FleetPublisher` signs one spec
   manifest and fans it out over a shared radio link to every device's
   ``SpecUpdateWorker`` trigger endpoint, with an optional health-gated
@@ -60,7 +63,6 @@ from repro.deploy.fleet import (
     Fleet,
     FleetDevice,
     FleetRollout,
-    HealthGate,
 )
 from repro.deploy.publish import (
     DevicePublish,
@@ -70,8 +72,9 @@ from repro.deploy.publish import (
     PublishResult,
 )
 from repro.deploy.registry import DeviceRegistry
-from repro.deploy.results import FleetResult
+from repro.deploy.results import FleetResult, StagedResult
 from repro.deploy.shards import ShardExecutor, auto_shard_count
+from repro.deploy.staged import HealthGate, StagedRollout
 from repro.deploy.plan import (
     Action,
     ApplyResult,
@@ -130,6 +133,8 @@ __all__ = [
     "LinkLossBurst",
     "Release",
     "ShardExecutor",
+    "StagedResult",
+    "StagedRollout",
     "StallAt",
     "TornWriteAt",
     "WearOut",

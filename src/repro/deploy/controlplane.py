@@ -43,6 +43,7 @@ from repro.deploy.spec import DeploymentSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rtos.board import Board
+    from repro.vm.supervisor import SupervisorConfig
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ class ControlPlane:
         implementation: str = "jit",
         loss: float = 0.0,
         seed: int = 1234,
-        supervisor=True,
+        supervisor: SupervisorConfig | None = None,
         **publisher_kwargs,
     ) -> None:
         self.fleet = Fleet(devices, implementation=implementation,
@@ -180,7 +181,6 @@ class ControlPlane:
         slot = self.publisher.slot
         for device in self.registry:
             radio = device.radio
-            supervisor = device.engine.supervisor
             yield DeviceStatus(
                 name=device.name,
                 index=self.registry.index_of(device.name),
@@ -191,8 +191,8 @@ class ControlPlane:
                 spec=(device.current_spec.name
                       if device.current_spec is not None else None),
                 reboots=device.reboots,
-                quarantined=(len(supervisor.quarantined_slots())
-                             if supervisor is not None else 0),
+                quarantined=len(
+                    device.engine.supervisor.quarantined_slots()),
                 halted=device.kernel.halted,
                 cycles=device.kernel.clock.cycles,
                 radio_uj=(device.meter.report().radio_uj

@@ -20,19 +20,18 @@ devices 2..N over device 1.
 
 from __future__ import annotations
 
-import struct
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.engine import HostingEngine
 from repro.deploy.plan import ApplyResult, apply, plan
 from repro.deploy.registry import DeviceRegistry
-from repro.deploy.results import FleetResult
+from repro.deploy.results import FleetResult, StagedResult
 from repro.deploy.spec import DeploymentSpec, HookSpec
+from repro.deploy.staged import HealthGate, StagedRollout
 from repro.rtos.board import Board, nrf52840
 from repro.rtos.kernel import Kernel
-from repro.rtos.thread import ThreadState
 from repro.vm.imagecache import IMAGE_CACHE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,139 +67,6 @@ class FleetDevice:
         return self.kernel.board
 
 
-@dataclass(frozen=True)
-class HealthGate:
-    """Pluggable canary health policy, checked after the bake.
-
-    The default gate reproduces the PR 4 behavior: any contained fault
-    during the bake rolls the canaries back.  Beyond faults, a gate can
-    hold canaries to **modelled-cycle budgets** (a container whose new
-    image suddenly burns more cycles per run than the budget allows is
-    unhealthy even if it never faults) and to **KV-store agreement** with
-    the control devices (a new image that corrupts device-wide state in
-    the global store is caught by comparing the listed keys against a
-    control device still running the baseline).
-
-    All checks read simulator-observable state only — the gate never
-    fires hooks or advances any clock itself.
-    """
-
-    #: Contained faults tolerated per canary during the bake.
-    max_fault_delta: int = 0
-    #: Container name -> max modelled cycles per run during the bake.
-    #: A budget for a name no canary hosts is simply never checked.
-    cycle_budgets: Mapping[str, int] = field(default_factory=dict)
-    #: Global-store keys that must agree between each canary and every
-    #: control device (empty: no store check; no controls: skipped).
-    store_keys: tuple[int, ...] = ()
-    #: Judge cycle budgets over a *sliding* bake window instead of the
-    #: whole-bake total: the tightest trailing window holding at least
-    #: this many runs must meet the budget.  A container with an
-    #: expensive first run (cache warm-up, lazy init) then stays healthy
-    #: as long as its steady state does; a container that *degrades*
-    #: mid-bake is caught even when early cheap runs would have diluted
-    #: the whole-bake average.  ``None`` keeps the whole-bake rule.
-    window_runs: int | None = None
-    #: Supervisor quarantines tolerated per canary during the bake;
-    #: ``None`` skips the check (a quarantine usually also trips
-    #: :attr:`max_fault_delta` — this knob lets a gate flag quarantines
-    #: even when the fault budget was loosened).
-    max_quarantined: int | None = None
-
-    def breaches(
-        self,
-        device: FleetDevice,
-        before: dict,
-        fault_delta: int,
-        controls: Sequence[FleetDevice],
-        history: Sequence[Mapping] | None = None,
-        quarantined: int = 0,
-    ) -> list[str]:
-        """Health violations of one baked canary (empty when healthy).
-
-        ``before`` is the engine's
-        :meth:`~repro.core.engine.HostingEngine.runtime_snapshot` taken
-        after the canary converged on the spec but before the bake.
-        ``history`` (used with :attr:`window_runs`) is a series of
-        per-slot ``(runs, cycles)`` samples taken during the bake,
-        oldest first, as built by ``Fleet._bake_and_gate``.
-        """
-        problems: list[str] = []
-        if fault_delta > self.max_fault_delta:
-            problems.append(f"+{fault_delta} faults during bake")
-        if (self.max_quarantined is not None
-                and quarantined > self.max_quarantined):
-            problems.append(f"{quarantined} slot(s) quarantined during bake")
-        for slot, snap in before.items():
-            # A SlotSnapshot — or any (container, runs, cycles, ...)
-            # tuple a custom gate hands in.
-            container, runs0, cycles0 = snap[0], snap[1], snap[2]
-            budget = self.cycle_budgets.get(slot[1])
-            if budget is None:
-                continue
-            if (self.window_runs is not None and history
-                    and len(history) >= 2):
-                judged, problem = self._window_verdict(slot, budget, history)
-                if judged:
-                    if problem:
-                        problems.append(problem)
-                    continue
-                # Too few runs for a full window: fall back to totals.
-            # The snapshot pins the container object, so a slot that
-            # fault-detached mid-bake is still accounted.
-            runs = container.runs - runs0
-            cycles = container.total_cycles - cycles0
-            if runs > 0 and cycles > budget * runs:
-                problems.append(
-                    f"{slot[1]} burned {cycles // runs} cycles/run "
-                    f"(budget {budget})"
-                )
-        if self.store_keys and controls:
-            canary_store = device.engine.global_store.snapshot()
-            for control in controls:
-                control_store = control.engine.global_store.snapshot()
-                for key in self.store_keys:
-                    mine = canary_store.get(key, 0)
-                    theirs = control_store.get(key, 0)
-                    if mine != theirs:
-                        problems.append(
-                            f"store key {key} diverged: {mine} vs "
-                            f"{theirs} on {control.name}"
-                        )
-                        break
-        return problems
-
-    def _window_verdict(self, slot, budget: int,
-                        history: Sequence[Mapping]) -> tuple[bool, str]:
-        """Judge one slot over the tightest trailing bake window.
-
-        Walks sample intervals newest-first, accumulating until the
-        window holds at least :attr:`window_runs` runs, and holds that
-        window — not the whole bake — to the budget.  Returns
-        ``(judged, problem)``; ``judged`` is False when the whole bake
-        has fewer runs than one window (caller falls back to totals).
-        """
-        runs_acc = 0
-        cycles_acc = 0
-        for i in range(len(history) - 1, 0, -1):
-            newer = history[i].get(slot)
-            older = history[i - 1].get(slot)
-            if newer is None or older is None:
-                continue
-            runs_acc += newer[0] - older[0]
-            cycles_acc += newer[1] - older[1]
-            if runs_acc >= self.window_runs:
-                break
-        if runs_acc < self.window_runs:
-            return False, ""
-        if cycles_acc > budget * runs_acc:
-            return True, (
-                f"{slot[1]} burned {cycles_acc // runs_acc} cycles/run "
-                f"over the trailing {runs_acc}-run window (budget {budget})"
-            )
-        return True, ""
-
-
 @dataclass
 class DeviceRollout:
     """Accounting for one device's plan+apply during a fleet rollout."""
@@ -211,6 +77,8 @@ class DeviceRollout:
     cycles_charged: int
     cache_hits: int
     cache_misses: int
+    #: A returned direct apply always converged (a failed one raises).
+    ok = True
 
     @property
     def actions(self) -> int:
@@ -224,7 +92,7 @@ class FleetRollout(FleetResult):
     Implements the :class:`~repro.deploy.results.FleetResult` protocol:
     ``ok`` (a direct apply raises on failure, so a returned rollout is
     always ok), ``wall_s``, ``speedups()`` and row iteration all come
-    from the shared base; ``devices`` stays the historical row list.
+    from the shared base; ``devices`` holds the rows in fleet order.
     """
 
     spec: DeploymentSpec
@@ -244,69 +112,45 @@ class FleetRollout(FleetResult):
 
 
 @dataclass
-class CanaryRollout(FleetResult):
-    """Outcome of one :meth:`Fleet.canary_rollout`.
-
-    The rollout either **promoted** (every canary baked fault-free, the
-    spec went fleet-wide) or **rolled back** (a canary faulted or failed
-    to apply; every canary was reverted to the baseline spec and the
-    non-canary devices were never touched — ``control`` stays empty).
-
-    Implements the :class:`~repro.deploy.results.FleetResult` protocol:
-    ``ok`` is promotion, the rows are canary + control + rollback in
-    phase order, and ``speedups()`` compares against the cold first
-    canary while excluding rollback rows (those measure the undo).
-    """
-
-    spec: DeploymentSpec
-    baseline: DeploymentSpec
-    #: Canary-phase applies, in fleet order.
-    canary: list[DeviceRollout] = field(default_factory=list)
-    #: Promotion-phase applies (empty unless promoted).
-    control: list[DeviceRollout] = field(default_factory=list)
-    #: Rollback applies on the canary subset (empty unless rolled back).
-    rollback: list[DeviceRollout] = field(default_factory=list)
-    #: Contained faults observed per canary device across apply + bake.
-    fault_deltas: dict[str, int] = field(default_factory=dict)
-    #: Health-gate breaches per canary device (empty when healthy).
-    health: dict[str, list[str]] = field(default_factory=dict)
-    promoted: bool = False
-    rolled_back: bool = False
-    reason: str = ""
-    #: Virtual microseconds each canary baked for.
-    bake_us: float = 0.0
-
-    def rows(self) -> list[DeviceRollout]:
-        return self.canary + self.control + self.rollback
-
-    def speedup_rows(self) -> list[DeviceRollout]:
-        return self.canary + self.control
+class CanaryRollout(StagedResult):
+    """Outcome of one :meth:`Fleet.canary_rollout`: a
+    :class:`~repro.deploy.results.StagedResult` of direct applies
+    (:class:`DeviceRollout` rows) whose ``ok`` is promotion."""
 
     @property
     def ok(self) -> bool:
         return self.promoted
 
-    @property
-    def devices(self) -> list[DeviceRollout]:
-        """Alias for the protocol rows (matches the sibling results)."""
-        return self.rows()
 
-    @property
-    def canary_names(self) -> list[str]:
-        return [rollout.device.name for rollout in self.canary]
+@dataclass
+class _DirectTransport:
+    """Staged-rollout transport that plans and applies in process."""
 
-    def promotion_speedups(self) -> list[float]:
-        """Wall speedup of each promoted device over the cold canary.
+    fleet: Fleet
 
-        The first canary pays the cold verify/JIT-compile; promotion
-        rides the image cache the bake already proved out, so promoted
-        devices converge dramatically faster in wall time.
-        """
-        if not self.canary or not self.control:
-            return []
-        cold = self.canary[0].wall_s
-        return [cold / max(rollout.wall_s, 1e-9)
-                for rollout in self.control]
+    def converge(self, devices: Sequence[FleetDevice], spec: DeploymentSpec,
+                 role: str) -> tuple[list[DeviceRollout], str]:
+        rows = []
+        for device in devices:
+            try:
+                rows.append(self.fleet._converge(device, spec))
+            except Exception as exc:
+                # apply() already restored this device; the devices after
+                # it are never touched.
+                verb = ("promotion failed" if role == "control"
+                        else "apply failed")
+                return rows, f"{verb} on {device.name}: {exc}"
+        return rows, ""
+
+    def revert(self, groups) -> tuple[list[DeviceRollout], str]:
+        rows, failures = [], []
+        for baseline, devices in groups:
+            for device in devices:
+                try:
+                    rows.append(self.fleet._converge(device, baseline))
+                except Exception as exc:
+                    failures.append(f"rollback failed on {device.name}: {exc}")
+        return rows, "; ".join(failures)
 
 
 class Fleet:
@@ -321,7 +165,7 @@ class Fleet:
         self,
         boards: int | Sequence[Board] = 4,
         implementation: str = "jit",
-        supervisor: "SupervisorConfig | bool | None" = True,
+        supervisor: SupervisorConfig | None = None,
     ) -> None:
         if isinstance(boards, int):
             boards = [nrf52840() for _ in range(boards)]
@@ -430,117 +274,6 @@ class Fleet:
             hooks=tuple(hooks.values()),
         )
 
-    @staticmethod
-    def _worker_backlog(device: FleetDevice) -> bool:
-        """True while any THREAD-mode container still has unrun work.
-
-        Two places hide queued work: events sitting in a worker's queue
-        (``pending``) *and* an event already popped and delivered to a
-        worker thread that has not been scheduled since (the thread is
-        READY but its run — and any fault it would record — has not
-        happened yet).  The gate must wait out both.
-        """
-        for container in device.engine.containers():
-            queue = container.event_queue
-            if queue is None:
-                continue
-            if queue.pending:
-                return True
-            worker = container.worker
-            if worker is not None and worker.state is ThreadState.READY:
-                return True
-        return False
-
-    def _bake_device(
-        self,
-        device: FleetDevice,
-        bake_us: float,
-        bake_fires: int,
-        fired_hooks: Sequence[str],
-        context: bytes,
-    ) -> None:
-        """Run one canary's own workloads on its own virtual clock.
-
-        Periodic attachments fire on their declared cadence during the
-        ``bake_us`` window; every hook in ``fired_hooks`` is additionally
-        fired ``bake_fires`` times.  Before returning, THREAD-mode
-        worker backlogs are drained **unconditionally** — a periodic
-        attachment that enqueued work right at the end of the bake
-        window must still deliver its faults to the gate even when
-        ``bake_fires`` is zero (windows, not ``run_until_idle``: a
-        periodic attachment keeps a timer pending forever).
-        """
-        kernel = device.kernel
-        kernel.run(until_us=kernel.now_us + bake_us)
-        for _ in range(bake_fires):
-            for hook_name in fired_hooks:
-                if not device.engine.hooks[hook_name].containers:
-                    continue
-                device.engine.fire_hook(hook_name, context)
-        for _ in range(1000):
-            if not self._worker_backlog(device):
-                break
-            kernel.run(until_us=kernel.now_us + 10_000.0)
-
-    def _bake_and_gate(
-        self,
-        canaries: Sequence[FleetDevice],
-        controls: Sequence[FleetDevice],
-        spec: DeploymentSpec,
-        bake_us: float,
-        bake_fires: int,
-        bake_hooks: Sequence[str] | None,
-        bake_context: bytes | None,
-        health_gate: HealthGate,
-    ) -> tuple[dict[str, int], dict[str, list[str]]]:
-        """Bake every canary, then judge each against the health gate.
-
-        Returns ``(fault deltas, health breaches)`` per canary name;
-        the rollout is healthy iff every breach list is empty.
-        """
-        fired_hooks = list(bake_hooks) if bake_hooks is not None else sorted(
-            {a.hook for a in spec.attachments if a.period_us is None}
-        )
-        context = (bake_context if bake_context is not None
-                   else struct.pack("<QQ", 0, 0))
-        fault_deltas: dict[str, int] = {}
-        health: dict[str, list[str]] = {}
-        # A sliding-window gate needs intra-bake samples; a whole-bake
-        # gate needs none — one slice keeps the classic behavior intact.
-        slices = 8 if health_gate.window_runs is not None else 1
-        for device in canaries:
-            faults_before = device.engine.fault_total
-            supervisor = device.engine.supervisor
-            quar_before = (supervisor.quarantines
-                           if supervisor is not None else 0)
-            snapshot_before = device.engine.runtime_snapshot()
-
-            def sample() -> dict:
-                # Read the *pinned* container objects from the pre-bake
-                # snapshot, so a slot replaced or fault-detached
-                # mid-bake keeps a continuous series.
-                return {slot: (snap.container.runs,
-                               snap.container.total_cycles)
-                        for slot, snap in snapshot_before.items()}
-
-            history = [sample()]
-            for index in range(slices):
-                self._bake_device(
-                    device, bake_us / slices,
-                    bake_fires if index == slices - 1 else 0,
-                    fired_hooks, context,
-                )
-                history.append(sample())
-            delta = device.engine.fault_total - faults_before
-            fault_deltas[device.name] = delta
-            quarantined = (supervisor.quarantines - quar_before
-                           if supervisor is not None else 0)
-            health[device.name] = health_gate.breaches(
-                device, snapshot_before, delta, controls,
-                history=history if slices > 1 else None,
-                quarantined=quarantined)
-        return fault_deltas, health
-
     def canary_rollout(
         self,
         spec: DeploymentSpec,
@@ -555,123 +288,24 @@ class Fleet:
     ) -> CanaryRollout:
         """Stage ``spec`` on a canary subset, bake, then promote or revert.
 
-        1. **Canary**: the first ``canary_count`` devices (default
-           ``round(canary_fraction * N)``, at least one) are converged
-           onto the spec.  A device whose apply fails (pre-flight
-           rejection, contract mismatch, ...) is already restored by the
-           transactional apply; the rollout aborts and reverts any
-           earlier canaries.
-        2. **Bake**: each canary runs its own virtual clock forward by
-           ``bake_us`` — periodic attachments fire on their declared
-           cadence — and every spec hook is additionally fired
-           ``bake_fires`` times (SYNC hooks run inline, THREAD hooks
-           drain through their worker threads before the gate reads any
-           counter, whether or not extra fires were requested).
-        3. **Gate**: each canary must pass ``health_gate`` (default: the
-           device-lifetime fault counter
-           :attr:`~repro.core.engine.HostingEngine.fault_total` must not
-           have moved; a custom :class:`HealthGate` can additionally
-           hold per-container modelled-cycle budgets and global-store
-           agreement with the control devices).  A healthy bake promotes
-           the spec to the remaining devices (which ride the image cache
-           the canaries warmed); any breach rolls every canary back to
-           ``baseline`` (default: the spec this fleet last converged on,
-           or an empty spec of the same scope) and leaves the rest of
-           the fleet untouched.
+        The first ``canary_count`` devices (default
+        ``round(canary_fraction * N)``, at least one) are the canaries;
+        :class:`~repro.deploy.staged.StagedRollout` documents the
+        phases, the health gate and the rollback targets.  The first
+        canary whose apply fails stops the canary phase (the
+        transactional apply already restored it).
         """
         if not 0.0 < canary_fraction <= 1.0:
             raise ValueError("canary_fraction must be in (0, 1]")
         if canary_count is None:
             canary_count = max(1, round(canary_fraction * len(self.devices)))
-        if not 1 <= canary_count <= len(self.devices):
-            raise ValueError(
-                f"canary_count {canary_count} outside 1..{len(self.devices)}"
-            )
-        if health_gate is None:
-            health_gate = HealthGate()
-        canaries = self.devices[:canary_count]
-        rest = self.devices[canary_count:]
-        # Per-device rollback baselines, captured *before* any canary is
-        # touched: a mode-heterogeneous fleet unwinds each device to its
-        # own prior spec.  An explicit ``baseline`` argument overrides
-        # them all; the fleet-level value is kept on the rollout record.
-        explicit_baseline = baseline
-        prior_specs = {device.name: device.current_spec
-                       for device in self.devices}
-        if baseline is None:
-            baseline = self.current_spec
-        if baseline is None:
-            baseline = self._rollback_baseline(spec, canaries)
-        rollout = CanaryRollout(spec=spec, baseline=baseline, bake_us=bake_us)
-
-        def revert_target(device: FleetDevice) -> DeploymentSpec:
-            if explicit_baseline is not None:
-                return explicit_baseline
-            return (prior_specs[device.name]
-                    or self.current_spec
-                    or self._rollback_baseline(spec, [device]))
-
-        def revert(staged_rollouts: list[DeviceRollout]) -> None:
-            """Best-effort re-apply of each device's baseline; never
-            raises (a device whose revert fails is recorded in the
-            reason, the remaining devices still get reverted)."""
-            for staged in staged_rollouts:
-                try:
-                    rollout.rollback.append(self._converge(
-                        staged.device, revert_target(staged.device)))
-                except Exception as exc:
-                    rollout.reason += (
-                        f"; rollback failed on {staged.device.name}: {exc}")
-            rollout.rolled_back = True
-
-        # 1. Converge the canary subset.
-        for device in canaries:
-            try:
-                rollout.canary.append(self._converge(device, spec))
-            except Exception as exc:
-                # apply() already rolled this device back; revert the
-                # canaries staged before it.
-                rollout.reason = (f"apply failed on {device.name}: {exc}")
-                revert(rollout.canary)
-                return rollout
-
-        # 2. Bake: run the canaries' own workloads on their own clocks,
-        # then judge each against the health gate.
-        rollout.fault_deltas, rollout.health = self._bake_and_gate(
-            canaries, rest, spec, bake_us, bake_fires, bake_hooks,
-            bake_context, health_gate,
+        staged = StagedRollout(
+            self, _DirectTransport(self), canary_count,
+            health_gate=health_gate, bake_us=bake_us, bake_fires=bake_fires,
+            bake_hooks=bake_hooks, bake_context=bake_context,
+            baseline=baseline,
         )
-
-        # 3. Gate: any breach reverts the canary subset.
-        unhealthy = {name: problems
-                     for name, problems in rollout.health.items() if problems}
-        if unhealthy:
-            rollout.reason = "health gate: " + "; ".join(
-                f"{name}: {', '.join(problems)}"
-                for name, problems in sorted(unhealthy.items())
-            )
-            revert(rollout.canary)
-            return rollout
-
-        # Promote: the rest of the fleet rides the warmed image cache.
-        for device in rest:
-            try:
-                rollout.control.append(self._converge(device, spec))
-            except Exception as exc:
-                # This device is already restored by the transactional
-                # apply; take the whole fleet back to the baseline so it
-                # never stays half-promoted.
-                rollout.reason = (
-                    f"promotion failed on {device.name}: {exc}")
-                revert(rollout.canary + rollout.control)
-                rollout.control = []
-                return rollout
-        rollout.promoted = True
-        rollout.reason = (
-            f"{len(canaries)} canaries baked {bake_us:.0f} us fault-free"
-        )
-        self.current_spec = spec
-        return rollout
+        return staged.run(CanaryRollout(spec=spec))
 
     def fire_all(self, hook_name: str, context: bytes = b"") -> int:
         """Fire one hook on every device; returns total container runs.

@@ -29,17 +29,18 @@ maintainer runs on a separate backhaul kernel that owns the link's
 airtime timers; :meth:`FleetPublisher.publish` co-runs all kernels in
 small interleaved windows until every triggered worker reported.
 
-With ``canary_count`` the publish is staged like
-:meth:`~repro.deploy.fleet.Fleet.canary_rollout`, but entirely over the
-radio: trigger the canaries, bake them, judge them against a
-:class:`~repro.deploy.fleet.HealthGate`, and only then trigger the rest
+With ``canary_count`` the publish runs the same
+:class:`~repro.deploy.staged.StagedRollout` as
+:meth:`~repro.deploy.fleet.Fleet.canary_rollout`, over a radio
+transport: trigger the canaries, bake them, judge them against a
+:class:`~repro.deploy.staged.HealthGate`, and only then trigger the rest
 of the fleet.  An unhealthy bake publishes each canary's *own* prior
 spec back to it — under a **new, higher** sequence number, because
 anti-rollback forbids re-announcing an old one; devices sharing a
 baseline share one signed envelope — and never touches the control
 devices at all.
 
-Since PR 7 every row also carries the device's health/energy telemetry
+Every row also carries the device's health/energy telemetry
 (contained-fault delta, quarantined slot count, radio energy), and a
 device whose :class:`~repro.vm.supervisor.ContainerSupervisor`
 quarantined a crash-looping slot reports a ``QUARANTINED`` row: still
@@ -51,15 +52,15 @@ from __future__ import annotations
 
 import random
 import time
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.engine import HostingEngine
-from repro.deploy.fleet import Fleet, FleetDevice, HealthGate
-from repro.deploy.results import FleetResult
+from repro.deploy.fleet import Fleet, FleetDevice
+from repro.deploy.results import StagedResult
 from repro.deploy.shards import ShardExecutor
 from repro.deploy.spec import DeploymentSpec
+from repro.deploy.staged import StagedRollout
 from repro.net import coap
 from repro.net.coap import CoapMessage
 from repro.net.gcoap import CoapClient, CoapServer
@@ -74,6 +75,7 @@ from repro.vm.imagecache import IMAGE_CACHE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.deploy.chaos import FaultInjector
+    from repro.deploy.staged import HealthGate
 
 MAINTAINER_ADDR = "2001:db8::maint"
 DEVICE_ADDR_TEMPLATE = "2001:db8::dev{index}"
@@ -107,11 +109,9 @@ RETRYABLE_STATUSES = (UpdateStatus.FETCH_FAILED,)
 class PublishOptions:
     """Every knob of one :meth:`FleetPublisher.publish`, in one place.
 
-    The defaults reproduce the historical keyword-argument behavior
-    exactly (unicast triggers, single-shard co-run, no cross-device
-    decode sharing); :meth:`scale` turns on the fleet-scale path.  The
-    old keyword arguments are still accepted by ``publish`` (with a
-    :class:`DeprecationWarning`) and are folded into an options value.
+    The defaults are the unicast path (unicast triggers, single-shard
+    co-run, no cross-device decode sharing); :meth:`scale` turns on the
+    fleet-scale path.
     """
 
     #: Explicit sequence number (``None``: next maintainer epoch).
@@ -156,7 +156,7 @@ class PublishOptions:
 
     @classmethod
     def legacy(cls, **overrides) -> "PublishOptions":
-        """The historical behavior, spelled out (the bench baseline)."""
+        """The unicast defaults, spelled out (the bench baseline)."""
         return cls(**{"multicast": False, "shards": 1,
                       "share_release": False, **overrides})
 
@@ -223,29 +223,17 @@ class DevicePublish:
 
 
 @dataclass
-class PublishResult(FleetResult):
+class PublishResult(StagedResult):
     """Outcome of one :meth:`FleetPublisher.publish`.
 
-    Implements the :class:`~repro.deploy.results.FleetResult` protocol:
-    ``ok`` is convergence, iteration walks the per-device rows, and
-    ``speedups()`` compares later devices against the cold first one
-    while excluding rollback rows.
+    A :class:`~repro.deploy.results.StagedResult` of over-the-air
+    convergences (:class:`DevicePublish` rows).  An unstaged publish
+    keeps every row in ``control``.  ``ok`` is convergence: every
+    triggered device reconciled, with no refusals.
     """
 
-    spec: DeploymentSpec
     sequence_number: int
     payload_bytes: int
-    #: Per-device convergences in trigger order; on a canary publish the
-    #: canary entries come first, followed by control (promotion) or
-    #: rollback entries.
-    devices: list[DevicePublish] = field(default_factory=list)
-    #: Contained faults per canary during the bake (canary publish only).
-    fault_deltas: dict[str, int] = field(default_factory=dict)
-    #: Health-gate breaches per canary (canary publish only).
-    health: dict[str, list[str]] = field(default_factory=dict)
-    promoted: bool = False
-    rolled_back: bool = False
-    reason: str = ""
     #: The fan-out trigger went over the group address (one broadcast).
     multicast: bool = False
     #: Radio bytes the maintainer spent on trigger fan-out (broadcast
@@ -255,51 +243,82 @@ class PublishResult(FleetResult):
     #: the bounded multicast ack sample.
     mcast_acks: list[str] = field(default_factory=list)
 
-    def rows(self) -> list[DevicePublish]:
-        return self.devices
-
-    def speedup_rows(self) -> list[DevicePublish]:
-        return [row for row in self.devices if row.role != "rollback"]
-
     @property
     def ok(self) -> bool:
-        return self.converged
-
-    @property
-    def converged(self) -> bool:
-        """Every triggered device reconciled OK (no refusals)."""
-        return bool(self.devices) and all(row.ok for row in self.devices)
+        rows = self.rows()
+        return bool(rows) and all(row.ok for row in rows)
 
     @property
     def total_retries(self) -> int:
-        return sum(row.retries for row in self.devices)
+        return sum(row.retries for row in self.rows())
 
     @property
     def total_reboots(self) -> int:
-        return sum(row.reboots for row in self.devices)
+        return sum(row.reboots for row in self.rows())
 
     def unreachable(self) -> list[DevicePublish]:
         """Devices that never reported despite every retry."""
-        return [row for row in self.devices
+        return [row for row in self.rows()
                 if row.result.status is UpdateStatus.UNREACHABLE]
 
     def quarantined_devices(self) -> list[DevicePublish]:
         """Devices that converged but hold quarantined container slots."""
-        return [row for row in self.devices
+        return [row for row in self.rows()
                 if row.result.status is UpdateStatus.QUARANTINED]
 
     @property
     def total_fault_delta(self) -> int:
         """Contained faults across the fleet during this publish."""
-        return sum(row.fault_delta for row in self.devices)
+        return sum(row.fault_delta for row in self.rows())
 
     @property
     def total_radio_uj(self) -> float:
         """Radio energy the whole fleet spent converging (µJ)."""
-        return sum(row.radio_uj for row in self.devices)
+        return sum(row.radio_uj for row in self.rows())
 
-    def by_role(self, role: str) -> list[DevicePublish]:
-        return [row for row in self.devices if row.role == role]
+
+@dataclass
+class _RadioTransport:
+    """Staged-rollout transport over the radio: trigger, then co-run
+    until every triggered device reported."""
+
+    publisher: "FleetPublisher"
+    options: PublishOptions
+    envelope: bytes
+    payload: bytes
+    sequence_number: int
+
+    def _send(self, devices: Sequence[FleetDevice], spec: DeploymentSpec,
+              role: str, envelope: bytes, payload: bytes,
+              sequence_number: int) -> list[DevicePublish]:
+        self.publisher._trigger(devices, envelope, self.options, payload,
+                                sequence_number)
+        return self.publisher._converge(devices, role, self.options,
+                                        sequence_number, spec)
+
+    def converge(self, devices: Sequence[FleetDevice], spec: DeploymentSpec,
+                 role: str) -> tuple[list[DevicePublish], str]:
+        rows = self._send(devices, spec, role, self.envelope, self.payload,
+                          self.sequence_number)
+        refused = ", ".join(sorted(row.device.name for row in rows
+                                   if not row.ok))
+        if not refused:
+            return rows, ""
+        if role == "control":
+            return rows, f"promotion refused by {refused}"
+        return rows, f"refused by canaries {refused}"
+
+    def revert(self, groups) -> tuple[list[DevicePublish], str]:
+        """Publish each baseline back to its group as a *new* sequence
+        (anti-rollback forbids re-announcing an old one): one signed
+        envelope per distinct baseline."""
+        rows: list[DevicePublish] = []
+        for baseline, devices in groups:
+            envelope, payload, sequence = self.publisher._sign(baseline,
+                                                               None, None)
+            rows.extend(self._send(devices, baseline, "rollback", envelope,
+                                   payload, sequence))
+        return rows, ""
 
 
 class FleetPublisher:
@@ -512,7 +531,7 @@ class FleetPublisher:
         device.kernel = kernel
         device.engine = HostingEngine(
             kernel, implementation=self.fleet.implementation,
-            supervisor=getattr(self.fleet, "supervisor_config", True))
+            supervisor=self.fleet.supervisor_config)
         device.reboots += 1
         self._wire_device(device, index)
         device.radio.worker.recover()
@@ -535,9 +554,8 @@ class FleetPublisher:
         return envelope, payload, sequence_number
 
     def _trigger(self, devices: Sequence[FleetDevice], envelope: bytes,
-                 options: PublishOptions | None = None,
-                 payload: bytes | None = None,
-                 sequence_number: int = 0) -> None:
+                 options: PublishOptions, payload: bytes,
+                 sequence_number: int) -> None:
         """Arm per-device trigger state and fire the first round.
 
         Unicast (the default): one CON POST per device now, re-POSTed by
@@ -549,8 +567,6 @@ class FleetPublisher:
         unicast backoff path becomes the self-healing fallback for any
         device that missed it (visible as ``retries >= 1`` on its row).
         """
-        if options is None:
-            options = PublishOptions()
         now = self.kernel.now_us
         use_mcast = (options.multicast
                      and len(devices) == len(self.fleet.devices))
@@ -590,7 +606,7 @@ class FleetPublisher:
                      // max(1, len(devices))),
             "l": int(options.leisure_us),
         }
-        if options.inline_payload and payload is not None:
+        if options.inline_payload:
             body["y"] = payload
         message = CoapMessage(mtype=coap.NON, code=coap.POST,
                               payload=cbor.encode(body))
@@ -645,8 +661,8 @@ class FleetPublisher:
         devices: Sequence[FleetDevice],
         role: str,
         options: PublishOptions,
-        sequence_number: int | None = None,
-        spec: DeploymentSpec | None = None,
+        sequence_number: int,
+        spec: DeploymentSpec,
     ) -> list[DevicePublish]:
         """Co-run all kernels until every triggered worker reported.
 
@@ -721,7 +737,6 @@ class FleetPublisher:
                 # A converged device never CON-acked the broadcast;
                 # mark it so the fallback pump stops chasing it.
                 trigger["acked"] = True
-            supervisor = device.engine.supervisor
             rows.append(DevicePublish(
                 device=device,
                 role=role,
@@ -734,20 +749,19 @@ class FleetPublisher:
                 retries=max(0, trigger.get("attempts", 1) - 1),
                 reboots=device.reboots - entry["reboots_before"],
                 fault_delta=fault_delta(device, entry),
-                quarantined=(len(supervisor.quarantined_slots())
-                             if supervisor is not None else 0),
+                quarantined=len(
+                    device.engine.supervisor.quarantined_slots()),
                 radio_uj=(device.meter.report().radio_uj
                           - entry["radio_before"]
                           if device.meter is not None else 0.0),
             ))
-            if rows[-1].ok and spec is not None:
+            if rows[-1].ok:
                 # Per-device rollback baseline: this device now runs
                 # ``spec`` regardless of what the rest of the fleet does.
                 device.current_spec = spec
 
         def holds_sequence(worker) -> bool:
-            return (sequence_number is not None
-                    and worker.storage.highest_sequence(self.slot)
+            return (worker.storage.highest_sequence(self.slot)
                     >= sequence_number)
 
         for _ in range(options.max_windows):
@@ -805,8 +819,7 @@ class FleetPublisher:
                     # about that sequence, not this one.
                     result = worker.results[entry["results_before"]]
                     entry["results_before"] += 1
-                    if (sequence_number is not None
-                            and result.manifest is not None
+                    if (result.manifest is not None
                             and result.manifest.sequence_number
                             != sequence_number):
                         continue  # stale: keep scanning
@@ -890,11 +903,8 @@ class FleetPublisher:
         result.multicast = self._used_multicast
         result.trigger_tx_bytes = self.trigger_tx_bytes
         result.mcast_acks = sorted(self._mcast_acks)
-        for row in result.devices:
-            supervisor = getattr(row.device.engine, "supervisor", None)
-            if supervisor is None:
-                continue
-            slots = supervisor.quarantined_slots()
+        for row in result.rows():
+            slots = row.device.engine.supervisor.quarantined_slots()
             row.quarantined = len(slots)
             if slots and row.result.status in (UpdateStatus.OK,
                                                UpdateStatus.REBOOTED):
@@ -912,46 +922,28 @@ class FleetPublisher:
 
     # -- the publish -------------------------------------------------------
 
-    def publish(
-        self,
-        spec: DeploymentSpec,
-        options: PublishOptions | int | None = None,
-        **legacy_kwargs,
-    ) -> PublishResult:
+    def publish(self, spec: DeploymentSpec,
+                options: PublishOptions | None = None) -> PublishResult:
         """Sign ``spec`` once and fan it out to the fleet over the radio.
 
-        All knobs live on :class:`PublishOptions` (``options=None`` is
-        the historical default behavior; the old keyword arguments are
-        still accepted with a :class:`DeprecationWarning` and folded
-        in).  Without ``canary_count`` every device is triggered at once
-        off the one envelope — as one group-addressed broadcast under
-        ``PublishOptions.scale()``, or one CON POST per device
-        otherwise.  With it, the publish is health-gated: only the first
-        ``canary_count`` devices are triggered; after they converge they
-        are baked (``bake_us`` virtual microseconds each, plus
-        ``bake_fires`` explicit firings of the spec's hooks) and judged
-        against ``health_gate`` (default: zero contained faults).  A
-        healthy bake triggers the remaining devices with the *same*
-        envelope — their applies ride the canary-warmed image cache; an
-        unhealthy one publishes the fleet baseline back to the canaries
-        under the next sequence number and leaves the rest untouched.
-        Canary subsets and rollbacks always trigger unicast: a group
-        broadcast cannot address a subset of the fleet.
+        All knobs live on :class:`PublishOptions` (``None``: its
+        defaults).  Without ``canary_count`` every device is triggered
+        at once off the one envelope — as one group-addressed broadcast
+        under ``PublishOptions.scale()``, or one CON POST per device
+        otherwise.  With it, the publish is a
+        :class:`~repro.deploy.staged.StagedRollout` over the radio: the
+        first ``canary_count`` devices are triggered, baked and judged
+        against ``health_gate``; a healthy bake triggers the rest with
+        the *same* envelope (their applies ride the canary-warmed image
+        cache), and an unhealthy one publishes each canary's own prior
+        spec back to it under a fresh sequence number and leaves the
+        rest untouched.  Canary subsets and rollbacks always trigger
+        unicast: a group broadcast cannot address a subset of the fleet.
 
         Anti-rollback holds per device: a ``sequence_number`` at or
         below a device's stored sequence is refused by that device
         (``SEQUENCE_REPLAY``) without any payload fetch.
         """
-        if isinstance(options, int):
-            # Historical positional second argument was sequence_number.
-            legacy_kwargs.setdefault("sequence_number", options)
-            options = None
-        if legacy_kwargs:
-            warnings.warn(
-                "publish(**kwargs) is deprecated; pass a PublishOptions "
-                f"(got {sorted(legacy_kwargs)})",
-                DeprecationWarning, stacklevel=2)
-            options = replace(options or PublishOptions(), **legacy_kwargs)
         if options is None:
             options = PublishOptions()
         fleet = self.fleet
@@ -963,144 +955,33 @@ class FleetPublisher:
             spec, options.sequence_number, options.signer_seed)
         result = PublishResult(spec=spec, sequence_number=sequence_number,
                                payload_bytes=len(payload))
-
-        if options.canary_count is None:
-            self._trigger(fleet.devices, envelope, options,
-                          payload=payload,
-                          sequence_number=sequence_number)
-            result.devices = self._converge(fleet.devices, "device",
-                                            options,
-                                            sequence_number=sequence_number,
-                                            spec=spec)
-            if result.converged:
-                fleet.current_spec = spec
-                result.reason = (f"{len(result.devices)} devices "
-                                 "reconciled off one publish")
-            else:
-                unreachable = sorted(row.device.name
-                                     for row in result.unreachable())
-                refused = sorted(
-                    row.device.name for row in result.devices
-                    if not row.ok
-                    and row.result.status is not UpdateStatus.UNREACHABLE)
-                parts = []
-                if refused:
-                    parts.append(f"refused by {', '.join(refused)}")
-                if unreachable:
-                    parts.append(f"unreachable: {', '.join(unreachable)}")
-                result.reason = "; ".join(parts)
-            return self._mark_quarantined(result)
-
-        canary_count = options.canary_count
-        if not 1 <= canary_count <= len(fleet.devices):
-            raise ValueError(
-                f"canary_count {canary_count} outside 1..{len(fleet.devices)}"
+        transport = _RadioTransport(self, options, envelope, payload,
+                                    sequence_number)
+        if options.canary_count is not None:
+            staged = StagedRollout(
+                fleet, transport, options.canary_count,
+                health_gate=options.health_gate, bake_us=options.bake_us,
+                bake_fires=options.bake_fires, bake_hooks=options.bake_hooks,
+                bake_context=options.bake_context,
             )
-        health_gate = options.health_gate
-        if health_gate is None:
-            health_gate = HealthGate()
-        canaries = fleet.devices[:canary_count]
-        rest = fleet.devices[canary_count:]
-        baseline = fleet.current_spec
-        if baseline is None:
-            baseline = fleet._rollback_baseline(spec, canaries)
-        # Per-device baselines, captured *before* anything is triggered:
-        # a heterogeneous fleet (devices converged onto different specs
-        # by earlier publishes or direct applies) must roll each device
-        # back to *its own* prior spec, not one fleet-wide guess.
-        prior_specs = {device.name: device.current_spec
-                       for device in fleet.devices}
+            return self._mark_quarantined(staged.run(result))
 
-        def publish_rollback(reason: str,
-                             targets: Sequence[FleetDevice]) -> PublishResult:
-            """OTA rollback: each device's *own* prior spec goes out as a
-            *new* sequence (anti-rollback forbids re-announcing an old
-            one) and only to the devices that converged on the bad spec —
-            a control that was never triggered is never touched.  Devices
-            sharing a baseline share one signed envelope; each distinct
-            baseline gets its own envelope and sequence number."""
-            result.rolled_back = True
-            result.reason = reason
-            groups: list[tuple[DeploymentSpec, list[FleetDevice]]] = []
-            for device in targets:
-                target_spec = prior_specs.get(device.name) or baseline
-                for grouped_spec, members in groups:
-                    if grouped_spec is target_spec:
-                        members.append(device)
-                        break
-                else:
-                    groups.append((target_spec, [device]))
-            for target_spec, members in groups:
-                rollback_envelope, rollback_payload, rollback_seq = \
-                    self._sign(target_spec, None, None)
-                self._trigger(members, rollback_envelope, options,
-                              payload=rollback_payload,
-                              sequence_number=rollback_seq)
-                result.devices.extend(self._converge(
-                    members, "rollback", options,
-                    sequence_number=rollback_seq, spec=target_spec))
-            return self._mark_quarantined(result)
-
-        # 1. Canary: trigger and converge the subset only.
-        self._trigger(canaries, envelope, options,
-                      sequence_number=sequence_number)
-        canary_rows = self._converge(canaries, "canary", options,
-                                     sequence_number=sequence_number,
-                                     spec=spec)
-        result.devices = canary_rows
-        refused = sorted(row.device.name for row in canary_rows
-                         if not row.ok)
-        if refused:
-            # A refused spec (replay, bad signature, rejected apply)
-            # never changed the refusing device — the worker's pipeline
-            # and the transactional apply guarantee that.  Canaries that
-            # *did* accept it, however, now run an unbaked spec and must
-            # be taken back to the baseline over the air.
-            accepted = [row.device for row in canary_rows if row.ok]
-            if accepted:
-                return publish_rollback(
-                    f"refused by canaries {', '.join(refused)}", accepted)
-            result.rolled_back = True
-            result.reason = (f"refused by canaries {', '.join(refused)}; "
-                             "devices unchanged")
-            return self._mark_quarantined(result)
-
-        # 2. Bake + health gate, exactly as the direct canary rollout.
-        result.fault_deltas, result.health = fleet._bake_and_gate(
-            canaries, rest, spec, options.bake_us, options.bake_fires,
-            options.bake_hooks, options.bake_context, health_gate,
-        )
-        unhealthy = {name: problems
-                     for name, problems in result.health.items() if problems}
-        if unhealthy:
-            return publish_rollback(
-                "health gate: " + "; ".join(
-                    f"{name}: {', '.join(problems)}"
-                    for name, problems in sorted(unhealthy.items())
-                ),
-                canaries,
-            )
-
-        # 3. Promote: the rest of the fleet rides the warmed cache.
-        self._trigger(rest, envelope, options,
-                      sequence_number=sequence_number)
-        control_rows = self._converge(rest, "control", options,
-                                      sequence_number=sequence_number,
-                                      spec=spec)
-        result.devices.extend(control_rows)
-        refused = sorted(row.device.name for row in control_rows
-                         if not row.ok)
-        if refused:
-            # Take the whole fleet back: canaries plus every control
-            # that did accept the spec, so it never stays half-promoted.
-            promoted_ok = [row.device for row in control_rows if row.ok]
-            return publish_rollback(
-                f"promotion refused by {', '.join(refused)}",
-                list(canaries) + promoted_ok)
-        result.promoted = True
-        result.reason = (
-            f"{len(canaries)} canaries baked {options.bake_us:.0f} us "
-            f"healthy, {len(rest)} devices promoted"
-        )
-        fleet.current_spec = spec
+        result.control, _ = transport.converge(fleet.devices, spec, "device")
+        if result.ok:
+            fleet.current_spec = spec
+            result.reason = (f"{len(result.control)} devices "
+                             "reconciled off one publish")
+        else:
+            unreachable = sorted(row.device.name
+                                 for row in result.unreachable())
+            refused = sorted(
+                row.device.name for row in result.control
+                if not row.ok
+                and row.result.status is not UpdateStatus.UNREACHABLE)
+            parts = []
+            if refused:
+                parts.append(f"refused by {', '.join(refused)}")
+            if unreachable:
+                parts.append(f"unreachable: {', '.join(unreachable)}")
+            result.reason = "; ".join(parts)
         return self._mark_quarantined(result)

@@ -98,7 +98,7 @@ class DeviceShell:
             # The strikes/state columns surface the supervisor's verdict
             # per slot; quarantined slots are *detached*, so they get
             # their own rows below the live containers.
-            supervisor = getattr(self.engine, "supervisor", None)
+            supervisor = self.engine.supervisor
             lines = [f"{'name':20} {'tenant':10} {'hook':24} "
                      f"{'runtime':8} "
                      f"{'image':12} {'runs':>6} {'faults':>6} {'ram B':>6} "
@@ -108,8 +108,7 @@ class DeviceShell:
                 hook = container.hook.name if container.hook else "-"
                 runtime = getattr(container.program, "runtime", "rbpf")
                 health = (supervisor.health(hook, container.name)
-                          if supervisor is not None and container.hook
-                          else None)
+                          if container.hook else None)
                 lines.append(
                     f"{container.name:20} {tenant:10} {hook:24} "
                     f"{runtime:8} "
@@ -119,25 +118,24 @@ class DeviceShell:
                     f"{health.strikes if health else 0:>7} "
                     f"{health.state if health else 'ok':>11}"
                 )
-            if supervisor is not None:
-                listed = {(c.hook.name, c.name)
-                          for c in self.engine.containers() if c.hook}
-                for (hook_name, name), record in sorted(
-                        supervisor.counters().items()):
-                    if not record.quarantined or (hook_name, name) in listed:
-                        continue
-                    detained = record.container
-                    tenant = (detained.tenant.name if detained.tenant
-                              else "-")
-                    runtime = getattr(detained.program, "runtime", "rbpf")
-                    lines.append(
-                        f"{name:20} {tenant:10} {hook_name:24} "
-                        f"{runtime:8} "
-                        f"{detained.image_hash[:12]} "
-                        f"{detained.runs:>6} {detained.fault_count:>6} "
-                        f"{detained.ram_bytes:>6} "
-                        f"{record.strikes:>7} {record.state:>11}"
-                    )
+            listed = {(c.hook.name, c.name)
+                      for c in self.engine.containers() if c.hook}
+            for (hook_name, name), record in sorted(
+                    supervisor.counters().items()):
+                if not record.quarantined or (hook_name, name) in listed:
+                    continue
+                detained = record.container
+                tenant = (detained.tenant.name if detained.tenant
+                          else "-")
+                runtime = getattr(detained.program, "runtime", "rbpf")
+                lines.append(
+                    f"{name:20} {tenant:10} {hook_name:24} "
+                    f"{runtime:8} "
+                    f"{detained.image_hash[:12]} "
+                    f"{detained.runs:>6} {detained.fault_count:>6} "
+                    f"{detained.ram_bytes:>6} "
+                    f"{record.strikes:>7} {record.state:>11}"
+                )
             return "\n".join(lines)
         if args[0] == "detach" and len(args) == 2:
             for container in self.engine.containers():

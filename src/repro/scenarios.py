@@ -37,7 +37,7 @@ from repro.deploy import DeploymentSpec, apply_spec, fanout_spec, \
 from repro.net import CoapClient, CoapServer, Interface, Link, UdpStack
 from repro.rtos import Board, Kernel, nrf52840, synthetic_temperature
 from repro.suit import SpecUpdateWorker, UpdateResult, ed25519, sign_spec
-from repro.vm import Program
+from repro.vm import Program, SupervisorConfig
 from repro.workloads import thread_counter_program
 
 DEVICE_ADDR = "2001:db8::dev"
@@ -226,7 +226,7 @@ def build_fleet_publisher(
     maintainer_seed: bytes = bytes(range(32)),
     max_storage_slots: int | None = None,
     storage_gc_horizon: int | None = None,
-    supervisor=True,
+    supervisor: SupervisorConfig | None = None,
 ):
     """Fleet + maintainer wired for over-the-air fleet publishes.
 
@@ -257,7 +257,7 @@ def build_control_plane(
     implementation: str = "jit",
     loss: float = 0.0,
     seed: int = 1234,
-    supervisor=True,
+    supervisor: SupervisorConfig | None = None,
     **publisher_kwargs,
 ):
     """Maintainer control plane over a freshly wired fleet.

@@ -121,9 +121,8 @@ class ContainerSupervisor:
         """Account one run; quarantine the slot when a streak trips.
 
         Called after the engine recorded the run and before
-        ``execute`` returns, i.e. exactly where the legacy
-        fault-detach fired — so a SYNC hook firing observes the detach
-        of the container that just ran, like before.
+        ``execute`` returns — so a SYNC hook firing observes the
+        quarantine of the container that just ran.
         """
         hook = container.hook
         if hook is None:

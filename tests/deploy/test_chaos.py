@@ -25,6 +25,7 @@ from repro.deploy import (
     HookSpec,
     ImageSpec,
     LinkLossBurst,
+    PublishOptions,
     StallAt,
 )
 from repro.scenarios import build_fleet_publisher
@@ -61,19 +62,19 @@ SCRIPTED_PLAN = [
 ]
 
 
-def chaos_publish(plan, devices=4, loss=0.10, **publish_kwargs):
+def chaos_publish(plan, devices=4, loss=0.10, options=None):
     publisher = build_fleet_publisher(devices=devices, loss=loss, seed=77)
     publisher.chaos = FaultInjector(plan)
-    result = publisher.publish(make_spec(), **publish_kwargs)
+    result = publisher.publish(make_spec(), options)
     return publisher, result
 
 
 class TestScriptedChaos:
     def test_crashes_bursts_and_stalls_still_converge(self):
         publisher, result = chaos_publish(SCRIPTED_PLAN)
-        assert result.converged, result.reason
-        assert len(result.devices) == 4
-        by_name = {row.device.name: row for row in result.devices}
+        assert result.ok, result.reason
+        assert len(result.rows()) == 4
+        by_name = {row.device.name: row for row in result.rows()}
         assert by_name["dev1"].reboots == 1
         assert by_name["dev2"].reboots == 1
         assert by_name["dev0"].reboots == 0
@@ -91,36 +92,36 @@ class TestScriptedChaos:
 
     def test_loss_burst_restores_base_loss(self):
         publisher, result = chaos_publish(SCRIPTED_PLAN, loss=0.10)
-        assert result.converged
+        assert result.ok
         assert publisher.link.loss == 0.10
 
     def test_crashing_a_dead_device_is_a_noop(self):
         plan = [CrashAt("dev1", at_us=1_000.0, down_us=400_000.0),
                 CrashAt("dev1", at_us=2_000.0, down_us=400_000.0)]
         publisher, result = chaos_publish(plan, loss=0.0)
-        assert result.converged
+        assert result.ok
         assert publisher.chaos.crashes == 1  # the second crash hit a corpse
 
 
 class TestUnreachable:
     def test_device_that_never_reboots_degrades_gracefully(self):
         plan = [CrashAt("dev1", at_us=1_000.0, down_us=None)]
-        publisher, result = chaos_publish(plan, devices=3, loss=0.0,
-                                          max_windows=300)
-        assert not result.converged
+        publisher, result = chaos_publish(
+            plan, devices=3, loss=0.0, options=PublishOptions(max_windows=300))
+        assert not result.ok
         assert [row.device.name for row in result.unreachable()] == ["dev1"]
         assert "unreachable: dev1" in result.reason
         row = result.unreachable()[0]
         assert row.result.status is UpdateStatus.UNREACHABLE
         assert "trigger attempts" in row.result.message
         # The reachable majority still converged.
-        others = [r for r in result.devices if r.device.name != "dev1"]
+        others = [r for r in result.rows() if r.device.name != "dev1"]
         assert all(r.ok for r in others)
 
     def test_fleet_spec_not_marked_current_on_partial_convergence(self):
         plan = [CrashAt("dev1", at_us=1_000.0, down_us=None)]
-        publisher, result = chaos_publish(plan, devices=2, loss=0.0,
-                                          max_windows=300)
+        publisher, result = chaos_publish(
+            plan, devices=2, loss=0.0, options=PublishOptions(max_windows=300))
         assert publisher.fleet.current_spec is not result.spec
 
 
@@ -135,14 +136,15 @@ class TestStaleResults:
             CrashAt("dev1", at_us=279_722.0, down_us=500_000.0),
         ])
         first = publisher.publish(make_spec())
-        assert first.converged, first.reason
+        assert first.ok, first.reason
 
         publisher.chaos = FaultInjector(
             [CrashAt("dev2", at_us=1_000.0, down_us=None)])
-        second = publisher.publish(make_spec(), max_windows=300)
+        second = publisher.publish(make_spec(),
+                                   PublishOptions(max_windows=300))
         assert [row.device.name
                 for row in second.unreachable()] == ["dev2"]
-        for row in second.devices:
+        for row in second.rows():
             if row.device.name != "dev2":
                 assert row.ok, (row.device.name, row.result.status)
                 assert row.result.status is not UpdateStatus.SEQUENCE_REPLAY
@@ -151,7 +153,7 @@ class TestStaleResults:
 class TestDeterminism:
     def _fingerprint(self, result):
         return [(row.device.name, row.result.status, row.retries,
-                 row.reboots) for row in result.devices]
+                 row.reboots) for row in result.rows()]
 
     def test_same_plan_and_seeds_reproduce_the_same_outcome(self):
         _, first = chaos_publish(SCRIPTED_PLAN)
@@ -193,7 +195,7 @@ class TestRandomPlan:
                                          horizon_us=400_000.0,
                                          crashes=2, bursts=1, stalls=1)
         publisher, result = chaos_publish(plan)
-        assert result.converged, result.reason
+        assert result.ok, result.reason
 
     def test_default_draw_counts_preserve_pre_pr7_plans(self):
         # The storage-fault draws append after the classic three, so
@@ -225,7 +227,7 @@ class TestRandomPlan:
                                          torn_writes=2, bitflips=2,
                                          wearouts=1)
         publisher, result = chaos_publish(plan)
-        assert result.converged, result.reason
+        assert result.ok, result.reason
         for device in publisher.fleet.devices:
             storage = device.radio.worker.storage
             assert storage.highest_sequence(publisher.slot) \

@@ -6,8 +6,8 @@ publisher, signed :class:`~repro.deploy.Release` records, publish and
 canary orchestration with the fleet-scale profile, and streamed typed
 per-device status rows.  These tests also pin the unified result
 protocol (``ok``/``wall_s``/``speedups()``/iterable rows) across
-``FleetRollout``, ``CanaryRollout`` and ``PublishResult``, and the
-``PublishOptions`` migration path for legacy keyword callers.
+``FleetRollout``, ``CanaryRollout`` and ``PublishResult``, and
+``PublishOptions`` as the only way to configure a publish.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.deploy import (
     PublishOptions,
     PublishResult,
     Release,
+    StagedResult,
 )
 from repro.scenarios import build_control_plane, build_fleet_publisher
 from repro.vm import assemble
@@ -183,23 +184,30 @@ class TestResultProtocol:
             speedups = result.speedups()
             assert all(s > 0.0 for s in speedups)
 
-    def test_old_attribute_names_still_work(self):
-        plane = build_control_plane(devices=2)
-        published = plane.publish(make_spec(GOOD, "v1"))
+    def test_direct_and_radio_canaries_share_one_result_shape(self):
+        plane = build_control_plane(devices=3)
+        plane.publish(make_spec(GOOD, "v1"))
+        published = plane.canary(make_spec(BETTER, "v2"), canary_count=1,
+                                 options=PublishOptions.scale(
+                                     bake_us=200_000.0))
+        staged = plane.fleet.canary_rollout(make_spec(GOOD, "v3"),
+                                            canary_count=1,
+                                            bake_us=200_000.0)
         assert isinstance(published, PublishResult)
-        assert published.devices == published.rows()
-        assert published.converged is published.ok
+        assert isinstance(staged, CanaryRollout)
+        for result in (published, staged):
+            assert isinstance(result, StagedResult)
+            assert result.promoted and result.ok
+            assert result.canary_names == ["dev0"]
+            assert result.rows() \
+                == result.canary + result.control + result.rollback
+            assert len(result.control) == 2 and result.rollback == []
+            assert result.bake_us == 200_000.0
+        assert staged.baseline is published.spec
 
         applied = plane.fleet.apply(make_spec(GOOD, "v1"))
         assert isinstance(applied, FleetRollout)
         assert applied.devices == applied.rows()
-
-        staged = plane.fleet.canary_rollout(make_spec(BETTER, "v2"),
-                                            canary_count=1,
-                                            bake_us=200_000.0)
-        assert isinstance(staged, CanaryRollout)
-        assert staged.devices == staged.rows()
-        assert staged.promoted is staged.ok
 
     def test_results_are_always_truthy(self):
         """``if result:`` must not silently flip on empty row lists."""
@@ -222,18 +230,17 @@ class TestPublishOptions:
         assert options.shards is None  # auto-sized
         assert options.share_release
 
-    def test_legacy_kwargs_warn_but_work(self):
+    def test_keyword_knobs_are_not_accepted(self):
         publisher = build_fleet_publisher(devices=2)
-        with pytest.warns(DeprecationWarning, match="PublishOptions"):
-            result = publisher.publish(make_spec(GOOD, "v1"),
-                                       max_windows=2000)
-        assert result.ok
+        with pytest.raises(TypeError):
+            publisher.publish(make_spec(GOOD, "v1"), max_windows=2000)
+        assert publisher.sequence == 0  # nothing was signed
 
-    def test_positional_sequence_number_still_accepted(self):
+    def test_explicit_sequence_number_replay_is_refused(self):
         publisher = build_fleet_publisher(devices=2)
         first = publisher.publish(make_spec(GOOD, "v1"))
-        with pytest.warns(DeprecationWarning, match="PublishOptions"):
-            replay = publisher.publish(make_spec(GOOD, "v1"),
-                                       first.sequence_number)
+        replay = publisher.publish(
+            make_spec(GOOD, "v1"),
+            PublishOptions(sequence_number=first.sequence_number))
         assert not replay.ok  # anti-rollback refuses the replay
         assert replay.sequence_number == first.sequence_number

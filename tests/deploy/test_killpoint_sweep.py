@@ -83,8 +83,8 @@ def publish_with_kill(step: str):
 class TestKillPointSweep:
     def test_publish_converges_despite_the_crash(self, step):
         publisher, victim, result = publish_with_kill(step)
-        assert result.converged, result.reason
-        row = next(r for r in result.devices if r.device is victim)
+        assert result.ok, result.reason
+        row = next(r for r in result.rows() if r.device is victim)
         assert row.reboots == 1
         if step in RETRIGGERED_STEPS:
             assert row.result.status is UpdateStatus.OK
@@ -108,7 +108,7 @@ class TestKillPointSweep:
         # The survivor device was never disturbed.
         bystander = publisher.fleet.devices[0]
         assert bystander.reboots == 0
-        assert next(r for r in result.devices
+        assert next(r for r in result.rows()
                     if r.device is bystander).result.ok
 
 
@@ -152,8 +152,8 @@ class TestTornWriteSweep:
     def test_converges_with_anti_rollback_intact(self, step, phase):
         publisher, victim, result = publish_with_tear(step, phase)
         assert victim.nvm.torn == 1
-        assert result.converged, result.reason
-        row = next(r for r in result.devices if r.device is victim)
+        assert result.ok, result.reason
+        row = next(r for r in result.rows() if r.device is victim)
         assert row.reboots >= 1
         # The torn record either repaired from its shadow or was
         # re-fetched; either way the device ends on the published
@@ -164,7 +164,7 @@ class TestTornWriteSweep:
         assert all(slot.occupied for slot in storage.slots.values())
         bystander = publisher.fleet.devices[0]
         assert bystander.reboots == 0
-        assert next(r for r in result.devices
+        assert next(r for r in result.rows()
                     if r.device is bystander).result.ok
 
 
@@ -175,7 +175,7 @@ class TestBitFlipRecovery:
         publisher = build_fleet_publisher(devices=2)
         victim = publisher.fleet.devices[1]
         first = publisher.publish(make_spec())
-        assert first.converged, first.reason
+        assert first.ok, first.reason
         # Radiation hits the anti-rollback record; the device then
         # power-cycles.  The standing replica repairs it on restore.
         assert victim.nvm.bit_flip(NVM_SEQ_PREFIX + publisher.slot)
@@ -191,7 +191,7 @@ class TestBitFlipRecovery:
         publisher = build_fleet_publisher(devices=2)
         victim = publisher.fleet.devices[1]
         first = publisher.publish(make_spec())
-        assert first.converged, first.reason
+        assert first.ok, first.reason
         # The (single-copy) slot record is lost outright: restore drops
         # it without raising, but the redundant seq record keeps the
         # replay floor.
@@ -205,7 +205,7 @@ class TestBitFlipRecovery:
         # The next release re-fetches the image: no dead slot remains.
         second = publisher.publish(make_spec("mov r0, 8\n    exit",
                                              name="release-2"))
-        assert second.converged, second.reason
+        assert second.ok, second.reason
         assert all(slot.occupied for slot in storage.slots.values())
         assert storage.highest_sequence(publisher.slot) \
             == second.sequence_number

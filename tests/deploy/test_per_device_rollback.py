@@ -25,6 +25,7 @@ from repro.deploy import (
     Fleet,
     HookSpec,
     ImageSpec,
+    PublishOptions,
     plan,
 )
 from repro.core.hooks import HookMode
@@ -109,7 +110,7 @@ class TestPublisherPerDeviceBaselines:
         publisher = build_fleet_publisher(devices=3)
         spec_a = make_spec(GOOD, "mode-a")
         first = publisher.publish(spec_a)
-        assert first.converged, first.reason
+        assert first.ok, first.reason
         # dev1 switches to a second mode out of band (a direct apply —
         # say, a field technician's local reconfiguration).
         spec_b = make_spec(BETTER, "mode-b")
@@ -118,11 +119,10 @@ class TestPublisherPerDeviceBaselines:
 
     def test_ota_rollback_signs_one_envelope_per_baseline(self):
         publisher, spec_a, spec_b, first = self._diverged_publisher()
-        result = publisher.publish(make_spec(POISON, "v3"),
-                                   canary_count=2,
-                                   bake_us=100_000.0, bake_fires=2)
+        result = publisher.publish(make_spec(POISON, "v3"), PublishOptions(
+            canary_count=2, bake_us=100_000.0, bake_fires=2))
         assert result.rolled_back and not result.promoted
-        rollback = result.by_role("rollback")
+        rollback = result.rollback
         assert len(rollback) == 2 and all(row.ok for row in rollback)
         devices = publisher.fleet.devices
         # Each canary converged back onto its own mode...
@@ -143,10 +143,9 @@ class TestPublisherPerDeviceBaselines:
     def test_shared_baseline_canaries_share_one_rollback_envelope(self):
         publisher = build_fleet_publisher(devices=3)
         first = publisher.publish(make_spec(GOOD, "mode-a"))
-        assert first.converged, first.reason
-        result = publisher.publish(make_spec(POISON, "v2"),
-                                   canary_count=2,
-                                   bake_us=100_000.0, bake_fires=2)
+        assert first.ok, first.reason
+        result = publisher.publish(make_spec(POISON, "v2"), PublishOptions(
+            canary_count=2, bake_us=100_000.0, bake_fires=2))
         assert result.rolled_back
         # One shared baseline: a single envelope, one sequence number.
         seqs = {device.radio.worker.storage.highest_sequence(publisher.slot)

@@ -20,6 +20,7 @@ from repro.deploy import (
     HealthGate,
     HookSpec,
     ImageSpec,
+    PublishOptions,
     plan,
 )
 from repro.scenarios import build_fleet_publisher
@@ -57,9 +58,9 @@ class TestPublishRoundTrip:
         publisher = build_fleet_publisher(devices=3)
         spec = make_spec(GOOD, "v1")
         result = publisher.publish(spec)
-        assert result.converged
+        assert result.ok
         assert result.sequence_number == 1
-        assert [row.result.status for row in result.devices] \
+        assert [row.result.status for row in result.rows()] \
             == [UpdateStatus.OK] * 3
         assert all(plan(device.engine, spec).empty
                    for device in publisher.fleet.devices)
@@ -71,16 +72,16 @@ class TestPublishRoundTrip:
         only, exactly the fleet-apply invariant."""
         publisher = build_fleet_publisher(devices=3)
         result = publisher.publish(make_spec(GOOD, "v1"))
-        for row in result.devices:
+        for row in result.rows():
             assert row.cycles_charged >= SIG_VERIFY_CYCLES
         # Identical devices converging off one wire payload charge
         # identical modelled cycles, cold or cache-warm.
-        assert len({row.cycles_charged for row in result.devices}) == 1
+        assert len({row.cycles_charged for row in result.rows()}) == 1
 
     def test_warm_devices_ride_the_image_cache(self):
         publisher = build_fleet_publisher(devices=3)
         result = publisher.publish(make_spec(GOOD, "v1"))
-        first, *rest = result.devices
+        first, *rest = result.rows()
         assert first.cache_misses > 0
         assert all(row.cache_misses == 0 for row in rest)
 
@@ -89,9 +90,9 @@ class TestPublishRoundTrip:
         spec = make_spec(GOOD, "v1")
         publisher.publish(spec)
         replay = publisher.publish(make_spec(BETTER, "v2"),
-                                   sequence_number=1)
-        assert not replay.converged
-        assert [row.result.status for row in replay.devices] \
+                                   PublishOptions(sequence_number=1))
+        assert not replay.ok
+        assert [row.result.status for row in replay.rows()] \
             == [UpdateStatus.SEQUENCE_REPLAY] * 3
         # The refused spec changed nothing anywhere.
         assert all(plan(device.engine, spec).empty
@@ -103,20 +104,20 @@ class TestPublishRoundTrip:
         spec = make_spec(GOOD, "v1")
         publisher.publish(spec)
         again = publisher.publish(spec)
-        assert again.converged
+        assert again.ok
         assert again.sequence_number == 2
-        assert all(row.actions == 0 for row in again.devices)
+        assert all(row.actions == 0 for row in again.rows())
         assert all("no actions" in row.result.message
-                   for row in again.devices)
+                   for row in again.rows())
 
     def test_bad_signer_refused_without_device_changes(self):
         publisher = build_fleet_publisher(devices=2)
         spec = make_spec(GOOD, "v1")
         publisher.publish(spec)
         forged = publisher.publish(make_spec(BETTER, "v2"),
-                                   signer_seed=bytes(32))
-        assert not forged.converged
-        assert [row.result.status for row in forged.devices] \
+                                   PublishOptions(signer_seed=bytes(32)))
+        assert not forged.ok
+        assert [row.result.status for row in forged.rows()] \
             == [UpdateStatus.SIGNATURE_INVALID] * 2
         assert all(plan(device.engine, spec).empty
                    for device in publisher.fleet.devices)
@@ -126,7 +127,7 @@ class TestPublishRoundTrip:
         medium; the publish just takes more virtual time."""
         publisher = build_fleet_publisher(devices=2, loss=0.05)
         result = publisher.publish(make_spec(GOOD, "v1"))
-        assert result.converged
+        assert result.ok
 
 
 class TestCanaryPublish:
@@ -137,14 +138,14 @@ class TestCanaryPublish:
         publisher.publish(base)
         control_results = [len(device.radio.worker.results)
                            for device in fleet.devices[1:]]
-        result = publisher.publish(make_spec(POISON, "v2"), canary_count=1,
-                                   bake_us=200_000.0, bake_fires=2)
+        result = publisher.publish(make_spec(POISON, "v2"), PublishOptions(
+            canary_count=1, bake_us=200_000.0, bake_fires=2))
         assert result.rolled_back and not result.promoted
         assert "faults during bake" in result.reason
         assert result.fault_deltas["dev0"] > 0
         # The rollback itself travelled over the radio as a *new*
         # sequence (anti-rollback forbids re-announcing the old one).
-        rollback_rows = result.by_role("rollback")
+        rollback_rows = result.rollback
         assert len(rollback_rows) == 1 and rollback_rows[0].ok
         assert publisher.sequence > result.sequence_number
         # Control devices were never even triggered.
@@ -159,26 +160,25 @@ class TestCanaryPublish:
         fleet = publisher.fleet
         publisher.publish(make_spec(GOOD, "base"))
         release = make_spec(BETTER, "v2")
-        result = publisher.publish(release, canary_count=1,
-                                   bake_us=200_000.0, bake_fires=2)
+        result = publisher.publish(release, PublishOptions(
+            canary_count=1, bake_us=200_000.0, bake_fires=2))
         assert result.promoted and not result.rolled_back
-        assert len(result.by_role("canary")) == 1
-        assert len(result.by_role("control")) == 3
+        assert len(result.canary) == 1
+        assert len(result.control) == 3
         assert all(plan(device.engine, release).empty
                    for device in fleet.devices)
         assert fleet.current_spec is release
         # Promotion rode the canary-warmed cache.
         assert all(row.cache_misses == 0
-                   for row in result.by_role("control"))
+                   for row in result.control)
 
     def test_health_gate_applies_to_canary_publish(self):
         publisher = build_fleet_publisher(devices=3)
         publisher.publish(make_spec(GOOD, "base"))
-        result = publisher.publish(
-            make_spec(BETTER, "v2"), canary_count=1,
-            bake_us=100_000.0, bake_fires=2,
+        result = publisher.publish(make_spec(BETTER, "v2"), PublishOptions(
+            canary_count=1, bake_us=100_000.0, bake_fires=2,
             health_gate=HealthGate(cycle_budgets={"worker-0": 1}),
-        )
+        ))
         assert result.rolled_back
         assert "cycles/run" in result.reason
 
@@ -203,10 +203,11 @@ class TestCanaryPublish:
         # SYNC-declaring spec is irreconcilable there.
         fleet.devices[1].engine.register_hook(
             Hook(FC_HOOK_FANOUT, mode=HookMode.THREAD))
-        result = publisher.publish(make_spec(BETTER, "v2"), canary_count=2)
+        result = publisher.publish(make_spec(BETTER, "v2"),
+                                   PublishOptions(canary_count=2))
         assert result.rolled_back
         assert "refused by canaries dev1" in result.reason
-        rollback_rows = result.by_role("rollback")
+        rollback_rows = result.rollback
         assert [row.device.name for row in rollback_rows] == ["dev0"]
         assert rollback_rows[0].ok
         # Both canaries are back on (or still on) the baseline.
@@ -218,11 +219,11 @@ class TestCanaryPublish:
         publisher = build_fleet_publisher(devices=3)
         base = make_spec(GOOD, "base")
         publisher.publish(base)
-        result = publisher.publish(make_spec(BETTER, "v2"),
-                                   sequence_number=1, canary_count=1)
+        result = publisher.publish(make_spec(BETTER, "v2"), PublishOptions(
+            sequence_number=1, canary_count=1))
         assert result.rolled_back
         assert "refused by canaries" in result.reason
-        assert result.by_role("rollback") == []
+        assert result.rollback == []
         assert plan(publisher.fleet.devices[0].engine, base).empty
 
 
@@ -232,7 +233,7 @@ class TestRadioEnergy:
     def test_publish_charges_each_device_radio_energy(self):
         publisher = build_fleet_publisher(devices=3)
         result = publisher.publish(make_spec(GOOD, "v1"))
-        assert result.converged
+        assert result.ok
         for device in publisher.fleet.devices:
             assert device.meter.report().radio_uj > 0.0
 
@@ -259,7 +260,7 @@ class TestRadioEnergy:
         publisher.chaos = FaultInjector(
             [CrashAt("dev1", at_us=1_000.0, down_us=300_000.0)])
         result = publisher.publish(make_spec(GOOD, "v1"))
-        assert result.converged
+        assert result.ok
         victim = publisher.fleet.devices[1]
         assert victim.reboots == 1
         spent = victim.meter.report().radio_uj
@@ -273,13 +274,13 @@ class TestPerDeviceTelemetry:
     def test_rows_carry_fault_and_radio_telemetry(self):
         publisher = build_fleet_publisher(devices=3)
         result = publisher.publish(make_spec(GOOD, "v1"))
-        assert result.converged
-        for row in result.devices:
+        assert result.ok
+        for row in result.rows():
             assert row.radio_uj > 0.0
             assert row.fault_delta == 0 and row.quarantined == 0
         assert result.total_fault_delta == 0
         assert result.total_radio_uj == pytest.approx(
-            sum(row.radio_uj for row in result.devices))
+            sum(row.radio_uj for row in result.rows()))
 
     def test_fault_delta_survives_a_mid_publish_reboot(self):
         """The accumulator banks the pre-crash engine's fault count when
@@ -308,8 +309,8 @@ class TestPerDeviceTelemetry:
         victim.radio.worker.on_step = sabotage
         result = publisher.publish(make_spec(GOOD, "v1"))
         assert fired["done"]
-        assert result.converged, result.reason
-        row = next(r for r in result.devices if r.device is victim)
+        assert result.ok, result.reason
+        row = next(r for r in result.rows() if r.device is victim)
         assert row.reboots == 1
         # The reboot rebuilt the engine (fresh fault_total, no sensor);
         # the row still carries the pre-crash engine's faults.
@@ -337,8 +338,8 @@ class TestQuarantineAwarePublish:
     def test_quarantined_device_is_flagged_not_failed(self):
         publisher, sick = self._poisoned_publisher()
         result = publisher.publish(make_spec(GOOD, "v1"))
-        assert result.converged, result.reason
-        rows = {row.device.name: row for row in result.devices}
+        assert result.ok, result.reason
+        rows = {row.device.name: row for row in result.rows()}
         assert rows["dev1"].result.status is UpdateStatus.QUARANTINED
         assert rows["dev1"].ok
         assert rows["dev1"].quarantined >= 1

@@ -155,7 +155,7 @@ class TestOtaPublish:
         publisher = build_fleet_publisher(devices=5)
         result = publisher.publish(runtime_matrix_spec(),
                                    PublishOptions.scale())
-        assert result.converged, result.reason
+        assert result.ok, result.reason
         assert result.multicast
         ref = fletcher32_reference(FLETCHER32_INPUT)
         for device in publisher.fleet.devices:
@@ -170,26 +170,26 @@ class TestOtaPublish:
         publisher = build_fleet_publisher(devices=2)
         spec = runtime_matrix_spec()
         first = publisher.publish(spec, PublishOptions(sequence_number=5))
-        assert first.converged
+        assert first.ok
         from repro.suit import UpdateStatus
 
         replay = publisher.publish(spec, PublishOptions(sequence_number=5))
-        assert not replay.converged
+        assert not replay.ok
         assert all(row.result.status is UpdateStatus.SEQUENCE_REPLAY
-                   for row in replay.devices)
+                   for row in replay.rows())
 
     def test_poisoned_wasm_canary_rolls_back_over_the_radio(self):
         publisher = build_fleet_publisher(devices=4)
         fleet = publisher.fleet
         base = runtime_matrix_spec()
-        assert publisher.publish(base).converged
+        assert publisher.publish(base).ok
         result = publisher.publish(
             poisoned_matrix_spec(),
             PublishOptions(canary_count=1, bake_us=200_000.0, bake_fires=2,
                            bake_context=BAKE_CONTEXT))
         assert result.rolled_back and not result.promoted
         assert result.fault_deltas["dev0"] > 0
-        rollback_rows = result.by_role("rollback")
+        rollback_rows = result.rollback
         assert len(rollback_rows) == 1 and rollback_rows[0].ok
         # The canary reconverged on the mixed baseline: all three
         # runtimes back, and the wasm checksum is the healthy image.
@@ -204,11 +204,11 @@ class TestOtaPublish:
     def test_healthy_mixed_canary_promotes(self):
         publisher = build_fleet_publisher(devices=3)
         base = runtime_matrix_spec()
-        assert publisher.publish(base).converged
+        assert publisher.publish(base).ok
         release = runtime_matrix_spec()
         result = publisher.publish(
             release,
             PublishOptions(canary_count=1, bake_us=200_000.0, bake_fires=2,
                            bake_context=BAKE_CONTEXT))
-        assert result.converged
+        assert result.ok
         assert not result.rolled_back

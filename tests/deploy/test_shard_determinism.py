@@ -128,21 +128,6 @@ class TestModelledCyclesInvariant:
         assert one[0] == many[0]
         assert one[1] == many[1]
 
-    def test_legacy_kwargs_and_options_agree(self):
-        IMAGE_CACHE.clear()
-        by_options = build_fleet_publisher(devices=4, seed=7)
-        via_options = by_options.publish(make_spec(GOOD, "v1"),
-                                         PublishOptions(bake_us=500_000.0))
-        IMAGE_CACHE.clear()
-        by_kwargs = build_fleet_publisher(devices=4, seed=7)
-        with pytest.warns(DeprecationWarning):
-            via_kwargs = by_kwargs.publish(make_spec(GOOD, "v1"),
-                                           bake_us=500_000.0)
-        assert via_options.ok and via_kwargs.ok
-        assert {r.device.name: r.cycles_charged
-                for r in via_options.rows()} \
-            == {r.device.name: r.cycles_charged for r in via_kwargs.rows()}
-
     def test_identical_runs_are_bit_identical(self):
         """Same seed, same options, fresh rigs: the whole modelled
         outcome replays — the property seeded chaos sweeps rely on."""
