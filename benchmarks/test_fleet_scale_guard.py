@@ -2,14 +2,12 @@
 
 The fleet-scale profile (:meth:`PublishOptions.scale`) replaces N
 unicast trigger POSTs + N block-wise fetches with ONE broadcast
-trigger carrying the integrated payload, co-runs the fleet through the
-shard executor, and shares one decoded release across workers
-(wall-clock only — modelled cycles stay per-device).  This guard
+trigger carrying the integrated payload.  This guard
 publishes one realistic release (two 4 KiB images) to a 1,000-device
 fleet both ways and records ``BENCH_fleet_scale.json``:
 
 * **Throughput bar** — devices converged per wall-second on the scale
-  profile must be >= 3x the unicast/single-shard baseline at N=1000;
+  profile must be >= 3x the unicast baseline at N=1000;
 * **Airtime bar** — maintainer trigger radio bytes *per device* under
   multicast must be <= 0.5x the unicast baseline (measured: one
   broadcast frame amortized over N vs one signed envelope POST each).

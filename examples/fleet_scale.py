@@ -11,8 +11,7 @@ at fleet scale through :class:`~repro.deploy.ControlPlane`:
 3. :meth:`~repro.deploy.ControlPlane.publish` fans it out with the
    fleet-scale profile (:meth:`~repro.deploy.PublishOptions.scale`):
    ONE multicast trigger carrying the integrated payload, a bounded
-   randomized-suppression ack sample instead of 1,000 ack storms, and
-   a sharded co-run of the device kernels;
+   randomized-suppression ack sample instead of 1,000 ack storms;
 4. a late device registers at runtime, converges off the next publish,
    and a retired device is evicted without disturbing anyone;
 5. :meth:`~repro.deploy.ControlPlane.status` streams one typed row per
@@ -76,7 +75,7 @@ def main() -> None:
     print(f"   {v1.name}: seq {v1.sequence_number}, "
           f"{len(v1.envelope)} B envelope, {len(v1.payload)} B payload")
 
-    print("\n3. fleet-scale publish: multicast trigger + sharded co-run")
+    print("\n3. fleet-scale publish: multicast trigger + integrated payload")
     rollout = plane.publish(v1)
     assert rollout.ok, rollout.reason
     describe(rollout)

@@ -39,8 +39,8 @@ Small developer tools around the library:
 * ``controlplane``              — maintainer control plane: submit a
                                   signed release, publish it with the
                                   fleet-scale profile (one multicast
-                                  trigger, sharded co-run), register and
-                                  evict devices at runtime, stream
+                                  trigger carrying the payload), register
+                                  and evict devices at runtime, stream
                                   per-device status rows.
 
 The fleet-shaped subcommands (``fleet``, ``canary``, ``publish``,
@@ -783,8 +783,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_plane = sub.add_parser(
         "controlplane", parents=[fleet_parent],
         help="maintainer control plane: submit a signed release, publish "
-             "it with the fleet-scale profile (multicast trigger, sharded "
-             "co-run), register/evict devices at runtime, stream "
+             "it with the fleet-scale profile (multicast trigger carrying "
+             "the payload), register/evict devices at runtime, stream "
              "per-device status rows")
     p_plane.set_defaults(fn=cmd_controlplane)
 

@@ -34,8 +34,7 @@ imperative ``create_tenant``/``load``/``attach`` primitives:
   devices at runtime, :meth:`~ControlPlane.submit` specs into signed
   :class:`Release` records, publish/canary with the fleet-scale
   profile (:meth:`PublishOptions.scale`: multicast trigger with the
-  integrated payload, sharded co-run, shared release decode) and
-  stream typed :class:`DeviceStatus` rows.
+  integrated payload) and stream typed :class:`DeviceStatus` rows.
 
 Applying an unchanged spec twice plans zero actions; editing one image
 plans exactly one replace.  See the module docstrings for the full
@@ -73,7 +72,6 @@ from repro.deploy.publish import (
 )
 from repro.deploy.registry import DeviceRegistry
 from repro.deploy.results import FleetResult, StagedResult
-from repro.deploy.shards import ShardExecutor, auto_shard_count
 from repro.deploy.staged import HealthGate, StagedRollout
 from repro.deploy.plan import (
     Action,
@@ -132,7 +130,6 @@ __all__ = [
     "HealthGate",
     "LinkLossBurst",
     "Release",
-    "ShardExecutor",
     "StagedResult",
     "StagedRollout",
     "StallAt",
@@ -141,7 +138,6 @@ __all__ = [
     "HookSpec",
     "PublishOptions",
     "PublishResult",
-    "auto_shard_count",
     "ImageSpec",
     "Install",
     "RegisterHook",

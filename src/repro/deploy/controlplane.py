@@ -15,8 +15,8 @@ owns the whole lifecycle behind one typed API:
   can be published, canaried, or audited later;
 * **publish/canary orchestration** — :meth:`publish` and
   :meth:`canary` drive :meth:`FleetPublisher.publish` with the
-  fleet-scale profile (multicast trigger + integrated payload, sharded
-  co-run, shared release decode) by default;
+  fleet-scale profile (multicast trigger + integrated payload) by
+  default;
 * **streamed status** — :meth:`status` yields one typed
   :class:`DeviceStatus` row per device, registry order, cheap enough
   to call at N=1000.

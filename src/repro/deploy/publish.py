@@ -58,7 +58,6 @@ from typing import TYPE_CHECKING, Sequence
 from repro.core.engine import HostingEngine
 from repro.deploy.fleet import Fleet, FleetDevice
 from repro.deploy.results import StagedResult
-from repro.deploy.shards import ShardExecutor
 from repro.deploy.spec import DeploymentSpec
 from repro.deploy.staged import StagedRollout
 from repro.net import coap
@@ -104,14 +103,19 @@ MAX_TRIGGER_ATTEMPTS = 8
 #: checkpoint, so retries get monotonically cheaper.
 RETRYABLE_STATUSES = (UpdateStatus.FETCH_FAILED,)
 
+#: Virtual-time slice every kernel advances per co-run window.
+CORUN_WINDOW_US = 20_000.0
+#: Max randomized suppression delay before a multicast ack (RFC 7390
+#: leisure).
+ACK_LEISURE_US = 250_000.0
+
 
 @dataclass(frozen=True)
 class PublishOptions:
     """Every knob of one :meth:`FleetPublisher.publish`, in one place.
 
-    The defaults are the unicast path (unicast triggers, single-shard
-    co-run, no cross-device decode sharing); :meth:`scale` turns on the
-    fleet-scale path.
+    The defaults are the unicast path (one CON trigger per device);
+    :meth:`scale` switches to the fleet-scale broadcast trigger.
     """
 
     #: Explicit sequence number (``None``: next maintainer epoch).
@@ -130,42 +134,30 @@ class PublishOptions:
     bake_hooks: Sequence[str] | None = None
     #: Context bytes for bake firings.
     bake_context: bytes | None = None
-    #: Virtual-time slice per co-run window.
-    window_us: float = 20_000.0
     #: Convergence window budget before UNREACHABLE rows.
     max_windows: int = 4000
-    #: Broadcast the trigger to the link group instead of N unicast
-    #: POSTs (full-fleet publishes only — canary subsets stay unicast).
+    #: Broadcast the trigger, with the payload inlined (SUIT integrated
+    #: payload), to the link group instead of N unicast POSTs and N
+    #: block-wise fetches (full-fleet publishes only — canary subsets
+    #: stay unicast).
     multicast: bool = False
-    #: Carry the payload inside the multicast trigger (SUIT integrated
-    #: payload) so devices skip the per-device block-wise fetch.
-    inline_payload: bool = True
     #: Expected size of the suppressed ack sample the maintainer hears
     #: (each device acks with probability ``ack_sample / N``).
     ack_sample: int = 8
-    #: Max randomized suppression delay before an ack (RFC 7390 leisure).
-    leisure_us: float = 250_000.0
     #: Backhaul-clock grace before unicast fallback re-POSTs chase
     #: devices that missed the broadcast.
     mcast_grace_us: float = 2_000_000.0
-    #: Co-run shard count (``None``: auto-sized from the fleet).
-    shards: int | None = 1
-    #: Share one decoded envelope/spec across the target workers for
-    #: this publish (wall-clock only; modelled cycles are unaffected).
-    share_release: bool = False
 
     @classmethod
     def legacy(cls, **overrides) -> "PublishOptions":
         """The unicast defaults, spelled out (the bench baseline)."""
-        return cls(**{"multicast": False, "shards": 1,
-                      "share_release": False, **overrides})
+        return cls(**{"multicast": False, **overrides})
 
     @classmethod
     def scale(cls, **overrides) -> "PublishOptions":
-        """The fleet-scale profile: one broadcast trigger with the
-        integrated payload, auto-sized shards, shared release decode."""
-        return cls(**{"multicast": True, "shards": None,
-                      "share_release": True, **overrides})
+        """The fleet-scale profile: one broadcast trigger carrying the
+        integrated payload."""
+        return cls(**{"multicast": True, **overrides})
 
 
 @dataclass
@@ -342,7 +334,6 @@ class FleetPublisher:
         slot: str = "spec:fleet",
         max_storage_slots: int | None = None,
         storage_gc_horizon: int | None = None,
-        use_nvm: bool = True,
     ) -> None:
         self.fleet = fleet
         self.maintainer_seed = maintainer_seed
@@ -372,9 +363,9 @@ class FleetPublisher:
         self._used_multicast = False
         #: Radio bytes spent on trigger fan-out this publish.
         self.trigger_tx_bytes = 0
-        #: Publish-scoped decode memo handed to target workers when the
-        #: options ask for release sharing (``None`` otherwise).
-        self._release_cache: dict | None = None
+        #: Publish-scoped decode memo every device worker shares
+        #: (cleared at the start of each publish; wall-clock only).
+        self._release_cache: dict = {}
         self.repo.register(ACK_PATH, self._handle_mcast_ack)
         self.trust_anchor = ed25519.public_key(maintainer_seed)
         self._max_storage_slots = max_storage_slots
@@ -386,15 +377,14 @@ class FleetPublisher:
         #: by device name; all timing on the backhaul clock.
         self._triggers: dict[str, dict] = {}
         for device in fleet.devices:
-            self.adopt_device(device, use_nvm=use_nvm)
+            self.adopt_device(device)
 
     # -- wire plumbing -----------------------------------------------------
 
-    def adopt_device(self, device: FleetDevice,
-                     use_nvm: bool = True) -> None:
+    def adopt_device(self, device: FleetDevice) -> None:
         """Give one registered device its radio rig (construction path,
         and the control plane's post-construction register path)."""
-        if use_nvm and device.nvm is None:
+        if device.nvm is None:
             device.nvm = device.kernel.board.nvm(device.kernel)
         if device.meter is None:
             device.meter = EnergyMeter(device.kernel.board)
@@ -429,6 +419,7 @@ class FleetPublisher:
             storage_gc_horizon=self._storage_gc_horizon,
             nvm=device.nvm,
         )
+        worker.release_cache = self._release_cache
         worker.register_trigger_resource(server, TRIGGER_PATH)
         self.link.join(GROUP_ADDR, iface)
         self._register_mcast_trigger(device, server, worker)
@@ -457,7 +448,6 @@ class FleetPublisher:
                 envelope = body["e"]
             except Exception:
                 return None  # malformed broadcast: stay silent
-            worker.release_cache = self._release_cache
             worker.trigger(envelope, payload=body.get("y"))
             rng = random.Random(
                 f"{self.seed}:{body.get('s', 0)}:{device.name}")
@@ -561,53 +551,40 @@ class FleetPublisher:
         Unicast (the default): one CON POST per device now, re-POSTed by
         :meth:`_pump_triggers` with exponential backoff as the converge
         loop runs.  Multicast (``options.multicast``, full-fleet targets
-        only): ONE group-addressed NON frame carries the envelope — and,
-        with ``inline_payload``, the payload itself — to every device at
-        one airtime cost; the broadcast counts as attempt 1 and the same
-        unicast backoff path becomes the self-healing fallback for any
-        device that missed it (visible as ``retries >= 1`` on its row).
+        only): ONE group-addressed NON frame carries the envelope and
+        its integrated payload to every device at one airtime cost; the
+        broadcast counts as attempt 1 and the same unicast backoff path
+        becomes the self-healing fallback for any device that missed it
+        (visible as ``retries >= 1`` on its row).
         """
         now = self.kernel.now_us
         use_mcast = (options.multicast
                      and len(devices) == len(self.fleet.devices))
-        if not use_mcast:
-            if options.share_release and self._release_cache is not None:
-                for device in devices:
-                    if device.radio is not None:
-                        device.radio.worker.release_cache = \
-                            self._release_cache
-            for device in devices:
-                self._triggers[device.name] = {
-                    "envelope": envelope,
-                    "attempts": 0,
-                    "acked": False,
-                    "next_retry_us": now,
-                }
-            self._pump_triggers()
-            return
-
-        self._used_multicast = True
-        self._mcast_acks.clear()
         for device in devices:
             # The broadcast is attempt 1; stragglers fall back to the
             # unicast retry path after the grace period.
             self._triggers[device.name] = {
                 "envelope": envelope,
-                "attempts": 1,
+                "attempts": 1 if use_mcast else 0,
                 "acked": False,
-                "next_retry_us": now + options.mcast_grace_us,
+                "next_retry_us": (now + options.mcast_grace_us
+                                  if use_mcast else now),
             }
-        body: dict = {
+        if not use_mcast:
+            self._pump_triggers()
+            return
+
+        self._used_multicast = True
+        body = {
             "e": envelope,
             "s": sequence_number,
             # Each device acks with probability ack_sample/N (permille
             # on the wire), spread over the leisure period.
             "p": min(1000, options.ack_sample * 1000
                      // max(1, len(devices))),
-            "l": int(options.leisure_us),
+            "l": int(ACK_LEISURE_US),
+            "y": payload,
         }
-        if options.inline_payload:
-            body["y"] = payload
         message = CoapMessage(mtype=coap.NON, code=coap.POST,
                               payload=cbor.encode(body))
         message.add_uri_path(MCAST_TRIGGER_PATH)
@@ -668,19 +645,13 @@ class FleetPublisher:
 
         The backhaul kernel (which owns the link's delivery timers) and
         each still-converging device kernel advance in interleaved
-        ``window_us`` slices of their own virtual clocks.  Wall time,
-        cycles and image-cache traffic are attributed to a device by
-        measuring around *its* kernel's slices — only one kernel runs at
-        a time, so the deltas are unambiguous.
-
-        Devices are partitioned across a :class:`ShardExecutor`: a
-        window skips fully-converged shards wholesale instead of probing
-        every device, which is what keeps the straggler tail of a
-        1,000-device publish cheap.  Sharding is wall-clock structure
-        only — each pending device still gets its full virtual-time
-        slice every window, in a deterministic order, so modelled cycles
-        are bit-identical across any shard count (``shards=1`` *is* the
-        historical flat loop).
+        :data:`CORUN_WINDOW_US` slices of their own virtual clocks.  Wall
+        time, cycles and image-cache traffic are attributed to a device
+        by measuring around *its* kernel's slices — only one kernel runs
+        at a time, so the deltas are unambiguous.  Each window visits
+        only the still-pending devices, in fleet order: a device leaves
+        the insertion-ordered ``pending`` map the moment it reports, so
+        the straggler tail of a 1,000-device publish stays cheap.
 
         This loop is where the publish *self-heals*: each window it
         polls the fault injector (if any), re-POSTs unacknowledged
@@ -715,8 +686,7 @@ class FleetPublisher:
             }
             for device in devices
         }
-        executor = ShardExecutor(devices, options.shards)
-        window_us = options.window_us
+        pending = {device.name: device for device in devices}
         rows: list[DevicePublish] = []
 
         def fault_delta(device: FleetDevice, entry: dict) -> int:
@@ -731,7 +701,7 @@ class FleetPublisher:
 
         def finish(device: FleetDevice, entry: dict,
                    result: UpdateResult) -> None:
-            executor.discard(device.name)
+            pending.pop(device.name, None)
             trigger = self._triggers.get(device.name, {})
             if self._used_multicast and trigger:
                 # A converged device never CON-acked the broadcast;
@@ -768,16 +738,8 @@ class FleetPublisher:
             if self.chaos is not None:
                 self.chaos.poll(self)
             self._pump_triggers()
-            target_us = self.kernel.now_us + window_us
-            self.kernel.run(until_us=target_us)
-            if self.kernel.now_us < target_us:
-                # An idle backhaul (no in-flight frames, no pending CoAP
-                # retransmits) must still move through time: the retry
-                # backoff and the injector's reboot deadlines live on
-                # this clock.
-                self.kernel.clock.advance_to(
-                    self.kernel.clock.us_to_cycles(target_us))
-            for device in executor.iter_pending():
+            self._run_backhaul()
+            for device in list(pending.values()):
                 entry = state[device.name]
                 worker = device.radio.worker
                 if worker is not entry["worker"]:
@@ -785,8 +747,6 @@ class FleetPublisher:
                     # worker, storage restored from NVM.
                     entry["worker"] = worker
                     entry["results_before"] = len(worker.results)
-                    if options.share_release:
-                        worker.release_cache = self._release_cache
                     if holds_sequence(worker):
                         # The install hit flash before the lights went
                         # out; recovery re-activated it.  Converged.
@@ -806,7 +766,7 @@ class FleetPublisher:
                 misses_before = IMAGE_CACHE.misses
                 start = time.perf_counter()
                 device.kernel.run(
-                    until_us=device.kernel.now_us + window_us)
+                    until_us=device.kernel.now_us + CORUN_WINDOW_US)
                 entry["wall_s"] += time.perf_counter() - start
                 entry["hits"] += IMAGE_CACHE.hits - hits_before
                 entry["misses"] += IMAGE_CACHE.misses - misses_before
@@ -843,31 +803,43 @@ class FleetPublisher:
                         )
                     finish(device, entry, result)
                     break
-            if not executor.pending:
+            if not pending:
                 break
-        for name in sorted(executor.pending):
+        for name in sorted(pending):
             entry = state[name]
             finish(entry["device"], entry, UpdateResult(
                 UpdateStatus.UNREACHABLE,
                 f"no report within {options.max_windows} windows of "
-                f"{window_us:.0f} us despite "
+                f"{CORUN_WINDOW_US:.0f} us despite "
                 f"{self._triggers.get(name, {}).get('attempts', 0)} "
                 "trigger attempts",
             ))
         if self._used_multicast and self._mcast_ack_due:
-            self._drain_mcast_acks(window_us)
+            self._drain_mcast_acks()
         return rows
 
-    def _drain_mcast_acks(self, window_us: float) -> None:
+    def _run_backhaul(self) -> None:
+        """Run the backhaul kernel one co-run window.
+
+        An idle backhaul (no in-flight frames, no pending CoAP
+        retransmits) must still move through time: the retry backoff
+        and the injector's reboot deadlines live on this clock.
+        """
+        target_us = self.kernel.now_us + CORUN_WINDOW_US
+        self.kernel.run(until_us=target_us)
+        if self.kernel.now_us < target_us:
+            self.kernel.clock.advance_to(
+                self.kernel.clock.us_to_cycles(target_us))
+
+    def _drain_mcast_acks(self) -> None:
         """Fire lottery acks still pending on converged devices.
 
         A device that converges before its leisure delay elapses stops
         being scheduled by the co-run loop, so its ack timer would
         never fire and the maintainer's sample would under-count.  Run
-        each such device's kernel to its recorded deadline (name-sorted,
-        shard-independent — per-device rows were already snapshotted at
-        convergence), then give the backhaul one window to deliver the
-        NONs.
+        each such device's kernel to its recorded deadline (name-sorted;
+        per-device rows were already snapshotted at convergence), then
+        give the backhaul one window to deliver the NONs.
         """
         for name in sorted(self._mcast_ack_due):
             kernel, due = self._mcast_ack_due[name]
@@ -878,11 +850,7 @@ class FleetPublisher:
                 continue  # rebooted: that incarnation's timer is gone
             device.kernel.run(until_us=max(due, device.kernel.now_us) + 1.0)
         self._mcast_ack_due.clear()
-        target_us = self.kernel.now_us + window_us
-        self.kernel.run(until_us=target_us)
-        if self.kernel.now_us < target_us:
-            self.kernel.clock.advance_to(
-                self.kernel.clock.us_to_cycles(target_us))
+        self._run_backhaul()
 
     def _mark_quarantined(self, result: PublishResult) -> PublishResult:
         """Fold end-of-publish supervisor state into the device rows.
@@ -949,8 +917,9 @@ class FleetPublisher:
         fleet = self.fleet
         self.trigger_tx_bytes = 0
         self._used_multicast = False
+        self._mcast_acks.clear()
         self._mcast_ack_due.clear()
-        self._release_cache = {} if options.share_release else None
+        self._release_cache.clear()
         envelope, payload, sequence_number = self._sign(
             spec, options.sequence_number, options.signer_seed)
         result = PublishResult(spec=spec, sequence_number=sequence_number,

@@ -154,15 +154,16 @@ class SuitUpdateWorker:
             # after boot, before any trigger can race the restore.
             self.storage.restore()
         self.results: list[UpdateResult] = []
-        #: Publish-scoped decode memo, set by the fleet control plane on
-        #: the workers of one release's target devices (``None`` on a
-        #: standalone worker).  Maps raw envelope bytes to the decoded
-        #: ``(envelope, manifest)`` pair (and, for spec workers, payload
-        #: bytes to the decoded spec) so a 1,000-device publish decodes
-        #: each artifact once.  **Wall-clock only**: the modelled verify
-        #: and digest cycles are still charged per device in full, and
-        #: the decoded objects are immutable (frozen dataclasses), so
-        #: sharing them cannot leak state between devices.
+        #: Decode memo a fleet publisher hands every device's worker when
+        #: it wires the radio, and clears at the start of each publish
+        #: (``None`` on a standalone worker).  Maps raw envelope bytes to
+        #: the decoded ``(envelope, manifest)`` pair (and, for spec
+        #: workers, payload bytes to the decoded spec) so a 1,000-device
+        #: publish decodes each artifact once.  **Wall-clock only**: the
+        #: modelled verify and digest cycles are still charged per device
+        #: in full, and the decoded objects are immutable (frozen
+        #: dataclasses), so sharing them cannot leak state between
+        #: devices.
         self.release_cache: dict | None = None
         self.on_result: Callable[[UpdateResult], None] | None = None
         #: Kill-point hook: called with each step name in

@@ -12,6 +12,8 @@ protocol (``ok``/``wall_s``/``speedups()``/iterable rows) across
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core import FC_HOOK_FANOUT
@@ -220,15 +222,26 @@ class TestPublishOptions:
     def test_defaults_are_the_legacy_behavior(self):
         options = PublishOptions()
         assert not options.multicast
-        assert options.shards == 1
-        assert not options.share_release
         assert options.legacy() == options
 
-    def test_scale_profile_turns_the_knobs(self):
-        options = PublishOptions.scale()
-        assert options.multicast
-        assert options.shards is None  # auto-sized
-        assert options.share_release
+    def test_legacy_and_scale_differ_only_in_multicast(self):
+        """The two profiles are one protocol choice apart: every other
+        knob keeps its default in both."""
+        legacy, scale = PublishOptions.legacy(), PublishOptions.scale()
+        differing = [knob.name for knob in fields(PublishOptions)
+                     if getattr(legacy, knob.name) != getattr(scale,
+                                                              knob.name)]
+        assert differing == ["multicast"]
+        assert scale.multicast and not legacy.multicast
+
+    @pytest.mark.parametrize("knob", ["shards", "share_release",
+                                      "inline_payload", "window_us",
+                                      "leisure_us"])
+    def test_wall_clock_knobs_are_gone(self, knob):
+        """Co-run layout, decode sharing, payload inlining, the window
+        slice and the ack leisure are fixed, not per-publish knobs."""
+        with pytest.raises(TypeError):
+            PublishOptions(**{knob: 1})
 
     def test_keyword_knobs_are_not_accepted(self):
         publisher = build_fleet_publisher(devices=2)

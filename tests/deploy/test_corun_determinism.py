@@ -1,0 +1,105 @@
+"""Co-run invariants: wall-clock-only, bit-identical modelling.
+
+The publisher co-runs every pending device kernel in fleet order and
+shares one decode memo across the device workers.  Modelled state must
+not notice the memo: per-device virtual clocks and charged cycles are
+pinned identical to a run whose memo never stores anything, on both the
+unicast and the multicast trigger path, and identical runs replay bit
+for bit — including a fleet past 64 devices, once split across shards.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core import FC_HOOK_FANOUT
+from repro.core.hooks import HookMode
+from repro.deploy import (
+    AttachmentSpec,
+    DeploymentSpec,
+    HookSpec,
+    ImageSpec,
+    PublishOptions,
+)
+from repro.scenarios import build_fleet_publisher
+from repro.vm import assemble
+from repro.vm.imagecache import IMAGE_CACHE
+
+GOOD = "mov r0, 7\n    exit"
+
+
+@pytest.fixture(autouse=True)
+def fresh_cache():
+    IMAGE_CACHE.clear()
+    yield
+    IMAGE_CACHE.clear()
+
+
+def make_spec(source: str, name: str = "release") -> DeploymentSpec:
+    return DeploymentSpec(
+        name=name,
+        tenants=("ops",),
+        hooks=(HookSpec(FC_HOOK_FANOUT, HookMode.SYNC),),
+        images={"app": ImageSpec.from_program(assemble(source, name="app"))},
+        attachments=(AttachmentSpec(image="app", hook=FC_HOOK_FANOUT,
+                                    tenant="ops", name="worker", count=2),),
+    )
+
+
+class NeverStores(dict):
+    """A decode memo that forgets every entry: each worker decodes the
+    release afresh, as if nothing were shared."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+def modelled_state(options: PublishOptions, devices: int = 8,
+                   seed: int = 11, loss: float = 0.0,
+                   memo: dict | None = None) -> tuple[dict, dict, bool]:
+    """(per-device cycles charged, per-device final clock, ok)."""
+    IMAGE_CACHE.clear()
+    publisher = build_fleet_publisher(devices=devices, seed=seed, loss=loss)
+    if memo is not None:
+        publisher._release_cache = memo
+        for device in publisher.fleet.devices:
+            device.radio.worker.release_cache = memo
+    result = publisher.publish(make_spec(GOOD, "v1"), options)
+    charged = {row.device.name: row.cycles_charged for row in result.rows()}
+    clocks = {device.name: device.kernel.clock.cycles
+              for device in publisher.fleet.devices}
+    if memo is None:
+        assert publisher._release_cache  # the real memo did share
+    return charged, clocks, result.ok
+
+
+class TestModelledCyclesInvariant:
+    @pytest.mark.parametrize("options,loss", [
+        (PublishOptions.legacy(), 0.0),
+        (PublishOptions.legacy(), 0.05),
+        (PublishOptions.scale(), 0.0),
+    ], ids=["unicast", "unicast-lossy", "multicast"])
+    def test_memo_is_wall_clock_only(self, options, loss):
+        """Sharing one decoded release across workers must not change
+        any device's charged cycles or final clock: decode memoization
+        is a host-side (wall-clock) effect, like the image cache."""
+        fresh = modelled_state(options, loss=loss, memo=NeverStores())
+        shared = modelled_state(options, loss=loss)
+        assert fresh[2] and shared[2]
+        assert fresh[0] == shared[0]
+        assert fresh[1] == shared[1]
+
+    def test_identical_runs_are_bit_identical(self):
+        """Same seed, same options, fresh rigs: the whole modelled
+        outcome replays — the property seeded chaos sweeps rely on."""
+        first = modelled_state(PublishOptions.scale(), devices=12, seed=23)
+        second = modelled_state(PublishOptions.scale(), devices=12, seed=23)
+        assert first == second
+
+    def test_65_device_multicast_converges_and_replays(self):
+        """65 devices was the smallest fleet the co-run once split in
+        two; one fleet-order loop must converge it and replay it."""
+        first = modelled_state(PublishOptions.scale(), devices=65, seed=7)
+        second = modelled_state(PublishOptions.scale(), devices=65, seed=7)
+        assert first[2] and len(first[0]) == 65
+        assert first == second
