@@ -3,8 +3,7 @@
 One :meth:`~repro.deploy.FleetPublisher.publish` signs one manifest and
 fans it out to N devices over the shared radio link; every device
 independently authenticates, fetches block-wise, and reconciles.  The
-guard holds the cache-warm convergence invariant and records it to
-``BENCH_publish.json`` at the repository root:
+guard holds the cache-warm convergence invariant:
 
 * **Warm fan-out** — device 1's apply slice pays the cold host-side
   verify + JIT compile; devices 2..N converge off the *same* publish
@@ -15,10 +14,6 @@ guard holds the cache-warm convergence invariant and records it to
 """
 
 from __future__ import annotations
-
-import json
-import sys
-from pathlib import Path
 
 from repro.core import FC_HOOK_FANOUT
 from repro.core.hooks import HookMode
@@ -34,9 +29,6 @@ from repro.scenarios import build_fleet_publisher
 from repro.suit import UpdateStatus
 from repro.vm.imagecache import IMAGE_CACHE
 from repro.workloads.fletcher32 import fletcher32_program
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATH = REPO_ROOT / "BENCH_publish.json"
 
 DEVICES = 4
 TENANTS = 2
@@ -72,10 +64,10 @@ def _spec() -> DeploymentSpec:
     )
 
 
-def _one_trial() -> tuple[list[float], int]:
+def _one_trial() -> list[float]:
     """Cold publish, replay refusal, idempotent republish.
 
-    Returns (per-device convergence walls in fleet order, payload bytes).
+    Returns the per-device convergence walls in fleet order.
     """
     IMAGE_CACHE.clear()
     publisher = build_fleet_publisher(devices=DEVICES)
@@ -96,47 +88,19 @@ def _one_trial() -> tuple[list[float], int]:
     assert all(row.actions == 0 for row in republish.rows()), \
         "an identical republish planned actions"
 
-    return ([walls[f"dev{index}"] for index in range(DEVICES)],
-            rollout.payload_bytes)
+    return [walls[f"dev{index}"] for index in range(DEVICES)]
 
 
 def test_publish_guard():
     device_walls: list[list[float]] = [[] for _ in range(DEVICES)]
-    payload_bytes = 0
     for _ in range(_TRIALS):
-        walls, payload_bytes = _one_trial()
-        for index, wall in enumerate(walls):
+        for index, wall in enumerate(_one_trial()):
             device_walls[index].append(wall)
     IMAGE_CACHE.clear()  # leave no benchmark state behind for other tests
 
     best = [min(walls) for walls in device_walls]
     cold = best[0]
     speedups = [cold / wall for wall in best[1:]]
-    RESULT_PATH.write_text(json.dumps(
-        {
-            "workload": (f"{TENANTS} tenants x {IMAGES} distinct fletcher32 "
-                         f"images per device, {DEVICES}-device fleet, "
-                         "one signed spec manifest over the shared link"),
-            "unit": "seconds wall per device convergence (min of trials)",
-            "python": sys.version.split()[0],
-            "payload_bytes": payload_bytes,
-            "replay_refused": True,
-            "republish_actions": 0,
-            "devices": [
-                {"device": "dev0", "role": "cold",
-                 "rollout_us": round(cold * 1e6, 1),
-                 "speedup_vs_dev0": 1.0},
-            ] + [
-                {"device": f"dev{index + 1}", "role": "warm",
-                 "rollout_us": round(wall * 1e6, 1),
-                 "speedup_vs_dev0": round(cold / wall, 2)}
-                for index, wall in enumerate(best[1:])
-            ],
-            "warm_speedup_bar": WARM_SPEEDUP_BAR,
-        },
-        indent=2,
-    ) + "\n")
-
     for index, speedup in enumerate(speedups, start=1):
         assert speedup >= WARM_SPEEDUP_BAR, (
             f"dev{index} converged only {speedup:.2f}x faster than the cold "

@@ -1,9 +1,9 @@
 """Cross-runtime cost-model guard for the multi-runtime deploy plane.
 
 Runs the same fletcher32 workload as an rBPF container, a mini-Wasm
-container and a script container on one hosting engine, and records the
+container and a script container on one hosting engine, and prints the
 per-runtime code size, attach (startup) cycles, execution cycles and RAM
-footprint to ``BENCH_runtime_matrix.json`` at the repository root.
+footprint.
 
 The guarded invariants are the §6 story of the paper: every runtime must
 produce the *same* checksum (the deploy plane is semantics-preserving
@@ -14,10 +14,7 @@ cheapest hook-path runtime, which is why the paper picks it.
 
 from __future__ import annotations
 
-import json
-import sys
-from pathlib import Path
-
+from repro.analysis import format_table
 from repro.core import FC_HOOK_FANOUT, HostingEngine
 from repro.core.hooks import Hook, HookMode
 from repro.deploy import ImageSpec
@@ -32,8 +29,7 @@ from repro.workloads.fletcher32 import (
     make_context,
 )
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATH = REPO_ROOT / "BENCH_runtime_matrix.json"
+_COLUMNS = ("code_bytes", "attach_cycles", "exec_cycles", "ram_bytes")
 
 _SPECS = {
     "rbpf": lambda: ImageSpec.from_program(fletcher32_program()),
@@ -81,26 +77,14 @@ def test_runtime_matrix_guard():
     # Semantics preservation: one workload, three runtimes, one answer.
     for runtime, row in rows.items():
         assert row["value"] == ref, (runtime, hex(row["value"]))
-        row["checksum"] = f"0x{row.pop('value'):08x}"
 
-    RESULT_PATH.write_text(json.dumps(
-        {
-            "workload": "fletcher32 (360 B input), jit engine",
-            "unit": "modelled board cycles",
-            "python": sys.version.split()[0],
-            "checksum": f"0x{ref:08x}",
-            "runtimes": rows,
-            "wasm_exec_overhead_vs_rbpf": round(
-                rows["wasm"]["exec_cycles"] / rows["rbpf"]["exec_cycles"], 2
-            ),
-            "script_exec_overhead_vs_wasm": round(
-                rows["script"]["exec_cycles"] / rows["wasm"]["exec_cycles"], 2
-            ),
-            "exec_overhead_bar": 1.0,
-        },
-        indent=2,
-    ) + "\n")
-
+    print()
+    print(format_table(
+        ["Runtime", *_COLUMNS],
+        [[runtime, *(row[key] for key in _COLUMNS)]
+         for runtime, row in rows.items()],
+        title=f"fletcher32 per runtime, jit engine (checksum 0x{ref:08x})",
+    ))
     # The §6 ordering: per-run cost script > wasm > rbpf, full stop.
     assert (rows["script"]["exec_cycles"]
             > rows["wasm"]["exec_cycles"]

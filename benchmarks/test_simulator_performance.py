@@ -1,6 +1,6 @@
 """Simulator wall-clock throughput (not a paper experiment).
 
-Library-health benchmark: how many eBPF instructions per wall-second each
+Library-health benchmark: how many eBPF instructions per host second each
 execution engine simulates.  Useful for users sizing long simulations, and
 it quantifies the execution-core design points in wall time as well as in
 modelled cycles: the pre-decoded interpreter dispatch, the defensive
@@ -8,14 +8,13 @@ CertFC build, and the §11 install-time template JIT (basic blocks
 compiled to Python source with registers as locals), which must deliver
 at least a 3x interpreter-relative speedup.
 
-Modelled-cycle accounting is engine-independent, so this file is the only
-benchmark whose recorded output changes with execution-core performance
-work; all Fig. 8 / Table 2 / Table 4 outputs stay byte-identical.
+Modelled-cycle accounting is engine-independent, so all Fig. 8 / Table 2
+/ Table 4 outputs stay byte-identical under execution-core performance
+work.  The wall-clock table below depends on the host, so it is printed
+(``pytest -s``) rather than recorded under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
-
-from conftest import record
 
 from repro.analysis import format_table
 from repro.vm import CertFCInterpreter, Interpreter, compile_program
@@ -64,31 +63,47 @@ def test_simulator_throughput_jit(benchmark):
 
 
 def test_relative_wall_speed(benchmark):
-    """One combined row: instructions simulated per wall-second."""
+    """One combined row: instructions simulated per CPU second.
+
+    Each round times every engine back to back on this thread's CPU
+    clock, so a round's JIT/interpreter ratio compares runs made under
+    the same host load; time spent descheduled is charged to no engine.
+    The table and the bar take the median over the rounds, so one round
+    caught by a shift in host speed cannot decide the outcome.
+    """
+    import statistics
     import time
 
     def measure_all():
-        rows = {}
+        runs = {}
         for name, factory in _ENGINES.items():
             vm, context = _make(factory)
             vm.run(context=context)  # warm up
-            best = 0.0
-            for _ in range(3):  # best-of-three damps scheduler noise
-                start = time.perf_counter()
+            runs[name] = (vm, context)
+        rounds = []
+        for _ in range(7):
+            rates = {}
+            for name, (vm, context) in runs.items():
+                start = time.thread_time()
                 executed = 0
-                while time.perf_counter() - start < 0.05:
+                while time.thread_time() - start < 0.05:
                     executed += vm.run(context=context).stats.executed
-                best = max(best, executed / (time.perf_counter() - start))
-            rows[name] = best
-        return rows
+                rates[name] = executed / (time.thread_time() - start)
+            rounds.append(rates)
+        return rounds
 
-    rows = benchmark.pedantic(measure_all, rounds=1, iterations=1)
-    record("simulator_throughput", format_table(
-        ["Engine", "instructions / wall second"],
+    rounds = benchmark.pedantic(measure_all, rounds=1, iterations=1)
+    rows = {name: statistics.median(rates[name] for rates in rounds)
+            for name in _ENGINES}
+    speedup = statistics.median(
+        rates["jit (template)"] / rates["interpreter"] for rates in rounds)
+    print()
+    print(format_table(
+        ["Engine", "instructions / CPU second"],
         [[name, f"{rate:,.0f}"] for name, rate in rows.items()],
-        title="Simulator wall-clock throughput (host-dependent)",
+        title=f"Simulator throughput (host-dependent; JIT {speedup:.2f}x)",
     ))
     # The template JIT must beat the pre-decoded interpreter by at least
-    # 3x in wall time (the acceptance bar for the install-time-transpile
-    # design point; it typically lands near 4x).
-    assert rows["jit (template)"] > 3.0 * rows["interpreter"]
+    # 3x (the acceptance bar for the install-time-transpile design
+    # point; it typically lands near 3.5x).
+    assert speedup > 3.0

@@ -1,7 +1,6 @@
 """Container-supervisor regression guard.
 
-Two trials, recorded to ``BENCH_supervisor.json`` at the repository
-root:
+Two trials:
 
 * **Quarantine-aware fleet publish** — a 3-device publish where one
   device hosts a crash-looping resident container.  The supervisor
@@ -21,10 +20,6 @@ root:
 
 from __future__ import annotations
 
-import json
-import sys
-from pathlib import Path
-
 from repro.core import FC_HOOK_FANOUT, HostingEngine
 from repro.core.hooks import HookMode
 from repro.deploy import (
@@ -39,9 +34,6 @@ from repro.suit import UpdateStatus
 from repro.vm import assemble
 from repro.vm.imagecache import IMAGE_CACHE
 from repro.vm.supervisor import SupervisorConfig
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATH = REPO_ROOT / "BENCH_supervisor.json"
 
 DEVICES = 3
 FIRES = 200
@@ -68,7 +60,7 @@ def _spec() -> DeploymentSpec:
     )
 
 
-def _publish_trial() -> dict:
+def _publish_trial() -> None:
     """A fleet publish converges around a quarantined crash-looper."""
     IMAGE_CACHE.clear()
     publisher = build_fleet_publisher(
@@ -81,15 +73,12 @@ def _publish_trial() -> dict:
     rows = {row.device.name: row for row in result.rows()}
     assert rows["dev1"].result.status is UpdateStatus.QUARANTINED
     assert rows["dev0"].result.status is UpdateStatus.OK
+    assert rows["dev1"].quarantined >= 1
+    assert rows["dev1"].fault_delta > 0
     assert sick.radio.worker.storage.highest_sequence(
         publisher.slot) == result.sequence_number
-    return {
-        "devices_total": DEVICES,
-        "devices_converged": sum(row.ok for row in result.rows()),
-        "quarantined_devices": len(result.quarantined_devices()),
-        "quarantined_slots": rows["dev1"].quarantined,
-        "fault_delta": rows["dev1"].fault_delta,
-    }
+    assert sum(row.ok for row in result.rows()) == DEVICES
+    assert len(result.quarantined_devices()) == 1
 
 
 def _runaway_cycles(supervised: bool) -> int:
@@ -110,32 +99,11 @@ def _runaway_cycles(supervised: bool) -> int:
 
 
 def test_supervisor_guard():
-    publish = _publish_trial()
+    _publish_trial()
     supervised = _runaway_cycles(supervised=True)
     unsupervised = _runaway_cycles(supervised=False)
     IMAGE_CACHE.clear()  # leave no benchmark state behind for other tests
     ratio = supervised / unsupervised
-
-    RESULT_PATH.write_text(json.dumps(
-        {
-            "workload": (f"{DEVICES}-device fleet publish around a "
-                         "crash-looping resident container, plus "
-                         f"{FIRES} hook fires of a runaway cycle hog on "
-                         "supervised vs unsupervised engines"),
-            "unit": "converged devices / modelled cycles",
-            "python": sys.version.split()[0],
-            "publish": publish,
-            "fires": FIRES,
-            "supervised_cycles": supervised,
-            "unsupervised_cycles": unsupervised,
-            "waste_ratio": round(ratio, 4),
-            "waste_ratio_bar": WASTE_RATIO_BAR,
-        },
-        indent=2,
-    ) + "\n")
-
-    assert publish["devices_converged"] == DEVICES
-    assert publish["quarantined_devices"] == 1
     assert ratio <= WASTE_RATIO_BAR, (
         f"supervised runaway container still burned {ratio:.2f} of the "
         f"unsupervised cycles (bar {WASTE_RATIO_BAR})"

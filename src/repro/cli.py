@@ -55,26 +55,16 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.core.container import VM_CLASSES
 from repro.rtos.board import BOARDS, board_by_name
 from repro.vm import (
-    CertFCInterpreter,
-    Interpreter,
     Program,
-    RbpfInterpreter,
     VerificationError,
     VMFault,
     assemble,
-    compile_program,
     disassemble,
     verify,
 )
-
-_VM_FACTORIES = {
-    "femto-containers": Interpreter,
-    "rbpf": RbpfInterpreter,
-    "certfc": CertFCInterpreter,
-    "jit": compile_program,
-}
 
 
 def _load_program(path: Path) -> Program:
@@ -143,8 +133,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     program = _load_program(Path(args.image))
     board = board_by_name(args.board)
-    factory = _VM_FACTORIES[args.impl]
-    vm = factory(program)
+    vm = VM_CLASSES[args.impl](program)
     context = bytes.fromhex(args.ctx) if args.ctx else None
     try:
         result = vm.run(context=context)
@@ -664,7 +653,7 @@ def _fleet_parent() -> argparse.ArgumentParser:
     parent.add_argument("--board", default="cortex-m4",
                         choices=sorted(BOARDS))
     parent.add_argument("--impl", default="jit",
-                        choices=sorted(_VM_FACTORIES))
+                        choices=sorted(VM_CLASSES))
     return parent
 
 
@@ -699,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--ctx", help="context struct as hex bytes")
     p_run.add_argument("--board", default="cortex-m4", choices=sorted(BOARDS))
     p_run.add_argument("--impl", default="femto-containers",
-                       choices=sorted(_VM_FACTORIES))
+                       choices=sorted(VM_CLASSES))
     p_run.set_defaults(fn=cmd_run)
 
     p_boards = sub.add_parser("boards", help="list board models")
@@ -718,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hook firings to drive through the fan-out")
     p_fan.add_argument("--board", default="cortex-m4", choices=sorted(BOARDS))
     p_fan.add_argument("--impl", default="jit",
-                       choices=sorted(_VM_FACTORIES))
+                       choices=sorted(VM_CLASSES))
     p_fan.set_defaults(fn=cmd_fanout)
 
     p_deploy = sub.add_parser(
@@ -731,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_deploy.add_argument("--board", default="cortex-m4",
                           choices=sorted(BOARDS))
     p_deploy.add_argument("--impl", default="femto-containers",
-                          choices=sorted(_VM_FACTORIES))
+                          choices=sorted(VM_CLASSES))
     p_deploy.set_defaults(fn=cmd_deploy)
 
     p_fleet = sub.add_parser(

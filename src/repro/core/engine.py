@@ -102,9 +102,6 @@ class HookFiring:
 class HostingEngine:
     """One device's Femto-Container middleware instance."""
 
-    #: Detach a container after this many contained faults (anti-DoS).
-    FAULT_DETACH_THRESHOLD = 16
-
     def __init__(
         self,
         kernel: Kernel,
@@ -435,13 +432,8 @@ class HostingEngine:
 
         if stats is None:
             stats = ExecutionStats()
-        runtime = container.runtime
-        cycles = (
-            runtime.execution_cycles(board, stats, self.implementation,
-                                     self.helpers)
-            if runtime is not None
-            else board.vm_execution_cycles(stats, self.implementation,
-                                           self.helpers)
+        cycles = container.runtime.execution_cycles(
+            board, stats, self.implementation, self.helpers
         ) + board.vm_setup_cycles
         clock.charge(max(0, cycles - board.vm_setup_cycles))
         run = ContainerRun(

@@ -19,8 +19,8 @@ so one publish produces N per-device convergences.  The wire payload is
 one; the *host-side* verify and JIT compile are also one, because every
 device's apply resolves through the content-addressed
 :data:`~repro.vm.imagecache.IMAGE_CACHE` — device 1 pays the cold
-compile in its apply slice and devices 2..N ride it (the
-``BENCH_publish.json`` guard holds that at >=5x).
+compile in its apply slice and devices 2..N ride it (the publish
+guard in ``benchmarks/`` holds that at >=5x).
 
 Each device keeps its **own virtual clock**, as everywhere in the fleet
 layer: the signature check, the SHA-256 digest, and the full modelled

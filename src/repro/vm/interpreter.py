@@ -58,10 +58,6 @@ from repro.vm.program import Program
 _M64 = (1 << 64) - 1
 _M32 = (1 << 32) - 1
 
-#: opcode -> InstructionKind, kept for backward compatibility with external
-#: tooling; the dispatch loop itself uses the pre-decoded ``kind`` field.
-_KIND_OF = {op: isa.classify(op) for op in isa.VALID_OPCODES}
-
 
 def _s64(value: int) -> int:
     """Reinterpret an unsigned 64-bit value as signed."""

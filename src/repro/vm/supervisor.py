@@ -12,9 +12,8 @@ A :class:`ContainerSupervisor` watches every
 (``(hook name, container name)`` — the planner's slot identity) and
 tracks two streaks:
 
-* **fault streak** — consecutive contained faults; reaching the
-  threshold (default: the engine's ``FAULT_DETACH_THRESHOLD``)
-  quarantines the container;
+* **fault streak** — consecutive contained faults; reaching
+  :attr:`SupervisorConfig.fault_streak` quarantines the container;
 * **cycle-overrun streak** — consecutive runs whose modelled cycles
   exceed :attr:`SupervisorConfig.cycle_ceiling` (the rBPF-style per-run
   resource ceiling); ``overrun_streak`` of those quarantines too.
@@ -54,10 +53,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class SupervisorConfig:
     """Policy knobs for one engine's container supervisor."""
 
-    #: Consecutive contained faults before quarantine; ``None`` uses the
-    #: engine's ``FAULT_DETACH_THRESHOLD`` (so tests that lower the
-    #: class attribute keep working).
-    fault_streak: int | None = None
+    #: Consecutive contained faults before quarantine (anti-DoS).
+    fault_streak: int = 16
     #: Per-run modelled-cycle ceiling; ``None`` disables overrun checks.
     cycle_ceiling: int | None = None
     #: Consecutive over-ceiling runs before quarantine.
@@ -144,10 +141,7 @@ class ContainerSupervisor:
                 record.overruns += 1
             else:
                 record.overrun_streak = 0
-        threshold = (config.fault_streak
-                     if config.fault_streak is not None
-                     else self.engine.FAULT_DETACH_THRESHOLD)
-        if (record.fault_streak >= threshold
+        if (record.fault_streak >= config.fault_streak
                 or (ceiling is not None
                     and record.overrun_streak >= config.overrun_streak)):
             self._quarantine(record)

@@ -10,6 +10,7 @@ from repro.core import (
     AttachError,
     ContainerContract,
     ContainerState,
+    EngineError,
     FC_HOOK_SCHED,
     FC_HOOK_TIMER,
     Hook,
@@ -19,6 +20,7 @@ from repro.core import (
     UnknownHookError,
 )
 from repro.core.container import VM_CLASSES
+from repro.deploy import ImageSpec
 from repro.rtos import Kernel, Sleep
 from repro.vm import assemble
 from repro.vm.helpers import BPF_FETCH_GLOBAL
@@ -53,6 +55,20 @@ class TestLifecycle:
         container = engine.load(assemble(RETURN_7))
         with pytest.raises(UnknownHookError):
             engine.attach(container, "fc.hook.nonexistent")
+
+    @pytest.mark.parametrize("spec", [
+        ImageSpec.from_program(assemble(RETURN_7, name="r7")),
+        ImageSpec.from_wasm("module pages=1\nfunc main params=1 locals=0\n"
+                            "    i32.const 7\n    return\nend\n", name="r7"),
+        ImageSpec.from_script("return 7;", name="r7"),
+    ], ids=lambda spec: spec.runtime)
+    def test_execute_before_attach_raises(self, engine, spec):
+        """Only ``attach`` binds a runtime, so a loaded-only container of
+        any runtime is refused instead of being run."""
+        container = engine.load(spec.instantiate(), name=spec.name)
+        with pytest.raises(EngineError, match="not attached"):
+            engine.execute(container)
+        assert container.runtime is None
 
     def test_attach_runs_preflight(self, engine):
         bad = engine.load(assemble("ja +2\n    exit\n    exit"))
@@ -136,7 +152,7 @@ class TestFaultContainment:
     def test_faulting_container_detached_after_threshold(self, engine):
         container = engine.load(assemble(CRASHER))
         engine.attach(container, FC_HOOK_TIMER)
-        for _ in range(HostingEngine.FAULT_DETACH_THRESHOLD):
+        for _ in range(engine.supervisor.config.fault_streak):
             engine.execute(container)
         assert container.state is ContainerState.DETACHED
 

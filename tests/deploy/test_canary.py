@@ -245,7 +245,7 @@ class TestRollback:
         fleet = Fleet(2)
         base = make_spec(GOOD, "base")
         fleet.apply(base)
-        # 16 faults trip HostingEngine.FAULT_DETACH_THRESHOLD.
+        # 16 faults trip the default SupervisorConfig.fault_streak.
         rollout = fleet.canary_rollout(make_spec(POISON, "v2"),
                                        canary_count=1,
                                        bake_us=100_000.0, bake_fires=20)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 from contextlib import redirect_stdout
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.core.container import VM_CLASSES
 
 SOURCE = """
     mov r0, 40
@@ -226,3 +228,38 @@ class TestCli:
         assert code == 0
         assert "fc.hook.sched" in text
         assert "0x00000010" in text
+
+
+def _impl_choices(command: str) -> list[str]:
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    parser = subparsers.choices[command]
+    return next(action.choices for action in parser._actions
+                if "--impl" in action.option_strings)
+
+
+class TestImplChoices:
+    """Every ``--impl`` list is the engine's own VM table."""
+
+    @pytest.mark.parametrize("command", [
+        "run", "fanout", "deploy", "fleet", "canary", "publish", "chaos",
+        "controlplane",
+    ])
+    def test_impl_choices_are_the_engine_vm_classes(self, command):
+        assert _impl_choices(command) == sorted(VM_CLASSES)
+
+    @pytest.mark.parametrize("impl", sorted(VM_CLASSES))
+    def test_run_every_impl(self, asm_file, impl):
+        code, text = run_cli("run", str(asm_file), "--impl", impl)
+        assert code == 0
+        assert "r0 = 42" in text
+        assert "3 instructions, 0 taken branches" in text
+        assert f"[{impl}]" in text
+
+    @pytest.mark.parametrize("impl", sorted(VM_CLASSES))
+    def test_deploy_every_impl(self, impl):
+        code, text = run_cli("deploy", "multi-tenant", "--impl", impl)
+        assert code == 0
+        assert f"5 actions on nrf52840 [{impl}]" in text
+        assert "applied: 3 containers attached" in text
+        assert "re-plan: 0 actions (converged)" in text

@@ -9,6 +9,7 @@ from repro.rtos import Kernel, nrf52840
 from repro.scenarios import build_fanout_device
 from repro.vm import assemble
 from repro.vm.imagecache import IMAGE_CACHE
+from repro.vm.supervisor import SupervisorConfig
 
 
 @pytest.fixture(autouse=True)
@@ -60,9 +61,9 @@ class TestSyncFireMutationSafety:
     """fire_hook iterates the attach list in place; a fault-detach of the
     running container mid-fire must not skip or double-run neighbours."""
 
-    def test_fault_detach_mid_fire_runs_every_container(self, monkeypatch):
-        monkeypatch.setattr(HostingEngine, "FAULT_DETACH_THRESHOLD", 1)
-        engine = HostingEngine(Kernel(nrf52840()))
+    def test_fault_detach_mid_fire_runs_every_container(self):
+        engine = HostingEngine(Kernel(nrf52840()),
+                               supervisor=SupervisorConfig(fault_streak=1))
         engine.register_hook(Hook(FC_HOOK_FANOUT, mode=HookMode.SYNC))
         crasher = assemble(
             "lddw r1, 0xbad0000\n    ldxdw r0, [r1]\n    exit"

@@ -67,7 +67,7 @@ burn:
         cancel()
 
         assert hostile.fault_count > 0            # it kept faulting...
-        assert hostile.runs <= engine.FAULT_DETACH_THRESHOLD
+        assert hostile.runs <= engine.supervisor.config.fault_streak
         # ...until the engine cut it off, well before 3 s of spam.
         assert hostile.hook is None
         # The honest sensor pipeline never noticed.

@@ -95,7 +95,7 @@ class TestShell:
         bad = engine.load(assemble(
             "lddw r1, 0x1\n    ldxb r0, [r1]\n    exit"), name="crasher")
         engine.attach(bad, FC_HOOK_TIMER)
-        for _ in range(engine.FAULT_DETACH_THRESHOLD):
+        for _ in range(engine.supervisor.config.fault_streak):
             engine.execute(bad)
         text = shell.execute("fc list")
         rows = {line.split()[0]: line for line in text.splitlines()[1:]}

@@ -122,7 +122,7 @@ class TestFaultMatrix:
         neighbours = attach_neighbours(engine)
         bad = engine.load(FAULTY[runtime][kind]().instantiate(), name="bad")
         engine.attach(bad, FC_HOOK_FANOUT)
-        for _ in range(engine.FAULT_DETACH_THRESHOLD):
+        for _ in range(engine.supervisor.config.fault_streak):
             engine.execute(bad, context=bytearray(16))
         attached = [c.name for c in engine.hook(FC_HOOK_FANOUT).containers]
         assert "bad" not in attached

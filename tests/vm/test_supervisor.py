@@ -19,6 +19,7 @@ from repro.core import (
     ContainerState,
     HostingEngine,
 )
+from repro.core.container import VM_CLASSES
 from repro.rtos import Kernel
 from repro.vm import assemble
 from repro.vm.supervisor import SupervisorConfig
@@ -72,19 +73,46 @@ class TestFaultStreakQuarantine:
         assert engine.supervisor.health(FC_HOOK_TIMER,
                                         container.name).strikes == 0
 
-    def test_default_threshold_is_engine_fault_detach(self, board_m4,
-                                                      monkeypatch):
-        # fault_streak=None reads FAULT_DETACH_THRESHOLD dynamically, so
-        # suites that lower the class attribute keep their semantics.
-        monkeypatch.setattr(HostingEngine, "FAULT_DETACH_THRESHOLD", 2)
-        kernel = Kernel(board_m4)
-        engine = HostingEngine(kernel)
+    def test_default_config_quarantines_at_sixteenth_fault(self, board_m4):
+        engine = HostingEngine(Kernel(board_m4))
         container = engine.attach(engine.load(assemble(CRASHER)),
                                   FC_HOOK_TIMER)
-        engine.execute(container)
+        for _ in range(15):
+            engine.execute(container)
         assert container.state is ContainerState.ATTACHED
         engine.execute(container)
         assert container.state is ContainerState.DETACHED
+
+    @pytest.mark.parametrize("streak", [1, 2, 5, 16])
+    def test_quarantines_exactly_at_configured_streak(self, board_m4,
+                                                      streak):
+        engine = make_engine(board_m4, fault_streak=streak)
+        container = engine.attach(engine.load(assemble(CRASHER)),
+                                  FC_HOOK_TIMER)
+        for _ in range(streak - 1):
+            engine.execute(container)
+        assert container.state is ContainerState.ATTACHED
+        engine.execute(container)
+        assert container.state is ContainerState.DETACHED
+        assert engine.supervisor.health(FC_HOOK_TIMER,
+                                        container.name).quarantined
+
+    @pytest.mark.parametrize("implementation", sorted(VM_CLASSES))
+    def test_every_vm_implementation_feeds_the_streak(self, board_m4,
+                                                      implementation):
+        engine = HostingEngine(Kernel(board_m4),
+                               implementation=implementation,
+                               supervisor=SupervisorConfig(fault_streak=3))
+        container = engine.attach(engine.load(assemble(CONDITIONAL)),
+                                  FC_HOOK_TIMER)
+        for _ in range(2):
+            engine.execute(container, context=BAD)
+        assert engine.execute(container, context=GOOD).ok
+        for _ in range(3):
+            engine.execute(container, context=BAD)
+        assert container.state is ContainerState.DETACHED
+        health = engine.supervisor.health(FC_HOOK_TIMER, container.name)
+        assert health.quarantined and health.strikes == 1
 
 
 class TestProbation:
