@@ -61,9 +61,13 @@ class ContainerRun:
         return self.fault is None
 
 
-@dataclass
+@dataclass(eq=False)
 class FemtoContainer:
-    """One deployable application: bytecode + contract + runtime state."""
+    """One deployable application: bytecode + contract + runtime state.
+
+    Equality is identity: two instances of one image are distinct
+    deployments, and hook and tenant lists find a container by ``is``.
+    """
 
     name: str
     program: Program
@@ -126,6 +130,3 @@ class FemtoContainer:
         self.lifetime_stats.merge(run.stats)
         if run.fault is not None:
             self.faults.append(run.fault)
-
-    def __hash__(self) -> int:
-        return id(self)

@@ -225,9 +225,7 @@ class HostingEngine:
         try:
             granted = grant(hook.policy_for(tenant_name), container.contract)
         except Exception as exc:
-            raise AttachError(
-                f"container {container.name!r} rejected: {exc}"
-            ) from exc
+            raise self._rejected(container, exc) from exc
 
         verifier_config = VerifierConfig(
             max_instructions=granted.max_instructions,
@@ -253,9 +251,7 @@ class HostingEngine:
             vm = runtime.attach(self, container, granted, vm_config, access,
                                 verifier_config)
         except Exception as exc:
-            raise AttachError(
-                f"container {container.name!r} rejected: {exc}"
-            ) from exc
+            raise self._rejected(container, exc) from exc
 
         container.vm = vm
         container.runtime = runtime
@@ -263,18 +259,34 @@ class HostingEngine:
         container.hook = hook
         container.state = ContainerState.ATTACHED
         hook.containers.append(container)
+        if container.tenant is not None:
+            container.tenant.adopt(container)
         if hook.mode is HookMode.THREAD:
             self._spawn_worker(container)
         self.supervisor.notify_attach(container, hook.name)
         return container
 
+    @staticmethod
+    def _rejected(container: FemtoContainer, exc: Exception) -> AttachError:
+        """An image the pre-flight refused is dropped from the device:
+        it leaves its tenant (a later successful attach re-adopts it)."""
+        if container.tenant is not None:
+            container.tenant.release(container)
+        return AttachError(f"container {container.name!r} rejected: {exc}")
+
     def detach(self, container: FemtoContainer) -> None:
+        """Remove ``container`` from its hook and release it from its
+        tenant: past this call only the caller (a rollback log, a
+        quarantine record) keeps it alive, and :meth:`attach` re-adopts
+        it if it ever comes back."""
         hook = container.hook
         if hook is None:
             return
         hook.containers.remove(container)
         container.hook = None
         container.state = ContainerState.DETACHED
+        if container.tenant is not None:
+            container.tenant.release(container)
         # Thread-mode containers own a worker thread: tell it to exit so a
         # detach (or hot replace) never leaks a blocked zombie thread.
         if container.event_queue is not None:
@@ -300,9 +312,11 @@ class HostingEngine:
             return self.attach(fresh, hook_name)
         except Exception:
             # Failure-atomic: a replacement whose image is rejected must
-            # not leave the slot empty — re-attach the old container
-            # (re-verified, so the clock is charged like any install;
-            # a real device restoring its old image pays it too).
+            # not leave the slot empty.  The rejection already released
+            # the never-attached ``fresh`` from the tenant; re-attach the
+            # old container (re-verified, so the clock is charged like
+            # any install; a real device restoring its old image pays it
+            # too).
             self.attach(old, hook_name)
             raise
 

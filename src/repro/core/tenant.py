@@ -27,6 +27,12 @@ class Tenant:
 
     name: str
     store: KeyValueStore = field(default=None)  # type: ignore[assignment]
+    #: The tenant's live containers: loaded or attached, in adoption
+    #: order (a re-attached container re-joins at the end, as on its
+    #: hook).  The engine adopts on load and attach and releases on
+    #: detach and on a rejected attach, so a replaced or detached
+    #: instance neither counts toward :attr:`ram_bytes` nor stays
+    #: reachable from here.
     containers: list["FemtoContainer"] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -36,6 +42,11 @@ class Tenant:
     def adopt(self, container: "FemtoContainer") -> None:
         if container not in self.containers:
             self.containers.append(container)
+
+    def release(self, container: "FemtoContainer") -> None:
+        """Forget a container that left the device (idempotent)."""
+        if container in self.containers:
+            self.containers.remove(container)
 
     @property
     def ram_bytes(self) -> int:

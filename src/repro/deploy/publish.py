@@ -210,8 +210,8 @@ class DevicePublish:
     @property
     def actions(self) -> int:
         """Plan actions the device's reconcile executed (0 if refused)."""
-        applied = self.result.applied
-        return len(applied.plan.actions) if applied is not None else 0
+        executed = self.result.plan
+        return len(executed.actions) if executed is not None else 0
 
 
 @dataclass
@@ -882,8 +882,7 @@ class FleetPublisher:
                     f"converged, but the supervisor quarantined {names} "
                     "as crash-looping",
                     manifest=row.result.manifest,
-                    container=row.result.container,
-                    applied=row.result.applied,
+                    plan=row.result.plan,
                     duration_us=row.result.duration_us,
                 )
         return result

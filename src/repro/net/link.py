@@ -160,17 +160,23 @@ class Link:
 
         members = self._groups.get(dst_addr)
         if members is not None:
+            # Hot loop (one roll per fragment per member): the dice are
+            # drawn exactly as the unicast path draws them, stopping at
+            # the first lost fragment.
+            random = self._rng.random
+            loss = self.loss
+            set_timer = self.kernel.timers.set
             for member in members.values():
                 if member is src or member.receive is None:
                     # The sender never hears itself; a dead radio is
                     # skipped before the dice, like a missing unicast dst.
                     continue
-                if any(self._rng.random() < self.loss
-                       for _ in range(fragments)):
-                    self.stats.frames_dropped += 1
-                    continue
-                self.kernel.timers.set(
-                    lambda dst=member: deliver_to(dst), airtime_us)
+                for _ in range(fragments):
+                    if random() < loss:
+                        self.stats.frames_dropped += 1
+                        break
+                else:
+                    set_timer(lambda dst=member: deliver_to(dst), airtime_us)
             return
 
         dst = self._interfaces.get(dst_addr)

@@ -119,6 +119,9 @@ class Thread:
             return self._gen.send(value)
         except StopIteration:
             self.state = ThreadState.ENDED
+            # The kernel keeps ended threads listed; drop the body so its
+            # closure (e.g. a detached container's worker) can be freed.
+            self.body = None
             return Exit()
 
     def deliver(self, value: object) -> None:

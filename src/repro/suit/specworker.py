@@ -130,7 +130,7 @@ class SpecUpdateWorker(SuitUpdateWorker):
                 self.release_cache[("spec", payload)] = spec
         try:
             deployment = plan(self.engine, spec)
-            result = apply(self.engine, deployment)
+            apply(self.engine, deployment)
         except SpecError as exc:
             return UpdateResult(UpdateStatus.SPEC_INVALID, str(exc),
                                 manifest)
@@ -143,5 +143,5 @@ class SpecUpdateWorker(SuitUpdateWorker):
              if deployment.empty
              else f"reconciled through {len(deployment.actions)} actions"),
             manifest,
-            applied=result,
+            plan=deployment,
         )

@@ -47,6 +47,7 @@ from repro.runtimes.base import container_runtime
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import HostingEngine
     from repro.core.tenant import Tenant
+    from repro.deploy.plan import DeploymentPlan
     from repro.net.gcoap import CoapClient, CoapServer
     from repro.rtos.nvm import NvmStore
 
@@ -102,12 +103,20 @@ class UpdateStatus(enum.Enum):
 
 @dataclass
 class UpdateResult:
+    """One update's outcome, as recorded in a worker's ``results``.
+
+    A value record: it holds no live device object (container, VM,
+    timer handle), so the update history never keeps a replaced
+    container alive.
+    """
+
     status: UpdateStatus
     message: str = ""
     manifest: SuitManifest | None = None
-    container: object = None
-    #: The :class:`~repro.deploy.plan.ApplyResult` of a spec update.
-    applied: object = None
+    #: The :class:`~repro.deploy.plan.DeploymentPlan` a spec update
+    #: executed (``None`` for image updates and refusals).  Its frozen
+    #: actions reference only the release's shared image specs.
+    plan: "DeploymentPlan | None" = None
     duration_us: float = 0.0
 
     @property
@@ -486,12 +495,12 @@ class SuitUpdateWorker:
             runtime = container_runtime(manifest.runtime)
             program = runtime.decode(payload, name=manifest.name)
             if hook.containers:
-                container = self.engine.replace(hook.containers[0], program)
+                self.engine.replace(hook.containers[0], program)
             else:
-                container = self.engine.attach(
+                self.engine.attach(
                     self.engine.load(program, tenant=self.tenant), hook.name
                 )
         except Exception as exc:  # pre-flight or policy rejection
             return UpdateResult(UpdateStatus.REJECTED, str(exc), manifest)
         return UpdateResult(UpdateStatus.OK, "installed and attached",
-                            manifest, container)
+                            manifest)

@@ -264,3 +264,53 @@ class TestAccounting:
         engine.attach(container, FC_HOOK_TIMER)
         engine.execute(container)
         assert engine.trace_log == ["value=42"]
+
+
+class TestTenantMembership:
+    """A tenant's containers are its live ones (§10.3 RAM accounting)."""
+
+    def test_replaces_keep_modelled_ram_flat(self, engine):
+        tenant = engine.create_tenant("A")
+        slot = engine.load(assemble(RETURN_7), tenant=tenant, name="slot")
+        other = engine.load(assemble(RETURN_7), tenant=tenant, name="other")
+        engine.attach(slot, FC_HOOK_TIMER)
+        engine.attach(other, FC_HOOK_SCHED)
+        tenant_ram = tenant.ram_bytes
+        engine_ram = engine.total_ram_bytes()
+        for value in range(8, 13):  # equal-size images, new content
+            slot = engine.replace(slot, assemble(f"mov r0, {value}\n    exit"))
+            assert tenant.ram_bytes == tenant_ram
+            assert engine.total_ram_bytes() == engine_ram
+        assert len(tenant.containers) == 2
+        assert set(tenant.containers) == {slot, other}
+
+    def test_rejected_replace_leaves_membership_unchanged(self, engine):
+        tenant = engine.create_tenant("A")
+        slot = engine.load(assemble(RETURN_7), tenant=tenant, name="slot")
+        other = engine.load(assemble(RETURN_7), tenant=tenant, name="other")
+        engine.attach(slot, FC_HOOK_TIMER)
+        engine.attach(other, FC_HOOK_SCHED)
+        tenant_ram = tenant.ram_bytes
+        with pytest.raises(AttachError, match="rejected"):
+            engine.replace(slot, assemble("mov r10, 1\n    exit"))
+        assert len(tenant.containers) == 2
+        assert set(tenant.containers) == {slot, other}
+        assert tenant.ram_bytes == tenant_ram
+
+    def test_detach_releases_and_attach_readopts(self, engine):
+        tenant = engine.create_tenant("A")
+        container = engine.load(assemble(RETURN_7), tenant=tenant)
+        assert tenant.containers == [container]
+        engine.attach(container, FC_HOOK_TIMER)
+        engine.detach(container)
+        assert tenant.containers == []
+        engine.attach(container, FC_HOOK_TIMER)
+        assert tenant.containers == [container]
+
+    def test_rejected_attach_drops_the_image(self, engine):
+        tenant = engine.create_tenant("A")
+        container = engine.load(assemble("mov r10, 1\n    exit"),
+                                tenant=tenant)
+        with pytest.raises(AttachError, match="rejected"):
+            engine.attach(container, FC_HOOK_TIMER)
+        assert tenant.containers == []

@@ -69,8 +69,8 @@ class TestSpecReconciliation:
         spec = simple_spec()
         result = publish(kernel, repo, worker, spec, 1)
         assert result.ok, result.message
-        assert result.applied is not None
-        assert len(result.applied.plan.actions) == 2
+        assert result.plan is not None
+        assert len(result.plan.actions) == 2
         assert sorted(engine.tenants) == ["alice"]
         assert engine.hook(FC_HOOK_TIMER).occupied
         assert plan(engine, spec).empty
@@ -82,14 +82,14 @@ class TestSpecReconciliation:
         result = publish(kernel, repo, worker, spec, 2)
         assert result.ok
         assert "converged" in result.message
-        assert result.applied.plan.empty
+        assert result.plan.empty
 
     def test_edited_spec_hot_swaps_by_content_hash(self, rig):
         kernel, engine, repo, worker = rig
         assert publish(kernel, repo, worker, simple_spec(RETURN_7), 1).ok
         result = publish(kernel, repo, worker, simple_spec(RETURN_9), 2)
         assert result.ok
-        actions = result.applied.plan.actions
+        actions = result.plan.actions
         assert [type(a).__name__ for a in actions] == ["Replace"]
         container = engine.hook(FC_HOOK_TIMER).containers[0]
         assert engine.execute(container).value == 9
