@@ -6,15 +6,21 @@ trigger carrying the integrated payload.  This guard
 publishes one realistic release (two 4 KiB images) to a 1,000-device
 fleet both ways and holds two bars:
 
-* **Throughput bar** — devices converged per wall-second on the scale
-  profile must be >= 3x the unicast baseline at N=1000;
+* **Throughput bar** — devices converged per host CPU second on the
+  scale profile must be >= 3x the unicast baseline at N=1000.  Each
+  round publishes both profiles back to back, alternating which runs
+  first, and times only ``publish()`` on this thread's CPU clock; the
+  bar takes the median per-round ratio, so a round caught by a shift
+  in host speed cannot decide the outcome;
 * **Airtime bar** — maintainer trigger radio bytes *per device* under
   multicast must be <= 0.5x the unicast baseline (measured: one
   broadcast frame amortized over N vs one signed envelope POST each).
+  Radio bytes are deterministic, so one round decides it.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from repro.core import FC_HOOK_FANOUT
@@ -40,7 +46,7 @@ SCALE_SPEEDUP_BAR = 3.0
 #: Multicast trigger airtime per device vs one unicast POST each.
 TRIGGER_BYTES_RATIO_BAR = 0.5
 
-_TRIALS = 2
+_ROUNDS = 3
 
 
 def _spec() -> DeploymentSpec:
@@ -66,45 +72,49 @@ def _spec() -> DeploymentSpec:
 
 
 def _one_trial(options: PublishOptions) -> dict:
-    """One cold N-device publish; returns wall/byte accounting."""
+    """One cold N-device publish; returns CPU-time/byte accounting."""
     IMAGE_CACHE.clear()
     publisher = build_fleet_publisher(devices=DEVICES)
     spec = _spec()
-    start = time.perf_counter()
+    start = time.thread_time()
     result = publisher.publish(spec, options)
-    wall_s = time.perf_counter() - start
+    cpu_s = time.thread_time() - start
     assert result.ok, result.reason
     assert len(result.rows()) == DEVICES
     assert plan(publisher.fleet.devices[-1].engine, spec).empty
     return {
-        "wall_s": wall_s,
+        "cpu_s": cpu_s,
         "multicast": result.multicast,
         "trigger_tx_bytes": result.trigger_tx_bytes,
         "acks": len(result.mcast_acks),
     }
 
 
-def _best(options: PublishOptions) -> dict:
-    trials = [_one_trial(options) for _ in range(_TRIALS)]
-    return min(trials, key=lambda trial: trial["wall_s"])
-
-
 def test_fleet_scale_guard():
-    unicast = _best(PublishOptions.legacy())
-    scale = _best(PublishOptions.scale())
+    """Holds the throughput bar (scale >= 3x unicast, median per-round
+    CPU ratio) and the airtime bar (trigger bytes ratio <= 0.5)."""
+    profiles = {"unicast": PublishOptions.legacy(),
+                "scale": PublishOptions.scale()}
+    rounds = []
+    for index in range(_ROUNDS):
+        order = sorted(profiles, reverse=index % 2 == 1)
+        rounds.append({name: _one_trial(profiles[name]) for name in order})
     IMAGE_CACHE.clear()  # leave no benchmark state behind for other tests
 
+    unicast, scale = rounds[0]["unicast"], rounds[0]["scale"]
     assert not unicast["multicast"] and scale["multicast"]
     assert 0 < scale["acks"] <= 2 * 8  # bounded suppression sample
 
-    speedup = unicast["wall_s"] / scale["wall_s"]
+    speedups = [trial["unicast"]["cpu_s"] / trial["scale"]["cpu_s"]
+                for trial in rounds]
+    speedup = statistics.median(speedups)
     unicast_trigger = unicast["trigger_tx_bytes"] / DEVICES
     scale_trigger = scale["trigger_tx_bytes"] / DEVICES
     ratio = scale_trigger / unicast_trigger
     assert speedup >= SCALE_SPEEDUP_BAR, (
         f"scale profile converged only {speedup:.2f}x the unicast baseline "
-        f"at N={DEVICES} (bar {SCALE_SPEEDUP_BAR}x): "
-        f"unicast={unicast['wall_s']:.2f}s scale={scale['wall_s']:.2f}s"
+        f"at N={DEVICES} (bar {SCALE_SPEEDUP_BAR}x): per-round ratios "
+        f"{[round(value, 2) for value in speedups]}"
     )
     assert ratio <= TRIGGER_BYTES_RATIO_BAR, (
         f"multicast trigger spent {scale_trigger:.1f} B/device vs "
