@@ -133,7 +133,7 @@ def _apply_path() -> list:
     fleet = Fleet(DEVICES, implementation="jit")
     return fleet.apply(fanout_spec(tenants=TENANTS,
                                    instances_per_tenant=INSTANCES,
-                                   image=fletcher32_program())).devices
+                                   image=fletcher32_program())).rows()
 
 
 def _canary_path() -> list:

@@ -91,8 +91,6 @@ def main() -> None:
     assert ok.promoted
     assert all(plan(device.engine, release).empty
                for device in fleet.devices)
-    speedups = ", ".join(f"{s:.1f}x" for s in ok.promotion_speedups())
-    print(f"promotion rode the canary-warmed image cache: {speedups}")
     print("\nno bad image ever ran outside the canary subset.")
 
 

@@ -81,16 +81,13 @@ def main() -> None:
     print(f"\nfleet of {len(fleet)} devices, "
           f"{len(fleet.containers())} containers total, "
           f"{fleet.total_ram_bytes()} B RAM fleet-wide")
-    for device_rollout in rollout.devices:
-        print(f"  {device_rollout.device.name}: "
-              f"{device_rollout.wall_s * 1e6:7.0f} us wall, "
-              f"{device_rollout.cycles_charged} modelled cycles, "
-              f"{device_rollout.cache_misses} cache misses")
+    for row in rollout.rows():
+        print(f"  {row.device.name}: {row.wall_s * 1e6:7.0f} us wall, "
+              f"{row.cycles_charged} modelled cycles, "
+              f"{row.cache_misses} cache misses")
     cycles = rollout.cycles_per_device()
     print("modelled cycles identical on every device: "
           f"{len(set(cycles)) == 1}")
-    speedups = ", ".join(f"{s:.1f}x" for s in rollout.speedups())
-    print(f"cache-warm rollout speedup over dev0: {speedups}")
 
 
 if __name__ == "__main__":

@@ -82,8 +82,6 @@ def main() -> None:
     print("1. one signed manifest, four devices, one shared link")
     rollout = publisher.publish(v1)
     show(rollout)
-    print("   speedup of warm devices over dev0: "
-          + ", ".join(f"{s:.1f}x" for s in rollout.speedups()))
     print("   fleet converged: "
           f"{all(plan(d.engine, v1).empty for d in fleet.devices)}")
 

@@ -34,7 +34,13 @@ imperative ``create_tenant``/``load``/``attach`` primitives:
   devices at runtime, :meth:`~ControlPlane.submit` specs into signed
   :class:`Release` records, publish/canary with the fleet-scale
   profile (:meth:`PublishOptions.scale`: multicast trigger with the
-  integrated payload) and stream typed :class:`DeviceStatus` rows.
+  integrated payload) and stream typed :class:`DeviceStatus` rows;
+* :mod:`repro.deploy.results` — the one result every fleet entry point
+  returns (:meth:`Fleet.apply`, :meth:`Fleet.canary_rollout`,
+  :meth:`FleetPublisher.publish`, :meth:`ControlPlane.publish` and
+  :meth:`ControlPlane.canary`): a :class:`FleetResult` holding one
+  :class:`DeviceRow` per device convergence on either transport, whose
+  ``ok`` is "not rolled back, at least one row, and every row ok".
 
 Applying an unchanged spec twice plans zero actions; editing one image
 plans exactly one replace.  See the module docstrings for the full
@@ -56,22 +62,10 @@ from repro.deploy.controlplane import (
     DeviceStatus,
     Release,
 )
-from repro.deploy.fleet import (
-    CanaryRollout,
-    DeviceRollout,
-    Fleet,
-    FleetDevice,
-    FleetRollout,
-)
-from repro.deploy.publish import (
-    DevicePublish,
-    DeviceRadio,
-    FleetPublisher,
-    PublishOptions,
-    PublishResult,
-)
+from repro.deploy.fleet import Fleet, FleetDevice
+from repro.deploy.publish import DeviceRadio, FleetPublisher, PublishOptions
 from repro.deploy.registry import DeviceRegistry
-from repro.deploy.results import FleetResult, StagedResult
+from repro.deploy.results import DeviceRow, FleetResult
 from repro.deploy.staged import HealthGate, StagedRollout
 from repro.deploy.plan import (
     Action,
@@ -108,7 +102,6 @@ __all__ = [
     "AttachmentSpec",
     "BUILTIN_SPECS",
     "BitFlipAt",
-    "CanaryRollout",
     "ChaosEvent",
     "ControlPlane",
     "CrashAt",
@@ -116,28 +109,24 @@ __all__ = [
     "DeploymentPlan",
     "DeploymentSpec",
     "Detach",
-    "DevicePublish",
     "DeviceRadio",
     "DeviceRegistry",
-    "DeviceRollout",
+    "DeviceRow",
     "DeviceStatus",
     "FaultInjector",
     "Fleet",
     "FleetDevice",
     "FleetPublisher",
     "FleetResult",
-    "FleetRollout",
     "HealthGate",
     "LinkLossBurst",
     "Release",
-    "StagedResult",
     "StagedRollout",
     "StallAt",
     "TornWriteAt",
     "WearOut",
     "HookSpec",
     "PublishOptions",
-    "PublishResult",
     "ImageSpec",
     "Install",
     "RegisterHook",

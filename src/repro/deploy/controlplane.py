@@ -33,12 +33,9 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.deploy.fleet import Fleet, FleetDevice
-from repro.deploy.publish import (
-    FleetPublisher,
-    PublishOptions,
-    PublishResult,
-)
+from repro.deploy.publish import FleetPublisher, PublishOptions
 from repro.deploy.registry import DeviceRegistry
+from repro.deploy.results import FleetResult
 from repro.deploy.spec import DeploymentSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -148,7 +145,7 @@ class ControlPlane:
     # -- orchestration -------------------------------------------------
 
     def publish(self, release: Release | DeploymentSpec,
-                options: PublishOptions | None = None) -> PublishResult:
+                options: PublishOptions | None = None) -> FleetResult:
         """Fan one release out to the whole fleet.
 
         Defaults to :meth:`PublishOptions.scale` — the control plane
@@ -167,7 +164,7 @@ class ControlPlane:
 
     def canary(self, release: Release | DeploymentSpec,
                canary_count: int,
-               options: PublishOptions | None = None) -> PublishResult:
+               options: PublishOptions | None = None) -> FleetResult:
         """Health-gated staged publish through ``canary_count`` devices."""
         if options is None:
             options = PublishOptions.scale()

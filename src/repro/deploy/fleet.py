@@ -9,29 +9,34 @@ content hash only, so the first device pays the host-side verify and JIT
 compile and every later device attaches through pure cache hits.  Each
 device's **virtual clock is its own** and is always charged the full
 modelled verify+install cost — the cache is a wall-clock effect of the
-simulator, never a device-semantics change (the deploy benchmark guard
-asserts both halves of that invariant).
+simulator, never a device-semantics change.
+``benchmarks/test_image_cache_guard.py`` asserts both halves of that
+invariant: the cold device misses once per artifact, warm rows never
+miss, and cycles are equal.
 
-:meth:`Fleet.apply` records per-device rollout accounting — wall time,
-modelled cycles charged, image-cache hits/misses — so benchmarks and the
-``python -m repro fleet`` CLI can report the warm-rollout speedup of
-devices 2..N over device 1.
+:meth:`Fleet.apply` and :meth:`Fleet.canary_rollout` return a
+:class:`~repro.deploy.results.FleetResult` whose
+:class:`~repro.deploy.results.DeviceRow` rows carry per-device accounting
+— wall time, modelled cycles charged, image-cache hits/misses — so
+benchmarks and the ``python -m repro fleet`` CLI can show devices 2..N
+riding the cache device 1 warmed.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.engine import HostingEngine
-from repro.deploy.plan import ApplyResult, apply, plan
+from repro.deploy.plan import apply, plan
 from repro.deploy.registry import DeviceRegistry
-from repro.deploy.results import FleetResult, StagedResult
+from repro.deploy.results import DeviceRow, FleetResult
 from repro.deploy.spec import DeploymentSpec, HookSpec
 from repro.deploy.staged import HealthGate, StagedRollout
 from repro.rtos.board import Board, nrf52840
 from repro.rtos.kernel import Kernel
+from repro.suit.worker import UpdateResult, UpdateStatus
 from repro.vm.imagecache import IMAGE_CACHE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,72 +73,17 @@ class FleetDevice:
 
 
 @dataclass
-class DeviceRollout:
-    """Accounting for one device's plan+apply during a fleet rollout."""
-
-    device: FleetDevice
-    result: ApplyResult
-    wall_s: float
-    cycles_charged: int
-    cache_hits: int
-    cache_misses: int
-    #: A returned direct apply always converged (a failed one raises).
-    ok = True
-
-    @property
-    def actions(self) -> int:
-        return len(self.result.plan.actions)
-
-
-@dataclass
-class FleetRollout(FleetResult):
-    """One spec applied across the whole fleet, with per-device numbers.
-
-    Implements the :class:`~repro.deploy.results.FleetResult` protocol:
-    ``ok`` (a direct apply raises on failure, so a returned rollout is
-    always ok), ``wall_s``, ``speedups()`` and row iteration all come
-    from the shared base; ``devices`` holds the rows in fleet order.
-    """
-
-    spec: DeploymentSpec
-    devices: list[DeviceRollout] = field(default_factory=list)
-
-    def rows(self) -> list[DeviceRollout]:
-        return self.devices
-
-    def cycles_per_device(self) -> list[int]:
-        return [rollout.cycles_charged for rollout in self.devices]
-
-    def cache_hit_rate(self) -> float:
-        hits = sum(rollout.cache_hits for rollout in self.devices)
-        misses = sum(rollout.cache_misses for rollout in self.devices)
-        total = hits + misses
-        return hits / total if total else 0.0
-
-
-@dataclass
-class CanaryRollout(StagedResult):
-    """Outcome of one :meth:`Fleet.canary_rollout`: a
-    :class:`~repro.deploy.results.StagedResult` of direct applies
-    (:class:`DeviceRollout` rows) whose ``ok`` is promotion."""
-
-    @property
-    def ok(self) -> bool:
-        return self.promoted
-
-
-@dataclass
 class _DirectTransport:
     """Staged-rollout transport that plans and applies in process."""
 
     fleet: Fleet
 
     def converge(self, devices: Sequence[FleetDevice], spec: DeploymentSpec,
-                 role: str) -> tuple[list[DeviceRollout], str]:
+                 role: str) -> tuple[list[DeviceRow], str]:
         rows = []
         for device in devices:
             try:
-                rows.append(self.fleet._converge(device, spec))
+                rows.append(self.fleet._converge(device, spec, role))
             except Exception as exc:
                 # apply() already restored this device; the devices after
                 # it are never touched.
@@ -142,12 +92,13 @@ class _DirectTransport:
                 return rows, f"{verb} on {device.name}: {exc}"
         return rows, ""
 
-    def revert(self, groups) -> tuple[list[DeviceRollout], str]:
+    def revert(self, groups) -> tuple[list[DeviceRow], str]:
         rows, failures = [], []
         for baseline, devices in groups:
             for device in devices:
                 try:
-                    rows.append(self.fleet._converge(device, baseline))
+                    rows.append(self.fleet._converge(device, baseline,
+                                                     "rollback"))
                 except Exception as exc:
                     failures.append(f"rollback failed on {device.name}: {exc}")
         return rows, "; ".join(failures)
@@ -213,30 +164,41 @@ class Fleet:
     def __len__(self) -> int:
         return len(self.devices)
 
-    def _converge(self, device: FleetDevice,
-                  spec: DeploymentSpec) -> DeviceRollout:
-        """Plan+apply ``spec`` on one device, with rollout accounting."""
+    def _converge(self, device: FleetDevice, spec: DeploymentSpec,
+                  role: str = "device") -> DeviceRow:
+        """Plan+apply ``spec`` on one device, with rollout accounting.
+
+        The row keeps a value record of the apply, not the live
+        :class:`~repro.deploy.plan.ApplyResult`, so a kept result never
+        pins the containers or timer closures the apply created.
+        """
         hits_before = IMAGE_CACHE.hits
         misses_before = IMAGE_CACHE.misses
         cycles_before = device.kernel.clock.cycles
         start = time.perf_counter()
-        result = apply(device.engine, plan(device.engine, spec))
+        deployment = apply(device.engine, plan(device.engine, spec)).plan
         wall_s = time.perf_counter() - start
         device.current_spec = spec
-        return DeviceRollout(
+        return DeviceRow(
             device=device,
-            result=result,
+            role=role,
+            result=UpdateResult(UpdateStatus.OK, "applied in process",
+                                plan=deployment),
             wall_s=wall_s,
             cycles_charged=device.kernel.clock.cycles - cycles_before,
             cache_hits=IMAGE_CACHE.hits - hits_before,
             cache_misses=IMAGE_CACHE.misses - misses_before,
         )
 
-    def apply(self, spec: DeploymentSpec) -> FleetRollout:
-        """Plan+apply ``spec`` on every device, in fleet order."""
-        rollout = FleetRollout(spec=spec)
+    def apply(self, spec: DeploymentSpec) -> FleetResult:
+        """Plan+apply ``spec`` on every device, in fleet order.
+
+        Raises on the first device whose apply fails (that device was
+        already restored; the devices after it are never touched).
+        """
+        rollout = FleetResult(spec=spec)
         for device in self.devices:
-            rollout.devices.append(self._converge(device, spec))
+            rollout.control.append(self._converge(device, spec))
         self.current_spec = spec
         return rollout
 
@@ -285,7 +247,7 @@ class Fleet:
         bake_context: bytes | None = None,
         baseline: DeploymentSpec | None = None,
         health_gate: HealthGate | None = None,
-    ) -> CanaryRollout:
+    ) -> FleetResult:
         """Stage ``spec`` on a canary subset, bake, then promote or revert.
 
         The first ``canary_count`` devices (default
@@ -305,7 +267,7 @@ class Fleet:
             bake_hooks=bake_hooks, bake_context=bake_context,
             baseline=baseline,
         )
-        return staged.run(CanaryRollout(spec=spec))
+        return staged.run(FleetResult(spec=spec))
 
     def fire_all(self, hook_name: str, context: bytes = b"") -> int:
         """Fire one hook on every device; returns total container runs.

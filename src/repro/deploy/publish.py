@@ -19,8 +19,10 @@ so one publish produces N per-device convergences.  The wire payload is
 one; the *host-side* verify and JIT compile are also one, because every
 device's apply resolves through the content-addressed
 :data:`~repro.vm.imagecache.IMAGE_CACHE` — device 1 pays the cold
-compile in its apply slice and devices 2..N ride it (the publish
-guard in ``benchmarks/`` holds that at >=5x).
+compile in its apply slice and devices 2..N ride it
+(``benchmarks/test_image_cache_guard.py`` asserts that per row: the
+cold device misses once per artifact, warm rows never miss, and cycles
+are equal).
 
 Each device keeps its **own virtual clock**, as everywhere in the fleet
 layer: the signature check, the SHA-256 digest, and the full modelled
@@ -52,12 +54,12 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.engine import HostingEngine
 from repro.deploy.fleet import Fleet, FleetDevice
-from repro.deploy.results import StagedResult
+from repro.deploy.results import DeviceRow, FleetResult
 from repro.deploy.spec import DeploymentSpec
 from repro.deploy.staged import StagedRollout
 from repro.net import coap
@@ -173,103 +175,6 @@ class DeviceRadio:
 
 
 @dataclass
-class DevicePublish:
-    """Accounting for one device's OTA convergence off one publish."""
-
-    device: FleetDevice
-    role: str
-    result: UpdateResult
-    wall_s: float
-    cycles_charged: int
-    cache_hits: int
-    cache_misses: int
-    #: Trigger re-POSTs this device needed beyond the first.
-    retries: int = 0
-    #: Power cycles this device went through during this convergence.
-    reboots: int = 0
-    #: Contained faults this device recorded during the convergence
-    #: (summed across reboots — each reboot starts a fresh engine).
-    fault_delta: int = 0
-    #: Container slots the device's supervisor is holding quarantined
-    #: at report time.
-    quarantined: int = 0
-    #: Radio energy this convergence cost the device (µJ).
-    radio_uj: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        """Converged: a clean reconcile, a reboot that kept the
-        published sequence in NVM, or a convergence whose supervisor is
-        quarantining a crash-looping slot (the *device* holds the
-        published sequence; the sick workload is contained, reported,
-        and does not block the rest of the fleet)."""
-        return (self.result.ok
-                or self.result.status is UpdateStatus.REBOOTED
-                or self.result.status is UpdateStatus.QUARANTINED)
-
-    @property
-    def actions(self) -> int:
-        """Plan actions the device's reconcile executed (0 if refused)."""
-        executed = self.result.plan
-        return len(executed.actions) if executed is not None else 0
-
-
-@dataclass
-class PublishResult(StagedResult):
-    """Outcome of one :meth:`FleetPublisher.publish`.
-
-    A :class:`~repro.deploy.results.StagedResult` of over-the-air
-    convergences (:class:`DevicePublish` rows).  An unstaged publish
-    keeps every row in ``control``.  ``ok`` is convergence: every
-    triggered device reconciled, with no refusals.
-    """
-
-    sequence_number: int
-    payload_bytes: int
-    #: The fan-out trigger went over the group address (one broadcast).
-    multicast: bool = False
-    #: Radio bytes the maintainer spent on trigger fan-out (broadcast
-    #: frame plus any unicast first-POSTs/retries), from ``LinkStats``.
-    trigger_tx_bytes: int = 0
-    #: Device names whose randomized suppression timer elected them into
-    #: the bounded multicast ack sample.
-    mcast_acks: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        rows = self.rows()
-        return bool(rows) and all(row.ok for row in rows)
-
-    @property
-    def total_retries(self) -> int:
-        return sum(row.retries for row in self.rows())
-
-    @property
-    def total_reboots(self) -> int:
-        return sum(row.reboots for row in self.rows())
-
-    def unreachable(self) -> list[DevicePublish]:
-        """Devices that never reported despite every retry."""
-        return [row for row in self.rows()
-                if row.result.status is UpdateStatus.UNREACHABLE]
-
-    def quarantined_devices(self) -> list[DevicePublish]:
-        """Devices that converged but hold quarantined container slots."""
-        return [row for row in self.rows()
-                if row.result.status is UpdateStatus.QUARANTINED]
-
-    @property
-    def total_fault_delta(self) -> int:
-        """Contained faults across the fleet during this publish."""
-        return sum(row.fault_delta for row in self.rows())
-
-    @property
-    def total_radio_uj(self) -> float:
-        """Radio energy the whole fleet spent converging (µJ)."""
-        return sum(row.radio_uj for row in self.rows())
-
-
-@dataclass
 class _RadioTransport:
     """Staged-rollout transport over the radio: trigger, then co-run
     until every triggered device reported."""
@@ -282,14 +187,14 @@ class _RadioTransport:
 
     def _send(self, devices: Sequence[FleetDevice], spec: DeploymentSpec,
               role: str, envelope: bytes, payload: bytes,
-              sequence_number: int) -> list[DevicePublish]:
+              sequence_number: int) -> list[DeviceRow]:
         self.publisher._trigger(devices, envelope, self.options, payload,
                                 sequence_number)
         return self.publisher._converge(devices, role, self.options,
                                         sequence_number, spec)
 
     def converge(self, devices: Sequence[FleetDevice], spec: DeploymentSpec,
-                 role: str) -> tuple[list[DevicePublish], str]:
+                 role: str) -> tuple[list[DeviceRow], str]:
         rows = self._send(devices, spec, role, self.envelope, self.payload,
                           self.sequence_number)
         refused = ", ".join(sorted(row.device.name for row in rows
@@ -300,11 +205,11 @@ class _RadioTransport:
             return rows, f"promotion refused by {refused}"
         return rows, f"refused by canaries {refused}"
 
-    def revert(self, groups) -> tuple[list[DevicePublish], str]:
+    def revert(self, groups) -> tuple[list[DeviceRow], str]:
         """Publish each baseline back to its group as a *new* sequence
         (anti-rollback forbids re-announcing an old one): one signed
         envelope per distinct baseline."""
-        rows: list[DevicePublish] = []
+        rows: list[DeviceRow] = []
         for baseline, devices in groups:
             envelope, payload, sequence = self.publisher._sign(baseline,
                                                                None, None)
@@ -640,7 +545,7 @@ class FleetPublisher:
         options: PublishOptions,
         sequence_number: int,
         spec: DeploymentSpec,
-    ) -> list[DevicePublish]:
+    ) -> list[DeviceRow]:
         """Co-run all kernels until every triggered worker reported.
 
         The backhaul kernel (which owns the link's delivery timers) and
@@ -687,7 +592,7 @@ class FleetPublisher:
             for device in devices
         }
         pending = {device.name: device for device in devices}
-        rows: list[DevicePublish] = []
+        rows: list[DeviceRow] = []
 
         def fault_delta(device: FleetDevice, entry: dict) -> int:
             engine = device.engine
@@ -707,7 +612,7 @@ class FleetPublisher:
                 # A converged device never CON-acked the broadcast;
                 # mark it so the fallback pump stops chasing it.
                 trigger["acked"] = True
-            rows.append(DevicePublish(
+            rows.append(DeviceRow(
                 device=device,
                 role=role,
                 result=result,
@@ -852,7 +757,7 @@ class FleetPublisher:
         self._mcast_ack_due.clear()
         self._run_backhaul()
 
-    def _mark_quarantined(self, result: PublishResult) -> PublishResult:
+    def _mark_quarantined(self, result: FleetResult) -> FleetResult:
         """Fold end-of-publish supervisor state into the device rows.
 
         A device's supervisor may quarantine a crash-looping slot *after*
@@ -890,7 +795,7 @@ class FleetPublisher:
     # -- the publish -------------------------------------------------------
 
     def publish(self, spec: DeploymentSpec,
-                options: PublishOptions | None = None) -> PublishResult:
+                options: PublishOptions | None = None) -> FleetResult:
         """Sign ``spec`` once and fan it out to the fleet over the radio.
 
         All knobs live on :class:`PublishOptions` (``None``: its
@@ -921,7 +826,7 @@ class FleetPublisher:
         self._release_cache.clear()
         envelope, payload, sequence_number = self._sign(
             spec, options.sequence_number, options.signer_seed)
-        result = PublishResult(spec=spec, sequence_number=sequence_number,
+        result = FleetResult(spec=spec, sequence_number=sequence_number,
                                payload_bytes=len(payload))
         transport = _RadioTransport(self, options, envelope, payload,
                                     sequence_number)

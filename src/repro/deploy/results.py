@@ -1,98 +1,109 @@
-"""One result protocol for every fleet-shaped outcome.
+"""One fleet result and one device row for every rollout.
 
-:class:`FleetResult` is the protocol every fleet operation's result
-implements — :class:`~repro.deploy.fleet.FleetRollout` (direct
-applies), :class:`~repro.deploy.fleet.CanaryRollout` (staged applies)
-and :class:`~repro.deploy.publish.PublishResult` (over-the-air
-publishes):
+Every fleet entry point — :meth:`~repro.deploy.fleet.Fleet.apply`,
+:meth:`~repro.deploy.fleet.Fleet.canary_rollout`,
+:meth:`~repro.deploy.publish.FleetPublisher.publish` and the
+:class:`~repro.deploy.controlplane.ControlPlane` wrappers around it —
+returns a :class:`FleetResult`, and both transports (direct plan/apply
+and over the radio) report each device's convergence as a
+:class:`DeviceRow`:
 
-* ``ok`` — one boolean verdict (applied / promoted / converged);
-* ``wall_s`` — total host wall-clock across the per-device rows;
-* ``speedups()`` — wall speedup of each later device over the first
-  (cold) one, the image-cache headline every bench guards;
-* iteration — ``for row in result`` walks the per-device rows, and
-  ``len(result)`` counts them; ``rows()`` lists them.
+* rows sit in the phase lists ``canary``, ``control`` and ``rollback``;
+  an unstaged rollout keeps every row in ``control`` with role
+  ``"device"``, and ``rows()`` lists all three phases in order;
+* ``ok`` has one definition: not rolled back, at least one row, and
+  every row ok.  For a staged rollout that equals ``promoted``; for an
+  unstaged one it means every device converged;
+* the radio fields (``sequence_number``, ``payload_bytes``,
+  ``multicast``, ``trigger_tx_bytes``, ``mcast_acks``) keep their
+  defaults on an in-process apply, which sent nothing over the radio.
 
-The two staged results share :class:`StagedResult`, because one
-:class:`~repro.deploy.staged.StagedRollout` fills both: rows per
-phase (``canary``, ``control``, ``rollback``) plus the bake verdict.
+A row holds an :class:`~repro.suit.worker.UpdateResult` — a value
+record — never the live apply, so a kept result pins no replaced
+container or timer closure.  The image cache's effect shows in the
+rows' exact ``cache_hits``/``cache_misses`` counts, which
+``benchmarks/test_image_cache_guard.py`` pins: the cold device misses
+once per artifact, warm rows never miss, and cycles are equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING
+
+from repro.suit.worker import UpdateResult, UpdateStatus
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.deploy.fleet import FleetDevice
     from repro.deploy.spec import DeploymentSpec
 
 
-class FleetResult:
-    """Protocol base for fleet-wide results with per-device rows."""
+@dataclass
+class DeviceRow:
+    """One device's convergence during one rollout, on either transport.
 
-    def rows(self) -> Sequence:
-        """Per-device rows, in convergence order."""
-        raise NotImplementedError
+    ``role`` is ``"device"`` (unstaged), ``"canary"``, ``"control"``
+    (promotion) or ``"rollback"``.  The radio-only counters stay 0 on a
+    direct apply.
+    """
 
-    def speedup_rows(self) -> Sequence:
-        """Rows entering the cold-vs-warm comparison (staged results
-        drop rollback rows — those measure the *undo*, not the
-        rollout)."""
-        return self.rows()
+    device: FleetDevice
+    role: str
+    result: UpdateResult
+    wall_s: float
+    cycles_charged: int
+    cache_hits: int
+    cache_misses: int
+    #: Trigger re-POSTs this device needed beyond the first.
+    retries: int = 0
+    #: Power cycles this device went through during this convergence.
+    reboots: int = 0
+    #: Contained faults this device recorded during the convergence
+    #: (summed across reboots — each reboot starts a fresh engine).
+    fault_delta: int = 0
+    #: Container slots the device's supervisor is holding quarantined
+    #: at report time.
+    quarantined: int = 0
+    #: Radio energy this convergence cost the device (µJ).
+    radio_uj: float = 0.0
 
     @property
     def ok(self) -> bool:
-        """One verdict for the whole operation."""
-        return True
+        """Converged: a clean reconcile, a reboot that kept the
+        published sequence in NVM, or a convergence whose supervisor is
+        quarantining a crash-looping slot (the *device* holds the
+        published sequence; the sick workload is contained, reported,
+        and does not block the rest of the fleet)."""
+        return (self.result.ok
+                or self.result.status is UpdateStatus.REBOOTED
+                or self.result.status is UpdateStatus.QUARANTINED)
 
     @property
-    def wall_s(self) -> float:
-        """Total host wall-clock across the per-device rows."""
-        return sum(row.wall_s for row in self.rows())
-
-    def speedups(self) -> list[float]:
-        """Wall speedup of each later device over the first (cold) one.
-
-        The first device pays the cold host-side verify + JIT compile;
-        every later device rides the content-addressed image cache.
-        """
-        rows = list(self.speedup_rows())
-        if len(rows) < 2:
-            return []
-        cold = rows[0].wall_s
-        return [cold / max(row.wall_s, 1e-9) for row in rows[1:]]
-
-    def __iter__(self) -> Iterator:
-        return iter(self.rows())
-
-    def __len__(self) -> int:
-        return len(self.rows())
-
-    def __bool__(self) -> bool:
-        # ``__len__`` alone would make an empty result falsy; a result
-        # object's truthiness must stay "it exists", not "it has rows".
-        return True
+    def actions(self) -> int:
+        """Plan actions the device's reconcile executed (0 if refused)."""
+        executed = self.result.plan
+        return len(executed.actions) if executed is not None else 0
 
 
 @dataclass(kw_only=True)
-class StagedResult(FleetResult):
-    """Rows and verdict of one staged rollout, whatever the transport.
+class FleetResult:
+    """Rows and verdict of one fleet rollout, whatever the transport.
 
-    The rollout either **promoted** (every canary baked healthy and the
-    spec went fleet-wide) or **rolled back** (a canary refused the spec
-    or breached the health gate, or promotion was refused; every device
-    that accepted the spec was reverted, and devices never triggered
-    were never touched).
+    A staged rollout either **promoted** (every canary baked healthy and
+    the spec went fleet-wide) or **rolled back** (a canary refused the
+    spec or breached the health gate, or promotion was refused; every
+    device that accepted the spec was reverted, and devices never
+    triggered were never touched).
     """
 
     spec: DeploymentSpec
     #: Canary-phase rows, in fleet order.
-    canary: list = field(default_factory=list)
+    canary: list[DeviceRow] = field(default_factory=list)
     #: Fleet-wide rows: the promotion after a healthy bake (empty unless
-    #: promoted), or every device of an unstaged publish.
-    control: list = field(default_factory=list)
+    #: promoted), or every device of an unstaged rollout.
+    control: list[DeviceRow] = field(default_factory=list)
     #: Revert rows (empty unless rolled back).
-    rollback: list = field(default_factory=list)
+    rollback: list[DeviceRow] = field(default_factory=list)
     #: Fleet-level rollback target: the explicit baseline, else the spec
     #: the fleet last converged on, else an empty spec of the same scope.
     baseline: DeploymentSpec | None = None
@@ -105,25 +116,71 @@ class StagedResult(FleetResult):
     promoted: bool = False
     rolled_back: bool = False
     reason: str = ""
+    #: Sequence number of the signed manifest (``None``: direct apply).
+    sequence_number: int | None = None
+    payload_bytes: int = 0
+    #: The fan-out trigger went over the group address (one broadcast).
+    multicast: bool = False
+    #: Radio bytes the maintainer spent on trigger fan-out (broadcast
+    #: frame plus any unicast first-POSTs/retries), from ``LinkStats``.
+    trigger_tx_bytes: int = 0
+    #: Device names whose randomized suppression timer elected them into
+    #: the bounded multicast ack sample.
+    mcast_acks: list[str] = field(default_factory=list)
 
-    def rows(self) -> list:
+    def rows(self) -> list[DeviceRow]:
+        """Per-device rows: canary, then control, then rollback."""
         return self.canary + self.control + self.rollback
 
-    def speedup_rows(self) -> list:
-        return self.canary + self.control
+    @property
+    def ok(self) -> bool:
+        """Not rolled back, at least one row, and every row ok."""
+        rows = self.rows()
+        return (not self.rolled_back and bool(rows)
+                and all(row.ok for row in rows))
+
+    @property
+    def wall_s(self) -> float:
+        """Total host wall-clock across the per-device rows."""
+        return sum(row.wall_s for row in self.rows())
 
     @property
     def canary_names(self) -> list[str]:
         return [row.device.name for row in self.canary]
 
-    def promotion_speedups(self) -> list[float]:
-        """Wall speedup of each promoted device over the cold canary.
+    def cycles_per_device(self) -> list[int]:
+        return [row.cycles_charged for row in self.rows()]
 
-        The first canary pays the cold verify/JIT-compile; promotion
-        rides the image cache the bake already proved out, so promoted
-        devices converge dramatically faster in wall time.
-        """
-        if not self.canary or not self.control:
-            return []
-        cold = self.canary[0].wall_s
-        return [cold / max(row.wall_s, 1e-9) for row in self.control]
+    def cache_hit_rate(self) -> float:
+        hits = sum(row.cache_hits for row in self.rows())
+        misses = sum(row.cache_misses for row in self.rows())
+        total = hits + misses
+        return hits / total if total else 0.0
+
+    @property
+    def total_retries(self) -> int:
+        return sum(row.retries for row in self.rows())
+
+    @property
+    def total_reboots(self) -> int:
+        return sum(row.reboots for row in self.rows())
+
+    @property
+    def total_fault_delta(self) -> int:
+        """Contained faults across the fleet during this rollout."""
+        return sum(row.fault_delta for row in self.rows())
+
+    @property
+    def total_radio_uj(self) -> float:
+        """Radio energy the whole fleet spent converging (µJ)."""
+        return sum(row.radio_uj for row in self.rows())
+
+    def unreachable(self) -> list[DeviceRow]:
+        """Devices that never reported despite every retry."""
+        return [row for row in self.rows()
+                if row.result.status is UpdateStatus.UNREACHABLE]
+
+    def quarantined_devices(self) -> list[DeviceRow]:
+        """Devices that converged but hold quarantined container slots."""
+        return [row for row in self.rows()
+                if row.result.status is UpdateStatus.QUARANTINED]

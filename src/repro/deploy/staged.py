@@ -31,7 +31,7 @@ from repro.rtos.thread import ThreadState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.deploy.fleet import Fleet, FleetDevice
-    from repro.deploy.results import StagedResult
+    from repro.deploy.results import FleetResult
     from repro.deploy.spec import DeploymentSpec
 
 
@@ -276,7 +276,7 @@ class StagedRollout:
         if self.health_gate is None:
             self.health_gate = HealthGate()
 
-    def run(self, result: StagedResult) -> StagedResult:
+    def run(self, result: FleetResult) -> FleetResult:
         """Stage ``result.spec`` across the fleet, filling ``result``."""
         fleet = self.fleet
         spec = result.spec
@@ -291,7 +291,7 @@ class StagedRollout:
         result.bake_us = self.bake_us
 
         def revert(devices: Sequence[FleetDevice],
-                   reason: str) -> StagedResult:
+                   reason: str) -> FleetResult:
             groups: list[tuple[DeploymentSpec, list[FleetDevice]]] = []
             for device in devices:
                 target = (self.baseline or prior[device.name]

@@ -4,10 +4,10 @@
 service: one :class:`~repro.deploy.DeviceRegistry` shared by fleet and
 publisher, signed :class:`~repro.deploy.Release` records, publish and
 canary orchestration with the fleet-scale profile, and streamed typed
-per-device status rows.  These tests also pin the unified result
-protocol (``ok``/``wall_s``/``speedups()``/iterable rows) across
-``FleetRollout``, ``CanaryRollout`` and ``PublishResult``, and
-``PublishOptions`` as the only way to configure a publish.
+per-device status rows.  These tests also pin the one fleet result
+(every entry point returns a ``FleetResult`` of ``DeviceRow`` rows,
+with one ``ok`` rule on both transports) and ``PublishOptions`` as the
+only way to configure a publish.
 """
 
 from __future__ import annotations
@@ -20,16 +20,13 @@ from repro.core import FC_HOOK_FANOUT
 from repro.core.hooks import HookMode
 from repro.deploy import (
     AttachmentSpec,
-    CanaryRollout,
     DeploymentSpec,
+    DeviceRow,
     FleetResult,
-    FleetRollout,
     HookSpec,
     ImageSpec,
     PublishOptions,
-    PublishResult,
     Release,
-    StagedResult,
 )
 from repro.scenarios import build_control_plane, build_fleet_publisher
 from repro.vm import assemble
@@ -37,6 +34,8 @@ from repro.vm.imagecache import IMAGE_CACHE
 
 GOOD = "mov r0, 7\n    exit"
 BETTER = "mov r0, 8\n    exit"
+#: Verifies clean, faults at runtime on an unmapped load.
+POISON = "lddw r1, 0x10\n    ldxb r0, [r1]\n    exit"
 
 
 @pytest.fixture(autouse=True)
@@ -170,21 +169,23 @@ class TestStatusRows:
 
 
 class TestResultProtocol:
-    def test_all_three_results_share_the_protocol(self):
+    def test_all_five_entry_points_return_one_fleet_result(self):
         plane = build_control_plane(devices=3)
-        published = plane.publish(make_spec(GOOD, "v1"))
-        applied = plane.fleet.apply(make_spec(GOOD, "v1"))
-        staged = plane.fleet.canary_rollout(make_spec(BETTER, "v2"),
-                                            canary_count=1,
-                                            bake_us=200_000.0)
-        for result in (published, applied, staged):
-            assert isinstance(result, FleetResult)
+        results = [
+            plane.publish(make_spec(GOOD, "v1")),
+            plane.canary(make_spec(BETTER, "v2"), canary_count=1,
+                         options=PublishOptions.scale(bake_us=200_000.0)),
+            plane.publisher.publish(make_spec(GOOD, "v3")),
+            plane.fleet.apply(make_spec(GOOD, "v1")),
+            plane.fleet.canary_rollout(make_spec(BETTER, "v2"),
+                                       canary_count=1, bake_us=200_000.0),
+        ]
+        for result in results:
+            assert type(result) is FleetResult
             assert result.ok is True
             assert result.wall_s >= 0.0
-            rows = list(result)  # iterable per-device rows
-            assert rows == result.rows() and len(result) == len(rows)
-            speedups = result.speedups()
-            assert all(s > 0.0 for s in speedups)
+            assert result.rows()
+            assert all(type(row) is DeviceRow for row in result.rows())
 
     def test_direct_and_radio_canaries_share_one_result_shape(self):
         plane = build_control_plane(devices=3)
@@ -195,10 +196,8 @@ class TestResultProtocol:
         staged = plane.fleet.canary_rollout(make_spec(GOOD, "v3"),
                                             canary_count=1,
                                             bake_us=200_000.0)
-        assert isinstance(published, PublishResult)
-        assert isinstance(staged, CanaryRollout)
         for result in (published, staged):
-            assert isinstance(result, StagedResult)
+            assert type(result) is FleetResult
             assert result.promoted and result.ok
             assert result.canary_names == ["dev0"]
             assert result.rows() \
@@ -208,8 +207,28 @@ class TestResultProtocol:
         assert staged.baseline is published.spec
 
         applied = plane.fleet.apply(make_spec(GOOD, "v1"))
-        assert isinstance(applied, FleetRollout)
-        assert applied.devices == applied.rows()
+        assert type(applied) is FleetResult
+        assert applied.control == applied.rows()
+
+    @pytest.mark.parametrize("transport", ["direct", "radio"])
+    def test_rolled_back_canary_is_not_ok(self, transport):
+        """One ``ok`` rule on both transports: a health-gated canary
+        that rolled back is not ok, over the radio as in process."""
+        plane = build_control_plane(devices=4, seed=3)
+        base = make_spec(GOOD, "base")
+        poisoned = make_spec(POISON, "poisoned")
+        if transport == "direct":
+            plane.fleet.apply(base)
+            result = plane.fleet.canary_rollout(
+                poisoned, canary_count=1, bake_us=500_000.0, bake_fires=3)
+        else:
+            plane.publish(base)
+            result = plane.canary(poisoned, canary_count=1,
+                                  options=PublishOptions.scale(
+                                      bake_us=500_000.0, bake_fires=3))
+        assert result.rolled_back
+        assert not result.promoted
+        assert result.ok is False
 
     def test_results_are_always_truthy(self):
         """``if result:`` must not silently flip on empty row lists."""

@@ -78,7 +78,7 @@ class TestCrossBoardSharing:
             == expected_jit_attach_cycles(second)
 
 
-class TestFleetRollout:
+class TestFleetApply:
     def test_heterogeneous_fleet_converges_every_device(self):
         fleet = Fleet([nrf52840(), esp32_wroom32(), gd32vf103()],
                       implementation="jit")
@@ -93,9 +93,9 @@ class TestFleetRollout:
         assert stats["report_entries"] == 1
         assert stats["template_entries"] == 1
         # Devices 2..N attach through pure cache hits.
-        for device_rollout in rollout.devices[1:]:
-            assert device_rollout.cache_misses == 0
-            assert device_rollout.cache_hits > 0
+        for row in rollout.rows()[1:]:
+            assert row.cache_misses == 0
+            assert row.cache_hits > 0
         # Each device's clock carries its own full modelled install cost.
         for device in fleet.devices:
             assert device.kernel.clock.cycles \
@@ -106,7 +106,7 @@ class TestFleetRollout:
         spec = fanout_spec(tenants=1, instances_per_tenant=2)
         fleet.apply(spec)
         again = fleet.apply(spec)
-        assert all(r.actions == 0 for r in again.devices)
+        assert all(r.actions == 0 for r in again.rows())
         assert again.cycles_per_device() == [0, 0]
 
     def test_identical_boards_charge_identical_cycles(self):

@@ -7,7 +7,8 @@ its tenant, its update worker or the publisher keeps may still reach
 it, so the dead instances (VM, stack, private image copy) are
 collectable instead of piling up on the host heap publish after
 publish.  The same holds for a device's whole pre-crash incarnation
-(engine, kernel, worker) once it rebooted.
+(engine, kernel, worker) once it rebooted, and for the results of
+in-process ``Fleet.apply`` updates a caller keeps.
 
 The crash victim and the publish gap it dies in come from
 ``CHAOS_SEED`` (CI sweeps several seeds in the chaos job; locally one
@@ -30,6 +31,7 @@ from repro.core.hooks import HookMode
 from repro.deploy import (
     AttachmentSpec,
     DeploymentSpec,
+    Fleet,
     HookSpec,
     ImageSpec,
     PublishOptions,
@@ -194,3 +196,29 @@ def test_rebooted_device_incarnation_is_collectable():
     assert incarnation["worker"]() is None
     assert all(ref() is None for ref in incarnation["containers"])
     assert len(victim.engine.containers()) == 3
+
+
+def test_kept_apply_results_hold_no_replaced_containers():
+    fleet = Fleet(2)
+    text = ImageSpec.from_program(assemble("mov r0, 7\n    exit",
+                                           name="app")).text
+
+    def release(tag: bytes) -> DeploymentSpec:
+        return DeploymentSpec(
+            name="retention",
+            tenants=("ops",),
+            hooks=(HookSpec(FC_HOOK_FANOUT, HookMode.SYNC),),
+            images={"app": ImageSpec(name="app", text=text, rodata=tag)},
+            attachments=(AttachmentSpec(image="app", hook=FC_HOOK_FANOUT,
+                                        tenant="ops", name="fc-0"),),
+        )
+
+    kept = [fleet.apply(release(b"v1"))]
+    first = [weakref.ref(container) for container in fleet.containers()]
+    assert len(first) == len(fleet)
+    kept.append(fleet.apply(release(b"v2")))
+    assert all(row.actions == 1 for row in kept[-1].rows())
+    gc.collect()
+    alive = [ref() for ref in first if ref() is not None]
+    assert alive == []
+    assert len(fleet.containers()) == len(fleet)

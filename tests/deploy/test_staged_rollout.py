@@ -16,8 +16,8 @@ import pytest
 from repro.deploy import (
     DeploymentSpec,
     Fleet,
+    FleetResult,
     HealthGate,
-    StagedResult,
     StagedRollout,
 )
 
@@ -55,7 +55,7 @@ class AlwaysSick(HealthGate):
 def stage(fleet, transport, canary_count=2, **knobs):
     staged = StagedRollout(fleet, transport, canary_count,
                            bake_us=1_000.0, **knobs)
-    return staged.run(StagedResult(spec=DeploymentSpec(name="v2")))
+    return staged.run(FleetResult(spec=DeploymentSpec(name="v2")))
 
 
 @pytest.fixture

@@ -149,7 +149,10 @@ class TestCli:
                              "--instances", "2")
         assert code == 0
         assert "dev0" in text and "dev2" in text
-        assert "warm-rollout speedup over dev0:" in text
+        warm = [line for line in text.splitlines()
+                if line.startswith(("dev1 ", "dev2 "))]
+        assert len(warm) == 2
+        assert all(line.endswith("/0 miss") for line in warm)
         assert "modelled cycles identical across devices: True" in text
         assert "12 containers on 3 devices" in text
 
