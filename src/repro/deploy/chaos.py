@@ -356,7 +356,14 @@ class FaultInjector:
             self.wearouts += 1
 
     @property
+    def idle(self) -> bool:
+        """True once nothing is left to fire or resolve by itself (a
+        device that never reboots does not hold a publish open)."""
+        return (not self._pending and self._burst_until is None
+                and not self._stalled_until
+                and all(at is None for at in self._down.values()))
+
+    @property
     def quiescent(self) -> bool:
         """True once every planned fault has fired and resolved."""
-        return (not self._pending and not self._down
-                and self._burst_until is None and not self._stalled_until)
+        return self.idle and not self._down

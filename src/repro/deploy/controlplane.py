@@ -89,12 +89,10 @@ class ControlPlane:
         loss: float = 0.0,
         seed: int = 1234,
         supervisor: SupervisorConfig | None = None,
-        **publisher_kwargs,
     ) -> None:
         self.fleet = Fleet(devices, implementation=implementation,
                            supervisor=supervisor)
-        self.publisher = FleetPublisher(self.fleet, loss=loss, seed=seed,
-                                        **publisher_kwargs)
+        self.publisher = FleetPublisher(self.fleet, loss=loss, seed=seed)
         #: Chronological record of every submitted release.
         self.releases: list[Release] = []
 

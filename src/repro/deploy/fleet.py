@@ -243,7 +243,6 @@ class Fleet:
         canary_count: int | None = None,
         bake_us: float = 2_000_000.0,
         bake_fires: int = 0,
-        bake_hooks: Sequence[str] | None = None,
         bake_context: bytes | None = None,
         baseline: DeploymentSpec | None = None,
         health_gate: HealthGate | None = None,
@@ -264,7 +263,7 @@ class Fleet:
         staged = StagedRollout(
             self, _DirectTransport(self), canary_count,
             health_gate=health_gate, bake_us=bake_us, bake_fires=bake_fires,
-            bake_hooks=bake_hooks, bake_context=bake_context,
+            bake_context=bake_context,
             baseline=baseline,
         )
         return staged.run(FleetResult(spec=spec))

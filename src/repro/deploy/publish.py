@@ -1,22 +1,20 @@
 """Fleet-wide OTA publish: one signed spec fanned out over the radio.
 
-PR 4 closed the loop from signed spec to *single-device* reconciliation
-(:class:`~repro.suit.specworker.SpecUpdateWorker`), but the fleet still
-converged by the simulator reaching into each engine.  This module adds
-the missing radio path: a :class:`FleetPublisher` wires every
+A :class:`FleetPublisher` wires every
 :class:`~repro.deploy.fleet.FleetDevice` with a radio rig — an interface
 on one **shared broadcast link**, a device-side gcoap server exposing the
 worker's ``/suit/trigger`` endpoint, a CoAP client for the block-wise
-payload fetch, and a per-device ``SpecUpdateWorker`` — plus a
+payload fetch, and a per-device
+:class:`~repro.suit.specworker.SpecUpdateWorker` — plus a
 maintainer-side repository serving the spec payload.
 
 :meth:`FleetPublisher.publish` then signs **one** manifest (one COSE
-envelope, one canonical CBOR payload) and POSTs it to every device's
-trigger endpoint.  Each device independently authenticates the envelope,
-enforces *its own* anti-rollback sequence, fetches the payload block-wise
-from the repository, and reconciles itself through ``plan``/``apply`` —
-so one publish produces N per-device convergences.  The wire payload is
-one; the *host-side* verify and JIT compile are also one, because every
+envelope, one canonical CBOR payload) and triggers every device with it.
+Each device independently authenticates the envelope, enforces *its own*
+anti-rollback sequence, fetches the payload block-wise from the
+repository, and reconciles itself through ``plan``/``apply`` — so one
+publish produces N per-device convergences.  The wire payload is one;
+the *host-side* verify and JIT compile are also one, because every
 device's apply resolves through the content-addressed
 :data:`~repro.vm.imagecache.IMAGE_CACHE` — device 1 pays the cold
 compile in its apply slice and devices 2..N ride it
@@ -28,8 +26,17 @@ Each device keeps its **own virtual clock**, as everywhere in the fleet
 layer: the signature check, the SHA-256 digest, and the full modelled
 verify+install cost are charged per device, cold or cached.  The
 maintainer runs on a separate backhaul kernel that owns the link's
-airtime timers; :meth:`FleetPublisher.publish` co-runs all kernels in
-small interleaved windows until every triggered worker reported.
+airtime timers; a publish co-runs all kernels in small interleaved
+windows until every triggered worker reported.
+
+During one converge the publisher keeps one typed track per device: its
+trigger (envelope, attempts, backoff, ack), the verdicts its worker
+reported through ``on_result``, and the baselines its row is measured
+against.  One rule says when a device is done: once it reported a
+verdict for the sequence, it is never triggered again, on either
+transport.  Everything else a publish accumulates (trigger bytes, the
+multicast ack sample) lives on the publish's own transport object and
+lands on its :class:`~repro.deploy.results.FleetResult`.
 
 With ``canary_count`` the publish runs the same
 :class:`~repro.deploy.staged.StagedRollout` as
@@ -54,7 +61,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from bisect import insort
+from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.engine import HostingEngine
@@ -130,10 +139,9 @@ class PublishOptions:
     health_gate: HealthGate | None = None
     #: Virtual microseconds each canary bakes for.
     bake_us: float = 2_000_000.0
-    #: Explicit hook firings per canary during the bake.
+    #: Explicit firings of the spec's aperiodic hooks per canary during
+    #: the bake.
     bake_fires: int = 0
-    #: Hooks fired during the bake (``None``: spec's aperiodic hooks).
-    bake_hooks: Sequence[str] | None = None
     #: Context bytes for bake firings.
     bake_context: bytes | None = None
     #: Convergence window budget before UNREACHABLE rows.
@@ -174,29 +182,97 @@ class DeviceRadio:
     worker: SpecUpdateWorker
 
 
+def _radio_uj(device: FleetDevice) -> float:
+    return device.meter.report().radio_uj if device.meter is not None else 0.0
+
+
+class _Track:
+    """Everything the publisher tracks about one device during one
+    converge: its trigger (timed on the backhaul clock), its worker's
+    verdicts, and the baselines its row is measured against."""
+
+    def __init__(self, device: FleetDevice, envelope: bytes,
+                 sequence_number: int, attempts: int,
+                 next_retry_us: float) -> None:
+        self.device = device
+        #: The signed envelope a unicast (re-)POST carries.
+        self.envelope = envelope
+        self.sequence_number = sequence_number
+        #: Trigger attempts so far (a broadcast counts as the first).
+        self.attempts = attempts
+        #: Backhaul instant the next unicast POST is due.
+        self.next_retry_us = next_retry_us
+        #: Stop chasing: the CON trigger or the lottery ack arrived, or
+        #: the device finished (the one done rule, on either transport).
+        self.acked = False
+        #: This sequence's verdicts, queued by the worker's ``on_result``
+        #: hook; the converge loop consumes one per co-run window.
+        self.verdicts: list[UpdateResult] = []
+        self.worker: SpecUpdateWorker = device.radio.worker
+        self.cycles_before: int = device.kernel.clock.cycles
+        self.reboots_before: int = device.reboots
+        self.radio_before = _radio_uj(device)
+        self.wall_s = 0.0
+        self.hits = self.misses = 0
+        # ``fault_total`` lives on the engine, which a reboot rebuilds;
+        # the meter survives reboots and is already cumulative.
+        self.engine: HostingEngine = device.engine
+        self.faults_before: int = device.engine.fault_total
+        self.faults_accum = 0
+
+    def retrigger(self, now_us: float) -> None:
+        """Re-arm the trigger (straggler, failed fetch or rebooted device)."""
+        self.acked = False
+        self.next_retry_us = now_us
+
+    def rebooted(self) -> None:
+        """Follow the device into its new incarnation: fresh worker, no
+        queued verdicts, and a fresh engine (bank the old one's faults)."""
+        device = self.device
+        self.worker = device.radio.worker
+        self.verdicts.clear()
+        self.faults_accum += self.engine.fault_total - self.faults_before
+        self.engine = device.engine
+        self.faults_before = device.engine.fault_total
+
+    def row(self, role: str, result: UpdateResult) -> DeviceRow:
+        device = self.device
+        return DeviceRow(
+            device=device, role=role, result=result, wall_s=self.wall_s,
+            cycles_charged=device.kernel.clock.cycles - self.cycles_before,
+            cache_hits=self.hits, cache_misses=self.misses,
+            retries=max(0, self.attempts - 1),
+            reboots=device.reboots - self.reboots_before,
+            fault_delta=(self.faults_accum + device.engine.fault_total
+                         - self.faults_before),
+            quarantined=len(device.engine.supervisor.quarantined_slots()),
+            radio_uj=_radio_uj(device) - self.radio_before,
+        )
+
+
 @dataclass
 class _RadioTransport:
-    """Staged-rollout transport over the radio: trigger, then co-run
-    until every triggered device reported."""
+    """Staged-rollout transport over the radio, and the state of the one
+    publish it serves.  Trigger bytes, the multicast flag and the ack
+    sample land straight on ``result``."""
 
     publisher: "FleetPublisher"
     options: PublishOptions
     envelope: bytes
     payload: bytes
-    sequence_number: int
-
-    def _send(self, devices: Sequence[FleetDevice], spec: DeploymentSpec,
-              role: str, envelope: bytes, payload: bytes,
-              sequence_number: int) -> list[DeviceRow]:
-        self.publisher._trigger(devices, envelope, self.options, payload,
-                                sequence_number)
-        return self.publisher._converge(devices, role, self.options,
-                                        sequence_number, spec)
+    result: FleetResult
+    #: Device name -> track, for the converge under way only.
+    tracks: dict[str, _Track] = field(default_factory=dict)
+    #: Device name -> (device, kernel incarnation, virtual deadline us)
+    #: for every scheduled-but-not-yet-fired lottery ack.
+    ack_due: dict[str, tuple[FleetDevice, Kernel, float]] = field(
+        default_factory=dict)
 
     def converge(self, devices: Sequence[FleetDevice], spec: DeploymentSpec,
                  role: str) -> tuple[list[DeviceRow], str]:
-        rows = self._send(devices, spec, role, self.envelope, self.payload,
-                          self.sequence_number)
+        rows = self.publisher._converge(devices, role, spec, self.envelope,
+                                        self.payload,
+                                        self.result.sequence_number)
         refused = ", ".join(sorted(row.device.name for row in rows
                                    if not row.ok))
         if not refused:
@@ -213,8 +289,8 @@ class _RadioTransport:
         for baseline, devices in groups:
             envelope, payload, sequence = self.publisher._sign(baseline,
                                                                None, None)
-            rows.extend(self._send(devices, baseline, "rollback", envelope,
-                                   payload, sequence))
+            rows.extend(self.publisher._converge(
+                devices, "rollback", baseline, envelope, payload, sequence))
         return rows, ""
 
 
@@ -237,8 +313,6 @@ class FleetPublisher:
         seed: int = 1234,
         spec_uri: str = "/specs/fleet",
         slot: str = "spec:fleet",
-        max_storage_slots: int | None = None,
-        storage_gc_horizon: int | None = None,
     ) -> None:
         self.fleet = fleet
         self.maintainer_seed = maintainer_seed
@@ -259,28 +333,16 @@ class FleetPublisher:
         #: (no reply is ever coming back from a group).
         self._mcast_socket = maint_udp.socket(49901)
         self._mcast_mid = 1
-        #: Names that answered the current broadcast's suppressed-ack
-        #: lottery (the bounded sample the maintainer actually hears).
-        self._mcast_acks: set[str] = set()
-        #: name -> (kernel incarnation, virtual deadline us) for every
-        #: scheduled-but-not-yet-fired lottery ack this publish.
-        self._mcast_ack_due: dict[str, tuple[object, float]] = {}
-        self._used_multicast = False
-        #: Radio bytes spent on trigger fan-out this publish.
-        self.trigger_tx_bytes = 0
         #: Publish-scoped decode memo every device worker shares
         #: (cleared at the start of each publish; wall-clock only).
         self._release_cache: dict = {}
+        #: The publish under way (``None`` between publishes).
+        self._transport: _RadioTransport | None = None
         self.repo.register(ACK_PATH, self._handle_mcast_ack)
         self.trust_anchor = ed25519.public_key(maintainer_seed)
-        self._max_storage_slots = max_storage_slots
-        self._storage_gc_horizon = storage_gc_horizon
         #: Fault injector driven once per converge window; ``None`` runs
         #: an undisturbed publish.
         self.chaos: "FaultInjector | None" = None
-        #: Per-device trigger state (attempts, acked, next retry) keyed
-        #: by device name; all timing on the backhaul clock.
-        self._triggers: dict[str, dict] = {}
         for device in fleet.devices:
             self.adopt_device(device)
 
@@ -301,7 +363,6 @@ class FleetPublisher:
         if device.radio is not None:
             self.link.detach(device.radio.addr)
             self.link.leave(GROUP_ADDR, device.radio.addr)
-        self._triggers.pop(name, None)
         return device
 
     def _wire_device(self, device: FleetDevice, index: int) -> None:
@@ -320,11 +381,10 @@ class FleetPublisher:
             trust_anchor=self.trust_anchor,
             repo_addr=MAINTAINER_ADDR,
             repo_port=COAP_PORT,
-            max_storage_slots=self._max_storage_slots,
-            storage_gc_horizon=self._storage_gc_horizon,
             nvm=device.nvm,
         )
         worker.release_cache = self._release_cache
+        worker.on_result = partial(self._report, device.name)
         worker.register_trigger_resource(server, TRIGGER_PATH)
         self.link.join(GROUP_ADDR, iface)
         self._register_mcast_trigger(device, server, worker)
@@ -377,8 +437,8 @@ class FleetPublisher:
             # its leisure delay elapses, and a converged device is no
             # longer scheduled by the co-run loop — the publisher
             # drains these deadlines before reporting.
-            self._mcast_ack_due[device.name] = (
-                device.kernel, device.kernel.now_us + delay_us)
+            self._transport.ack_due[device.name] = (
+                device, device.kernel, device.kernel.now_us + delay_us)
             return None
 
         server.register(MCAST_TRIGGER_PATH, handler)
@@ -386,11 +446,25 @@ class FleetPublisher:
     def _handle_mcast_ack(self, request: CoapMessage, _dg) -> None:
         """Maintainer side of the suppressed ack sample (no reply)."""
         name = request.payload.decode("utf-8", errors="replace")
-        self._mcast_acks.add(name)
-        state = self._triggers.get(name)
-        if state is not None:
-            state["acked"] = True
+        transport = self._transport
+        if name not in transport.result.mcast_acks:
+            insort(transport.result.mcast_acks, name)
+        track = transport.tracks.get(name)
+        if track is not None:
+            track.acked = True
         return None
+
+    def _report(self, name: str, result: UpdateResult) -> None:
+        """A radio worker's ``on_result`` hook: queue a verdict about the
+        running converge's sequence on the device's track; drop any other
+        (a trigger from an *earlier* publish can drain late)."""
+        transport = self._transport
+        track = transport.tracks.get(name) if transport is not None else None
+        manifest = result.manifest
+        if track is not None and (
+                manifest is None
+                or manifest.sequence_number == track.sequence_number):
+            track.verdicts.append(result)
 
     def device_by_name(self, name: str) -> FleetDevice:
         return self.fleet.registry.get(name)
@@ -448,45 +522,19 @@ class FleetPublisher:
         self.repo.register_blob(self.spec_uri, lambda: payload)
         return envelope, payload, sequence_number
 
-    def _trigger(self, devices: Sequence[FleetDevice], envelope: bytes,
-                 options: PublishOptions, payload: bytes,
-                 sequence_number: int) -> None:
-        """Arm per-device trigger state and fire the first round.
-
-        Unicast (the default): one CON POST per device now, re-POSTed by
-        :meth:`_pump_triggers` with exponential backoff as the converge
-        loop runs.  Multicast (``options.multicast``, full-fleet targets
-        only): ONE group-addressed NON frame carries the envelope and
-        its integrated payload to every device at one airtime cost; the
-        broadcast counts as attempt 1 and the same unicast backoff path
-        becomes the self-healing fallback for any device that missed it
-        (visible as ``retries >= 1`` on its row).
-        """
-        now = self.kernel.now_us
-        use_mcast = (options.multicast
-                     and len(devices) == len(self.fleet.devices))
-        for device in devices:
-            # The broadcast is attempt 1; stragglers fall back to the
-            # unicast retry path after the grace period.
-            self._triggers[device.name] = {
-                "envelope": envelope,
-                "attempts": 1 if use_mcast else 0,
-                "acked": False,
-                "next_retry_us": (now + options.mcast_grace_us
-                                  if use_mcast else now),
-            }
-        if not use_mcast:
-            self._pump_triggers()
-            return
-
-        self._used_multicast = True
+    def _broadcast(self, envelope: bytes, payload: bytes,
+                   sequence_number: int, members: int) -> None:
+        """ONE group-addressed NON frame carrying the envelope and its
+        integrated payload to every device at one airtime cost."""
+        result = self._transport.result
+        result.multicast = True
         body = {
             "e": envelope,
             "s": sequence_number,
             # Each device acks with probability ack_sample/N (permille
             # on the wire), spread over the leisure period.
-            "p": min(1000, options.ack_sample * 1000
-                     // max(1, len(devices))),
+            "p": min(1000, self._transport.options.ack_sample * 1000
+                     // max(1, members)),
             "l": int(ACK_LEISURE_US),
             "y": payload,
         }
@@ -497,143 +545,102 @@ class FleetPublisher:
         self._mcast_mid = (self._mcast_mid + 1) & 0xFFFF
         sent_before = self._maint_iface.stats.bytes_sent
         self._mcast_socket.send_to(GROUP_ADDR, COAP_PORT, message.encode())
-        self.trigger_tx_bytes += (self._maint_iface.stats.bytes_sent
-                                  - sent_before)
-
-    def _retrigger(self, name: str) -> None:
-        """Re-arm one device's trigger (straggler or rebooted device)."""
-        state = self._triggers.get(name)
-        if state is not None:
-            state["acked"] = False
-            state["next_retry_us"] = self.kernel.now_us
+        result.trigger_tx_bytes += (self._maint_iface.stats.bytes_sent
+                                    - sent_before)
 
     def _pump_triggers(self) -> None:
-        """POST every due, unacknowledged trigger (backhaul clock)."""
+        """POST every due, unacknowledged trigger of the converge under
+        way (backhaul clock)."""
         now = self.kernel.now_us
-        for name, state in self._triggers.items():
-            if state["acked"] or state["attempts"] >= MAX_TRIGGER_ATTEMPTS:
+        sent_before = self._maint_iface.stats.bytes_sent
+        for track in self._transport.tracks.values():
+            if track.acked or track.attempts >= MAX_TRIGGER_ATTEMPTS:
                 continue
-            if now < state["next_retry_us"]:
+            if now < track.next_retry_us:
                 continue
-            device = self.device_by_name(name)
+            device = track.device
             if device.kernel.halted or device.radio is None:
                 continue  # down right now: retry once it reboots
-            state["attempts"] += 1
-            state["next_retry_us"] = now + min(
-                TRIGGER_RETRY_BASE_US * 2 ** (state["attempts"] - 1),
+            track.attempts += 1
+            track.next_retry_us = now + min(
+                TRIGGER_RETRY_BASE_US * 2 ** (track.attempts - 1),
                 TRIGGER_RETRY_CAP_US,
             )
             request = CoapMessage(mtype=coap.CON, code=coap.POST,
-                                  payload=state["envelope"])
+                                  payload=track.envelope)
             request.add_uri_path(TRIGGER_PATH)
 
-            def on_response(_reply, state=state) -> None:
-                state["acked"] = True
+            def on_response(_reply, track=track) -> None:
+                track.acked = True
 
-            sent_before = self._maint_iface.stats.bytes_sent
-            self.trigger_client.request(
-                device.radio.addr, COAP_PORT, request,
-                on_response=on_response,
-            )
-            self.trigger_tx_bytes += (self._maint_iface.stats.bytes_sent
-                                      - sent_before)
+            self.trigger_client.request(device.radio.addr, COAP_PORT,
+                                        request, on_response=on_response)
+        self._transport.result.trigger_tx_bytes += (
+            self._maint_iface.stats.bytes_sent - sent_before)
 
     def _converge(
         self,
         devices: Sequence[FleetDevice],
         role: str,
-        options: PublishOptions,
-        sequence_number: int,
         spec: DeploymentSpec,
+        envelope: bytes,
+        payload: bytes,
+        sequence_number: int,
     ) -> list[DeviceRow]:
-        """Co-run all kernels until every triggered worker reported.
+        """Trigger ``devices``, then co-run every kernel until each of
+        them reported.
 
-        The backhaul kernel (which owns the link's delivery timers) and
-        each still-converging device kernel advance in interleaved
-        :data:`CORUN_WINDOW_US` slices of their own virtual clocks.  Wall
-        time, cycles and image-cache traffic are attributed to a device
-        by measuring around *its* kernel's slices — only one kernel runs
-        at a time, so the deltas are unambiguous.  Each window visits
-        only the still-pending devices, in fleet order: a device leaves
-        the insertion-ordered ``pending`` map the moment it reports, so
-        the straggler tail of a 1,000-device publish stays cheap.
+        Each device gets one :class:`_Track`, dropped when the converge
+        ends.  Unicast sends one CON POST per device now and re-POSTs it
+        with backoff; multicast (full-fleet targets only) broadcasts
+        once, as attempt 1, and the unicast path picks up stragglers
+        after ``mcast_grace_us``.  The backhaul kernel and each pending
+        device kernel advance in interleaved :data:`CORUN_WINDOW_US`
+        slices, in fleet order; wall time, cycles and image-cache
+        traffic are measured around each device's own slices.
 
-        This loop is where the publish *self-heals*: each window it
-        polls the fault injector (if any), re-POSTs unacknowledged
-        triggers with backoff, re-triggers devices whose fetch failed
-        (they resume from the NVM checkpoint), and recognizes rebooted
-        devices — one whose NVM already holds ``sequence_number`` gets a
-        ``REBOOTED`` row, one that lost the update mid-flight gets
-        re-triggered.  A device that never reports despite every retry
-        degrades to an ``UNREACHABLE`` row instead of an exception:
+        A worker's ``on_result`` hook only queues its verdict on the
+        track; the loop consumes one per device per window.  The one
+        done rule: finishing a row also stops the device's trigger, so
+        a device that reported a verdict for this sequence is never
+        triggered again, on either transport.
+
+        The loop self-heals: it polls the fault injector, re-triggers a
+        failed fetch (which resumes from the NVM checkpoint), and gives
+        a rebooted device whose NVM holds ``sequence_number`` a
+        ``REBOOTED`` row, or re-triggers it.  Under an injector it also
+        runs until the plan has nothing left to fire or resolve.  A
+        device that never reports degrades to an ``UNREACHABLE`` row:
         partial convergence is an answer, not an error.
         """
-        state = {
-            device.name: {
-                "device": device,
-                "worker": device.radio.worker,
-                "results_before": len(device.radio.worker.results),
-                "wall_s": 0.0,
-                "cycles_before": device.kernel.clock.cycles,
-                "reboots_before": device.reboots,
-                "hits": 0,
-                "misses": 0,
-                # Health/energy baselines.  fault_total lives on the
-                # engine, which a reboot rebuilds from scratch — so the
-                # accumulator banks the old engine's count whenever the
-                # engine identity changes (the meter survives reboots and
-                # is already cumulative).
-                "engine": device.engine,
-                "faults_before": device.engine.fault_total,
-                "faults_accum": 0,
-                "radio_before": (device.meter.report().radio_uj
-                                 if device.meter is not None else 0.0),
-            }
+        transport = self._transport
+        options = transport.options
+        multicast = (options.multicast
+                     and len(devices) == len(self.fleet.devices))
+        now = self.kernel.now_us
+        transport.tracks = {
+            device.name: _Track(
+                device, envelope, sequence_number,
+                attempts=1 if multicast else 0,
+                next_retry_us=(now + options.mcast_grace_us if multicast
+                               else now))
             for device in devices
         }
-        pending = {device.name: device for device in devices}
+        pending = dict(transport.tracks)
         rows: list[DeviceRow] = []
+        if multicast:
+            self._broadcast(envelope, payload, sequence_number, len(devices))
+        else:
+            self._pump_triggers()
 
-        def fault_delta(device: FleetDevice, entry: dict) -> int:
-            engine = device.engine
-            if engine is not entry["engine"]:
-                entry["faults_accum"] += (entry["engine"].fault_total
-                                          - entry["faults_before"])
-                entry["engine"] = engine
-                entry["faults_before"] = engine.fault_total
-            return (entry["faults_accum"] + engine.fault_total
-                    - entry["faults_before"])
-
-        def finish(device: FleetDevice, entry: dict,
-                   result: UpdateResult) -> None:
-            pending.pop(device.name, None)
-            trigger = self._triggers.get(device.name, {})
-            if self._used_multicast and trigger:
-                # A converged device never CON-acked the broadcast;
-                # mark it so the fallback pump stops chasing it.
-                trigger["acked"] = True
-            rows.append(DeviceRow(
-                device=device,
-                role=role,
-                result=result,
-                wall_s=entry["wall_s"],
-                cycles_charged=(device.kernel.clock.cycles
-                                - entry["cycles_before"]),
-                cache_hits=entry["hits"],
-                cache_misses=entry["misses"],
-                retries=max(0, trigger.get("attempts", 1) - 1),
-                reboots=device.reboots - entry["reboots_before"],
-                fault_delta=fault_delta(device, entry),
-                quarantined=len(
-                    device.engine.supervisor.quarantined_slots()),
-                radio_uj=(device.meter.report().radio_uj
-                          - entry["radio_before"]
-                          if device.meter is not None else 0.0),
-            ))
+        def finish(track: _Track, result: UpdateResult) -> None:
+            del pending[track.device.name]
+            track.acked = True
+            rows.append(track.row(role, result))
             if rows[-1].ok:
                 # Per-device rollback baseline: this device now runs
                 # ``spec`` regardless of what the rest of the fleet does.
-                device.current_spec = spec
+                track.device.current_spec = spec
 
         def holds_sequence(worker) -> bool:
             return (worker.storage.highest_sequence(self.slot)
@@ -644,24 +651,23 @@ class FleetPublisher:
                 self.chaos.poll(self)
             self._pump_triggers()
             self._run_backhaul()
-            for device in list(pending.values()):
-                entry = state[device.name]
+            for track in list(pending.values()):
+                device = track.device
                 worker = device.radio.worker
-                if worker is not entry["worker"]:
+                if worker is not track.worker:
                     # The device power-cycled: fresh kernel, fresh
                     # worker, storage restored from NVM.
-                    entry["worker"] = worker
-                    entry["results_before"] = len(worker.results)
+                    track.rebooted()
                     if holds_sequence(worker):
                         # The install hit flash before the lights went
                         # out; recovery re-activated it.  Converged.
-                        finish(device, entry, UpdateResult(
+                        finish(track, UpdateResult(
                             UpdateStatus.REBOOTED,
                             "power-cycled mid-publish; NVM held sequence "
                             f"{sequence_number}, recovery re-activated it",
                         ))
                         continue
-                    self._retrigger(device.name)
+                    track.retrigger(self.kernel.now_us)
                 if device.kernel.halted:
                     continue  # crashed and not yet rebooted
                 if (self.chaos is not None
@@ -672,55 +678,44 @@ class FleetPublisher:
                 start = time.perf_counter()
                 device.kernel.run(
                     until_us=device.kernel.now_us + CORUN_WINDOW_US)
-                entry["wall_s"] += time.perf_counter() - start
-                entry["hits"] += IMAGE_CACHE.hits - hits_before
-                entry["misses"] += IMAGE_CACHE.misses - misses_before
-                while len(worker.results) > entry["results_before"]:
-                    # Take the *first* unseen result for THIS publish: a
-                    # duplicate trigger (lost ACK, app-level re-POST)
-                    # appends a bonus SEQUENCE_REPLAY after the real
-                    # outcome, and a backlogged re-trigger from an
-                    # *earlier* publish can drain late — its verdict is
-                    # about that sequence, not this one.
-                    result = worker.results[entry["results_before"]]
-                    entry["results_before"] += 1
-                    if (result.manifest is not None
-                            and result.manifest.sequence_number
-                            != sequence_number):
-                        continue  # stale: keep scanning
-                    trigger = self._triggers.get(device.name, {})
-                    if (result.status in RETRYABLE_STATUSES
-                            and trigger.get("attempts", 0)
-                            < MAX_TRIGGER_ATTEMPTS):
-                        # Transient failure: re-trigger; the fetch
-                        # resumes from the checkpointed block.
-                        self._retrigger(device.name)
-                        break
-                    if (result.status is UpdateStatus.SEQUENCE_REPLAY
-                            and device.reboots > entry["reboots_before"]
-                            and holds_sequence(worker)):
-                        # The re-trigger of a rebooted device raced its
-                        # recovery: the refusal *is* proof it converged.
-                        result = UpdateResult(
-                            UpdateStatus.REBOOTED,
-                            "rebooted with the published sequence in "
-                            "NVM; replay refusal confirms convergence",
-                        )
-                    finish(device, entry, result)
-                    break
-            if not pending:
+                track.wall_s += time.perf_counter() - start
+                track.hits += IMAGE_CACHE.hits - hits_before
+                track.misses += IMAGE_CACHE.misses - misses_before
+                if not track.verdicts:
+                    continue
+                # The *first* queued verdict: a duplicate trigger (lost
+                # ACK, app-level re-POST) queues a bonus SEQUENCE_REPLAY
+                # after the real outcome.
+                result = track.verdicts.pop(0)
+                if (result.status in RETRYABLE_STATUSES
+                        and track.attempts < MAX_TRIGGER_ATTEMPTS):
+                    # Transient failure: re-trigger; the fetch resumes
+                    # from the checkpointed block.
+                    track.retrigger(self.kernel.now_us)
+                    continue
+                if (result.status is UpdateStatus.SEQUENCE_REPLAY
+                        and device.reboots > track.reboots_before
+                        and holds_sequence(worker)):
+                    # The re-trigger of a rebooted device raced its
+                    # recovery: the refusal *is* proof it converged.
+                    result = UpdateResult(
+                        UpdateStatus.REBOOTED,
+                        "rebooted with the published sequence in "
+                        "NVM; replay refusal confirms convergence",
+                    )
+                finish(track, result)
+            if not pending and (self.chaos is None or self.chaos.idle):
                 break
-        for name in sorted(pending):
-            entry = state[name]
-            finish(entry["device"], entry, UpdateResult(
+        for _, track in sorted(pending.items()):
+            finish(track, UpdateResult(
                 UpdateStatus.UNREACHABLE,
                 f"no report within {options.max_windows} windows of "
-                f"{CORUN_WINDOW_US:.0f} us despite "
-                f"{self._triggers.get(name, {}).get('attempts', 0)} "
+                f"{CORUN_WINDOW_US:.0f} us despite {track.attempts} "
                 "trigger attempts",
             ))
-        if self._used_multicast and self._mcast_ack_due:
+        if transport.ack_due:
             self._drain_mcast_acks()
+        transport.tracks = {}
         return rows
 
     def _run_backhaul(self) -> None:
@@ -739,43 +734,31 @@ class FleetPublisher:
     def _drain_mcast_acks(self) -> None:
         """Fire lottery acks still pending on converged devices.
 
-        A device that converges before its leisure delay elapses stops
-        being scheduled by the co-run loop, so its ack timer would
-        never fire and the maintainer's sample would under-count.  Run
-        each such device's kernel to its recorded deadline (name-sorted;
-        per-device rows were already snapshotted at convergence), then
-        give the backhaul one window to deliver the NONs.
+        A converged device is no longer scheduled by the co-run loop, so
+        its ack timer would never fire and the sample would under-count.
+        Run each such device's kernel to its recorded deadline (rows are
+        already finished), then give the backhaul one window to deliver
+        the NONs.
         """
-        for name in sorted(self._mcast_ack_due):
-            kernel, due = self._mcast_ack_due[name]
-            if name not in self.fleet.registry:
-                continue  # evicted mid-publish
-            device = self.fleet.registry.get(name)
+        ack_due = self._transport.ack_due
+        for name in sorted(ack_due):
+            device, kernel, due = ack_due[name]
             if device.kernel is not kernel or device.kernel.halted:
                 continue  # rebooted: that incarnation's timer is gone
             device.kernel.run(until_us=max(due, device.kernel.now_us) + 1.0)
-        self._mcast_ack_due.clear()
+        ack_due.clear()
         self._run_backhaul()
 
     def _mark_quarantined(self, result: FleetResult) -> FleetResult:
         """Fold end-of-publish supervisor state into the device rows.
 
         A device's supervisor may quarantine a crash-looping slot *after*
-        its convergence row was finished — a finished device's clock
-        freezes only for the publisher; its own bake/chaos windows keep
-        running.  This final pass re-samples every row's device: rows
-        whose device holds quarantined slots are upgraded from
-        ``OK``/``REBOOTED`` to ``QUARANTINED`` (still counted as
-        converged — the device runs the published sequence; the sick
-        workload is contained and named in the message).
-
-        Every publish exit funnels through here, so this is also where
-        the trigger-path accounting (fan-out mode, radio bytes, the
-        multicast ack sample) lands on the result.
+        its row was finished (its own bake and chaos windows keep
+        running).  This final pass re-samples every row's device and
+        upgrades ``OK``/``REBOOTED`` rows of devices holding quarantined
+        slots to ``QUARANTINED``: still converged, with the sick
+        workload contained and named in the message.
         """
-        result.multicast = self._used_multicast
-        result.trigger_tx_bytes = self.trigger_tx_bytes
-        result.mcast_acks = sorted(self._mcast_acks)
         for row in result.rows():
             slots = row.device.engine.supervisor.quarantined_slots()
             row.quarantined = len(slots)
@@ -800,17 +783,12 @@ class FleetPublisher:
 
         All knobs live on :class:`PublishOptions` (``None``: its
         defaults).  Without ``canary_count`` every device is triggered
-        at once off the one envelope — as one group-addressed broadcast
-        under ``PublishOptions.scale()``, or one CON POST per device
-        otherwise.  With it, the publish is a
-        :class:`~repro.deploy.staged.StagedRollout` over the radio: the
-        first ``canary_count`` devices are triggered, baked and judged
-        against ``health_gate``; a healthy bake triggers the rest with
-        the *same* envelope (their applies ride the canary-warmed image
-        cache), and an unhealthy one publishes each canary's own prior
-        spec back to it under a fresh sequence number and leaves the
-        rest untouched.  Canary subsets and rollbacks always trigger
-        unicast: a group broadcast cannot address a subset of the fleet.
+        at once off the one envelope — one group broadcast under
+        ``PublishOptions.scale()``, one CON POST per device otherwise.
+        With it, the publish is a
+        :class:`~repro.deploy.staged.StagedRollout` over the radio; its
+        canary subsets and rollbacks always trigger unicast, because a
+        group broadcast cannot address a subset of the fleet.
 
         Anti-rollback holds per device: a ``sequence_number`` at or
         below a device's stored sequence is refused by that device
@@ -819,42 +797,37 @@ class FleetPublisher:
         if options is None:
             options = PublishOptions()
         fleet = self.fleet
-        self.trigger_tx_bytes = 0
-        self._used_multicast = False
-        self._mcast_acks.clear()
-        self._mcast_ack_due.clear()
         self._release_cache.clear()
         envelope, payload, sequence_number = self._sign(
             spec, options.sequence_number, options.signer_seed)
         result = FleetResult(spec=spec, sequence_number=sequence_number,
-                               payload_bytes=len(payload))
-        transport = _RadioTransport(self, options, envelope, payload,
-                                    sequence_number)
-        if options.canary_count is not None:
-            staged = StagedRollout(
-                fleet, transport, options.canary_count,
-                health_gate=options.health_gate, bake_us=options.bake_us,
-                bake_fires=options.bake_fires, bake_hooks=options.bake_hooks,
-                bake_context=options.bake_context,
-            )
-            return self._mark_quarantined(staged.run(result))
-
-        result.control, _ = transport.converge(fleet.devices, spec, "device")
+                             payload_bytes=len(payload))
+        self._transport = transport = _RadioTransport(
+            self, options, envelope, payload, result)
+        try:
+            if options.canary_count is not None:
+                StagedRollout(
+                    fleet, transport, options.canary_count,
+                    health_gate=options.health_gate, bake_us=options.bake_us,
+                    bake_fires=options.bake_fires,
+                    bake_context=options.bake_context,
+                ).run(result)
+                return self._mark_quarantined(result)
+            result.control, _ = transport.converge(fleet.devices, spec,
+                                                   "device")
+        finally:
+            self._transport = None
         if result.ok:
             fleet.current_spec = spec
             result.reason = (f"{len(result.control)} devices "
                              "reconciled off one publish")
         else:
-            unreachable = sorted(row.device.name
-                                 for row in result.unreachable())
-            refused = sorted(
-                row.device.name for row in result.control
-                if not row.ok
-                and row.result.status is not UpdateStatus.UNREACHABLE)
-            parts = []
-            if refused:
-                parts.append(f"refused by {', '.join(refused)}")
-            if unreachable:
-                parts.append(f"unreachable: {', '.join(unreachable)}")
-            result.reason = "; ".join(parts)
+            unreachable = {row.device.name for row in result.unreachable()}
+            refused = {row.device.name for row in result.control
+                       if not row.ok} - unreachable
+            result.reason = "; ".join(
+                f"{label} {', '.join(sorted(names))}"
+                for label, names in (("refused by", refused),
+                                     ("unreachable:", unreachable))
+                if names)
         return self._mark_quarantined(result)

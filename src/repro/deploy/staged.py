@@ -68,11 +68,6 @@ class HealthGate:
     #: mid-bake is caught even when early cheap runs would have diluted
     #: the whole-bake average.  ``None`` keeps the whole-bake rule.
     window_runs: int | None = None
-    #: Supervisor quarantines tolerated per canary during the bake;
-    #: ``None`` skips the check (a quarantine usually also trips
-    #: :attr:`max_fault_delta` — this knob lets a gate flag quarantines
-    #: even when the fault budget was loosened).
-    max_quarantined: int | None = None
 
     def breaches(
         self,
@@ -81,7 +76,6 @@ class HealthGate:
         fault_delta: int,
         controls: Sequence[FleetDevice],
         history: Sequence[Mapping] | None = None,
-        quarantined: int = 0,
     ) -> list[str]:
         """Health violations of one baked canary (empty when healthy).
 
@@ -95,9 +89,6 @@ class HealthGate:
         problems: list[str] = []
         if fault_delta > self.max_fault_delta:
             problems.append(f"+{fault_delta} faults during bake")
-        if (self.max_quarantined is not None
-                and quarantined > self.max_quarantined):
-            problems.append(f"{quarantined} slot(s) quarantined during bake")
         for slot, snap in before.items():
             # A SlotSnapshot — or any (container, runs, cycles, ...)
             # tuple a custom gate hands in.
@@ -238,10 +229,9 @@ class StagedRollout:
        reverted and the rest of the fleet is never touched.
     2. **Bake**: each canary runs its own virtual clock forward by
        ``bake_us`` — periodic attachments fire on their declared
-       cadence — and every hook in ``bake_hooks`` (default: the spec's
-       aperiodic hooks) is additionally fired ``bake_fires`` times with
-       ``bake_context``.  THREAD hooks drain through their worker
-       threads before the gate reads any counter.
+       cadence — and each aperiodic hook of the spec fires another
+       ``bake_fires`` times with ``bake_context``.  THREAD hooks drain
+       through their worker threads before the gate reads any counter.
     3. **Gate**: each canary must pass ``health_gate`` (default: no
        contained fault during the bake).  Any breach reverts every
        canary.
@@ -263,7 +253,6 @@ class StagedRollout:
     health_gate: HealthGate | None = None
     bake_us: float = 2_000_000.0
     bake_fires: int = 0
-    bake_hooks: Sequence[str] | None = None
     bake_context: bytes | None = None
     #: Operator-chosen rollback target overriding every device's own.
     baseline: DeploymentSpec | None = None
@@ -351,9 +340,8 @@ class StagedRollout:
         Returns ``(fault deltas, health breaches)`` per canary name;
         the rollout is healthy iff every breach list is empty.
         """
-        fired_hooks = (list(self.bake_hooks) if self.bake_hooks is not None
-                       else sorted({a.hook for a in spec.attachments
-                                    if a.period_us is None}))
+        fired_hooks = sorted({a.hook for a in spec.attachments
+                              if a.period_us is None})
         context = (self.bake_context if self.bake_context is not None
                    else struct.pack("<QQ", 0, 0))
         gate = self.health_gate
@@ -364,8 +352,6 @@ class StagedRollout:
         slices = 8 if gate.window_runs is not None else 1
         for device in canaries:
             faults_before = device.engine.fault_total
-            supervisor = device.engine.supervisor
-            quar_before = supervisor.quarantines
             snapshot_before = device.engine.runtime_snapshot()
 
             def sample() -> dict:
@@ -388,6 +374,5 @@ class StagedRollout:
             fault_deltas[device.name] = delta
             health[device.name] = gate.breaches(
                 device, snapshot_before, delta, controls,
-                history=history if slices > 1 else None,
-                quarantined=supervisor.quarantines - quar_before)
+                history=history if slices > 1 else None)
         return fault_deltas, health

@@ -178,12 +178,13 @@ class SpecOtaRig:
             slot="spec:device",
         )
         self.repo.register_blob(self.spec_uri, lambda: payload)
-        results_before = len(self.worker.results)
+        outcomes: list[UpdateResult] = []
+        self.worker.on_result = outcomes.append
         self.worker.trigger(envelope)
         self.kernel.run(until_us=self.kernel.now_us + run_for_us)
-        if len(self.worker.results) == results_before:
+        if not outcomes:
             raise RuntimeError("spec update did not complete in time")
-        return self.worker.results[-1]
+        return outcomes[-1]
 
 
 def build_spec_ota_rig(
@@ -224,8 +225,6 @@ def build_fleet_publisher(
     loss: float = 0.0,
     seed: int = 1234,
     maintainer_seed: bytes = bytes(range(32)),
-    max_storage_slots: int | None = None,
-    storage_gc_horizon: int | None = None,
     supervisor: SupervisorConfig | None = None,
 ):
     """Fleet + maintainer wired for over-the-air fleet publishes.
@@ -246,8 +245,6 @@ def build_fleet_publisher(
         maintainer_seed=maintainer_seed,
         loss=loss,
         seed=seed,
-        max_storage_slots=max_storage_slots,
-        storage_gc_horizon=storage_gc_horizon,
     )
 
 
@@ -258,7 +255,6 @@ def build_control_plane(
     loss: float = 0.0,
     seed: int = 1234,
     supervisor: SupervisorConfig | None = None,
-    **publisher_kwargs,
 ):
     """Maintainer control plane over a freshly wired fleet.
 
@@ -276,7 +272,6 @@ def build_control_plane(
         loss=loss,
         seed=seed,
         supervisor=supervisor,
-        **publisher_kwargs,
     )
 
 

@@ -174,6 +174,9 @@ class SuitUpdateWorker:
         #: dataclasses), so sharing them cannot leak state between
         #: devices.
         self.release_cache: dict | None = None
+        #: Called with each verdict the worker thread reaches.  On a fleet
+        #: device's radio worker the fleet publisher owns this hook: it
+        #: queues the verdict for its converge loop.
         self.on_result: Callable[[UpdateResult], None] | None = None
         #: Kill-point hook: called with each step name in
         #: :data:`KILL_POINTS` as the pipeline crosses that boundary.

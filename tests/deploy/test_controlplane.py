@@ -255,10 +255,11 @@ class TestPublishOptions:
 
     @pytest.mark.parametrize("knob", ["shards", "share_release",
                                       "inline_payload", "window_us",
-                                      "leisure_us"])
+                                      "leisure_us", "bake_hooks"])
     def test_wall_clock_knobs_are_gone(self, knob):
         """Co-run layout, decode sharing, payload inlining, the window
-        slice and the ack leisure are fixed, not per-publish knobs."""
+        slice, the ack leisure and the baked hooks are fixed, not
+        per-publish knobs."""
         with pytest.raises(TypeError):
             PublishOptions(**{knob: 1})
 

@@ -6,9 +6,13 @@ not notice the memo: per-device virtual clocks and charged cycles are
 pinned identical to a run whose memo never stores anything, on both the
 unicast and the multicast trigger path, and identical runs replay bit
 for bit — including a fleet past 64 devices, once split across shards.
+The publisher also keeps one "done" rule: a device that reported its
+verdict for a sequence is never triggered with that sequence again.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -22,6 +26,7 @@ from repro.deploy import (
     PublishOptions,
 )
 from repro.scenarios import build_fleet_publisher
+from repro.suit import SuitEnvelope, UpdateStatus
 from repro.vm import assemble
 from repro.vm.imagecache import IMAGE_CACHE
 
@@ -103,3 +108,60 @@ class TestModelledCyclesInvariant:
         second = modelled_state(PublishOptions.scale(), devices=65, seed=7)
         assert first[2] and len(first[0]) == 65
         assert first == second
+
+
+class TestOneDoneRule:
+    """Trigger POSTs stop once a device reported the sequence they carry."""
+
+    @staticmethod
+    def _release(rng: random.Random, base: ImageSpec) -> DeploymentSpec:
+        """A fresh release shaped like the fleet benchmark's."""
+        images = {
+            f"app{index}": ImageSpec(name=f"app{index}", text=base.text,
+                                     rodata=rng.randbytes(4096))
+            for index in range(2)
+        }
+        return DeploymentSpec(
+            name="bench-release",
+            tenants=("ops",),
+            hooks=(HookSpec(FC_HOOK_FANOUT, HookMode.SYNC),),
+            images=images,
+            attachments=tuple(
+                AttachmentSpec(image=f"app{index}", hook=FC_HOOK_FANOUT,
+                               tenant="ops", name=f"fc-{index}", count=1)
+                for index in range(2)),
+        )
+
+    @pytest.mark.parametrize("seed", [4, 7])
+    def test_no_trigger_reaches_a_device_that_reported(self, seed):
+        """8 devices at 10% loss: a cold full publish, then canary
+        publishes of fresh 2x4 KiB releases.  On both seeds a device
+        finishes while its last trigger is still unacknowledged; its
+        backoff timer must not send that trigger again."""
+        publisher = build_fleet_publisher(devices=8, loss=0.10, seed=seed)
+        by_addr = {device.radio.addr: device
+                   for device in publisher.fleet.devices}
+        late: list[tuple[str, int]] = []
+        send = publisher.trigger_client.request
+
+        def counting(addr, port, request, **kwargs):
+            device = by_addr[addr]
+            sequence = SuitEnvelope.decode(
+                request.payload).manifest().sequence_number
+            if any(result.manifest is not None
+                   and result.manifest.sequence_number == sequence
+                   and result.status is not UpdateStatus.FETCH_FAILED
+                   for result in device.radio.worker.results):
+                late.append((device.name, sequence))
+            return send(addr, port, request, **kwargs)
+
+        publisher.trigger_client.request = counting
+        rng = random.Random(f"release:{seed}")
+        base = ImageSpec.from_program(assemble(GOOD, name="app"))
+        assert publisher.publish(self._release(rng, base)).ok
+        for _ in range(5):
+            result = publisher.publish(
+                self._release(rng, base),
+                PublishOptions(canary_count=2, bake_us=200_000.0))
+            assert result.ok, result.reason
+        assert late == []

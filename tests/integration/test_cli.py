@@ -186,6 +186,15 @@ class TestCli:
         assert "converged: False (unreachable: dev2)" in text
         assert "degraded gracefully instead of raising: True" in text
 
+    def test_chaos_defaults_play_the_whole_plan(self):
+        """The default 4-device publish converges before most of the
+        400 ms plan is due: every stage-1 fault must still fire and
+        resolve, and stage 2 must lose only the device it kills."""
+        code, text = run_cli("chaos")
+        assert code == 0, text
+        assert "crashes=2 reboots=2 bursts=1 stalls=1 quiescent=True" in text
+        assert "converged: False (unreachable: dev3)" in text
+
     def test_chaos_rejects_bad_device_count(self):
         code, text = run_cli("chaos", "--devices", "0")
         assert code == 1 and "chaos error" in text
