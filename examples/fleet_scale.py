@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
-"""Fleet scale-out: 1,000 devices behind one control plane.
+"""Fleet scale-out: 1,000 devices behind one maintainer.
 
 Everything the maintainer stack learned in the earlier walkthroughs —
 signed spec releases, OTA triggers, per-device convergence — runs here
-at fleet scale through :class:`~repro.deploy.ControlPlane`:
+at fleet scale through one :class:`~repro.deploy.FleetPublisher`:
 
-1. stand up a 1,000-device fleet behind one control-plane service;
-2. :meth:`~repro.deploy.ControlPlane.submit` signs a release *once*
-   (sequence number, envelope, payload) before anything goes on air;
-3. :meth:`~repro.deploy.ControlPlane.publish` fans it out with the
-   fleet-scale profile (:meth:`~repro.deploy.PublishOptions.scale`):
-   ONE multicast trigger carrying the integrated payload, a bounded
-   randomized-suppression ack sample instead of 1,000 ack storms;
-4. a late device registers at runtime, converges off the next publish,
+1. stand up a 1,000-device fleet behind one publisher;
+2. sign a release *once* (sequence number, envelope, payload) before
+   anything goes on air;
+3. :meth:`~repro.deploy.FleetPublisher.publish` fans it out under that
+   sequence with the fleet-scale profile
+   (:meth:`~repro.deploy.PublishOptions.scale`): ONE multicast trigger
+   carrying the integrated payload, a bounded randomized-suppression
+   ack sample instead of 1,000 ack storms;
+4. a late device is added at runtime, converges off the next publish,
    and a retired device is evicted without disturbing anyone;
-5. :meth:`~repro.deploy.ControlPlane.status` streams one typed row per
-   device — cheap enough to call at N=1000.
+5. :meth:`~repro.deploy.FleetPublisher.status` streams one typed row
+   per device — cheap enough to call at N=1000.
 
 Run with:  python examples/fleet_scale.py
 """
@@ -28,7 +29,8 @@ from repro.deploy import (
     ImageSpec,
     PublishOptions,
 )
-from repro.scenarios import build_control_plane
+from repro.scenarios import build_fleet_publisher
+from repro.suit.specworker import sign_spec
 from repro.vm import assemble
 from repro.vm.imagecache import IMAGE_CACHE
 
@@ -66,41 +68,49 @@ def describe(result) -> None:
 def main() -> None:
     IMAGE_CACHE.clear()
     print(f"1. one control plane, {DEVICES} devices")
-    plane = build_control_plane(devices=DEVICES)
-    print(f"   registry holds {len(plane)} devices, "
-          f"first={plane.devices()[0].name} last={plane.devices()[-1].name}")
+    publisher = build_fleet_publisher(devices=DEVICES)
+    fleet = publisher.fleet
+    print(f"   registry holds {len(fleet)} devices, "
+          f"first={fleet.devices[0].name} last={fleet.devices[-1].name}")
 
     print("\n2. sign the release once, before anything goes on air")
-    v1 = plane.submit(make_spec("scale-v1", value=7))
-    print(f"   {v1.name}: seq {v1.sequence_number}, "
-          f"{len(v1.envelope)} B envelope, {len(v1.payload)} B payload")
+    v1 = make_spec("scale-v1", value=7)
+    sequence = publisher.sequence + 1
+    envelope, payload = sign_spec(v1, sequence, publisher.spec_uri,
+                                  publisher.maintainer_seed,
+                                  slot=publisher.slot)
+    print(f"   {v1.name}@{sequence}: seq {sequence}, "
+          f"{len(envelope)} B envelope, {len(payload)} B payload")
 
     print("\n3. fleet-scale publish: multicast trigger + integrated payload")
-    rollout = plane.publish(v1)
+    rollout = publisher.publish(
+        v1, PublishOptions.scale(sequence_number=sequence))
     assert rollout.ok, rollout.reason
     describe(rollout)
 
     print("\n4. elastic fleet: register late, evict retired")
-    late = plane.register(name="late-joiner")
-    stale = next(row for row in plane.status() if row.name == late.name)
+    late = publisher.add_device(name="late-joiner")
+    stale = next(row for row in publisher.status() if row.name == late.name)
     print(f"   {late.name} registered at index {stale.index}, "
           f"sequence {stale.sequence} (never converged)")
-    v2 = plane.submit(make_spec("scale-v2", value=8))
-    rollout2 = plane.publish(v2, PublishOptions.scale(ack_sample=4))
+    v2 = make_spec("scale-v2", value=8)
+    rollout2 = publisher.publish(v2, PublishOptions.scale(ack_sample=4))
     assert rollout2.ok, rollout2.reason
     describe(rollout2)
-    plane.evict(plane.devices()[0].name)
-    print(f"   evicted one device; registry now holds {len(plane)}")
+    publisher.evict_device(fleet.devices[0].name)
+    print(f"   evicted one device; registry now holds {len(fleet)}")
 
     print("\n5. streamed status, one typed row per device")
-    rows = list(plane.status())
+    rows = list(publisher.status())
     for row in rows[:3]:
         print(f"   {row.name:10} idx={row.index:4} {row.board:10} "
               f"seq={row.sequence} spec={row.spec} "
               f"reboots={row.reboots} radio={row.radio_uj:.1f} uJ")
-    consistent = sum(row.sequence == v2.sequence_number for row in rows)
+    consistent = sum(row.sequence == rollout2.sequence_number
+                     for row in rows)
     print(f"   ... {consistent}/{len(rows)} devices at "
-          f"{v2.name} — fleet consistent: {consistent == len(rows)}")
+          f"{v2.name}@{rollout2.sequence_number} — fleet consistent: "
+          f"{consistent == len(rows)}")
 
 
 if __name__ == "__main__":

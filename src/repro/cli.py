@@ -36,12 +36,12 @@ Small developer tools around the library:
                                   still converges; a permanently dead
                                   device degrades the result to an
                                   UNREACHABLE row instead of raising;
-* ``controlplane``              — maintainer control plane: submit a
-                                  signed release, publish it with the
-                                  fleet-scale profile (one multicast
-                                  trigger carrying the payload), register
-                                  and evict devices at runtime, stream
-                                  per-device status rows.
+* ``controlplane``              — the maintainer's lifecycle on one
+                                  FleetPublisher: sign a release, publish
+                                  it with the fleet-scale profile (one
+                                  multicast trigger carrying the payload),
+                                  add and evict wired devices at runtime,
+                                  stream per-device status rows.
 
 The fleet-shaped subcommands (``fleet``, ``canary``, ``publish``,
 ``chaos``, ``controlplane``) share one parent parser, so ``--devices``,
@@ -490,8 +490,8 @@ def cmd_publish(args: argparse.Namespace) -> int:
           f"{bad.reason}")
     controls = fleet.devices[args.canaries:]
     untouched = all(
-        all(res.manifest is None or res.manifest.name != poisoned.name
-            for res in device.radio.worker.results)
+        device.radio.worker.storage.highest_sequence(publisher.slot)
+        < bad.sequence_number
         for device in controls)
     print(f"  control devices never saw the poisoned manifest: {untouched}")
 
@@ -572,42 +572,49 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_controlplane(args: argparse.Namespace) -> int:
-    """Control-plane demo: submit → publish → register/evict → status."""
-    from repro.scenarios import build_control_plane
+    """Maintainer demo: sign → publish → add/evict devices → status."""
+    from repro.deploy import PublishOptions
+    from repro.scenarios import build_fleet_publisher
+    from repro.suit.specworker import sign_spec
     from repro.vm.imagecache import IMAGE_CACHE
 
     IMAGE_CACHE.clear()  # measure from a cold cache, deterministically
     try:
         boards = [board_by_name(args.board) for _ in range(args.devices)]
-        plane = build_control_plane(boards=boards, implementation=args.impl,
-                                    loss=args.loss, seed=args.seed)
+        publisher = build_fleet_publisher(
+            boards=boards, implementation=args.impl, loss=args.loss,
+            seed=args.seed)
     except Exception as error:
         print(f"controlplane error: {error}")
         return 1
+    fleet = publisher.fleet
     base, _, fixed = _canary_specs()
 
-    release = plane.submit(base)
-    print(f"submitted release {release.name} "
-          f"({len(release.envelope)} B envelope, "
-          f"{len(release.payload)} B payload)")
-    result = plane.publish(release)
+    sequence = publisher.sequence + 1
+    envelope, payload = sign_spec(base, sequence, publisher.spec_uri,
+                                  publisher.maintainer_seed,
+                                  slot=publisher.slot)
+    print(f"submitted release {base.name}@{sequence} "
+          f"({len(envelope)} B envelope, {len(payload)} B payload)")
+    result = publisher.publish(
+        base, PublishOptions.scale(sequence_number=sequence))
     print(f"published via {'multicast' if result.multicast else 'unicast'} "
           f"trigger ({result.trigger_tx_bytes} B trigger airtime; "
           f"ack sample: {', '.join(result.mcast_acks) or 'none'})")
     print(f"  converged: {result.ok} "
           f"({len(result.rows())} devices, {result.wall_s * 1e3:.1f} ms wall)")
 
-    late = plane.register()
-    print(f"\nregistered {late.name} at runtime (fleet size {len(plane)})")
-    update = plane.publish(fixed)
+    late = publisher.add_device()
+    print(f"\nregistered {late.name} at runtime (fleet size {len(fleet)})")
+    update = publisher.publish(fixed, PublishOptions.scale())
     print(f"published {fixed.name!r} (seq {update.sequence_number}) "
           f"-> converged: {update.ok} on {len(update.rows())} devices")
-    evicted = plane.evict(late.name)
-    print(f"evicted {evicted.name} (fleet size {len(plane)})")
+    evicted = publisher.evict_device(late.name)
+    print(f"evicted {evicted.name} (fleet size {len(fleet)})")
 
     print(f"\n{'device':8} {'board':12} {'seq':>4} {'spec':12} "
           f"{'reboots':>7} {'cycles':>12}")
-    rows = list(plane.status())
+    rows = list(publisher.status())
     for row in rows:
         print(f"{row.name:8} {row.board:12} {row.sequence:>4} "
               f"{str(row.spec):12} {row.reboots:>7} {row.cycles:>12}")
@@ -754,9 +761,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plane = sub.add_parser(
         "controlplane", parents=[fleet_parent],
-        help="maintainer control plane: submit a signed release, publish "
-             "it with the fleet-scale profile (multicast trigger carrying "
-             "the payload), register/evict devices at runtime, stream "
+        help="maintainer lifecycle: sign a release, publish it with the "
+             "fleet-scale profile (multicast trigger carrying the "
+             "payload), add/evict wired devices at runtime, stream "
              "per-device status rows")
     p_plane.set_defaults(fn=cmd_controlplane)
 

@@ -12,33 +12,31 @@ imperative ``create_tenant``/``load``/``attach`` primitives:
   hot-swapping edited images by content hash through ``engine.replace``;
 * :mod:`repro.deploy.fleet` — :class:`Fleet` stamps one spec onto N
   simulated devices, sharing the process-wide image cache across boards
-  with per-device clock/wall/cache accounting;
+  with per-device clock/wall/cache accounting; it is also the one owner
+  of device membership (add, look up and evict devices by name, each
+  under a wiring index that is never reused);
 * :mod:`repro.deploy.staged` — :class:`StagedRollout` implements canary
   staging once (converge canaries, bake, gate, promote or revert) for
   both direct and over-the-air canaries; :class:`HealthGate` judges canary
   bakes on faults, cycle budgets and store divergence;
-* :mod:`repro.deploy.publish` — :class:`FleetPublisher` signs one spec
-  manifest and fans it out over a shared radio link to every device's
-  ``SpecUpdateWorker`` trigger endpoint, with an optional health-gated
-  canary phase, trigger retry with backoff, and crash/reboot recovery
-  (devices persist installed state to NVM and resume interrupted
-  fetches);
+* :mod:`repro.deploy.publish` — :class:`FleetPublisher` is the
+  maintainer: it signs one spec manifest and fans it out over a shared
+  radio link to every device's ``SpecUpdateWorker`` trigger endpoint
+  (one CON POST per device, or one multicast trigger carrying the
+  payload under :meth:`PublishOptions.scale`), with an optional
+  health-gated canary phase, trigger retry with backoff, and
+  crash/reboot recovery (devices persist installed state to NVM and
+  resume interrupted fetches).  It owns the radio lifecycle — adding a
+  wired device at runtime, evicting one — and streams one typed
+  :class:`DeviceStatus` row per device from :meth:`FleetPublisher.status`;
 * :mod:`repro.deploy.chaos` — :class:`FaultInjector` schedules device
   crashes, reboots, link-loss bursts, stalls and storage faults (torn
   writes, bit flips, flash wear-out) at virtual timestamps from a
   deterministic plan; its module docstring carries the failure modes
   table (crash point → observed status → recovery path);
-* :mod:`repro.deploy.controlplane` — :class:`ControlPlane` is the
-  long-lived maintainer service over one shared
-  :class:`~repro.deploy.registry.DeviceRegistry`: register/evict
-  devices at runtime, :meth:`~ControlPlane.submit` specs into signed
-  :class:`Release` records, publish/canary with the fleet-scale
-  profile (:meth:`PublishOptions.scale`: multicast trigger with the
-  integrated payload) and stream typed :class:`DeviceStatus` rows;
 * :mod:`repro.deploy.results` — the one result every fleet entry point
-  returns (:meth:`Fleet.apply`, :meth:`Fleet.canary_rollout`,
-  :meth:`FleetPublisher.publish`, :meth:`ControlPlane.publish` and
-  :meth:`ControlPlane.canary`): a :class:`FleetResult` holding one
+  returns (:meth:`Fleet.apply`, :meth:`Fleet.canary_rollout` and
+  :meth:`FleetPublisher.publish`): a :class:`FleetResult` holding one
   :class:`DeviceRow` per device convergence on either transport, whose
   ``ok`` is "not rolled back, at least one row, and every row ok".
 
@@ -57,15 +55,9 @@ from repro.deploy.chaos import (
     TornWriteAt,
     WearOut,
 )
-from repro.deploy.controlplane import (
-    ControlPlane,
-    DeviceStatus,
-    Release,
-)
 from repro.deploy.fleet import Fleet, FleetDevice
 from repro.deploy.publish import DeviceRadio, FleetPublisher, PublishOptions
-from repro.deploy.registry import DeviceRegistry
-from repro.deploy.results import DeviceRow, FleetResult
+from repro.deploy.results import DeviceRow, DeviceStatus, FleetResult
 from repro.deploy.staged import HealthGate, StagedRollout
 from repro.deploy.plan import (
     Action,
@@ -103,14 +95,12 @@ __all__ = [
     "BUILTIN_SPECS",
     "BitFlipAt",
     "ChaosEvent",
-    "ControlPlane",
     "CrashAt",
     "CreateTenant",
     "DeploymentPlan",
     "DeploymentSpec",
     "Detach",
     "DeviceRadio",
-    "DeviceRegistry",
     "DeviceRow",
     "DeviceStatus",
     "FaultInjector",
@@ -120,7 +110,6 @@ __all__ = [
     "FleetResult",
     "HealthGate",
     "LinkLossBurst",
-    "Release",
     "StagedRollout",
     "StallAt",
     "TornWriteAt",

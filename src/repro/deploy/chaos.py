@@ -276,7 +276,7 @@ class FaultInjector:
         while self._pending and self._pending[0].at_us <= now:
             self._fire(self._pending.pop(0), publisher, now)
         for name, (down_us, baseline) in list(self._torn_armed.items()):
-            device = publisher.device_by_name(name)
+            device = publisher.fleet.device(name)
             if device.nvm is None or device.nvm.torn == baseline:
                 continue  # still armed, no matching write happened yet
             # The tear fired: the device died mid-commit.  Queue its
@@ -299,7 +299,7 @@ class FaultInjector:
         for name, reboot_at in list(self._down.items()):
             if reboot_at is not None and now >= reboot_at:
                 del self._down[name]
-                publisher.reboot_device(publisher.device_by_name(name))
+                publisher.reboot_device(publisher.fleet.device(name))
                 self.reboots += 1
         if self._burst_until is not None and now >= self._burst_until:
             publisher.link.loss = self._base_loss
@@ -312,7 +312,7 @@ class FaultInjector:
     def _fire(self, event: ChaosEvent, publisher: "FleetPublisher",
               now: float) -> None:
         if isinstance(event, CrashAt):
-            device = publisher.device_by_name(event.device)
+            device = publisher.fleet.device(event.device)
             if device.kernel.halted:
                 return  # already down — crashing a corpse is a no-op
             publisher.crash_device(device)
@@ -334,14 +334,14 @@ class FaultInjector:
             )
             self.stalls += 1
         elif isinstance(event, TornWriteAt):
-            device = publisher.device_by_name(event.device)
+            device = publisher.fleet.device(event.device)
             if device.nvm is None or device.kernel.halted:
                 return  # nothing to tear / already a corpse
             device.nvm.tear_next_write(event.phase, event.match)
             self._torn_armed[event.device] = (event.down_us,
                                               device.nvm.torn)
         elif isinstance(event, BitFlipAt):
-            device = publisher.device_by_name(event.device)
+            device = publisher.fleet.device(event.device)
             if device.nvm is None:
                 return
             for key in device.nvm.keys(event.key_prefix):
@@ -349,11 +349,20 @@ class FaultInjector:
                     self.bitflips += 1
                     break
         elif isinstance(event, WearOut):
-            device = publisher.device_by_name(event.device)
+            device = publisher.fleet.device(event.device)
             if device.nvm is None:
                 return
             device.nvm.erase_budget = event.erase_budget
             self.wearouts += 1
+
+    def forget(self, device_name: str) -> None:
+        """Drop every fault still held for an evicted device: its pending
+        events, its down/reboot entry, its stall and any armed tear."""
+        self._pending = [event for event in self._pending
+                         if getattr(event, "device", None) != device_name]
+        self._down.pop(device_name, None)
+        self._stalled_until.pop(device_name, None)
+        self._torn_armed.pop(device_name, None)
 
     @property
     def idle(self) -> bool:

@@ -20,6 +20,14 @@ miss, and cycles are equal.
 — wall time, modelled cycles charged, image-cache hits/misses — so
 benchmarks and the ``python -m repro fleet`` CLI can show devices 2..N
 riding the cache device 1 warmed.
+
+The fleet is also the one owner of device membership: an
+insertion-ordered name → device map with O(1) lookup and a stable
+per-device **wiring index**.  The radio address is derived from that
+index, and indices are never reused, so a device added after an
+eviction cannot collide with in-flight frames addressed to its
+predecessor.  ``fleet.devices`` is a list view cached between
+membership changes.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.core.engine import HostingEngine
 from repro.deploy.plan import apply, plan
-from repro.deploy.registry import DeviceRegistry
 from repro.deploy.results import DeviceRow, FleetResult
 from repro.deploy.spec import DeploymentSpec, HookSpec
 from repro.deploy.staged import HealthGate, StagedRollout
@@ -50,6 +57,8 @@ class FleetDevice:
     name: str
     kernel: Kernel
     engine: HostingEngine
+    #: Permanent wiring (radio address) index, never reused in its fleet.
+    index: int
     #: Radio rig (interface, CoAP endpoints, spec-update worker) wired by
     #: :class:`~repro.deploy.publish.FleetPublisher`; ``None`` on a fleet
     #: that is only driven directly by the simulator.
@@ -126,43 +135,67 @@ class Fleet:
         #: Engine supervisor policy, also reused when the publisher
         #: rebuilds an engine after a device reboot.
         self.supervisor_config = supervisor
-        #: Single source of truth for fleet membership (shared with the
-        #: publisher and the control plane — no parallel device lists).
-        self.registry = DeviceRegistry()
+        #: Device name -> device, in insertion order.
+        self._members: dict[str, FleetDevice] = {}
+        self._next_index = 0
+        self._view: list[FleetDevice] | None = None
         #: The spec the whole fleet last converged on (the canary
         #: rollback target when no explicit baseline is given).
         self.current_spec: DeploymentSpec | None = None
-        for index, board in enumerate(boards):
-            self.add_device(board, name=f"dev{index}")
+        for board in boards:
+            self.add_device(board)
 
     @property
     def devices(self) -> list[FleetDevice]:
-        """Registry view in registration order (list-compatible)."""
-        return self.registry.devices()
+        """Members in insertion order (cached between membership changes)."""
+        if self._view is None:
+            self._view = list(self._members.values())
+        return self._view
 
     def add_device(self, board: Board | None = None,
                    name: str | None = None) -> FleetDevice:
-        """Register one more device (the control plane's register path).
+        """Add one device under the next wiring index.
 
-        Note this only creates the device; wiring its radio is the
-        publisher's job (:meth:`FleetPublisher.adopt_device`).
+        This only creates the device; a publisher-driven fleet adds
+        wired devices through :meth:`FleetPublisher.add_device`.
         """
-        if board is None:
-            board = nrf52840()
+        index = self._next_index
         if name is None:
-            name = f"dev{self.registry.next_index}"
-        kernel = Kernel(board)
+            name = f"dev{index}"
+        if name in self._members:
+            raise ValueError(f"device {name!r} is already registered")
+        kernel = Kernel(board if board is not None else nrf52840())
         device = FleetDevice(
             name=name,
             kernel=kernel,
             engine=HostingEngine(kernel, implementation=self.implementation,
                                  supervisor=self.supervisor_config),
+            index=index,
         )
-        self.registry.register(device)
+        self._next_index += 1
+        self._members[name] = device
+        self._view = None
+        return device
+
+    def device(self, name: str) -> FleetDevice:
+        try:
+            return self._members[name]
+        except KeyError:
+            raise KeyError(f"no fleet device named {name!r}") from None
+
+    def index_of(self, name: str) -> int:
+        """The device's permanent wiring (radio address) index."""
+        return self.device(name).index
+
+    def evict(self, name: str) -> FleetDevice:
+        """Remove one device; its wiring index is retired."""
+        device = self.device(name)
+        del self._members[name]
+        self._view = None
         return device
 
     def __len__(self) -> int:
-        return len(self.devices)
+        return len(self._members)
 
     def _converge(self, device: FleetDevice, spec: DeploymentSpec,
                   role: str = "device") -> DeviceRow:

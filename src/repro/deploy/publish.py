@@ -64,11 +64,11 @@ import time
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.core.engine import HostingEngine
 from repro.deploy.fleet import Fleet, FleetDevice
-from repro.deploy.results import DeviceRow, FleetResult
+from repro.deploy.results import DeviceRow, DeviceStatus, FleetResult
 from repro.deploy.spec import DeploymentSpec
 from repro.deploy.staged import StagedRollout
 from repro.net import coap
@@ -86,6 +86,7 @@ from repro.vm.imagecache import IMAGE_CACHE
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.deploy.chaos import FaultInjector
     from repro.deploy.staged import HealthGate
+    from repro.rtos.board import Board
 
 MAINTAINER_ADDR = "2001:db8::maint"
 DEVICE_ADDR_TEMPLATE = "2001:db8::dev{index}"
@@ -303,6 +304,13 @@ class FleetPublisher:
     (stored on ``device.radio``).  Sequence numbers come from one
     maintainer-wide epoch counter, which is also what makes the storage
     registry's cross-location GC horizon meaningful.
+
+    The fleet owns membership; the publisher owns the radio lifecycle
+    on top of it: :meth:`add_device` adds a wired device at runtime,
+    :meth:`evict_device` takes one off the air, and :meth:`status`
+    streams one :class:`~repro.deploy.results.DeviceStatus` row per
+    device.  To publish under a chosen sequence number, set
+    :attr:`PublishOptions.sequence_number`.
     """
 
     def __init__(
@@ -344,32 +352,42 @@ class FleetPublisher:
         #: an undisturbed publish.
         self.chaos: "FaultInjector | None" = None
         for device in fleet.devices:
-            self.adopt_device(device)
+            self._adopt_device(device)
 
     # -- wire plumbing -----------------------------------------------------
 
-    def adopt_device(self, device: FleetDevice) -> None:
-        """Give one registered device its radio rig (construction path,
-        and the control plane's post-construction register path)."""
+    def add_device(self, board: Board | None = None,
+                   name: str | None = None) -> FleetDevice:
+        """Add one device to the fleet at runtime and wire its radio; it
+        joins every later publish."""
+        device = self.fleet.add_device(board, name=name)
+        self._adopt_device(device)
+        return device
+
+    def _adopt_device(self, device: FleetDevice) -> None:
+        """Give one fleet member its NVM, energy meter and radio rig."""
         if device.nvm is None:
             device.nvm = device.kernel.board.nvm(device.kernel)
         if device.meter is None:
             device.meter = EnergyMeter(device.kernel.board)
-        self._wire_device(device, self.fleet.registry.index_of(device.name))
+        self._wire_device(device)
 
     def evict_device(self, name: str) -> FleetDevice:
-        """Remove one device from the fleet and take it off the air."""
-        device = self.fleet.registry.evict(name)
+        """Remove one device from the fleet and take it off the air; the
+        fault injector drops every fault it still holds for it."""
+        device = self.fleet.evict(name)
         if device.radio is not None:
             self.link.detach(device.radio.addr)
             self.link.leave(GROUP_ADDR, device.radio.addr)
+        if self.chaos is not None:
+            self.chaos.forget(name)
         return device
 
-    def _wire_device(self, device: FleetDevice, index: int) -> None:
+    def _wire_device(self, device: FleetDevice) -> None:
         """Build one device's radio rig (initial wiring and re-wiring
         after a reboot — the NVM and energy meter persist, everything
         else is rebuilt from scratch)."""
-        addr = DEVICE_ADDR_TEMPLATE.format(index=index)
+        addr = DEVICE_ADDR_TEMPLATE.format(index=device.index)
         iface = self.link.attach(Interface(addr))
         udp = UdpStack(iface)
         server = CoapServer(device.kernel, udp.socket(COAP_PORT),
@@ -466,9 +484,6 @@ class FleetPublisher:
                 or manifest.sequence_number == track.sequence_number):
             track.verdicts.append(result)
 
-    def device_by_name(self, name: str) -> FleetDevice:
-        return self.fleet.registry.get(name)
-
     # -- crash / reboot ----------------------------------------------------
 
     def crash_device(self, device: FleetDevice) -> None:
@@ -490,7 +505,6 @@ class FleetPublisher:
         scratch; the spec worker restores its storage registry from NVM
         and re-activates whatever was installed (the bootloader role).
         """
-        index = self.fleet.registry.index_of(device.name)
         old_clock = device.kernel.clock
         board = device.kernel.board
         if device.radio is not None:
@@ -502,7 +516,7 @@ class FleetPublisher:
             kernel, implementation=self.fleet.implementation,
             supervisor=self.fleet.supervisor_config)
         device.reboots += 1
-        self._wire_device(device, index)
+        self._wire_device(device)
         device.radio.worker.recover()
 
     def _sign(self, spec: DeploymentSpec, sequence_number: int | None,
@@ -831,3 +845,26 @@ class FleetPublisher:
                                      ("unreachable:", unreachable))
                 if names)
         return self._mark_quarantined(result)
+
+    # -- streamed status ---------------------------------------------------
+
+    def status(self) -> Iterator[DeviceStatus]:
+        """Stream one typed status row per fleet device, fleet order."""
+        for device in self.fleet.devices:
+            radio = device.radio
+            yield DeviceStatus(
+                name=device.name,
+                index=device.index,
+                board=device.board.name,
+                addr=radio.addr if radio is not None else None,
+                sequence=(max(0, radio.worker.storage.highest_sequence(
+                    self.slot)) if radio is not None else 0),
+                spec=(device.current_spec.name
+                      if device.current_spec is not None else None),
+                reboots=device.reboots,
+                quarantined=len(
+                    device.engine.supervisor.quarantined_slots()),
+                halted=device.kernel.halted,
+                cycles=device.kernel.clock.cycles,
+                radio_uj=_radio_uj(device),
+            )

@@ -1,12 +1,10 @@
 """One fleet result and one device row for every rollout.
 
 Every fleet entry point — :meth:`~repro.deploy.fleet.Fleet.apply`,
-:meth:`~repro.deploy.fleet.Fleet.canary_rollout`,
-:meth:`~repro.deploy.publish.FleetPublisher.publish` and the
-:class:`~repro.deploy.controlplane.ControlPlane` wrappers around it —
-returns a :class:`FleetResult`, and both transports (direct plan/apply
-and over the radio) report each device's convergence as a
-:class:`DeviceRow`:
+:meth:`~repro.deploy.fleet.Fleet.canary_rollout` and
+:meth:`~repro.deploy.publish.FleetPublisher.publish` — returns a
+:class:`FleetResult`, and both transports (direct plan/apply and over
+the radio) report each device's convergence as a :class:`DeviceRow`:
 
 * rows sit in the phase lists ``canary``, ``control`` and ``rollback``;
   an unstaged rollout keeps every row in ``control`` with role
@@ -24,6 +22,10 @@ container or timer closure.  The image cache's effect shows in the
 rows' exact ``cache_hits``/``cache_misses`` counts, which
 ``benchmarks/test_image_cache_guard.py`` pins: the cold device misses
 once per artifact, warm rows never miss, and cycles are equal.
+
+:class:`DeviceStatus` is the other row shape: one device's state at
+query time, streamed by
+:meth:`~repro.deploy.publish.FleetPublisher.status`.
 """
 
 from __future__ import annotations
@@ -83,6 +85,27 @@ class DeviceRow:
         """Plan actions the device's reconcile executed (0 if refused)."""
         executed = self.result.plan
         return len(executed.actions) if executed is not None else 0
+
+
+@dataclass(frozen=True)
+class DeviceStatus:
+    """One row of :meth:`~repro.deploy.publish.FleetPublisher.status`:
+    a device's state now, not one rollout's convergence."""
+
+    name: str
+    index: int
+    board: str
+    addr: str | None
+    #: Highest anti-rollback sequence the device holds for the fleet
+    #: spec slot (0: never converged on any publish).
+    sequence: int
+    #: Name of the spec this device last converged on, if any.
+    spec: str | None
+    reboots: int
+    quarantined: int
+    halted: bool
+    cycles: int
+    radio_uj: float
 
 
 @dataclass(kw_only=True)

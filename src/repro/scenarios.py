@@ -248,33 +248,6 @@ def build_fleet_publisher(
     )
 
 
-def build_control_plane(
-    devices: int = 4,
-    boards: list[Board] | None = None,
-    implementation: str = "jit",
-    loss: float = 0.0,
-    seed: int = 1234,
-    supervisor: SupervisorConfig | None = None,
-):
-    """Maintainer control plane over a freshly wired fleet.
-
-    The service-object analogue of :func:`build_fleet_publisher`:
-    the returned :class:`~repro.deploy.ControlPlane` owns the fleet
-    *and* its publisher behind one typed API — register/evict devices
-    at runtime, submit signed releases, publish/canary with the
-    fleet-scale profile by default, and stream per-device status rows.
-    """
-    from repro.deploy import ControlPlane
-
-    return ControlPlane(
-        boards if boards is not None else devices,
-        implementation=implementation,
-        loss=loss,
-        seed=seed,
-        supervisor=supervisor,
-    )
-
-
 def build_fanout_device(
     tenants: int = 2,
     instances_per_tenant: int = 4,

@@ -271,8 +271,8 @@ class Interpreter:
         branches = 0
         load = access.load
         store = access.store
-        # Subclasses (CertFC, tracing) hook every instruction; the optimized
-        # build skips the callback entirely instead of calling a no-op.
+        # CertFC hooks every instruction; the optimized build skips the
+        # callback entirely instead of calling a no-op.
         pre_check = None
         if type(self)._pre_execute_check is not Interpreter._pre_execute_check:
             pre_check = self._pre_execute_check

@@ -32,7 +32,7 @@ class Decoded:
     """One pre-decoded instruction slot (plain attributes, no behavior)."""
 
     __slots__ = (
-        "ins",        # the original Instruction (for tracing / defensive checks)
+        "ins",        # the original Instruction (for CertFC's checks)
         "opcode",
         "cls",        # opcode & CLS_MASK
         "op",         # opcode & OP_MASK (ALU / JMP operation selector)

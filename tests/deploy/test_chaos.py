@@ -19,6 +19,7 @@ from repro.core import FC_HOOK_FANOUT
 from repro.core.hooks import HookMode
 from repro.deploy import (
     AttachmentSpec,
+    BitFlipAt,
     CrashAt,
     DeploymentSpec,
     FaultInjector,
@@ -27,6 +28,8 @@ from repro.deploy import (
     LinkLossBurst,
     PublishOptions,
     StallAt,
+    TornWriteAt,
+    WearOut,
 )
 from repro.scenarios import build_fleet_publisher
 from repro.suit import UpdateStatus
@@ -123,6 +126,47 @@ class TestUnreachable:
         publisher, result = chaos_publish(
             plan, devices=2, loss=0.0, options=PublishOptions(max_windows=300))
         assert publisher.fleet.current_spec is not result.spec
+
+
+class TestEviction:
+    def test_fault_plan_naming_an_evicted_device_is_dropped(self):
+        publisher = build_fleet_publisher(devices=3, seed=77)
+        publisher.chaos = injector = FaultInjector(
+            [CrashAt("dev2", at_us=30_000.0, down_us=100_000.0)])
+        publisher.evict_device("dev2")
+        result = publisher.publish(make_spec())
+        assert result.ok, result.reason
+        assert [row.device.name for row in result.rows()] == ["dev0", "dev1"]
+        assert injector.crashes == 0
+        assert injector.quiescent
+
+    def test_every_fault_kind_for_an_evicted_device_is_dropped(self):
+        publisher = build_fleet_publisher(devices=3, seed=77)
+        publisher.chaos = injector = FaultInjector([
+            CrashAt("dev2", at_us=1_000.0, down_us=300_000.0),
+            StallAt("dev2", at_us=1_000.0, duration_us=10_000_000.0),
+            TornWriteAt("dev2", at_us=1_000.0),
+            BitFlipAt("dev2", at_us=1_000.0),
+            WearOut("dev2", at_us=1_000.0),
+            CrashAt("dev1", at_us=1_000.0, down_us=300_000.0),
+        ])
+        publisher.evict_device("dev2")
+        result = publisher.publish(make_spec())
+        assert result.ok, result.reason
+        assert [row.device.name for row in result.rows()] == ["dev0", "dev1"]
+        assert (injector.crashes, injector.reboots) == (1, 1)
+        assert (injector.stalls, injector.bitflips, injector.wearouts) \
+            == (0, 0, 0)
+        assert injector.quiescent
+
+    def test_evicting_a_device_that_never_rebooted_resolves_the_plan(self):
+        plan = [CrashAt("dev1", at_us=1_000.0, down_us=None)]
+        publisher, result = chaos_publish(
+            plan, devices=3, loss=0.0, options=PublishOptions(max_windows=300))
+        assert not publisher.chaos.quiescent  # dev1 is down for good
+        publisher.evict_device("dev1")
+        assert publisher.chaos.quiescent
+        assert publisher.publish(make_spec(name="next")).ok
 
 
 class TestStaleResults:

@@ -1,13 +1,13 @@
-"""Control-plane facade: registry, releases, orchestration, status rows.
+"""The maintainer's lifecycle: membership, publishing, status rows.
 
-:class:`~repro.deploy.ControlPlane` is the long-lived maintainer
-service: one :class:`~repro.deploy.DeviceRegistry` shared by fleet and
-publisher, signed :class:`~repro.deploy.Release` records, publish and
-canary orchestration with the fleet-scale profile, and streamed typed
-per-device status rows.  These tests also pin the one fleet result
-(every entry point returns a ``FleetResult`` of ``DeviceRow`` rows,
-with one ``ok`` rule on both transports) and ``PublishOptions`` as the
-only way to configure a publish.
+:class:`~repro.deploy.Fleet` owns device membership (add, look up and
+evict by name, wiring indices never reused), and
+:class:`~repro.deploy.FleetPublisher` owns the radio lifecycle on top
+of it: adding a wired device at runtime, evicting one, publishing, and
+streaming typed per-device status rows.  These tests also pin the one
+fleet result (every entry point returns a ``FleetResult`` of
+``DeviceRow`` rows, with one ``ok`` rule on both transports) and
+``PublishOptions`` as the only way to configure a publish.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from repro.deploy import (
     HookSpec,
     ImageSpec,
     PublishOptions,
-    Release,
 )
-from repro.scenarios import build_control_plane, build_fleet_publisher
+from repro.scenarios import build_fleet_publisher
 from repro.vm import assemble
 from repro.vm.imagecache import IMAGE_CACHE
 
@@ -57,89 +56,96 @@ def make_spec(source: str, name: str = "release") -> DeploymentSpec:
 
 
 class TestRegistry:
-    def test_fleet_and_publisher_share_one_registry(self):
-        plane = build_control_plane(devices=3)
-        assert plane.registry is plane.fleet.registry
-        assert [d.name for d in plane.devices()] == ["dev0", "dev1", "dev2"]
-        assert plane.device("dev1") is plane.fleet.devices[1]
+    def test_fleet_and_publisher_share_one_membership(self):
+        publisher = build_fleet_publisher(devices=3)
+        fleet = publisher.fleet
+        assert [d.name for d in fleet.devices] == ["dev0", "dev1", "dev2"]
+        assert fleet.device("dev1") is fleet.devices[1]
 
     def test_register_at_runtime_joins_publishes(self):
-        plane = build_control_plane(devices=2)
-        late = plane.register()
-        assert late.name == "dev2" and len(plane) == 3
-        result = plane.publish(make_spec(GOOD, "v1"))
+        publisher = build_fleet_publisher(devices=2)
+        late = publisher.add_device()
+        assert late.name == "dev2" and len(publisher.fleet) == 3
+        result = publisher.publish(make_spec(GOOD, "v1"),
+                                   PublishOptions.scale())
         assert result.ok
         assert {row.device.name for row in result.rows()} \
             == {"dev0", "dev1", "dev2"}
 
     def test_duplicate_name_is_rejected(self):
-        plane = build_control_plane(devices=2)
+        publisher = build_fleet_publisher(devices=2)
         with pytest.raises(ValueError, match="already registered"):
-            plane.register(name="dev1")
+            publisher.add_device(name="dev1")
 
     def test_evicted_device_leaves_the_air(self):
-        plane = build_control_plane(devices=3)
-        gone = plane.evict("dev1")
-        assert gone.name == "dev1" and len(plane) == 2
+        publisher = build_fleet_publisher(devices=3)
+        gone = publisher.evict_device("dev1")
+        assert gone.name == "dev1" and len(publisher.fleet) == 2
         with pytest.raises(KeyError, match="no fleet device"):
-            plane.device("dev1")
-        result = plane.publish(make_spec(GOOD, "v1"))
+            publisher.fleet.device("dev1")
+        result = publisher.publish(make_spec(GOOD, "v1"),
+                                   PublishOptions.scale())
         assert result.ok
         assert {row.device.name for row in result.rows()} == {"dev0", "dev2"}
 
     def test_retired_indices_are_never_reused(self):
         """A device registered after an eviction must not inherit the
         dead device's radio address (in-flight frames!)."""
-        plane = build_control_plane(devices=3)
-        plane.evict("dev2")
-        replacement = plane.register()
+        publisher = build_fleet_publisher(devices=3)
+        publisher.evict_device("dev2")
+        replacement = publisher.add_device()
         assert replacement.name == "dev3"
-        assert plane.registry.index_of("dev3") == 3
+        assert publisher.fleet.index_of("dev3") == 3
 
     def test_evict_unknown_device_raises(self):
-        plane = build_control_plane(devices=2)
+        publisher = build_fleet_publisher(devices=2)
         with pytest.raises(KeyError, match="no fleet device"):
-            plane.evict("dev9")
+            publisher.evict_device("dev9")
 
 
 class TestReleases:
-    def test_submit_signs_and_sequences(self):
-        plane = build_control_plane(devices=2)
-        one = plane.submit(make_spec(GOOD, "v1"))
-        two = plane.submit(make_spec(BETTER, "v2"))
-        assert isinstance(one, Release)
+    def test_bare_publishes_sign_successive_sequences(self):
+        publisher = build_fleet_publisher(devices=2)
+        spec_one, spec_two = make_spec(GOOD, "v1"), make_spec(BETTER, "v2")
+        one = publisher.publish(spec_one, PublishOptions.scale())
+        two = publisher.publish(spec_two, PublishOptions.scale())
+        assert one.ok and two.ok
         assert (one.sequence_number, two.sequence_number) == (1, 2)
-        assert one.name == "v1@1"
-        assert one.envelope and one.payload
-        assert plane.releases == [one, two]
+        assert one.spec is spec_one and two.spec is spec_two
+        assert one.payload_bytes > 0 and two.payload_bytes > 0
 
-    def test_publishing_a_release_uses_its_sequence(self):
-        plane = build_control_plane(devices=3)
-        release = plane.submit(make_spec(GOOD, "v1"))
-        result = plane.publish(release)
+    def test_bare_publish_follows_a_chosen_sequence(self):
+        publisher = build_fleet_publisher(devices=2)
+        publisher.publish(make_spec(GOOD, "v1"),
+                          PublishOptions.scale(sequence_number=5))
+        result = publisher.publish(make_spec(BETTER, "v2"),
+                                   PublishOptions.scale())
         assert result.ok
-        assert result.sequence_number == release.sequence_number
-        assert all(row.sequence == release.sequence_number
-                   for row in plane.status())
+        assert result.sequence_number == 6
+        assert all(row.sequence == 6 and row.spec == "v2"
+                   for row in publisher.status())
 
-    def test_publishing_a_bare_spec_submits_implicitly(self):
-        plane = build_control_plane(devices=2)
-        result = plane.publish(make_spec(GOOD, "v1"))
+    def test_scale_profile_multicasts(self):
+        publisher = build_fleet_publisher(devices=4)
+        result = publisher.publish(make_spec(GOOD, "v1"),
+                                   PublishOptions.scale())
+        assert result.ok and result.multicast
+
+    def test_publishing_under_a_chosen_sequence(self):
+        publisher = build_fleet_publisher(devices=3)
+        result = publisher.publish(
+            make_spec(GOOD, "v1"), PublishOptions.scale(sequence_number=5))
         assert result.ok
-        assert len(plane.releases) == 1
-        assert plane.releases[0].sequence_number == result.sequence_number
-
-    def test_plane_publish_defaults_to_the_scale_profile(self):
-        plane = build_control_plane(devices=4)
-        result = plane.publish(make_spec(GOOD, "v1"))
-        assert result.multicast
+        assert result.sequence_number == 5
+        assert all(row.sequence == result.sequence_number
+                   for row in publisher.status())
 
     def test_canary_is_staged_and_health_gated(self):
-        plane = build_control_plane(devices=4)
-        plane.publish(make_spec(GOOD, "v1"))
-        result = plane.canary(make_spec(BETTER, "v2"), canary_count=1,
-                              options=PublishOptions.scale(
-                                  bake_us=200_000.0))
+        publisher = build_fleet_publisher(devices=4)
+        publisher.publish(make_spec(GOOD, "v1"), PublishOptions.scale())
+        result = publisher.publish(
+            make_spec(BETTER, "v2"),
+            PublishOptions.scale(canary_count=1, bake_us=200_000.0))
         assert result.ok and result.promoted
         roles = [row.role for row in result.rows()]
         assert roles.count("canary") == 1
@@ -148,37 +154,39 @@ class TestReleases:
 
 class TestStatusRows:
     def test_streams_one_typed_row_per_device(self):
-        plane = build_control_plane(devices=3)
-        release = plane.submit(make_spec(GOOD, "v1"))
-        plane.publish(release)
-        rows = list(plane.status())
+        publisher = build_fleet_publisher(devices=3)
+        result = publisher.publish(make_spec(GOOD, "v1"),
+                                   PublishOptions.scale())
+        rows = list(publisher.status())
         assert [row.name for row in rows] == ["dev0", "dev1", "dev2"]
         assert [row.index for row in rows] == [0, 1, 2]
         for row in rows:
             assert row.board == "nrf52840"
-            assert row.sequence == release.sequence_number
+            assert row.sequence == result.sequence_number
             assert row.spec == "v1"
             assert row.reboots == 0 and not row.halted
             assert row.cycles > 0
             assert row.radio_uj > 0.0
 
     def test_unpublished_fleet_reports_zero_sequence(self):
-        plane = build_control_plane(devices=2)
-        for row in plane.status():
+        publisher = build_fleet_publisher(devices=2)
+        for row in publisher.status():
             assert row.sequence == 0 and row.spec is None
 
 
 class TestResultProtocol:
     def test_all_five_entry_points_return_one_fleet_result(self):
-        plane = build_control_plane(devices=3)
+        publisher = build_fleet_publisher(devices=3)
         results = [
-            plane.publish(make_spec(GOOD, "v1")),
-            plane.canary(make_spec(BETTER, "v2"), canary_count=1,
-                         options=PublishOptions.scale(bake_us=200_000.0)),
-            plane.publisher.publish(make_spec(GOOD, "v3")),
-            plane.fleet.apply(make_spec(GOOD, "v1")),
-            plane.fleet.canary_rollout(make_spec(BETTER, "v2"),
-                                       canary_count=1, bake_us=200_000.0),
+            publisher.publish(make_spec(GOOD, "v1"), PublishOptions.scale()),
+            publisher.publish(make_spec(BETTER, "v2"),
+                              PublishOptions.scale(canary_count=1,
+                                                   bake_us=200_000.0)),
+            publisher.publish(make_spec(GOOD, "v3")),
+            publisher.fleet.apply(make_spec(GOOD, "v1")),
+            publisher.fleet.canary_rollout(make_spec(BETTER, "v2"),
+                                           canary_count=1,
+                                           bake_us=200_000.0),
         ]
         for result in results:
             assert type(result) is FleetResult
@@ -188,14 +196,14 @@ class TestResultProtocol:
             assert all(type(row) is DeviceRow for row in result.rows())
 
     def test_direct_and_radio_canaries_share_one_result_shape(self):
-        plane = build_control_plane(devices=3)
-        plane.publish(make_spec(GOOD, "v1"))
-        published = plane.canary(make_spec(BETTER, "v2"), canary_count=1,
-                                 options=PublishOptions.scale(
-                                     bake_us=200_000.0))
-        staged = plane.fleet.canary_rollout(make_spec(GOOD, "v3"),
-                                            canary_count=1,
-                                            bake_us=200_000.0)
+        publisher = build_fleet_publisher(devices=3)
+        publisher.publish(make_spec(GOOD, "v1"), PublishOptions.scale())
+        published = publisher.publish(
+            make_spec(BETTER, "v2"),
+            PublishOptions.scale(canary_count=1, bake_us=200_000.0))
+        staged = publisher.fleet.canary_rollout(make_spec(GOOD, "v3"),
+                                                canary_count=1,
+                                                bake_us=200_000.0)
         for result in (published, staged):
             assert type(result) is FleetResult
             assert result.promoted and result.ok
@@ -206,7 +214,7 @@ class TestResultProtocol:
             assert result.bake_us == 200_000.0
         assert staged.baseline is published.spec
 
-        applied = plane.fleet.apply(make_spec(GOOD, "v1"))
+        applied = publisher.fleet.apply(make_spec(GOOD, "v1"))
         assert type(applied) is FleetResult
         assert applied.control == applied.rows()
 
@@ -214,26 +222,28 @@ class TestResultProtocol:
     def test_rolled_back_canary_is_not_ok(self, transport):
         """One ``ok`` rule on both transports: a health-gated canary
         that rolled back is not ok, over the radio as in process."""
-        plane = build_control_plane(devices=4, seed=3)
+        publisher = build_fleet_publisher(devices=4, seed=3)
         base = make_spec(GOOD, "base")
         poisoned = make_spec(POISON, "poisoned")
         if transport == "direct":
-            plane.fleet.apply(base)
-            result = plane.fleet.canary_rollout(
+            publisher.fleet.apply(base)
+            result = publisher.fleet.canary_rollout(
                 poisoned, canary_count=1, bake_us=500_000.0, bake_fires=3)
         else:
-            plane.publish(base)
-            result = plane.canary(poisoned, canary_count=1,
-                                  options=PublishOptions.scale(
-                                      bake_us=500_000.0, bake_fires=3))
+            publisher.publish(base, PublishOptions.scale())
+            result = publisher.publish(
+                poisoned, PublishOptions.scale(canary_count=1,
+                                               bake_us=500_000.0,
+                                               bake_fires=3))
         assert result.rolled_back
         assert not result.promoted
         assert result.ok is False
 
     def test_results_are_always_truthy(self):
         """``if result:`` must not silently flip on empty row lists."""
-        plane = build_control_plane(devices=2)
-        result = plane.publish(make_spec(GOOD, "v1"))
+        publisher = build_fleet_publisher(devices=2)
+        result = publisher.publish(make_spec(GOOD, "v1"),
+                                   PublishOptions.scale())
         assert bool(result)
 
 

@@ -136,3 +136,37 @@ class TestFleetApply:
         snapshots = [dict(device.engine.global_store.snapshot())
                      for device in fleet.devices]
         assert snapshots[0] and all(s == snapshots[0] for s in snapshots)
+
+
+class TestMembership:
+    def test_devices_view_is_cached_until_membership_changes(self):
+        fleet = Fleet(3)
+        view = fleet.devices
+        assert fleet.devices is view
+        fleet.add_device()
+        grown = fleet.devices
+        assert grown is not view
+        assert [device.name for device in grown] \
+            == ["dev0", "dev1", "dev2", "dev3"]
+        fleet.evict("dev0")
+        assert [device.name for device in fleet.devices] \
+            == ["dev1", "dev2", "dev3"]
+        assert len(fleet) == 3
+
+    def test_lookup_by_name_and_wiring_index(self):
+        fleet = Fleet(3)
+        assert fleet.device("dev1") is fleet.devices[1]
+        assert fleet.index_of("dev2") == 2
+        with pytest.raises(ValueError, match="already registered"):
+            fleet.add_device(name="dev1")
+        for lookup in (fleet.device, fleet.index_of, fleet.evict):
+            with pytest.raises(KeyError, match="no fleet device"):
+                lookup("dev9")
+
+    def test_wiring_indices_are_never_reused(self):
+        fleet = Fleet(2)
+        fleet.evict("dev1")
+        assert fleet.add_device().name == "dev2"
+        assert fleet.index_of("dev2") == 2
+        named = fleet.add_device(name="spare")
+        assert fleet.index_of("spare") == named.index == 3

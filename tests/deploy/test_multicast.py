@@ -28,7 +28,7 @@ from repro.deploy import (
 from repro.deploy.publish import GROUP_ADDR
 from repro.net import Interface, Link
 from repro.rtos import Kernel
-from repro.scenarios import build_control_plane, build_fleet_publisher
+from repro.scenarios import build_fleet_publisher
 from repro.vm import assemble
 from repro.vm.imagecache import IMAGE_CACHE
 
@@ -148,17 +148,19 @@ class TestSuppressionSample:
     def test_later_unicast_publishes_report_no_stale_acks(self):
         """The ack sample belongs to one broadcast: a canary or unicast
         publish after a multicast one must not report its acks."""
-        plane = build_control_plane(devices=4)
-        broadcast = plane.publish(make_spec(GOOD, "v1"))
+        publisher = build_fleet_publisher(devices=4)
+        broadcast = publisher.publish(make_spec(GOOD, "v1"),
+                                      PublishOptions.scale())
         assert broadcast.multicast
         assert broadcast.mcast_acks == ["dev0", "dev1", "dev2", "dev3"]
 
-        canary = plane.canary(make_spec(GOOD, "v2"), 1,
-                              PublishOptions.scale(bake_us=200_000.0))
+        canary = publisher.publish(
+            make_spec(GOOD, "v2"),
+            PublishOptions.scale(canary_count=1, bake_us=200_000.0))
         assert canary.ok and not canary.multicast
         assert canary.mcast_acks == []
 
-        unicast = plane.publisher.publish(make_spec(GOOD, "v3"))
+        unicast = publisher.publish(make_spec(GOOD, "v3"))
         assert unicast.ok and not unicast.multicast
         assert unicast.mcast_acks == []
 

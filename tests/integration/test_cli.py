@@ -195,6 +195,14 @@ class TestCli:
         assert "crashes=2 reboots=2 bursts=1 stalls=1 quiescent=True" in text
         assert "converged: False (unreachable: dev3)" in text
 
+    def test_controlplane_defaults(self):
+        code, text = run_cli("controlplane")
+        assert code == 0, text
+        assert "submitted release canary-base@1" in text
+        assert "registered dev4 at runtime (fleet size 5)" in text
+        assert "evicted dev4 (fleet size 4)" in text
+        assert "status rows consistent with last release: True" in text
+
     def test_chaos_rejects_bad_device_count(self):
         code, text = run_cli("chaos", "--devices", "0")
         assert code == 1 and "chaos error" in text

@@ -194,3 +194,51 @@ class TestJITInstall:
         compiled = compile_program(program, config=VMConfig(branch_limit=10))
         with pytest.raises(BranchLimitFault):
             compiled.run()
+
+
+class _RecordingInterpreter(Interpreter):
+    """Uses the per-instruction hook CertFC checks through."""
+
+    def __init__(self, program):
+        super().__init__(program)
+        self.seen: list[tuple[int, int, int]] = []
+
+    def _pre_execute_check(self, ins, regs, pc):
+        self.seen.append((pc, ins.opcode, regs[3]))
+
+
+class TestPreExecuteHook:
+    def test_hook_sees_each_executed_instruction_once(self):
+        vm = _RecordingInterpreter(assemble("""
+    lddw r1, 0xdeadbeef
+    ja skip
+    mov r0, 99
+skip:
+    exit
+"""))
+        vm.run()
+        assert [pc for pc, _, _ in vm.seen] == [0, 2, 4]
+        assert vm.seen[-1][1] == isa.EXIT
+
+    def test_hook_runs_before_the_instruction(self):
+        vm = _RecordingInterpreter(
+            assemble("mov r3, 7\n    add r3, 1\n    mov r0, r3\n    exit"))
+        assert vm.run().value == 8
+        assert [r3 for _, _, r3 in vm.seen] == [0, 7, 8, 8]
+
+    def test_hooked_run_matches_plain_interpreter(self):
+        program = assemble("""
+    mov r1, 10
+    mov r0, 0
+loop:
+    add r0, r1
+    sub r1, 1
+    jne r1, 0, loop
+    exit
+""")
+        vm = _RecordingInterpreter(program)
+        hooked, plain = vm.run(), Interpreter(program).run()
+        assert hooked.value == plain.value == 55
+        assert hooked.stats.executed == plain.stats.executed == len(vm.seen)
+        vm.run()
+        assert len(vm.seen) == 2 * plain.stats.executed
