@@ -14,7 +14,7 @@ from conftest import record
 
 from repro.analysis import format_table
 from repro.rtos import nrf52840
-from repro.runtimes import all_candidates, host_os_ram_bytes, host_os_rom_bytes
+from repro.runtimes import fletcher32_rows, host_os_ram_bytes, host_os_rom_bytes
 
 PAPER_ROWS = {
     "WASM3": (64.0, 85.0),
@@ -25,13 +25,8 @@ PAPER_ROWS = {
 
 
 def collect():
-    board = nrf52840()
-    metrics = {}
-    for candidate in all_candidates():
-        m = candidate.fletcher32_metrics(board)
-        if m.name != "Native C":
-            metrics[m.name] = m
-    return metrics
+    return {m.name: m for m in fletcher32_rows(nrf52840())
+            if m.name != "Native C"}
 
 
 def test_table1_runtime_memory(benchmark):

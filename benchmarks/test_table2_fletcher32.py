@@ -15,7 +15,7 @@ from conftest import record
 
 from repro.analysis import format_table, format_us
 from repro.rtos import nrf52840
-from repro.runtimes import all_candidates
+from repro.runtimes import fletcher32_rows
 
 PAPER = {
     "Native C": (74, None, 27),
@@ -27,8 +27,7 @@ PAPER = {
 
 
 def collect():
-    board = nrf52840()
-    return [c.fletcher32_metrics(board) for c in all_candidates()]
+    return fletcher32_rows(nrf52840())
 
 
 def test_table2_fletcher32(benchmark):

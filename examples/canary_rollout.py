@@ -27,7 +27,7 @@ from repro.deploy import (
     ImageSpec,
     plan,
 )
-from repro.scenarios import build_spec_ota_rig
+from repro.scenarios import build_fleet_publisher
 from repro.vm import assemble
 from repro.vm.imagecache import IMAGE_CACHE
 
@@ -60,15 +60,16 @@ def main() -> None:
         assemble("mov r0, 8\n    exit", name="worker-v2"))
 
     # -- 1. one device reconciles itself from a radio-delivered spec -------
-    rig = build_spec_ota_rig()
+    publisher = build_fleet_publisher(devices=1)
+    engine = publisher.fleet.devices[0].engine
     base = make_spec("ota-base", good)
-    result = rig.publish(base)
+    result = publisher.publish(base).rows()[0].result
     print(f"OTA spec update: {result.status.value} — {result.message}")
     print("  containers now: "
-          f"{sorted(c.name for c in rig.engine.containers())}")
-    result = rig.publish(base)  # same spec again: idempotent
+          f"{sorted(c.name for c in engine.containers())}")
+    result = publisher.publish(base).rows()[0].result  # idempotent
     print(f"  republish: {result.status.value} — {result.message}")
-    assert result.ok and plan(rig.engine, base).empty
+    assert result.ok and plan(engine, base).empty
 
     # -- 2. canary rollout across a fleet ----------------------------------
     fleet = Fleet(6, implementation="jit")

@@ -1,24 +1,24 @@
 #!/usr/bin/env python3
 """§6: the ultra-lightweight virtualization shoot-out, reproduced.
 
-Runs the fletcher32(360 B) workload on every candidate runtime — native,
-mini-WebAssembly (WASM3-class), rBPF, and the two script interpreters
-(RIOTjs-/MicroPython-class) — and prints Tables 1 and 2, ending with the
-paper's conclusion: why Femto-Containers chose eBPF.
+Runs the fletcher32(360 B) workload natively and through every deployable
+container runtime — mini-WebAssembly (WASM3-class), rBPF, and the script
+interpreter under its RIOTjs and MicroPython profiles — and prints Tables 1
+and 2, ending with the paper's conclusion: why Femto-Containers chose eBPF.
 
 Run with:  python examples/runtime_comparison.py
 """
 
 from repro.analysis import format_table, format_us
 from repro.rtos import nrf52840
-from repro.runtimes import all_candidates, host_os_ram_bytes, host_os_rom_bytes
+from repro.runtimes import fletcher32_rows, host_os_ram_bytes, host_os_rom_bytes
 from repro.workloads.fletcher32 import FLETCHER32_INPUT, fletcher32_reference
 
 
 def main() -> None:
     board = nrf52840()
     expected = fletcher32_reference(FLETCHER32_INPUT)
-    metrics = [c.fletcher32_metrics(board) for c in all_candidates()]
+    metrics = fletcher32_rows(board)
     for m in metrics:
         assert m.result == expected, f"{m.name} computed a wrong checksum!"
     print(f"all five runtimes computed fletcher32 = 0x{expected:08x} "

@@ -52,12 +52,15 @@ identically everywhere.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 from repro.core.container import VM_CLASSES
 from repro.rtos.board import BOARDS, board_by_name
 from repro.vm import (
+    AssemblerError,
+    EncodingError,
     Program,
     VerificationError,
     VMFault,
@@ -65,6 +68,26 @@ from repro.vm import (
     disassemble,
     verify,
 )
+
+#: Bad input to the program tools: a missing file, malformed text or
+#: bytecode, a non-hex ``--ctx``, or an image the JIT's verifier rejects.
+_INPUT_ERRORS = (OSError, ValueError, AssemblerError, EncodingError,
+                 VerificationError)
+
+
+def _reports_input_errors(command):
+    """Turn bad input into one ``<verb> error: ...`` line and exit 1."""
+    verb = command.__name__.removeprefix("cmd_")
+
+    @functools.wraps(command)
+    def wrapper(args: argparse.Namespace) -> int:
+        try:
+            return command(args)
+        except _INPUT_ERRORS as error:
+            print(f"{verb} error: {error}")
+            return 1
+
+    return wrapper
 
 
 def _load_program(path: Path) -> Program:
@@ -78,6 +101,7 @@ def _looks_binary(data: bytes) -> bool:
     return any(byte < 9 for byte in data[:64])
 
 
+@_reports_input_errors
 def cmd_asm(args: argparse.Namespace) -> int:
     program = assemble(Path(args.source).read_text(),
                        name=Path(args.source).stem)
@@ -111,12 +135,14 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
+@_reports_input_errors
 def cmd_disasm(args: argparse.Namespace) -> int:
     program = _load_program(Path(args.image))
     sys.stdout.write(disassemble(program))
     return 0
 
 
+@_reports_input_errors
 def cmd_verify(args: argparse.Namespace) -> int:
     program = _load_program(Path(args.image))
     try:
@@ -130,6 +156,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+@_reports_input_errors
 def cmd_run(args: argparse.Namespace) -> int:
     program = _load_program(Path(args.image))
     board = board_by_name(args.board)

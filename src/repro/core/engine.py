@@ -41,7 +41,7 @@ from repro.core.tenant import Tenant
 from repro.rtos.kernel import Kernel
 from repro.rtos.saul import SaulRegistry
 from repro.rtos.thread import Wait
-from repro.runtimes.base import RUNTIME_DEFAULT, container_runtime
+from repro.runtimes.base import container_runtime
 from repro.vm.errors import VMFault
 from repro.vm.memory import AccessList, MemoryRegion, Permission
 from repro.vm.program import Program
@@ -244,9 +244,7 @@ class HostingEngine:
                 region_grant.perms,
             ))
 
-        runtime = container_runtime(
-            getattr(container.program, "runtime", RUNTIME_DEFAULT)
-        )
+        runtime = container_runtime(container.program.runtime)
         try:
             vm = runtime.attach(self, container, granted, vm_config, access,
                                 verifier_config)

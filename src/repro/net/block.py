@@ -11,17 +11,6 @@ from dataclasses import dataclass
 
 from repro.net.coap import CoapError
 
-#: szx encodes block sizes 16 << szx, szx in 0..6.
-MAX_SZX = 6
-
-
-def size_to_szx(size: int) -> int:
-    szx = size.bit_length() - 5
-    if not 0 <= szx <= MAX_SZX or (16 << szx) != size:
-        raise CoapError(f"invalid block size {size}")
-    return szx
-
-
 @dataclass(frozen=True)
 class BlockOption:
     """Decoded Block2/Block1 option value."""

@@ -246,7 +246,7 @@ class CoapClient:
         on_error: Callable[[str], None] | None = None,
         szx: int = 5,
         max_size: int | None = None,
-        on_block: Callable[[bytes], None] | None = None,
+        on_block: Callable[[int, bytes], None] | None = None,
         resume_from: bytes = b"",
     ) -> None:
         """Fetch a blob block by block, then call ``on_complete``.
@@ -257,7 +257,7 @@ class CoapClient:
         lying repository cannot make a constrained device buffer (or keep
         radio-receiving) more bytes than the manifest promised.
 
-        ``on_block`` is called with the accumulated bytes after every block
+        ``on_block`` is called with each block's number and bytes as it
         lands, letting the caller checkpoint transfer progress (e.g. to
         NVM).  ``resume_from`` pre-seeds the reassembly buffer with bytes
         from an earlier interrupted transfer; only whole already-received
@@ -295,7 +295,7 @@ class CoapClient:
                     return
                 chunks.append(reply.payload)
                 if on_block is not None:
-                    on_block(b"".join(chunks))
+                    on_block(num, reply.payload)
                 option = reply.option(coap.OPT_BLOCK2)
                 block = BlockOption.decode(option) if option else None
                 if block is not None and block.more:

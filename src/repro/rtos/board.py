@@ -43,9 +43,6 @@ class VMCostTable:
     #: Extra cycles per helper call (marshalling), on top of the syscall cost.
     call_extra: int
 
-    def instruction_cycles(self, kind: str) -> int:
-        return self.dispatch + self.op_cycles[kind]
-
 
 @dataclass(frozen=True)
 class Board:

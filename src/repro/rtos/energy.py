@@ -55,9 +55,6 @@ class EnergyMeter:
     def add_radio_bytes(self, count: int) -> None:
         self._radio_bytes += count
 
-    def add_radio_frames(self, count: int) -> None:
-        self._radio_frames += count
-
     def track_interface(self, iface) -> None:
         """Charge this radio's future link-layer traffic to the meter.
 

@@ -58,12 +58,6 @@ class EventQueue:
     def add_waiter(self, thread: "Thread") -> None:
         self._waiters.append(thread)
 
-    def remove_waiter(self, thread: "Thread") -> None:
-        try:
-            self._waiters.remove(thread)
-        except ValueError:
-            pass
-
     @property
     def pending(self) -> int:
         return len(self._events)

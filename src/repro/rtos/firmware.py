@@ -85,10 +85,6 @@ class FirmwareImage:
         """RIOT configured IoT-ready (Appendix A), without any VM runtime."""
         return cls(board=board, modules=os_modules(board))
 
-    def add_module(self, module: FirmwareModule) -> "FirmwareImage":
-        self.modules.append(module)
-        return self
-
     def add_engine(self, implementation: str) -> "FirmwareImage":
         """Link a Femto-Container hosting engine into the image."""
         self.modules.append(
@@ -112,10 +108,6 @@ class FirmwareImage:
     @property
     def flash_bytes(self) -> int:
         return sum(module.flash_bytes for module in self.modules)
-
-    @property
-    def static_ram_bytes(self) -> int:
-        return sum(module.ram_bytes for module in self.modules)
 
     def flash_percentages(self) -> dict[str, float]:
         """Per-module share of flash (the Fig 2 pie chart)."""

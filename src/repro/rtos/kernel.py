@@ -113,10 +113,6 @@ class Kernel:
     def now_us(self) -> float:
         return self.clock.time_us
 
-    @property
-    def now_cycles(self) -> int:
-        return self.clock.cycles
-
     # -- power failure -----------------------------------------------------------
 
     def power_fail(self) -> None:

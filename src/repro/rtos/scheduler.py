@@ -74,10 +74,3 @@ class Scheduler:
         if self.sched_hook is not None:
             self.sched_hook(previous, next_pid)
         self.last_pid = next_pid
-
-    @property
-    def ready_count(self) -> int:
-        return sum(
-            sum(1 for t in queue if t.state is ThreadState.READY)
-            for queue in self._ready.values()
-        )

@@ -106,7 +106,7 @@ class DeviceShell:
             for container in self.engine.containers():
                 tenant = container.tenant.name if container.tenant else "-"
                 hook = container.hook.name if container.hook else "-"
-                runtime = getattr(container.program, "runtime", "rbpf")
+                runtime = container.program.runtime
                 health = (supervisor.health(hook, container.name)
                           if container.hook else None)
                 lines.append(
@@ -127,7 +127,7 @@ class DeviceShell:
                 detained = record.container
                 tenant = (detained.tenant.name if detained.tenant
                           else "-")
-                runtime = getattr(detained.program, "runtime", "rbpf")
+                runtime = detained.program.runtime
                 lines.append(
                     f"{name:20} {tenant:10} {hook_name:24} "
                     f"{runtime:8} "

@@ -1,17 +1,14 @@
-"""Common surface for the §6 virtualization candidates — and the
-deployable :class:`ContainerRuntime` protocol built on top of them.
+"""The deployable :class:`ContainerRuntime` protocol and its registry.
 
-Each candidate (native, rBPF, WASM-class, MicroPython-class, RIOTjs-class)
-loads the fletcher32 workload, runs it, and reports the five quantities the
-paper compares: runtime ROM, runtime RAM, application code size, cold-start
-time and run time (Tables 1 and 2).
+A container runtime is the one cost model of its format.  It decodes a
+payload into an image, builds the image's VM, and prices both ends of a
+container's life: ``startup_cycles`` (the cold start before the first
+run) and ``execution_cycles`` (the
+platform-independent counts of one run translated into modelled
+cycles).  The hosting engine and the deploy plane dispatch through it,
+and the paper's Tables 1 and 2 are measured through the same objects
+(:mod:`repro.runtimes.comparison`), so a profile edit reaches both.
 
-The benchmark candidates answer "how does runtime X compare?"; the
-:class:`ContainerRuntime` protocol answers "how does the hosting engine
-*deploy* runtime X?".  A container runtime knows how to decode a payload
-into an image, verify + instantiate it into a VM at attach time (charging
-its calibrated startup cost to the virtual clock), and translate the
-platform-independent execution counts of one run into modelled cycles.
 The registry (:func:`container_runtime`) maps the ``runtime`` tag carried
 by :class:`~repro.deploy.spec.ImageSpec` and SUIT manifests onto the
 implementation, so the whole plan/OTA/publish stack moves rBPF, Wasm and
@@ -22,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
 from repro.rtos.board import Board
@@ -37,44 +33,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vm.verifier import VerifierConfig
 
 
-@dataclass
-class RuntimeMetrics:
-    """One row of Tables 1/2 for one virtualization technique."""
-
-    name: str
-    rom_bytes: int
-    ram_bytes: int
-    code_size: int
-    cold_start_us: float
-    run_us: float
-    result: int
-
-    def slowdown_vs(self, native_run_us: float) -> float:
-        """Execution-speed penalty vs native (the §6 '600x/77x/37x')."""
-        if native_run_us <= 0:
-            raise ValueError("native run time must be positive")
-        return self.run_us / native_run_us
-
-
-class VirtualizationCandidate(Protocol):
-    """A runtime that can execute the fletcher32 benchmark."""
-
-    name: str
-
-    def fletcher32_metrics(self, board: Board) -> RuntimeMetrics:
-        """Load + run fletcher32 over the canonical 360 B input."""
-        ...
-
-
-# -- deployable container runtimes --------------------------------------------
-
 #: The canonical runtime tags.  ``rbpf`` is the default everywhere a tag
 #: is absent — old specs, manifests and NVM records predate the tag and
 #: were all rBPF by construction.
 RUNTIME_RBPF = "rbpf"
 RUNTIME_WASM = "wasm"
 RUNTIME_SCRIPT = "script"
-RUNTIME_DEFAULT = RUNTIME_RBPF
 
 
 class ContainerRuntime(Protocol):
@@ -116,11 +80,31 @@ class ContainerRuntime(Protocol):
         """
         ...
 
+    def startup_cycles(self, image: object, board: Board) -> int:
+        """Cold-start cost of ``image`` on ``board`` (Table 2's column).
+
+        Transcoding and parsing runtimes charge exactly this at attach;
+        rBPF preprocesses nothing, so it is the board's VM setup, and
+        its attach charges verification and JIT install instead.
+        """
+        ...
+
+    def build_vm(self, image: object, implementation: str,
+                 helpers: "HelperRegistry | None", vm_config: "VMConfig",
+                 access_list: "AccessList",
+                 verifier_config: "VerifierConfig") -> object:
+        """Verify ``image`` and construct its VM, charging nothing.
+
+        ``implementation`` picks the engine build for formats that have
+        several (rBPF); the others have one and ignore it.
+        """
+        ...
+
     def attach(self, engine: "HostingEngine", container: "FemtoContainer",
                granted: "GrantedPolicy", vm_config: "VMConfig",
                access_list: "AccessList",
                verifier_config: "VerifierConfig") -> object:
-        """Verify the container's image and build its VM.
+        """Verify the container's image and build its VM (``build_vm``).
 
         Charges the runtime's modelled verify/startup cost to the
         engine's virtual clock and returns a VM exposing the engine's

@@ -8,7 +8,8 @@ source size in Table 2); decoding parses it — the script analogue of the
 pre-flight verifier, so a syntactically broken payload is refused before
 it can attach.  Cost comes from a §6 :class:`ScriptProfile`: real
 tokenizer length times the per-token parse cost at attach, real node-visit
-counts through the per-class visit table at run time.
+counts through the per-class visit table at run time.  Table 2's RIOTjs
+and MicroPython rows are this runtime under their two profiles.
 
 Containment parity with rBPF: out-of-range indexing faults as
 :class:`~repro.vm.errors.MemoryFault`, division by zero as
@@ -158,18 +159,27 @@ class ScriptContainerRuntime:
                    data: bytes = b"") -> str:
         return tagged_image_hash(self.name, text, rodata, data)
 
+    def startup_cycles(self, image: ScriptImage, board: "Board") -> int:
+        """§6 script startup: interpreter/GC init plus per-token parsing."""
+        profile = self.profile
+        return (profile.parse_base_cycles
+                + profile.parse_cycles_per_token * image.tokens)
+
+    def build_vm(self, image: ScriptImage, implementation: str,
+                 helpers: "HelperRegistry | None", vm_config: "VMConfig",
+                 access_list: "AccessList",
+                 verifier_config: "VerifierConfig") -> ScriptContainerVM:
+        return ScriptContainerVM(image, vm_config, access_list, self.profile)
+
     def attach(self, engine: "HostingEngine", container: "FemtoContainer",
                granted: "GrantedPolicy", vm_config: "VMConfig",
                access_list: "AccessList",
                verifier_config: "VerifierConfig") -> ScriptContainerVM:
         image = container.program
-        # §6 script startup: interpreter/GC init plus per-token parsing —
-        # the attach-time cost a device pays to (re)load a script.
-        engine.kernel.clock.charge(
-            self.profile.parse_base_cycles
-            + self.profile.parse_cycles_per_token * image.tokens
-        )
-        return ScriptContainerVM(image, vm_config, access_list, self.profile)
+        # The attach-time cost a device pays to (re)load a script.
+        engine.kernel.clock.charge(self.startup_cycles(image, engine.board))
+        return self.build_vm(image, engine.implementation, engine.helpers,
+                             vm_config, access_list, verifier_config)
 
     def execution_cycles(self, board: "Board", stats: "ExecutionStats",
                          implementation: str,

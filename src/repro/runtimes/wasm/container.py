@@ -5,9 +5,10 @@ to the hosting engine's container interface: a :class:`WasmImage`
 duck-types the ``Program`` surface the planner and SUIT worker touch, a
 :class:`WasmContainerVM` exposes the ``run(context=..., ...)`` duck
 interface and translates traps into the engine's contained
-:class:`~repro.vm.errors.VMFault` hierarchy, and the runtime's cost model
-comes from the §6 WASM3 profile: the calibrated per-cost-class cycle
-table at run time, the base + per-byte transcoding cost at attach time.
+:class:`~repro.vm.errors.VMFault` hierarchy, and the runtime is the one
+WASM3 cost model, read from the §6 profile: the calibrated
+per-cost-class cycle table at run time, the base + per-byte transcoding
+cost at attach time.  Table 2's WASM3 row is measured through it.
 
 Containment parity with rBPF: out-of-bounds linear-memory accesses trap
 as :class:`~repro.vm.errors.MemoryFault`, division by zero as
@@ -119,12 +120,10 @@ class WasmContainerVM:
     """Engine-facing VM wrapper around one :class:`WasmInstance`."""
 
     def __init__(self, image: WasmImage, config: "VMConfig",
-                 access_list: "AccessList",
-                 profile: WasmProfile = WASM3_PROFILE):
+                 access_list: "AccessList"):
         self.image = image
         self.config = config
         self.access_list = access_list
-        self.profile = profile
         # Instantiation validates the module (pre-flight refusal).
         self.instance = WasmInstance(image.module)
 
@@ -180,6 +179,18 @@ class WasmContainerRuntime:
                    data: bytes = b"") -> str:
         return tagged_image_hash(self.name, text, rodata, data)
 
+    def startup_cycles(self, image: WasmImage, board: "Board") -> int:
+        """§6 WASM3 startup: runtime init plus per-byte transcoding."""
+        profile = self.profile
+        return (profile.startup_base_cycles
+                + profile.startup_cycles_per_byte * image.code_size)
+
+    def build_vm(self, image: WasmImage, implementation: str,
+                 helpers: "HelperRegistry | None", vm_config: "VMConfig",
+                 access_list: "AccessList",
+                 verifier_config: "VerifierConfig") -> WasmContainerVM:
+        return WasmContainerVM(image, vm_config, access_list)
+
     def attach(self, engine: "HostingEngine", container: "FemtoContainer",
                granted: "GrantedPolicy", vm_config: "VMConfig",
                access_list: "AccessList",
@@ -191,13 +202,10 @@ class WasmContainerRuntime:
                 f"module has {instructions} instructions, granted "
                 f"limit is {verifier_config.max_instructions}"
             )
-        # §6 WASM3 startup: runtime init plus per-byte transcoding —
-        # charged at attach like rBPF's verify (and JIT install) costs.
-        engine.kernel.clock.charge(
-            self.profile.startup_base_cycles
-            + self.profile.startup_cycles_per_byte * image.code_size
-        )
-        return WasmContainerVM(image, vm_config, access_list, self.profile)
+        # Charged at attach like rBPF's verify (and JIT install) costs.
+        engine.kernel.clock.charge(self.startup_cycles(image, engine.board))
+        return self.build_vm(image, engine.implementation, engine.helpers,
+                             vm_config, access_list, verifier_config)
 
     def execution_cycles(self, board: "Board", stats: "ExecutionStats",
                          implementation: str,

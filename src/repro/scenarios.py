@@ -32,11 +32,9 @@ from repro.core import (
     HostingEngine,
     Tenant,
 )
-from repro.deploy import DeploymentSpec, apply_spec, fanout_spec, \
-    multi_tenant_spec
+from repro.deploy import apply_spec, fanout_spec, multi_tenant_spec
 from repro.net import CoapClient, CoapServer, Interface, Link, UdpStack
 from repro.rtos import Board, Kernel, nrf52840, synthetic_temperature
-from repro.suit import SpecUpdateWorker, UpdateResult, ed25519, sign_spec
 from repro.vm import Program, SupervisorConfig
 from repro.workloads import thread_counter_program
 
@@ -146,78 +144,6 @@ class FanoutDevice:
         })
 
 
-@dataclass
-class SpecOtaRig:
-    """One device receiving whole-device specs over the air.
-
-    A maintainer-side CoAP repository and a device-side
-    :class:`~repro.suit.SpecUpdateWorker` wired over one simulated radio
-    link: :meth:`publish` signs a spec, serves its CBOR payload, triggers
-    the worker, and runs the world until the device reconciled — the
-    §5 update story lifted from one image to whole-device desired state.
-    """
-
-    kernel: Kernel
-    engine: HostingEngine
-    link: Link
-    repo: CoapServer
-    client: CoapClient
-    worker: SpecUpdateWorker
-    maintainer_seed: bytes
-    spec_uri: str = "/specs/device"
-    published: int = 0
-
-    def publish(self, spec: DeploymentSpec, sequence_number: int | None = None,
-                run_for_us: float = 400_000_000.0) -> UpdateResult:
-        """Sign ``spec``, serve it, trigger the device, await the result."""
-        self.published += 1
-        if sequence_number is None:
-            sequence_number = self.published
-        envelope, payload = sign_spec(
-            spec, sequence_number, self.spec_uri, self.maintainer_seed,
-            slot="spec:device",
-        )
-        self.repo.register_blob(self.spec_uri, lambda: payload)
-        outcomes: list[UpdateResult] = []
-        self.worker.on_result = outcomes.append
-        self.worker.trigger(envelope)
-        self.kernel.run(until_us=self.kernel.now_us + run_for_us)
-        if not outcomes:
-            raise RuntimeError("spec update did not complete in time")
-        return outcomes[-1]
-
-
-def build_spec_ota_rig(
-    board: Board | None = None,
-    link_loss: float = 0.0,
-    seed: int = 1234,
-    implementation: str = "femto-containers",
-    maintainer_seed: bytes = bytes(range(32)),
-) -> SpecOtaRig:
-    """Device + maintainer repo wired for over-the-air spec updates."""
-    kernel = Kernel(board or nrf52840())
-    engine = HostingEngine(kernel, implementation=implementation)
-    link = Link(kernel, loss=link_loss, seed=seed)
-    device_if = link.attach(Interface(DEVICE_ADDR))
-    host_if = link.attach(Interface(HOST_ADDR))
-    repo = CoapServer(kernel, UdpStack(host_if).socket(COAP_PORT),
-                      threaded=False)
-    client = CoapClient(kernel, UdpStack(device_if).socket(49001))
-    worker = SpecUpdateWorker(
-        engine, client, trust_anchor=ed25519.public_key(maintainer_seed),
-        repo_addr=HOST_ADDR, repo_port=COAP_PORT,
-    )
-    return SpecOtaRig(
-        kernel=kernel,
-        engine=engine,
-        link=link,
-        repo=repo,
-        client=client,
-        worker=worker,
-        maintainer_seed=maintainer_seed,
-    )
-
-
 def build_fleet_publisher(
     devices: int = 4,
     boards: list[Board] | None = None,
@@ -229,12 +155,11 @@ def build_fleet_publisher(
 ):
     """Fleet + maintainer wired for over-the-air fleet publishes.
 
-    The N-device analogue of :func:`build_spec_ota_rig`: every device
-    of a fresh :class:`~repro.deploy.Fleet` gets a radio rig on one
-    shared link and a :class:`~repro.suit.SpecUpdateWorker`, and the
-    returned :class:`~repro.deploy.FleetPublisher` signs one manifest
-    per publish and fans it out to all of them (``publisher.fleet`` is
-    the fleet).
+    Every device of a fresh :class:`~repro.deploy.Fleet` gets a radio
+    rig on one shared link and a :class:`~repro.suit.SpecUpdateWorker`,
+    and the returned :class:`~repro.deploy.FleetPublisher` signs one
+    manifest per publish and fans it out to all of them
+    (``publisher.fleet`` is the fleet).
     """
     from repro.deploy import Fleet, FleetPublisher
 

@@ -144,8 +144,3 @@ def verify(message: bytes, signature: bytes, public: bytes) -> bool:
     lhs = _scalar_mul(8 * s, _B)
     rhs = _add(_scalar_mul(8, r_point), _scalar_mul(8 * k, a_point))
     return _equal(lhs, rhs)
-
-
-def keypair(seed: bytes) -> tuple[bytes, bytes]:
-    """(seed, public key) pair from a 32-byte seed."""
-    return seed, public_key(seed)

@@ -320,7 +320,8 @@ class SuitUpdateWorker:
                 on_error=lambda msg: self._queue.post_new("fetch-error",
                                                           msg),
                 max_size=manifest.size,
-                on_block=lambda acc: self._checkpoint_fetch(manifest, acc),
+                on_block=lambda num, block: self._checkpoint_fetch(
+                    manifest, num, block),
                 resume_from=self._fetch_resume(manifest),
             )
             while True:
@@ -403,9 +404,9 @@ class SuitUpdateWorker:
                        cbor.encode({"digest": manifest.digest}))
         return b""
 
-    def _checkpoint_fetch(self, manifest: SuitManifest,
-                          accumulated: bytes) -> None:
-        """Persist the newest received block (called after every block).
+    def _checkpoint_fetch(self, manifest: SuitManifest, num: int,
+                          block: bytes) -> None:
+        """Persist block ``num`` as it lands (called after every block).
 
         Only the latest block is (re)written — one flash page per block,
         not a rewrite of the whole transfer — so checkpointing costs
@@ -419,13 +420,11 @@ class SuitUpdateWorker:
         of propagating into whichever kernel happened to deliver the
         frame.
         """
-        if self.nvm is None or not accumulated:
+        if self.nvm is None or not block:
             return
-        num = (len(accumulated) - 1) // FETCH_BLOCK_BYTES
         try:
             self.nvm.write(
-                self._fetch_block_key(manifest.storage_location, num),
-                accumulated[num * FETCH_BLOCK_BYTES:],
+                self._fetch_block_key(manifest.storage_location, num), block
             )
         except PowerFailure:
             self.kernel.power_fail()

@@ -115,10 +115,6 @@ class ExecutionResult:
     value: int
     stats: ExecutionStats
 
-    @property
-    def signed_value(self) -> int:
-        return _s64(self.value)
-
 
 #: Prebuilt zero table cloned into each run's ``kind_counts``.
 _ZERO_KINDS = {kind: 0 for kind in isa.InstructionKind.ALL}

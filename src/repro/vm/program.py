@@ -7,7 +7,6 @@ import struct
 from dataclasses import dataclass, field
 
 from repro.vm import isa
-from repro.vm.errors import EncodingError
 from repro.vm.instruction import SLOT_SIZE, Instruction, decode_program, encode_program
 from repro.vm.predecode import Decoded
 
@@ -121,11 +120,6 @@ class Program:
 
     def __len__(self) -> int:
         return len(self.slots)
-
-    def instruction_at(self, pc: int) -> Instruction:
-        if not 0 <= pc < len(self.slots):
-            raise EncodingError(f"pc {pc} outside program of {len(self.slots)} slots")
-        return self.slots[pc]
 
     def iter_logical(self):
         """Yield ``(pc, instruction)`` skipping wide continuation slots."""

@@ -44,11 +44,6 @@ class MicrobenchPair:
     iterations: int
     unroll: int
 
-    @property
-    def per_iteration_extra(self) -> int:
-        """Target instructions executed per loop iteration."""
-        return self.unroll
-
 
 def _loop_program(body: str, iterations: int, name: str) -> Program:
     source = f"""

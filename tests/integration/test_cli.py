@@ -85,6 +85,34 @@ class TestCli:
         assert code == 0
         assert "mov r0, 40" in text and "exit" in text
 
+    def test_asm_error_reported(self, tmp_path):
+        path = tmp_path / "bad.s"
+        path.write_text("mov r0,\n")
+        code, text = run_cli("asm", str(path))
+        assert code == 1
+        assert text == "asm error: line 1: expected integer, got ''\n"
+
+    def test_run_rejects_non_hex_context(self, asm_file):
+        code, text = run_cli("run", str(asm_file), "--ctx", "zz")
+        assert code == 1
+        assert text.startswith("run error: non-hexadecimal number")
+        assert text.count("\n") == 1
+
+    def test_run_jit_reports_verifier_rejection(self, tmp_path):
+        bad = tmp_path / "bad.s"
+        bad.write_text(BAD_SOURCE)
+        code, text = run_cli("run", str(bad), "--impl", "jit")
+        assert code == 1
+        assert text == "run error: [pc=0] write to read-only register r10\n"
+
+    @pytest.mark.parametrize("verb", ["asm", "disasm", "verify", "run"])
+    def test_missing_file_reported(self, tmp_path, verb):
+        missing = tmp_path / "missing.s"
+        code, text = run_cli(verb, str(missing))
+        assert code == 1
+        assert text == (f"{verb} error: [Errno 2] No such file or "
+                        f"directory: '{missing}'\n")
+
     def test_boards_listing(self):
         code, text = run_cli("boards")
         assert code == 0

@@ -1,27 +1,78 @@
-"""§6 candidate comparison: Tables 1 & 2 shape assertions."""
+"""§6 comparison: Tables 1 & 2 rows, pinned and shape-checked."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.rtos import nrf52840
+from repro.core import FC_HOOK_FANOUT, HostingEngine
+from repro.core.hooks import Hook, HookMode
+from repro.deploy import ImageSpec
+from repro.rtos import Kernel, nrf52840
 from repro.runtimes import (
-    all_candidates,
-    host_os_rom_bytes,
-    NativeCandidate,
-    RbpfCandidate,
-    ScriptCandidate,
-    WasmCandidate,
     MICROPYTHON_PROFILE,
     RIOTJS_PROFILE,
+    fletcher32_rows,
+    host_os_rom_bytes,
+    native_row,
+    runtime_row,
 )
+from repro.runtimes.script.container import ScriptContainerRuntime
+from repro.runtimes.sources import (
+    SCRIPT_FLETCHER32_JS,
+    SCRIPT_FLETCHER32_PY,
+    WASM_FLETCHER32,
+)
+from repro.runtimes.wasm.asm import assemble as wasm_assemble
+from repro.runtimes.wasm.container import WasmContainerRuntime
 from repro.workloads.fletcher32 import FLETCHER32_INPUT, fletcher32_reference
 
 
 @pytest.fixture(scope="module")
 def metrics():
-    board = nrf52840()
-    return {c.name: c.fletcher32_metrics(board) for c in all_candidates()}
+    return {m.name: m for m in fletcher32_rows(nrf52840())}
+
+
+def _script_row(profile, source):
+    return runtime_row(profile.name, ScriptContainerRuntime(profile),
+                       source.encode(), FLETCHER32_INPUT, nrf52840())
+
+
+class TestPinnedRows:
+    #: (rom B, ram B, code B, cold us, run us) on nrf52840(), Table 2 order.
+    ROWS = {
+        "Native C": (0, 0, 74, 0.0, 27.03125),
+        "WASM3": (65536, 87336, 180, 17103.125, 966.96875),
+        "rBPF": (4560, 620, 344, 1.0, 1567.859375),
+        "RIOTjs": (123904, 18432, 737, 5589.21875, 14715.734375),
+        "MicroPython": (103424, 8396, 500, 21913.28125, 16342.75),
+    }
+
+    def test_rows_are_exact(self):
+        rows = fletcher32_rows(nrf52840())
+        assert [m.name for m in rows] == list(self.ROWS)
+        for m in rows:
+            assert m.result == 0x6C56E4EC, m.name
+            assert (m.rom_bytes, m.ram_bytes, m.code_size,
+                    m.cold_start_us, m.run_us) == self.ROWS[m.name], m.name
+
+
+class TestOneCostModel:
+    @pytest.mark.parametrize("row, spec", [
+        ("WASM3", ImageSpec.from_wasm(WASM_FLETCHER32)),
+        ("MicroPython", ImageSpec.from_script(SCRIPT_FLETCHER32_PY)),
+    ])
+    def test_attach_charges_the_rows_cold_start(self, metrics, row, spec):
+        """A deployed container pays exactly the table's cold start."""
+        board = nrf52840()
+        engine = HostingEngine(Kernel(board))
+        engine.register_hook(Hook(FC_HOOK_FANOUT, mode=HookMode.SYNC))
+        container = engine.load(spec.instantiate("fletcher32"), name="f")
+        before = engine.kernel.clock.cycles
+        engine.attach(container, FC_HOOK_FANOUT)
+        charged = engine.kernel.clock.cycles - before
+        assert charged == container.runtime.startup_cycles(
+            container.program, board)
+        assert board.us(charged) == metrics[row].cold_start_us
 
 
 class TestCorrectness:
@@ -105,24 +156,22 @@ class TestTable2Shape:
                 < metrics["RIOTjs"].code_size)
 
 
-class TestCandidateIndependence:
-    def test_candidates_are_reusable(self):
+class TestRowIndependence:
+    def test_runtimes_are_reusable(self):
         board = nrf52840()
-        candidate = WasmCandidate()
-        first = candidate.fletcher32_metrics(board)
-        second = candidate.fletcher32_metrics(board)
+        runtime = WasmContainerRuntime()
+        payload = wasm_assemble(WASM_FLETCHER32).encode()
+        first = runtime_row("WASM3", runtime, payload, FLETCHER32_INPUT, board)
+        second = runtime_row("WASM3", runtime, payload, FLETCHER32_INPUT, board)
         assert first.run_us == second.run_us
 
     def test_profiles_differ(self):
-        board = nrf52840()
-        upy = ScriptCandidate(MICROPYTHON_PROFILE).fletcher32_metrics(board)
-        js = ScriptCandidate(RIOTJS_PROFILE).fletcher32_metrics(board)
+        upy = _script_row(MICROPYTHON_PROFILE, SCRIPT_FLETCHER32_PY)
+        js = _script_row(RIOTJS_PROFILE, SCRIPT_FLETCHER32_JS)
         assert upy.cold_start_us > js.cold_start_us
         assert upy.rom_bytes != js.rom_bytes
 
-    def test_native_and_rbpf_candidates(self):
-        board = nrf52840()
-        native = NativeCandidate().fletcher32_metrics(board)
-        rbpf = RbpfCandidate().fletcher32_metrics(board)
+    def test_native_and_rbpf_rows(self, metrics):
+        native = native_row(nrf52840())
         assert 20 <= native.run_us <= 35           # paper: 27 us
-        assert 1000 <= rbpf.run_us <= 2500         # paper: 2133 us
+        assert 1000 <= metrics["rBPF"].run_us <= 2500  # paper: 2133 us

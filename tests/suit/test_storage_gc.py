@@ -99,10 +99,11 @@ class TestAutoGc:
     def test_worker_wires_the_horizon_through(self):
         from repro.core import HostingEngine
         from repro.rtos import Kernel
-        from repro.scenarios import build_spec_ota_rig
+        from repro.scenarios import build_fleet_publisher
 
-        rig = build_spec_ota_rig()
-        assert rig.worker.storage.gc_horizon is None  # default: disabled
+        publisher = build_fleet_publisher(devices=1)
+        worker = publisher.fleet.devices[0].radio.worker
+        assert worker.storage.gc_horizon is None  # default: disabled
 
         from repro.net import CoapClient, Interface, Link, UdpStack
         from repro.suit import SpecUpdateWorker, ed25519
