@@ -1,19 +1,16 @@
 #!/usr/bin/env python3
-"""Over-the-air spec reconciliation + canary fleet rollout.
+"""Canary fleet rollout: a poisoned spec rolls back, the fix promotes.
 
-Two layers on top of the paper's §5/§8 update story:
+A layer on top of the paper's §5/§8 update story.  An edited spec is
+staged on a canary subset first, baked on the canaries' own virtual
+clocks, and promoted to the rest of the fleet only if the canaries'
+fault counters stayed at zero.  A poisoned image (verifies clean,
+faults at runtime) rolls back on the canaries and never reaches the
+rest of the fleet: the control devices' clocks do not move, and the
+canaries re-plan empty against the spec they ran before.
 
-1. **OTA spec update** — instead of shipping one container image for one
-   hook, the maintainer signs a whole :class:`DeploymentSpec` (canonical
-   CBOR behind COSE/Ed25519) and the device reconciles *itself* through
-   the declarative plan/apply reconciler: tenants created, images
-   installed, stale slots detached — one transactional radio-delivered
-   apply.
-2. **Canary fleet rollout** — an edited spec is staged on a canary
-   subset first, baked on the canaries' own virtual clocks, and promoted
-   to the rest of the fleet only if the canaries' fault counters stayed
-   at zero.  A poisoned image (verifies clean, faults at runtime) rolls
-   back on the canaries and never reaches the rest of the fleet.
+The same staged rollout over the radio, with signed manifests,
+anti-rollback and a health gate, is ``python -m repro publish``.
 
 Run with:  python examples/canary_rollout.py
 """
@@ -27,7 +24,6 @@ from repro.deploy import (
     ImageSpec,
     plan,
 )
-from repro.scenarios import build_fleet_publisher
 from repro.vm import assemble
 from repro.vm.imagecache import IMAGE_CACHE
 
@@ -59,23 +55,13 @@ def main() -> None:
     fixed = ImageSpec.from_program(
         assemble("mov r0, 8\n    exit", name="worker-v2"))
 
-    # -- 1. one device reconciles itself from a radio-delivered spec -------
-    publisher = build_fleet_publisher(devices=1)
-    engine = publisher.fleet.devices[0].engine
-    base = make_spec("ota-base", good)
-    result = publisher.publish(base).rows()[0].result
-    print(f"OTA spec update: {result.status.value} — {result.message}")
-    print("  containers now: "
-          f"{sorted(c.name for c in engine.containers())}")
-    result = publisher.publish(base).rows()[0].result  # idempotent
-    print(f"  republish: {result.status.value} — {result.message}")
-    assert result.ok and plan(engine, base).empty
-
-    # -- 2. canary rollout across a fleet ----------------------------------
     fleet = Fleet(6, implementation="jit")
-    fleet.apply(make_spec("fleet-base", good))
-    print(f"\nfleet of {len(fleet)} devices converged on 'fleet-base'")
+    base = make_spec("fleet-base", good)
+    fleet.apply(base)
+    print(f"fleet of {len(fleet)} devices converged on {base.name!r}")
 
+    controls = fleet.devices[2:]
+    clocks = [device.kernel.clock.cycles for device in controls]
     bad = fleet.canary_rollout(make_spec("fleet-v2", poisoned),
                                canary_count=2, bake_us=1_500_000.0,
                                bake_fires=4)
@@ -83,6 +69,13 @@ def main() -> None:
           f"{'ROLLED BACK' if bad.rolled_back else 'promoted'} "
           f"({bad.reason})")
     assert bad.rolled_back and not bad.control
+    assert [device.kernel.clock.cycles for device in controls] == clocks, \
+        "a control device ran during the poisoned rollout"
+    assert all(plan(device.engine, base).empty
+               for device in fleet.devices[:2]), \
+        "a canary did not reconverge on the base spec"
+    print(f"  {len(controls)} control devices untouched; canaries back "
+          f"on {base.name!r}")
 
     release = make_spec("fleet-v2", fixed)
     ok = fleet.canary_rollout(release, canary_count=2,

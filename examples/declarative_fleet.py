@@ -60,8 +60,8 @@ def main() -> None:
     result = apply_spec(engine, spec_v1)
     print(f"v1 applied: {len(result.attached)} containers, "
           f"{result.cycles_charged} cycles charged")
-    print(f"re-plan of v1: {len(plan(engine, spec_v1).actions)} actions "
-          "(idempotent)")
+    assert plan(engine, spec_v1).empty
+    print("re-plan of v1: 0 actions (idempotent)")
 
     # 2. Edit the image, re-apply: exactly one replace per instance slot,
     #    hot-swapped by content hash, names preserved.
@@ -71,8 +71,8 @@ def main() -> None:
     print(rollout_plan.describe())
     apply_spec(engine, spec_v2)
     values = {c.name: engine.execute(c).value for c in engine.containers()}
-    print("after rollout every instance returns 2: "
-          f"{sorted(values.values()) == [2, 2, 2, 2]}")
+    assert sorted(values.values()) == [2, 2, 2, 2]
+    print("after rollout every instance returns 2")
 
     # 3. The same spec across a fleet: cold device 1, cache-warm 2..4.
     IMAGE_CACHE.clear()
@@ -85,9 +85,13 @@ def main() -> None:
         print(f"  {row.device.name}: {row.wall_s * 1e6:7.0f} us wall, "
               f"{row.cycles_charged} modelled cycles, "
               f"{row.cache_misses} cache misses")
-    cycles = rollout.cycles_per_device()
-    print("modelled cycles identical on every device: "
-          f"{len(set(cycles)) == 1}")
+    warm = rollout.rows()[1:]
+    assert all(row.cache_misses == 0 for row in warm), \
+        "a warm device missed the image cache"
+    assert len(set(rollout.cycles_per_device())) == 1, \
+        "the cache changed a device's modelled cycles"
+    print(f"devices 2..{len(fleet)} attached with 0 cache misses; "
+          "modelled cycles identical on every device")
 
 
 if __name__ == "__main__":

@@ -35,6 +35,8 @@ def main() -> None:
           f"raw={store_a.fetch(KEY_SENSOR_RAW)} (centi-degC)")
     print(f"tenant B store holds {len(device.tenant_b.store)} entries "
           "(isolated: the sensor average is not visible here)")
+    assert KEY_SENSOR_AVG in store_a
+    assert KEY_SENSOR_AVG not in device.tenant_b.store
 
     # Query the device over CoAP, as a cloud service would.
     replies = []

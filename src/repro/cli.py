@@ -3,12 +3,14 @@
 Small developer tools around the library:
 
 * ``asm IN.s [-o OUT.bin]``     — assemble eBPF text to bytecode;
+* ``compile IN.fc [-o OUT.bin]`` — compile femtoC source to eBPF;
 * ``disasm IN.bin``             — disassemble bytecode to text;
 * ``verify IN.bin``             — run the pre-flight checker;
 * ``run IN.s|IN.bin [--ctx HEX] [--board NAME] [--impl NAME]``
                                 — execute a program on a simulated board;
 * ``boards``                    — list board models;
-* ``demo``                      — run the multi-tenant showcase scenario;
+* ``shell [CMD...]``            — run device-shell commands (``fc list``,
+                                  ``ps``, ...) on the showcase device;
 * ``fanout``                    — multi-instance fan-out: K tenants x M
                                   instances of one image on one hook,
                                   reporting attach times and image-cache
@@ -17,13 +19,6 @@ Small developer tools around the library:
                                   spec (JSON file or builtin name) onto a
                                   fresh device, then re-plan to show
                                   convergence;
-* ``fleet``                     — apply one spec across N simulated
-                                  devices, reporting each device's
-                                  shared image-cache hits and misses;
-* ``canary``                    — canary fleet rollout: a poisoned spec
-                                  rolls back on the canary subset without
-                                  touching the rest, the fixed spec bakes
-                                  clean and promotes fleet-wide;
 * ``publish``                   — fleet-wide OTA publish: one signed spec
                                   manifest fans out over a shared radio
                                   link to every device's SpecUpdateWorker,
@@ -43,10 +38,17 @@ Small developer tools around the library:
                                   add and evict wired devices at runtime,
                                   stream per-device status rows.
 
-The fleet-shaped subcommands (``fleet``, ``canary``, ``publish``,
-``chaos``, ``controlplane``) share one parent parser, so ``--devices``,
-``--seed``, ``--loss``, ``--board`` and ``--impl`` spell and default
-identically everywhere.
+Each demo story has one home.  ``publish``, ``chaos`` and
+``controlplane`` are the CI gates for the radio stories; the
+multi-tenant CoAP sensor, one spec across a fleet and the in-process
+canary rollout are told by ``examples/networked_sensor.py``,
+``examples/declarative_fleet.py`` and ``examples/canary_rollout.py``.
+
+The fleet-shaped subcommands (``publish``, ``chaos``, ``controlplane``)
+share one parent parser, so ``--devices``, ``--seed``, ``--loss``,
+``--board`` and ``--impl`` spell and default identically everywhere.
+Every verb that reads user input reports bad input as one
+``<verb> error: ...`` line and exits 1.
 """
 
 from __future__ import annotations
@@ -57,7 +59,12 @@ import sys
 from pathlib import Path
 
 from repro.core.container import VM_CLASSES
+from repro.core.errors import EngineError
+from repro.deploy.spec import SpecError
+from repro.femtoc import CompileError
 from repro.rtos.board import BOARDS, board_by_name
+from repro.runtimes.script import ScriptSyntaxError
+from repro.runtimes.wasm import WasmError
 from repro.vm import (
     AssemblerError,
     EncodingError,
@@ -69,10 +76,14 @@ from repro.vm import (
     verify,
 )
 
-#: Bad input to the program tools: a missing file, malformed text or
-#: bytecode, a non-hex ``--ctx``, or an image the JIT's verifier rejects.
+#: Bad input: a missing file, malformed text or bytecode, femtoC that
+#: does not compile, a non-hex ``--ctx``, an image the JIT's verifier
+#: rejects, an undecodable or inconsistent deployment spec, a Wasm or
+#: script image that does not parse, a container the device refuses to
+#: attach, or an out-of-range size such as ``--devices 0``.
 _INPUT_ERRORS = (OSError, ValueError, AssemblerError, EncodingError,
-                 VerificationError)
+                 VerificationError, CompileError, SpecError, EngineError,
+                 WasmError, ScriptSyntaxError)
 
 
 def _reports_input_errors(command):
@@ -114,15 +125,12 @@ def cmd_asm(args: argparse.Namespace) -> int:
     return 0
 
 
+@_reports_input_errors
 def cmd_compile(args: argparse.Namespace) -> int:
-    from repro.femtoc import CompileError, compile_source
+    from repro.femtoc import compile_source
 
-    try:
-        program = compile_source(Path(args.source).read_text(),
-                                 name=Path(args.source).stem)
-    except CompileError as error:
-        print(f"compile error: {error}")
-        return 1
+    program = compile_source(Path(args.source).read_text(),
+                             name=Path(args.source).stem)
     if args.emit_asm:
         sys.stdout.write(disassemble(program))
         return 0
@@ -200,30 +208,7 @@ def cmd_shell(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_demo(_args: argparse.Namespace) -> int:
-    from repro.net import CoapMessage, coap
-    from repro.scenarios import (
-        COAP_PORT,
-        DEVICE_ADDR,
-        build_multi_tenant_device,
-    )
-
-    device = build_multi_tenant_device(sensor_period_us=500_000)
-    device.kernel.run(until_us=2_000_000)
-    replies = []
-    request = CoapMessage(mtype=coap.CON, code=coap.GET)
-    request.add_uri_path("/sensor/temp")
-    device.client.request(DEVICE_ADDR, COAP_PORT, request, replies.append)
-    device.kernel.run(until_us=device.kernel.now_us + 2_000_000)
-    print(f"containers: {[c.name for c in device.engine.containers()]}")
-    print(f"sensor average over CoAP: {replies[0].payload.decode()} "
-          "centi-degC")
-    print("context switches observed by tenant B: "
-          f"{sum(device.engine.global_store.snapshot().values())}")
-    print(f"engine RAM: {device.engine.total_ram_bytes()} B")
-    return 0
-
-
+@_reports_input_errors
 def cmd_fanout(args: argparse.Namespace) -> int:
     """Run the multi-instance fan-out scenario and report cache effect."""
     import time
@@ -231,6 +216,10 @@ def cmd_fanout(args: argparse.Namespace) -> int:
     from repro.scenarios import build_fanout_device
     from repro.vm.imagecache import IMAGE_CACHE
 
+    if args.tenants < 1 or args.instances < 1:
+        raise ValueError(
+            f"--tenants {args.tenants} and --instances {args.instances} "
+            "must both be at least 1")
     IMAGE_CACHE.clear()  # measure from a cold cache, deterministically
     board = board_by_name(args.board)
 
@@ -277,7 +266,10 @@ def _resolve_spec(argument: str):
 
     path = Path(argument)
     if path.exists():
-        return DeploymentSpec.from_json(json.loads(path.read_text()))
+        try:
+            return DeploymentSpec.from_json(json.loads(path.read_text()))
+        except Exception as error:  # any undecodable document is bad input
+            raise SpecError(str(error)) from error
     if argument in BUILTIN_SPECS:
         return builtin_spec(argument)
     raise FileNotFoundError(
@@ -286,29 +278,21 @@ def _resolve_spec(argument: str):
     )
 
 
+@_reports_input_errors
 def cmd_deploy(args: argparse.Namespace) -> int:
     """Converge a fresh device onto a declarative deployment spec."""
     from repro.core import HostingEngine
     from repro.deploy import apply, plan
     from repro.rtos import Kernel
 
-    try:
-        spec = _resolve_spec(args.spec)
-    except Exception as error:
-        print(f"deploy error: {error}")
-        return 1
+    spec = _resolve_spec(args.spec)
     board = board_by_name(args.board)
     engine = HostingEngine(Kernel(board), implementation=args.impl)
-
-    try:
-        deployment = plan(engine, spec)
-        print(f"spec {spec.name!r} -> {len(deployment.actions)} actions "
-              f"on {board.name} [{args.impl}]:")
-        print(deployment.describe())
-        result = apply(engine, deployment)
-    except Exception as error:
-        print(f"deploy error: {error}")
-        return 1
+    deployment = plan(engine, spec)
+    print(f"spec {spec.name!r} -> {len(deployment.actions)} actions "
+          f"on {board.name} [{args.impl}]:")
+    print(deployment.describe())
+    result = apply(engine, deployment)
     print(f"applied: {len(result.attached)} containers attached, "
           f"{len(result.tenants_created)} tenants created, "
           f"{result.cycles_charged} cycles charged "
@@ -319,43 +303,22 @@ def cmd_deploy(args: argparse.Namespace) -> int:
     return 0 if replan.empty else 1
 
 
-def cmd_fleet(args: argparse.Namespace) -> int:
-    """Roll one spec out across N devices; report per-device cache use."""
-    from repro.deploy import Fleet, fanout_spec
+def _fleet_publisher(args: argparse.Namespace):
+    """A radio-wired fleet from the shared fleet options, cold cache."""
+    from repro.scenarios import build_fleet_publisher
     from repro.vm.imagecache import IMAGE_CACHE
 
     IMAGE_CACHE.clear()  # measure from a cold cache, deterministically
-    try:
-        boards = [board_by_name(args.board) for _ in range(args.devices)]
-        fleet = Fleet(boards, implementation=args.impl)
-        spec = fanout_spec(tenants=args.tenants,
-                           instances_per_tenant=args.instances)
-        rollout = fleet.apply(spec)
-    except Exception as error:
-        print(f"fleet error: {error}")
-        return 1
-
-    image = next(iter(spec.images.values()))
-    print(f"spec {spec.name!r}: {args.tenants} tenants x {args.instances} "
-          f"instances of {image.image_hash[:12]}... per device")
-    print(f"{'device':8} {'board':14} {'actions':>7} {'wall ms':>8} "
-          f"{'cycles':>8} {'cache':>12}")
-    for row in rollout.rows():
-        print(f"{row.device.name:8} {row.device.board.name:14} "
-              f"{row.actions:>7} {row.wall_s * 1e3:>8.2f} "
-              f"{row.cycles_charged:>8} "
-              f"{row.cache_hits:>4} hits/{row.cache_misses} miss")
-    cycles = rollout.cycles_per_device()
-    print("modelled cycles identical across devices: "
-          f"{len(set(cycles)) == 1}")
-    print(f"fleet cache hit rate: {rollout.cache_hit_rate() * 100:.0f}%  "
-          f"fleet RAM: {fleet.total_ram_bytes()} B "
-          f"({len(fleet.containers())} containers on {len(fleet)} devices)")
-    return 0
+    boards = [board_by_name(args.board) for _ in range(args.devices)]
+    return build_fleet_publisher(boards=boards, implementation=args.impl,
+                                 loss=args.loss, seed=args.seed)
 
 
 def _canary_specs():
-    """Baseline, poisoned and fixed specs for the canary demo.
+    """Baseline, poisoned and fixed specs for the fleet demos.
+
+    ``publish`` uses all three, ``chaos`` the baseline, and
+    ``controlplane`` the baseline and the fix.
 
     All three share the periodic sensor slot and a fan-out pad; they
     differ only in the image of the ``worker`` slots.  The poisoned
@@ -400,80 +363,15 @@ def _canary_specs():
         spec("canary-fix", fixed)
 
 
-def cmd_canary(args: argparse.Namespace) -> int:
-    """Canary fleet rollout: poisoned spec rolls back, clean one promotes."""
-    from repro.deploy import Fleet, plan
-    from repro.vm.imagecache import IMAGE_CACHE
-
-    IMAGE_CACHE.clear()  # measure from a cold cache, deterministically
-    try:
-        if not 1 <= args.canaries <= args.devices:
-            raise ValueError(
-                f"--canaries {args.canaries} outside 1..{args.devices}"
-            )
-        boards = [board_by_name(args.board) for _ in range(args.devices)]
-        fleet = Fleet(boards, implementation=args.impl)
-        base, poisoned, fixed = _canary_specs()
-        fleet.apply(base)
-    except Exception as error:
-        print(f"canary error: {error}")
-        return 1
-    print(f"fleet of {args.devices} x {args.board} converged on "
-          f"{base.name!r} [{args.impl}]")
-
-    control = fleet.devices[args.canaries:]
-    cycles_before = [device.kernel.clock.cycles for device in control]
-
-    print(f"\nstage 1: roll out {poisoned.name!r} "
-          "(verifies clean, faults at runtime)")
-    bad = fleet.canary_rollout(poisoned, canary_count=args.canaries,
-                               bake_us=args.bake_us, bake_fires=args.fires)
-    print(f"  canaries: {', '.join(bad.canary_names)}  "
-          f"bake: {bad.bake_us:.0f} us virtual + {args.fires} hook fires")
-    print(f"  -> {'ROLLED BACK' if bad.rolled_back else 'PROMOTED'}: "
-          f"{bad.reason}")
-    untouched = cycles_before == [device.kernel.clock.cycles
-                                  for device in control]
-    restored = all(plan(rollback.device.engine, base).empty
-                   for rollback in bad.rollback)
-    print(f"  non-canary devices untouched: {untouched} "
-          f"({len(control)} devices, 0 actions applied)")
-    print(f"  canaries reconverged on {base.name!r}: {restored}")
-
-    print(f"\nstage 2: roll out {fixed.name!r} (the fix)")
-    good = fleet.canary_rollout(fixed, canary_count=args.canaries,
-                                bake_us=args.bake_us, bake_fires=args.fires)
-    print(f"  -> {'PROMOTED' if good.promoted else 'ROLLED BACK'}: "
-          f"{good.reason}")
-    converged = all(plan(device.engine, fixed).empty
-                    for device in fleet.devices)
-    print(f"  fleet converged on {fixed.name!r}: {converged}")
-    ok = (bad.rolled_back and untouched and restored
-          and good.promoted and converged)
-    return 0 if ok else 1
-
-
+@_reports_input_errors
 def cmd_publish(args: argparse.Namespace) -> int:
     """Fleet-wide OTA publish demo: radio fan-out, replay, canary gate."""
-    from repro.deploy import plan
-    from repro.scenarios import build_fleet_publisher
-    from repro.vm.imagecache import IMAGE_CACHE
+    from repro.deploy import PublishOptions, plan
 
-    IMAGE_CACHE.clear()  # measure from a cold cache, deterministically
-    try:
-        if not 1 <= args.canaries <= args.devices:
-            raise ValueError(
-                f"--canaries {args.canaries} outside 1..{args.devices}"
-            )
-        boards = [board_by_name(args.board) for _ in range(args.devices)]
-        publisher = build_fleet_publisher(
-            boards=boards, implementation=args.impl, loss=args.loss,
-            seed=args.seed)
-    except Exception as error:
-        print(f"publish error: {error}")
-        return 1
-    from repro.deploy import PublishOptions
-
+    if not 1 <= args.canaries <= args.devices:
+        raise ValueError(
+            f"--canaries {args.canaries} outside 1..{args.devices}")
+    publisher = _fleet_publisher(args)
     fleet = publisher.fleet
     base, poisoned, fixed = _canary_specs()
     canary_options = PublishOptions(canary_count=args.canaries,
@@ -535,21 +433,12 @@ def cmd_publish(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+@_reports_input_errors
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Chaos-hardened publish demo: crashes, loss bursts, self-healing."""
     from repro.deploy import CrashAt, FaultInjector, PublishOptions
-    from repro.scenarios import build_fleet_publisher
-    from repro.vm.imagecache import IMAGE_CACHE
 
-    IMAGE_CACHE.clear()
-    try:
-        boards = [board_by_name(args.board) for _ in range(args.devices)]
-        publisher = build_fleet_publisher(
-            boards=boards, implementation=args.impl, loss=args.loss,
-            seed=args.seed)
-    except Exception as error:
-        print(f"chaos error: {error}")
-        return 1
+    publisher = _fleet_publisher(args)
     names = [device.name for device in publisher.fleet.devices]
     plan = FaultInjector.random_plan(
         names, seed=args.seed, horizon_us=args.horizon_us,
@@ -598,22 +487,13 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+@_reports_input_errors
 def cmd_controlplane(args: argparse.Namespace) -> int:
     """Maintainer demo: sign → publish → add/evict devices → status."""
     from repro.deploy import PublishOptions
-    from repro.scenarios import build_fleet_publisher
     from repro.suit.specworker import sign_spec
-    from repro.vm.imagecache import IMAGE_CACHE
 
-    IMAGE_CACHE.clear()  # measure from a cold cache, deterministically
-    try:
-        boards = [board_by_name(args.board) for _ in range(args.devices)]
-        publisher = build_fleet_publisher(
-            boards=boards, implementation=args.impl, loss=args.loss,
-            seed=args.seed)
-    except Exception as error:
-        print(f"controlplane error: {error}")
-        return 1
+    publisher = _fleet_publisher(args)
     fleet = publisher.fleet
     base, _, fixed = _canary_specs()
 
@@ -654,10 +534,10 @@ def cmd_controlplane(args: argparse.Namespace) -> int:
 def _fleet_parent() -> argparse.ArgumentParser:
     """Shared options for the fleet-shaped subcommands.
 
-    ``fleet``, ``canary``, ``publish``, ``chaos`` and ``controlplane``
-    all drive N simulated devices; this parent makes ``--devices``,
-    ``--seed``, ``--loss``, ``--board`` and ``--impl`` spell and
-    default identically across them.
+    ``publish``, ``chaos`` and ``controlplane`` all drive N simulated
+    devices; this parent makes ``--devices``, ``--seed``, ``--loss``,
+    ``--board`` and ``--impl`` spell and default identically across
+    them.
     """
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--devices", type=int, default=4,
@@ -711,9 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_boards = sub.add_parser("boards", help="list board models")
     p_boards.set_defaults(fn=cmd_boards)
 
-    p_demo = sub.add_parser("demo", help="run the multi-tenant showcase")
-    p_demo.set_defaults(fn=cmd_demo)
-
     p_fan = sub.add_parser(
         "fanout",
         help="multi-instance fan-out: K tenants x M instances of one image")
@@ -739,26 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_deploy.add_argument("--impl", default="femto-containers",
                           choices=sorted(VM_CLASSES))
     p_deploy.set_defaults(fn=cmd_deploy)
-
-    p_fleet = sub.add_parser(
-        "fleet", parents=[fleet_parent],
-        help="apply one spec across N devices through the shared cache")
-    p_fleet.add_argument("--tenants", type=int, default=2)
-    p_fleet.add_argument("--instances", type=int, default=4,
-                         help="instances per tenant")
-    p_fleet.set_defaults(fn=cmd_fleet)
-
-    p_canary = sub.add_parser(
-        "canary", parents=[fleet_parent],
-        help="canary fleet rollout: poisoned spec rolls back on the "
-             "canary subset, the fixed spec promotes fleet-wide")
-    p_canary.add_argument("--canaries", type=int, default=2,
-                          help="devices in the canary subset")
-    p_canary.add_argument("--bake-us", type=float, default=2_000_000.0,
-                          help="virtual bake duration per canary (us)")
-    p_canary.add_argument("--fires", type=int, default=5,
-                          help="extra hook firings during the bake")
-    p_canary.set_defaults(fn=cmd_canary)
 
     p_publish = sub.add_parser(
         "publish", parents=[fleet_parent],

@@ -18,7 +18,7 @@ miss, and cycles are equal.
 :class:`~repro.deploy.results.FleetResult` whose
 :class:`~repro.deploy.results.DeviceRow` rows carry per-device accounting
 — wall time, modelled cycles charged, image-cache hits/misses — so
-benchmarks and the ``python -m repro fleet`` CLI can show devices 2..N
+benchmarks and ``examples/declarative_fleet.py`` can show devices 2..N
 riding the cache device 1 warmed.
 
 The fleet is also the one owner of device membership: an

@@ -262,6 +262,10 @@ class StagedRollout:
         if not 1 <= self.canary_count <= size:
             raise ValueError(
                 f"canary_count {self.canary_count} outside 1..{size}")
+        if self.bake_us < 0 or self.bake_fires < 0:
+            raise ValueError(
+                f"bake_us {self.bake_us} and bake_fires {self.bake_fires} "
+                "must not be negative")
         if self.health_gate is None:
             self.health_gate = HealthGate()
 

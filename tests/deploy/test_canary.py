@@ -95,6 +95,15 @@ class TestPromotion:
             fleet.canary_rollout(make_spec(GOOD), canary_fraction=0.0)
         with pytest.raises(ValueError):
             fleet.canary_rollout(make_spec(GOOD), canary_count=3)
+        with pytest.raises(ValueError, match="must not be negative"):
+            fleet.canary_rollout(make_spec(GOOD), canary_count=1,
+                                 bake_us=-5.0)
+        with pytest.raises(ValueError, match="must not be negative"):
+            fleet.canary_rollout(make_spec(GOOD), canary_count=1,
+                                 bake_fires=-1)
+        # A zero bake stays legal.
+        assert fleet.canary_rollout(make_spec(GOOD), canary_count=1,
+                                    bake_us=0.0, bake_fires=0).promoted
 
 
 class TestRollback:

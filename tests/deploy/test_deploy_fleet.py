@@ -139,6 +139,11 @@ class TestFleetApply:
 
 
 class TestMembership:
+    @pytest.mark.parametrize("boards", [0, []], ids=["count", "list"])
+    def test_a_fleet_needs_at_least_one_device(self, boards):
+        with pytest.raises(ValueError, match="at least one device"):
+            Fleet(boards)
+
     def test_devices_view_is_cached_until_membership_changes(self):
         fleet = Fleet(3)
         view = fleet.devices

@@ -21,8 +21,10 @@ from repro.deploy import (
     HealthGate,
     HookSpec,
     ImageSpec,
+    PublishOptions,
     plan,
 )
+from repro.scenarios import build_fleet_publisher
 from repro.vm import assemble
 from repro.vm.imagecache import IMAGE_CACHE
 
@@ -73,19 +75,37 @@ def converge_fleet(fleet: Fleet, spec: DeploymentSpec, fires: int) -> None:
 
 
 class TestCycleBudget:
-    def test_cycle_budget_breach_rolls_back(self):
-        fleet = Fleet(3)
+    @pytest.mark.parametrize("transport", ["direct", "radio"])
+    def test_cycle_budget_breach_rolls_back(self, transport):
+        """A 100x cycle regression that never faults rolls back, in
+        process and over the radio, and the controls keep the base."""
         base = make_spec("base", SPIN.format(count=4))
-        fleet.apply(base)
         hungry = make_spec("v2", SPIN.format(count=400))
-        rollout = fleet.canary_rollout(
-            hungry, canary_count=1, bake_us=100_000.0, bake_fires=2,
-            health_gate=HealthGate(cycle_budgets={"worker": 100}),
-        )
+        gate = HealthGate(cycle_budgets={"worker": 100})
+        if transport == "direct":
+            fleet = Fleet(3)
+            fleet.apply(base)
+            rollout = fleet.canary_rollout(
+                hungry, canary_count=1, bake_us=100_000.0, bake_fires=2,
+                health_gate=gate,
+            )
+        else:
+            publisher = build_fleet_publisher(devices=3)
+            fleet = publisher.fleet
+            publisher.publish(base)
+            rollout = publisher.publish(hungry, PublishOptions(
+                canary_count=1, bake_us=100_000.0, bake_fires=2,
+                health_gate=gate))
+            # The controls never even saw the regressed sequence.
+            assert all(
+                device.radio.worker.storage.highest_sequence(publisher.slot)
+                < rollout.sequence_number
+                for device in fleet.devices[1:])
         assert rollout.rolled_back and not rollout.promoted
         assert "cycles/run" in rollout.reason
         assert rollout.fault_deltas == {"dev0": 0}  # no fault, still bad
-        assert plan(fleet.devices[0].engine, base).empty
+        assert all(plan(device.engine, base).empty
+                   for device in fleet.devices)
 
     def test_generous_budget_promotes(self):
         fleet = Fleet(3)

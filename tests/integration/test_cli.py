@@ -105,7 +105,8 @@ class TestCli:
         assert code == 1
         assert text == "run error: [pc=0] write to read-only register r10\n"
 
-    @pytest.mark.parametrize("verb", ["asm", "disasm", "verify", "run"])
+    @pytest.mark.parametrize("verb", ["asm", "disasm", "verify", "run",
+                                      "compile"])
     def test_missing_file_reported(self, tmp_path, verb):
         missing = tmp_path / "missing.s"
         code, text = run_cli(verb, str(missing))
@@ -119,11 +120,6 @@ class TestCli:
         for name in ("cortex-m4", "esp32", "risc-v"):
             assert name in text
 
-    def test_demo_runs(self):
-        code, text = run_cli("demo")
-        assert code == 0
-        assert "sensor average over CoAP" in text
-
     def test_fanout_scenario(self):
         code, text = run_cli("fanout", "--tenants", "2", "--instances", "3",
                              "--fires", "10")
@@ -131,6 +127,23 @@ class TestCli:
         assert "attached 6 instances (2 tenants x 3)" in text
         assert "compiled templates shared: 1 (for 6 instances)" in text
         assert "-> 60 container runs" in text
+
+    @pytest.mark.parametrize("argv", [("--instances", "0"),
+                                      ("--tenants", "0")],
+                             ids=["--instances 0", "--tenants 0"])
+    def test_fanout_rejects_bad_sizes(self, argv):
+        code, text = run_cli("fanout", *argv)
+        assert code == 1
+        assert text.startswith("fanout error: ")
+        assert text.count("\n") == 1
+
+    @pytest.mark.parametrize("verb", ["demo", "fleet", "canary"])
+    def test_removed_story_verbs_are_gone(self, verb, capsys):
+        """Each of these stories has its one home in ``examples/``."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_fanout_interpreter_impl(self):
         code, text = run_cli("fanout", "--tenants", "1", "--instances", "2",
@@ -165,32 +178,6 @@ class TestCli:
     def test_deploy_unknown_spec(self):
         code, text = run_cli("deploy", "no-such-spec")
         assert code == 1 and "deploy error" in text
-
-    def test_fleet_rejects_bad_sizes(self):
-        code, text = run_cli("fleet", "--devices", "0")
-        assert code == 1 and "fleet error" in text
-        code, text = run_cli("fleet", "--instances", "0")
-        assert code == 1 and "fleet error" in text
-
-    def test_fleet_rollout(self):
-        code, text = run_cli("fleet", "--devices", "3", "--tenants", "2",
-                             "--instances", "2")
-        assert code == 0
-        assert "dev0" in text and "dev2" in text
-        warm = [line for line in text.splitlines()
-                if line.startswith(("dev1 ", "dev2 "))]
-        assert len(warm) == 2
-        assert all(line.endswith("/0 miss") for line in warm)
-        assert "modelled cycles identical across devices: True" in text
-        assert "12 containers on 3 devices" in text
-
-    def test_canary_demo(self):
-        code, text = run_cli("canary", "--devices", "4", "--canaries", "1",
-                             "--bake-us", "600000", "--fires", "2")
-        assert code == 0
-        assert "ROLLED BACK" in text and "faults during bake" in text
-        assert "non-canary devices untouched: True" in text
-        assert "canaries reconverged on 'canary-base': True" in text
 
     def test_publish_demo(self):
         code, text = run_cli("publish", "--devices", "3", "--canaries", "1",
@@ -239,9 +226,13 @@ class TestCli:
         code, text = run_cli("publish", "--devices", "2", "--canaries", "3")
         assert code == 1 and "publish error" in text
 
-    def test_canary_rejects_bad_sizes(self):
-        code, text = run_cli("canary", "--devices", "2", "--canaries", "5")
-        assert code == 1 and "canary error" in text
+    def test_publish_rejects_negative_bake(self):
+        """A negative bake must not promote the poisoned canary."""
+        code, text = run_cli("publish", "--bake-us", "-5", "--fires", "0")
+        assert code == 1
+        assert text.endswith("publish error: bake_us -5.0 and bake_fires 0 "
+                             "must not be negative\n")
+        assert "PROMOTED" not in text
 
     def test_compile_and_run_femtoc(self, tmp_path):
         source = tmp_path / "app.fc"
@@ -290,8 +281,7 @@ class TestImplChoices:
     """Every ``--impl`` list is the engine's own VM table."""
 
     @pytest.mark.parametrize("command", [
-        "run", "fanout", "deploy", "fleet", "canary", "publish", "chaos",
-        "controlplane",
+        "run", "fanout", "deploy", "publish", "chaos", "controlplane",
     ])
     def test_impl_choices_are_the_engine_vm_classes(self, command):
         assert _impl_choices(command) == sorted(VM_CLASSES)
