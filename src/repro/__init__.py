@@ -41,7 +41,6 @@ from repro.vm import (
     Instruction,
     Interpreter,
     Program,
-    ProgramBuilder,
     VMFault,
     assemble,
     compile_program,
@@ -70,7 +69,6 @@ __all__ = [
     "KeyValueStore",
     "Kernel",
     "Program",
-    "ProgramBuilder",
     "Tenant",
     "VMFault",
     "all_boards",

@@ -272,7 +272,6 @@ class Fleet:
     def canary_rollout(
         self,
         spec: DeploymentSpec,
-        canary_fraction: float = 0.25,
         canary_count: int | None = None,
         bake_us: float = 2_000_000.0,
         bake_fires: int = 0,
@@ -282,17 +281,15 @@ class Fleet:
     ) -> FleetResult:
         """Stage ``spec`` on a canary subset, bake, then promote or revert.
 
-        The first ``canary_count`` devices (default
-        ``round(canary_fraction * N)``, at least one) are the canaries;
+        The first ``canary_count`` devices (default a quarter of the
+        fleet, at least one) are the canaries;
         :class:`~repro.deploy.staged.StagedRollout` documents the
         phases, the health gate and the rollback targets.  The first
         canary whose apply fails stops the canary phase (the
         transactional apply already restored it).
         """
-        if not 0.0 < canary_fraction <= 1.0:
-            raise ValueError("canary_fraction must be in (0, 1]")
         if canary_count is None:
-            canary_count = max(1, round(canary_fraction * len(self.devices)))
+            canary_count = max(1, round(len(self.devices) / 4))
         staged = StagedRollout(
             self, _DirectTransport(self), canary_count,
             health_gate=health_gate, bake_us=bake_us, bake_fires=bake_fires,

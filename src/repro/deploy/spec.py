@@ -126,17 +126,14 @@ class ImageSpec:
     def image_hash(self) -> str:
         """Content hash — identical to the installed instances' hashes.
 
-        Runtime-tagged for non-rBPF images: the same bytes under two
-        runtimes are two distinct images (rBPF keeps its historical
-        untagged hash, so existing content addressing is unchanged).
+        The runtime computes it: non-rBPF hashes are runtime-tagged, so
+        the same bytes under two runtimes are two distinct images, and
+        rBPF keeps its historical untagged hash.
         """
-        if self.runtime != "rbpf":
-            from repro.runtimes.base import container_runtime
+        from repro.runtimes.base import container_runtime
 
-            return container_runtime(self.runtime).image_hash(
-                self.text, self.rodata, self.data)
-        return Program.from_bytes(self.text, rodata=self.rodata,
-                                  data=self.data, name=self.name).image_hash
+        return container_runtime(self.runtime).image_hash(
+            self.text, self.rodata, self.data)
 
     def to_json(self) -> dict:
         doc: dict = {"hex": self.text.hex()}

@@ -20,7 +20,9 @@ Supported subset:
 Lowering model: every variable lives in an 8-byte stack slot addressed
 off r10; expressions evaluate on a small register stack (r6..r9, the
 registers our helpers never clobber); the context pointer is spilled to a
-reserved slot in the prologue so it survives helper calls.
+reserved slot in the prologue so it survives helper calls.  Lowering emits
+assembler text (``mov r6, 42``, ``jeq r6, 0, else_3``, ``else_3:``) and
+:func:`repro.vm.asm.assemble` encodes it and resolves the labels.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.femtoc.intrinsics import CTX_ACCESSORS, INTRINSICS
 from repro.runtimes.script import nodes
 from repro.runtimes.script.parser import parse
 from repro.vm import helpers as h
-from repro.vm.builder import ProgramBuilder, R
+from repro.vm.asm import assemble
 from repro.vm.program import Program
 
 #: Expression evaluation registers (helpers never clobber r6..r9).
@@ -62,7 +64,8 @@ class Compiler:
     def __init__(self, script: nodes.Script, name: str = "femtoc",
                  stack_size: int = 512):
         self.script = script
-        self.builder = ProgramBuilder(name=name, rodata=_TRACE_FORMAT)
+        self.name = name
+        self.lines: list[str] = []
         self.slots: dict[str, int] = {}
         self.stack_size = stack_size
         self._labels = itertools.count()
@@ -103,18 +106,19 @@ class Compiler:
     # -- compilation --------------------------------------------------------
 
     def compile(self) -> Program:
-        b = self.builder
+        emit = self.lines.append
         # Prologue: spill the context pointer so helper calls can't eat it.
-        b.stxdw(R(10), _CTX_SLOT, R(1))
+        emit(f"stxdw [r10+{_CTX_SLOT}], r1")
         for statement in self.script.body:
             self._statement(statement)
         # Implicit `return 0` when control reaches the end.
-        b.mov(R(0), 0)
-        b.exit_()
-        return b.build()
+        emit("mov r0, 0")
+        emit("exit")
+        return assemble("\n".join(self.lines), rodata=_TRACE_FORMAT,
+                        name=self.name)
 
     def _statement(self, node: nodes.Node) -> None:
-        b = self.builder
+        emit = self.lines.append
         if isinstance(node, nodes.VarDecl):
             offset = self._slot_of(node.name, node.line, declare=True)
             reg = self._expression(
@@ -122,21 +126,21 @@ class Compiler:
                 if node.initializer is not None
                 else nodes.Literal(value=0, line=node.line)
             )
-            b.stxdw(R(10), offset, R(reg))
+            emit(f"stxdw [r10+{offset}], r{reg}")
             self._release(reg)
         elif isinstance(node, nodes.Assign):
             offset = self._slot_of(node.name, node.line)
             reg = self._expression(node.value)
-            b.stxdw(R(10), offset, R(reg))
+            emit(f"stxdw [r10+{offset}], r{reg}")
             self._release(reg)
         elif isinstance(node, nodes.Return):
             if node.value is not None:
                 reg = self._expression(node.value)
-                b.mov(R(0), R(reg))
+                emit(f"mov r0, r{reg}")
                 self._release(reg)
             else:
-                b.mov(R(0), 0)
-            b.exit_()
+                emit("mov r0, 0")
+            emit("exit")
         elif isinstance(node, nodes.If):
             self._if(node)
         elif isinstance(node, nodes.While):
@@ -153,38 +157,38 @@ class Compiler:
                 f"cannot compile {type(node).__name__}", node.line)
 
     def _if(self, node: nodes.If) -> None:
-        b = self.builder
+        emit = self.lines.append
         else_label = self._label("else")
         end_label = self._label("endif")
         cond = self._expression(node.condition)
-        b.branch("jeq", R(cond), 0, else_label)
+        emit(f"jeq r{cond}, 0, {else_label}")
         self._release(cond)
         for statement in node.then_body:
             self._statement(statement)
-        b.jump(end_label)
-        b.label(else_label)
+        emit(f"ja {end_label}")
+        emit(f"{else_label}:")
         for statement in node.else_body:
             self._statement(statement)
-        b.label(end_label)
+        emit(f"{end_label}:")
 
     def _while(self, node: nodes.While) -> None:
-        b = self.builder
+        emit = self.lines.append
         head = self._label("while")
         end = self._label("endwhile")
-        b.label(head)
+        emit(f"{head}:")
         cond = self._expression(node.condition)
-        b.branch("jeq", R(cond), 0, end)
+        emit(f"jeq r{cond}, 0, {end}")
         self._release(cond)
         for statement in node.body:
             self._statement(statement)
-        b.jump(head)
-        b.label(end)
+        emit(f"ja {head}")
+        emit(f"{end}:")
 
     # -- expressions --------------------------------------------------------------
 
     def _expression(self, node: nodes.Node) -> int:
         """Lower an expression; returns the register holding the value."""
-        b = self.builder
+        emit = self.lines.append
         if isinstance(node, nodes.Literal):
             reg = self._acquire(node.line)
             value = node.value
@@ -195,14 +199,14 @@ class Compiler:
                     "only integer literals compile to eBPF, got "
                     f"{type(node.value).__name__}", node.line)
             if -(1 << 31) <= value < (1 << 31):
-                b.mov(R(reg), value)
+                emit(f"mov r{reg}, {value}")
             else:
-                b.lddw(R(reg), value & ((1 << 64) - 1))
+                emit(f"lddw r{reg}, {value & ((1 << 64) - 1)}")
             return reg
         if isinstance(node, nodes.Name):
             offset = self._slot_of(node.identifier, node.line)
             reg = self._acquire(node.line)
-            b.ldxdw(R(reg), R(10), offset)
+            emit(f"ldxdw r{reg}, [r10+{offset}]")
             return reg
         if isinstance(node, nodes.Unary):
             return self._unary(node)
@@ -218,112 +222,112 @@ class Compiler:
             f"cannot compile expression {type(node).__name__}", node.line)
 
     def _unary(self, node: nodes.Unary) -> int:
-        b = self.builder
+        emit = self.lines.append
         reg = self._expression(node.operand)
         if node.operator == "-":
-            b.neg(R(reg))
+            emit(f"neg r{reg}")
         else:  # '!'
             true_label = self._label("not")
             end = self._label("endnot")
-            b.branch("jeq", R(reg), 0, true_label)
-            b.mov(R(reg), 0)
-            b.jump(end)
-            b.label(true_label)
-            b.mov(R(reg), 1)
-            b.label(end)
+            emit(f"jeq r{reg}, 0, {true_label}")
+            emit(f"mov r{reg}, 0")
+            emit(f"ja {end}")
+            emit(f"{true_label}:")
+            emit(f"mov r{reg}, 1")
+            emit(f"{end}:")
         return reg
 
     def _binary(self, node: nodes.Binary) -> int:
-        b = self.builder
+        emit = self.lines.append
         operator = node.operator
         if operator in ("&&", "||"):
             return self._logical(node)
         left = self._expression(node.left)
         right = self._expression(node.right)
         if operator in _ALU_OPS:
-            b.alu(_ALU_OPS[operator], R(left), R(right))
+            emit(f"{_ALU_OPS[operator]} r{left}, r{right}")
             self._release(right)
             return left
         if operator in _CMP_OPS:
             true_label = self._label("cmp")
             end = self._label("endcmp")
-            b.branch(_CMP_OPS[operator], R(left), R(right), true_label)
-            b.mov(R(left), 0)
-            b.jump(end)
-            b.label(true_label)
-            b.mov(R(left), 1)
-            b.label(end)
+            emit(f"{_CMP_OPS[operator]} r{left}, r{right}, {true_label}")
+            emit(f"mov r{left}, 0")
+            emit(f"ja {end}")
+            emit(f"{true_label}:")
+            emit(f"mov r{left}, 1")
+            emit(f"{end}:")
             self._release(right)
             return left
         raise CompileError(f"operator {operator!r} not supported", node.line)
 
     def _logical(self, node: nodes.Binary) -> int:
         """Short-circuit &&/|| producing 0/1."""
-        b = self.builder
+        emit = self.lines.append
         result = self._expression(node.left)
         short = self._label("short")
         end = self._label("endlogic")
         if node.operator == "&&":
-            b.branch("jeq", R(result), 0, short)
+            emit(f"jeq r{result}, 0, {short}")
         else:
-            b.branch("jne", R(result), 0, short)
+            emit(f"jne r{result}, 0, {short}")
         self._release(result)
         right = self._expression(node.right)
         if right != result:  # keep the value in one register
-            b.mov(R(result), R(right))
+            emit(f"mov r{result}, r{right}")
             self._release(right)
             self._free_regs.remove(result)
         # Normalize the surviving operand to 0/1.
         norm_true = self._label("norm")
-        b.branch("jne", R(result), 0, norm_true)
-        b.mov(R(result), 0)
-        b.jump(end)
-        b.label(norm_true)
-        b.mov(R(result), 1)
-        b.jump(end)
-        b.label(short)
-        b.mov(R(result), 0 if node.operator == "&&" else 1)
-        b.label(end)
+        emit(f"jne r{result}, 0, {norm_true}")
+        emit(f"mov r{result}, 0")
+        emit(f"ja {end}")
+        emit(f"{norm_true}:")
+        emit(f"mov r{result}, 1")
+        emit(f"ja {end}")
+        emit(f"{short}:")
+        emit(f"mov r{result}, {0 if node.operator == '&&' else 1}")
+        emit(f"{end}:")
         return result
 
     # -- calls -------------------------------------------------------------------------
 
     def _call(self, node: nodes.Call) -> int:
-        b = self.builder
+        emit = self.lines.append
         name = node.callee
 
         if name in CTX_ACCESSORS:
             if len(node.arguments) != 1:
                 raise CompileError(f"{name} takes one offset", node.line)
             offset_node = node.arguments[0]
-            width = CTX_ACCESSORS[name]
+            load = CTX_ACCESSORS[name]
             if isinstance(offset_node, nodes.Literal) \
                     and isinstance(offset_node.value, int) \
                     and 0 <= offset_node.value < (1 << 15):
                 # Constant offset: single load off the reloaded pointer.
                 reg = self._acquire(node.line)
-                b.ldxdw(R(reg), R(10), _CTX_SLOT)
-                b.load(R(reg), R(reg), offset_node.value, size=width)
+                emit(f"ldxdw r{reg}, [r10+{_CTX_SLOT}]")
+                emit(f"{load} r{reg}, [r{reg}+{offset_node.value}]")
                 return reg
             # Computed offset: pointer arithmetic, checked at runtime by
             # the access list like any other memory access.
             offset = self._expression(offset_node)
             base = self._acquire(node.line)
-            b.ldxdw(R(base), R(10), _CTX_SLOT)
-            b.add(R(base), R(offset))
+            emit(f"ldxdw r{base}, [r10+{_CTX_SLOT}]")
+            emit(f"add r{base}, r{offset}")
             self._release(offset)
-            b.load(R(base), R(base), 0, size=width)
+            emit(f"{load} r{base}, [r{base}+0]")
             return base
 
         if name == "trace":
             if len(node.arguments) != 1:
                 raise CompileError("trace takes one value", node.line)
             value = self._expression(node.arguments[0])
-            b.lddwr(R(1), 0)                           # "trace: %d"
-            b.mov(R(2), R(value))
-            b.call(h.BPF_PRINTF)
+            emit("lddwr r1, 0")                  # "trace: %d"
+            emit(f"mov r2, r{value}")
+            emit(f"call {h.BPF_PRINTF}")
             result = self._acquire(node.line)
-            b.mov(R(result), R(value))
+            emit(f"mov r{result}, r{value}")
             self._release(value)
             return result
 
@@ -337,28 +341,28 @@ class Compiler:
                 node.line)
         arg_regs = [self._expression(arg) for arg in node.arguments]
         if intrinsic.form == "fetch":
-            b.mov(R(1), R(arg_regs[0]))
-            b.mov(R(2), R(10))
-            b.add(R(2), _SCRATCH_SLOT)
-            b.call(intrinsic.helper_id)
+            emit(f"mov r1, r{arg_regs[0]}")
+            emit("mov r2, r10")
+            emit(f"add r2, {_SCRATCH_SLOT}")
+            emit(f"call {intrinsic.helper_id}")
             result = arg_regs[0]
-            b.ldxw(R(result), R(10), _SCRATCH_SLOT)
+            emit(f"ldxw r{result}, [r10+{_SCRATCH_SLOT}]")
             return result
         if intrinsic.form == "saul":
-            b.mov(R(1), R(arg_regs[0]))
-            b.mov(R(2), R(10))
-            b.add(R(2), _SCRATCH_SLOT)
-            b.call(intrinsic.helper_id)
+            emit(f"mov r1, r{arg_regs[0]}")
+            emit("mov r2, r10")
+            emit(f"add r2, {_SCRATCH_SLOT}")
+            emit(f"call {intrinsic.helper_id}")
             result = arg_regs[0]
-            b.ldxh(R(result), R(10), _SCRATCH_SLOT)    # phydat val[0]
+            emit(f"ldxh r{result}, [r10+{_SCRATCH_SLOT}]")  # phydat val[0]
             return result
         for index, reg in enumerate(arg_regs, start=1):
-            b.mov(R(index), R(reg))
+            emit(f"mov r{index}, r{reg}")
         for reg in arg_regs[1:]:
             self._release(reg)
-        b.call(intrinsic.helper_id)
+        emit(f"call {intrinsic.helper_id}")
         result = arg_regs[0] if arg_regs else self._acquire(node.line)
-        b.mov(R(result), R(0))
+        emit(f"mov r{result}, r0")
         return result
 
 

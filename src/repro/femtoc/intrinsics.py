@@ -43,10 +43,10 @@ INTRINSICS: dict[str, Intrinsic] = {
     "coap_get_pdu": Intrinsic("coap_get_pdu", h.BPF_COAP_GET_PDU, 1),
 }
 
-#: Context accessors: name -> load width in bytes.
+#: Context accessors: name -> the load mnemonic of their width.
 CTX_ACCESSORS = {
-    "ctx_u8": 1,
-    "ctx_u16": 2,
-    "ctx_u32": 4,
-    "ctx_u64": 8,
+    "ctx_u8": "ldxb",
+    "ctx_u16": "ldxh",
+    "ctx_u32": "ldxw",
+    "ctx_u64": "ldxdw",
 }

@@ -5,7 +5,6 @@ Public surface:
 * :mod:`repro.vm.isa` — instruction-set constants;
 * :class:`~repro.vm.instruction.Instruction` and the binary codec;
 * :func:`~repro.vm.asm.assemble` / :func:`~repro.vm.disasm.disassemble`;
-* :class:`~repro.vm.builder.ProgramBuilder` — programmatic construction;
 * :func:`~repro.vm.verifier.verify` — the pre-flight checker;
 * :class:`~repro.vm.interpreter.Interpreter` — the Femto-Container VM;
 * :class:`~repro.vm.certfc.CertFCInterpreter` — the verified-build model;
@@ -16,7 +15,6 @@ Public surface:
 """
 
 from repro.vm.asm import assemble
-from repro.vm.builder import ProgramBuilder, R
 from repro.vm.certfc import CertFCInterpreter
 from repro.vm.disasm import disassemble
 from repro.vm.errors import (
@@ -74,8 +72,6 @@ __all__ = [
     "MemoryRegion",
     "Permission",
     "Program",
-    "ProgramBuilder",
-    "R",
     "RbpfInterpreter",
     "SlotHealth",
     "SupervisorConfig",

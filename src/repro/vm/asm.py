@@ -3,7 +3,10 @@
 The paper's applications are written in C and compiled with LLVM's eBPF
 backend; without a C toolchain this assembler is how programs are authored
 in the reproduction (see :mod:`repro.workloads` for the paper's example
-applications written in this syntax).
+applications written in this syntax).  It is the one instruction encoder
+and label resolver: the femtoC compiler lowers to this text too.  Every
+mnemonic resolves through :data:`repro.vm.isa.OPCODE_NAMES`, the table the
+disassembler and verifier read, and every error names its source line.
 
 Syntax summary::
 
@@ -31,7 +34,7 @@ from __future__ import annotations
 import re
 
 from repro.vm import isa
-from repro.vm.errors import AssemblerError
+from repro.vm.errors import AssemblerError, EncodingError
 from repro.vm.helpers import HELPER_IDS
 from repro.vm.instruction import Instruction, make_wide
 from repro.vm.program import Program
@@ -39,28 +42,21 @@ from repro.vm.program import Program
 _LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _MEM_RE = re.compile(r"^\[\s*(r\d+)\s*(?:([+-])\s*(\w+)\s*)?\]$")
 
-_ALU_NAMES = {
-    "add", "sub", "mul", "div", "or", "and", "lsh", "rsh", "mod", "xor",
-    "mov", "arsh",
-}
-_JMP_NAMES = {
-    "jeq", "jgt", "jge", "jset", "jne", "jsgt", "jsge", "jlt", "jle",
-    "jslt", "jsle",
-}
-_LD_SIZES = {"w": isa.SZ_W, "h": isa.SZ_H, "b": isa.SZ_B, "dw": isa.SZ_DW}
 
-_ALU_OPS = {
-    "add": isa.ALU_ADD, "sub": isa.ALU_SUB, "mul": isa.ALU_MUL,
-    "div": isa.ALU_DIV, "or": isa.ALU_OR, "and": isa.ALU_AND,
-    "lsh": isa.ALU_LSH, "rsh": isa.ALU_RSH, "mod": isa.ALU_MOD,
-    "xor": isa.ALU_XOR, "mov": isa.ALU_MOV, "arsh": isa.ALU_ARSH,
-}
-_JMP_OPS = {
-    "jeq": isa.JMP_JEQ, "jgt": isa.JMP_JGT, "jge": isa.JMP_JGE,
-    "jset": isa.JMP_JSET, "jne": isa.JMP_JNE, "jsgt": isa.JMP_JSGT,
-    "jsge": isa.JMP_JSGE, "jlt": isa.JMP_JLT, "jle": isa.JMP_JLE,
-    "jslt": isa.JMP_JSLT, "jsle": isa.JMP_JSLE,
-}
+def _mnemonic_table() -> dict[str, dict[int, int]]:
+    table: dict[str, dict[int, int]] = {}
+    for opcode, mnemonic in isa.OPCODE_NAMES.items():
+        table.setdefault(mnemonic, {})[opcode & isa.SRC_X] = opcode
+    return table
+
+
+#: Mnemonic -> {source bit: opcode}, the inverse of ``isa.OPCODE_NAMES``.
+#: ALU operations and conditional branches have an immediate (``SRC_K``)
+#: and a register (``SRC_X``) form; every other mnemonic has one opcode,
+#: whose bit 3 may belong to another field (``ldxh``'s size, ``be``).
+_OPCODES = _mnemonic_table()
+#: Mnemonics whose instruction fills two slots.
+_WIDE_MNEMONICS = frozenset(isa.OPCODE_NAMES[op] for op in isa.WIDE_OPCODES)
 
 
 def _strip_comment(line: str) -> str:
@@ -100,6 +96,10 @@ def _parse_mem(text: str, line_no: int) -> tuple[int, int]:
         if match.group(2) == "-":
             offset = -offset
     return reg, offset
+
+
+def _is_reg(text: str) -> bool:
+    return text.startswith("r") and text[1:].isdigit()
 
 
 class _Statement:
@@ -148,11 +148,14 @@ def assemble(
             [op.strip() for op in parts[1].split(",")] if len(parts) > 1 else []
         )
         statements.append(_Statement(mnemonic, operands, line_no, slot))
-        slot += 2 if mnemonic in ("lddw", "lddwd", "lddwr") else 1
+        slot += 2 if mnemonic in _WIDE_MNEMONICS else 1
 
     slots: list[Instruction] = []
     for stmt in statements:
-        slots.extend(_emit(stmt, labels))
+        try:
+            slots.extend(_emit(stmt, labels))
+        except EncodingError as exc:  # a field out of range
+            raise AssemblerError(f"line {stmt.line_no}: {exc}") from exc
     return Program(slots=slots, rodata=rodata, data=data, name=name,
                    symbols=dict(labels))
 
@@ -173,76 +176,61 @@ def _emit(stmt: _Statement, labels: dict[str, int]) -> list[Instruction]:
             return _parse_int(text, ln)
         raise AssemblerError(f"line {ln}: unknown branch target {text!r}")
 
-    # ALU (64 and 32 bit)
-    base = m[:-2] if m.endswith("32") else m
-    if base in _ALU_NAMES and (m == base or m == base + "32"):
-        cls = isa.CLS_ALU if m.endswith("32") else isa.CLS_ALU64
-        need(2)
-        dst = _parse_reg(ops[0], ln)
-        if ops[1].startswith("r") and ops[1][1:].isdigit():
-            src = _parse_reg(ops[1], ln)
-            return [Instruction(cls | isa.SRC_X | _ALU_OPS[base], dst=dst, src=src)]
-        return [Instruction(cls | isa.SRC_K | _ALU_OPS[base], dst=dst,
-                            imm=_parse_int(ops[1], ln))]
-    if m in ("neg", "neg32"):
-        need(1)
-        cls = isa.CLS_ALU if m == "neg32" else isa.CLS_ALU64
-        return [Instruction(cls | isa.SRC_K | isa.ALU_NEG,
-                            dst=_parse_reg(ops[0], ln))]
-    if m in ("le", "be"):
-        need(2)
-        return [Instruction(isa.LE if m == "le" else isa.BE,
-                            dst=_parse_reg(ops[0], ln),
-                            imm=_parse_int(ops[1], ln))]
+    forms = _OPCODES.get(m)
+    if forms is None:
+        raise AssemblerError(f"line {ln}: unknown mnemonic {m!r}")
+    # The immediate form, or the only one; its class picks the syntax.
+    opcode = forms.get(isa.SRC_K) or forms[isa.SRC_X]
+    cls = opcode & isa.CLS_MASK
 
-    # Loads and stores
-    if m.startswith("ldx") and m[3:] in _LD_SIZES:
+    if opcode in isa.WIDE_OPCODES:
         need(2)
-        dst = _parse_reg(ops[0], ln)
-        src, offset = _parse_mem(ops[1], ln)
-        return [Instruction(isa.CLS_LDX | _LD_SIZES[m[3:]] | isa.MODE_MEM,
-                            dst=dst, src=src, offset=offset)]
-    if m.startswith("stx") and m[3:] in _LD_SIZES:
-        need(2)
-        dst, offset = _parse_mem(ops[0], ln)
-        src = _parse_reg(ops[1], ln)
-        return [Instruction(isa.CLS_STX | _LD_SIZES[m[3:]] | isa.MODE_MEM,
-                            dst=dst, src=src, offset=offset)]
-    if m.startswith("st") and m[2:] in _LD_SIZES:
-        need(2)
-        dst, offset = _parse_mem(ops[0], ln)
-        return [Instruction(isa.CLS_ST | _LD_SIZES[m[2:]] | isa.MODE_MEM,
-                            dst=dst, offset=offset, imm=_parse_int(ops[1], ln))]
-    if m in ("lddw", "lddwd", "lddwr"):
-        need(2)
-        opcode = {"lddw": isa.LDDW, "lddwd": isa.LDDWD, "lddwr": isa.LDDWR}[m]
         imm = _parse_int(ops[1], ln)
         return list(make_wide(opcode, dst=_parse_reg(ops[0], ln), imm64=imm))
-
-    # Jumps, call, exit
-    if m == "ja":
+    if opcode == isa.EXIT:
+        need(0)
+        return [Instruction(opcode)]
+    if opcode == isa.CALL:
         need(1)
-        return [Instruction(isa.JA, offset=branch_offset(ops[0]))]
-    jbase = m[:-2] if m.endswith("32") else m
-    if jbase in _JMP_NAMES and (m == jbase or m == jbase + "32"):
-        cls = isa.CLS_JMP32 if m.endswith("32") else isa.CLS_JMP
+        helper_id = HELPER_IDS.get(ops[0])
+        if helper_id is None:
+            helper_id = _parse_int(ops[0], ln)
+        return [Instruction(opcode, imm=helper_id)]
+    if opcode == isa.JA:
+        need(1)
+        return [Instruction(opcode, offset=branch_offset(ops[0]))]
+    if cls in (isa.CLS_JMP, isa.CLS_JMP32):
         need(3)
         dst = _parse_reg(ops[0], ln)
         offset = branch_offset(ops[2])
-        if ops[1].startswith("r") and ops[1][1:].isdigit():
-            return [Instruction(cls | isa.SRC_X | _JMP_OPS[jbase], dst=dst,
+        if _is_reg(ops[1]):
+            return [Instruction(forms[isa.SRC_X], dst=dst,
                                 src=_parse_reg(ops[1], ln), offset=offset)]
-        return [Instruction(cls | isa.SRC_K | _JMP_OPS[jbase], dst=dst,
-                            offset=offset, imm=_parse_int(ops[1], ln))]
-    if m == "call":
+        return [Instruction(opcode, dst=dst, offset=offset,
+                            imm=_parse_int(ops[1], ln))]
+    if cls == isa.CLS_LDX:
+        need(2)
+        dst = _parse_reg(ops[0], ln)
+        src, offset = _parse_mem(ops[1], ln)
+        return [Instruction(opcode, dst=dst, src=src, offset=offset)]
+    if cls == isa.CLS_STX:
+        need(2)
+        dst, offset = _parse_mem(ops[0], ln)
+        src = _parse_reg(ops[1], ln)
+        return [Instruction(opcode, dst=dst, src=src, offset=offset)]
+    if cls == isa.CLS_ST:
+        need(2)
+        dst, offset = _parse_mem(ops[0], ln)
+        return [Instruction(opcode, dst=dst, offset=offset,
+                            imm=_parse_int(ops[1], ln))]
+    if opcode & isa.OP_MASK == isa.ALU_NEG:
         need(1)
-        target = ops[0]
-        helper_id = HELPER_IDS.get(target)
-        if helper_id is None:
-            helper_id = _parse_int(target, ln)
-        return [Instruction(isa.CALL, imm=helper_id)]
-    if m == "exit":
-        need(0)
-        return [Instruction(isa.EXIT)]
+        return [Instruction(opcode, dst=_parse_reg(ops[0], ln))]
 
-    raise AssemblerError(f"line {ln}: unknown mnemonic {m!r}")
+    # ALU (64 and 32 bit) and byteswaps, whose operand is always a width.
+    need(2)
+    dst = _parse_reg(ops[0], ln)
+    if len(forms) == 2 and _is_reg(ops[1]):
+        return [Instruction(forms[isa.SRC_X], dst=dst,
+                            src=_parse_reg(ops[1], ln))]
+    return [Instruction(opcode, dst=dst, imm=_parse_int(ops[1], ln))]

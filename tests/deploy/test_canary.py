@@ -81,18 +81,18 @@ class TestPromotion:
         assert all(control.cache_misses == 0
                    for control in rollout.control)
 
-    def test_canary_fraction_sizes_the_subset(self):
+    def test_default_canaries_are_a_quarter_of_the_fleet(self):
         fleet = Fleet(8)
         fleet.apply(make_spec(GOOD, "base"))
         rollout = fleet.canary_rollout(make_spec(BETTER, "v2"),
-                                       canary_fraction=0.5, bake_fires=1)
-        assert rollout.canary_names == ["dev0", "dev1", "dev2", "dev3"]
+                                       bake_fires=1)
+        assert rollout.canary_names == ["dev0", "dev1"]
         assert rollout.promoted
 
     def test_invalid_parameters_rejected(self):
         fleet = Fleet(2)
         with pytest.raises(ValueError):
-            fleet.canary_rollout(make_spec(GOOD), canary_fraction=0.0)
+            fleet.canary_rollout(make_spec(GOOD), canary_count=0)
         with pytest.raises(ValueError):
             fleet.canary_rollout(make_spec(GOOD), canary_count=3)
         with pytest.raises(ValueError, match="must not be negative"):

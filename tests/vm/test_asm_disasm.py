@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.vm import AssemblerError, assemble, disassemble, isa
+from repro.vm import AssemblerError, EncodingError, assemble, disassemble, isa
 from repro.vm.disasm import disassemble_instruction
-from repro.vm.instruction import Instruction
+from repro.vm.instruction import Instruction, make_wide
+from repro.vm.program import Program
 
 
 class TestAssembler:
@@ -84,6 +85,29 @@ end:
     def test_bad_register_raises(self):
         with pytest.raises(AssemblerError):
             assemble("mov r99, 1\n    exit")
+
+    @pytest.mark.parametrize("statement, field", [
+        ("mov r0, 0x100000000", "immediate"),
+        ("ldxw r0, [r1+40000]", "offset"),
+        ("ja +70000", "offset"),
+    ], ids=["immediate", "offset", "branch"])
+    def test_out_of_range_field_names_its_line(self, statement, field):
+        with pytest.raises(AssemblerError,
+                           match=rf"^line 3: {field} out of range") as info:
+            assemble(f"    mov r0, 0\n\n    {statement}\n    exit")
+        assert isinstance(info.value.__cause__, EncodingError)
+
+    def test_every_valid_opcode_reassembles(self):
+        # The assembler's mnemonics are isa.OPCODE_NAMES inverted, so
+        # every opcode's disassembly must come back as that opcode.
+        for opcode in sorted(isa.VALID_OPCODES):
+            if opcode in isa.WIDE_OPCODES:
+                slots = list(make_wide(opcode, dst=1, imm64=8))
+            else:
+                slots = [Instruction(opcode, dst=1, src=2, imm=16)]
+            program = Program(slots=[*slots, Instruction(isa.EXIT)])
+            rebuilt = assemble(disassemble(program))
+            assert rebuilt.slots[0].opcode == opcode, hex(opcode)
 
 
 class TestDisassembler:

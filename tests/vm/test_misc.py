@@ -1,4 +1,4 @@
-"""Builder, program container, helper registry, compression, JIT install."""
+"""Program container, helper registry, compression, JIT install."""
 
 from __future__ import annotations
 
@@ -11,67 +11,12 @@ from repro.vm import (
     Instruction,
     Interpreter,
     Program,
-    ProgramBuilder,
-    R,
     assemble,
     compile_program,
     isa,
 )
 from repro.vm.compress import analyze, compress, decompress
 from repro.vm.instruction import make_wide
-
-
-class TestBuilder:
-    def test_builder_matches_assembler(self):
-        source = """
-    mov r1, 5
-    mov r2, 0
-loop:
-    add r2, r1
-    sub r1, 1
-    jne r1, 0, loop
-    mov r0, r2
-    exit
-"""
-        built = (
-            ProgramBuilder()
-            .mov(R(1), 5)
-            .mov(R(2), 0)
-            .label("loop")
-            .add(R(2), R(1))
-            .sub(R(1), 1)
-            .branch("jne", R(1), 0, "loop")
-            .mov(R(0), R(2))
-            .exit_()
-            .build()
-        )
-        assert built.to_bytes() == assemble(source).to_bytes()
-
-    def test_builder_program_runs(self):
-        program = (
-            ProgramBuilder()
-            .lddw(R(1), 1 << 40)
-            .mov(R(0), R(1))
-            .exit_()
-            .build()
-        )
-        assert Interpreter(program).run().value == 1 << 40
-
-    def test_undefined_label_raises(self):
-        builder = ProgramBuilder().jump("missing").exit_()
-        with pytest.raises(Exception, match="undefined label"):
-            builder.build()
-
-    def test_stores_and_loads(self):
-        program = (
-            ProgramBuilder()
-            .mov(R(1), 0x42)
-            .stxw(R(10), 8, R(1))
-            .ldxw(R(0), R(10), 8)
-            .exit_()
-            .build()
-        )
-        assert Interpreter(program).run().value == 0x42
 
 
 class TestProgram:
