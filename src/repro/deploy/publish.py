@@ -187,6 +187,30 @@ def _radio_uj(device: FleetDevice) -> float:
     return device.meter.report().radio_uj if device.meter is not None else 0.0
 
 
+def _decode_mcast_body(raw: bytes) -> tuple | None:
+    """The ``(envelope, payload, sequence, permille, leisure_us)`` of one
+    group-trigger body, or ``None`` if it is malformed.
+
+    The body's fields are unsigned — only the envelope inside is
+    authenticated — so each is type-checked here, before any device
+    acts on it: ``e`` must be bytes, ``y`` bytes or absent, and ``s``,
+    ``p`` and ``l`` non-negative ints (absent reads as 0).
+    """
+    try:
+        body = cbor.decode(raw)
+    except Exception:
+        return None
+    if not isinstance(body, dict):
+        return None
+    envelope, payload = body.get("e"), body.get("y")
+    numbers = tuple(body.get(field, 0) for field in ("s", "p", "l"))
+    if (not isinstance(envelope, bytes)
+            or not (payload is None or isinstance(payload, bytes))
+            or not all(type(n) is int and n >= 0 for n in numbers)):
+        return None
+    return (envelope, payload, *numbers)
+
+
 class _Track:
     """Everything the publisher tracks about one device during one
     converge: its trigger (timed on the backhaul clock), its worker's
@@ -341,8 +365,11 @@ class FleetPublisher:
         #: (no reply is ever coming back from a group).
         self._mcast_socket = maint_udp.socket(49901)
         self._mcast_mid = 1
-        #: Publish-scoped decode memo every device worker shares
-        #: (cleared at the start of each publish; wall-clock only).
+        #: Publish-scoped release cache every device worker shares
+        #: (cleared at the start of each publish; wall-clock only): the
+        #: validated group-trigger body, the decoded envelope and spec,
+        #: and the encoded slot and sequence NVM records.  See
+        #: :attr:`~repro.suit.worker.SuitUpdateWorker.release_cache`.
         self._release_cache: dict = {}
         #: The publish under way (``None`` between publishes).
         self._transport: _RadioTransport | None = None
@@ -421,22 +448,33 @@ class FleetPublisher:
         the suppressed-ack lottery: with probability ``p/1000`` this
         device schedules a NON ack after a seeded random share of the
         leisure period — so the maintainer hears a bounded, collision-
-        spread sample instead of N simultaneous replies.  Returning
-        ``None`` suppresses any CoAP-layer response.
+        spread sample instead of N simultaneous replies.  A body that
+        arrives between publishes only queues its update: no converge
+        is waiting for an ack.  An ill-typed body is dropped (see
+        :func:`_decode_mcast_body`).  Returning ``None`` suppresses any
+        CoAP-layer response.
         """
 
         def handler(request: CoapMessage, _dg) -> None:
-            try:
-                body = cbor.decode(request.payload)
-                envelope = body["e"]
-            except Exception:
-                return None  # malformed broadcast: stay silent
-            worker.trigger(envelope, payload=body.get("y"))
-            rng = random.Random(
-                f"{self.seed}:{body.get('s', 0)}:{device.name}")
-            if rng.random() * 1000 >= body.get("p", 0):
+            # One decode per release: the first device to hear a body
+            # validates it; the rest share that immutable tuple through
+            # the release cache (wall-clock only).
+            key = ("mcast", request.payload)
+            trigger = worker.release_cache.get(key)
+            if trigger is None:
+                trigger = _decode_mcast_body(request.payload)
+                if trigger is None:
+                    return None  # malformed broadcast: stay silent
+                worker.release_cache[key] = trigger
+            envelope, payload, sequence, permille, leisure_us = trigger
+            worker.trigger(envelope, payload=payload)
+            transport = self._transport
+            if transport is None:
+                return None  # between publishes: nobody awaits an ack
+            rng = random.Random(f"{self.seed}:{sequence}:{device.name}")
+            if rng.random() * 1000 >= permille:
                 return None  # suppressed: not in this publish's sample
-            delay_us = rng.random() * body.get("l", 0)
+            delay_us = rng.random() * leisure_us
 
             def send_ack() -> None:
                 radio = device.radio
@@ -445,7 +483,7 @@ class FleetPublisher:
                 ack = CoapMessage(mtype=coap.NON, code=coap.POST,
                                   payload=device.name.encode())
                 ack.add_uri_path(ACK_PATH)
-                ack.message_id = body.get("s", 0) & 0xFFFF
+                ack.message_id = sequence & 0xFFFF
                 radio.client.socket.send_to(MAINTAINER_ADDR, COAP_PORT,
                                             ack.encode())
 
@@ -455,7 +493,7 @@ class FleetPublisher:
             # its leisure delay elapses, and a converged device is no
             # longer scheduled by the co-run loop — the publisher
             # drains these deadlines before reporting.
-            self._transport.ack_due[device.name] = (
+            transport.ack_due[device.name] = (
                 device, device.kernel, device.kernel.now_us + delay_us)
             return None
 
@@ -465,6 +503,8 @@ class FleetPublisher:
         """Maintainer side of the suppressed ack sample (no reply)."""
         name = request.payload.decode("utf-8", errors="replace")
         transport = self._transport
+        if transport is None:
+            return None  # a late ack between publishes belongs to none
         if name not in transport.result.mcast_acks:
             insort(transport.result.mcast_acks, name)
         track = transport.tracks.get(name)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -14,14 +13,18 @@ ALG_EDDSA = -8
 #: CBOR tag for COSE_Sign1.
 TAG_SIGN1 = 18
 
-#: Host-side verification memo, keyed by a digest of (message, signature,
-#: public key).  A fleet publish hands the *same* envelope to N simulated
-#: devices; the pure-Python Ed25519 math is the dominant host cost of
-#: each device's verify, and — like the image cache — sharing it is a
-#: wall-clock effect only: every device still charges the full modelled
-#: ``SIG_VERIFY_CYCLES`` on its own virtual clock.  Only successful
-#: verifications are memoized (a forgery is re-checked every time).
-_VERIFY_MEMO: "OrderedDict[bytes, bool]" = OrderedDict()
+#: Host-side verification memo, keyed by the exact (protected header,
+#: payload, signature, public key) bytes.  A fleet publish hands the
+#: *same* envelope to N simulated devices; the pure-Python Ed25519 math
+#: is the dominant host cost of each device's verify, and — like the
+#: image cache — sharing it is a wall-clock effect only: every device
+#: still charges the full modelled ``SIG_VERIFY_CYCLES`` on its own
+#: virtual clock.  Only successful verifications are memoized (a forgery
+#: is re-checked every time), and each stored key already passed the
+#: header check, so a hit skips the header decode, the ``Sig_structure``
+#: encode and Ed25519 alike.
+_VERIFY_MEMO: "OrderedDict[tuple[bytes, bytes, bytes, bytes], bool]" = (
+    OrderedDict())
 _VERIFY_MEMO_MAX = 256
 
 
@@ -50,17 +53,18 @@ class CoseSign1:
 
     def verify(self, public_key: bytes) -> bool:
         """True when the signature validates under ``public_key``."""
-        header = cbor.decode(self.protected)
+        memo_key = (self.protected, self.payload, self.signature,
+                    bytes(public_key))
+        if memo_key in _VERIFY_MEMO:
+            _VERIFY_MEMO.move_to_end(memo_key)
+            return True
+        try:
+            header = cbor.decode(self.protected)
+        except Exception:  # an undecodable header authenticates nothing
+            return False
         if not isinstance(header, dict) or header.get(HEADER_ALG) != ALG_EDDSA:
             return False
         message = self._sig_structure(self.protected, self.payload)
-        memo_key = hashlib.sha256(
-            b"%d:%d:" % (len(message), len(self.signature))
-            + message + self.signature + public_key
-        ).digest()
-        if _VERIFY_MEMO.get(memo_key):
-            _VERIFY_MEMO.move_to_end(memo_key)
-            return True
         ok = ed25519.verify(message, self.signature, public_key)
         if ok:
             _VERIFY_MEMO[memo_key] = True

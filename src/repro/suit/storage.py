@@ -57,6 +57,19 @@ NVM_SLOT_PREFIX = "suit/slot/"
 NVM_SEQ_PREFIX = "suit/seq/"
 
 
+def _encode_record(record: dict, cache: dict | None) -> bytes:
+    """Canonical CBOR of one NVM record, memoized in ``cache`` under the
+    record's exact fields (wall-clock only)."""
+    if cache is None:
+        return cbor.encode(record)
+    key = ("nvm-record", *record.items())
+    encoded = cache.get(key)
+    if encoded is None:
+        encoded = cbor.encode(record)
+        cache[key] = encoded
+    return encoded
+
+
 class StorageFullError(Exception):
     """No free slot for a new storage location (device budget exhausted)."""
 
@@ -130,7 +143,15 @@ class StorageRegistry:
 
     def install(self, location: str, image: bytes,
                 sequence_number: int, name: str = "",
-                runtime: str = "rbpf") -> StorageSlot:
+                runtime: str = "rbpf",
+                cache: dict | None = None) -> StorageSlot:
+        """Store ``image`` in ``location``'s slot and persist it.
+
+        ``cache`` is a fleet publish's release cache (see
+        :attr:`~repro.suit.worker.SuitUpdateWorker.release_cache`): N
+        devices installing the same release persist byte-identical
+        records, so their canonical CBOR is encoded once and shared.
+        """
         slot = self.slot(location)
         slot.image = bytes(image)
         slot.sequence_number = sequence_number
@@ -138,7 +159,7 @@ class StorageRegistry:
         if name:
             slot.name = name
         slot.runtime = runtime
-        self._persist(slot)
+        self._persist(slot, cache)
         if self.gc_horizon is not None:
             self.gc()
         return slot
@@ -181,7 +202,8 @@ class StorageRegistry:
 
     # -- persistence -----------------------------------------------------------
 
-    def _persist(self, slot: StorageSlot) -> None:
+    def _persist(self, slot: StorageSlot,
+                 cache: dict | None = None) -> None:
         """Write one installed slot's durable state to NVM (if backed).
 
         Two records, in a deliberate order: the big slot record first
@@ -191,6 +213,10 @@ class StorageRegistry:
         floor — safe, the floor only ever lags — while the reverse
         order could raise the floor above an image that never made it,
         bricking the slot against its own re-install.
+
+        Only the host-side encoding is shared through ``cache``: every
+        record is still framed, CRC'd, programmed and read back on this
+        device's flash, at this device's cycle cost.
         """
         if self.nvm is None or slot.sequence_number < 0:
             return
@@ -202,11 +228,12 @@ class StorageRegistry:
             "name": slot.name,
             "runtime": slot.runtime,
         }
-        self.nvm.write(NVM_SLOT_PREFIX + slot.location, cbor.encode(record))
+        self.nvm.write(NVM_SLOT_PREFIX + slot.location,
+                       _encode_record(record, cache))
         seq_record = {"location": slot.location,
                       "sequence": slot.sequence_number}
         self.nvm.write(NVM_SEQ_PREFIX + slot.location,
-                       cbor.encode(seq_record), redundant=True)
+                       _encode_record(seq_record, cache), redundant=True)
 
     def _read_record(self, key: str) -> dict | None:
         """One validated, decoded NVM record — or ``None`` if unreadable."""

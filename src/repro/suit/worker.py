@@ -163,16 +163,24 @@ class SuitUpdateWorker:
             # after boot, before any trigger can race the restore.
             self.storage.restore()
         self.results: list[UpdateResult] = []
-        #: Decode memo a fleet publisher hands every device's worker when
-        #: it wires the radio, and clears at the start of each publish
-        #: (``None`` on a standalone worker).  Maps raw envelope bytes to
-        #: the decoded ``(envelope, manifest)`` pair (and, for spec
-        #: workers, payload bytes to the decoded spec) so a 1,000-device
-        #: publish decodes each artifact once.  **Wall-clock only**: the
-        #: modelled verify and digest cycles are still charged per device
-        #: in full, and the decoded objects are immutable (frozen
-        #: dataclasses), so sharing them cannot leak state between
-        #: devices.
+        #: Release cache a fleet publisher hands every device's worker
+        #: when it wires the radio, and clears at the start of each
+        #: publish (``None`` on a standalone worker).  It shares every
+        #: pure step of one release across the fleet, so a 1,000-device
+        #: publish does each of them once:
+        #:
+        #: * a group-trigger body → its validated ``(envelope, payload,
+        #:   sequence, permille, leisure)`` tuple, which also makes every
+        #:   device's envelope and payload one shared ``bytes`` object;
+        #: * raw envelope bytes → the decoded ``(envelope, manifest)``;
+        #: * (spec workers) payload bytes → the decoded spec;
+        #: * a slot or sequence record's fields → its canonical CBOR
+        #:   (see :meth:`~repro.suit.storage.StorageRegistry.install`).
+        #:
+        #: **Wall-clock only**: the modelled verify, digest, flash and
+        #: radio cycles are still charged per device in full, and every
+        #: shared value is immutable (bytes, tuples, frozen dataclasses),
+        #: so sharing cannot leak state between devices.
         self.release_cache: dict | None = None
         #: Called with each verdict the worker thread reaches.  On a fleet
         #: device's radio worker the fleet publisher owns this hook: it
@@ -359,7 +367,8 @@ class SuitUpdateWorker:
         self._mark("checked")
         self.storage.install(manifest.storage_location, payload,
                              manifest.sequence_number, name=manifest.name,
-                             runtime=manifest.runtime)
+                             runtime=manifest.runtime,
+                             cache=self.release_cache)
         self._clear_fetch(manifest.storage_location)
         self._mark("installed")
         outcome = self._activate(manifest, target, payload)

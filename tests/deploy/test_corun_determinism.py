@@ -1,18 +1,26 @@
 """Co-run invariants: wall-clock-only, bit-identical modelling.
 
 The publisher co-runs every pending device kernel in fleet order and
-shares one decode memo across the device workers.  Modelled state must
-not notice the memo: per-device virtual clocks and charged cycles are
-pinned identical to a run whose memo never stores anything, on both the
-unicast and the multicast trigger path, and identical runs replay bit
-for bit — including a fleet past 64 devices, once split across shards.
+shares one release cache across the device workers (the group-trigger
+body, the decoded envelope and spec, the encoded NVM records), next to
+the process-wide COSE verdict memo.  Modelled state must not notice
+either: per-device charged cycles, virtual clocks, flash bytes written
+and persisted SUIT records are pinned identical to a run whose memos
+never store anything, across a cold and an updating publish, on the
+unicast and the multicast trigger path, lossless and lossy.  The fleet
+seed comes from ``CHAOS_SEED`` (CI sweeps several; locally one fixed
+default runs).  Identical runs replay bit for bit — including a fleet
+past 64 devices, once split across shards.
 The publisher also keeps one "done" rule: a device that reported its
 verdict for a sequence is never triggered with that sequence again.
 """
 
 from __future__ import annotations
 
+import os
 import random
+from collections import OrderedDict
+from typing import NamedTuple
 
 import pytest
 
@@ -26,11 +34,13 @@ from repro.deploy import (
     PublishOptions,
 )
 from repro.scenarios import build_fleet_publisher
-from repro.suit import SuitEnvelope, UpdateStatus
+from repro.suit import SuitEnvelope, UpdateStatus, cose
 from repro.vm import assemble
 from repro.vm.imagecache import IMAGE_CACHE
 
 GOOD = "mov r0, 7\n    exit"
+UPDATED = "mov r0, 8\n    exit"
+SEED = int(os.environ.get("CHAOS_SEED", "11"))
 
 
 @pytest.fixture(autouse=True)
@@ -51,31 +61,55 @@ def make_spec(source: str, name: str = "release") -> DeploymentSpec:
     )
 
 
-class NeverStores(dict):
-    """A decode memo that forgets every entry: each worker decodes the
-    release afresh, as if nothing were shared."""
+class NeverStores(OrderedDict):
+    """A memo that forgets every entry: each worker decodes, verifies
+    and encodes the release afresh, as if nothing were shared."""
 
     def __setitem__(self, key, value) -> None:
         pass
 
 
+class Modelled(NamedTuple):
+    """What a fleet's devices modelled over a run of publishes."""
+
+    #: Per publish: each device's cycles charged.
+    charged: list[dict[str, int]]
+    #: Each device's final virtual clock.
+    clocks: dict[str, int]
+    #: Each device's flash bytes written and persisted SUIT records.
+    flash: dict[str, tuple[int, list[tuple[str, bytes]]]]
+    ok: bool
+    #: Kinds of entry the publisher's release cache holds at the end.
+    shared: frozenset[str]
+
+
 def modelled_state(options: PublishOptions, devices: int = 8,
-                   seed: int = 11, loss: float = 0.0,
-                   memo: dict | None = None) -> tuple[dict, dict, bool]:
-    """(per-device cycles charged, per-device final clock, ok)."""
+                   seed: int = SEED, loss: float = 0.0,
+                   memo: dict | None = None,
+                   sources: tuple[str, ...] = (GOOD,)) -> Modelled:
+    """Publish one release per source in turn on a fresh fleet."""
     IMAGE_CACHE.clear()
     publisher = build_fleet_publisher(devices=devices, seed=seed, loss=loss)
     if memo is not None:
         publisher._release_cache = memo
         for device in publisher.fleet.devices:
             device.radio.worker.release_cache = memo
-    result = publisher.publish(make_spec(GOOD, "v1"), options)
-    charged = {row.device.name: row.cycles_charged for row in result.rows()}
-    clocks = {device.name: device.kernel.clock.cycles
-              for device in publisher.fleet.devices}
-    if memo is None:
-        assert publisher._release_cache  # the real memo did share
-    return charged, clocks, result.ok
+    charged, ok = [], True
+    for version, source in enumerate(sources, start=1):
+        result = publisher.publish(make_spec(source, f"v{version}"), options)
+        charged.append({row.device.name: row.cycles_charged
+                        for row in result.rows()})
+        ok = ok and result.ok
+    fleet = publisher.fleet.devices
+    return Modelled(
+        charged=charged,
+        clocks={device.name: device.kernel.clock.cycles for device in fleet},
+        flash={device.name: (device.nvm.bytes_written,
+                             list(device.nvm.items("suit/")))
+               for device in fleet},
+        ok=ok,
+        shared=frozenset(key[0] for key in publisher._release_cache),
+    )
 
 
 class TestModelledCyclesInvariant:
@@ -83,16 +117,27 @@ class TestModelledCyclesInvariant:
         (PublishOptions.legacy(), 0.0),
         (PublishOptions.legacy(), 0.05),
         (PublishOptions.scale(), 0.0),
-    ], ids=["unicast", "unicast-lossy", "multicast"])
-    def test_memo_is_wall_clock_only(self, options, loss):
-        """Sharing one decoded release across workers must not change
-        any device's charged cycles or final clock: decode memoization
-        is a host-side (wall-clock) effect, like the image cache."""
-        fresh = modelled_state(options, loss=loss, memo=NeverStores())
-        shared = modelled_state(options, loss=loss)
-        assert fresh[2] and shared[2]
-        assert fresh[0] == shared[0]
-        assert fresh[1] == shared[1]
+        (PublishOptions.scale(), 0.05),
+    ], ids=["unicast", "unicast-lossy", "multicast", "multicast-lossy"])
+    def test_memo_is_wall_clock_only(self, options, loss, monkeypatch):
+        """Sharing one release's decode, verify and record encodings
+        across workers must not change any device's charged cycles,
+        final clock, flash writes or persisted records, over a cold and
+        an updating publish: like the image cache, every share is a
+        host-side (wall-clock) effect."""
+        sources = (GOOD, UPDATED)
+        with monkeypatch.context() as patch:
+            patch.setattr(cose, "_VERIFY_MEMO", NeverStores())
+            fresh = modelled_state(options, loss=loss, memo=NeverStores(),
+                                   sources=sources)
+        shared = modelled_state(options, loss=loss, sources=sources)
+        assert fresh.ok and shared.ok
+        assert not fresh.shared
+        assert shared.shared >= {"envelope", "spec", "nvm-record"}
+        assert ("mcast" in shared.shared) == options.multicast
+        assert fresh.charged == shared.charged
+        assert fresh.clocks == shared.clocks
+        assert fresh.flash == shared.flash
 
     def test_identical_runs_are_bit_identical(self):
         """Same seed, same options, fresh rigs: the whole modelled
@@ -106,7 +151,7 @@ class TestModelledCyclesInvariant:
         two; one fleet-order loop must converge it and replay it."""
         first = modelled_state(PublishOptions.scale(), devices=65, seed=7)
         second = modelled_state(PublishOptions.scale(), devices=65, seed=7)
-        assert first[2] and len(first[0]) == 65
+        assert first.ok and len(first.charged[0]) == 65
         assert first == second
 
 

@@ -4,8 +4,9 @@ The fleet-scale publish path sends ONE broadcast trigger to a CoAP
 group address instead of N unicast POSTs.  These tests hold its
 contract: group membership on the shared link, the seeded suppression
 lottery that bounds the maintainer's ack sample to ~K of N, the
-self-healing unicast retry for devices that miss the broadcast, and
-convergence through a mid-broadcast loss burst.
+self-healing unicast retry for devices that miss the broadcast,
+convergence through a mid-broadcast loss burst, and a device handler
+that drops a broadcast body whose unsigned fields are ill-typed.
 """
 
 from __future__ import annotations
@@ -25,10 +26,12 @@ from repro.deploy import (
     LinkLossBurst,
     PublishOptions,
 )
-from repro.deploy.publish import GROUP_ADDR
-from repro.net import Interface, Link
+from repro.deploy.publish import COAP_PORT, GROUP_ADDR, MCAST_TRIGGER_PATH
+from repro.net import Interface, Link, coap
+from repro.net.coap import CoapMessage
 from repro.rtos import Kernel
 from repro.scenarios import build_fleet_publisher
+from repro.suit import UpdateStatus, cbor
 from repro.vm import assemble
 from repro.vm.imagecache import IMAGE_CACHE
 
@@ -220,3 +223,49 @@ class TestUnicastFallback:
         baseline = unicast.publish(make_spec(GOOD, "v1"))
         assert not baseline.multicast
         assert baseline.trigger_tx_bytes > result.trigger_tx_bytes
+
+
+class TestUnsignedBodyFields:
+    """Only the envelope inside a group-trigger body is signed; the
+    body's own fields are checked before any device acts on them."""
+
+    @pytest.mark.parametrize("body,queued", [
+        ({"e": b"x", "p": "zz"}, False),
+        ({"e": "text"}, False),
+        ({"e": b"x", "y": "text"}, False),
+        ({"e": b"x", "s": "one", "p": 1000}, False),
+        ({"e": b"x", "l": "soon", "p": 1000}, False),
+        ({"e": b"x", "p": -1}, False),
+        ({"e": b"x", "s": 9, "p": 1000, "l": 1000}, True),
+    ], ids=["text-permille", "text-envelope", "text-payload",
+            "text-sequence", "text-leisure", "negative-permille",
+            "well-formed-between-publishes"])
+    def test_ill_typed_body_is_dropped_silently(self, body, queued):
+        """A stray broadcast between publishes never raises out of the
+        device handler into the backhaul kernel.  An ill-typed body is
+        dropped and never cached; a well-formed one is queued (its
+        junk envelope then ends as MALFORMED) with no ack deadline."""
+        publisher = build_fleet_publisher(devices=2, seed=11)
+        assert publisher.publish(make_spec(GOOD, "v1"),
+                                 PublishOptions.scale()).ok
+        cached = set(publisher._release_cache)
+        before = {device.name: len(device.radio.worker.results)
+                  for device in publisher.fleet.devices}
+
+        message = CoapMessage(mtype=coap.NON, code=coap.POST,
+                              payload=cbor.encode(body))
+        message.add_uri_path(MCAST_TRIGGER_PATH)
+        publisher._mcast_socket.send_to(GROUP_ADDR, COAP_PORT,
+                                        message.encode())
+        publisher.kernel.run(until_us=publisher.kernel.now_us + 200_000)
+        for device in publisher.fleet.devices:
+            device.kernel.run(until_us=device.kernel.now_us + 200_000)
+
+        expected = [UpdateStatus.MALFORMED] if queued else []
+        for device in publisher.fleet.devices:
+            statuses = [result.status for result
+                        in device.radio.worker.results[before[device.name]:]]
+            assert statuses == expected
+        assert (set(publisher._release_cache) != cached) == queued
+        assert publisher.publish(make_spec(GOOD, "v2"),
+                                 PublishOptions.scale()).ok

@@ -118,13 +118,15 @@ class TestCose:
                            signature=signed.signature)
         assert not forged.verify(public)
 
-    def test_wrong_algorithm_header_rejected(self):
-        from repro.suit import cbor
-
+    @pytest.mark.parametrize("protected", [
+        bytes([0xA1, 0x01, 0x26]),  # {1: -7}: ES256, not EdDSA
+        b"\xff",  # not CBOR: must verify False, not raise
+        b"",
+    ], ids=["es256", "reserved-byte", "empty"])
+    def test_unusable_protected_header_rejected(self, protected):
         public = ed25519.public_key(self.SEED)
         signed = CoseSign1.sign(b"payload", self.SEED)
-        hacked = CoseSign1(protected=cbor.encode({1: -7}),  # ES256, not EdDSA
-                           payload=signed.payload,
+        hacked = CoseSign1(protected=protected, payload=signed.payload,
                            signature=signed.signature)
         assert not hacked.verify(public)
 
@@ -137,3 +139,39 @@ class TestCose:
             CoseSign1.decode(cbor.encode(cbor.Tag(99, [b"", {}, b"", b""])))
         with pytest.raises(CoseError):
             CoseSign1.decode(cbor.encode(cbor.Tag(18, ["not-bytes", {}, b"", b""])))
+
+    # After a genuine verify the memo holds its verdict; a hit must
+    # answer only for the exact bytes that verified.
+
+    @pytest.fixture()
+    def genuine(self):
+        public = ed25519.public_key(self.SEED)
+        signed = CoseSign1.sign(b"manifest", self.SEED)
+        assert signed.verify(public)  # stored in the memo
+        assert signed.verify(public)  # and answered from it
+        return signed, public
+
+    def test_flipped_signature_byte_rejected(self, genuine):
+        signed, public = genuine
+        signature = bytearray(signed.signature)
+        signature[17] ^= 0x01
+        forged = CoseSign1(protected=signed.protected, payload=signed.payload,
+                           signature=bytes(signature))
+        assert not forged.verify(public)
+
+    def test_other_public_key_rejected(self, genuine):
+        signed, _public = genuine
+        assert not signed.verify(ed25519.public_key(bytes(32)))
+
+    def test_other_protected_header_rejected(self, genuine):
+        """Same payload and signature under a different (still EdDSA)
+        protected header: a different Sig_structure, so no verdict."""
+        from repro.suit import cbor
+        from repro.suit.cose import ALG_EDDSA, HEADER_ALG
+
+        signed, public = genuine
+        hacked = CoseSign1(protected=cbor.encode({HEADER_ALG: ALG_EDDSA,
+                                                  4: b"kid"}),
+                           payload=signed.payload,
+                           signature=signed.signature)
+        assert not hacked.verify(public)

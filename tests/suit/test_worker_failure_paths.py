@@ -286,6 +286,30 @@ class TestReservationRelease:
         assert worker.storage.slot(location).image == v1
 
 
+class TestUndecodableHeader:
+    """An envelope whose COSE protected header is not CBOR is refused as
+    unauthenticated; it never raises out of the worker thread."""
+
+    @pytest.mark.parametrize("protected", [b"\xff", b""],
+                             ids=["reserved-byte", "empty"])
+    @pytest.mark.parametrize("worker_class",
+                             [SuitUpdateWorker, SpecUpdateWorker],
+                             ids=["image", "spec"])
+    def test_ends_as_signature_invalid(self, kernel, engine, worker_class,
+                                       protected):
+        from repro.suit.cose import CoseSign1
+
+        repo, worker = make_rig(kernel, engine, worker_class)
+        payload = assemble("mov r0, 1\n    exit").to_bytes()
+        signed = SuitEnvelope.create(image_manifest(engine, payload), SEED)
+        hacked = SuitEnvelope(auth=CoseSign1(
+            protected=protected, payload=signed.auth.payload,
+            signature=signed.auth.signature))
+        result = run_update(kernel, worker, hacked.encode())
+        assert result.status is UpdateStatus.SIGNATURE_INVALID
+        assert worker.storage.slots == {}
+
+
 class TestRegistryBehaviour:
     def test_peek_never_creates_slots(self):
         from repro.suit import StorageRegistry
