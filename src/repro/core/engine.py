@@ -35,7 +35,12 @@ from repro.core.hooks import (
     HookMode,
 )
 from repro.core.kvstore import KeyValueStore
-from repro.core.policy import ContainerContract, HookPolicy, grant
+from repro.core.policy import (
+    ContainerContract,
+    GrantedPolicy,
+    HookPolicy,
+    grant,
+)
 from repro.core.syscalls import CoapResponseContext, build_helper_registry
 from repro.core.tenant import Tenant
 from repro.rtos.kernel import Kernel
@@ -136,6 +141,16 @@ class HostingEngine:
         #: Crash-loop/overrun watchdog (``supervisor=None``: the default
         #: :class:`~repro.vm.supervisor.SupervisorConfig` policy).
         self.supervisor = ContainerSupervisor(self, supervisor)
+        #: ``(hook policy, contract, helper ids)`` -> the granted policy
+        #: and the verifier and VM configs derived from it.  All are
+        #: frozen values, so every attach of one slot shape under one
+        #: ceiling shares them; a changed ceiling, contract or helper
+        #: set is a new key.  A :class:`~repro.core.policy.PolicyError`
+        #: is never stored.  Wall-clock only.
+        self._grants: dict[tuple[HookPolicy, ContainerContract,
+                                 frozenset[int]],
+                           tuple[GrantedPolicy, VerifierConfig,
+                                 VMConfig]] = {}
         self._register_default_hooks()
 
     # -- firmware-provided hooks ------------------------------------------------
@@ -201,19 +216,24 @@ class HostingEngine:
             contract=contract or ContainerContract(),
         )
 
-    def attach(self, container: FemtoContainer, hook_name: str) -> FemtoContainer:
+    def attach(self, container: FemtoContainer, hook_name: str,
+               position: int | None = None) -> FemtoContainer:
         """Verify ``container`` under the hook's policy and attach it.
 
         This is the paper's install step: pre-flight checking happens here,
         once, and its cost is charged to the virtual clock.  Attaching a
         JIT container additionally charges the §11 transpilation cost.
+        The container joins the end of the hook's run order, or takes
+        index ``position`` in it (how :meth:`replace` and a rolled-back
+        plan keep a slot where it was).
 
         The *virtual* clock always pays the full verify+install price —
         that is the device model the evaluation reports.  The *host*,
         however, resolves both through the process-wide image cache, so
         attaching the N-th instance of an already-seen image (same
         content hash, same granted limits) costs dictionary lookups
-        instead of a re-verify and a re-transpile.
+        instead of a re-verify and a re-transpile, and derives the grant
+        and the VM limits once per slot shape (see :attr:`_grants`).
         """
         hook = self.hook(hook_name)
         if container.hook is not None:
@@ -223,20 +243,10 @@ class HostingEngine:
             )
         tenant_name = container.tenant.name if container.tenant else None
         try:
-            granted = grant(hook.policy_for(tenant_name), container.contract)
+            granted, verifier_config, vm_config = self._limits(
+                hook.policy_for(tenant_name), container.contract)
         except Exception as exc:
             raise self._rejected(container, exc) from exc
-
-        verifier_config = VerifierConfig(
-            max_instructions=granted.max_instructions,
-            allowed_helpers=(
-                granted.allowed_helpers
-                if granted.allowed_helpers is not None
-                else self.helpers.ids()
-            ),
-        )
-        vm_config = VMConfig(branch_limit=granted.branch_limit,
-                             stack_size=granted.stack_size)
         access = AccessList()
         for region_grant in granted.memory_grants:
             access.add(MemoryRegion.zeroed(
@@ -256,13 +266,45 @@ class HostingEngine:
         container.granted = granted
         container.hook = hook
         container.state = ContainerState.ATTACHED
-        hook.containers.append(container)
+        if position is None:
+            hook.containers.append(container)
+        else:
+            hook.containers.insert(position, container)
         if container.tenant is not None:
             container.tenant.adopt(container)
         if hook.mode is HookMode.THREAD:
             self._spawn_worker(container)
         self.supervisor.notify_attach(container, hook.name)
         return container
+
+    def _limits(
+        self, policy: HookPolicy, contract: ContainerContract
+    ) -> tuple[GrantedPolicy, VerifierConfig, VMConfig]:
+        """The grant and the verifier and VM limits of one slot shape,
+        derived once per key of :attr:`_grants`."""
+        key = (policy, contract, self.helpers.ids())
+        try:
+            derived = self._grants.get(key)
+        except TypeError:  # a hand-built mutable set: derive, never store
+            key, derived = None, None
+        if derived is None:
+            granted = grant(policy, contract)
+            derived = (
+                granted,
+                VerifierConfig(
+                    max_instructions=granted.max_instructions,
+                    allowed_helpers=(
+                        granted.allowed_helpers
+                        if granted.allowed_helpers is not None
+                        else self.helpers.ids()
+                    ),
+                ),
+                VMConfig(branch_limit=granted.branch_limit,
+                         stack_size=granted.stack_size),
+            )
+            if key is not None:
+                self._grants[key] = derived
+        return derived
 
     @staticmethod
     def _rejected(container: FemtoContainer, exc: Exception) -> AttachError:
@@ -293,29 +335,28 @@ class HostingEngine:
     def replace(self, old: FemtoContainer, new_program: Program) -> FemtoContainer:
         """Hot-swap a container's application (the SUIT update effect).
 
-        The replacement keeps the old container's *name*: the deployed
-        slot is the stable identity operators (and the declarative
-        deployment reconciler) track across updates — only the image
-        content changes.
+        The replacement keeps the old container's *name* and its place
+        in the hook's run order: the deployed slot is the stable
+        identity operators (and the declarative deployment reconciler)
+        track across updates — only the image content changes.
         """
-        if old.hook is None:
+        hook = old.hook
+        if hook is None:
             raise AttachError("cannot replace a detached container")
-        hook_name = old.hook.name
-        tenant = old.tenant
-        contract = old.contract
+        position = hook.containers.index(old)
         self.detach(old)
-        fresh = self.load(new_program, tenant=tenant, contract=contract,
-                          name=old.name)
+        fresh = self.load(new_program, tenant=old.tenant,
+                          contract=old.contract, name=old.name)
         try:
-            return self.attach(fresh, hook_name)
+            return self.attach(fresh, hook.name, position)
         except Exception:
             # Failure-atomic: a replacement whose image is rejected must
             # not leave the slot empty.  The rejection already released
             # the never-attached ``fresh`` from the tenant; re-attach the
-            # old container (re-verified, so the clock is charged like
-            # any install; a real device restoring its old image pays it
-            # too).
-            self.attach(old, hook_name)
+            # old container itself, at its old position (re-verified, so
+            # the clock is charged like any install; a real device
+            # restoring its old image pays it too).
+            self.attach(old, hook.name, position)
             raise
 
     def _spawn_worker(self, container: FemtoContainer) -> None:

@@ -38,14 +38,20 @@ spec is cycle-identical to the same device built imperatively.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Union
 from weakref import WeakKeyDictionary
 
 from repro.core.errors import AttachError
 from repro.core.hooks import Hook, HookMode
 from repro.core.policy import ContainerContract, HookPolicy
-from repro.deploy.spec import DeploymentSpec, ImageSpec, SpecError
+from repro.deploy.spec import (
+    DeploymentSpec,
+    DesiredInstance,
+    ImageSpec,
+    SpecError,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.container import FemtoContainer
@@ -154,16 +160,83 @@ def _live_tenant(container: "FemtoContainer") -> str | None:
     return container.tenant.name if container.tenant is not None else None
 
 
+class _Slot(NamedTuple):
+    """One desired (hook, name) slot with the actions that fill it."""
+
+    instance: DesiredInstance
+    install: Install
+    replace: Replace
+
+
+class _PlanView(NamedTuple):
+    """Everything :func:`plan` derives from the spec alone.
+
+    Device-independent, so a fleet that plans one spec object on every
+    device derives it once: validation, the flattened slots (with their
+    frozen :class:`Install` and :class:`Replace` actions, shared by every
+    device's plan) and the merged tenant policies.
+    """
+
+    tenants: frozenset[str]
+    declared_hooks: frozenset[str]
+    #: Hooks the attachments target, deduplicated in spec order.
+    attached_hooks: tuple[str, ...]
+    #: Declared and attached hooks, sorted (the policy diff's order).
+    spec_hooks: tuple[str, ...]
+    policies: dict[str, dict[str, HookPolicy]]
+    slots: tuple[_Slot, ...]
+
+
+#: Plan views of recently planned specs, keyed by ``id(spec)``; each
+#: entry holds its spec, so the id cannot be reused while it lives.  A
+#: fleet publish plans the one spec object its release cache decoded on
+#: every device, so the views a memo this small holds cover any publish.
+#: Sound because a spec is immutable (see :class:`DeploymentSpec`) and
+#: only a spec that validated is stored: an invalid one raises
+#: :class:`SpecError` on every :func:`plan`.  Wall-clock only.
+_PLAN_VIEWS: "OrderedDict[int, tuple[DeploymentSpec, _PlanView]]" = (
+    OrderedDict())
+_PLAN_VIEWS_MAX = 16
+
+
+def _plan_view(spec: DeploymentSpec) -> _PlanView:
+    entry = _PLAN_VIEWS.get(id(spec))
+    if entry is not None and entry[0] is spec:
+        _PLAN_VIEWS.move_to_end(id(spec))
+        return entry[1]
+    spec.validate()
+    declared_hooks = frozenset(hook.name for hook in spec.hooks)
+    attached_hooks = tuple(dict.fromkeys(a.hook for a in spec.attachments))
+    view = _PlanView(
+        tenants=frozenset(spec.tenants),
+        declared_hooks=declared_hooks,
+        attached_hooks=attached_hooks,
+        spec_hooks=tuple(sorted(declared_hooks.union(attached_hooks))),
+        policies=spec.hook_tenant_policies(),
+        slots=tuple(
+            _Slot(instance,
+                  Install(name=instance.name, hook=instance.hook,
+                          tenant=instance.tenant, image=instance.image,
+                          contract=instance.contract,
+                          period_us=instance.period_us),
+                  Replace(instance.name, instance.hook, instance.image))
+            for instance in spec.desired_instances()),
+    )
+    _PLAN_VIEWS[id(spec)] = (spec, view)
+    if len(_PLAN_VIEWS) > _PLAN_VIEWS_MAX:
+        _PLAN_VIEWS.popitem(last=False)
+    return view
+
+
 def plan(engine: "HostingEngine", spec: DeploymentSpec) -> DeploymentPlan:
     """Diff ``spec`` against ``engine`` into an ordered action list."""
-    spec.validate()
+    view = _plan_view(spec)
     actions: list[Action] = []
 
     for tenant in spec.tenants:
         if tenant not in engine.tenants:
             actions.append(CreateTenant(tenant))
 
-    declared_hooks = {hook.name for hook in spec.hooks}
     for hook_spec in spec.hooks:
         live = engine.hooks.get(hook_spec.name)
         if live is None:
@@ -174,16 +247,14 @@ def plan(engine: "HostingEngine", spec: DeploymentSpec) -> DeploymentPlan:
                 f"but the spec wants {hook_spec.mode.value} — hook modes "
                 "are fixed in firmware and cannot be reconciled"
             )
-    for attachment in spec.attachments:
-        if attachment.hook not in engine.hooks \
-                and attachment.hook not in declared_hooks:
+    for hook_name in view.attached_hooks:
+        if hook_name not in engine.hooks \
+                and hook_name not in view.declared_hooks:
             raise SpecError(
-                f"attachment targets hook {attachment.hook!r}, which is "
+                f"attachment targets hook {hook_name!r}, which is "
                 "neither compiled into this firmware nor declared in the "
                 "spec's hooks"
             )
-
-    spec_hooks = declared_hooks | {a.hook for a in spec.attachments}
 
     # Per-tenant privilege ceilings on the spec's hooks (the §11 Hook
     # extension).  The spec owns the overrides of exactly the tenants it
@@ -191,14 +262,13 @@ def plan(engine: "HostingEngine", spec: DeploymentSpec) -> DeploymentPlan:
     # cleared, other tenants' overrides are never touched.  A changed
     # ceiling re-installs the tenant's slots on that hook below, so the
     # running containers are re-granted under the new policy.
-    desired_policies = spec.hook_tenant_policies()
     policy_actions: list[Action] = []
     policy_changed: set[tuple[str, str]] = set()
-    for hook_name in sorted(spec_hooks):
+    for hook_name in view.spec_hooks:
         live_hook = engine.hooks.get(hook_name)
         live_policies = (live_hook.tenant_policies
                          if live_hook is not None else {})
-        wanted = desired_policies.get(hook_name, {})
+        wanted = view.policies.get(hook_name, {})
         for tenant in spec.tenants:
             if live_policies.get(tenant) != wanted.get(tenant):
                 policy_actions.append(SetTenantPolicy(hook_name, tenant,
@@ -210,9 +280,9 @@ def plan(engine: "HostingEngine", spec: DeploymentSpec) -> DeploymentPlan:
     for hook in engine.hooks.values():
         for container in hook.containers:
             tenant_name = _live_tenant(container)
-            managed = (tenant_name in spec.tenants
+            managed = (tenant_name in view.tenants
                        if tenant_name is not None
-                       else hook.name in spec_hooks)
+                       else hook.name in view.spec_hooks)
             if managed:
                 owned[(hook.name, container.name)] = container
 
@@ -222,35 +292,22 @@ def plan(engine: "HostingEngine", spec: DeploymentSpec) -> DeploymentPlan:
     # old containers under it).
     pre_detach: list[Action] = []
     converge: list[Action] = []
-    for instance in spec.desired_instances():
+    for instance, install, replace in view.slots:
         key = (instance.hook, instance.name)
         container = owned.pop(key, None)
         if container is None:
-            converge.append(Install(
-                name=instance.name, hook=instance.hook,
-                tenant=instance.tenant, image=instance.image,
-                contract=instance.contract, period_us=instance.period_us,
-            ))
+            converge.append(install)
         elif (instance.hook, instance.tenant) in policy_changed:
             pre_detach.append(Detach(instance.name, instance.hook))
-            converge.append(Install(
-                name=instance.name, hook=instance.hook,
-                tenant=instance.tenant, image=instance.image,
-                contract=instance.contract, period_us=instance.period_us,
-            ))
+            converge.append(install)
         elif (_live_tenant(container) != instance.tenant
               or container.contract != instance.contract):
             # Tenancy or contract drift cannot hot-swap: re-install
             # (the attach re-runs the grant intersection).
             converge.append(Detach(instance.name, instance.hook))
-            converge.append(Install(
-                name=instance.name, hook=instance.hook,
-                tenant=instance.tenant, image=instance.image,
-                contract=instance.contract, period_us=instance.period_us,
-            ))
+            converge.append(install)
         elif container.image_hash != instance.image.image_hash:
-            converge.append(Replace(instance.name, instance.hook,
-                                    instance.image))
+            converge.append(replace)
         # else: converged — the slot already holds this exact image.
 
     actions.extend(pre_detach)
@@ -298,6 +355,16 @@ def _find_container(engine: "HostingEngine", hook_name: str,
     )
 
 
+def _put_back(engine: "HostingEngine", current: "FemtoContainer",
+              previous: "FemtoContainer") -> None:
+    """Undo a replace: ``previous`` itself (its runs, faults and local
+    store) takes ``current``'s slot again, at the same hook position."""
+    hook = current.hook
+    position = hook.containers.index(current)
+    engine.detach(current)
+    engine.attach(previous, hook.name, position)
+
+
 #: Periodic firings armed by past applies, per engine, keyed like plan
 #: actions by (hook, name).  Lets a later apply's Detach cancel the
 #: cadence its slot's Install armed (the spec owns the timer exactly as
@@ -314,9 +381,10 @@ def apply(engine: "HostingEngine", deployment: DeploymentPlan) -> ApplyResult:
     between plan() and apply(), even a malformed image that only
     explodes at decode time — reverts everything already done, in
     reverse order, and re-raises, so a rejected spec never leaves a
-    half-deployed device.  Rollback re-attaches through the normal
-    verify path, so it charges the virtual clock like any install (a
-    real device would pay it too).
+    half-deployed device.  Rollback re-attaches the original container
+    objects at their original hook positions, through the normal verify
+    path, so it charges the virtual clock like any install (a real
+    device would pay it too).
 
     Detaching a slot also cancels the periodic firing its install armed;
     the cancellation is deferred until the whole plan succeeded, so
@@ -398,17 +466,18 @@ def apply(engine: "HostingEngine", deployment: DeploymentPlan) -> ApplyResult:
                     undo.append(_disarm)
             elif isinstance(action, Replace):
                 old = _find_container(engine, action.hook, action.name)
-                old_program = old.program
                 fresh = engine.replace(
                     old, action.image.instantiate(action.name))
-                undo.append(lambda c=fresh, p=old_program:
-                            engine.replace(c, p))
+                undo.append(lambda c=fresh, o=old:
+                            _put_back(engine, c, o))
                 result.containers[(action.hook, action.name)] = fresh
             elif isinstance(action, Detach):
                 container = _find_container(engine, action.hook, action.name)
+                position = engine.hooks[action.hook].containers.index(
+                    container)
                 engine.detach(container)
-                undo.append(lambda c=container, h=action.hook:
-                            engine.attach(c, h))
+                undo.append(lambda c=container, h=action.hook, p=position:
+                            engine.attach(c, h, p))
                 result.detached.append((action.hook, action.name))
                 # Pop the slot's armed cadence *now* (a later Install in
                 # this same plan may re-arm the same key) but cancel it

@@ -385,7 +385,16 @@ class DesiredInstance:
 
 @dataclass(frozen=True)
 class DeploymentSpec:
-    """Desired state of one device: tenants, images, attachments."""
+    """Desired state of one device: tenants, images, attachments.
+
+    A spec is immutable once built.  ``images`` (and each attachment's
+    ``tenant_policies``) is a plain mapping for construction
+    convenience, but nothing may mutate it afterwards:
+    :func:`~repro.deploy.plan.plan` validates and flattens one spec
+    object once and reuses that derivation on every device it plans (a
+    fleet publish plans the same decoded spec everywhere).  Build a new
+    spec to change the desired state.
+    """
 
     name: str = "deployment"
     tenants: tuple[str, ...] = ()
@@ -501,7 +510,12 @@ class DeploymentSpec:
             attachments=tuple(AttachmentSpec.from_json(a)
                               for a in doc.get("attachments", ())),
         )
-        spec.validate()
+        # Validates, and keeps what plan() derives from the spec alone,
+        # so a decoded release is validated once however many devices
+        # plan it.
+        from repro.deploy.plan import _plan_view
+
+        _plan_view(spec)
         return spec
 
     def to_cbor(self) -> bytes:

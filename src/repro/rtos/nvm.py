@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Iterator
 
 from repro.rtos.errors import PowerFailure
@@ -78,6 +79,29 @@ def _frame(payload: bytes) -> bytes:
     return (NVM_FRAME_MAGIC
             + struct.pack("<II", len(payload), zlib.crc32(payload))
             + payload)
+
+
+#: Frames of recently written payloads, keyed by the exact payload
+#: bytes.  The devices of a fleet publish write byte-identical records
+#: (one shared ``bytes`` object from the release cache), so each record
+#: is framed -- copied and CRC'd on the host -- once, and every device's
+#: flash holds that one immutable frame.  Bounded like the COSE verify
+#: memo.  Wall-clock only: each write still charges its CRC, erase,
+#: program and read-back cycles on the device.
+_FRAME_MEMO: "OrderedDict[bytes, bytes]" = OrderedDict()
+_FRAME_MEMO_MAX = 64
+
+
+def _shared_frame(payload: bytes) -> bytes:
+    frame = _FRAME_MEMO.get(payload)
+    if frame is not None:
+        _FRAME_MEMO.move_to_end(payload)
+        return frame
+    frame = _frame(payload)
+    _FRAME_MEMO[payload] = frame
+    if len(_FRAME_MEMO) > _FRAME_MEMO_MAX:
+        _FRAME_MEMO.popitem(last=False)
+    return frame
 
 
 def _unframe(frame: bytes | None) -> bytes | None:
@@ -264,19 +288,22 @@ class NvmStore:
         """
         value = bytes(value)
         self._charge(len(value) * self.crc_cycles_per_byte)
-        frame = _frame(value)
+        frame = _shared_frame(value)
         # Phase 1: program the shadow region.
         self._maybe_tear("shadow", key, frame)
         self._program("shadow", key, frame)
         # Phase 2: program the primary region.
         self._maybe_tear("commit", key, frame)
         written = self._program("primary", key, frame)
-        # Read-back verify (every SUIT bootloader does).
+        # Read-back verify (every SUIT bootloader does).  A healthy
+        # region programs the very frame built above, which is intact by
+        # construction, so the host re-checks the CRC only of a frame a
+        # worn region handed back altered.
         self._charge(len(written) * self.read_cycles_per_byte)
         self.writes += 1
         if redundant:
             self._redundant.add(key)
-        elif _unframe(written) is not None:
+        elif written is frame or _unframe(written) is not None:
             # Healthy commit: retire the shadow journal entry.
             self._shadow.pop(key, None)
             self._charge(self.erase_cycles_per_page)

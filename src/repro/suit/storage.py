@@ -214,9 +214,11 @@ class StorageRegistry:
         order could raise the floor above an image that never made it,
         bricking the slot against its own re-install.
 
-        Only the host-side encoding is shared through ``cache``: every
-        record is still framed, CRC'd, programmed and read back on this
-        device's flash, at this device's cycle cost.
+        Only host-side work is shared: the encoding through ``cache``,
+        and the CRC framing through :class:`~repro.rtos.nvm.NvmStore`'s
+        frame memo.  Every record is still charged its CRC, programmed
+        and read back on this device's flash, at this device's cycle
+        cost.
         """
         if self.nvm is None or slot.sequence_number < 0:
             return

@@ -173,9 +173,14 @@ class SuitUpdateWorker:
         #:   sequence, permille, leisure)`` tuple, which also makes every
         #:   device's envelope and payload one shared ``bytes`` object;
         #: * raw envelope bytes → the decoded ``(envelope, manifest)``;
-        #: * (spec workers) payload bytes → the decoded spec;
+        #: * a manifest's ``(digest, size)`` plus the exact payload bytes
+        #:   → the payload matched it (only matches are stored);
+        #: * (spec workers) payload bytes → the decoded spec, which
+        #:   :func:`~repro.deploy.plan.plan` then validates and flattens
+        #:   once for the whole fleet;
         #: * a slot or sequence record's fields → its canonical CBOR
-        #:   (see :meth:`~repro.suit.storage.StorageRegistry.install`).
+        #:   (see :meth:`~repro.suit.storage.StorageRegistry.install`),
+        #:   which :meth:`~repro.rtos.nvm.NvmStore.write` frames once.
         #:
         #: **Wall-clock only**: the modelled verify, digest, flash and
         #: radio cycles are still charged per device in full, and every
@@ -356,7 +361,7 @@ class SuitUpdateWorker:
 
         # 4. Integrity check, then store and activate.
         thread.charge(SHA256_CYCLES_PER_BYTE * len(payload))
-        if not manifest.matches_payload(payload):
+        if not self._payload_matches(manifest, payload):
             self.storage.release_if_empty(manifest.storage_location)
             self._clear_fetch(manifest.storage_location)
             return UpdateResult(
@@ -374,6 +379,23 @@ class SuitUpdateWorker:
         outcome = self._activate(manifest, target, payload)
         self._mark("activated")
         return outcome
+
+    def _payload_matches(self, manifest: SuitManifest,
+                         payload: bytes) -> bool:
+        """:meth:`SuitManifest.matches_payload`, with a match shared
+        through the release cache under the exact digest, size and
+        payload bytes (a mismatch is never stored, so it is re-checked
+        every time).  The caller charges the SHA-256 either way."""
+        cache = self.release_cache
+        if cache is None:
+            return manifest.matches_payload(payload)
+        key = ("digest", manifest.digest, manifest.size, payload)
+        if key in cache:
+            return True
+        if not manifest.matches_payload(payload):
+            return False
+        cache[key] = True
+        return True
 
     # -- fetch checkpointing ---------------------------------------------------
 

@@ -90,6 +90,7 @@ class HelperRegistry:
 
     def __init__(self) -> None:
         self._helpers: dict[int, Helper] = {}
+        self._ids: frozenset[int] | None = None
 
     def register(self, helper_id: int, fn: HelperFn, name: str | None = None,
                  cost_key: str = "trace") -> Helper:
@@ -101,6 +102,7 @@ class HelperRegistry:
             cost_key=cost_key,
         )
         self._helpers[helper_id] = helper
+        self._ids = None
         return helper
 
     def lookup(self, helper_id: int) -> Helper:
@@ -116,7 +118,10 @@ class HelperRegistry:
         return 0 if result is None else int(result) & 0xFFFFFFFFFFFFFFFF
 
     def ids(self) -> frozenset[int]:
-        return frozenset(self._helpers)
+        """The registered ids (rebuilt only after a :meth:`register`)."""
+        if self._ids is None:
+            self._ids = frozenset(self._helpers)
+        return self._ids
 
     def cost_key(self, helper_id: int) -> str:
         return self.lookup(helper_id).cost_key

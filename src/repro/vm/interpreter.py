@@ -147,9 +147,14 @@ class Interpreter:
         )
         self.access_list.add(self.stack)
         if program.rodata:
-            self.access_list.grant_bytes(
-                ".rodata", RODATA_BASE, program.rodata, Permission.READ
-            )
+            # Read-only and immutable, so every instance of one image maps
+            # the image's own bytes (as a board executes .rodata in place
+            # from flash): no per-instance copy.  A store into it faults
+            # on the permission check, before any buffer is touched.
+            self.access_list.add(MemoryRegion(
+                ".rodata", RODATA_BASE, bytes(program.rodata),
+                Permission.READ,
+            ))
         self.data_region: MemoryRegion | None = None
         if program.data:
             self.data_region = self.access_list.grant_bytes(

@@ -70,15 +70,24 @@ class Permission(IntFlag):
 
 @dataclass
 class MemoryRegion:
-    """A contiguous virtual region backed by a Python ``bytearray``."""
+    """A contiguous virtual region over a fixed-size host buffer.
+
+    The buffer is a ``bytearray`` for every region the VM or the host
+    may write (stack, context, ``.data``, grants).  A region that is
+    ``READ``-only for its whole life may instead be backed by immutable
+    ``bytes`` shared with other regions (a program's ``.rodata`` is one
+    buffer for all its instances): every store is permission-checked
+    before it reaches the buffer, so a write into it ends as a
+    :class:`MemoryFault`, never a host error.
+    """
 
     name: str
     start: int
-    data: bytearray
+    data: bytearray | bytes
     perms: Permission
 
     def __post_init__(self) -> None:
-        # Cached geometry and a zero-copy view for the struct packers.  The
+        # Cached geometry and a zero-copy view for the struct packers.  A
         # backing bytearray must never be resized (regions are fixed-size
         # hardware-like mappings); the exported memoryview enforces that.
         # ``_perm_bits`` dodges IntFlag.__and__, which allocates an enum

@@ -2,12 +2,14 @@
 
 The publisher co-runs every pending device kernel in fleet order and
 shares one release cache across the device workers (the group-trigger
-body, the decoded envelope and spec, the encoded NVM records), next to
-the process-wide COSE verdict memo.  Modelled state must not notice
-either: per-device charged cycles, virtual clocks, flash bytes written
-and persisted SUIT records are pinned identical to a run whose memos
-never store anything, across a cold and an updating publish, on the
-unicast and the multicast trigger path, lossless and lossy.  The fleet
+body, the decoded envelope and spec, the payload digest verdict, the
+encoded NVM records), next to the process-wide COSE verdict, NVM frame
+and plan-view memos and each engine's grant memo.  Modelled state must
+not notice any of them: per-device charged cycles, virtual clocks,
+flash bytes written and persisted SUIT records are pinned identical to
+a run whose memos never store anything, across a cold and an updating
+publish, on the unicast and the multicast trigger path, lossless and
+lossy.  Every memo stores successes only, under exact keys.  The fleet
 seed comes from ``CHAOS_SEED`` (CI sweeps several; locally one fixed
 default runs).  Identical runs replay bit for bit — including a fleet
 past 64 devices, once split across shards.
@@ -17,6 +19,7 @@ verdict for a sequence is never triggered with that sequence again.
 
 from __future__ import annotations
 
+import importlib
 import os
 import random
 from collections import OrderedDict
@@ -24,19 +27,27 @@ from typing import NamedTuple
 
 import pytest
 
-from repro.core import FC_HOOK_FANOUT
-from repro.core.hooks import HookMode
+from repro.core import FC_HOOK_FANOUT, AttachError, HostingEngine
+from repro.core import engine as engine_module
+from repro.core.hooks import Hook, HookMode
+from repro.core.policy import ContainerContract, HookPolicy
 from repro.deploy import (
     AttachmentSpec,
     DeploymentSpec,
     HookSpec,
     ImageSpec,
     PublishOptions,
+    SpecError,
+    plan,
 )
+from repro.rtos import Kernel, NvmStore, nvm
 from repro.scenarios import build_fleet_publisher
-from repro.suit import SuitEnvelope, UpdateStatus, cose
+from repro.suit import SuitEnvelope, UpdateStatus, cose, sign_spec
 from repro.vm import assemble
 from repro.vm.imagecache import IMAGE_CACHE
+
+# The module, not the ``plan`` function the package re-exports.
+plan_module = importlib.import_module("repro.deploy.plan")
 
 GOOD = "mov r0, 7\n    exit"
 UPDATED = "mov r0, 8\n    exit"
@@ -94,6 +105,7 @@ def modelled_state(options: PublishOptions, devices: int = 8,
         publisher._release_cache = memo
         for device in publisher.fleet.devices:
             device.radio.worker.release_cache = memo
+            device.engine._grants = NeverStores()
     charged, ok = [], True
     for version, source in enumerate(sources, start=1):
         result = publisher.publish(make_spec(source, f"v{version}"), options)
@@ -120,20 +132,23 @@ class TestModelledCyclesInvariant:
         (PublishOptions.scale(), 0.05),
     ], ids=["unicast", "unicast-lossy", "multicast", "multicast-lossy"])
     def test_memo_is_wall_clock_only(self, options, loss, monkeypatch):
-        """Sharing one release's decode, verify and record encodings
-        across workers must not change any device's charged cycles,
-        final clock, flash writes or persisted records, over a cold and
-        an updating publish: like the image cache, every share is a
-        host-side (wall-clock) effect."""
+        """Sharing one release's decode, verify, digest check, record
+        encodings and frames, plan view and grants across devices must
+        not change any device's charged cycles, final clock, flash
+        writes or persisted records, over a cold and an updating
+        publish: like the image cache, every share is a host-side
+        (wall-clock) effect."""
         sources = (GOOD, UPDATED)
         with monkeypatch.context() as patch:
             patch.setattr(cose, "_VERIFY_MEMO", NeverStores())
+            patch.setattr(nvm, "_FRAME_MEMO", NeverStores())
+            patch.setattr(plan_module, "_PLAN_VIEWS", NeverStores())
             fresh = modelled_state(options, loss=loss, memo=NeverStores(),
                                    sources=sources)
         shared = modelled_state(options, loss=loss, sources=sources)
         assert fresh.ok and shared.ok
         assert not fresh.shared
-        assert shared.shared >= {"envelope", "spec", "nvm-record"}
+        assert shared.shared >= {"envelope", "spec", "nvm-record", "digest"}
         assert ("mcast" in shared.shared) == options.multicast
         assert fresh.charged == shared.charged
         assert fresh.clocks == shared.clocks
@@ -210,3 +225,85 @@ class TestOneDoneRule:
                 PublishOptions(canary_count=2, bake_us=200_000.0))
             assert result.ok, result.reason
         assert late == []
+
+
+class TestMemoSafety:
+    """Every share stores successes only, under exact keys: a memo hit
+    can never stand in for a check that would fail."""
+
+    def test_invalid_spec_raises_on_every_plan(self):
+        spec = DeploymentSpec(attachments=(
+            AttachmentSpec(image="missing", hook=FC_HOOK_FANOUT),))
+        engine = HostingEngine(Kernel())
+        for _ in range(3):
+            with pytest.raises(SpecError):
+                plan(engine, spec)
+
+    def test_grant_rederived_for_new_ceiling_or_helper(self, monkeypatch):
+        grants = []
+        real_grant = engine_module.grant
+        monkeypatch.setattr(engine_module, "grant",
+                            lambda *args: grants.append(args)
+                            or real_grant(*args))
+        engine = HostingEngine(Kernel(), implementation="jit")
+        hook = engine.register_hook(Hook(FC_HOOK_FANOUT, mode=HookMode.SYNC))
+        tenant = engine.create_tenant("ops")
+
+        def attach(source: str, name: str):
+            return engine.attach(
+                engine.load(assemble(source), tenant=tenant, name=name),
+                FC_HOOK_FANOUT)
+
+        attach(GOOD, "a")
+        attach(GOOD, "b")
+        assert len(grants) == 1
+        hook.tenant_policies["ops"] = HookPolicy(max_instructions=64)
+        assert attach(GOOD, "c").granted.max_instructions == 64
+        assert len(grants) == 2
+        # 0x7f is no registered helper: the verifier refuses the call.
+        with pytest.raises(AttachError):
+            attach("call 0x7f\n    exit", "d")
+        engine.helpers.register(0x7f, lambda vm, *args: 5)
+        caller = attach("call 0x7f\n    exit", "e")
+        assert len(grants) == 3
+        assert engine.execute(caller).value == 5
+
+    def test_unhashable_contract_is_derived_never_stored(self):
+        engine = HostingEngine(Kernel())
+        engine.register_hook(Hook(FC_HOOK_FANOUT, mode=HookMode.SYNC))
+        contract = ContainerContract(helpers={0x01})  # a plain set
+        for name in ("a", "b"):
+            container = engine.attach(
+                engine.load(assemble(GOOD), contract=contract, name=name),
+                FC_HOOK_FANOUT)
+            assert container.granted.allowed_helpers == {0x01}
+        assert not engine._grants
+
+    def test_wrong_payload_after_cached_match_is_a_mismatch(self):
+        publisher = build_fleet_publisher(devices=2)
+        honest_device, victim = publisher.fleet.devices
+        envelope, payload = sign_spec(make_spec(GOOD), 1, "/specs/v1",
+                                      publisher.maintainer_seed)
+        wrong = payload[:-1] + bytes([payload[-1] ^ 0x01])
+
+        def process(device, body: bytes):
+            device.radio.worker.trigger(envelope, body)
+            device.kernel.run(until_us=device.kernel.now_us + 50_000_000)
+            return device.radio.worker.results[-1].status
+
+        assert process(honest_device, payload) is UpdateStatus.OK
+        assert any(key[0] == "digest" for key in publisher._release_cache)
+        assert process(victim, wrong) is UpdateStatus.DIGEST_MISMATCH
+        assert not victim.engine.tenants
+
+    def test_worn_primary_keeps_its_shadow_on_a_shared_frame(self):
+        value = b"release-record" * 8
+        NvmStore().write("suit/slot/x", value)  # frames `value` once
+        worn = NvmStore()
+        worn.erase_budget = 2
+        for _ in range(4):
+            worn.write("suit/slot/x", value)
+        assert worn.worn_writes > 0
+        # The worn primary holds a corrupt frame: only the kept shadow
+        # can still serve the record.
+        assert worn.read("suit/slot/x") == value

@@ -18,6 +18,7 @@ from repro.deploy import (
     CreateTenant,
     Detach,
     DeploymentSpec,
+    HookSpec,
     ImageSpec,
     Install,
     RegisterHook,
@@ -37,6 +38,8 @@ RETURN_7 = "mov r0, 7\n    exit"
 RETURN_8 = "mov r0, 8\n    exit"
 #: Writes to the read-only frame register — rejected by the verifier.
 UNVERIFIABLE = "mov r10, 1\n    exit"
+#: Verifies clean, faults on every run (unmapped load).
+FAULTING = "lddw r1, 0x10\n    ldxb r0, [r1]\n    exit"
 
 
 @pytest.fixture(autouse=True)
@@ -220,11 +223,64 @@ class TestTransactionalApply:
                 AttachmentSpec(image="bad", hook=FC_HOOK_TIMER,
                                tenant="bob", name="bad"),),
         )
+        hook = engine.hooks[FC_HOOK_TIMER]
+        before = list(hook.containers)
         with pytest.raises(AttachError):
             apply_spec(engine, poisoned)
         first = next(c for c in engine.containers() if c.name == "first")
         assert engine.execute(first).value == 7
         assert plan(engine, spec).empty
+        # The original containers themselves are back, in their order.
+        assert hook.containers == before
+
+        # One SYNC hook, slots fa and fb, fired once: fa faulted and
+        # holds local state.  Replacing fa succeeds, then fb's replace
+        # is rejected by the verifier (its own failure path restores
+        # fb), and the rollback undoes fa's replace.
+        sync = DeploymentSpec(
+            name="sync", tenants=("alice",),
+            hooks=(HookSpec(FC_HOOK_FANOUT, HookMode.SYNC),),
+            images={"fa": ImageSpec.from_program(assemble(FAULTING)),
+                    "fb": ImageSpec.from_program(assemble(RETURN_8))},
+            attachments=tuple(
+                AttachmentSpec(image=slot, hook=FC_HOOK_FANOUT,
+                               tenant="alice", name=slot)
+                for slot in ("fa", "fb")),
+        )
+        apply_spec(engine, sync)
+        fanout = engine.hooks[FC_HOOK_FANOUT]
+        fa, fb = fanout.containers
+        engine.fire_hook(FC_HOOK_FANOUT)
+        fa.local_store.store(1, 42)
+        assert (fa.runs, len(fa.faults)) == (1, 1)
+        rejected_fb = DeploymentSpec(
+            name="sync", tenants=("alice",),
+            hooks=sync.hooks,
+            images={"fa": ImageSpec.from_program(assemble(RETURN_7)),
+                    "fb": ImageSpec.from_program(
+                        assemble("mov r0, 1\n    div r0, 0\n    exit"))},
+            attachments=sync.attachments,
+        )
+        assert [type(a) for a in plan(engine, rejected_fb).actions] == [
+            Replace, Replace]
+        with pytest.raises(AttachError):
+            apply_spec(engine, rejected_fb)
+        assert fanout.containers == [fa, fb]
+        assert fanout.containers[0] is fa and fanout.containers[1] is fb
+        assert fa.runs == 1
+        assert fa.local_store.fetch(1) == 42
+        assert [fault.kind for fault in fa.faults] == ["MemoryFault"]
+        assert plan(engine, sync).empty
+        # A completed replace keeps the slot's position too.
+        swapped = apply_spec(engine, DeploymentSpec(
+            name="sync", tenants=("alice",), hooks=sync.hooks,
+            images={"fa": ImageSpec.from_program(assemble(RETURN_7)),
+                    "fb": sync.images["fb"]},
+            attachments=sync.attachments,
+        )).containers[(FC_HOOK_FANOUT, "fa")]
+        assert fanout.containers == [swapped, fb]
+        assert [run.value for run in
+                engine.fire_hook(FC_HOOK_FANOUT).runs] == [7, 8]
 
     def periodic_spec(self, *ticker_names: str) -> DeploymentSpec:
         return DeploymentSpec(
