@@ -220,6 +220,8 @@ def cmd_fanout(args: argparse.Namespace) -> int:
         raise ValueError(
             f"--tenants {args.tenants} and --instances {args.instances} "
             "must both be at least 1")
+    if args.fires < 0:
+        raise ValueError(f"--fires {args.fires} must not be negative")
     IMAGE_CACHE.clear()  # measure from a cold cache, deterministically
     board = board_by_name(args.board)
 

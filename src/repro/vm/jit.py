@@ -19,21 +19,35 @@ leaves behind is exactly what cannot be hoisted:
 Two structural optimizations ride on top of the block template:
 
 * **natural-loop folding** — a conditional branch back to its own block
-  becomes a native ``while`` (as in PR 1), and *multi-block* natural
-  loops (head-only entry, contiguous leader interval) now fold into a
-  nested dispatch loop over just their member blocks, so iterating a
-  loop never re-traverses the top-level dispatch chain;
+  becomes a native ``while``, and *multi-block* natural loops (head-only
+  entry, contiguous leader interval) fold into a nested dispatch loop
+  over just their member blocks, so iterating a loop never re-traverses
+  the top-level dispatch chain;
 * **fallthrough superblocks** — when a block runs into the next leader,
   the successor is inlined in place (bounded by ``_Codegen.INLINE_CAP``),
   so per-kind counts keep batching across the boundary: no faultable
   instruction intervenes there, hence no flush and no dispatch round-trip.
 
-Accounting parity is an invariant: per-kind instruction counts are
-flushed to the shared ``kind_counts`` dict *before* every faultable
-operation, so a faulted run carries exactly the same
-:class:`~repro.vm.interpreter.ExecutionStats` the interpreter would
-have produced — the per-platform cycle models (Fig. 8, Table 2/4) are
-engine-independent and never see which engine executed the program.
+The hot path touches only Python locals.  Per-run state that the
+interpreter keeps on objects lives in the template's frame instead:
+
+* **counts** — one local per cost class the program contains
+  (``_k_alu``, ``_k_load``, ...) and the taken-branch count ``_br``.
+  Straight-line counts are batched and bumped *before* every faultable
+  operation, and a ``try``/``finally`` around the dispatch loop publishes
+  the locals to ``kind_counts`` and ``branches_taken`` on every way out —
+  return or fault — so a faulted run carries exactly the same
+  :class:`~repro.vm.interpreter.ExecutionStats` the interpreter would
+  have produced.  The locals are also published before each helper call,
+  so a helper sees the accounting of the run so far.  The per-platform
+  cycle models (Fig. 8, Table 2/4) are engine-independent and never see
+  which engine executed the program;
+* **memory windows** — a read window and a separate write window
+  (``start``, ``end``, ``memoryview`` each) over the last region a
+  slow-path access resolved.  A window is filled only after a
+  *successful* ``AccessList.load``/``store``, which proves the READ or
+  WRITE permission, and both are dropped after every helper call,
+  because helpers may map or revoke regions and write VM memory.
 
 Faithful to the paper's constraints, compilation happens only after
 pre-flight verification (the generated code *relies* on the verifier's
@@ -43,7 +57,8 @@ cost (modelled per platform) traded against per-run speedup — the
 ablation benchmark ``benchmarks/test_sec11_ablations.py`` measures the
 crossover.  The compiled template itself is **pure**: every piece of
 per-run state (registers, access list, stats, helper trampoline, branch
-budget) is passed in as an argument, which is what lets the process-wide
+budget) is passed in as an argument or lives in the call's own frame
+(count locals, memory windows), which is what lets the process-wide
 :data:`~repro.vm.imagecache.IMAGE_CACHE` share one template across all
 container instances of the same image (keyed by content hash) — attach
 re-charges the modelled install cost, but the host does the expensive
@@ -137,11 +152,9 @@ _JIT_GLOBALS = {
     "_bswap32": _bswap32,
     "_bswap64": _bswap64,
     # Width-specialized packers for the inlined memory fast path.
-    "_u1": _struct.Struct("<B").unpack_from,
     "_u2": _struct.Struct("<H").unpack_from,
     "_u4": _struct.Struct("<I").unpack_from,
     "_u8": _struct.Struct("<Q").unpack_from,
-    "_p1": _struct.Struct("<B").pack_into,
     "_p2": _struct.Struct("<H").pack_into,
     "_p4": _struct.Struct("<I").pack_into,
     "_p8": _struct.Struct("<Q").pack_into,
@@ -179,6 +192,14 @@ class _Codegen:
         self.lines: list[str] = []
         self.pending: dict[str, int] = {}
         self.indent = ""
+        #: Cost classes this program contains: one count local each.
+        self.kinds = sorted(
+            {d.kind for d in self.decoded if d.kind is not None}
+        )
+        #: Memory windows the program needs: read ("_r"), write ("_w").
+        self.windows = [window for kind, window in (("load", "_r"),
+                                                    ("store", "_w"))
+                        if kind in self.kinds]
         self.leaders, self.back_targets = find_leaders(self.decoded)
         self.blocks = basic_blocks(self.decoded, self.leaders)
         self.loops = self.find_loops()
@@ -209,18 +230,18 @@ class _Codegen:
         if self.total_limit is not None:
             # With a total budget the abort point must match the
             # interpreter instruction-for-instruction, so counts are
-            # published (and the budget checked) per instruction instead
+            # bumped (and the budget checked) per instruction instead
             # of batched per segment.
             self.flush(pc)
 
     def flush(self, pc: int) -> None:
-        """Publish pending per-kind counts (before any faultable point)."""
+        """Bump the per-kind count locals (before any faultable point)."""
         if not self.pending:
             return
         total = 0
         for kind, n in self.pending.items():
             total += n
-            self.emit(f"_kc[{kind!r}] += {n}")
+            self.emit(f"_k_{kind} += {n}")
         self.pending.clear()
         if self.total_limit is not None:
             self.emit(f"_ex += {total}")
@@ -298,14 +319,20 @@ class _Codegen:
         ]
         out.extend(f"    r{i} = _regs[{i}]" for i in range(isa.REG_COUNT))
         out.append("    _br = 0")
+        out.extend(f"    _k_{kind} = 0" for kind in self.kinds)
+        # Memory windows: empty until a slow-path access succeeds.
+        for window in self.windows:
+            out.append(f"    {window}s = {window}e = 0")
+            out.append(f"    {window}v = None")
         if self.total_limit is not None:
             out.append("    _ex = 0")
         out.append("    _t = 0")
-        out.append("    while 1:")
+        out.append("    try:")
+        out.append("        while 1:")
         for index, leader in enumerate(arms):
             guard = "if" if index == 0 else "elif"
-            out.append(f"        {guard} _t == {leader}:")
-            self.indent = " " * 12
+            out.append(f"            {guard} _t == {leader}:")
+            self.indent = " " * 16
             self.lines = []
             if leader in self.loops:
                 self.emit_region(leader)
@@ -313,9 +340,26 @@ class _Codegen:
                 self.var, self.region = "_t", None
                 self.emit_block(leader)
             out.extend(self.lines)
-        out.append("        else:")
-        out.append("            _bad_target(_t)")
+        out.append("            else:")
+        out.append("                _bad_target(_t)")
+        # Every exit path (return or fault) publishes the exact counts.
+        out.append("    finally:")
+        self.indent = " " * 8
+        self.lines = []
+        self.publish()
+        out.extend(self.lines)
         return "\n".join(out) + "\n"
+
+    def publish(self) -> None:
+        """Copy the count locals into the run's stats.
+
+        ``kind_counts`` arrives zeroed for every run, so publishing is a
+        plain assignment and may repeat (before each helper call, then
+        once more on the way out).
+        """
+        for kind in self.kinds:
+            self.emit(f"_kc[{kind!r}] = _k_{kind}")
+        self.emit("_stats.branches_taken = _br")
 
     def goto(self, target: int, prefix: str = "") -> None:
         """Emit a control transfer to ``target`` from the current context.
@@ -384,7 +428,7 @@ class _Codegen:
                          and td.target == current)
             if self_loop:
                 # Counts batched from an inlined predecessor must be
-                # published before the loop, not once per iteration.
+                # bumped before the loop, not once per iteration.
                 self.flush(current)
                 self.emit("while 1:")
                 self.push_indent()
@@ -443,8 +487,12 @@ class _Codegen:
         elif d.opcode == isa.CALL:
             self.count("call", pc)
             self.flush(pc)
+            self.publish()
             self.emit(f"_hc[{d.imm}] = _hc.get({d.imm}, 0) + 1")
             self.emit(f"r0 = _call({d.imm}, {pc}, r1, r2, r3, r4, r5)")
+            # Helpers may map or revoke regions: drop every window.
+            for window in self.windows:
+                self.emit(f"{window}e = 0")
         else:  # pragma: no cover - excluded by verification
             raise IllegalInstructionFault(
                 f"cannot transpile opcode 0x{d.opcode:02x}", pc
@@ -456,34 +504,63 @@ class _Codegen:
             return f"r{base}"  # registers are invariantly 64-bit masked
         return f"(r{base} + {offset}) & {_H64}"
 
-    def emit_load(self, d) -> None:
-        """A load with the access-list fast path expanded inline.
+    @staticmethod
+    def in_window(start: str, end: str, size: int) -> str:
+        """Bounds test of ``[_a, _a+size)`` against a local window."""
+        if size == 1:
+            return f"{start} <= _a < {end}"
+        return f"{start} <= _a and _a + {size} <= {end}"
 
-        The MRU region check and the width-specialized unpack are emitted
-        directly into the template; only an MRU miss (or a fault) takes the
-        out-of-line ``AccessList.load`` path, which re-runs the full
-        bisect + permission check and raises the exact reference faults.
+    def refill(self, window: str) -> None:
+        """Point ``window`` at the region the slow path just resolved."""
+        self.emit("    _r = _mem._mru")
+        self.emit(f"    {window}s = _r.start")
+        self.emit(f"    {window}e = _r._end")
+        self.emit(f"    {window}v = _r._view")
+
+    def emit_load(self, d) -> None:
+        """A load checked against the run's read window, held in locals.
+
+        ``_rs``/``_re``/``_rv`` (start, end, view) cache one region the
+        run has already read from.  An access inside it is served from the
+        view directly (a byte load indexes the ``memoryview``); anything
+        else takes the out-of-line ``AccessList.load`` path, which runs
+        the full bisect + permission check and raises the exact reference
+        faults.  Only a *successful* slow-path load refills the window, so
+        the window always holds a region proven to grant READ.
         """
         size = d.size
+        dst = f"r{d.dst}"
         self.emit(f"_a = {self.addr(d.src, d.offset)}")
-        self.emit("_r = _mem._mru")
-        self.emit("if _r is not None and _r.start <= _a "
-                  f"and _a + {size} <= _r._end and _r._perm_bits & 1:")
-        self.emit(f"    r{d.dst} = _u{size}(_r._view, _a - _r.start)[0]")
+        self.emit(f"if {self.in_window('_rs', '_re', size)}:")
+        if size == 1:
+            self.emit(f"    {dst} = _rv[_a - _rs]")
+        else:
+            self.emit(f"    {dst} = _u{size}(_rv, _a - _rs)[0]")
         self.emit("else:")
-        self.emit(f"    r{d.dst} = _ld(_a, {size})")
+        self.emit(f"    {dst} = _ld(_a, {size})")
+        self.refill("_r")
 
     def emit_store(self, d, value: str) -> None:
-        """A store with the access-list fast path expanded inline."""
+        """A store checked against the run's separate write window.
+
+        Same scheme as :meth:`emit_load` with ``_ws``/``_we``/``_wv``: the
+        window is refilled only after a successful ``AccessList.store``,
+        which proves WRITE, so a region that was merely read (``.rodata``)
+        never enters it and a store there still faults on the permission
+        check.
+        """
         size = d.size
+        masked = f"{value} & {_SIZE_MASK[size]:#x}"
         self.emit(f"_a = {self.addr(d.dst, d.offset)}")
-        self.emit("_r = _mem._mru")
-        self.emit("if _r is not None and _r.start <= _a "
-                  f"and _a + {size} <= _r._end and _r._perm_bits & 2:")
-        self.emit(f"    _p{size}(_r._view, _a - _r.start, "
-                  f"{value} & {_SIZE_MASK[size]:#x})")
+        self.emit(f"if {self.in_window('_ws', '_we', size)}:")
+        if size == 1:
+            self.emit(f"    _wv[_a - _ws] = {masked}")
+        else:
+            self.emit(f"    _p{size}(_wv, _a - _ws, {masked})")
         self.emit("else:")
         self.emit(f"    _st(_a, {size}, {value})")
+        self.refill("_w")
 
     def emit_alu64(self, d, pc: int) -> None:
         dst = f"r{d.dst}"
@@ -592,7 +669,6 @@ class _Codegen:
     def taken_edge(self, pc: int, target: int, nested: bool) -> None:
         extra = "    " if nested else ""
         self.emit(extra + "_br += 1")
-        self.emit(extra + "_stats.branches_taken = _br")
         self.emit(extra + f"if _br > _blimit: _branch_fault(_blimit, {pc})")
         self.goto(target, prefix=extra)
 
@@ -641,7 +717,6 @@ class _Codegen:
         if self_loop:
             # Taken edge re-enters the native while; budget still enforced.
             self.emit("    _br += 1")
-            self.emit("    _stats.branches_taken = _br")
             self.emit(f"    if _br > _blimit: _branch_fault(_blimit, {pc})")
             self.emit("    continue")
             self.emit("break")

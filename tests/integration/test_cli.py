@@ -129,8 +129,10 @@ class TestCli:
         assert "-> 60 container runs" in text
 
     @pytest.mark.parametrize("argv", [("--instances", "0"),
-                                      ("--tenants", "0")],
-                             ids=["--instances 0", "--tenants 0"])
+                                      ("--tenants", "0"),
+                                      ("--fires", "-1")],
+                             ids=["--instances 0", "--tenants 0",
+                                  "--fires -1"])
     def test_fanout_rejects_bad_sizes(self, argv):
         code, text = run_cli("fanout", *argv)
         assert code == 1

@@ -149,7 +149,7 @@ class TestFoldStructure:
         jit = compile_program(assemble(DIAMOND))
         # The odd->join fallthrough is inlined: its two ALU bumps merge
         # into one batched publish somewhere in the generated code.
-        assert "_kc['alu'] += 2" in jit.jit_source
+        assert "_k_alu += 2" in jit.jit_source
 
     def test_nested_self_loop_stays_native_inside_fold(self):
         jit = compile_program(assemble(NESTED))
