@@ -23,6 +23,7 @@ from repro.core.container import (
     ContainerState,
     FaultRecord,
     FemtoContainer,
+    RunFacts,
     VM_CLASSES,
 )
 from repro.core.errors import AttachError, EngineError, UnknownHookError
@@ -234,6 +235,9 @@ class HostingEngine:
         content hash, same granted limits) costs dictionary lookups
         instead of a re-verify and a re-transpile, and derives the grant
         and the VM limits once per slot shape (see :attr:`_grants`).
+        What every run of the container shares — its context
+        permissions and its cost profile — is derived here too
+        (:class:`RunFacts`), not per run.
         """
         hook = self.hook(hook_name)
         if container.hook is not None:
@@ -262,6 +266,13 @@ class HostingEngine:
             raise self._rejected(container, exc) from exc
 
         container.vm = vm
+        container.facts = RunFacts(
+            context_perms=(Permission.READ_WRITE if granted.context_writable
+                           else Permission.READ),
+            cost=runtime.cost_profile(self.board, self.implementation,
+                                      self.helpers),
+            setup_cycles=self.board.vm_setup_cycles,
+        )
         container.runtime = runtime
         container.granted = granted
         container.hook = hook
@@ -441,30 +452,22 @@ class HostingEngine:
         vm = container.vm
         if vm is None:
             raise EngineError(f"container {container.name!r} is not attached")
-        granted = container.granted
-        perms = (
-            Permission.READ_WRITE
-            if granted is None or granted.context_writable
-            else Permission.READ
-        )
-        # Hoisted for the hook-fire hot path: one attribute walk each,
-        # and the save/restore of the execution context is two plain
-        # attribute swaps (no allocation on the non-fault path — even the
-        # ExecutionStats fallback is only built when a fault swallowed
-        # the real one).
-        board = self.board
+        # Everything this run shares with the container's other runs was
+        # derived at attach (RunFacts): the context permissions and the
+        # cost profile.  The save/restore of the execution context is two
+        # plain attribute swaps.
+        facts = container.facts
         clock = self.kernel.clock
         previous_container = self.current_container
         previous_pdu = self.current_pdu
         self.current_container = container
         self.current_pdu = pdu
-        clock.charge(board.vm_setup_cycles)
+        clock.charge(facts.setup_cycles)
         fault: FaultRecord | None = None
         value: int | None = None
-        stats: ExecutionStats | None = None
         try:
             result = vm.run(context=context if context else None,
-                            context_perms=perms)
+                            context_perms=facts.context_perms)
             value = result.value
             stats = result.stats
         except VMFault as exc:
@@ -475,6 +478,7 @@ class HostingEngine:
                 at_cycles=clock.cycles,
                 pc=exc.pc,
             )
+            stats = ExecutionStats()
         finally:
             self.current_container = previous_container
             self.current_pdu = previous_pdu
@@ -483,18 +487,15 @@ class HostingEngine:
                 # (AccessList.remove also invalidates its MRU region cache.)
                 vm.access_list.remove(pdu.region)
 
-        if stats is None:
-            stats = ExecutionStats()
-        cycles = container.runtime.execution_cycles(
-            board, stats, self.implementation, self.helpers
-        ) + board.vm_setup_cycles
-        clock.charge(max(0, cycles - board.vm_setup_cycles))
+        execution_cycles = facts.cost.cycles(stats)
+        clock.charge(execution_cycles)
+        cycles = facts.setup_cycles + execution_cycles
         run = ContainerRun(
             container=container,
             value=value,
             stats=stats,
             cycles=cycles,
-            duration_us=board.us(cycles),
+            duration_us=self.board.us(cycles),
             fault=fault,
         )
         container.record_run(run)

@@ -174,12 +174,6 @@ class FleetResult:
     def cycles_per_device(self) -> list[int]:
         return [row.cycles_charged for row in self.rows()]
 
-    def cache_hit_rate(self) -> float:
-        hits = sum(row.cache_hits for row in self.rows())
-        misses = sum(row.cache_misses for row in self.rows())
-        total = hits + misses
-        return hits / total if total else 0.0
-
     @property
     def total_retries(self) -> int:
         return sum(row.retries for row in self.rows())

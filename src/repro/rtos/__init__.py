@@ -8,6 +8,7 @@ memory-accounting model.
 
 from repro.rtos.board import (
     Board,
+    CostProfile,
     VMCostTable,
     all_boards,
     board_by_name,
@@ -56,6 +57,7 @@ from repro.rtos.ztimer import TimerWheel
 
 __all__ = [
     "Board",
+    "CostProfile",
     "Clock",
     "DeviceShell",
     "EnergyMeter",

@@ -21,7 +21,7 @@ tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
@@ -42,6 +42,47 @@ class VMCostTable:
     op_cycles: Mapping[str, int]
     #: Extra cycles per helper call (marshalling), on top of the syscall cost.
     call_extra: int
+
+
+@dataclass(frozen=True, slots=True)
+class CostProfile:
+    """The prices of a run under one VM build or runtime on one board.
+
+    :meth:`Board.cost_profile` takes them from the board's tables (no
+    copy); the other container runtimes build one from their own
+    per-class tables (no dispatch term, no helpers).  :meth:`cycles` is
+    the one formula that turns a run's counts into cycles, so ``fc
+    run``, the hosting engine and the Table 1/2 rows all price a run the
+    same way.
+    """
+
+    #: Cycles per executed instruction, on top of its class price.
+    dispatch: int
+    #: Cost class -> extra cycles per instruction of that class.
+    op_cycles: Mapping[str, int]
+    #: Extra cycles per helper call (marshalling), on top of its service.
+    call_extra: int = 0
+    #: Helper cost key -> cycles spent inside the RTOS service.
+    syscall_cycles: Mapping[str, int] = field(default_factory=dict)
+    #: Names each helper's cost key; an id it does not hold (or no
+    #: registry at all) is charged as ``"trace"``.
+    helpers: HelperRegistry | None = None
+
+    def cycles(self, stats: ExecutionStats) -> int:
+        """Translate an execution's counts into cycles."""
+        op_cycles = self.op_cycles
+        cycles = stats.executed * self.dispatch
+        for kind, count in stats.kind_counts.items():
+            if count:
+                cycles += count * op_cycles[kind]
+        if stats.helper_calls:
+            table = self.helpers.table if self.helpers is not None else {}
+            for helper_id, count in stats.helper_calls.items():
+                helper = table.get(helper_id)
+                cost_key = "trace" if helper is None else helper.cost_key
+                cycles += count * (self.call_extra
+                                   + self.syscall_cycles.get(cost_key, 100))
+        return cycles
 
 
 @dataclass(frozen=True)
@@ -108,6 +149,21 @@ class Board:
                 f"implementation {implementation!r}"
             ) from None
 
+    def cost_profile(
+        self,
+        implementation: str,
+        helpers: HelperRegistry | None = None,
+    ) -> CostProfile:
+        """The run prices of ``implementation`` with ``helpers``."""
+        table = self.cost_table(implementation)
+        return CostProfile(
+            dispatch=table.dispatch,
+            op_cycles=table.op_cycles,
+            call_extra=table.call_extra,
+            syscall_cycles=self.syscall_cycles,
+            helpers=helpers,
+        )
+
     def vm_execution_cycles(
         self,
         stats: ExecutionStats,
@@ -115,18 +171,7 @@ class Board:
         helpers: HelperRegistry | None = None,
     ) -> int:
         """Translate an execution's instruction counts into cycles."""
-        table = self.cost_table(implementation)
-        cycles = stats.executed * table.dispatch
-        for kind, count in stats.kind_counts.items():
-            if count:
-                cycles += count * table.op_cycles[kind]
-        for helper_id, count in stats.helper_calls.items():
-            cycles += count * table.call_extra
-            cost_key = "trace"
-            if helpers is not None and helper_id in helpers:
-                cost_key = helpers.cost_key(helper_id)
-            cycles += count * self.syscall_cycles.get(cost_key, 100)
-        return cycles
+        return self.cost_profile(implementation, helpers).cycles(stats)
 
     def vm_execution_us(
         self,

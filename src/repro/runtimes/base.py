@@ -3,11 +3,12 @@
 A container runtime is the one cost model of its format.  It decodes a
 payload into an image, builds the image's VM, and prices both ends of a
 container's life: ``startup_cycles`` (the cold start before the first
-run) and ``execution_cycles`` (the
-platform-independent counts of one run translated into modelled
-cycles).  The hosting engine and the deploy plane dispatch through it,
-and the paper's Tables 1 and 2 are measured through the same objects
-(:mod:`repro.runtimes.comparison`), so a profile edit reaches both.
+run) and ``cost_profile`` (the :class:`~repro.rtos.board.CostProfile`
+that translates the platform-independent counts of one run into
+modelled cycles).  The hosting engine and the deploy plane dispatch
+through it, and the paper's Tables 1 and 2 are measured through the
+same objects (:mod:`repro.runtimes.comparison`), so a profile edit
+reaches both.
 
 The registry (:func:`container_runtime`) maps the ``runtime`` tag carried
 by :class:`~repro.deploy.spec.ImageSpec` and SUIT manifests onto the
@@ -21,14 +22,14 @@ import hashlib
 import struct
 from typing import TYPE_CHECKING, Protocol
 
-from repro.rtos.board import Board
+from repro.rtos.board import Board, CostProfile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.container import FemtoContainer
     from repro.core.engine import HostingEngine
     from repro.core.policy import GrantedPolicy
     from repro.vm.helpers import HelperRegistry
-    from repro.vm.interpreter import ExecutionStats, VMConfig
+    from repro.vm.interpreter import VMConfig
     from repro.vm.memory import AccessList
     from repro.vm.verifier import VerifierConfig
 
@@ -114,10 +115,13 @@ class ContainerRuntime(Protocol):
         """
         ...
 
-    def execution_cycles(self, board: Board, stats: "ExecutionStats",
-                         implementation: str,
-                         helpers: "HelperRegistry | None" = None) -> int:
-        """Translate one run's platform-independent counts into cycles."""
+    def cost_profile(self, board: Board, implementation: str,
+                     helpers: "HelperRegistry | None" = None) -> CostProfile:
+        """The prices of one run on ``board``.
+
+        The engine takes it once, into the run facts it gives the
+        container at attach, and prices every run with it.
+        """
         ...
 
 

@@ -3,7 +3,7 @@
 Every virtualized row runs the paper's fletcher32 workload once over the
 canonical 360 B input through a deployable
 :class:`~repro.runtimes.base.ContainerRuntime`: the runtime decodes the
-payload and builds the VM, prices the run with ``execution_cycles`` and
+payload and builds the VM, prices the run with its ``cost_profile`` and
 the cold start with ``startup_cycles`` — the calls that price deployed
 containers — so the tables and the deploy plane share one cost model per
 runtime.  Only "Native C" is a plain model.
@@ -100,8 +100,8 @@ def runtime_row(name: str, runtime: ContainerRuntime, payload: bytes,
     vm = runtime.build_vm(image, TABLE_IMPLEMENTATION, None, VMConfig(),
                           access_list or AccessList(), VerifierConfig())
     execution = vm.run(context=context)
-    run_cycles = runtime.execution_cycles(board, execution.stats,
-                                          TABLE_IMPLEMENTATION)
+    run_cycles = runtime.cost_profile(
+        board, TABLE_IMPLEMENTATION).cycles(execution.stats)
     return RuntimeMetrics(
         name=name,
         rom_bytes=runtime.rom_bytes,

@@ -4,7 +4,7 @@ This is the pre-registry hosting-engine attach/cost path moved behind the
 :class:`~repro.runtimes.base.ContainerRuntime` protocol, verbatim: the
 same verify charge before construction, the same JIT transpilation charge
 after it, the same per-implementation cycle model from
-:meth:`~repro.rtos.board.Board.vm_execution_cycles`.  The engine
+:meth:`~repro.rtos.board.Board.cost_profile`.  The engine
 differential suite pins modelled cycles for pure-rBPF workloads
 bit-identical to the seed.  Table 2's rBPF row is measured through it
 on the ``"rbpf"`` interpreter build.
@@ -24,9 +24,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.container import FemtoContainer
     from repro.core.engine import HostingEngine
     from repro.core.policy import GrantedPolicy
-    from repro.rtos.board import Board
+    from repro.rtos.board import Board, CostProfile
     from repro.vm.helpers import HelperRegistry
-    from repro.vm.interpreter import ExecutionStats, VMConfig
+    from repro.vm.interpreter import VMConfig
     from repro.vm.memory import AccessList
     from repro.vm.verifier import VerifierConfig
 
@@ -88,7 +88,7 @@ class RbpfContainerRuntime:
             )
         return vm
 
-    def execution_cycles(self, board: "Board", stats: "ExecutionStats",
-                         implementation: str,
-                         helpers: "HelperRegistry | None" = None) -> int:
-        return board.vm_execution_cycles(stats, implementation, helpers)
+    def cost_profile(self, board: "Board", implementation: str,
+                     helpers: "HelperRegistry | None" = None
+                     ) -> "CostProfile":
+        return board.cost_profile(implementation, helpers)

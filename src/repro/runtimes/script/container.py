@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.rtos.board import CostProfile
 from repro.runtimes.base import RUNTIME_SCRIPT, tagged_image_hash
 from repro.runtimes.profiles import MICROPYTHON_PROFILE, ScriptProfile
 from repro.runtimes.script.interp import Interpreter, ScriptRuntimeError
@@ -148,6 +149,8 @@ class ScriptContainerRuntime:
     def __init__(self, profile: ScriptProfile = MICROPYTHON_PROFILE):
         self.profile = profile
         self.rom_bytes = profile.rom_bytes
+        # Per-node-class prices only: no dispatch term, no helper calls.
+        self._cost = CostProfile(dispatch=0, op_cycles=profile.visit_cycles)
 
     def decode(self, payload: bytes, *, name: str = "app",
                rodata: bytes = b"", data: bytes = b"") -> ScriptImage:
@@ -181,9 +184,6 @@ class ScriptContainerRuntime:
         return self.build_vm(image, engine.implementation, engine.helpers,
                              vm_config, access_list, verifier_config)
 
-    def execution_cycles(self, board: "Board", stats: "ExecutionStats",
-                         implementation: str,
-                         helpers: "HelperRegistry | None" = None) -> int:
-        visit_cycles = self.profile.visit_cycles
-        return sum(count * visit_cycles[node_class]
-                   for node_class, count in stats.kind_counts.items())
+    def cost_profile(self, board: "Board", implementation: str,
+                     helpers: "HelperRegistry | None" = None) -> CostProfile:
+        return self._cost

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.rtos.board import CostProfile
 from repro.runtimes.base import RUNTIME_WASM, tagged_image_hash
 from repro.runtimes.profiles import WASM3_PROFILE, WASM3_ROM, WasmProfile
 from repro.runtimes.wasm.interpreter import WasmInstance, WasmTrap
@@ -168,6 +169,8 @@ class WasmContainerRuntime:
 
     def __init__(self, profile: WasmProfile = WASM3_PROFILE):
         self.profile = profile
+        # Per-class prices only: no dispatch term, no helper calls.
+        self._cost = CostProfile(dispatch=0, op_cycles=profile.op_cycles)
 
     def decode(self, payload: bytes, *, name: str = "app",
                rodata: bytes = b"", data: bytes = b"") -> WasmImage:
@@ -207,9 +210,6 @@ class WasmContainerRuntime:
         return self.build_vm(image, engine.implementation, engine.helpers,
                              vm_config, access_list, verifier_config)
 
-    def execution_cycles(self, board: "Board", stats: "ExecutionStats",
-                         implementation: str,
-                         helpers: "HelperRegistry | None" = None) -> int:
-        op_cycles = self.profile.op_cycles
-        return sum(count * op_cycles[cost_class]
-                   for cost_class, count in stats.kind_counts.items())
+    def cost_profile(self, board: "Board", implementation: str,
+                     helpers: "HelperRegistry | None" = None) -> CostProfile:
+        return self._cost

@@ -89,7 +89,10 @@ class HelperRegistry:
     """The set of helpers a hosting engine exposes to its containers."""
 
     def __init__(self) -> None:
-        self._helpers: dict[int, Helper] = {}
+        #: helper id -> :class:`Helper`.  The interpreter dispatches a
+        #: ``call`` straight from it; change it only through
+        #: :meth:`register`.
+        self.table: dict[int, Helper] = {}
         self._ids: frozenset[int] | None = None
 
     def register(self, helper_id: int, fn: HelperFn, name: str | None = None,
@@ -101,33 +104,26 @@ class HelperRegistry:
             fn=fn,
             cost_key=cost_key,
         )
-        self._helpers[helper_id] = helper
+        self.table[helper_id] = helper
         self._ids = None
-        return helper
-
-    def lookup(self, helper_id: int) -> Helper:
-        helper = self._helpers.get(helper_id)
-        if helper is None:
-            raise HelperFault(f"unknown helper id 0x{helper_id:02x}")
         return helper
 
     def call(self, vm: "Interpreter", helper_id: int,
              r1: int, r2: int, r3: int, r4: int, r5: int) -> int:
-        helper = self.lookup(helper_id)
+        helper = self.table.get(helper_id)
+        if helper is None:
+            raise HelperFault(f"unknown helper id 0x{helper_id:02x}")
         result = helper.fn(vm, r1, r2, r3, r4, r5)
         return 0 if result is None else int(result) & 0xFFFFFFFFFFFFFFFF
 
     def ids(self) -> frozenset[int]:
         """The registered ids (rebuilt only after a :meth:`register`)."""
         if self._ids is None:
-            self._ids = frozenset(self._helpers)
+            self._ids = frozenset(self.table)
         return self._ids
 
-    def cost_key(self, helper_id: int) -> str:
-        return self.lookup(helper_id).cost_key
-
     def __contains__(self, helper_id: int) -> bool:
-        return helper_id in self._helpers
+        return helper_id in self.table
 
     def __len__(self) -> int:
-        return len(self._helpers)
+        return len(self.table)

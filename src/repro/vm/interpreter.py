@@ -24,11 +24,16 @@ accounting is **engine-independent** — the template JIT and the CertFC
 build produce bit-identical :class:`ExecutionStats` for the same program.
 
 Per-run state is reused across executions: the register file and the
-zeroing template for the stack live on the instance, so a hosting engine
-firing hooks at high rate does not reallocate VM state per event.  The
-:class:`ExecutionStats` object returned by :meth:`Interpreter.run` is
-always fresh (engines keep them in run histories), but its ``kind_counts``
-dict is cloned from a prebuilt zero table instead of rebuilt key by key.
+stack's zero template live on the instance, so a run resets registers
+(from one shared entry template) and stack with one slice assignment
+each, and a hosting engine firing hooks at a high rate reallocates no
+VM state per event.  The :class:`ExecutionStats` object returned by
+:meth:`Interpreter.run` is always fresh (engines keep them in run
+histories), but its ``kind_counts`` dict is cloned from a prebuilt zero
+table instead of rebuilt key by key.  The dispatch loop is a single
+frame per run: ALU64 ``mov`` and ``add``, the bulk of real programs,
+are executed inline, and a ``call`` is dispatched straight from the
+helper registry's table.
 """
 
 from __future__ import annotations
@@ -99,14 +104,6 @@ class ExecutionStats:
     kind_counts: dict[str, int] = field(default_factory=dict)
     helper_calls: dict[int, int] = field(default_factory=dict)
 
-    def merge(self, other: "ExecutionStats") -> None:
-        self.executed += other.executed
-        self.branches_taken += other.branches_taken
-        for key, count in other.kind_counts.items():
-            self.kind_counts[key] = self.kind_counts.get(key, 0) + count
-        for key, count in other.helper_calls.items():
-            self.helper_calls[key] = self.helper_calls.get(key, 0) + count
-
 
 @dataclass
 class ExecutionResult:
@@ -118,6 +115,10 @@ class ExecutionResult:
 
 #: Prebuilt zero table cloned into each run's ``kind_counts``.
 _ZERO_KINDS = {kind: 0 for kind in isa.InstructionKind.ALL}
+
+#: The register file at entry: all zero but ``r10``, the stack pointer.
+_REGS_AT_ENTRY = tuple(STACK_BASE if index == isa.REG_STACK else 0
+                       for index in range(isa.REG_COUNT))
 
 
 class Interpreter:
@@ -234,9 +235,7 @@ class Interpreter:
         self.stack.data[:] = self._stack_zeros
 
         regs = self._regs
-        for i in range(isa.REG_COUNT):
-            regs[i] = 0
-        regs[isa.REG_STACK] = STACK_BASE
+        regs[:] = _REGS_AT_ENTRY
         if self._context_region is not None:
             regs[isa.REG_CTX] = CONTEXT_BASE
 
@@ -251,27 +250,16 @@ class Interpreter:
     def _dispatch_loop(self, regs: list[int], stats: ExecutionStats) -> int:
         decoded = self.program.decoded
         n_slots = len(decoded)
-        access = self.access_list
+        load = self.access_list.load
+        store = self.access_list.store
         kind_counts = stats.kind_counts
+        helper_calls = stats.helper_calls
+        helper_table = self.helpers.table
         branch_limit = self.config.branch_limit
         total_limit = self.config.total_limit
-
-        try:
-            return self._execute(regs, stats, decoded, n_slots, access,
-                                 kind_counts, branch_limit, total_limit)
-        finally:
-            # kind_counts is live-updated; derive the totals so that even a
-            # faulted execution carries exact accounting (the engine charges
-            # cycles for aborted runs too).
-            stats.executed = sum(kind_counts.values())
-
-    def _execute(self, regs, stats, decoded, n_slots, access, kind_counts,
-                 branch_limit, total_limit) -> int:
         pc = 0
         executed = 0
         branches = 0
-        load = access.load
-        store = access.store
         # CertFC hooks every instruction; the optimized build skips the
         # callback entirely instead of calling a no-op.
         pre_check = None
@@ -285,96 +273,116 @@ class Interpreter:
         CLS_ST = isa.CLS_ST
         CLS_LD = isa.CLS_LD
         ALU_END = isa.ALU_END
+        ALU_MOV = isa.ALU_MOV
+        ALU_ADD = isa.ALU_ADD
         CALL = isa.CALL
         EXIT = isa.EXIT
 
-        while True:
-            if pc >= n_slots or pc < 0:
-                raise VMFault("program counter escaped program text", pc)
-            d = decoded[pc]
-            kind = d.kind
-            if kind is None:
-                raise IllegalInstructionFault(
-                    f"illegal opcode 0x{d.opcode:02x}", pc
-                )
-            if pre_check is not None:
-                pre_check(d.ins, regs, pc)
-            executed += 1
-            kind_counts[kind] += 1
-            if total_limit is not None and executed > total_limit:
-                raise BranchLimitFault(
-                    f"execution exceeded the total budget of {total_limit} "
-                    "instructions",
-                    pc,
-                )
-
-            cls = d.cls
-
-            if cls == CLS_ALU64:
-                regs[d.dst] = self._alu(
-                    d.op, regs[d.dst],
-                    regs[d.src] if d.use_reg else d.imm64,
-                    pc, width64=True,
-                )
-                pc += 1
-            elif cls == CLS_ALU:
-                if d.op == ALU_END:
-                    regs[d.dst] = self._endian(d.opcode, regs[d.dst], d.imm, pc)
-                else:
-                    operand = regs[d.src] if d.use_reg else d.imm
-                    regs[d.dst] = self._alu(d.op, regs[d.dst] & _M32,
-                                            operand & _M32, pc, width64=False)
-                pc += 1
-            elif cls == CLS_LDX:
-                addr = (regs[d.src] + d.offset) & _M64
-                regs[d.dst] = load(addr, d.size)
-                pc += 1
-            elif cls == CLS_STX:
-                addr = (regs[d.dst] + d.offset) & _M64
-                store(addr, d.size, regs[d.src])
-                pc += 1
-            elif cls == CLS_ST:
-                addr = (regs[d.dst] + d.offset) & _M64
-                store(addr, d.size, d.imm64)
-                pc += 1
-            elif cls == CLS_LD:
-                value = d.wide_value
-                if value is None:
-                    raise IllegalInstructionFault("truncated wide instruction",
-                                                  pc)
-                regs[d.dst] = value
-                pc += 2
-            elif d.opcode == CALL:
-                helper_id = d.imm
-                stats.helper_calls[helper_id] = (
-                    stats.helper_calls.get(helper_id, 0) + 1
-                )
-                try:
-                    regs[0] = self.helpers.call(
-                        self, helper_id,
-                        regs[1], regs[2], regs[3], regs[4], regs[5],
+        try:
+            while True:
+                if pc >= n_slots or pc < 0:
+                    raise VMFault("program counter escaped program text", pc)
+                d = decoded[pc]
+                kind = d.kind
+                if kind is None:
+                    raise IllegalInstructionFault(
+                        f"illegal opcode 0x{d.opcode:02x}", pc
                     )
-                except VMFault:
-                    raise
-                except Exception as exc:  # contain helper implementation bugs
-                    raise HelperFault(
-                        f"helper 0x{helper_id:02x} failed: {exc}", pc
-                    ) from exc
-                pc += 1
-            elif d.opcode == EXIT:
-                return regs[0]
-            else:  # CLS_JMP / CLS_JMP32 (the only remaining valid classes)
-                if self._branch_taken(d, regs):
-                    branches += 1
-                    stats.branches_taken = branches
-                    if branches > branch_limit:
-                        raise BranchLimitFault(
-                            f"taken-branch budget N_b={branch_limit} exhausted",
-                            pc,
-                        )
-                    pc = d.target
-                else:
+                if pre_check is not None:
+                    pre_check(d.ins, regs, pc)
+                executed += 1
+                kind_counts[kind] += 1
+                if total_limit is not None and executed > total_limit:
+                    raise BranchLimitFault(
+                        f"execution exceeded the total budget of "
+                        f"{total_limit} instructions",
+                        pc,
+                    )
+
+                cls = d.cls
+
+                if cls == CLS_ALU64:
+                    # mov and add dominate real programs: inline them
+                    # (operands are already in 64-bit range).
+                    op = d.op
+                    operand = regs[d.src] if d.use_reg else d.imm64
+                    if op == ALU_MOV:
+                        regs[d.dst] = operand
+                    elif op == ALU_ADD:
+                        regs[d.dst] = (regs[d.dst] + operand) & _M64
+                    else:
+                        regs[d.dst] = self._alu(op, regs[d.dst], operand, pc,
+                                                width64=True)
                     pc += 1
+                elif cls == CLS_ALU:
+                    if d.op == ALU_END:
+                        regs[d.dst] = self._endian(d.opcode, regs[d.dst],
+                                                   d.imm, pc)
+                    else:
+                        operand = regs[d.src] if d.use_reg else d.imm
+                        regs[d.dst] = self._alu(d.op, regs[d.dst] & _M32,
+                                                operand & _M32, pc,
+                                                width64=False)
+                    pc += 1
+                elif cls == CLS_LDX:
+                    addr = (regs[d.src] + d.offset) & _M64
+                    regs[d.dst] = load(addr, d.size)
+                    pc += 1
+                elif cls == CLS_STX:
+                    addr = (regs[d.dst] + d.offset) & _M64
+                    store(addr, d.size, regs[d.src])
+                    pc += 1
+                elif cls == CLS_ST:
+                    addr = (regs[d.dst] + d.offset) & _M64
+                    store(addr, d.size, d.imm64)
+                    pc += 1
+                elif cls == CLS_LD:
+                    value = d.wide_value
+                    if value is None:
+                        raise IllegalInstructionFault(
+                            "truncated wide instruction", pc)
+                    regs[d.dst] = value
+                    pc += 2
+                elif d.opcode == CALL:
+                    helper_id = d.imm
+                    helper_calls[helper_id] = (
+                        helper_calls.get(helper_id, 0) + 1)
+                    helper = helper_table.get(helper_id)
+                    if helper is None:
+                        raise HelperFault(
+                            f"unknown helper id 0x{helper_id:02x}")
+                    try:
+                        result = helper.fn(self, regs[1], regs[2], regs[3],
+                                           regs[4], regs[5])
+                        regs[0] = (0 if result is None
+                                   else int(result) & _M64)
+                    except VMFault:
+                        raise
+                    except Exception as exc:  # contain helper bugs
+                        raise HelperFault(
+                            f"helper 0x{helper_id:02x} failed: {exc}", pc
+                        ) from exc
+                    pc += 1
+                elif d.opcode == EXIT:
+                    return regs[0]
+                else:  # CLS_JMP / CLS_JMP32 (the only remaining valid classes)
+                    if self._branch_taken(d, regs):
+                        branches += 1
+                        stats.branches_taken = branches
+                        if branches > branch_limit:
+                            raise BranchLimitFault(
+                                f"taken-branch budget N_b={branch_limit} "
+                                "exhausted",
+                                pc,
+                            )
+                        pc = d.target
+                    else:
+                        pc += 1
+        finally:
+            # kind_counts is live-updated; derive the totals so that even a
+            # faulted execution carries exact accounting (the engine charges
+            # cycles for aborted runs too).
+            stats.executed = sum(kind_counts.values())
 
     # -- instruction groups ---------------------------------------------------
 

@@ -19,6 +19,9 @@ hottest path of the whole simulator, and it is engineered accordingly:
   consecutive accesses usually hit the same region.  The cache is
   invalidated whenever the region set changes (:meth:`AccessList.add` /
   :meth:`AccessList.remove`), including a ``bind_context`` remap;
+* permissions are tested as plain integer bits (``_perm_bits``) on the
+  fast paths *and* in :meth:`AccessList.find`: the :class:`Permission`
+  enum is built only to name the missing right in a fault message;
 * :meth:`MemoryRegion.load` / :meth:`MemoryRegion.store` use preallocated
   :class:`struct.Struct` packers over a ``memoryview`` of the backing
   buffer, so an access allocates no intermediate ``bytes`` slice.
@@ -236,9 +239,9 @@ class AccessList:
                     f"0x{addr:08x} outside all granted regions"
                 )
             self._mru = region
-        needed = Permission.WRITE if write else Permission.READ
-        if region._perm_bits & needed:
+        if region._perm_bits & (2 if write else 1):  # WRITE / READ
             return region
+        needed = Permission.WRITE if write else Permission.READ
         raise MemoryFault(
             f"{'write' if write else 'read'} of {size} B at "
             f"0x{addr:08x} denied: region {region.name!r} lacks "

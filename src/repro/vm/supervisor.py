@@ -23,10 +23,12 @@ re-attach through the kernel's timer wheel after an exponentially
 backed-off delay (one strike: ``probation_base_us``; doubling per
 strike up to ``probation_cap_us``).  The probation re-attach runs the
 full verify+install path, so its cycle cost is charged to the virtual
-clock exactly like any install.  After :attr:`SupervisorConfig
-.max_strikes` strikes the slot is **permanently** quarantined — no
-timer, no re-arm, an operator (or a fresh install over the slot) is
-the only way back.
+clock exactly like any install, and puts the container back at the
+index in the hook's run order it held when quarantined (clamped to the
+hook's current length), as a hot replace does.  After
+:attr:`SupervisorConfig.max_strikes` strikes the slot is
+**permanently** quarantined — no timer, no re-arm, an operator (or a
+fresh install over the slot) is the only way back.
 
 A fresh container attached over a supervised slot (hot replace, plan
 install, rollback) resets the slot's health: the supervisor cancels
@@ -89,6 +91,9 @@ class SlotHealth:
     permanent: bool = False
     #: Virtual instant of the pending probation re-attach (if any).
     rearm_at_us: float | None = None
+    #: Index in the hook's run order the container held when it was
+    #: last quarantined (where probation puts it back).
+    position: int = 0
     _rearm_entry: object = field(default=None, repr=False)
 
     @property
@@ -151,7 +156,9 @@ class ContainerSupervisor:
         record.fault_streak = 0
         record.overrun_streak = 0
         self.quarantines += 1
-        self.engine.detach(record.container)
+        container = record.container
+        record.position = container.hook.containers.index(container)
+        self.engine.detach(container)
         record.quarantined = True
         if record.strikes >= self.config.max_strikes:
             record.permanent = True
@@ -196,7 +203,8 @@ class ContainerSupervisor:
         try:
             # Full verify+install price on the virtual clock, like any
             # attach — probation is never free.
-            self.engine.attach(container, record.hook_name)
+            self.engine.attach(container, record.hook_name,
+                               min(record.position, len(hook.containers)))
         except Exception:
             # The image no longer passes pre-flight (policy changed,
             # hook repurposed): strike out rather than retry forever.

@@ -90,3 +90,87 @@ class TestSyncFireMutationSafety:
         second = engine.fire_hook(FC_HOOK_FANOUT)
         assert [run.container.name for run in second.runs] == ["c0", "c2",
                                                                "c4"]
+
+
+class TestFaultDetachMatchesReferenceLoop:
+    """A SYNC fire behaves as running each attached container in turn.
+
+    Five ``thread_counter`` slots, the middle one replaced by an image
+    that faults on every run: the supervisor quarantines it in the
+    middle of a fire and, after probation, re-attaches it in place.
+    Every observable is compared against the same engine driven by a
+    plain loop of :meth:`~repro.core.HostingEngine.execute` calls.
+    """
+
+    CRASHER = "lddw r1, 0xbad0000\n    ldxdw r0, [r1]\n    exit"
+
+    def _engine(self) -> tuple[HostingEngine, list]:
+        from repro.workloads import thread_counter_program
+
+        engine = HostingEngine(
+            Kernel(nrf52840()),
+            supervisor=SupervisorConfig(fault_streak=3,
+                                        probation_base_us=1_000.0))
+        engine.register_hook(Hook(FC_HOOK_FANOUT, mode=HookMode.SYNC))
+        containers = [
+            engine.attach(engine.load(
+                assemble(self.CRASHER) if index == 2
+                else thread_counter_program(), name=f"c{index}"),
+                FC_HOOK_FANOUT)
+            for index in range(5)]
+        return engine, containers
+
+    @staticmethod
+    def _reference_fire(engine: HostingEngine, context: bytes) -> list:
+        hook = engine.hooks[FC_HOOK_FANOUT]
+        hook.fires += 1
+        engine.kernel.clock.charge(engine.board.hook_dispatch_cycles)
+        return [engine.execute(container, context)
+                for container in list(hook.containers)]
+
+    @staticmethod
+    def _runs(runs) -> list:
+        return [(run.container.name, run.value, run.cycles, run.stats,
+                 run.fault) for run in runs]
+
+    @staticmethod
+    def _state(engine: HostingEngine, containers: list) -> tuple:
+        health = {
+            key: (h.container.name, h.fault_streak, h.overrun_streak,
+                  h.overruns, h.strikes, h.probations, h.quarantined,
+                  h.permanent, h.rearm_at_us, h.position)
+            for key, h in engine.supervisor.counters().items()}
+        return (
+            [c.name for c in engine.hooks[FC_HOOK_FANOUT].containers],
+            [(c.name, c.runs, c.total_cycles, c.lifetime_stats, c.faults)
+             for c in containers],
+            health,
+            engine.supervisor.quarantines,
+            engine.fault_total,
+            engine.kernel.clock.cycles,
+            engine.global_store.snapshot(),
+        )
+
+    def test_fire_matches_a_loop_of_executes(self):
+        (fired, mine), (looped, theirs) = self._engine(), self._engine()
+        contexts = [bytes(8) + (pid % 4).to_bytes(8, "little")
+                    for pid in range(6)]
+        for phase in range(2):
+            for context in contexts:
+                firing = fired.fire_hook(FC_HOOK_FANOUT, context)
+                reference = self._reference_fire(looped, context)
+                assert self._runs(firing.runs) == self._runs(reference)
+                assert self._state(fired, mine) == self._state(looped, theirs)
+            if phase == 0:
+                # Quarantined mid-fire at the third fire; four survivors.
+                assert [c.name for c in
+                        fired.hooks[FC_HOOK_FANOUT].containers] == [
+                            "c0", "c1", "c3", "c4"]
+                for engine in (fired, looped):
+                    engine.kernel.run(until_us=engine.kernel.now_us
+                                      + 2_000.0)
+                # Probation put it back in the middle.
+                assert [c.name for c in
+                        fired.hooks[FC_HOOK_FANOUT].containers] == [
+                            "c0", "c1", "c2", "c3", "c4"]
+                assert self._state(fired, mine) == self._state(looped, theirs)

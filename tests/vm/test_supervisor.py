@@ -177,6 +177,40 @@ class TestProbation:
         assert engine.supervisor.quarantines == 3
 
 
+class TestProbationPosition:
+    """Probation puts the container back where it ran, not at the end."""
+
+    @staticmethod
+    def _three(engine, sick: str):
+        return [engine.attach(engine.load(
+            assemble(CONDITIONAL if name == sick else RETURN_7), name=name),
+            FC_HOOK_TIMER) for name in ("a", "b", "c")]
+
+    @staticmethod
+    def _order(engine) -> list[str]:
+        return [c.name for c in engine.hook(FC_HOOK_TIMER).containers]
+
+    @pytest.mark.parametrize("sick", ["a", "b", "c"])
+    def test_probation_restores_the_run_order(self, board_m4, sick):
+        engine = make_engine(board_m4, fault_streak=2,
+                             probation_base_us=1_000.0)
+        by_name = {c.name: c for c in self._three(engine, sick)}
+        for _ in range(2):
+            engine.execute(by_name[sick], context=BAD)
+        assert sick not in self._order(engine)
+        engine.kernel.run(until_us=engine.kernel.now_us + 2_000.0)
+        assert self._order(engine) == ["a", "b", "c"]
+
+    def test_position_is_clamped_to_the_shrunken_hook(self, board_m4):
+        engine = make_engine(board_m4, fault_streak=1,
+                             probation_base_us=1_000.0)
+        a, b, c = self._three(engine, "c")
+        engine.execute(c, context=BAD)  # quarantined from index 2
+        engine.detach(b)
+        engine.kernel.run(until_us=engine.kernel.now_us + 2_000.0)
+        assert self._order(engine) == ["a", "c"]
+
+
 class TestSlotOwnership:
     def test_fresh_install_cancels_stale_probation(self, board_m4):
         """A new container taking the slot must kill the old probation
