@@ -6,8 +6,9 @@ it quantifies the execution-core design points in wall time as well as in
 modelled cycles: the pre-decoded interpreter dispatch, the defensive
 CertFC build, and the §11 install-time template JIT (basic blocks
 compiled to Python source with registers, per-run counts and memory
-windows as locals), which must deliver at least a 5x interpreter-relative
-speedup.
+windows as locals, and counted self-loops versioned: checked once at
+entry, then run unchecked), which must deliver at least a 10x
+interpreter-relative speedup.
 
 Modelled-cycle accounting is engine-independent, so all Fig. 8 / Table 2
 / Table 4 outputs stay byte-identical under execution-core performance
@@ -105,6 +106,7 @@ def test_relative_wall_speed(benchmark):
         title=f"Simulator throughput (host-dependent; JIT {speedup:.2f}x)",
     ))
     # The template JIT must beat the pre-decoded interpreter by at least
-    # 5x (the acceptance bar for the install-time-transpile design
-    # point; it typically lands near 6x).
-    assert speedup > 5.0
+    # 10x (the acceptance bar for the install-time-transpile design
+    # point; with fletcher32's inner loop versioned it typically lands
+    # between 13x and 18x).
+    assert speedup > 10.0

@@ -11,8 +11,16 @@ constant-folded from the pre-decoded slot table — then compiled with
 is no per-instruction dispatch at all; the only per-run work the template
 leaves behind is exactly what cannot be hoisted:
 
-* **memory checks** — loads and stores still go through the access list
-  (computed addresses cannot be verified statically);
+* **memory checks** — loads and stores go through the access list, whose
+  computed addresses the verifier does not bound.  A *versioned loop*
+  checks them once instead: a counted self-loop whose accesses walk
+  affine pointers (:mod:`repro.vm.induction`) tests, at entry, its trip
+  count against the branch budget and each pointer's whole range
+  against one region with :meth:`~repro.vm.memory.AccessList.span`, then
+  runs an unchecked copy of its body with counts bumped once after the
+  loop; any failing test runs the checked loop, which raises the exact
+  reference fault.  The counts stay exact, so the modelled device still
+  pays for every check: only host time is saved;
 * the **N_b taken-branch budget**, enforced at block edges;
 * **division-by-register** zero checks and helper-call containment.
 
@@ -27,6 +35,7 @@ Two structural optimizations ride on top of the block template:
   the successor is inlined in place (bounded by ``_Codegen.INLINE_CAP``),
   so per-kind counts keep batching across the boundary: no faultable
   instruction intervenes there, hence no flush and no dispatch round-trip.
+  A self-loop is never inlined: it keeps one copy in its own arm.
 
 The hot path touches only Python locals.  Per-run state that the
 interpreter keeps on objects lives in the template's frame instead:
@@ -71,6 +80,7 @@ import struct as _struct
 
 from repro.vm import isa
 from repro.vm.imagecache import IMAGE_CACHE, CompiledTemplate
+from repro.vm.induction import AffineLoop, BaseRange, affine_loop
 from repro.vm.predecode import basic_blocks, find_leaders
 from repro.vm.errors import (
     BranchLimitFault,
@@ -213,6 +223,8 @@ class _Codegen:
         # the folded loop currently being emitted (None at top level).
         self.var = "_t"
         self.region: frozenset[int] | None = None
+        #: The versioned loop whose unchecked copy is being emitted.
+        self.unchecked: AffineLoop | None = None
 
     # -- small emission helpers -------------------------------------------
 
@@ -226,6 +238,8 @@ class _Codegen:
         self.indent = self.indent[:-4]
 
     def count(self, kind: str, pc: int) -> None:
+        if self.unchecked is not None:
+            return  # bumped once per loop, from its per-iteration counts
         self.pending[kind] = self.pending.get(kind, 0) + 1
         if self.total_limit is not None:
             # With a total budget the abort point must match the
@@ -401,9 +415,19 @@ class _Codegen:
         self.emit("continue")
         self.var, self.region = "_t", None
 
+    def is_self_loop(self, start: int) -> bool:
+        block = self.blocks[start]
+        return (block.kind == "branch" and block.term.opcode != isa.JA
+                and block.term.target == start)
+
     def _can_inline(self, target: int, inlined: int) -> bool:
-        """May the block at ``target`` be emitted inline (superblock)?"""
-        if target not in self.blocks or inlined >= self.INLINE_CAP:
+        """May the block at ``target`` be emitted inline (superblock)?
+
+        Never a self-loop: it keeps one copy, in its own dispatch arm,
+        however many blocks fall into it.
+        """
+        if (target not in self.blocks or inlined >= self.INLINE_CAP
+                or self.is_self_loop(target)):
             return False
         if self.region is not None:
             # Stay inside the folded loop; never inline its head (back
@@ -424,12 +448,18 @@ class _Codegen:
             # A conditional branch back to this very block is the classic
             # compiled-loop shape: emit it as a native Python loop so
             # iteration costs no dispatch at all.
-            self_loop = (kind == "branch" and td.opcode != isa.JA
-                         and td.target == current)
+            self_loop = self.is_self_loop(current)
+            versioned = None
             if self_loop:
                 # Counts batched from an inlined predecessor must be
                 # bumped before the loop, not once per iteration.
                 self.flush(current)
+                if self.total_limit is None:
+                    versioned = affine_loop(decoded, block)
+                if versioned is not None:
+                    self.emit_versioned(block, versioned)
+                    self.emit("else:")
+                    self.push_indent()
                 self.emit("while 1:")
                 self.push_indent()
             for ipc in block.body:
@@ -443,6 +473,8 @@ class _Codegen:
                 self.emit_branch(td, tpc, self_loop=self_loop)
                 if self_loop:
                     self.pop_indent()
+                    if versioned is not None:
+                        self.pop_indent()
                     self.goto(tpc + 1)
                 return
             # Fallthrough into another leader: extend the superblock in
@@ -459,10 +491,119 @@ class _Codegen:
             self.goto(tpc)
             return
 
+    # -- loop versioning ------------------------------------------------------
+
+    @staticmethod
+    def span_bounds(base: BaseRange) -> tuple[str, str]:
+        """``[lo, hi)`` covered by ``base``'s accesses over ``_n`` iterations.
+
+        The range is computed on unbounded integers, so an address that
+        would wrap around 2**64 lands outside every region and the guard
+        fails instead of the fast copy reading a wrapped address.
+        """
+        reg, step = f"r{base.reg}", base.step
+        lo, hi = base.lo, base.hi
+        if step > 0:
+            return (f"{reg}{_plus(lo)}",
+                    f"{reg}{_plus(hi - step)} + {step} * _n")
+        if step < 0:
+            return (f"{reg}{_plus(lo - step)} - {-step} * _n",
+                    f"{reg}{_plus(hi)}")
+        return f"{reg}{_plus(lo)}", f"{reg}{_plus(hi)}"
+
+    def emit_versioned(self, block, loop: AffineLoop) -> None:
+        """Guard a self-loop once at entry, then run an unchecked copy.
+
+        With the trip count ``_n`` read from the counter, the fast copy
+        runs only when the loop cannot wrap (``_n >= 1``), cannot exhaust
+        the taken-branch budget (``_n - 1`` more taken edges), and every
+        base register's whole access range lies in one region granting
+        what its accesses need.  The copy then does no window checks,
+        count bumps or budget tests per iteration: after the loop it
+        bumps each count by its per-iteration count times ``_n`` and sets
+        the elided induction registers in closed form.  The caller emits
+        the checked loop under the ``else``, so any failing condition runs
+        it and raises the exact reference fault.
+        """
+        self.emit(f"_n = r{loop.counter}")
+        guard = ["_n", "_br + _n <= _blimit + 1"]
+        for base in loop.bases:
+            lo, hi = self.span_bounds(base)
+            guard.append(f"(_g{base.reg} := _mem.span({lo}, {hi}, "
+                         f"{base.perms})) is not None")
+        self.emit(f"if {' and '.join(guard)}:")
+        self.push_indent()
+        for base in loop.bases:
+            self.emit(f"_v{base.reg} = _g{base.reg}._view")
+            self.emit(f"_q{base.reg} = r{base.reg} - _g{base.reg}.start")
+        # The first stepping base leads the native loop as a range over
+        # its view index; the others step their index by hand.
+        lead = next((base for base in loop.bases if base.step), None)
+        if lead is None:
+            header = "for _ in range(_n):"
+        else:
+            q, step = f"_q{lead.reg}", lead.step
+            header = (f"for {q} in range({q}, {q}{_plus(step)} * _n, "
+                      f"{step}):")
+        self.emit(header)
+        mark = len(self.lines)
+        self.push_indent()
+        self.unchecked = loop
+        for ipc in block.body:
+            self.emit_instruction(self.decoded[ipc], ipc)
+        self.unchecked = None
+        for base in loop.bases:
+            if base.step and base is not lead:
+                self.emit(f"_q{base.reg} += {base.step}")
+        self.pop_indent()
+        if len(self.lines) == mark:
+            self.lines.pop()  # nothing left to iterate: drop the header
+        for reg in sorted(loop.elided.values()):
+            step = loop.steps[reg]
+            if reg == loop.counter:
+                self.emit(f"r{reg} = 0")
+            elif step:
+                self.emit(f"r{reg} = (r{reg}{_plus(step)} * _n) & {_H64}")
+        for kind, per in sorted(loop.per_iteration.items()):
+            self.emit(f"_k_{kind} += _n" if per == 1
+                      else f"_k_{kind} += {per} * _n")
+        self.emit("_br += _n - 1")
+        self.pop_indent()
+
+    def emit_unchecked(self, d, pc: int) -> None:
+        """One access of a versioned loop's fast copy: a plain view index.
+
+        ``_q<base>`` is the base register's index into its region's view
+        at the start of the iteration; the access's offset from it was
+        fixed at install time (:attr:`AffineLoop.offsets`).
+        """
+        load = d.cls == isa.CLS_LDX
+        base = d.src if load else d.dst
+        index = f"_q{base}{_plus(self.unchecked.offsets[pc])}"
+        view, size = f"_v{base}", d.size
+        if load:
+            if size == 1:
+                self.emit(f"r{d.dst} = {view}[{index}]")
+            else:
+                self.emit(f"r{d.dst} = _u{size}({view}, {index})[0]")
+            return
+        value = f"r{d.src}" if d.cls == isa.CLS_STX else f"{d.imm64:#x}"
+        if size == 1:
+            self.emit(f"{view}[{index}] = {value} & 0xff")
+        else:
+            self.emit(f"_p{size}({view}, {index}, "
+                      f"{value} & {_SIZE_MASK[size]:#x})")
+
     # -- straight-line instructions ---------------------------------------
 
     def emit_instruction(self, d, pc: int) -> None:
         cls = d.cls
+        if self.unchecked is not None:
+            if pc in self.unchecked.elided:
+                return  # closed form after the loop
+            if cls in (isa.CLS_LDX, isa.CLS_STX, isa.CLS_ST):
+                self.emit_unchecked(d, pc)
+                return
         if cls == isa.CLS_ALU64:
             self.count(d.kind, pc)
             self.emit_alu64(d, pc)
@@ -723,6 +864,13 @@ class _Codegen:
         else:
             self.taken_edge(pc, d.target, nested=True)
             self.goto(pc + 1)
+
+
+def _plus(value: int) -> str:
+    """`` + value`` / `` - |value|`` (empty for 0), for generated code."""
+    if value == 0:
+        return ""
+    return f" + {value}" if value > 0 else f" - {-value}"
 
 
 def _build_template(

@@ -16,9 +16,12 @@ hottest path of the whole simulator, and it is engineered accordingly:
   a linear scan;
 * a **most-recently-used region cache** short-circuits the common case —
   container loads and stores are overwhelmingly stack- or context-local, so
-  consecutive accesses usually hit the same region.  The cache is
-  invalidated whenever the region set changes (:meth:`AccessList.add` /
-  :meth:`AccessList.remove`), including a ``bind_context`` remap;
+  consecutive accesses usually hit the same region.  A second entry holds
+  the region resolved before it, so a program alternating between two
+  regions (its context and its stack) resolves neither by bisect.  The
+  cache is invalidated whenever the region set changes
+  (:meth:`AccessList.add` / :meth:`AccessList.remove`), including a
+  ``bind_context`` remap;
 * permissions are tested as plain integer bits (``_perm_bits``) on the
   fast paths *and* in :meth:`AccessList.find`: the :class:`Permission`
   enum is built only to name the missing right in a fault message;
@@ -166,7 +169,10 @@ class AccessList:
     def __post_init__(self) -> None:
         self.regions.sort(key=lambda region: region.start)
         self._starts = [region.start for region in self.regions]
+        #: The region resolved last (the JIT's window refill reads it),
+        #: and the one resolved before that.
         self._mru: MemoryRegion | None = None
+        self._mru2: MemoryRegion | None = None
 
     # -- region-set maintenance -------------------------------------------
 
@@ -174,7 +180,7 @@ class AccessList:
         """Re-derive the index after a detected out-of-band mutation."""
         self.regions.sort(key=lambda region: region.start)
         self._starts = [region.start for region in self.regions]
-        self._mru = None
+        self._mru = self._mru2 = None
 
     def add(self, region: MemoryRegion) -> MemoryRegion:
         """Grant access to ``region``; returns it for chaining."""
@@ -191,7 +197,7 @@ class AccessList:
             )
         self.regions.insert(index, region)
         self._starts.insert(index, region.start)
-        self._mru = None
+        self._mru = self._mru2 = None
         return region
 
     def remove(self, region: MemoryRegion) -> bool:
@@ -205,7 +211,7 @@ class AccessList:
             del self._starts[index]
         else:  # pragma: no cover - only after out-of-band mutation
             self._resync()
-        self._mru = None
+        self._mru = self._mru2 = None
         return True
 
     def grant_bytes(
@@ -220,24 +226,31 @@ class AccessList:
 
         This is the hot path of the memory-protection system: the address is
         the *computed* runtime address (register + offset), so the check
-        cannot be hoisted to verification time.  An MRU hit skips the bisect
-        entirely; permissions are re-checked on every resolution.
+        cannot be hoisted to verification time.  A hit on either MRU entry
+        skips the bisect entirely; permissions are re-checked on every
+        resolution.
         """
         region = self._mru
         if region is None or not (
             region.start <= addr and addr + size <= region._end
         ):
-            starts = self._starts
-            if len(starts) != len(self.regions):  # defensive resync
-                self._resync()
+            previous = region
+            region = self._mru2
+            if region is None or not (
+                region.start <= addr and addr + size <= region._end
+            ):
                 starts = self._starts
-            index = bisect_right(starts, addr) - 1
-            region = self.regions[index] if index >= 0 else None
-            if region is None or addr + size > region._end:
-                raise MemoryFault(
-                    f"{'write' if write else 'read'} of {size} B at "
-                    f"0x{addr:08x} outside all granted regions"
-                )
+                if len(starts) != len(self.regions):  # defensive resync
+                    self._resync()
+                    starts, previous = self._starts, None
+                index = bisect_right(starts, addr) - 1
+                region = self.regions[index] if index >= 0 else None
+                if region is None or addr + size > region._end:
+                    raise MemoryFault(
+                        f"{'write' if write else 'read'} of {size} B at "
+                        f"0x{addr:08x} outside all granted regions"
+                    )
+            self._mru2 = previous
             self._mru = region
         if region._perm_bits & (2 if write else 1):  # WRITE / READ
             return region
@@ -247,6 +260,25 @@ class AccessList:
             f"0x{addr:08x} denied: region {region.name!r} lacks "
             f"{needed.name} permission"
         )
+
+    def span(self, lo: int, hi: int, perms: int) -> MemoryRegion | None:
+        """The one region holding all of ``[lo, hi)`` with every permission
+        bit in ``perms`` (1 READ, 2 WRITE), or None; never raises.
+
+        The JIT's versioned loops ask this once at loop entry for the
+        whole range an affine pointer walks.  It leaves the MRU cache
+        alone, and a range split over two adjacent regions answers None
+        (the caller then checks access by access).
+        """
+        if len(self._starts) != len(self.regions):  # defensive resync
+            self._resync()
+        index = bisect_right(self._starts, lo) - 1
+        if index < 0:
+            return None
+        region = self.regions[index]
+        if hi <= region._end and region._perm_bits & perms == perms:
+            return region
+        return None
 
     def load(self, addr: int, size: int) -> int:
         # Inlined MRU + packer fast path: one VM load is one call frame.

@@ -127,6 +127,30 @@ class TestMruInvalidation:
         with pytest.raises(MemoryFault, match="outside all granted"):
             acl.load(0x3000, 8)
 
+    def test_remove_invalidates_the_second_mru_entry(self):
+        """A revoked region held as the older of the two MRU entries
+        must not be served either."""
+        acl = AccessList()
+        revoked = acl.grant_bytes("a", 0x3000, bytes(8), Permission.READ)
+        acl.grant_bytes("b", 0x5000, bytes(8), Permission.READ)
+        acl.load(0x3000, 8)
+        acl.load(0x5000, 8)  # "a" is now the older entry
+        assert acl.remove(revoked) is True
+        with pytest.raises(MemoryFault, match="outside all granted"):
+            acl.load(0x3000, 8)
+
+    def test_alternating_regions_keep_the_last_one_first(self):
+        """Context/stack alternation hits the second entry and swaps it
+        in, so ``_mru`` always names the region resolved last (the JIT
+        refills its windows from it)."""
+        acl = AccessList()
+        a = acl.grant_bytes("a", 0x3000, bytes(8), Permission.READ_WRITE)
+        b = acl.grant_bytes("b", 0x5000, bytes(8), Permission.READ_WRITE)
+        for region in (a, b, a, b, a):
+            acl.store(region.start, 4, 7)
+            assert acl._mru is region
+        assert acl.load(0x5004, 4) == 0 and acl._mru is b
+
     def test_remove_absent_region_is_noop(self):
         acl = AccessList()
         stray = MemoryRegion.zeroed("stray", 0x4000, 8, Permission.READ)
