@@ -39,6 +39,17 @@ class VMFault(VMError):
         super().__init__(message if pc is None else f"[pc={pc}] {message}")
         self.pc = pc
 
+    def at_pc(self, pc: int) -> "VMFault":
+        """Name ``pc`` as this fault's instruction, unless it names one.
+
+        The access list and helpers raise below the instruction stream;
+        the engine running the instruction fills in its pc on the way out.
+        """
+        if self.pc is None:
+            self.pc = pc
+            self.args = (f"[pc={pc}] {self.args[0]}",)
+        return self
+
 
 class MemoryFault(VMFault):
     """Load/store outside the regions granted by the access list (Fig. 4)."""

@@ -64,6 +64,9 @@ class CompiledTemplate:
     source: str
     entry: Callable
     install_instruction_count: int
+    #: Template line -> pc of the slow-path load or store on it, so a
+    #: memory fault raised there names its instruction.
+    slow_pcs: dict[int, int]
 
 
 class ImageCache:

@@ -46,6 +46,7 @@ from repro.vm.errors import (
     DivisionFault,
     HelperFault,
     IllegalInstructionFault,
+    MemoryFault,
     VMFault,
 )
 from repro.vm.helpers import HelperRegistry
@@ -378,6 +379,8 @@ class Interpreter:
                         pc = d.target
                     else:
                         pc += 1
+        except MemoryFault as exc:  # from the access list, or a helper
+            raise exc.at_pc(pc)
         finally:
             # kind_counts is live-updated; derive the totals so that even a
             # faulted execution carries exact accounting (the engine charges

@@ -24,7 +24,7 @@ leaves behind is exactly what cannot be hoisted:
 * the **N_b taken-branch budget**, enforced at block edges;
 * **division-by-register** zero checks and helper-call containment.
 
-Two structural optimizations ride on top of the block template:
+Three structural optimizations ride on top of the block template:
 
 * **natural-loop folding** — a conditional branch back to its own block
   becomes a native ``while``, and *multi-block* natural loops (head-only
@@ -35,7 +35,27 @@ Two structural optimizations ride on top of the block template:
   the successor is inlined in place (bounded by ``_Codegen.INLINE_CAP``),
   so per-kind counts keep batching across the boundary: no faultable
   instruction intervenes there, hence no flush and no dispatch round-trip.
-  A self-loop is never inlined: it keeps one copy in its own arm.
+  A self-loop is never inlined: it keeps one copy in its own arm;
+* **folded unchecked bodies** — a versioned loop's unchecked copy gets
+  three rewrites, each refused unless the body's facts
+  (:func:`~repro.vm.induction.affine_loop`) make it exact:
+
+  - a *byte-assembled word* (``ldxb rA``/``ldxb rB`` of adjacent bytes,
+    ``lsh rB, 8``, ``or rA, rB``) is one 16-bit read into ``rA``, and
+    ``rB = rA & 0xff00`` after the loop; refused when the bytes are not
+    adjacent, anything else in the body touches ``rB``, or ``rA`` is
+    written after the word;
+  - *read once*: a body without stores reads all iterations' loads at
+    entry, one ``unpack_from`` per base, and iterates the values; refused
+    when the body stores, a base does not step, or one iteration's loads
+    overlap each other or the next iteration's;
+  - *wrap once*: a register whose every write and read in the body is a
+    64-bit ``add``/``sub`` holds an unbounded int in the loop and is
+    masked after it (reduction mod 2**64 commutes with both); refused for
+    the counter, address bases, a register any other instruction reads,
+    and one fed by itself directly or through other such registers.
+
+  The checked loop under the entry guard is left as it is.
 
 The hot path touches only Python locals.  Per-run state that the
 interpreter keeps on objects lives in the template's frame instead:
@@ -56,7 +76,10 @@ interpreter keeps on objects lives in the template's frame instead:
   slow-path access resolved.  A window is filled only after a
   *successful* ``AccessList.load``/``store``, which proves the READ or
   WRITE permission, and both are dropped after every helper call,
-  because helpers may map or revoke regions and write VM memory.
+  because helpers may map or revoke regions and write VM memory.  A
+  memory fault names its instruction: each slow-path call sits on its
+  own template line, which :attr:`CompiledTemplate.slow_pcs` maps to its
+  pc, so a window hit pays nothing for it.
 
 Faithful to the paper's constraints, compilation happens only after
 pre-flight verification (the generated code *relies* on the verifier's
@@ -87,6 +110,7 @@ from repro.vm.errors import (
     DivisionFault,
     HelperFault,
     IllegalInstructionFault,
+    MemoryFault,
     VMFault,
 )
 from repro.vm.helpers import HelperRegistry
@@ -140,6 +164,12 @@ def _bad_target(target: int) -> None:  # pragma: no cover - verifier forbids
     raise IllegalInstructionFault(f"jump to unmapped block at pc {target}")
 
 
+def _window(mem: AccessList) -> tuple[int, int, memoryview]:
+    """Start, end and view of the region the last access resolved."""
+    region = mem._mru
+    return region.start, region._end, region._view
+
+
 def _bswap16(value: int) -> int:
     return int.from_bytes((value & 0xFFFF).to_bytes(2, "little"), "big")
 
@@ -158,6 +188,7 @@ _JIT_GLOBALS = {
     "_branch_fault": _branch_fault,
     "_total_fault": _total_fault,
     "_bad_target": _bad_target,
+    "_window": _window,
     "_bswap16": _bswap16,
     "_bswap32": _bswap32,
     "_bswap64": _bswap64,
@@ -168,6 +199,8 @@ _JIT_GLOBALS = {
     "_p2": _struct.Struct("<H").pack_into,
     "_p4": _struct.Struct("<I").pack_into,
     "_p8": _struct.Struct("<Q").pack_into,
+    # Versioned loops read every iteration's loads at entry.
+    "_unpack_from": _struct.unpack_from,
 }
 
 _SIZE_MASK = {1: 0xFF, 2: 0xFFFF, 4: _M32, 8: _M64}
@@ -223,8 +256,14 @@ class _Codegen:
         # the folded loop currently being emitted (None at top level).
         self.var = "_t"
         self.region: frozenset[int] | None = None
-        #: The versioned loop whose unchecked copy is being emitted.
+        #: The versioned loop whose unchecked copy is being emitted, and
+        #: the body line of each load it reads at entry ("" when none).
         self.unchecked: AffineLoop | None = None
+        self.fetch: dict[int, str] = {}
+        #: Template line -> pc of the slow-path access on it, and the
+        #: (arm line index, pc) pairs of the arm being emitted.
+        self.pcs: dict[int, int] = {}
+        self.slow: list[tuple[int, int]] = []
 
     # -- small emission helpers -------------------------------------------
 
@@ -347,12 +386,14 @@ class _Codegen:
             guard = "if" if index == 0 else "elif"
             out.append(f"            {guard} _t == {leader}:")
             self.indent = " " * 16
-            self.lines = []
+            self.lines, self.slow = [], []
             if leader in self.loops:
                 self.emit_region(leader)
             else:
                 self.var, self.region = "_t", None
                 self.emit_block(leader)
+            for index, pc in self.slow:
+                self.pcs[len(out) + index + 1] = pc  # 1-based line number
             out.extend(self.lines)
         out.append("            else:")
         out.append("                _bad_target(_t)")
@@ -521,7 +562,9 @@ class _Codegen:
         what its accesses need.  The copy then does no window checks,
         count bumps or budget tests per iteration: after the loop it
         bumps each count by its per-iteration count times ``_n`` and sets
-        the elided induction registers in closed form.  The caller emits
+        the elided induction registers in closed form, masks the deferred
+        ones and sets each word's spare byte register (the folds of the
+        module docstring).  The caller emits
         the checked loop under the ``else``, so any failing condition runs
         it and raises the exact reference fault.
         """
@@ -533,18 +576,24 @@ class _Codegen:
                          f"{base.perms})) is not None")
         self.emit(f"if {' and '.join(guard)}:")
         self.push_indent()
-        for base in loop.bases:
-            self.emit(f"_v{base.reg} = _g{base.reg}._view")
-            self.emit(f"_q{base.reg} = r{base.reg} - _g{base.reg}.start")
-        # The first stepping base leads the native loop as a range over
-        # its view index; the others step their index by hand.
-        lead = next((base for base in loop.bases if base.step), None)
-        if lead is None:
-            header = "for _ in range(_n):"
+        self.fetch = {}
+        by_hand: list[BaseRange] = []
+        if loop.gathers:
+            header = self.emit_gathers(loop)
         else:
-            q, step = f"_q{lead.reg}", lead.step
-            header = (f"for {q} in range({q}, {q}{_plus(step)} * _n, "
-                      f"{step}):")
+            for base in loop.bases:
+                self.emit(f"_v{base.reg} = _g{base.reg}._view")
+                self.emit(f"_q{base.reg} = r{base.reg} - _g{base.reg}.start")
+            # The first stepping base leads the native loop as a range over
+            # its view index; the others step their index by hand.
+            by_hand = [base for base in loop.bases if base.step]
+            if not by_hand:
+                header = "for _ in range(_n):"
+            else:
+                lead = by_hand.pop(0)
+                q, step = f"_q{lead.reg}", lead.step
+                header = (f"for {q} in range({q}, {q}{_plus(step)} * _n, "
+                          f"{step}):")
         self.emit(header)
         mark = len(self.lines)
         self.push_indent()
@@ -552,9 +601,10 @@ class _Codegen:
         for ipc in block.body:
             self.emit_instruction(self.decoded[ipc], ipc)
         self.unchecked = None
-        for base in loop.bases:
-            if base.step and base is not lead:
-                self.emit(f"_q{base.reg} += {base.step}")
+        for base in by_hand:
+            self.emit(f"_q{base.reg} += {base.step}")
+        if len(self.lines) == mark and loop.gathers:
+            self.emit("pass")  # the header leaves the last record's values
         self.pop_indent()
         if len(self.lines) == mark:
             self.lines.pop()  # nothing left to iterate: drop the header
@@ -564,23 +614,77 @@ class _Codegen:
                 self.emit(f"r{reg} = 0")
             elif step:
                 self.emit(f"r{reg} = (r{reg}{_plus(step)} * _n) & {_H64}")
+        for reg in sorted(loop.deferred):
+            self.emit(f"r{reg} &= {_H64}")
+        for reg_a, reg_b in loop.words.values():
+            self.emit(f"r{reg_b} = r{reg_a} & 0xff00")
         for kind, per in sorted(loop.per_iteration.items()):
             self.emit(f"_k_{kind} += _n" if per == 1
                       else f"_k_{kind} += {per} * _n")
         self.emit("_br += _n - 1")
         self.pop_indent()
 
+    def emit_gathers(self, loop: AffineLoop) -> str:
+        """Read every iteration's loads at loop entry; return the header.
+
+        The body stores nothing, so memory cannot change under the loop,
+        and the guard proved every byte of each base's range readable:
+        one ``unpack_from`` per base reads all ``_n`` records, reversed
+        when the base steps down.  The header binds each load's register
+        directly when nothing earlier in the body touches it, else a
+        ``_w<pc>`` local that the load's place in the body copies.
+        """
+        targets, streams = [], []
+        for gather in loop.gathers:
+            reg, step, fields = gather.reg, gather.step, gather.fields
+            if gather.pad:
+                record = f"{fields}{gather.pad}x"
+                fmt = f"'<' + {record!r} * (_n - 1) + {fields!r}"
+            elif len(gather.binds) == 1:
+                fmt = f"'<%d{fields}' % _n"
+            else:
+                fmt = f"'<' + {fields!r} * _n"
+            start = f"r{reg} - _g{reg}.start{_plus(gather.lo)}"
+            if step < 0:
+                start += f" - {-step} * (_n - 1)"
+            read = (f"_unpack_from({fmt}, _g{reg}._view, {start})"
+                    + ("[::-1]" if step < 0 else ""))
+            binds = gather.binds if step > 0 else gather.binds[::-1]
+            if len(binds) == 1:
+                streams.append(read)
+            else:
+                self.emit(f"_i{reg} = iter({read})")
+                streams += [f"_i{reg}"] * len(binds)
+            for pc, direct in binds:
+                dst = (loop.words[pc][0] if pc in loop.words
+                       else self.decoded[pc].dst)
+                targets.append(f"r{dst}" if direct else f"_w{pc}")
+                self.fetch[pc] = "" if direct else f"r{dst} = _w{pc}"
+        if len(streams) == 1:
+            return f"for {targets[0]} in {streams[0]}:"
+        return f"for {', '.join(targets)} in zip({', '.join(streams)}):"
+
     def emit_unchecked(self, d, pc: int) -> None:
         """One access of a versioned loop's fast copy: a plain view index.
 
         ``_q<base>`` is the base register's index into its region's view
         at the start of the iteration; the access's offset from it was
-        fixed at install time (:attr:`AffineLoop.offsets`).
+        fixed at install time (:attr:`AffineLoop.offsets`).  A load read
+        at loop entry (:meth:`emit_gathers`) is at most a copy, and a
+        byte-assembled word is one 16-bit read.
         """
+        if pc in self.fetch:
+            if self.fetch[pc]:
+                self.emit(self.fetch[pc])
+            return
         load = d.cls == isa.CLS_LDX
         base = d.src if load else d.dst
         index = f"_q{base}{_plus(self.unchecked.offsets[pc])}"
         view, size = f"_v{base}", d.size
+        if pc in self.unchecked.words:
+            reg_a = self.unchecked.words[pc][0]
+            self.emit(f"r{reg_a} = _u2({view}, {index})[0]")
+            return
         if load:
             if size == 1:
                 self.emit(f"r{d.dst} = {view}[{index}]")
@@ -599,8 +703,8 @@ class _Codegen:
     def emit_instruction(self, d, pc: int) -> None:
         cls = d.cls
         if self.unchecked is not None:
-            if pc in self.unchecked.elided:
-                return  # closed form after the loop
+            if pc in self.unchecked.elided or pc in self.unchecked.absorbed:
+                return  # closed form after the loop, or part of a word
             if cls in (isa.CLS_LDX, isa.CLS_STX, isa.CLS_ST):
                 self.emit_unchecked(d, pc)
                 return
@@ -613,15 +717,15 @@ class _Codegen:
         elif cls == isa.CLS_LDX:
             self.count("load", pc)
             self.flush(pc)
-            self.emit_load(d)
+            self.emit_load(d, pc)
         elif cls == isa.CLS_STX:
             self.count("store", pc)
             self.flush(pc)
-            self.emit_store(d, f"r{d.src}")
+            self.emit_store(d, pc, f"r{d.src}")
         elif cls == isa.CLS_ST:
             self.count("store", pc)
             self.flush(pc)
-            self.emit_store(d, f"{d.imm64:#x}")
+            self.emit_store(d, pc, f"{d.imm64:#x}")
         elif cls == isa.CLS_LD:  # wide: fully resolved at pre-decode
             self.count("lddw", pc)
             self.emit(f"r{d.dst} = {d.wide_value:#x}")
@@ -654,12 +758,9 @@ class _Codegen:
 
     def refill(self, window: str) -> None:
         """Point ``window`` at the region the slow path just resolved."""
-        self.emit("    _r = _mem._mru")
-        self.emit(f"    {window}s = _r.start")
-        self.emit(f"    {window}e = _r._end")
-        self.emit(f"    {window}v = _r._view")
+        self.emit(f"    {window}s, {window}e, {window}v = _window(_mem)")
 
-    def emit_load(self, d) -> None:
+    def emit_load(self, d, pc: int) -> None:
         """A load checked against the run's read window, held in locals.
 
         ``_rs``/``_re``/``_rv`` (start, end, view) cache one region the
@@ -667,8 +768,9 @@ class _Codegen:
         view directly (a byte load indexes the ``memoryview``); anything
         else takes the out-of-line ``AccessList.load`` path, which runs
         the full bisect + permission check and raises the exact reference
-        faults.  Only a *successful* slow-path load refills the window, so
-        the window always holds a region proven to grant READ.
+        faults (the template's line of the call names ``pc``).  Only a
+        *successful* slow-path load refills the window, so the window
+        always holds a region proven to grant READ.
         """
         size = d.size
         dst = f"r{d.dst}"
@@ -679,10 +781,11 @@ class _Codegen:
         else:
             self.emit(f"    {dst} = _u{size}(_rv, _a - _rs)[0]")
         self.emit("else:")
+        self.slow.append((len(self.lines), pc))
         self.emit(f"    {dst} = _ld(_a, {size})")
         self.refill("_r")
 
-    def emit_store(self, d, value: str) -> None:
+    def emit_store(self, d, pc: int, value: str) -> None:
         """A store checked against the run's separate write window.
 
         Same scheme as :meth:`emit_load` with ``_ws``/``_we``/``_wv``: the
@@ -700,6 +803,7 @@ class _Codegen:
         else:
             self.emit(f"    _p{size}(_wv, _a - _ws, {masked})")
         self.emit("else:")
+        self.slow.append((len(self.lines), pc))
         self.emit(f"    _st(_a, {size}, {value})")
         self.refill("_w")
 
@@ -707,7 +811,10 @@ class _Codegen:
         dst = f"r{d.dst}"
         op = d.op
         operand = f"r{d.src}" if d.use_reg else f"{d.imm64:#x}"
-        if op == isa.ALU_ADD:
+        if self.unchecked is not None and d.dst in self.unchecked.deferred:
+            # Wrapped once after the loop (add or sub by construction).
+            self.emit(f"{dst} {'+' if op == isa.ALU_ADD else '-'}= {operand}")
+        elif op == isa.ALU_ADD:
             self.emit(f"{dst} = ({dst} + {operand}) & {_H64}")
         elif op == isa.ALU_SUB:
             self.emit(f"{dst} = ({dst} - {operand}) & {_H64}")
@@ -877,7 +984,8 @@ def _build_template(
     program: Program, total_limit: int | None
 ) -> CompiledTemplate:
     """Transpile and compile one image's template (the cache-miss path)."""
-    source = _Codegen(program, total_limit).generate()
+    codegen = _Codegen(program, total_limit)
+    source = codegen.generate()
     code = compile(source, f"<fc-jit:{program.name}>", "exec")
     namespace = dict(_JIT_GLOBALS)
     exec(code, namespace)
@@ -885,6 +993,7 @@ def _build_template(
         source=source,
         entry=namespace["_fc_main"],
         install_instruction_count=len(program.slots),
+        slow_pcs=codegen.pcs,
     )
 
 
@@ -937,6 +1046,8 @@ class CompiledProgram(Interpreter):
         def _call(helper_id, pc, r1, r2, r3, r4, r5):
             try:
                 return helpers.call(vm, helper_id, r1, r2, r3, r4, r5)
+            except MemoryFault as exc:
+                raise exc.at_pc(pc)
             except VMFault:
                 raise
             except Exception as exc:  # contain helper implementation bugs
@@ -950,6 +1061,10 @@ class CompiledProgram(Interpreter):
                 regs, self.access_list, stats, kind_counts,
                 stats.helper_calls, _call, self.config.branch_limit,
             )
+        except MemoryFault as exc:
+            # A slow-path access faults on its own line of the template.
+            line = exc.__traceback__.tb_next.tb_lineno
+            raise exc.at_pc(self.template.slow_pcs.get(line))
         finally:
             stats.executed = sum(kind_counts.values())
 

@@ -149,6 +149,18 @@ class TestFaultContainment:
         assert run.fault.kind == "MemoryFault"
         assert container.fault_count == 1
 
+    @pytest.mark.parametrize("implementation", sorted(VM_CLASSES))
+    def test_fault_record_names_the_faulting_load(self, kernel,
+                                                  implementation):
+        engine = HostingEngine(Kernel(kernel.board),
+                               implementation=implementation)
+        container = engine.load(assemble(CRASHER))
+        engine.attach(container, FC_HOOK_TIMER)
+        fault = engine.execute(container).fault
+        assert fault.pc == 2  # the ldxdw, after the two-slot lddw
+        assert fault.message == ("[pc=2] read of 8 B at 0x0bad0000 "
+                                 "outside all granted regions")
+
     def test_faulting_container_detached_after_threshold(self, engine):
         container = engine.load(assemble(CRASHER))
         engine.attach(container, FC_HOOK_TIMER)

@@ -9,7 +9,8 @@ shared read-only ``.rodata``, ``.data`` and an extra read-only grant —
 so the loops run off region ends, into the unmapped gaps between
 regions, and into read-only memory.  All engines must agree on the
 outcome (value, or fault class, pc and message), the full accounting,
-and every byte of writable memory afterwards.
+and every byte of writable memory afterwards; a memory fault must name
+the pc of its load or store (of the ``call``, when a helper raised it).
 
 The pinned tests at the end cover the window rules one by one: a helper
 that revokes, rewrites or remaps memory mid-run, a store to a region the
@@ -131,6 +132,8 @@ def _assert_engines_agree(observed: dict) -> None:
     reference = observed["interpreter"]
     for name, outcome in observed.items():
         assert outcome == reference, (name, outcome, reference)
+    if reference[0][:2] == ("fault", "MemoryFault"):
+        assert reference[0][2] is not None  # names its load or store
 
 
 @settings(max_examples=60, deadline=None)
@@ -229,6 +232,21 @@ def test_helper_remapping_the_context_is_seen_by_later_loads():
 """, remap, context=b"\x01\x00\x00\x00" + bytes(4))
     assert outcome == ("value", 0x11111111 + 1)
     assert context == b"\x11" * 5 + b"\x22" + b"\x11" * 10
+
+
+def test_memory_fault_inside_a_helper_names_the_call():
+    def overread(vm, *_):
+        vm.access_list.read_bytes(GRANT_BASE + 8, 16)  # the grant is 16 B
+
+    outcome, kinds, *_ = _observe_with_helper(f"""
+    mov r6, 1
+    call {HELPER}
+    exit
+""", overread)
+    assert outcome[:3] == ("fault", "MemoryFault", 1)
+    assert outcome[3] == (f"[pc=1] read of 16 B at {GRANT_BASE + 8:#010x} "
+                          "outside all granted regions")
+    assert kinds["call"] == 1
 
 
 @pytest.mark.parametrize("width", sorted(_WIDTHS))

@@ -20,6 +20,7 @@ from repro.vm import (
     assemble,
     compile_program,
 )
+from repro.workloads.fletcher32 import fletcher32_program
 
 #: Multi-block counted loop: head tests, body falls through, JA backedge.
 COUNTED = """
@@ -156,6 +157,28 @@ class TestFoldStructure:
         # Outer fold (nested dispatch) plus the inner native self-loop.
         assert "_t2" in jit.jit_source
         assert jit.jit_source.count("while 1:") >= 3  # top + fold + self
+
+
+class TestFletcher32FastCopy:
+    def test_words_gathered_once_per_entry_and_wrapped_once(self):
+        """The unchecked copy of fletcher32's inner loop reads its 16-bit
+        words with one ``unpack_from`` at loop entry and iterates two
+        unwrapped additions; ``r4``/``r5`` are masked after the loop."""
+        source = compile_program(fletcher32_program()).jit_source
+        assert source.count("_unpack_from(") == 1
+        lines = source.splitlines()
+        start = next(i for i, line in enumerate(lines)
+                     if line.lstrip().startswith("for r0 in _unpack_from("))
+        assert "_mem.span(" in lines[start - 1]  # inside the versioned arm
+        depth = len(lines[start]) - len(lines[start].lstrip())
+        body = []
+        for line in lines[start + 1:]:
+            if len(line) - len(line.lstrip()) <= depth:
+                break
+            body.append(line.strip())
+        assert body == ["r4 += r0", "r5 += r4"]
+        assert "r4 &= 0xffffffffffffffff" in source
+        assert "r7 = r0 & 0xff00" in source  # the spare byte, closed form
 
 
 class TestFaultParity:

@@ -15,11 +15,24 @@ interpreter, CertFC and the JIT must agree on the value or fault (class,
 pc, message), the full accounting and every byte of memory afterwards;
 the JIT must also take the fast copy exactly when the case is safe.
 
+The second property test covers the unchecked copy's folds: bodies of
+byte-assembled words (both load orders, and near misses whose bytes are
+not adjacent), spare byte registers read elsewhere, accumulators that
+enter near 2**64 and are also read by ``rsh``, ``and`` or a store, and
+stores into the bytes a later iteration loads.  Every engine must agree
+on the value (which folds in every register the body touches) and on
+memory, and the JIT must run the folded copy.
+
 Mutation-checked: widening the range guard by one byte at either end, or
-dropping the ``n >= 1`` or the budget guard, fails this file.
+dropping the ``n >= 1`` or the budget guard, fails this file; so do
+reading once despite a store, deferring the wrap of a register another
+instruction reads, dropping the spare byte register's closed form, and
+fusing bytes that are not adjacent.
 """
 
 from __future__ import annotations
+
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +45,7 @@ from repro.vm import (
     assemble,
     compile_program,
 )
-from repro.vm.induction import affine_loop
+from repro.vm.induction import Gather, affine_loop
 from repro.vm.memory import GRANT_BASE, Permission
 from repro.vm.predecode import basic_blocks, find_leaders
 from repro.workloads.fletcher32 import (
@@ -242,17 +255,18 @@ def _observe(vm) -> tuple:
             bytes(grant.data))
 
 
-def _run_case(case: dict) -> tuple:
-    """Run ``case`` on every engine; assert they agree and that the JIT
-    took the fast copy exactly when it was safe."""
-    program = assemble(_source(case))
-    config = VMConfig(branch_limit=_branch_limit(case))
-    grant = case["content"][:case["size"]]
+def _run_engines(source: str, grant: bytes, perms: Permission,
+                 branch_limit: int) -> tuple[tuple, list]:
+    """Run ``source`` on every engine over ``grant``; assert they agree.
+    Returns the reference observation and what each of the JIT's entry
+    guards got from ``AccessList.span``."""
+    program = assemble(source)
+    config = VMConfig(branch_limit=branch_limit)
     observed = {}
     spans = []
     for name, factory in ENGINES:
         vm = factory(program, config=config)
-        vm.access_list.grant_bytes("grant", GRANT_BASE, grant, case["perms"])
+        vm.access_list.grant_bytes("grant", GRANT_BASE, grant, perms)
         if name == "jit":
             assert "_mem.span(" in vm.jit_source  # the loop is versioned
             query = vm.access_list.span
@@ -266,6 +280,15 @@ def _run_case(case: dict) -> tuple:
     reference = observed["interpreter"]
     for name, outcome in observed.items():
         assert outcome == reference, (name, outcome, reference)
+    return reference, spans
+
+
+def _run_case(case: dict) -> tuple:
+    """Run ``case`` on every engine; assert they agree and that the JIT
+    took the fast copy exactly when it was safe."""
+    reference, spans = _run_engines(
+        _source(case), case["content"][:case["size"]], case["perms"],
+        _branch_limit(case))
     bases = {access[3] for access in case["accesses"]}
     took_fast = len(spans) == len(bases) and None not in spans
     assert took_fast == _fast_path_is_safe(case), (spans, reference[0])
@@ -387,6 +410,11 @@ def test_analysis_facts_for_fletcher32():
     [base] = loop.bases
     assert (base.reg, base.step, base.lo, base.hi, base.perms) == (2, 2, 0, 2, 1)
     assert loop.per_iteration == {"branch": 1, "load": 2, "alu": 6}
+    # One word (pcs 13-16: ldxb r0; ldxb r7; lsh r7, 8; or r0, r7), the
+    # two sums wrapped once, and one 2-byte record per iteration.
+    assert loop.words == {13: (0, 7)} and loop.absorbed == {14, 15, 16}
+    assert loop.deferred == {4, 5}
+    assert loop.gathers == (Gather(2, 2, 0, "H", 0, ((13, True),)),)
 
 
 # -- fletcher32 takes the fast copy --------------------------------------------
@@ -443,3 +471,246 @@ loop:
         for result in (Interpreter(program).run(), jit.run()))
     assert fast == reference
     assert fast[0] == 3 + 7 * 50 and fast[2] == 49
+
+
+# -- folded bodies: words, read-once and wrap-once ----------------------------
+
+#: Registers a folded body assembles words into and reads back.
+_BYTE_REGS = (2, 7, 9)
+#: Accumulators, entering anywhere from 0 to just below 2**64.
+_ACCS = (4, 5)
+_ACC_STARTS = (0, 3, 0xFFFF, (1 << 63) - 2, (1 << 64) - 0x10000,
+               (1 << 64) - 3)
+_SUFFIX_WIDTH = {suffix: width for width, suffix in _WIDTHS.items()}
+_POINTER_ACCESS = re.compile(r"(?:ldx|stx)(dw|b|h|w) .*\[r6([+-]\d+)\]")
+
+
+@st.composite
+def _word_item(draw) -> tuple:
+    """``ldxb`` of two bytes (adjacent, or a near miss), ``lsh``, ``or``."""
+    reg_a, reg_b = draw(st.permutations(_BYTE_REGS))[:2]
+    return ("word", reg_a, reg_b, draw(st.integers(-4, 6)),
+            draw(st.sampled_from([0, 0, 0, -2, -1, 1, 2])),
+            draw(st.booleans()))
+
+
+@st.composite
+def _fold_item(draw) -> tuple:
+    kind = draw(st.sampled_from(["word", "load", "acc", "acc", "acc", "use",
+                                 "leak", "leak", "store", "store"]))
+    if kind == "word":
+        return draw(_word_item())
+    if kind == "load":
+        return ("load", draw(st.sampled_from(_BYTE_REGS)),
+                draw(st.integers(-4, 6)), draw(st.sampled_from([1, 2, 4])))
+    acc = ("acc", draw(st.sampled_from(["add", "sub"])),
+           draw(st.sampled_from(_ACCS)),
+           draw(st.sampled_from([*_BYTE_REGS, *_ACCS, None])))
+    if kind == "acc":
+        return acc
+    if kind == "use":  # a byte register read outside its word
+        return ("use", draw(st.sampled_from(_BYTE_REGS)))
+    if kind == "leak":  # an accumulator also read by more than add/sub
+        return ("leak", draw(st.sampled_from(["rsh", "rsh", "and", "store"])),
+                acc, draw(st.integers(1, 63)))
+    # None: into the bytes the next iteration's first word reads.
+    return ("store", draw(st.sampled_from([1, 2])),
+            draw(st.one_of(st.none(), st.integers(-4, 8))),
+            draw(st.sampled_from([8, 2])))
+
+
+def _fold_lines(item: tuple) -> list[str]:
+    kind = item[0]
+    if kind == "word":
+        _, reg_a, reg_b, offset, gap, high_first = item
+        loads = [f"ldxb r{reg_a}, [r6{offset:+d}]",
+                 f"ldxb r{reg_b}, [r6{offset + 1 + gap:+d}]"]
+        if high_first:
+            loads.reverse()
+        return loads + [f"lsh r{reg_b}, 8", f"or r{reg_a}, r{reg_b}"]
+    if kind == "load":
+        _, reg, offset, width = item
+        return [f"ldx{_WIDTHS[width]} r{reg}, [r6{offset:+d}]"]
+    if kind == "acc":
+        _, op, acc, src = item
+        return [f"{op} r{acc}, {12345 if src is None else f'r{src}'}"]
+    if kind == "use":
+        return [f"xor r0, r{item[1]}"]
+    if kind == "leak":
+        _, how, accumulate, k = item
+        acc = accumulate[2]
+        reads = {"store": [f"stxdw [r10+8], r{acc}"],
+                 "rsh": [f"mov r3, r{acc}", f"rsh r3, {k}"],
+                 "and": [f"mov r3, {k}", f"and r3, r{acc}"]}[how]
+        return _fold_lines(accumulate) + reads + ["add r0, r3"]
+    _, width, offset, reg = item
+    return [f"stx{_WIDTHS[width]} [r6{offset:+d}], r{reg}"]
+
+
+@st.composite
+def folded_case(draw) -> dict:
+    items = draw(st.lists(_fold_item(), max_size=4))
+    items.insert(draw(st.integers(0, len(items))), draw(_word_item()))
+    return {
+        "items": items,
+        "stride": draw(st.integers(-6, 6)),
+        "update_at": draw(st.integers(0, len(items))),
+        "count_at": draw(st.integers(0, len(items))),
+        "n": draw(st.integers(1, 16)),
+        "starts": draw(st.tuples(st.sampled_from(_ACC_STARTS),
+                                 st.sampled_from(_ACC_STARTS))),
+        "slack": draw(st.integers(0, 255)),
+        "content": draw(st.binary(min_size=256, max_size=256)),
+    }
+
+
+def _fold_body(case: dict) -> list[str]:
+    ahead = case["stride"] + next(
+        item[3] for item in case["items"] if item[0] == "word")
+    body = [_fold_lines(item if item[:1] != ("store",) or item[2] is not None
+                        else (*item[:2], ahead, item[3]))
+            for item in case["items"]]
+    body.insert(case["update_at"], [f"add r6, {case['stride']}"])
+    body.insert(case["count_at"], ["sub r8, 1"])
+    return [line for lines in body for line in lines]
+
+
+def _pointer_walk(body: list[str], n: int) -> tuple[int, int]:
+    """``[lo, hi)`` the body's ``r6`` accesses cover over ``n``
+    iterations, relative to ``r6`` at loop entry."""
+    lo, hi, pointer = 1 << 20, -(1 << 20), 0
+    for _ in range(n):
+        for line in body:
+            if line.startswith("add r6,"):
+                pointer += int(line.split(",")[1])
+            match = _POINTER_ACCESS.match(line)
+            if match:
+                start = pointer + int(match[2])
+                lo = min(lo, start)
+                hi = max(hi, start + _SUFFIX_WIDTH[match[1]])
+    return lo, hi
+
+
+def _fold_source(case: dict) -> str:
+    """The case's loop over a 256 B grant it fits in, with every register
+    the body touches folded into ``r0`` afterwards."""
+    body = _fold_body(case)
+    lo, hi = _pointer_walk(body, case["n"])
+    pointer = min(case["slack"], 256 - (hi - lo)) - lo
+    start4, start5 = case["starts"]
+    lines = ["mov r0, 0", f"lddw r6, {GRANT_BASE + pointer:#x}",
+             f"lddw r4, {start4:#x}", f"lddw r5, {start5:#x}",
+             "mov r2, 0x1111", "mov r7, 0x2222", "mov r9, 0x3333",
+             "mov r3, 0", f"mov r8, {case['n']}", "loop:", *body,
+             "jne r8, 0, loop"]
+    for reg in (2, 3, 4, 5, 7, 9):
+        lines += ["mul r0, 31", f"xor r0, r{reg}"]
+    lines.append("exit")
+    return "\n".join(f"    {line}" for line in lines)
+
+
+def _run_folded(case: dict) -> tuple:
+    reference, spans = _run_engines(_fold_source(case), case["content"],
+                                    Permission.READ_WRITE, 1000)
+    assert spans and None not in spans  # the folded copy ran
+    return reference
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=folded_case())
+def test_folded_body_equivalence(case):
+    _run_folded(case)
+
+
+def _folded(**overrides) -> dict:
+    """fletcher32's inner loop shape over the 256 B grant."""
+    case = {
+        "items": [("word", 2, 7, 0, 0, False), ("acc", "add", 4, 2),
+                  ("acc", "add", 5, 4)],
+        "stride": 2, "update_at": 3, "count_at": 3, "n": 16,
+        "starts": ((1 << 64) - 3, (1 << 64) - 0x10000), "slack": 0,
+        "content": bytes(range(255, -1, -1)),
+    }
+    case.update(overrides)
+    return case
+
+
+def _folded_loop(case: dict):
+    return _analyse(_fold_source(case))
+
+
+@pytest.mark.parametrize("high_first", [False, True])
+def test_word_fuses_in_either_load_order(high_first):
+    case = _folded(items=[("word", 2, 7, 1, 0, high_first),
+                          ("acc", "add", 4, 2), ("acc", "add", 5, 4)])
+    loop = _folded_loop(case)
+    assert list(loop.words.values()) == [(2, 7)]
+    assert loop.deferred == {4, 5}
+    [gather] = loop.gathers
+    assert (gather.reg, gather.lo, gather.fields, gather.pad) == (6, 1, "H", 0)
+    outcome, kinds, *_ = _run_folded(case)
+    assert outcome[0] == "value" and kinds["load"] == 32
+
+
+@pytest.mark.parametrize("item,why", [
+    (("word", 2, 7, 0, 1, False), "bytes one apart"),
+    (("word", 2, 7, 0, -2, False), "high byte below the low one"),
+    (("word", 2, 7, 0, -1, True), "the same byte twice"),
+])
+def test_word_refuses_bytes_that_are_not_adjacent(item, why):
+    case = _folded(items=[item, ("acc", "add", 4, 2)], stride=4)
+    assert _folded_loop(case).words == {}, why
+    _run_folded(case)
+
+
+@pytest.mark.parametrize("use_at", [0, 1])
+def test_word_refuses_a_spare_register_read_elsewhere(use_at):
+    items = [("word", 2, 7, 0, 0, False), ("acc", "add", 4, 2)]
+    items.insert(use_at * 2, ("use", 7))
+    case = _folded(items=items)
+    assert _folded_loop(case).words == {}
+    _run_folded(case)
+
+
+@pytest.mark.parametrize("leak", [
+    *(("leak", how, ("acc", "add", 4, 7), 60)
+      for how in ("rsh", "and", "store")),
+    ("acc", "add", 4, 4),  # fed by itself: its magnitude would double
+])
+def test_wrap_once_refuses_other_readers(leak):
+    case = _folded(items=[*_folded()["items"], leak])
+    assert 4 not in _folded_loop(case).deferred
+    outcome, *_ = _run_folded(case)
+    assert outcome[0] == "value"
+
+
+def test_wrap_once_wraps_accumulators_entering_near_two_to_the_64():
+    outcome, *_ = _run_folded(_folded(n=100))
+    source = compile_program(assemble(_fold_source(_folded()))).jit_source
+    assert "r4 += r2" in source and "r5 += r4" in source
+
+
+@pytest.mark.parametrize("overrides,why", [
+    ({"items": [*_folded()["items"], ("store", 1, 2, 8)]},
+     "a store into the bytes the next iteration reads"),
+    ({"stride": 0}, "a base that does not step"),
+    ({"stride": 1}, "records that overlap the next iteration's"),
+])
+def test_read_once_refused(overrides, why):
+    case = _folded(**overrides)
+    loop = _folded_loop(case)
+    assert loop.gathers is None, why
+    assert list(loop.words.values()) == [(2, 7)]  # still one 16-bit read
+    _run_folded(case)
+
+
+def test_read_once_binds_several_loads_per_record():
+    """Two loads per iteration, a gap between them, stepping down: one
+    gather, reversed, feeding two registers."""
+    case = _folded(items=[("load", 9, 4, 2), ("word", 2, 7, 0, 0, True),
+                          ("acc", "sub", 4, 2), ("acc", "add", 5, 9)],
+                   stride=-8, slack=40)
+    [gather] = _folded_loop(case).gathers
+    assert (gather.fields, gather.pad) == ("H2xH", 2)
+    outcome, *_ = _run_folded(case)
+    assert outcome[0] == "value"
