@@ -44,6 +44,7 @@ from repro.core.policy import (
 )
 from repro.core.syscalls import CoapResponseContext, build_helper_registry
 from repro.core.tenant import Tenant
+from repro.memo import Memo
 from repro.rtos.kernel import Kernel
 from repro.rtos.saul import SaulRegistry
 from repro.rtos.thread import Wait
@@ -146,12 +147,9 @@ class HostingEngine:
         #: and the verifier and VM configs derived from it.  All are
         #: frozen values, so every attach of one slot shape under one
         #: ceiling shares them; a changed ceiling, contract or helper
-        #: set is a new key.  A :class:`~repro.core.policy.PolicyError`
-        #: is never stored.  Wall-clock only.
-        self._grants: dict[tuple[HookPolicy, ContainerContract,
-                                 frozenset[int]],
-                           tuple[GrantedPolicy, VerifierConfig,
-                                 VMConfig]] = {}
+        #: set is a new key, and a :class:`~repro.core.policy
+        #: .PolicyError` is never stored.
+        self._grants = Memo(256)
         self._register_default_hooks()
 
     # -- firmware-provided hooks ------------------------------------------------
@@ -293,29 +291,27 @@ class HostingEngine:
     ) -> tuple[GrantedPolicy, VerifierConfig, VMConfig]:
         """The grant and the verifier and VM limits of one slot shape,
         derived once per key of :attr:`_grants`."""
-        key = (policy, contract, self.helpers.ids())
-        try:
-            derived = self._grants.get(key)
-        except TypeError:  # a hand-built mutable set: derive, never store
-            key, derived = None, None
-        if derived is None:
-            granted = grant(policy, contract)
-            derived = (
-                granted,
-                VerifierConfig(
-                    max_instructions=granted.max_instructions,
-                    allowed_helpers=(
-                        granted.allowed_helpers
-                        if granted.allowed_helpers is not None
-                        else self.helpers.ids()
-                    ),
+        return self._grants.get_or_derive(
+            (policy, contract, self.helpers.ids()),
+            lambda: self._derive_limits(policy, contract))
+
+    def _derive_limits(
+        self, policy: HookPolicy, contract: ContainerContract
+    ) -> tuple[GrantedPolicy, VerifierConfig, VMConfig]:
+        granted = grant(policy, contract)
+        return (
+            granted,
+            VerifierConfig(
+                max_instructions=granted.max_instructions,
+                allowed_helpers=(
+                    granted.allowed_helpers
+                    if granted.allowed_helpers is not None
+                    else self.helpers.ids()
                 ),
-                VMConfig(branch_limit=granted.branch_limit,
-                         stack_size=granted.stack_size),
-            )
-            if key is not None:
-                self._grants[key] = derived
-        return derived
+            ),
+            VMConfig(branch_limit=granted.branch_limit,
+                     stack_size=granted.stack_size),
+        )
 
     @staticmethod
     def _rejected(container: FemtoContainer, exc: Exception) -> AttachError:

@@ -53,6 +53,12 @@ class HookPolicy:
     #: Largest stack the RTOS will hand out on this hook (§10.2 extension).
     max_stack_size: int = 2048
 
+    def __post_init__(self) -> None:  # hashable however built: a memo key
+        if self.allowed_helpers is not None:
+            object.__setattr__(self, "allowed_helpers",
+                               frozenset(self.allowed_helpers))
+        object.__setattr__(self, "memory_grants", tuple(self.memory_grants))
+
 
 @dataclass(frozen=True)
 class ContainerContract:
@@ -66,6 +72,11 @@ class ContainerContract:
     memory_regions: tuple[str, ...] = ()
     #: Stack bytes the application asks the RTOS for (§10.2 extension).
     stack_size: int = DEFAULT_STACK_SIZE
+
+    def __post_init__(self) -> None:  # hashable however built: a memo key
+        if self.helpers is not None:
+            object.__setattr__(self, "helpers", frozenset(self.helpers))
+        object.__setattr__(self, "memory_regions", tuple(self.memory_regions))
 
 
 @dataclass(frozen=True)

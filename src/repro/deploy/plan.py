@@ -38,7 +38,6 @@ spec is cycle-identical to the same device built imperatively.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple, Union
 from weakref import WeakKeyDictionary
@@ -52,6 +51,7 @@ from repro.deploy.spec import (
     ImageSpec,
     SpecError,
 )
+from repro.memo import Memo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.container import FemtoContainer
@@ -187,27 +187,25 @@ class _PlanView(NamedTuple):
     slots: tuple[_Slot, ...]
 
 
-#: Plan views of recently planned specs, keyed by ``id(spec)``; each
-#: entry holds its spec, so the id cannot be reused while it lives.  A
-#: fleet publish plans the one spec object its release cache decoded on
-#: every device, so the views a memo this small holds cover any publish.
-#: Sound because a spec is immutable (see :class:`DeploymentSpec`) and
-#: only a spec that validated is stored: an invalid one raises
-#: :class:`SpecError` on every :func:`plan`.  Wall-clock only.
-_PLAN_VIEWS: "OrderedDict[int, tuple[DeploymentSpec, _PlanView]]" = (
-    OrderedDict())
-_PLAN_VIEWS_MAX = 16
+#: Plan views keyed by ``id(spec)``; each entry holds its spec, so the
+#: id cannot be reused while it lives.  A fleet publish plans the one
+#: spec object its release cache decoded on every device, so a memo this
+#: small covers any publish.  Sound because a spec is immutable (see
+#: :class:`DeploymentSpec`); an invalid one raises :class:`SpecError` on
+#: every :func:`plan`.
+_views = Memo(16)
 
 
 def _plan_view(spec: DeploymentSpec) -> _PlanView:
-    entry = _PLAN_VIEWS.get(id(spec))
-    if entry is not None and entry[0] is spec:
-        _PLAN_VIEWS.move_to_end(id(spec))
-        return entry[1]
+    return _views.get_or_derive(
+        id(spec), lambda: (spec, _derive_view(spec)))[1]
+
+
+def _derive_view(spec: DeploymentSpec) -> _PlanView:
     spec.validate()
     declared_hooks = frozenset(hook.name for hook in spec.hooks)
     attached_hooks = tuple(dict.fromkeys(a.hook for a in spec.attachments))
-    view = _PlanView(
+    return _PlanView(
         tenants=frozenset(spec.tenants),
         declared_hooks=declared_hooks,
         attached_hooks=attached_hooks,
@@ -222,10 +220,6 @@ def _plan_view(spec: DeploymentSpec) -> _PlanView:
                   Replace(instance.name, instance.hook, instance.image))
             for instance in spec.desired_instances()),
     )
-    _PLAN_VIEWS[id(spec)] = (spec, view)
-    if len(_PLAN_VIEWS) > _PLAN_VIEWS_MAX:
-        _PLAN_VIEWS.popitem(last=False)
-    return view
 
 
 def plan(engine: "HostingEngine", spec: DeploymentSpec) -> DeploymentPlan:

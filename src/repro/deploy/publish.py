@@ -71,6 +71,7 @@ from repro.deploy.fleet import Fleet, FleetDevice
 from repro.deploy.results import DeviceRow, DeviceStatus, FleetResult
 from repro.deploy.spec import DeploymentSpec
 from repro.deploy.staged import StagedRollout
+from repro.memo import Memo
 from repro.net import coap
 from repro.net.coap import CoapMessage
 from repro.net.gcoap import CoapClient, CoapServer
@@ -80,6 +81,7 @@ from repro.rtos.energy import EnergyMeter
 from repro.rtos.kernel import Kernel
 from repro.suit import cbor, ed25519
 from repro.suit.specworker import SpecUpdateWorker
+from repro.suit.storage import RELEASE_CACHE_ENTRIES
 from repro.suit.worker import UpdateResult, UpdateStatus
 from repro.vm.imagecache import IMAGE_CACHE
 
@@ -366,11 +368,11 @@ class FleetPublisher:
         self._mcast_socket = maint_udp.socket(49901)
         self._mcast_mid = 1
         #: Publish-scoped release cache every device worker shares
-        #: (cleared at the start of each publish; wall-clock only): the
-        #: validated group-trigger body, the decoded envelope and spec,
-        #: and the encoded slot and sequence NVM records.  See
+        #: (cleared at the start of each publish): the validated
+        #: group-trigger body, the decoded envelope and spec, and the
+        #: encoded slot and sequence NVM records.  See
         #: :attr:`~repro.suit.worker.SuitUpdateWorker.release_cache`.
-        self._release_cache: dict = {}
+        self._release_cache = Memo(RELEASE_CACHE_ENTRIES)
         #: The publish under way (``None`` between publishes).
         self._transport: _RadioTransport | None = None
         self.repo.register(ACK_PATH, self._handle_mcast_ack)
@@ -427,8 +429,8 @@ class FleetPublisher:
             repo_addr=MAINTAINER_ADDR,
             repo_port=COAP_PORT,
             nvm=device.nvm,
+            release_cache=self._release_cache,
         )
-        worker.release_cache = self._release_cache
         worker.on_result = partial(self._report, device.name)
         worker.register_trigger_resource(server, TRIGGER_PATH)
         self.link.join(GROUP_ADDR, iface)
@@ -457,15 +459,12 @@ class FleetPublisher:
 
         def handler(request: CoapMessage, _dg) -> None:
             # One decode per release: the first device to hear a body
-            # validates it; the rest share that immutable tuple through
-            # the release cache (wall-clock only).
-            key = ("mcast", request.payload)
-            trigger = worker.release_cache.get(key)
+            # validates it; the rest share that immutable tuple.
+            trigger = worker.release_cache.get_or_derive(
+                ("mcast", request.payload),
+                lambda: _decode_mcast_body(request.payload))
             if trigger is None:
-                trigger = _decode_mcast_body(request.payload)
-                if trigger is None:
-                    return None  # malformed broadcast: stay silent
-                worker.release_cache[key] = trigger
+                return None  # malformed broadcast: stay silent
             envelope, payload, sequence, permille, leisure_us = trigger
             worker.trigger(envelope, payload=payload)
             transport = self._transport

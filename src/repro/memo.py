@@ -1,0 +1,88 @@
+"""One memo type for the host-side work simulated devices share.
+
+The paper charges verification, transpilation, signature checks and
+flash writes on every device, and so does the simulator: every modelled
+cycle lands on the device's own virtual clock.  What devices may share
+is the *host's* work of deriving one immutable value from the same
+inputs.  Every such share is a :class:`Memo`, and every memo keeps one
+rule:
+
+* **Wall-clock only.**  A hit spares host work and nothing else: the
+  caller charges its modelled cycles either way.
+* **Exact keys, immutable values.**  The key holds every input the
+  value depends on, and nobody mutates the value, so sharing cannot
+  leak state between devices.
+* **Success only.**  A derive that raises stores nothing, nor does one
+  that returns ``None`` or ``False`` (a failed verdict, a malformed
+  body): a hit never stands in for a check that would fail.
+* **Bounded.**  Least-recently-used entries age out past
+  ``max_entries``; an evicted value is derived again.
+
+A memo's scope is where its instance lives: a module global is shared
+process-wide, an engine attribute per engine, a publisher attribute per
+publish.  :func:`memos_disabled` switches every memo off, wherever it
+was created — the check that no modelled state depends on a share.
+The simulator is single-threaded per process, so a plain dict (whose
+insertion order is the LRU order) suffices.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Any, Callable, Hashable, Iterator
+
+#: Set by :func:`memos_disabled`; read by every :meth:`Memo.get_or_derive`.
+_disabled = False
+
+
+class Memo:
+    """Bounded LRU map from an exact key to a derived value."""
+
+    def __init__(self, max_entries: int) -> None:
+        self.max_entries = max_entries
+        self._entries: dict[Hashable, Any] = {}
+        self.hits = 0
+        #: Calls that derived (every call while memos are disabled).
+        self.misses = 0
+
+    def get_or_derive(self, key: Hashable, derive: Callable[[], Any]) -> Any:
+        """The value stored under ``key``, or ``derive()``'s, which is
+        stored unless it is ``None`` or ``False`` (or it raised)."""
+        entries = self._entries
+        if not _disabled:
+            value = entries.pop(key, None)
+            if value is not None:
+                entries[key] = value  # reinsert: most recently used
+                self.hits += 1
+                return value
+        self.misses += 1
+        value = derive()
+        if value is not None and value is not False and not _disabled:
+            entries[key] = value
+            if len(entries) > self.max_entries:
+                del entries[next(iter(entries))]
+        return value
+
+    def clear(self) -> None:
+        """Drop every entry and reset the counters."""
+        self._entries.clear()
+        self.hits = self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __iter__(self) -> Iterator[Hashable]:
+        """The stored keys, least recently used first."""
+        return iter(self._entries)
+
+
+@contextmanager
+def memos_disabled() -> Iterator[None]:
+    """Within the block, every memo derives on every call and stores
+    nothing, as if no host work were ever shared."""
+    global _disabled
+    previous, _disabled = _disabled, True
+    try:
+        yield
+    finally:
+        _disabled = previous

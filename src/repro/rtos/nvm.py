@@ -48,9 +48,9 @@ from __future__ import annotations
 
 import struct
 import zlib
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Iterator
 
+from repro.memo import Memo
 from repro.rtos.errors import PowerFailure
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -81,27 +81,13 @@ def _frame(payload: bytes) -> bytes:
             + payload)
 
 
-#: Frames of recently written payloads, keyed by the exact payload
-#: bytes.  The devices of a fleet publish write byte-identical records
-#: (one shared ``bytes`` object from the release cache), so each record
-#: is framed -- copied and CRC'd on the host -- once, and every device's
-#: flash holds that one immutable frame.  Bounded like the COSE verify
-#: memo.  Wall-clock only: each write still charges its CRC, erase,
-#: program and read-back cycles on the device.
-_FRAME_MEMO: "OrderedDict[bytes, bytes]" = OrderedDict()
-_FRAME_MEMO_MAX = 64
-
-
-def _shared_frame(payload: bytes) -> bytes:
-    frame = _FRAME_MEMO.get(payload)
-    if frame is not None:
-        _FRAME_MEMO.move_to_end(payload)
-        return frame
-    frame = _frame(payload)
-    _FRAME_MEMO[payload] = frame
-    if len(_FRAME_MEMO) > _FRAME_MEMO_MAX:
-        _FRAME_MEMO.popitem(last=False)
-    return frame
+#: Frames keyed by the exact payload bytes.  The devices of a fleet
+#: publish write byte-identical records (one shared ``bytes`` object from
+#: the release cache), so each record is framed -- copied and CRC'd on
+#: the host -- once, and every device's flash holds that one immutable
+#: frame.  Each write still charges its CRC, erase, program and
+#: read-back cycles on the device.
+_frames = Memo(64)
 
 
 def _unframe(frame: bytes | None) -> bytes | None:
@@ -288,7 +274,7 @@ class NvmStore:
         """
         value = bytes(value)
         self._charge(len(value) * self.crc_cycles_per_byte)
-        frame = _shared_frame(value)
+        frame = _frames.get_or_derive(value, lambda: _frame(value))
         # Phase 1: program the shadow region.
         self._maybe_tear("shadow", key, frame)
         self._program("shadow", key, frame)

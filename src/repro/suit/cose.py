@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.memo import Memo
 from repro.suit import cbor, ed25519
 
 #: COSE header parameter and algorithm identifiers.
@@ -13,19 +13,14 @@ ALG_EDDSA = -8
 #: CBOR tag for COSE_Sign1.
 TAG_SIGN1 = 18
 
-#: Host-side verification memo, keyed by the exact (protected header,
-#: payload, signature, public key) bytes.  A fleet publish hands the
-#: *same* envelope to N simulated devices; the pure-Python Ed25519 math
-#: is the dominant host cost of each device's verify, and — like the
-#: image cache — sharing it is a wall-clock effect only: every device
-#: still charges the full modelled ``SIG_VERIFY_CYCLES`` on its own
-#: virtual clock.  Only successful verifications are memoized (a forgery
-#: is re-checked every time), and each stored key already passed the
-#: header check, so a hit skips the header decode, the ``Sig_structure``
-#: encode and Ed25519 alike.
-_VERIFY_MEMO: "OrderedDict[tuple[bytes, bytes, bytes, bytes], bool]" = (
-    OrderedDict())
-_VERIFY_MEMO_MAX = 256
+#: Verdicts keyed by the exact (protected header, payload, signature,
+#: public key) bytes.  A fleet publish hands the *same* envelope to N
+#: devices, and the pure-Python Ed25519 math is the dominant host cost
+#: of each device's verify; every device still charges the full modelled
+#: ``SIG_VERIFY_CYCLES``.  A stored verdict already passed the header
+#: check, so a hit skips the header decode, the ``Sig_structure`` encode
+#: and Ed25519 alike.
+_verdicts = Memo(256)
 
 
 class CoseError(Exception):
@@ -53,11 +48,12 @@ class CoseSign1:
 
     def verify(self, public_key: bytes) -> bool:
         """True when the signature validates under ``public_key``."""
-        memo_key = (self.protected, self.payload, self.signature,
-                    bytes(public_key))
-        if memo_key in _VERIFY_MEMO:
-            _VERIFY_MEMO.move_to_end(memo_key)
-            return True
+        public_key = bytes(public_key)
+        return _verdicts.get_or_derive(
+            (self.protected, self.payload, self.signature, public_key),
+            lambda: self._check(public_key))
+
+    def _check(self, public_key: bytes) -> bool:
         try:
             header = cbor.decode(self.protected)
         except Exception:  # an undecodable header authenticates nothing
@@ -65,12 +61,7 @@ class CoseSign1:
         if not isinstance(header, dict) or header.get(HEADER_ALG) != ALG_EDDSA:
             return False
         message = self._sig_structure(self.protected, self.payload)
-        ok = ed25519.verify(message, self.signature, public_key)
-        if ok:
-            _VERIFY_MEMO[memo_key] = True
-            if len(_VERIFY_MEMO) > _VERIFY_MEMO_MAX:
-                _VERIFY_MEMO.popitem(last=False)
-        return ok
+        return ed25519.verify(message, self.signature, public_key)
 
     def encode(self) -> bytes:
         return cbor.encode(

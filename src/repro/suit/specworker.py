@@ -111,23 +111,15 @@ class SpecUpdateWorker(SuitUpdateWorker):
         from repro.deploy.plan import apply, plan
         from repro.deploy.spec import DeploymentSpec, SpecError
 
-        # The publish-scoped release cache shares one decoded spec —
-        # and through it the per-image slot tables and content hashes
-        # its frozen ImageSpecs lazily cache — across a fleet's
-        # workers.  Wall-clock only: plan/apply below still charge every
-        # modelled cycle on this device's clock.
-        cached = (self.release_cache.get(("spec", payload))
-                  if self.release_cache is not None else None)
-        if cached is not None:
-            spec = cached
-        else:
-            try:
-                spec = DeploymentSpec.from_cbor(payload)
-            except Exception as exc:  # CBOR, schema or validation failure
-                return UpdateResult(UpdateStatus.SPEC_INVALID, str(exc),
-                                    manifest)
-            if self.release_cache is not None:
-                self.release_cache[("spec", payload)] = spec
+        # The release cache shares one decoded spec — and through it the
+        # per-image slot tables and content hashes its frozen ImageSpecs
+        # lazily cache — across a fleet's workers.
+        try:
+            spec = self.release_cache.get_or_derive(
+                ("spec", payload), lambda: DeploymentSpec.from_cbor(payload))
+        except Exception as exc:  # CBOR, schema or validation failure
+            return UpdateResult(UpdateStatus.SPEC_INVALID, str(exc),
+                                manifest)
         try:
             deployment = plan(self.engine, spec)
             apply(self.engine, deployment)

@@ -46,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.memo import Memo
 from repro.suit import cbor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -55,19 +56,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 NVM_SLOT_PREFIX = "suit/slot/"
 #: NVM key prefix of the redundant anti-rollback sequence records.
 NVM_SEQ_PREFIX = "suit/seq/"
-
-
-def _encode_record(record: dict, cache: dict | None) -> bytes:
-    """Canonical CBOR of one NVM record, memoized in ``cache`` under the
-    record's exact fields (wall-clock only)."""
-    if cache is None:
-        return cbor.encode(record)
-    key = ("nvm-record", *record.items())
-    encoded = cache.get(key)
-    if encoded is None:
-        encoded = cbor.encode(record)
-        cache[key] = encoded
-    return encoded
+#: Bound of a release cache (see :attr:`~repro.suit.worker
+#: .SuitUpdateWorker.release_cache`): more distinct values than one
+#: publish derives.
+RELEASE_CACHE_ENTRIES = 1024
 
 
 class StorageFullError(Exception):
@@ -112,6 +104,11 @@ class StorageRegistry:
     #: Slot records dropped by :meth:`restore` because both flash
     #: copies were unreadable (observability; images are re-fetchable).
     corrupt_dropped: int = 0
+    #: Encoded NVM records: the owning worker's release cache, so N
+    #: devices installing one release encode each record once.
+    records: Memo = field(
+        default_factory=lambda: Memo(RELEASE_CACHE_ENTRIES),
+        compare=False, repr=False)
 
     def peek(self, location: str) -> StorageSlot | None:
         """The slot for ``location`` if it exists, without creating it."""
@@ -143,15 +140,8 @@ class StorageRegistry:
 
     def install(self, location: str, image: bytes,
                 sequence_number: int, name: str = "",
-                runtime: str = "rbpf",
-                cache: dict | None = None) -> StorageSlot:
-        """Store ``image`` in ``location``'s slot and persist it.
-
-        ``cache`` is a fleet publish's release cache (see
-        :attr:`~repro.suit.worker.SuitUpdateWorker.release_cache`): N
-        devices installing the same release persist byte-identical
-        records, so their canonical CBOR is encoded once and shared.
-        """
+                runtime: str = "rbpf") -> StorageSlot:
+        """Store ``image`` in ``location``'s slot and persist it."""
         slot = self.slot(location)
         slot.image = bytes(image)
         slot.sequence_number = sequence_number
@@ -159,7 +149,7 @@ class StorageRegistry:
         if name:
             slot.name = name
         slot.runtime = runtime
-        self._persist(slot, cache)
+        self._persist(slot)
         if self.gc_horizon is not None:
             self.gc()
         return slot
@@ -202,8 +192,7 @@ class StorageRegistry:
 
     # -- persistence -----------------------------------------------------------
 
-    def _persist(self, slot: StorageSlot,
-                 cache: dict | None = None) -> None:
+    def _persist(self, slot: StorageSlot) -> None:
         """Write one installed slot's durable state to NVM (if backed).
 
         Two records, in a deliberate order: the big slot record first
@@ -214,11 +203,11 @@ class StorageRegistry:
         order could raise the floor above an image that never made it,
         bricking the slot against its own re-install.
 
-        Only host-side work is shared: the encoding through ``cache``,
-        and the CRC framing through :class:`~repro.rtos.nvm.NvmStore`'s
-        frame memo.  Every record is still charged its CRC, programmed
-        and read back on this device's flash, at this device's cycle
-        cost.
+        Only host-side work is shared: the encoding through
+        :attr:`records`, and the CRC framing through
+        :class:`~repro.rtos.nvm.NvmStore`'s frame memo.  Every record is
+        still charged its CRC, programmed and read back on this device's
+        flash, at this device's cycle cost.
         """
         if self.nvm is None or slot.sequence_number < 0:
             return
@@ -230,12 +219,17 @@ class StorageRegistry:
             "name": slot.name,
             "runtime": slot.runtime,
         }
-        self.nvm.write(NVM_SLOT_PREFIX + slot.location,
-                       _encode_record(record, cache))
+        self.nvm.write(NVM_SLOT_PREFIX + slot.location, self._encode(record))
         seq_record = {"location": slot.location,
                       "sequence": slot.sequence_number}
         self.nvm.write(NVM_SEQ_PREFIX + slot.location,
-                       _encode_record(seq_record, cache), redundant=True)
+                       self._encode(seq_record), redundant=True)
+
+    def _encode(self, record: dict) -> bytes:
+        """Canonical CBOR of one NVM record, shared through
+        :attr:`records` under the record's exact fields."""
+        return self.records.get_or_derive(("nvm-record", *record.items()),
+                                          lambda: cbor.encode(record))
 
     def _read_record(self, key: str) -> dict | None:
         """One validated, decoded NVM record — or ``None`` if unreadable."""

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.errors import UnknownHookError
+from repro.memo import Memo
 from repro.net.coap import CHANGED, BAD_REQUEST, CoapMessage
 from repro.suit import cbor
 from repro.suit.manifest import (
@@ -39,7 +40,12 @@ from repro.suit.manifest import (
     SuitManifest,
     payload_digest,
 )
-from repro.suit.storage import StorageFullError, StorageRegistry, StorageSlot
+from repro.suit.storage import (
+    RELEASE_CACHE_ENTRIES,
+    StorageFullError,
+    StorageRegistry,
+    StorageSlot,
+)
 from repro.rtos.errors import PowerFailure
 from repro.rtos.thread import Wait
 from repro.runtimes.base import container_runtime
@@ -124,6 +130,11 @@ class UpdateResult:
         return self.status is UpdateStatus.OK
 
 
+def _decode_envelope(raw: bytes) -> tuple[SuitEnvelope, SuitManifest]:
+    envelope = SuitEnvelope.decode(raw)
+    return envelope, envelope.manifest()
+
+
 class SuitUpdateWorker:
     """One device's update processor, running in its own thread."""
 
@@ -144,6 +155,7 @@ class SuitUpdateWorker:
         max_storage_slots: int | None = None,
         storage_gc_horizon: int | None = None,
         nvm: "NvmStore | None" = None,
+        release_cache: Memo | None = None,
     ) -> None:
         self.engine = engine
         self.kernel = engine.kernel
@@ -155,38 +167,34 @@ class SuitUpdateWorker:
         self.nvm = nvm
         if nvm is not None:
             nvm.bind(self.kernel)
-        self.storage = StorageRegistry(max_slots=max_storage_slots,
-                                       gc_horizon=storage_gc_horizon,
-                                       nvm=nvm)
-        if nvm is not None:
-            # Anti-rollback state must be live from the first instruction
-            # after boot, before any trigger can race the restore.
-            self.storage.restore()
-        self.results: list[UpdateResult] = []
-        #: Release cache a fleet publisher hands every device's worker
-        #: when it wires the radio, and clears at the start of each
-        #: publish (``None`` on a standalone worker).  It shares every
-        #: pure step of one release across the fleet, so a 1,000-device
-        #: publish does each of them once:
+        #: Release cache: a fleet publisher hands one to every device's
+        #: worker and clears it at the start of each publish; a
+        #: standalone worker keeps its own.  It shares every pure step of
+        #: one release across the fleet, so a 1,000-device publish does
+        #: each of them once:
         #:
         #: * a group-trigger body → its validated ``(envelope, payload,
         #:   sequence, permille, leisure)`` tuple, which also makes every
         #:   device's envelope and payload one shared ``bytes`` object;
         #: * raw envelope bytes → the decoded ``(envelope, manifest)``;
         #: * a manifest's ``(digest, size)`` plus the exact payload bytes
-        #:   → the payload matched it (only matches are stored);
+        #:   → the payload matched it;
         #: * (spec workers) payload bytes → the decoded spec, which
         #:   :func:`~repro.deploy.plan.plan` then validates and flattens
         #:   once for the whole fleet;
         #: * a slot or sequence record's fields → its canonical CBOR
-        #:   (see :meth:`~repro.suit.storage.StorageRegistry.install`),
+        #:   (see :attr:`~repro.suit.storage.StorageRegistry.records`),
         #:   which :meth:`~repro.rtos.nvm.NvmStore.write` frames once.
-        #:
-        #: **Wall-clock only**: the modelled verify, digest, flash and
-        #: radio cycles are still charged per device in full, and every
-        #: shared value is immutable (bytes, tuples, frozen dataclasses),
-        #: so sharing cannot leak state between devices.
-        self.release_cache: dict | None = None
+        self.release_cache = (Memo(RELEASE_CACHE_ENTRIES)
+                              if release_cache is None else release_cache)
+        self.storage = StorageRegistry(max_slots=max_storage_slots,
+                                       gc_horizon=storage_gc_horizon,
+                                       nvm=nvm, records=self.release_cache)
+        if nvm is not None:
+            # Anti-rollback state must be live from the first instruction
+            # after boot, before any trigger can race the restore.
+            self.storage.restore()
+        self.results: list[UpdateResult] = []
         #: Called with each verdict the worker thread reaches.  On a fleet
         #: device's radio worker the fleet publisher owns this hook: it
         #: queues the verdict for its converge loop.
@@ -260,22 +268,13 @@ class SuitUpdateWorker:
             self.on_step(step)
 
     def _process(self, thread, raw: bytes, inline: bytes | None = None):
-        # 1. Decode and authenticate the envelope.  The publish-scoped
-        # release cache shares the *decoded objects* (frozen, immutable)
-        # across a fleet's workers — a wall-clock-only effect; every
-        # modelled cycle below is still charged on this device's clock.
-        cached = (self.release_cache.get(("envelope", raw))
-                  if self.release_cache is not None else None)
-        if cached is not None:
-            envelope, manifest = cached
-        else:
-            try:
-                envelope = SuitEnvelope.decode(raw)
-                manifest = envelope.manifest()
-            except Exception as exc:  # any malformed input is one status
-                return UpdateResult(UpdateStatus.MALFORMED, str(exc))
-            if self.release_cache is not None:
-                self.release_cache[("envelope", raw)] = (envelope, manifest)
+        # 1. Decode and authenticate the envelope, sharing the decoded
+        # (frozen) objects through the release cache.
+        try:
+            envelope, manifest = self.release_cache.get_or_derive(
+                ("envelope", raw), lambda: _decode_envelope(raw))
+        except Exception as exc:  # any malformed input is one status
+            return UpdateResult(UpdateStatus.MALFORMED, str(exc))
         self._mark("decoded")
         thread.charge(SIG_VERIFY_CYCLES)
         if not envelope.verify(self.trust_anchor):
@@ -372,8 +371,7 @@ class SuitUpdateWorker:
         self._mark("checked")
         self.storage.install(manifest.storage_location, payload,
                              manifest.sequence_number, name=manifest.name,
-                             runtime=manifest.runtime,
-                             cache=self.release_cache)
+                             runtime=manifest.runtime)
         self._clear_fetch(manifest.storage_location)
         self._mark("installed")
         outcome = self._activate(manifest, target, payload)
@@ -384,18 +382,10 @@ class SuitUpdateWorker:
                          payload: bytes) -> bool:
         """:meth:`SuitManifest.matches_payload`, with a match shared
         through the release cache under the exact digest, size and
-        payload bytes (a mismatch is never stored, so it is re-checked
-        every time).  The caller charges the SHA-256 either way."""
-        cache = self.release_cache
-        if cache is None:
-            return manifest.matches_payload(payload)
-        key = ("digest", manifest.digest, manifest.size, payload)
-        if key in cache:
-            return True
-        if not manifest.matches_payload(payload):
-            return False
-        cache[key] = True
-        return True
+        payload bytes.  The caller charges the SHA-256 either way."""
+        return self.release_cache.get_or_derive(
+            ("digest", manifest.digest, manifest.size, payload),
+            lambda: manifest.matches_payload(payload))
 
     # -- fetch checkpointing ---------------------------------------------------
 

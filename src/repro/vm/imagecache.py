@@ -26,29 +26,22 @@ install-time artifacts shareable:
 
 Keys are content hashes (:attr:`~repro.vm.program.Program.image_hash`),
 so there is nothing to invalidate on hot replace: a new program version
-hashes to a new key, and stale images simply age out of the bounded LRU.
-``invalidate``/``clear`` exist for tooling and benchmarks that need a
-cold cache on demand.
-
-The cache is deliberately **not** part of the modelled device: it holds
-host-side Python objects, never touches the virtual clock, and the
-differential tests assert that executions through shared artifacts stay
-bit-identical to cold-built ones.  The simulator is single-threaded per
-process, so plain dicts suffice.
+hashes to a new key, and stale images simply age out of the bounded
+memos (see :mod:`repro.memo` for the rule every share keeps).  ``clear``
+exists for tooling and benchmarks that need a cold cache on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, TYPE_CHECKING
+from typing import Callable, TYPE_CHECKING
 
+from repro.memo import Memo
 from repro.vm.predecode import Decoded, predecode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vm.program import Program
     from repro.vm.verifier import VerificationReport, VerifierConfig
-
-_MISS = object()
 
 
 @dataclass
@@ -70,42 +63,27 @@ class CompiledTemplate:
 
 
 class ImageCache:
-    """Bounded LRU cache of per-image install artifacts, keyed by hash."""
+    """The three per-image install artifacts, each a bounded memo keyed
+    by content hash; ``hits`` and ``misses`` count all three."""
 
     def __init__(self, max_entries: int = 256) -> None:
-        self.max_entries = max_entries
-        self._decoded: dict[str, list[Decoded]] = {}
-        self._reports: dict[tuple[str, "VerifierConfig"], "VerificationReport"] = {}
-        self._templates: dict[tuple[str, int | None], CompiledTemplate] = {}
-        self.hits = 0
-        self.misses = 0
+        self._decoded = Memo(max_entries)
+        self._reports = Memo(max_entries)
+        self._templates = Memo(max_entries)
 
-    # -- generic bounded-LRU plumbing --------------------------------------
+    @property
+    def hits(self) -> int:
+        return self._decoded.hits + self._reports.hits + self._templates.hits
 
-    def _get(self, table: dict, key) -> Any:
-        value = table.pop(key, _MISS)
-        if value is _MISS:
-            self.misses += 1
-            return _MISS
-        table[key] = value  # reinsert: dict order doubles as LRU order
-        self.hits += 1
-        return value
-
-    def _put(self, table: dict, key, value) -> None:
-        table[key] = value
-        while len(table) > self.max_entries:
-            table.pop(next(iter(table)))
-
-    # -- the three shared artifacts ----------------------------------------
+    @property
+    def misses(self) -> int:
+        return (self._decoded.misses + self._reports.misses
+                + self._templates.misses)
 
     def decoded(self, program: "Program") -> list[Decoded]:
         """Pre-decoded slot table, computed once per image *content*."""
-        key = program.image_hash
-        value = self._get(self._decoded, key)
-        if value is _MISS:
-            value = predecode(program.slots)
-            self._put(self._decoded, key, value)
-        return value
+        return self._decoded.get_or_derive(
+            program.image_hash, lambda: predecode(program.slots))
 
     def verify(
         self, program: "Program", config: "VerifierConfig | None" = None
@@ -113,10 +91,9 @@ class ImageCache:
         """Pre-flight check through the cache.
 
         The returned :class:`VerificationReport` is shared between all
-        instances of the image and must be treated as immutable.  Only
-        successful verdicts are cached: a rejected image re-raises its
-        :class:`VerificationError` on every attempt (rejections are cold
-        paths and caching them would pin attacker-controlled keys).
+        instances of the image and must be treated as immutable.  A
+        rejected image re-raises its :class:`VerificationError` on every
+        attempt.
         """
         # Lazy import: program.py imports this module at load time, and
         # verifier.py imports program.py — resolving verify() here keeps
@@ -125,12 +102,8 @@ class ImageCache:
 
         if config is None:
             config = VerifierConfig()
-        key = (program.image_hash, config)
-        report = self._get(self._reports, key)
-        if report is _MISS:
-            report = verify(program, config)
-            self._put(self._reports, key, report)
-        return report
+        return self._reports.get_or_derive(
+            (program.image_hash, config), lambda: verify(program, config))
 
     def template(
         self,
@@ -145,28 +118,14 @@ class ImageCache:
         guarantees); :class:`~repro.vm.jit.CompiledProgram` enforces that
         ordering.
         """
-        key = (program.image_hash, total_limit)
-        template = self._get(self._templates, key)
-        if template is _MISS:
-            template = build(program, total_limit)
-            self._put(self._templates, key, template)
-        return template
-
-    # -- maintenance --------------------------------------------------------
-
-    def invalidate(self, image_hash: str) -> None:
-        """Drop every artifact derived from one image (tooling hook)."""
-        self._decoded.pop(image_hash, None)
-        for table in (self._reports, self._templates):
-            for key in [k for k in table if k[0] == image_hash]:
-                del table[key]
+        return self._templates.get_or_derive(
+            (program.image_hash, total_limit),
+            lambda: build(program, total_limit))
 
     def clear(self) -> None:
         self._decoded.clear()
         self._reports.clear()
         self._templates.clear()
-        self.hits = 0
-        self.misses = 0
 
     def stats(self) -> dict[str, int]:
         return {

@@ -46,7 +46,6 @@ from repro.vm.errors import (
     DivisionFault,
     HelperFault,
     IllegalInstructionFault,
-    MemoryFault,
     VMFault,
 )
 from repro.vm.helpers import HelperRegistry
@@ -351,7 +350,7 @@ class Interpreter:
                     helper = helper_table.get(helper_id)
                     if helper is None:
                         raise HelperFault(
-                            f"unknown helper id 0x{helper_id:02x}")
+                            f"unknown helper id 0x{helper_id:02x}", pc)
                     try:
                         result = helper.fn(self, regs[1], regs[2], regs[3],
                                            regs[4], regs[5])
@@ -379,7 +378,7 @@ class Interpreter:
                         pc = d.target
                     else:
                         pc += 1
-        except MemoryFault as exc:  # from the access list, or a helper
+        except VMFault as exc:  # from the access list, or a helper
             raise exc.at_pc(pc)
         finally:
             # kind_counts is live-updated; derive the totals so that even a

@@ -1046,10 +1046,8 @@ class CompiledProgram(Interpreter):
         def _call(helper_id, pc, r1, r2, r3, r4, r5):
             try:
                 return helpers.call(vm, helper_id, r1, r2, r3, r4, r5)
-            except MemoryFault as exc:
+            except VMFault as exc:
                 raise exc.at_pc(pc)
-            except VMFault:
-                raise
             except Exception as exc:  # contain helper implementation bugs
                 raise HelperFault(
                     f"helper 0x{helper_id:02x} failed: {exc}", pc

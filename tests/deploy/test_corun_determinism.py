@@ -9,7 +9,9 @@ not notice any of them: per-device charged cycles, virtual clocks,
 flash bytes written and persisted SUIT records are pinned identical to
 a run whose memos never store anything, across a cold and an updating
 publish, on the unicast and the multicast trigger path, lossless and
-lossy.  Every memo stores successes only, under exact keys.  The fleet
+lossy.  The fresh side runs under ``memos_disabled()``, which turns off
+every memo wherever it lives, so a new memo is covered without being
+named here.  Every memo stores successes only, under exact keys.  The fleet
 seed comes from ``CHAOS_SEED`` (CI sweeps several; locally one fixed
 default runs).  Identical runs replay bit for bit — including a fleet
 past 64 devices, once split across shards.
@@ -19,10 +21,8 @@ verdict for a sequence is never triggered with that sequence again.
 
 from __future__ import annotations
 
-import importlib
 import os
 import random
-from collections import OrderedDict
 from typing import NamedTuple
 
 import pytest
@@ -40,14 +40,12 @@ from repro.deploy import (
     SpecError,
     plan,
 )
-from repro.rtos import Kernel, NvmStore, nvm
+from repro.memo import memos_disabled
+from repro.rtos import Kernel, NvmStore
 from repro.scenarios import build_fleet_publisher
-from repro.suit import SuitEnvelope, UpdateStatus, cose, sign_spec
+from repro.suit import SuitEnvelope, UpdateStatus, sign_spec
 from repro.vm import assemble
 from repro.vm.imagecache import IMAGE_CACHE
-
-# The module, not the ``plan`` function the package re-exports.
-plan_module = importlib.import_module("repro.deploy.plan")
 
 GOOD = "mov r0, 7\n    exit"
 UPDATED = "mov r0, 8\n    exit"
@@ -72,14 +70,6 @@ def make_spec(source: str, name: str = "release") -> DeploymentSpec:
     )
 
 
-class NeverStores(OrderedDict):
-    """A memo that forgets every entry: each worker decodes, verifies
-    and encodes the release afresh, as if nothing were shared."""
-
-    def __setitem__(self, key, value) -> None:
-        pass
-
-
 class Modelled(NamedTuple):
     """What a fleet's devices modelled over a run of publishes."""
 
@@ -96,16 +86,10 @@ class Modelled(NamedTuple):
 
 def modelled_state(options: PublishOptions, devices: int = 8,
                    seed: int = SEED, loss: float = 0.0,
-                   memo: dict | None = None,
                    sources: tuple[str, ...] = (GOOD,)) -> Modelled:
     """Publish one release per source in turn on a fresh fleet."""
     IMAGE_CACHE.clear()
     publisher = build_fleet_publisher(devices=devices, seed=seed, loss=loss)
-    if memo is not None:
-        publisher._release_cache = memo
-        for device in publisher.fleet.devices:
-            device.radio.worker.release_cache = memo
-            device.engine._grants = NeverStores()
     charged, ok = [], True
     for version, source in enumerate(sources, start=1):
         result = publisher.publish(make_spec(source, f"v{version}"), options)
@@ -131,20 +115,16 @@ class TestModelledCyclesInvariant:
         (PublishOptions.scale(), 0.0),
         (PublishOptions.scale(), 0.05),
     ], ids=["unicast", "unicast-lossy", "multicast", "multicast-lossy"])
-    def test_memo_is_wall_clock_only(self, options, loss, monkeypatch):
+    def test_memo_is_wall_clock_only(self, options, loss):
         """Sharing one release's decode, verify, digest check, record
-        encodings and frames, plan view and grants across devices must
-        not change any device's charged cycles, final clock, flash
-        writes or persisted records, over a cold and an updating
-        publish: like the image cache, every share is a host-side
-        (wall-clock) effect."""
+        encodings and frames, plan view, grants and image artifacts
+        across devices must not change any device's charged cycles,
+        final clock, flash writes or persisted records, over a cold and
+        an updating publish: every share is a host-side (wall-clock)
+        effect."""
         sources = (GOOD, UPDATED)
-        with monkeypatch.context() as patch:
-            patch.setattr(cose, "_VERIFY_MEMO", NeverStores())
-            patch.setattr(nvm, "_FRAME_MEMO", NeverStores())
-            patch.setattr(plan_module, "_PLAN_VIEWS", NeverStores())
-            fresh = modelled_state(options, loss=loss, memo=NeverStores(),
-                                   sources=sources)
+        with memos_disabled():
+            fresh = modelled_state(options, loss=loss, sources=sources)
         shared = modelled_state(options, loss=loss, sources=sources)
         assert fresh.ok and shared.ok
         assert not fresh.shared
@@ -268,16 +248,18 @@ class TestMemoSafety:
         assert len(grants) == 3
         assert engine.execute(caller).value == 5
 
-    def test_unhashable_contract_is_derived_never_stored(self):
+    def test_plain_set_contract_is_coerced_and_shares_one_grant(self):
         engine = HostingEngine(Kernel())
         engine.register_hook(Hook(FC_HOOK_FANOUT, mode=HookMode.SYNC))
         contract = ContainerContract(helpers={0x01})  # a plain set
+        assert isinstance(contract.helpers, frozenset)
         for name in ("a", "b"):
             container = engine.attach(
                 engine.load(assemble(GOOD), contract=contract, name=name),
                 FC_HOOK_FANOUT)
             assert container.granted.allowed_helpers == {0x01}
-        assert not engine._grants
+        assert len(engine._grants) == 1
+        assert engine._grants.hits == 1
 
     def test_wrong_payload_after_cached_match_is_a_mismatch(self):
         publisher = build_fleet_publisher(devices=2)

@@ -10,7 +10,8 @@ so the loops run off region ends, into the unmapped gaps between
 regions, and into read-only memory.  All engines must agree on the
 outcome (value, or fault class, pc and message), the full accounting,
 and every byte of writable memory afterwards; a memory fault must name
-the pc of its load or store (of the ``call``, when a helper raised it).
+the pc of its load or store (of the ``call``, when a helper raised it or
+no helper answers it).
 
 The pinned tests at the end cover the window rules one by one: a helper
 that revokes, rewrites or remaps memory mid-run, a store to a region the
@@ -247,6 +248,14 @@ def test_memory_fault_inside_a_helper_names_the_call():
     assert outcome[3] == (f"[pc=1] read of 16 B at {GRANT_BASE + 8:#010x} "
                           "outside all granted regions")
     assert kinds["call"] == 1
+
+    # A call no helper answers names the call too, on every engine.
+    program = assemble("mov r6, 1\n    call 0x55\n    exit")
+    observed = {name: _observe(factory(program), lambda vm: vm.run())
+                for name, factory in ENGINES}
+    _assert_engines_agree(observed)
+    assert observed["jit"][0] == ("fault", "HelperFault", 1,
+                                  "[pc=1] unknown helper id 0x55")
 
 
 @pytest.mark.parametrize("width", sorted(_WIDTHS))

@@ -1,4 +1,8 @@
-"""The shared program-image cache: hashing, sharing, isolation, bounds."""
+"""The shared program-image cache: hashing, sharing, isolation, accounting.
+
+Its bound and its store rule are :class:`~repro.memo.Memo`'s
+(``tests/test_memo.py``).
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,6 @@ import pytest
 from repro.core import HostingEngine
 from repro.rtos import Kernel, nrf52840
 from repro.vm import (
-    ImageCache,
     Interpreter,
     Program,
     VerificationError,
@@ -126,23 +129,7 @@ class TestSharedArtifacts:
         hash(config)  # must be usable as a cache key
 
 
-class TestBoundsAndMaintenance:
-    def test_lru_bound_is_respected(self):
-        cache = ImageCache(max_entries=4)
-        for value in range(10):
-            program = assemble(f"mov r0, {value}\n    exit")
-            cache.decoded(program)
-        assert len(cache._decoded) == 4
-
-    def test_invalidate_drops_all_artifacts_of_one_image(self):
-        program = assemble(LOOPY)
-        compile_program(program)
-        IMAGE_CACHE.verify(program)
-        IMAGE_CACHE.invalidate(program.image_hash)
-        stats = IMAGE_CACHE.stats()
-        assert stats["template_entries"] == 0
-        assert stats["report_entries"] == 0
-
+class TestAccounting:
     def test_hit_miss_accounting(self):
         raw = assemble(LOOPY).to_bytes()
         compile_program(Program.from_bytes(raw))
