@@ -313,15 +313,26 @@ def _contract_to_json(contract: ContainerContract) -> dict:
     return doc
 
 
+def _list_field(doc: dict, key: str) -> list | None:
+    """A list-valued field of a contract or policy document, or ``None``
+    when absent.  A string is refused by name: taken as a sequence it
+    would silently become one entry per character."""
+    value = doc.get(key)
+    if value is not None and not isinstance(value, (list, tuple)):
+        raise SpecError(
+            f"{key} must be a list, not {type(value).__name__} {value!r}")
+    return value
+
+
 def _contract_from_json(doc: dict) -> ContainerContract:
     defaults = ContainerContract()
-    helpers = doc.get("helpers")
+    helpers = _list_field(doc, "helpers")
     return ContainerContract(
         helpers=frozenset(helpers) if helpers is not None else None,
         max_instructions=doc.get("max_instructions",
                                  defaults.max_instructions),
         branch_limit=doc.get("branch_limit", defaults.branch_limit),
-        memory_regions=tuple(doc.get("memory_regions", ())),
+        memory_regions=tuple(_list_field(doc, "memory_regions") or ()),
         stack_size=doc.get("stack_size", defaults.stack_size),
     )
 
@@ -350,7 +361,7 @@ def _policy_to_json(policy: HookPolicy) -> dict:
 
 def _policy_from_json(doc: dict) -> HookPolicy:
     defaults = HookPolicy()
-    helpers = doc.get("allowed_helpers")
+    helpers = _list_field(doc, "allowed_helpers")
     return HookPolicy(
         allowed_helpers=frozenset(helpers) if helpers is not None else None,
         max_instructions=doc.get("max_instructions",
@@ -362,7 +373,7 @@ def _policy_from_json(doc: dict) -> HookPolicy:
             MemoryGrant(name=grant["name"], start=grant["start"],
                         size=grant["size"],
                         perms=Permission(grant["perms"]))
-            for grant in doc.get("memory_grants", ())
+            for grant in _list_field(doc, "memory_grants") or ()
         ),
         max_stack_size=doc.get("max_stack_size", defaults.max_stack_size),
     )

@@ -7,13 +7,18 @@ encodes/decodes and slices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.net.coap import CoapError
 
-@dataclass(frozen=True)
-class BlockOption:
-    """Decoded Block2/Block1 option value."""
+
+class BlockOption(NamedTuple):
+    """Decoded Block2/Block1 option value.
+
+    Immutable like any option value; a named tuple rather than a frozen
+    dataclass because one is built per block on either side of every
+    block-wise exchange, and a tuple is several times cheaper to make.
+    """
 
     num: int
     more: bool
@@ -44,7 +49,7 @@ class BlockOption:
         szx = value & 0x7
         if szx == 7:
             raise CoapError("reserved szx 7")
-        return cls(num=value >> 4, more=bool(value & 0x8), szx=szx)
+        return cls(value >> 4, bool(value & 0x8), szx)
 
 
 def slice_block(payload: bytes, block: BlockOption) -> tuple[bytes, bool]:

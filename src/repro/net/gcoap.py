@@ -12,13 +12,21 @@ flavours exist:
   container built becomes the response.
 
 The client implements CON retransmission with exponential backoff and
-block-wise GET reassembly, both driven by kernel timers.
+block-wise GET reassembly, both driven by kernel timers.  Both sides run
+once per simulated frame, so neither builds a closure per message: a
+request is encoded once and its retransmissions resend those bytes, a
+retransmission timer is a ``partial`` of one client method, and a
+block-wise transfer is one :class:`_BlockFetch` that builds each block's
+GET from the transfer's Uri-Path options.  These are host-side savings
+only: the bytes sent, and the timers armed (their order and deadlines),
+are what the exchange defines.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, TYPE_CHECKING
 
 from repro.net import coap
@@ -69,6 +77,7 @@ class CoapServer:
     def register_blob(self, path: str, get_blob: Callable[[], bytes],
                       content_format: int = 42) -> Resource:
         """Serve a byte blob with Block2 slicing (SUIT payload store)."""
+        format_value = bytes([content_format])
 
         def handler(request: CoapMessage, _dg: Datagram) -> CoapMessage:
             blob = get_blob()
@@ -80,7 +89,7 @@ class CoapServer:
                 coap.OPT_BLOCK2,
                 BlockOption(block.num, more, block.szx).encode(),
             )
-            reply.add_option(coap.OPT_CONTENT_FORMAT, bytes([content_format]))
+            reply.add_option(coap.OPT_CONTENT_FORMAT, format_value)
             return reply
 
         return self.register(path, handler)
@@ -157,10 +166,13 @@ class CoapServer:
         self.socket.send_to(datagram.src_addr, datagram.src_port, raw)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pending:
     message: CoapMessage
-    dst: tuple[str, int]
+    #: The message as first encoded; every retransmission resends it.
+    raw: bytes
+    dst_addr: str
+    dst_port: int
     on_response: Callable[[CoapMessage], None]
     on_timeout: Callable[[], None] | None
     retransmits: int = 0
@@ -198,30 +210,31 @@ class CoapClient:
         self._next_mid = (self._next_mid + 1) & 0xFFFF
         message.token = self._next_token.to_bytes(2, "big")
         self._next_token = (self._next_token + 1) & 0xFFFF
-        pending = _Pending(message, (dst_addr, dst_port), on_response,
-                           on_timeout)
+        pending = _Pending(message, message.encode(), dst_addr, dst_port,
+                           on_response, on_timeout)
         self._pending[message.token] = pending
         self._transmit(pending)
 
     def _transmit(self, pending: _Pending) -> None:
-        self.socket.send_to(*pending.dst, pending.message.encode())
+        self.socket.send_to(pending.dst_addr, pending.dst_port, pending.raw)
         if pending.message.mtype != coap.CON:
             return
         backoff = coap.ACK_TIMEOUT_US * (2 ** pending.retransmits)
+        pending.timer = self.kernel.timers.set(partial(self._expire, pending),
+                                               backoff)
 
-        def on_expire() -> None:
-            if pending.message.token not in self._pending:
-                return
-            if pending.retransmits >= coap.MAX_RETRANSMIT:
-                del self._pending[pending.message.token]
-                self.timeouts += 1
-                if pending.on_timeout is not None:
-                    pending.on_timeout()
-                return
-            pending.retransmits += 1
-            self._transmit(pending)
-
-        pending.timer = self.kernel.timers.set(on_expire, backoff)
+    def _expire(self, pending: _Pending) -> None:
+        """Retransmission timer: resend, or give up after the last try."""
+        if pending.message.token not in self._pending:
+            return
+        if pending.retransmits >= coap.MAX_RETRANSMIT:
+            del self._pending[pending.message.token]
+            self.timeouts += 1
+            if pending.on_timeout is not None:
+                pending.on_timeout()
+            return
+        pending.retransmits += 1
+        self._transmit(pending)
 
     def _on_datagram(self, datagram: Datagram) -> None:
         try:
@@ -266,47 +279,72 @@ class CoapClient:
         """
         block_bytes = 1 << (szx + 4)
         whole_blocks = len(resume_from) // block_bytes
-        chunks: list[bytes] = [
-            resume_from[i * block_bytes:(i + 1) * block_bytes]
-            for i in range(whole_blocks)
-        ]
-        received = whole_blocks * block_bytes
+        transfer = _BlockFetch(
+            self, dst_addr, dst_port, path,
+            CoapMessage().add_uri_path(path).options, on_complete, on_error,
+            szx, max_size, on_block,
+            [resume_from[i * block_bytes:(i + 1) * block_bytes]
+             for i in range(whole_blocks)],
+            whole_blocks * block_bytes,
+        )
+        transfer.fetch(whole_blocks)
 
-        def fetch(num: int) -> None:
-            request = CoapMessage(mtype=coap.CON, code=coap.GET)
-            request.add_uri_path(path)
-            request.add_option(
-                coap.OPT_BLOCK2, BlockOption(num, False, szx).encode()
-            )
 
-            def on_response(reply: CoapMessage) -> None:
-                nonlocal received
-                if reply.code != coap.CONTENT:
-                    if on_error is not None:
-                        on_error(f"unexpected code {coap.code_string(reply.code)}")
-                    return
-                received += len(reply.payload)
-                if max_size is not None and received > max_size:
-                    if on_error is not None:
-                        on_error(
-                            f"transfer of {path} exceeds the promised "
-                            f"{max_size} bytes — aborted"
-                        )
-                    return
-                chunks.append(reply.payload)
-                if on_block is not None:
-                    on_block(num, reply.payload)
-                option = reply.option(coap.OPT_BLOCK2)
-                block = BlockOption.decode(option) if option else None
-                if block is not None and block.more:
-                    fetch(num + 1)
-                else:
-                    on_complete(b"".join(chunks))
+@dataclass(slots=True)
+class _BlockFetch:
+    """One block-wise GET in flight: at most one block is requested at a
+    time, so ``num`` is always the block the outstanding request asks
+    for."""
 
-            def on_timeout() -> None:
-                if on_error is not None:
-                    on_error(f"timeout fetching block {num} of {path}")
+    client: CoapClient
+    dst_addr: str
+    dst_port: int
+    path: str
+    #: Uri-Path options of every block's request, built once.
+    path_options: list[tuple[int, bytes]]
+    on_complete: Callable[[bytes], None]
+    on_error: Callable[[str], None] | None
+    szx: int
+    max_size: int | None
+    on_block: Callable[[int, bytes], None] | None
+    chunks: list[bytes]
+    received: int
+    num: int = 0
 
-            self.request(dst_addr, dst_port, request, on_response, on_timeout)
+    def fetch(self, num: int) -> None:
+        self.num = num
+        request = CoapMessage(coap.CON, coap.GET, 0, b"", [
+            *self.path_options,
+            (coap.OPT_BLOCK2, BlockOption(num, False, self.szx).encode()),
+        ])
+        self.client.request(self.dst_addr, self.dst_port, request,
+                            self.on_response, self.on_timeout)
 
-        fetch(whole_blocks)
+    def on_response(self, reply: CoapMessage) -> None:
+        on_error = self.on_error
+        if reply.code != coap.CONTENT:
+            if on_error is not None:
+                on_error(f"unexpected code {coap.code_string(reply.code)}")
+            return
+        payload = reply.payload
+        self.received += len(payload)
+        if self.max_size is not None and self.received > self.max_size:
+            if on_error is not None:
+                on_error(
+                    f"transfer of {self.path} exceeds the promised "
+                    f"{self.max_size} bytes — aborted"
+                )
+            return
+        self.chunks.append(payload)
+        if self.on_block is not None:
+            self.on_block(self.num, payload)
+        option = reply.option(coap.OPT_BLOCK2)
+        block = BlockOption.decode(option) if option else None
+        if block is not None and block.more:
+            self.fetch(self.num + 1)
+        else:
+            self.on_complete(b"".join(self.chunks))
+
+    def on_timeout(self) -> None:
+        if self.on_error is not None:
+            self.on_error(f"timeout fetching block {self.num} of {self.path}")

@@ -7,12 +7,15 @@ so large transfers (e.g. SUIT payloads) really behave like low-power
 wireless: slower, lossier, retransmitted block by block.
 
 Loss is deterministic given the seed, keeping every experiment repeatable.
+:meth:`Link.transmit` says which invariants its fast paths keep: dice
+order, delivery arming order and bytes on the air.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -137,54 +140,80 @@ class Link:
         member rolls its own independent loss dice, because fading is
         per-receiver on a real radio.  Member order — and therefore the
         seeded dice order — is join order.
+
+        Dice order is part of the model: one ``random()`` per fragment,
+        in fragment order, stopping at the first lost one; per member in
+        join order on a group.  On a lossless link no roll can drop a
+        frame, so a group transmit advances the generator per live
+        member with one ``getrandbits(64 * fragments)`` instead — on
+        CPython each ``random()`` consumes two 32-bit words of the
+        Mersenne Twister and ``getrandbits(k)`` consumes ceil(k / 32),
+        so the stream a later lossy frame reads is the same.  Deliveries
+        are armed in the same order on the same deadlines, and carry the
+        sender's bytes unchanged.
         """
-        fragments = max(1, -(-len(payload) // FRAME_PAYLOAD))
+        size = len(payload)
+        fragments = -(-size // FRAME_PAYLOAD) or 1
         airtime_us = (
             fragments * self.latency_us
-            + (len(payload) + fragments * 21) * 8 / BITRATE_BPS * 1e6
+            + (size + fragments * 21) * 8 / BITRATE_BPS * 1e6
         )
-        self.stats.frames_sent += fragments
-        self.stats.bytes_sent += len(payload)
-        src.stats.frames_sent += fragments
-        src.stats.bytes_sent += len(payload)
+        stats = self.stats
+        stats.frames_sent += fragments
+        stats.bytes_sent += size
+        src_stats = src.stats
+        src_stats.frames_sent += fragments
+        src_stats.bytes_sent += size
         data = bytes(payload)
         src_addr = src.addr
-
-        def deliver_to(dst: Interface) -> None:
-            if dst.receive is None:
-                return  # radio died (detached) while the frames were in flight
-            self.stats.datagrams_delivered += 1
-            dst.stats.datagrams_delivered += 1
-            dst.stats.bytes_received += len(data)
-            dst.receive(data, src_addr)
+        loss = self.loss
+        set_timer = self.kernel.timers.set
+        deliver = self._deliver
 
         members = self._groups.get(dst_addr)
         if members is not None:
-            # Hot loop (one roll per fragment per member): the dice are
-            # drawn exactly as the unicast path draws them, stopping at
-            # the first lost fragment.
+            # Hot loops: the sender never hears itself, and a dead radio
+            # is skipped before the dice, like a missing unicast dst.
+            if not loss:
+                draw, bits = self._rng.getrandbits, 64 * fragments
+                for member in members.values():
+                    if member is src or member.receive is None:
+                        continue
+                    draw(bits)
+                    set_timer(partial(deliver, member, data, src_addr),
+                              airtime_us)
+                return
             random = self._rng.random
-            loss = self.loss
-            set_timer = self.kernel.timers.set
             for member in members.values():
                 if member is src or member.receive is None:
-                    # The sender never hears itself; a dead radio is
-                    # skipped before the dice, like a missing unicast dst.
                     continue
                 for _ in range(fragments):
                     if random() < loss:
-                        self.stats.frames_dropped += 1
+                        stats.frames_dropped += 1
                         break
                 else:
-                    set_timer(lambda dst=member: deliver_to(dst), airtime_us)
+                    set_timer(partial(deliver, member, data, src_addr),
+                              airtime_us)
             return
 
         dst = self._interfaces.get(dst_addr)
         if dst is None:
             return  # no such destination: the frames vanish into the ether
+        random = self._rng.random
         for _ in range(fragments):
-            if self._rng.random() < self.loss:
-                self.stats.frames_dropped += 1
-                src.stats.frames_dropped += 1
+            if random() < loss:
+                stats.frames_dropped += 1
+                src_stats.frames_dropped += 1
                 return
-        self.kernel.timers.set(lambda: deliver_to(dst), airtime_us)
+        set_timer(partial(deliver, dst, data, src_addr), airtime_us)
+
+    def _deliver(self, dst: Interface, data: bytes, src_addr: str) -> None:
+        """Timer callback: one datagram lands on one radio."""
+        receive = dst.receive
+        if receive is None:
+            return  # radio died (detached) while the frames were in flight
+        self.stats.datagrams_delivered += 1
+        stats = dst.stats
+        stats.datagrams_delivered += 1
+        stats.bytes_received += len(data)
+        receive(data, src_addr)

@@ -3,17 +3,15 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.net.link import Interface
 
 _HEADER = struct.Struct("<HH")
 
 
-@dataclass(frozen=True)
-class Datagram:
-    """One received UDP datagram."""
+class Datagram(NamedTuple):
+    """One received UDP datagram (immutable; one is built per frame)."""
 
     src_addr: str
     src_port: int
@@ -43,14 +41,8 @@ class UdpStack:
         sock = self._sockets.get(dst_port)
         if sock is None:
             return  # no listener: ICMP-less world, silently dropped
-        sock.deliver(
-            Datagram(
-                src_addr=src_addr,
-                src_port=src_port,
-                dst_port=dst_port,
-                payload=frame[_HEADER.size :],
-            )
-        )
+        sock.deliver(Datagram(src_addr, src_port, dst_port,
+                              frame[_HEADER.size:]))
 
     def send(self, src_port: int, dst_addr: str, dst_port: int,
              payload: bytes) -> None:

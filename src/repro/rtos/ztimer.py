@@ -3,13 +3,21 @@
 Timers fire callbacks in "interrupt context": the kernel invokes them at
 the virtual instant they expire, before scheduling the next thread.
 Callbacks must be short; they typically post an event or wake a thread.
+
+The wheel is on the path of every simulated radio frame (each delivery
+and each CoAP retransmission is a timer), so its heap holds plain
+``(deadline_cycles, seq, entry)`` tuples: sifts compare ints in C and
+never reach the entry.  ``seq`` is the arming order, unique per wheel,
+so timers sharing a deadline fire in the order they were armed (a
+periodic timer's re-arm is a fresh arming).  Cancelling
+marks the entry and drops its callback; the entry itself is dropped
+when it reaches the top of the heap.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.rtos.errors import TimerError
@@ -18,12 +26,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rtos.kernel import Kernel
 
 
-@dataclass(order=True)
 class _TimerEntry:
-    deadline_cycles: int
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    """One armed timer: what :meth:`TimerWheel.set` hands back."""
+
+    __slots__ = ("deadline_cycles", "callback", "cancelled")
+
+    def __init__(self, deadline_cycles: int,
+                 callback: Callable[[], None]) -> None:
+        self.deadline_cycles = deadline_cycles
+        self.callback = callback
+        self.cancelled = False
 
 
 class TimerWheel:
@@ -31,18 +43,18 @@ class TimerWheel:
 
     def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
-        self._heap: list[_TimerEntry] = []
+        self._clock = kernel.clock
+        self._heap: list[tuple[int, int, _TimerEntry]] = []
         self._seq = itertools.count()
 
     def set(self, callback: Callable[[], None], delay_us: float) -> _TimerEntry:
         """Arm a one-shot timer ``delay_us`` virtual microseconds from now."""
         if delay_us < 0:
             raise TimerError(f"negative timer delay: {delay_us}")
-        deadline = self.kernel.clock.cycles + self.kernel.clock.us_to_cycles(
-            delay_us
-        )
-        entry = _TimerEntry(deadline, next(self._seq), callback)
-        heapq.heappush(self._heap, entry)
+        clock = self._clock
+        deadline = clock.cycles + clock.us_to_cycles(delay_us)
+        entry = _TimerEntry(deadline, callback)
+        heapq.heappush(self._heap, (deadline, next(self._seq), entry))
         return entry
 
     def set_periodic(
@@ -66,34 +78,43 @@ class TimerWheel:
             state["stopped"] = True
             entry = state["entry"]
             if entry is not None:
-                entry.cancelled = True
+                self.cancel(entry)
 
         return cancel
 
     def cancel(self, entry: _TimerEntry) -> None:
+        """Disarm a timer.  The entry stays in the heap until it reaches
+        the top, but lets go of its callback now: a CoAP retransmission
+        timer is cancelled as soon as its response lands, and its callback
+        reaches the whole exchange (request, reply handler, reassembly
+        buffer)."""
         entry.cancelled = True
+        entry.callback = None
 
     def next_deadline(self) -> int | None:
         """Earliest pending deadline in cycles, or None when empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        if not heap:
             return None
-        return self._heap[0].deadline_cycles
+        return heap[0][0]
 
     def fire_due(self) -> int:
         """Run every callback whose deadline has passed; returns the count."""
+        heap = self._heap
+        clock = self._clock
         fired = 0
-        now = self.kernel.clock.cycles
-        while self._heap and self._heap[0].deadline_cycles <= now:
-            entry = heapq.heappop(self._heap)
+        now = clock.cycles
+        while heap and heap[0][0] <= now:
+            entry = heapq.heappop(heap)[2]
             if entry.cancelled:
                 continue
             entry.callback()
             fired += 1
-            now = self.kernel.clock.cycles
+            now = clock.cycles
         return fired
 
     @property
     def pending(self) -> int:
-        return sum(1 for entry in self._heap if not entry.cancelled)
+        return sum(1 for _, _, entry in self._heap if not entry.cancelled)

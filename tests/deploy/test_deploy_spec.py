@@ -147,6 +147,43 @@ class TestJsonRoundTrip:
         with pytest.raises(SpecError):
             DeploymentSpec.from_json(doc)
 
+    @pytest.mark.parametrize("part,field,value", [
+        ("contract", "helpers", "packet"),
+        ("contract", "memory_regions", "packet"),
+        ("policy", "allowed_helpers", "packet"),
+        ("policy", "memory_grants", "packet"),
+        ("contract", "memory_regions", {"packet": 1}),
+        ("policy", "allowed_helpers", 1),
+    ])
+    def test_non_list_field_is_refused_by_name(self, part, field, value):
+        """A string where a list belongs must not become one entry per
+        character ('packet' -> p, a, c, k, e, t): the document is refused
+        with an error naming the field."""
+        doc = simple_spec().to_json()
+        attachment = doc["attachments"][0]
+        if part == "contract":
+            attachment["contract"] = {field: value}
+        else:
+            attachment["tenant_policies"] = {"alice": {field: value}}
+        with pytest.raises(SpecError, match=f"{field} must be a list"):
+            DeploymentSpec.from_json(doc)
+
+    def test_list_fields_still_parse(self):
+        doc = simple_spec().to_json()
+        attachment = doc["attachments"][0]
+        attachment["contract"] = {"helpers": [1], "memory_regions": ["packet"]}
+        attachment["tenant_policies"] = {"alice": {
+            "allowed_helpers": [1],
+            "memory_grants": [{"name": "packet", "start": 0x1000,
+                               "size": 64, "perms": 1}],
+        }}
+        restored = DeploymentSpec.from_json(doc).attachments[0]
+        assert restored.contract.memory_regions == ("packet",)
+        assert restored.contract.helpers == frozenset({1})
+        policy = restored.tenant_policies["alice"]
+        assert policy.allowed_helpers == frozenset({1})
+        assert [grant.name for grant in policy.memory_grants] == ["packet"]
+
 
 class TestBuiltins:
     def test_builtin_names(self):

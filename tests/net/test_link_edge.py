@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.net import Interface, Link, UdpStack
@@ -118,3 +120,77 @@ class TestPerInterfaceStats:
         assert dead.stats.datagrams_delivered == 0
         assert reborn.stats.datagrams_delivered == 0
         assert link.stats.datagrams_delivered == 0
+
+
+class TestLosslessGroupDice:
+    """A lossless group transmit advances the loss generator in bulk.
+
+    No roll can drop a frame at loss 0, so the link advances its
+    generator with one ``getrandbits(64 * fragments)`` per live member
+    instead of one ``random()`` per fragment.  The generator must end in
+    the state the per-fragment rolls leave, so a later lossy frame reads
+    the same stream and drops the same members.
+    """
+
+    MEMBERS = 9
+
+    def rig(self, kernel):
+        link = Link(kernel, loss=0.0, seed=77)
+        inboxes: dict[str, list[bytes]] = {}
+        ifaces = []
+        for index in range(self.MEMBERS):
+            iface = link.attach(Interface(f"dev{index}"))
+            inboxes[iface.addr] = []
+            iface.receive = (
+                lambda data, _src, box=inboxes[iface.addr]: box.append(data))
+            link.join("ff15::g", iface)
+            ifaces.append(iface)
+        link.detach("dev4")  # a dead member is skipped before the dice
+        return link, ifaces, inboxes
+
+    @staticmethod
+    def live(ifaces, src):
+        return [iface for iface in ifaces
+                if iface is not src and iface.receive is not None]
+
+    @pytest.mark.parametrize("size", [1, FRAME_PAYLOAD, FRAME_PAYLOAD * 3 + 1])
+    def test_generator_state_matches_per_fragment_draws(self, kernel, size):
+        link, ifaces, inboxes = self.rig(kernel)
+        reference = random.Random(77)
+        fragments = -(-size // FRAME_PAYLOAD)
+        for _ in range(3):
+            link.transmit(ifaces[0], "ff15::g", bytes(size))
+            for _member in self.live(ifaces, ifaces[0]):
+                for _ in range(fragments):
+                    reference.random()
+            assert link._rng.getstate() == reference.getstate()
+        kernel.run_until_idle()
+        assert link.stats.frames_dropped == 0
+        assert all(len(inboxes[f"dev{index}"]) == 3
+                   for index in (1, 2, 3, 5, 6, 7, 8))
+
+    def test_following_lossy_burst_drops_the_same_members(self, kernel):
+        link, ifaces, inboxes = self.rig(kernel)
+        reference = random.Random(77)
+        size = FRAME_PAYLOAD * 2 + 5
+        fragments = 3
+        link.transmit(ifaces[0], "ff15::g", bytes(size))
+        for _member in self.live(ifaces, ifaces[0]):
+            for _ in range(fragments):
+                reference.random()
+        kernel.run_until_idle()
+        for box in inboxes.values():
+            box.clear()
+
+        link.loss = 0.3
+        expected = []
+        for _ in range(4):
+            link.transmit(ifaces[2], "ff15::g", bytes(size))
+            for member in self.live(ifaces, ifaces[2]):
+                if all(reference.random() >= 0.3 for _ in range(fragments)):
+                    expected.append(member.addr)
+        kernel.run_until_idle()
+        heard = sorted(addr for addr, box in inboxes.items() for _ in box)
+        assert heard == sorted(expected)
+        assert 0 < link.stats.frames_dropped < 4 * (self.MEMBERS - 2)
+        assert link._rng.getstate() == reference.getstate()
