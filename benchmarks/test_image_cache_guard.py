@@ -10,9 +10,11 @@ engine, :meth:`Fleet.apply`, :meth:`Fleet.canary_rollout` promotion and
 :meth:`FleetPublisher.publish` -- with exact counts, so it cannot flake:
 
 * the cold row misses exactly once per artifact per new image;
-* every warm row misses nothing and hits once per lookup per attachment;
-* every artifact built during the path was built on a miss, so a warm
-  row's zero misses means zero verifier passes and zero transpiles;
+* every warm row misses nothing and hits once per attachment: an attach
+  is one instance-prototype lookup plus a clone;
+* every artifact built during the path was built on a miss (prototypes
+  included), so a warm row's zero misses means zero verifier passes,
+  zero transpiles and zero prototype derivations;
 * the cold row and every warm row charge identical virtual cycles.
 
 The file's one host-time ratio is the JIT attach bar, cached >= 5x
@@ -43,6 +45,7 @@ from repro.rtos import Kernel, nrf52840
 from repro.scenarios import build_fleet_publisher
 from repro.vm import Program
 from repro.vm.imagecache import IMAGE_CACHE
+from repro.vm.interpreter import Interpreter
 from repro.vm.jit import _build_template
 from repro.vm.predecode import predecode
 from repro.vm.verifier import verify
@@ -54,14 +57,14 @@ INSTANCES = 2
 #: Distinct content-addressed images in the published release.
 PUBLISH_IMAGES = 6
 
-#: Artifacts one attach builds for a new image.  An interpreter attach
-#: builds the verifier report (its slot table is decoded lazily, at the
-#: first run); a JIT attach also builds the template, whose codegen
-#: decodes the slot table.
-BUILDS = {"femto-containers": 1, "certfc": 1, "jit": 3}
-#: Image-cache lookups one attach makes: the verifier report, plus the
-#: JIT template.
-LOOKUPS = {"femto-containers": 1, "certfc": 1, "jit": 2}
+#: Artifacts one attach builds for a new image: the instance prototype
+#: and the verifier report, plus, for an interpreter, the decoded slot
+#: table it executes, or, for the JIT, the template (whose codegen
+#: decodes the slot table).
+BUILDS = {"femto-containers": 3, "certfc": 3, "jit": 4}
+#: Image-cache lookups one attach makes: the instance prototype, whose
+#: derive looks up the artifacts above only on a miss.
+LOOKUPS = {"femto-containers": 1, "certfc": 1, "jit": 1}
 
 #: Cached JIT attach vs cold JIT attach, median of the per-round ratios.
 JIT_SPEEDUP_BAR = 5.0
@@ -71,7 +74,10 @@ _ROUNDS = 7
 @contextmanager
 def _counting_builds():
     """Count every artifact build in the process, whoever calls it."""
-    codes = {verify.__code__, predecode.__code__, _build_template.__code__}
+    # Every eBPF engine's prototype derivation runs the base derive once
+    # (the JIT's extends it).
+    codes = {verify.__code__, predecode.__code__, _build_template.__code__,
+             Interpreter.derive_prototype.__code__}
     builds = [0]
 
     def profile(frame, event, arg):

@@ -50,7 +50,7 @@ from repro.rtos.saul import SaulRegistry
 from repro.rtos.thread import Wait
 from repro.runtimes.base import container_runtime
 from repro.vm.errors import VMFault
-from repro.vm.memory import AccessList, MemoryRegion, Permission
+from repro.vm.memory import MemoryRegion, Permission
 from repro.vm.program import Program
 from repro.vm.supervisor import ContainerSupervisor, SupervisorConfig
 from repro.vm.verifier import VerifierConfig
@@ -58,6 +58,7 @@ from repro.vm.interpreter import ExecutionStats, VMConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rtos.board import Board
+    from repro.runtimes.base import ContainerRuntime
     from repro.vm.supervisor import SlotHealth
 
 
@@ -143,12 +144,14 @@ class HostingEngine:
         #: Crash-loop/overrun watchdog (``supervisor=None``: the default
         #: :class:`~repro.vm.supervisor.SupervisorConfig` policy).
         self.supervisor = ContainerSupervisor(self, supervisor)
-        #: ``(hook policy, contract, helper ids)`` -> the granted policy
-        #: and the verifier and VM configs derived from it.  All are
-        #: frozen values, so every attach of one slot shape under one
-        #: ceiling shares them; a changed ceiling, contract or helper
-        #: set is a new key, and a :class:`~repro.core.policy
-        #: .PolicyError` is never stored.
+        #: ``(hook policy, contract, helper ids, runtime)`` -> the granted
+        #: policy, the verifier and VM configs derived from it and the
+        #: :class:`RunFacts` its containers' runs share.  All are frozen
+        #: values, so every attach of one slot shape under one ceiling
+        #: shares them; a changed ceiling, contract or helper set is a
+        #: new key, and a :class:`~repro.core.policy.PolicyError` is
+        #: never stored.  Per engine: the facts' cost profile reads this
+        #: engine's live helper registry.
         self._grants = Memo(256)
         self._register_default_hooks()
 
@@ -223,19 +226,16 @@ class HostingEngine:
         once, and its cost is charged to the virtual clock.  Attaching a
         JIT container additionally charges the §11 transpilation cost.
         The container joins the end of the hook's run order, or takes
-        index ``position`` in it (how :meth:`replace` and a rolled-back
-        plan keep a slot where it was).
+        index ``position`` in it (how :meth:`replace`, a probation
+        re-attach and a rolled-back plan keep a slot where it was).
 
         The *virtual* clock always pays the full verify+install price —
-        that is the device model the evaluation reports.  The *host*,
-        however, resolves both through the process-wide image cache, so
-        attaching the N-th instance of an already-seen image (same
-        content hash, same granted limits) costs dictionary lookups
-        instead of a re-verify and a re-transpile, and derives the grant
-        and the VM limits once per slot shape (see :attr:`_grants`).
-        What every run of the container shares — its context
-        permissions and its cost profile — is derived here too
-        (:class:`RunFacts`), not per run.
+        that is the device model the evaluation reports.  The *host* does
+        lookups plus a clone: the slot shape's limits and the
+        :class:`RunFacts` its runs share (:attr:`_grants`), and the
+        image's shared :class:`~repro.vm.imagecache.InstancePrototype`
+        (:func:`~repro.runtimes.base.build_vm`); only the stack,
+        registers, ``.data`` and grant regions are built per instance.
         """
         hook = self.hook(hook_name)
         if container.hook is not None:
@@ -244,33 +244,25 @@ class HostingEngine:
                 f"{container.hook.name!r}"
             )
         tenant_name = container.tenant.name if container.tenant else None
-        try:
-            granted, verifier_config, vm_config = self._limits(
-                hook.policy_for(tenant_name), container.contract)
-        except Exception as exc:
-            raise self._rejected(container, exc) from exc
-        access = AccessList()
-        for region_grant in granted.memory_grants:
-            access.add(MemoryRegion.zeroed(
-                region_grant.name, region_grant.start, region_grant.size,
-                region_grant.perms,
-            ))
-
         runtime = container_runtime(container.program.runtime)
         try:
-            vm = runtime.attach(self, container, granted, vm_config, access,
-                                verifier_config)
+            granted, verifier_config, vm_config, facts = self._limits(
+                hook.policy_for(tenant_name), container.contract, runtime)
+        except Exception as exc:
+            raise self._rejected(container, exc) from exc
+        regions = [
+            MemoryRegion.zeroed(region_grant.name, region_grant.start,
+                                region_grant.size, region_grant.perms)
+            for region_grant in granted.memory_grants
+        ]
+        try:
+            vm = runtime.attach(self, container, verifier_config, vm_config,
+                                regions)
         except Exception as exc:
             raise self._rejected(container, exc) from exc
 
         container.vm = vm
-        container.facts = RunFacts(
-            context_perms=(Permission.READ_WRITE if granted.context_writable
-                           else Permission.READ),
-            cost=runtime.cost_profile(self.board, self.implementation,
-                                      self.helpers),
-            setup_cycles=self.board.vm_setup_cycles,
-        )
+        container.facts = facts
         container.runtime = runtime
         container.granted = granted
         container.hook = hook
@@ -287,30 +279,40 @@ class HostingEngine:
         return container
 
     def _limits(
-        self, policy: HookPolicy, contract: ContainerContract
-    ) -> tuple[GrantedPolicy, VerifierConfig, VMConfig]:
-        """The grant and the verifier and VM limits of one slot shape,
-        derived once per key of :attr:`_grants`."""
+        self, policy: HookPolicy, contract: ContainerContract,
+        runtime: "ContainerRuntime",
+    ) -> tuple[GrantedPolicy, VerifierConfig, VMConfig, RunFacts]:
+        """The grant, the verifier and VM limits and the :class:`RunFacts`
+        of one slot shape, derived once per key of :attr:`_grants`."""
         return self._grants.get_or_derive(
-            (policy, contract, self.helpers.ids()),
-            lambda: self._derive_limits(policy, contract))
+            (policy, contract, self.helpers.ids(), runtime),
+            lambda: self._derive_limits(policy, contract, runtime))
 
     def _derive_limits(
-        self, policy: HookPolicy, contract: ContainerContract
-    ) -> tuple[GrantedPolicy, VerifierConfig, VMConfig]:
+        self, policy: HookPolicy, contract: ContainerContract,
+        runtime: "ContainerRuntime",
+    ) -> tuple[GrantedPolicy, VerifierConfig, VMConfig, RunFacts]:
         granted = grant(policy, contract)
-        return (
-            granted,
-            VerifierConfig(
-                max_instructions=granted.max_instructions,
-                allowed_helpers=(
-                    granted.allowed_helpers
-                    if granted.allowed_helpers is not None
-                    else self.helpers.ids()
-                ),
+        verifier_config = VerifierConfig(
+            max_instructions=granted.max_instructions,
+            allowed_helpers=(
+                granted.allowed_helpers
+                if granted.allowed_helpers is not None
+                else self.helpers.ids()
             ),
-            VMConfig(branch_limit=granted.branch_limit,
-                     stack_size=granted.stack_size),
+        )
+        vm_config = VMConfig(branch_limit=granted.branch_limit,
+                             stack_size=granted.stack_size)
+        return (
+            granted, verifier_config, vm_config,
+            RunFacts(
+                context_perms=(Permission.READ_WRITE
+                               if granted.context_writable
+                               else Permission.READ),
+                cost=runtime.cost_profile(self.board, self.implementation,
+                                          self.helpers),
+                setup_cycles=self.board.vm_setup_cycles,
+            ),
         )
 
     @staticmethod
@@ -467,14 +469,15 @@ class HostingEngine:
             value = result.value
             stats = result.stats
         except VMFault as exc:
-            # The fault is *contained*: record it, never re-raise.
+            # The fault is *contained*: record it, never re-raise; the
+            # run is charged the counts it carries out of the VM.
             fault = FaultRecord(
                 kind=type(exc).__name__,
                 message=str(exc),
                 at_cycles=clock.cycles,
                 pc=exc.pc,
             )
-            stats = ExecutionStats()
+            stats = exc.stats if exc.stats is not None else ExecutionStats()
         finally:
             self.current_container = previous_container
             self.current_pdu = previous_pdu

@@ -388,7 +388,9 @@ def apply(engine: "HostingEngine", deployment: DeploymentPlan) -> ApplyResult:
     next, or cancel via the install's returned handle.)
     """
     result = ApplyResult(plan=deployment)
-    armed = _ARMED_TIMERS.setdefault(engine, {})
+    # Looked up only by an action that arms or retires a cadence: a plan
+    # of replaces pays no weak reference and no dict for it.
+    armed = None
     undo: list[Callable[[], None]] = []
     deferred_cancels: list[Callable[[], None]] = []
     clock = engine.kernel.clock
@@ -442,6 +444,8 @@ def apply(engine: "HostingEngine", deployment: DeploymentPlan) -> ApplyResult:
                     # slot's container was fault-detached by the engine
                     # (not by a plan): one slot owns one cadence, so
                     # retire it before arming the new one.
+                    if armed is None:
+                        armed = _ARMED_TIMERS.setdefault(engine, {})
                     stale = armed.pop(key, None)
                     if stale is not None:
                         stale()
@@ -477,6 +481,8 @@ def apply(engine: "HostingEngine", deployment: DeploymentPlan) -> ApplyResult:
                 # this same plan may re-arm the same key) but cancel it
                 # only once the whole plan succeeded; rollback re-attaches
                 # the container, so it restores the registry entry.
+                if armed is None:
+                    armed = _ARMED_TIMERS.setdefault(engine, {})
                 cancel = armed.pop((action.hook, action.name), None)
                 if cancel is not None:
                     deferred_cancels.append(cancel)

@@ -212,8 +212,11 @@ class Link:
         receive = dst.receive
         if receive is None:
             return  # radio died (detached) while the frames were in flight
-        self.stats.datagrams_delivered += 1
+        size = len(data)
+        link_stats = self.stats
+        link_stats.datagrams_delivered += 1
+        link_stats.bytes_received += size
         stats = dst.stats
         stats.datagrams_delivered += 1
-        stats.bytes_received += len(data)
+        stats.bytes_received += size
         receive(data, src_addr)

@@ -20,17 +20,19 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from functools import partial
 from typing import TYPE_CHECKING, Protocol
 
 from repro.rtos.board import Board, CostProfile
+from repro.vm.imagecache import IMAGE_CACHE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.container import FemtoContainer
     from repro.core.engine import HostingEngine
-    from repro.core.policy import GrantedPolicy
     from repro.vm.helpers import HelperRegistry
     from repro.vm.interpreter import VMConfig
-    from repro.vm.memory import AccessList
+    from repro.vm.imagecache import InstancePrototype
+    from repro.vm.memory import MemoryRegion
     from repro.vm.verifier import VerifierConfig
 
 
@@ -90,28 +92,35 @@ class ContainerRuntime(Protocol):
         """
         ...
 
-    def build_vm(self, image: object, implementation: str,
-                 helpers: "HelperRegistry | None", vm_config: "VMConfig",
-                 access_list: "AccessList",
-                 verifier_config: "VerifierConfig") -> object:
-        """Verify ``image`` and construct its VM, charging nothing.
+    def prototype(self, image: object, implementation: str,
+                  verifier_config: "VerifierConfig",
+                  vm_config: "VMConfig") -> "InstancePrototype":
+        """Verify ``image`` and derive what all its instances share,
+        charging nothing; raising is a pre-flight rejection.  Runs once
+        per key of the process-wide prototype memo, so the result must be
+        immutable and depend on the arguments alone.  ``implementation``
+        picks the engine build of formats that have several (rBPF)."""
+        ...
 
-        ``implementation`` picks the engine build for formats that have
-        several (rBPF); the others have one and ignore it.
-        """
+    def instantiate(self, prototype: "InstancePrototype", image: object,
+                    implementation: str, helpers: "HelperRegistry | None",
+                    vm_config: "VMConfig",
+                    regions: "list[MemoryRegion]") -> object:
+        """A fresh VM cloned from ``prototype``: only per-instance state,
+        under one access list over its own and the grant ``regions``."""
         ...
 
     def attach(self, engine: "HostingEngine", container: "FemtoContainer",
-               granted: "GrantedPolicy", vm_config: "VMConfig",
-               access_list: "AccessList",
-               verifier_config: "VerifierConfig") -> object:
-        """Verify the container's image and build its VM (``build_vm``).
+               verifier_config: "VerifierConfig", vm_config: "VMConfig",
+               regions: "list[MemoryRegion]") -> object:
+        """Charge the modelled verify/startup cost to the engine's clock
+        and build the container's VM with :func:`build_vm`.
 
-        Charges the runtime's modelled verify/startup cost to the
-        engine's virtual clock and returns a VM exposing the engine's
-        duck interface: ``run(context=..., context_perms=...)``,
-        ``config``, ``access_list``, ``ram_bytes``.  Any exception is a
-        pre-flight rejection (the engine wraps it in ``AttachError``).
+        The VM exposes the engine's duck interface: ``run(context=...,
+        context_perms=...)`` (a fault carries the run's counts as
+        ``stats``), ``config``, ``access_list``, ``ram_bytes``.  Any
+        exception is a pre-flight rejection (the engine wraps it in
+        ``AttachError``).
         """
         ...
 
@@ -123,6 +132,22 @@ class ContainerRuntime(Protocol):
         container at attach, and prices every run with it.
         """
         ...
+
+
+def build_vm(runtime: ContainerRuntime, image: object, implementation: str,
+             helpers: "HelperRegistry | None", vm_config: "VMConfig",
+             verifier_config: "VerifierConfig",
+             regions: "list[MemoryRegion] | None" = None) -> object:
+    """``image``'s VM, as every attach builds it: one lookup of its
+    prototype in the image cache (``runtime.prototype`` derives it on a
+    miss), then ``runtime.instantiate``."""
+    prototype = IMAGE_CACHE.prototype(
+        image, implementation, verifier_config, vm_config,
+        partial(runtime.prototype, image, implementation, verifier_config,
+                vm_config))
+    return runtime.instantiate(prototype, image, implementation, helpers,
+                               vm_config,
+                               [] if regions is None else regions)
 
 
 def tagged_image_hash(runtime: str, text: bytes, rodata: bytes = b"",

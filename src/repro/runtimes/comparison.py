@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.rtos.board import Board
 from repro.rtos.firmware import HOST_OS_RAM, os_modules
-from repro.runtimes.base import ContainerRuntime
+from repro.runtimes.base import ContainerRuntime, build_vm
 from repro.runtimes.profiles import RIOTJS_PROFILE
 from repro.runtimes.rbpf import RbpfContainerRuntime
 from repro.runtimes.script.container import ScriptContainerRuntime
@@ -27,7 +27,7 @@ from repro.runtimes.sources import (
 from repro.runtimes.wasm.asm import assemble as wasm_assemble
 from repro.runtimes.wasm.container import WasmContainerRuntime
 from repro.vm.interpreter import VMConfig
-from repro.vm.memory import AccessList, Permission
+from repro.vm.memory import MemoryRegion, Permission
 from repro.vm.verifier import VerifierConfig
 from repro.workloads.fletcher32 import (
     FLETCHER32_INPUT,
@@ -90,15 +90,15 @@ def native_row(board: Board) -> RuntimeMetrics:
 
 def runtime_row(name: str, runtime: ContainerRuntime, payload: bytes,
                 context: bytes, board: Board,
-                access_list: AccessList | None = None) -> RuntimeMetrics:
+                grants: list[MemoryRegion] | None = None) -> RuntimeMetrics:
     """Run ``payload`` once under ``runtime`` and report its row.
 
-    ``context`` is what a hook hands the container; ``access_list``
-    grants whatever else the program reads (rBPF's input buffer).
+    ``context`` is what a hook hands the container; ``grants`` are the
+    regions of whatever else the program reads (rBPF's input buffer).
     """
     image = runtime.decode(payload, name="fletcher32")
-    vm = runtime.build_vm(image, TABLE_IMPLEMENTATION, None, VMConfig(),
-                          access_list or AccessList(), VerifierConfig())
+    vm = build_vm(runtime, image, TABLE_IMPLEMENTATION, None, VMConfig(),
+                  VerifierConfig(), grants)
     execution = vm.run(context=context)
     run_cycles = runtime.cost_profile(
         board, TABLE_IMPLEMENTATION).cycles(execution.stats)
@@ -115,9 +115,8 @@ def runtime_row(name: str, runtime: ContainerRuntime, payload: bytes,
 
 def fletcher32_rows(board: Board) -> list[RuntimeMetrics]:
     """The §6 line-up, in the paper's Table 2 order."""
-    rbpf_input = AccessList()
-    rbpf_input.grant_bytes("fletcher-input", INPUT_BASE, FLETCHER32_INPUT,
-                           Permission.READ)
+    rbpf_input = MemoryRegion.from_bytes("fletcher-input", INPUT_BASE,
+                                         FLETCHER32_INPUT, Permission.READ)
     return [
         native_row(board),
         runtime_row("WASM3", WasmContainerRuntime(),
@@ -125,7 +124,7 @@ def fletcher32_rows(board: Board) -> list[RuntimeMetrics]:
                     FLETCHER32_INPUT, board),
         runtime_row("rBPF", RbpfContainerRuntime(),
                     fletcher32_program().to_bytes(), make_context(), board,
-                    rbpf_input),
+                    [rbpf_input]),
         runtime_row("RIOTjs", ScriptContainerRuntime(RIOTJS_PROFILE),
                     SCRIPT_FLETCHER32_JS.encode(), FLETCHER32_INPUT, board),
         runtime_row("MicroPython", ScriptContainerRuntime(),

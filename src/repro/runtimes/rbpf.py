@@ -1,9 +1,9 @@
 """The rBPF container runtime — the paper's native format.
 
 This is the pre-registry hosting-engine attach/cost path moved behind the
-:class:`~repro.runtimes.base.ContainerRuntime` protocol, verbatim: the
-same verify charge before construction, the same JIT transpilation charge
-after it, the same per-implementation cycle model from
+:class:`~repro.runtimes.base.ContainerRuntime` protocol: the same verify
+charge before the VM is built, the same JIT transpilation charge after
+it, the same per-implementation cycle model from
 :meth:`~repro.rtos.board.Board.cost_profile`.  The engine
 differential suite pins modelled cycles for pure-rBPF workloads
 bit-identical to the seed.  Table 2's rBPF row is measured through it
@@ -14,20 +14,20 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.runtimes.base import RUNTIME_RBPF
+from repro.core.container import VM_CLASSES
+from repro.runtimes.base import RUNTIME_RBPF, build_vm
 from repro.runtimes.profiles import RBPF_RUNTIME_ROM
-from repro.vm.imagecache import IMAGE_CACHE
-from repro.vm.jit import CompiledProgram
+from repro.vm.interpreter import Interpreter
 from repro.vm.program import Program
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.container import FemtoContainer
     from repro.core.engine import HostingEngine
-    from repro.core.policy import GrantedPolicy
     from repro.rtos.board import Board, CostProfile
     from repro.vm.helpers import HelperRegistry
+    from repro.vm.imagecache import InstancePrototype
     from repro.vm.interpreter import VMConfig
-    from repro.vm.memory import AccessList
+    from repro.vm.memory import MemoryRegion
     from repro.vm.verifier import VerifierConfig
 
 
@@ -53,39 +53,32 @@ class RbpfContainerRuntime:
         # (Table 2's ~1 us).  Verify and JIT install are attach charges.
         return board.vm_setup_cycles
 
-    def build_vm(self, image: Program, implementation: str,
-                 helpers: "HelperRegistry | None", vm_config: "VMConfig",
-                 access_list: "AccessList",
-                 verifier_config: "VerifierConfig") -> object:
-        from repro.core.container import VM_CLASSES
+    def prototype(self, image: Program, implementation: str,
+                  verifier_config: "VerifierConfig",
+                  vm_config: "VMConfig") -> "InstancePrototype":
+        # Every engine build verifies; the JIT then transpiles.
+        return VM_CLASSES[implementation].derive_prototype(
+            image, verifier_config, vm_config)
 
-        vm_class = VM_CLASSES[implementation]
-        if vm_class is CompiledProgram:
-            # compile_program verifies internally, then transpiles.
-            return CompiledProgram(
-                image, helpers=helpers, config=vm_config,
-                access_list=access_list, verifier_config=verifier_config,
-            )
-        IMAGE_CACHE.verify(image, verifier_config)
-        return vm_class(image, helpers=helpers, config=vm_config,
-                        access_list=access_list)
+    def instantiate(self, prototype: "InstancePrototype", image: Program,
+                    implementation: str, helpers: "HelperRegistry | None",
+                    vm_config: "VMConfig",
+                    regions: "list[MemoryRegion]") -> Interpreter:
+        return VM_CLASSES[implementation].instantiate(
+            prototype, image, helpers, vm_config, regions)
 
     def attach(self, engine: "HostingEngine", container: "FemtoContainer",
-               granted: "GrantedPolicy", vm_config: "VMConfig",
-               access_list: "AccessList",
-               verifier_config: "VerifierConfig") -> object:
+               verifier_config: "VerifierConfig", vm_config: "VMConfig",
+               regions: "list[MemoryRegion]") -> Interpreter:
         board = engine.board
         clock = engine.kernel.clock
-        clock.charge(
-            len(container.program.slots) * board.verify_cycles_per_slot
-        )
-        vm = self.build_vm(container.program, engine.implementation,
-                           engine.helpers, vm_config, access_list,
-                           verifier_config)
-        if isinstance(vm, CompiledProgram):
-            clock.charge(
-                vm.install_instruction_count * board.jit_install_cycles_per_slot
-            )
+        image = container.program
+        clock.charge(len(image.slots) * board.verify_cycles_per_slot)
+        vm = build_vm(self, image, engine.implementation, engine.helpers,
+                      vm_config, verifier_config, regions)
+        install = vm.prototype.install_instruction_count
+        if install:
+            clock.charge(install * board.jit_install_cycles_per_slot)
         return vm
 
     def cost_profile(self, board: "Board", implementation: str,

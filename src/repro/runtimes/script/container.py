@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.rtos.board import CostProfile
-from repro.runtimes.base import RUNTIME_SCRIPT, tagged_image_hash
+from repro.runtimes.base import RUNTIME_SCRIPT, build_vm, tagged_image_hash
 from repro.runtimes.profiles import MICROPYTHON_PROFILE, ScriptProfile
 from repro.runtimes.script.interp import Interpreter, ScriptRuntimeError
 from repro.runtimes.script.lexer import tokenize
@@ -34,16 +34,17 @@ from repro.vm.errors import (
     IllegalInstructionFault,
     MemoryFault,
 )
+from repro.vm.imagecache import InstancePrototype
 from repro.vm.interpreter import ExecutionResult, ExecutionStats
+from repro.vm.memory import AccessList
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.container import FemtoContainer
     from repro.core.engine import HostingEngine
-    from repro.core.policy import GrantedPolicy
     from repro.rtos.board import Board
     from repro.vm.helpers import HelperRegistry
     from repro.vm.interpreter import VMConfig
-    from repro.vm.memory import AccessList
+    from repro.vm.memory import MemoryRegion
     from repro.vm.verifier import VerifierConfig
 
 _M64 = (1 << 64) - 1
@@ -95,15 +96,26 @@ def _fault_from_error(error: ScriptRuntimeError):
     return IllegalInstructionFault(message)
 
 
+def _execution_stats(stats) -> ExecutionStats:
+    """A run's node-visit counts in the engine's platform-independent
+    form."""
+    return ExecutionStats(
+        executed=stats.visits,
+        branches_taken=stats.class_counts.get("control", 0),
+        kind_counts=dict(stats.class_counts),
+    )
+
+
 class ScriptContainerVM:
     """Engine-facing VM wrapper: one fresh interpreter per execution."""
 
     def __init__(self, image: ScriptImage, config: "VMConfig",
-                 access_list: "AccessList",
+                 access_list: "AccessList", prototype: InstancePrototype,
                  profile: ScriptProfile = MICROPYTHON_PROFILE):
         self.image = image
         self.config = config
         self.access_list = access_list
+        self.prototype = prototype
         self.profile = profile
 
     @property
@@ -116,7 +128,7 @@ class ScriptContainerVM:
             context_perms=None) -> ExecutionResult:
         payload = bytes(context) if context else b""
         interpreter = Interpreter(
-            self.image.script,
+            self.prototype.code,
             builtins={"input": payload, "context": payload, "len": len},
         )
         # Per-instance loop ceiling: the script analogue of the granted
@@ -124,20 +136,17 @@ class ScriptContainerVM:
         interpreter.MAX_LOOP_ITERATIONS = self.config.branch_limit  # type: ignore[misc]
         try:
             result = interpreter.run()
-        except ScriptRuntimeError as error:
-            raise _fault_from_error(error) from error
-        except RecursionError as error:
+        except (ScriptRuntimeError, RecursionError) as error:
             # Unbounded script recursion rides the host stack; contain it
             # exactly like an exhausted branch budget.
-            raise BranchLimitFault("call stack exhausted") from error
-        stats = interpreter.stats
+            fault = (BranchLimitFault("call stack exhausted")
+                     if isinstance(error, RecursionError)
+                     else _fault_from_error(error))
+            fault.stats = _execution_stats(interpreter.stats)
+            raise fault from error
         return ExecutionResult(
             value=(result & _M64 if isinstance(result, int) else 0),
-            stats=ExecutionStats(
-                executed=stats.visits,
-                branches_taken=stats.class_counts.get("control", 0),
-                kind_counts=dict(stats.class_counts),
-            ),
+            stats=_execution_stats(interpreter.stats),
         )
 
 
@@ -168,21 +177,27 @@ class ScriptContainerRuntime:
         return (profile.parse_base_cycles
                 + profile.parse_cycles_per_token * image.tokens)
 
-    def build_vm(self, image: ScriptImage, implementation: str,
-                 helpers: "HelperRegistry | None", vm_config: "VMConfig",
-                 access_list: "AccessList",
-                 verifier_config: "VerifierConfig") -> ScriptContainerVM:
-        return ScriptContainerVM(image, vm_config, access_list, self.profile)
+    def prototype(self, image: ScriptImage, implementation: str,
+                  verifier_config: "VerifierConfig",
+                  vm_config: "VMConfig") -> InstancePrototype:
+        # Parsing at decode was the pre-flight: the tree is the code.
+        return InstancePrototype(code=image.script)
+
+    def instantiate(self, prototype: InstancePrototype, image: ScriptImage,
+                    implementation: str, helpers: "HelperRegistry | None",
+                    vm_config: "VMConfig",
+                    regions: "list[MemoryRegion]") -> ScriptContainerVM:
+        return ScriptContainerVM(image, vm_config, AccessList(regions),
+                                 prototype, self.profile)
 
     def attach(self, engine: "HostingEngine", container: "FemtoContainer",
-               granted: "GrantedPolicy", vm_config: "VMConfig",
-               access_list: "AccessList",
-               verifier_config: "VerifierConfig") -> ScriptContainerVM:
+               verifier_config: "VerifierConfig", vm_config: "VMConfig",
+               regions: "list[MemoryRegion]") -> ScriptContainerVM:
         image = container.program
         # The attach-time cost a device pays to (re)load a script.
         engine.kernel.clock.charge(self.startup_cycles(image, engine.board))
-        return self.build_vm(image, engine.implementation, engine.helpers,
-                             vm_config, access_list, verifier_config)
+        return build_vm(self, image, engine.implementation, engine.helpers,
+                        vm_config, verifier_config, regions)
 
     def cost_profile(self, board: "Board", implementation: str,
                      helpers: "HelperRegistry | None" = None) -> CostProfile:

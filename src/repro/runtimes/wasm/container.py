@@ -23,9 +23,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.rtos.board import CostProfile
-from repro.runtimes.base import RUNTIME_WASM, tagged_image_hash
+from repro.runtimes.base import RUNTIME_WASM, build_vm, tagged_image_hash
 from repro.runtimes.profiles import WASM3_PROFILE, WASM3_ROM, WasmProfile
-from repro.runtimes.wasm.interpreter import WasmInstance, WasmTrap
+from repro.runtimes.wasm.interpreter import WasmInstance, WasmTrap, prepare
 from repro.runtimes.wasm.module import Module, WasmError
 from repro.vm.errors import (
     BranchLimitFault,
@@ -34,16 +34,17 @@ from repro.vm.errors import (
     MemoryFault,
     VerificationError,
 )
+from repro.vm.imagecache import InstancePrototype
 from repro.vm.interpreter import ExecutionResult, ExecutionStats
+from repro.vm.memory import AccessList
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.container import FemtoContainer
     from repro.core.engine import HostingEngine
-    from repro.core.policy import GrantedPolicy
     from repro.rtos.board import Board
     from repro.vm.helpers import HelperRegistry
     from repro.vm.interpreter import VMConfig
-    from repro.vm.memory import AccessList
+    from repro.vm.memory import MemoryRegion
     from repro.vm.verifier import VerifierConfig
 
 _M32 = (1 << 32) - 1
@@ -105,6 +106,14 @@ class _MeteredStats:
         if cost_class == "control" and counts["control"] > self.branch_limit:
             raise WasmTrap("control-op budget exhausted")
 
+    def execution_stats(self) -> ExecutionStats:
+        """The counts so far, in the engine's platform-independent form."""
+        return ExecutionStats(
+            executed=self.executed,
+            branches_taken=self.class_counts.get("control", 0),
+            kind_counts=dict(self.class_counts),
+        )
+
 
 def _fault_from_trap(trap: WasmTrap):
     message = str(trap)
@@ -121,12 +130,14 @@ class WasmContainerVM:
     """Engine-facing VM wrapper around one :class:`WasmInstance`."""
 
     def __init__(self, image: WasmImage, config: "VMConfig",
-                 access_list: "AccessList"):
+                 access_list: "AccessList", prototype: InstancePrototype):
         self.image = image
         self.config = config
         self.access_list = access_list
-        # Instantiation validates the module (pre-flight refusal).
-        self.instance = WasmInstance(image.module)
+        self.prototype = prototype
+        # The module was validated once, when its prototype was derived;
+        # the instance owns only its linear memory and run state.
+        self.instance = WasmInstance(image.module, control=prototype.code)
 
     @property
     def ram_bytes(self) -> int:
@@ -150,15 +161,11 @@ class WasmContainerVM:
             memory[: len(payload)] = payload
             value = instance.run([len(payload)])
         except WasmTrap as trap:
-            raise _fault_from_trap(trap) from trap
-        return ExecutionResult(
-            value=value & _M32,
-            stats=ExecutionStats(
-                executed=stats.executed,
-                branches_taken=stats.class_counts.get("control", 0),
-                kind_counts=dict(stats.class_counts),
-            ),
-        )
+            fault = _fault_from_trap(trap)
+            fault.stats = stats.execution_stats()
+            raise fault from trap
+        return ExecutionResult(value=value & _M32,
+                               stats=stats.execution_stats())
 
 
 class WasmContainerRuntime:
@@ -188,16 +195,22 @@ class WasmContainerRuntime:
         return (profile.startup_base_cycles
                 + profile.startup_cycles_per_byte * image.code_size)
 
-    def build_vm(self, image: WasmImage, implementation: str,
-                 helpers: "HelperRegistry | None", vm_config: "VMConfig",
-                 access_list: "AccessList",
-                 verifier_config: "VerifierConfig") -> WasmContainerVM:
-        return WasmContainerVM(image, vm_config, access_list)
+    def prototype(self, image: WasmImage, implementation: str,
+                  verifier_config: "VerifierConfig",
+                  vm_config: "VMConfig") -> InstancePrototype:
+        # Validation is the wasm pre-flight: an invalid module raises.
+        return InstancePrototype(code=prepare(image.module))
+
+    def instantiate(self, prototype: InstancePrototype, image: WasmImage,
+                    implementation: str, helpers: "HelperRegistry | None",
+                    vm_config: "VMConfig",
+                    regions: "list[MemoryRegion]") -> WasmContainerVM:
+        return WasmContainerVM(image, vm_config, AccessList(regions),
+                               prototype)
 
     def attach(self, engine: "HostingEngine", container: "FemtoContainer",
-               granted: "GrantedPolicy", vm_config: "VMConfig",
-               access_list: "AccessList",
-               verifier_config: "VerifierConfig") -> WasmContainerVM:
+               verifier_config: "VerifierConfig", vm_config: "VMConfig",
+               regions: "list[MemoryRegion]") -> WasmContainerVM:
         image = container.program
         instructions = sum(len(fn.body) for fn in image.module.functions)
         if instructions > verifier_config.max_instructions:
@@ -207,8 +220,8 @@ class WasmContainerRuntime:
             )
         # Charged at attach like rBPF's verify (and JIT install) costs.
         engine.kernel.clock.charge(self.startup_cycles(image, engine.board))
-        return self.build_vm(image, engine.implementation, engine.helpers,
-                             vm_config, access_list, verifier_config)
+        return build_vm(self, image, engine.implementation, engine.helpers,
+                        vm_config, verifier_config, regions)
 
     def cost_profile(self, board: "Board", implementation: str,
                      helpers: "HelperRegistry | None" = None) -> CostProfile:

@@ -65,6 +65,14 @@ def _resolve_control(function: Function) -> _Control:
     return _Control(end_of=end_of, else_of=else_of)
 
 
+def prepare(module: Module) -> tuple[_Control, ...]:
+    """Validate ``module`` and resolve its control flow: the per-module
+    half of instantiation.  Raises :class:`WasmError` on an invalid
+    module."""
+    validate(module)
+    return tuple(_resolve_control(fn) for fn in module.functions)
+
+
 class WasmInstance:
     """One instantiated module with its linear memory."""
 
@@ -72,12 +80,15 @@ class WasmInstance:
     #: parsed-code image), modelled after WASM3's instance overhead.
     INTERPRETER_STATE_BYTES = 21_800
 
-    def __init__(self, module: Module, max_call_depth: int = 64):
-        validate(module)
+    def __init__(self, module: Module, max_call_depth: int = 64,
+                 control: tuple[_Control, ...] | None = None):
+        """``control`` is :func:`prepare`'s result for ``module``, which
+        instances of one module share; without it the module is
+        prepared (validated) here."""
         self.module = module
         self.memory = bytearray(module.memory_pages * PAGE_SIZE)
         self.max_call_depth = max_call_depth
-        self._control = [_resolve_control(fn) for fn in module.functions]
+        self._control = control if control is not None else prepare(module)
         self.stats = WasmStats()
 
     # -- memory (bounds-checked) -------------------------------------------

@@ -33,7 +33,15 @@ class VerificationError(VMError):
 
 
 class VMFault(VMError):
-    """Base class for runtime faults that abort a container execution."""
+    """Base class for runtime faults that abort a container execution.
+
+    ``stats`` is the :class:`~repro.vm.interpreter.ExecutionStats` of the
+    run the fault aborted, counted up to the fault; the engine that ran
+    it attaches them on the way out of ``run()``, so the hosting engine
+    charges a faulted run for the work it did.
+    """
+
+    stats = None
 
     def __init__(self, message: str, pc: int | None = None):
         super().__init__(message if pc is None else f"[pc={pc}] {message}")

@@ -1,22 +1,23 @@
-"""Process-wide program-image cache: share verify/JIT work across instances.
+"""Process-wide program-image cache: one instance prototype per image.
 
-The paper charges verification and §11 transpilation once per *attach*,
-and that stays true for the **virtual clock** — the hosting engine keeps
-charging the full per-slot verify cost (plus the per-slot JIT install
-cost) on every attach, exactly as the evaluation models it.  What this
-module changes is the **wall-clock** story of the simulator itself: under
-the north-star workload, many tenants attach many instances of the *same*
-application image, and rBPF / TinyContainer both treat that image as the
-immutable unit of deployment.  Immutability is what makes the expensive
-install-time artifacts shareable:
+The virtual clock pays verification and §11 transpilation on every
+attach, as the paper's evaluation models it.  The *host* shares the
+work: rBPF and TinyContainer treat the image as the immutable unit of
+deployment, and after the attach step an instance is only its
+registers, its stack and some housekeeping (624 B, §10.3).  So an attach
+looks up one :class:`InstancePrototype` per (image, runtime, engine
+implementation, :class:`~repro.vm.verifier.VerifierConfig`,
+:class:`~repro.vm.interpreter.VMConfig`) and clones the instance from
+it.  A prototype is derived on a miss from per-image artifacts, each a
+memo of its own because its key is narrower:
 
 * the **pre-decoded slot table** (:mod:`repro.vm.predecode`) depends only
   on the image bytes;
 * a **verification result** depends only on the image bytes and the
   :class:`~repro.vm.verifier.VerifierConfig` it ran under (different
   contracts can grant different helper sets, so the config is part of the
-  cache key — a container must never inherit a more permissive verdict
-  than its own contract allows);
+  key — a container must never inherit a more permissive verdict than its
+  own contract allows);
 * the JIT's compiled ``_fc_main`` **template** depends only on the image
   bytes and the ``total_limit`` budget baked into the generated code.
   The template itself is pure: all per-run state (registers, memory
@@ -24,11 +25,8 @@ install-time artifacts shareable:
   arguments, so one compiled function object can serve every container
   instance — and every hosting engine — on the board.
 
-Keys are content hashes (:attr:`~repro.vm.program.Program.image_hash`),
-so there is nothing to invalidate on hot replace: a new program version
-hashes to a new key, and stale images simply age out of the bounded
-memos (see :mod:`repro.memo` for the rule every share keeps).  ``clear``
-exists for tooling and benchmarks that need a cold cache on demand.
+Keys are content hashes, so a hot replace has nothing to invalidate:
+stale images age out of the bounded memos (:mod:`repro.memo`).
 """
 
 from __future__ import annotations
@@ -37,9 +35,11 @@ from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
 from repro.memo import Memo
+from repro.vm.memory import MemoryRegion
 from repro.vm.predecode import Decoded, predecode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.vm.interpreter import VMConfig
     from repro.vm.program import Program
     from repro.vm.verifier import VerificationReport, VerifierConfig
 
@@ -50,35 +50,72 @@ class CompiledTemplate:
 
     ``entry`` is the compiled ``_fc_main`` function; it closes over
     nothing per-instance and may be shared freely.  ``source`` is kept
-    for introspection (``CompiledProgram.jit_source``) and the install
-    cost model keys on ``install_instruction_count``.
+    for introspection (``CompiledProgram.jit_source``).
     """
 
     source: str
     entry: Callable
-    install_instruction_count: int
     #: Template line -> pc of the slow-path load or store on it, so a
     #: memory fault raised there names its instruction.
     slow_pcs: dict[int, int]
 
 
+@dataclass(frozen=True, slots=True)
+class InstancePrototype:
+    """What every instance of one image under one set of limits shares.
+
+    Never mutated: ``rodata`` is read-only over immutable bytes, and
+    ``data`` is copied into each instance's own region.
+    """
+
+    #: What the engine executes: the JIT template, the interpreter's
+    #: decoded slot table, or a runtime's validated code.
+    code: object
+    #: Slots the install step transpiles (0 when nothing is transpiled).
+    install_instruction_count: int = 0
+    #: The image's ``.rodata``: one read-only region every instance maps.
+    rodata: MemoryRegion | None = None
+    #: The image's initial ``.data`` bytes, copied into every instance.
+    data: bytes = b""
+    #: The zero template a run resets the instance's stack from.
+    stack_zeros: bytes = b""
+
+
 class ImageCache:
-    """The three per-image install artifacts, each a bounded memo keyed
-    by content hash; ``hits`` and ``misses`` count all three."""
+    """Instance prototypes and their per-image artifacts, each a bounded
+    memo keyed by content hash; ``hits`` and ``misses`` count all four."""
 
     def __init__(self, max_entries: int = 256) -> None:
+        self._prototypes = Memo(max_entries)
         self._decoded = Memo(max_entries)
         self._reports = Memo(max_entries)
         self._templates = Memo(max_entries)
 
     @property
     def hits(self) -> int:
-        return self._decoded.hits + self._reports.hits + self._templates.hits
+        return (self._prototypes.hits + self._decoded.hits
+                + self._reports.hits + self._templates.hits)
 
     @property
     def misses(self) -> int:
-        return (self._decoded.misses + self._reports.misses
-                + self._templates.misses)
+        return (self._prototypes.misses + self._decoded.misses
+                + self._reports.misses + self._templates.misses)
+
+    def prototype(
+        self,
+        image,
+        implementation: str,
+        verifier_config: "VerifierConfig | None",
+        vm_config: "VMConfig",
+        derive: Callable[[], InstancePrototype],
+    ) -> InstancePrototype:
+        """``image``'s shared prototype; ``derive`` (which verifies and
+        may raise) runs only on a miss.  A rejected image stores nothing,
+        and a narrower contract is a new key: no attach inherits a more
+        permissive verdict."""
+        return self._prototypes.get_or_derive(
+            (image.image_hash, image.runtime, implementation,
+             verifier_config, vm_config), derive)
 
     def decoded(self, program: "Program") -> list[Decoded]:
         """Pre-decoded slot table, computed once per image *content*."""
@@ -123,6 +160,7 @@ class ImageCache:
             lambda: build(program, total_limit))
 
     def clear(self) -> None:
+        self._prototypes.clear()
         self._decoded.clear()
         self._reports.clear()
         self._templates.clear()
@@ -131,6 +169,7 @@ class ImageCache:
         return {
             "hits": self.hits,
             "misses": self.misses,
+            "prototype_entries": len(self._prototypes),
             "decoded_entries": len(self._decoded),
             "report_entries": len(self._reports),
             "template_entries": len(self._templates),

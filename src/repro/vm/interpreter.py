@@ -23,13 +23,13 @@ into virtual clock ticks; the interpreter itself is time-agnostic, and the
 accounting is **engine-independent** — the template JIT and the CertFC
 build produce bit-identical :class:`ExecutionStats` for the same program.
 
-Per-run state is reused across executions: the register file and the
-stack's zero template live on the instance, so a run resets registers
-(from one shared entry template) and stack with one slice assignment
-each, and a hosting engine firing hooks at a high rate reallocates no
-VM state per event.  The :class:`ExecutionStats` object returned by
-:meth:`Interpreter.run` is always fresh (engines keep them in run
-histories), but its ``kind_counts`` dict is cloned from a prebuilt zero
+Per-run state is reused across executions: the register file lives on
+the instance and the stack's zero template on its shared prototype, so
+a run resets registers (from one shared entry template) and stack with
+one slice assignment each, and a hosting engine firing hooks at a high
+rate reallocates no VM state per event.  The :class:`ExecutionStats`
+object returned by :meth:`Interpreter.run` is always fresh (engines
+keep them in run histories), but its ``kind_counts`` dict is cloned from a prebuilt zero
 table instead of rebuilt key by key.  The dispatch loop is a single
 frame per run: ALU64 ``mov`` and ``add``, the bulk of real programs,
 are executed inline, and a ``call`` is dispatched straight from the
@@ -49,6 +49,7 @@ from repro.vm.errors import (
     VMFault,
 )
 from repro.vm.helpers import HelperRegistry
+from repro.vm.imagecache import IMAGE_CACHE, InstancePrototype
 from repro.vm.memory import (
     CONTEXT_BASE,
     DATA_BASE,
@@ -59,6 +60,7 @@ from repro.vm.memory import (
     Permission,
 )
 from repro.vm.program import Program
+from repro.vm.verifier import VerifierConfig
 
 _M64 = (1 << 64) - 1
 _M32 = (1 << 32) - 1
@@ -137,36 +139,70 @@ class Interpreter:
         program: Program,
         helpers: HelperRegistry | None = None,
         config: VMConfig | None = None,
-        access_list: AccessList | None = None,
     ) -> None:
+        """A standalone instance, cloned like an attach's from the image's
+        shared prototype (derived with no verifier limits)."""
+        config = config if config is not None else VMConfig()
+        prototype = IMAGE_CACHE.prototype(
+            program, self.implementation, None, config,
+            lambda: self.derive_prototype(program, None, config))
+        self._init(prototype, program, helpers, config, [])
+
+    @classmethod
+    def derive_prototype(cls, program: Program,
+                         verifier_config: VerifierConfig | None,
+                         config: VMConfig) -> InstancePrototype:
+        """Verify ``program`` (given a ``verifier_config``) and derive
+        what its instances share.  Raises on rejection."""
+        if verifier_config is not None:
+            IMAGE_CACHE.verify(program, verifier_config)  # raises on rejection
+        # .rodata is read-only and immutable, so every instance maps one
+        # region over the image's bytes (as a board executes it in place
+        # from flash); a store into it faults on the permission check.
+        return InstancePrototype(
+            code=program.decoded,
+            rodata=(MemoryRegion(".rodata", RODATA_BASE,
+                                 bytes(program.rodata), Permission.READ)
+                    if program.rodata else None),
+            data=bytes(program.data),
+            stack_zeros=bytes(config.stack_size))
+
+    @classmethod
+    def instantiate(cls, prototype: InstancePrototype, program: Program,
+                    helpers: HelperRegistry | None, config: VMConfig,
+                    regions: list[MemoryRegion]) -> "Interpreter":
+        """A fresh instance cloned from ``prototype``: its own stack,
+        registers and ``.data``, one access list built over those and
+        the grant ``regions`` (the list is taken over)."""
+        vm = cls.__new__(cls)
+        vm._init(prototype, program, helpers, config, regions)
+        return vm
+
+    def _init(self, prototype: InstancePrototype, program: Program,
+              helpers: HelperRegistry | None, config: VMConfig,
+              regions: list[MemoryRegion]) -> None:
+        self.prototype = prototype
         self.program = program
-        self.helpers = helpers or HelperRegistry()
-        self.config = config or VMConfig()
-        self.access_list = access_list or AccessList()
-        self.stack = MemoryRegion.zeroed(
-            "stack", STACK_BASE, self.config.stack_size, Permission.READ_WRITE
-        )
-        self.access_list.add(self.stack)
-        if program.rodata:
-            # Read-only and immutable, so every instance of one image maps
-            # the image's own bytes (as a board executes .rodata in place
-            # from flash): no per-instance copy.  A store into it faults
-            # on the permission check, before any buffer is touched.
-            self.access_list.add(MemoryRegion(
-                ".rodata", RODATA_BASE, bytes(program.rodata),
-                Permission.READ,
-            ))
+        self.helpers = helpers if helpers is not None else HelperRegistry()
+        self.config = config
+        self.stack = MemoryRegion("stack", STACK_BASE,
+                                  bytearray(config.stack_size),
+                                  Permission.READ_WRITE)
+        regions.append(self.stack)
+        if prototype.rodata is not None:
+            regions.append(prototype.rodata)
         self.data_region: MemoryRegion | None = None
-        if program.data:
-            self.data_region = self.access_list.grant_bytes(
-                ".data", DATA_BASE, program.data, Permission.READ_WRITE
-            )
+        if prototype.data:
+            self.data_region = MemoryRegion(".data", DATA_BASE,
+                                            bytearray(prototype.data),
+                                            Permission.READ_WRITE)
+            regions.append(self.data_region)
+        self.access_list = AccessList(regions)
         self._context_region: MemoryRegion | None = None
         #: Opaque service object (the hosting engine) helpers may use.
         self.services = None
         # Reusable per-run state (see the module docstring).
         self._regs: list[int] = [0] * isa.REG_COUNT
-        self._stack_zeros = bytes(self.config.stack_size)
 
     # -- engine-facing surface ---------------------------------------------
 
@@ -225,14 +261,15 @@ class Interpreter:
 
         ``context`` (when given) is copied into the context region and its
         address passed in r1, mirroring the launchpad calling convention of
-        Listing 1.  Faults propagate as :class:`VMFault` subclasses; the
+        Listing 1.  Faults propagate as :class:`VMFault` subclasses that
+        carry the counts the run made up to the fault (``stats``); the
         hosting engine is responsible for catching them.
         """
         if context is not None:
             self.bind_context(context, context_perms)
         # Fresh stack for each run: the engine hands out a zeroed stack.
         # One slice assignment from the prebuilt template, not a byte loop.
-        self.stack.data[:] = self._stack_zeros
+        self.stack.data[:] = self.prototype.stack_zeros
 
         regs = self._regs
         regs[:] = _REGS_AT_ENTRY
@@ -240,7 +277,11 @@ class Interpreter:
             regs[isa.REG_CTX] = CONTEXT_BASE
 
         stats = ExecutionStats(kind_counts=_ZERO_KINDS.copy())
-        value = self._dispatch_loop(regs, stats)
+        try:
+            value = self._dispatch_loop(regs, stats)
+        except VMFault as fault:
+            fault.stats = stats  # the engine charges the aborted run's work
+            raise
         return ExecutionResult(value=value, stats=stats)
 
     # Hook for the CertFC defensive variant.
@@ -248,7 +289,7 @@ class Interpreter:
         """Per-instruction defensive check; no-op in the optimized build."""
 
     def _dispatch_loop(self, regs: list[int], stats: ExecutionStats) -> int:
-        decoded = self.program.decoded
+        decoded = self.prototype.code
         n_slots = len(decoded)
         load = self.access_list.load
         store = self.access_list.store

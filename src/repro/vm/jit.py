@@ -100,9 +100,15 @@ transpile/compile work once per image, not once per instance.
 from __future__ import annotations
 
 import struct as _struct
+from dataclasses import replace
+from typing import Callable
 
 from repro.vm import isa
-from repro.vm.imagecache import IMAGE_CACHE, CompiledTemplate
+from repro.vm.imagecache import (
+    IMAGE_CACHE,
+    CompiledTemplate,
+    InstancePrototype,
+)
 from repro.vm.induction import AffineLoop, BaseRange, affine_loop
 from repro.vm.predecode import basic_blocks, find_leaders
 from repro.vm.errors import (
@@ -992,7 +998,6 @@ def _build_template(
     return CompiledTemplate(
         source=source,
         entry=namespace["_fc_main"],
-        install_instruction_count=len(program.slots),
         slow_pcs=codegen.pcs,
     )
 
@@ -1007,35 +1012,41 @@ class CompiledProgram(Interpreter):
 
     implementation = "jit"
 
-    def __init__(
-        self,
-        program: Program,
-        helpers: HelperRegistry | None = None,
-        config: VMConfig | None = None,
-        access_list: AccessList | None = None,
-        verifier_config: VerifierConfig | None = None,
-    ) -> None:
-        super().__init__(program, helpers, config, access_list)
-        # The paper mandates verification before any native translation;
-        # the generated code *depends* on the verifier's guarantees.
-        # Both the verdict and the compiled template are shared through
-        # the process-wide image cache: the template is pure (all per-run
-        # state arrives as arguments), so N instances of one image — on
-        # one engine or several — reuse a single compiled function while
-        # keeping registers, stack, access list and stats fully private.
-        self.report = IMAGE_CACHE.verify(program, verifier_config)
-        self.template = IMAGE_CACHE.template(
-            program, self.config.total_limit, _build_template
-        )
-        self.jit_source = self.template.source
-        self._entry = self.template.entry
+    @classmethod
+    def derive_prototype(cls, program: Program,
+                         verifier_config: VerifierConfig | None,
+                         config: VMConfig) -> InstancePrototype:
+        """Verify, then transpile (the install-time flow): the generated
+        code *depends* on the verifier's guarantees, so the JIT verifies
+        under the default limits when given none.  The template is pure
+        (all per-run state arrives as arguments), so every instance of
+        one image, on every engine, runs one compiled function."""
+        verified = super().derive_prototype(
+            program, verifier_config or VerifierConfig(), config)
+        template = IMAGE_CACHE.template(program, config.total_limit,
+                                        _build_template)
+        return replace(verified, code=template,
+                       install_instruction_count=len(program.slots))
 
     # -- compilation -------------------------------------------------------
 
     @property
+    def template(self) -> CompiledTemplate:
+        """The image's shared compiled template."""
+        return self.prototype.code
+
+    @property
+    def jit_source(self) -> str:
+        return self.prototype.code.source
+
+    @property
+    def _entry(self) -> Callable:
+        return self.prototype.code.entry
+
+    @property
     def install_instruction_count(self) -> int:
         """Slots processed by the one-pass transpiler (install-time cost)."""
-        return len(self.program.slots)
+        return self.prototype.install_instruction_count
 
     # -- execution -----------------------------------------------------------
 
@@ -1054,15 +1065,16 @@ class CompiledProgram(Interpreter):
                 ) from exc
 
         kind_counts = stats.kind_counts
+        template = self.prototype.code
         try:
-            return self._entry(
+            return template.entry(
                 regs, self.access_list, stats, kind_counts,
                 stats.helper_calls, _call, self.config.branch_limit,
             )
         except MemoryFault as exc:
             # A slow-path access faults on its own line of the template.
             line = exc.__traceback__.tb_next.tb_lineno
-            raise exc.at_pc(self.template.slow_pcs.get(line))
+            raise exc.at_pc(template.slow_pcs.get(line))
         finally:
             stats.executed = sum(kind_counts.values())
 
@@ -1071,7 +1083,6 @@ def compile_program(
     program: Program,
     helpers: HelperRegistry | None = None,
     config: VMConfig | None = None,
-    access_list: AccessList | None = None,
 ) -> CompiledProgram:
     """Verify then template-compile ``program``; the install-time flow."""
-    return CompiledProgram(program, helpers, config, access_list)
+    return CompiledProgram(program, helpers, config)

@@ -40,6 +40,7 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import IntFlag
+from operator import attrgetter
 
 from repro.vm.errors import MemoryFault
 
@@ -155,6 +156,9 @@ class MemoryRegion:
         self.data[off : off + len(payload)] = payload
 
 
+_start_of = attrgetter("start")
+
+
 @dataclass
 class AccessList:
     """The allow list of Fig. 4: the only memory a container may touch.
@@ -162,13 +166,22 @@ class AccessList:
     ``regions`` is kept sorted by base address (regions are disjoint, so
     the order is total); mutate it only through :meth:`add` and
     :meth:`remove` so the bisect index and the MRU cache stay coherent.
+    Construction sorts and overlap-checks the given regions once, which
+    is how an attach builds an instance's list.
     """
 
     regions: list[MemoryRegion] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.regions.sort(key=lambda region: region.start)
-        self._starts = [region.start for region in self.regions]
+        regions = self.regions
+        regions.sort(key=_start_of)
+        self._starts = [region.start for region in regions]
+        for index in range(1, len(regions)):
+            if regions[index - 1]._end > regions[index].start:
+                raise ValueError(
+                    f"region {regions[index].name!r} overlaps "
+                    f"{regions[index - 1].name!r}"
+                )
         #: The region resolved last (the JIT's window refill reads it),
         #: and the one resolved before that.
         self._mru: MemoryRegion | None = None
@@ -178,7 +191,7 @@ class AccessList:
 
     def _resync(self) -> None:
         """Re-derive the index after a detected out-of-band mutation."""
-        self.regions.sort(key=lambda region: region.start)
+        self.regions.sort(key=_start_of)
         self._starts = [region.start for region in self.regions]
         self._mru = self._mru2 = None
 

@@ -88,25 +88,14 @@ class Program:
 
     @property
     def decoded(self) -> list[Decoded]:
-        """Pre-decoded slot table, computed once per image *content*.
-
-        The per-object cache is invalidated when the ``slots`` list is
-        replaced or resized; in-place mutation of individual slots after
-        the first execution is not supported (images are immutable once
-        installed, mirroring the on-device flash layout).  On a per-object
-        miss the shared :data:`~repro.vm.imagecache.IMAGE_CACHE` is
-        consulted, so N instances deserialized from the same image bytes
-        pre-decode exactly once.
-        """
-        slots = self.slots
-        cache = getattr(self, "_decoded_cache", None)
-        if cache is not None and cache[0] is slots and cache[1] == len(slots):
-            return cache[2]
+        """Pre-decoded slot table, computed once per image *content*
+        through the shared :data:`~repro.vm.imagecache.IMAGE_CACHE`, so N
+        instances deserialized from the same image bytes pre-decode
+        once.  Images are immutable once installed (as in flash): a VM
+        keeps the table its prototype was derived with."""
         from repro.vm.imagecache import IMAGE_CACHE
 
-        decoded = IMAGE_CACHE.decoded(self)
-        self._decoded_cache = (slots, len(slots), decoded)
-        return decoded
+        return IMAGE_CACHE.decoded(self)
 
     @property
     def code_size(self) -> int:

@@ -194,3 +194,36 @@ class TestLosslessGroupDice:
         assert heard == sorted(expected)
         assert 0 < link.stats.frames_dropped < 4 * (self.MEMBERS - 2)
         assert link._rng.getstate() == reference.getstate()
+
+
+class TestLinkWideCounters:
+    def test_received_bytes_sum_over_interfaces(self):
+        """The link-wide ``bytes_received`` is the sum of every radio's,
+        after a lossy unicast publish and a multicast one."""
+        from repro.core import FC_HOOK_FANOUT
+        from repro.core.hooks import HookMode
+        from repro.deploy import (AttachmentSpec, DeploymentSpec, HookSpec,
+                                  ImageSpec, PublishOptions)
+        from repro.scenarios import build_fleet_publisher
+        from repro.vm import assemble
+
+        publisher = build_fleet_publisher(devices=4, loss=0.1, seed=5)
+        base = ImageSpec.from_program(assemble("mov r0, 7\n    exit"))
+        for index, options in enumerate((PublishOptions.legacy(),
+                                         PublishOptions.scale())):
+            spec = DeploymentSpec(
+                name="release", tenants=("ops",),
+                hooks=(HookSpec(FC_HOOK_FANOUT, HookMode.SYNC),),
+                images={"app": ImageSpec(name="app", text=base.text,
+                                         rodata=bytes([index]) * 300)},
+                attachments=(AttachmentSpec(image="app", hook=FC_HOOK_FANOUT,
+                                            tenant="ops", name="fc"),),
+            )
+            assert publisher.publish(spec, options).ok
+        link = publisher.link
+        radios = [device.radio.iface for device in publisher.fleet.devices]
+        radios.append(publisher._maint_iface)
+        assert link.stats.frames_dropped > 0  # the unicast leg was lossy
+        assert link.stats.bytes_received > 0
+        assert link.stats.bytes_received == sum(
+            radio.stats.bytes_received for radio in radios)

@@ -123,7 +123,7 @@ def test_memo_is_the_only_cache_implementation():
     :func:`memos_disabled` can switch off.
 
     Per-object derived attributes that their owner invalidates are not
-    memos and are allowed: ``Program._hash_cache``/``_decoded_cache``,
+    memos and are allowed: ``Program._hash_cache``,
     ``ImageSpec``'s ``cached_property``s, ``HelperRegistry._ids``.  Each
     lives and dies with one object, is a pure function of it, and is
     dropped when that object changes, so there is nothing to share

@@ -66,6 +66,14 @@ class TestAccessList:
     def test_adjacent_grant_allowed(self, access):
         access.grant_bytes("next", 0x1040, bytes(4), Permission.READ)
 
+    def test_construction_sorts_and_rejects_overlap(self):
+        low = MemoryRegion.zeroed("low", 0x1000, 16, Permission.READ)
+        high = MemoryRegion.zeroed("high", 0x1010, 16, Permission.READ)
+        assert AccessList([high, low]).regions == [low, high]
+        clash = MemoryRegion.zeroed("clash", 0x100f, 4, Permission.READ)
+        with pytest.raises(ValueError, match="overlaps"):
+            AccessList([high, clash, low])
+
     def test_bulk_read_write(self, access):
         access.write_bytes(0x1000, b"hello")
         assert access.read_bytes(0x1000, 5) == b"hello"
