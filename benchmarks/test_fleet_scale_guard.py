@@ -15,13 +15,21 @@ fleet both ways and holds two bars:
 * **Airtime bar** — maintainer trigger radio bytes *per device* under
   multicast must be <= 0.5x the unicast baseline (measured: one
   broadcast frame amortized over N vs one signed envelope POST each).
-  Radio bytes are deterministic, so one round decides it.
+  Radio bytes are deterministic, so one round decides it;
+* **Memory bar** — the heap one device costs the host, traced by
+  ``tracemalloc`` after building the 1,000-device rig and one cold
+  scale publish, must stay <= ``HEAP_PER_DEVICE_BAR_KB``.  Board model,
+  helper table and hook identities are process-wide firmware, so a
+  device owns only its state: ~20 KB on CPython 3.11 and 3.12, against
+  ~33 KB when every device built its own firmware.
 """
 
 from __future__ import annotations
 
+import gc
 import statistics
 import time
+import tracemalloc
 
 from repro.core import FC_HOOK_FANOUT
 from repro.core.hooks import HookMode
@@ -45,6 +53,8 @@ RODATA_BYTES = 4096
 SCALE_SPEEDUP_BAR = 3.0
 #: Multicast trigger airtime per device vs one unicast POST each.
 TRIGGER_BYTES_RATIO_BAR = 0.5
+#: Traced host heap per device after the rig and one cold publish (KB).
+HEAP_PER_DEVICE_BAR_KB = 23.0
 
 _ROUNDS = 3
 
@@ -120,4 +130,32 @@ def test_fleet_scale_guard():
         f"multicast trigger spent {scale_trigger:.1f} B/device vs "
         f"{unicast_trigger:.1f} unicast (ratio {ratio:.2f}, "
         f"bar {TRIGGER_BYTES_RATIO_BAR})"
+    )
+
+
+def test_heap_per_device():
+    """Holds the memory bar: traced heap per device after
+    ``build_fleet_publisher(devices=1000)`` plus one cold publish."""
+    IMAGE_CACHE.clear()
+    spec = _spec()
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        publisher = build_fleet_publisher(devices=DEVICES)
+        result = publisher.publish(spec, PublishOptions.scale())
+        gc.collect()
+        traced = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+        IMAGE_CACHE.clear()
+    assert result.ok, result.reason
+    per_device_kb = traced / DEVICES / 1024
+    assert per_device_kb <= HEAP_PER_DEVICE_BAR_KB, (
+        f"{per_device_kb:.1f} KB of traced heap per device after build "
+        f"and a cold publish at N={DEVICES} "
+        f"(bar {HEAP_PER_DEVICE_BAR_KB} KB)"
     )

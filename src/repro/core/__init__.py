@@ -36,8 +36,8 @@ from repro.core.policy import (
 from repro.core.syscalls import (
     COAP_CODE_CHANGED,
     COAP_CODE_CONTENT,
+    DEFAULT_HELPERS,
     CoapResponseContext,
-    build_helper_registry,
     format_s16_dfp,
 )
 from repro.core.tenant import Tenant
@@ -47,6 +47,7 @@ __all__ = [
     "COAP_CODE_CHANGED",
     "COAP_CODE_CONTENT",
     "CoapResponseContext",
+    "DEFAULT_HELPERS",
     "ContainerContract",
     "ContainerRun",
     "ContainerState",
@@ -71,7 +72,6 @@ __all__ = [
     "SlotSnapshot",
     "Tenant",
     "UnknownHookError",
-    "build_helper_registry",
     "format_s16_dfp",
     "grant",
     "hook_uuid",

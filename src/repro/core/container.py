@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.kvstore import KeyValueStore
-from repro.core.policy import ContainerContract, GrantedPolicy
+from repro.core.policy import DEFAULT_CONTRACT, ContainerContract, GrantedPolicy
 from repro.vm.certfc import CertFCInterpreter
 from repro.vm.interpreter import ExecutionStats, Interpreter, RbpfInterpreter
 from repro.vm.jit import CompiledProgram
@@ -122,7 +122,7 @@ class FemtoContainer:
     name: str
     program: Program
     tenant: "Tenant | None" = None
-    contract: ContainerContract = field(default_factory=ContainerContract)
+    contract: ContainerContract = DEFAULT_CONTRACT
     state: ContainerState = ContainerState.LOADED
     #: Filled at attach time by the hosting engine.
     vm: Interpreter | None = None

@@ -37,12 +37,13 @@ from repro.core.hooks import (
 )
 from repro.core.kvstore import KeyValueStore
 from repro.core.policy import (
+    DEFAULT_CONTRACT,
     ContainerContract,
     GrantedPolicy,
     HookPolicy,
     grant,
 )
-from repro.core.syscalls import CoapResponseContext, build_helper_registry
+from repro.core.syscalls import DEFAULT_HELPERS, CoapResponseContext
 from repro.core.tenant import Tenant
 from repro.memo import Memo
 from repro.rtos.kernel import Kernel
@@ -60,6 +61,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rtos.board import Board
     from repro.runtimes.base import ContainerRuntime
     from repro.vm.supervisor import SlotHealth
+
+
+#: The scheduler launchpad's ceiling: it may read, never rewrite, the
+#: pids it is handed.  One frozen value for every device's firmware.
+_SCHED_POLICY = HookPolicy(context_writable=False)
 
 
 class SlotSnapshot(NamedTuple):
@@ -126,7 +132,9 @@ class HostingEngine:
         self.board: "Board" = kernel.board
         self.implementation = implementation
         self.saul = saul if saul is not None else SaulRegistry()
-        self.helpers = build_helper_registry(self)
+        #: The firmware's helper table, shared with every other engine
+        #: until this one registers a helper of its own.
+        self.helpers = DEFAULT_HELPERS.share()
         self.global_store = KeyValueStore(name="global", scope="global")
         self.tenants: dict[str, Tenant] = {}
         self.hooks: dict[str, Hook] = {}
@@ -160,7 +168,7 @@ class HostingEngine:
     def _register_default_hooks(self) -> None:
         """The launchpads this firmware build ships with (§7)."""
         self.register_hook(Hook(FC_HOOK_SCHED, mode=HookMode.SYNC,
-                                policy=HookPolicy(context_writable=False)))
+                                policy=_SCHED_POLICY))
         self.register_hook(Hook(FC_HOOK_TIMER, mode=HookMode.THREAD))
         self.register_hook(Hook(FC_HOOK_COAP, mode=HookMode.THREAD))
         self.register_hook(Hook(FC_HOOK_SENSOR_READ, mode=HookMode.THREAD))
@@ -171,7 +179,7 @@ class HostingEngine:
         if hook.name in self.hooks:
             raise EngineError(f"hook {hook.name!r} already registered")
         self.hooks[hook.name] = hook
-        self.hooks_by_uuid[str(hook.uuid)] = hook
+        self.hooks_by_uuid[hook.uuid_key] = hook
         if hook.name == FC_HOOK_SCHED:
             self.kernel.scheduler.sched_hook = self._sched_launchpad
         return hook
@@ -215,7 +223,7 @@ class HostingEngine:
             name=name or program.name,
             program=program,
             tenant=tenant,
-            contract=contract or ContainerContract(),
+            contract=contract or DEFAULT_CONTRACT,
         )
 
     def attach(self, container: FemtoContainer, hook_name: str,
@@ -261,6 +269,7 @@ class HostingEngine:
         except Exception as exc:
             raise self._rejected(container, exc) from exc
 
+        vm.services = self  # how the shared helpers reach this engine
         container.vm = vm
         container.facts = facts
         container.runtime = runtime

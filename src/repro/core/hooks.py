@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.policy import HookPolicy
+from repro.memo import Memo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.container import FemtoContainer
@@ -49,9 +50,28 @@ class HookMode(enum.Enum):
     THREAD = "thread"
 
 
+#: The OS-side ceiling of a hook that sets none: one frozen value every
+#: such hook on every device shares.
+DEFAULT_HOOK_POLICY = HookPolicy()
+
+#: Hook name -> ``(UUID, its string form)``: a launchpad's identity is
+#: part of the firmware, derived once per name for every device.
+_IDENTITIES = Memo(256)
+
+
 def hook_uuid(name: str) -> uuid_module.UUID:
     """Deterministic UUID for a hook name (SUIT storage location id)."""
-    return uuid_module.uuid5(_HOOK_NAMESPACE, name)
+    return _identity(name)[0]
+
+
+def _identity(name: str) -> tuple[uuid_module.UUID, str]:
+    """A hook name's UUID and the string key engines index it by."""
+
+    def derive() -> tuple[uuid_module.UUID, str]:
+        uuid = uuid_module.uuid5(_HOOK_NAMESPACE, name)
+        return uuid, str(uuid)
+
+    return _IDENTITIES.get_or_derive(name, derive)
 
 
 @dataclass
@@ -60,7 +80,7 @@ class Hook:
 
     name: str
     mode: HookMode = HookMode.SYNC
-    policy: HookPolicy = field(default_factory=HookPolicy)
+    policy: HookPolicy = DEFAULT_HOOK_POLICY
     uuid: uuid_module.UUID = None  # type: ignore[assignment]
     #: Containers attached, in attach order (multiple tenants may share a
     #: hook; §10.3 "Multiple containers can be attached to the same
@@ -77,10 +97,14 @@ class Hook:
     #: made available" — this map removes that limitation without
     #: duplicating hooks.
     tenant_policies: dict[str, HookPolicy] = field(default_factory=dict)
+    #: ``str(uuid)``, the key SUIT manifests name this hook by.
+    uuid_key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.uuid is None:
-            self.uuid = hook_uuid(self.name)
+            self.uuid, self.uuid_key = _identity(self.name)
+        else:
+            self.uuid_key = str(self.uuid)
 
     def policy_for(self, tenant_name: str | None) -> HookPolicy:
         """Resolve the OS-side ceiling for a given tenant."""

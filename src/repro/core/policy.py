@@ -79,6 +79,12 @@ class ContainerContract:
         object.__setattr__(self, "memory_regions", tuple(self.memory_regions))
 
 
+#: The contract of a container that asks for nothing beyond the defaults:
+#: one frozen value shared by every such container and attachment, so the
+#: engine's grant memo finds it by identity.
+DEFAULT_CONTRACT = ContainerContract()
+
+
 @dataclass(frozen=True)
 class GrantedPolicy:
     """The intersection actually enforced on the VM."""
@@ -94,7 +100,7 @@ class GrantedPolicy:
 def grant(hook_policy: HookPolicy,
           contract: ContainerContract | None = None) -> GrantedPolicy:
     """Intersect OS ceiling and container request (§11's rule)."""
-    contract = contract or ContainerContract()
+    contract = contract or DEFAULT_CONTRACT
 
     if hook_policy.allowed_helpers is None:
         helpers = contract.helpers

@@ -128,7 +128,7 @@ class Fleet:
         supervisor: SupervisorConfig | None = None,
     ) -> None:
         if isinstance(boards, int):
-            boards = [nrf52840() for _ in range(boards)]
+            boards = [nrf52840()] * boards
         if not boards:
             raise ValueError("a fleet needs at least one device")
         self.implementation = implementation

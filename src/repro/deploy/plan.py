@@ -408,7 +408,7 @@ def apply(engine: "HostingEngine", deployment: DeploymentPlan) -> ApplyResult:
 
                 def _unregister(h: Hook = hook) -> None:
                     engine.hooks.pop(h.name, None)
-                    engine.hooks_by_uuid.pop(str(h.uuid), None)
+                    engine.hooks_by_uuid.pop(h.uuid_key, None)
 
                 undo.append(_unregister)
             elif isinstance(action, SetTenantPolicy):

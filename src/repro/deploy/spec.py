@@ -36,7 +36,12 @@ from repro.core.hooks import (
     FC_HOOK_TIMER,
     HookMode,
 )
-from repro.core.policy import ContainerContract, HookPolicy, MemoryGrant
+from repro.core.policy import (
+    DEFAULT_CONTRACT,
+    ContainerContract,
+    HookPolicy,
+    MemoryGrant,
+)
 from repro.vm.memory import Permission
 from repro.vm.program import Program
 
@@ -249,7 +254,7 @@ class AttachmentSpec:
     tenant: str | None = None
     name: str | None = None
     count: int = 1
-    contract: ContainerContract = field(default_factory=ContainerContract)
+    contract: ContainerContract = DEFAULT_CONTRACT
     period_us: float | None = None
     tenant_policies: Mapping[str, HookPolicy] = field(default_factory=dict)
 
@@ -268,7 +273,7 @@ class AttachmentSpec:
             doc["name"] = self.name
         if self.count != 1:
             doc["count"] = self.count
-        if self.contract != ContainerContract():
+        if self.contract != DEFAULT_CONTRACT:
             doc["contract"] = _contract_to_json(self.contract)
         if self.period_us is not None:
             doc["period_us"] = self.period_us
@@ -298,17 +303,16 @@ class AttachmentSpec:
 
 
 def _contract_to_json(contract: ContainerContract) -> dict:
-    defaults = ContainerContract()
     doc: dict = {}
     if contract.helpers is not None:
         doc["helpers"] = sorted(contract.helpers)
-    if contract.max_instructions != defaults.max_instructions:
+    if contract.max_instructions != DEFAULT_CONTRACT.max_instructions:
         doc["max_instructions"] = contract.max_instructions
-    if contract.branch_limit != defaults.branch_limit:
+    if contract.branch_limit != DEFAULT_CONTRACT.branch_limit:
         doc["branch_limit"] = contract.branch_limit
     if contract.memory_regions:
         doc["memory_regions"] = list(contract.memory_regions)
-    if contract.stack_size != defaults.stack_size:
+    if contract.stack_size != DEFAULT_CONTRACT.stack_size:
         doc["stack_size"] = contract.stack_size
     return doc
 
@@ -325,16 +329,18 @@ def _list_field(doc: dict, key: str) -> list | None:
 
 
 def _contract_from_json(doc: dict) -> ContainerContract:
-    defaults = ContainerContract()
+    """The contract ``doc`` describes; one that holds only defaults is
+    the shared :data:`~repro.core.policy.DEFAULT_CONTRACT` itself."""
     helpers = _list_field(doc, "helpers")
-    return ContainerContract(
+    contract = ContainerContract(
         helpers=frozenset(helpers) if helpers is not None else None,
         max_instructions=doc.get("max_instructions",
-                                 defaults.max_instructions),
-        branch_limit=doc.get("branch_limit", defaults.branch_limit),
+                                 DEFAULT_CONTRACT.max_instructions),
+        branch_limit=doc.get("branch_limit", DEFAULT_CONTRACT.branch_limit),
         memory_regions=tuple(_list_field(doc, "memory_regions") or ()),
-        stack_size=doc.get("stack_size", defaults.stack_size),
+        stack_size=doc.get("stack_size", DEFAULT_CONTRACT.stack_size),
     )
+    return DEFAULT_CONTRACT if contract == DEFAULT_CONTRACT else contract
 
 
 def _policy_to_json(policy: HookPolicy) -> dict:

@@ -87,7 +87,12 @@ class CostProfile:
 
 @dataclass(frozen=True)
 class Board:
-    """One microcontroller platform model."""
+    """One microcontroller platform model.
+
+    A model is firmware-constant: :func:`nrf52840` and its siblings
+    return one frozen instance per model, shared by every simulated
+    device of that board.
+    """
 
     name: str
     cpu: str
@@ -228,83 +233,124 @@ def _table(dispatch: int, alu: int, mul: int, div: int, load: int, store: int,
     )
 
 
+_NRF52840 = Board(
+    name="nrf52840",
+    cpu="Arm Cortex-M4",
+    arch="cortex-m4",
+    mhz=64,
+    flash_kib=1024,
+    ram_kib=256,
+    context_switch_cycles=240,
+    hook_dispatch_cycles=109,          # Table 4, empty hook
+    vm_costs=MappingProxyType({
+        # Optimized C interpreter: computed jumptable, Thumb-2.
+        "rbpf": _table(dispatch=37, alu=18, mul=26, div=44, load=42,
+                       store=42, branch=22, call=30, exit_=18, lddw=36,
+                       call_extra=26),
+        # The Femto-Container extensions add one indirection on the
+        # hot path ("minimal overhead", Fig 8).
+        "femto-containers": _table(dispatch=38, alu=18, mul=26, div=44,
+                                   load=42, store=42, branch=22, call=30,
+                                   exit_=18, lddw=36, call_extra=26),
+        # Coq-extracted defensive build: every access re-checked.
+        "certfc": _table(dispatch=60, alu=40, mul=56, div=95, load=110,
+                         store=110, branch=46, call=64, exit_=36,
+                         lddw=80, call_extra=42),
+        # §11 install-time transpilation: dispatch is native.
+        "jit": _table(dispatch=2, alu=2, mul=4, div=14, load=24,
+                      store=24, branch=3, call=28, exit_=2, lddw=3,
+                      call_extra=26),
+    }),
+    syscall_cycles=MappingProxyType({
+        "kv": 260, "saul": 160, "coap": 430, "fmt": 240, "time": 70,
+        "trace": 120, "mem": 90,
+    }),
+    active_ma=6.4,
+    sleep_ua=2.6,
+    code_size_factor=1.00,
+    native_cpi=1.03,
+    vm_setup_cycles=64,
+)
+
+
 def nrf52840() -> Board:
     """Nordic nRF52840 DK: Arm Cortex-M4 @ 64 MHz, 256 KiB RAM, 1 MiB flash."""
-    return Board(
-        name="nrf52840",
-        cpu="Arm Cortex-M4",
-        arch="cortex-m4",
-        mhz=64,
-        flash_kib=1024,
-        ram_kib=256,
-        context_switch_cycles=240,
-        hook_dispatch_cycles=109,          # Table 4, empty hook
-        vm_costs=MappingProxyType({
-            # Optimized C interpreter: computed jumptable, Thumb-2.
-            "rbpf": _table(dispatch=37, alu=18, mul=26, div=44, load=42,
-                           store=42, branch=22, call=30, exit_=18, lddw=36,
-                           call_extra=26),
-            # The Femto-Container extensions add one indirection on the
-            # hot path ("minimal overhead", Fig 8).
-            "femto-containers": _table(dispatch=38, alu=18, mul=26, div=44,
-                                       load=42, store=42, branch=22, call=30,
-                                       exit_=18, lddw=36, call_extra=26),
-            # Coq-extracted defensive build: every access re-checked.
-            "certfc": _table(dispatch=60, alu=40, mul=56, div=95, load=110,
-                             store=110, branch=46, call=64, exit_=36,
-                             lddw=80, call_extra=42),
-            # §11 install-time transpilation: dispatch is native.
-            "jit": _table(dispatch=2, alu=2, mul=4, div=14, load=24,
-                          store=24, branch=3, call=28, exit_=2, lddw=3,
-                          call_extra=26),
-        }),
-        syscall_cycles=MappingProxyType({
-            "kv": 260, "saul": 160, "coap": 430, "fmt": 240, "time": 70,
-            "trace": 120, "mem": 90,
-        }),
-        active_ma=6.4,
-        sleep_ua=2.6,
-        code_size_factor=1.00,
-        native_cpi=1.03,
-        vm_setup_cycles=64,
-    )
+    return _NRF52840
+
+
+_ESP32_WROOM32 = Board(
+    name="esp32-wroom-32",
+    cpu="Espressif ESP32 (Xtensa LX6)",
+    arch="xtensa-lx6",
+    mhz=64,
+    flash_kib=448,
+    ram_kib=520,
+    context_switch_cycles=300,
+    hook_dispatch_cycles=83,           # Table 4, empty hook
+    vm_costs=MappingProxyType({
+        "rbpf": _table(dispatch=25, alu=12, mul=18, div=30, load=36,
+                       store=36, branch=14, call=20, exit_=12, lddw=28,
+                       call_extra=18),
+        "femto-containers": _table(dispatch=26, alu=12, mul=18, div=30,
+                                   load=36, store=36, branch=14, call=20,
+                                   exit_=12, lddw=28, call_extra=18),
+        "certfc": _table(dispatch=42, alu=26, mul=38, div=64, load=80,
+                         store=80, branch=30, call=44, exit_=26,
+                         lddw=56, call_extra=28),
+        "jit": _table(dispatch=2, alu=2, mul=3, div=10, load=18,
+                      store=18, branch=2, call=20, exit_=2, lddw=3,
+                      call_extra=18),
+    }),
+    syscall_cycles=MappingProxyType({
+        "kv": 130, "saul": 110, "coap": 260, "fmt": 150, "time": 50,
+        "trace": 90, "mem": 70,
+    }),
+    active_ma=40.0,
+    sleep_ua=10.0,
+    code_size_factor=1.42,             # Xtensa code is larger
+    native_cpi=1.15,
+    vm_setup_cycles=56,
+)
 
 
 def esp32_wroom32() -> Board:
     """ESP32 WROOM-32: Xtensa LX6 @ 64 MHz (per Appendix A), 520 KiB RAM."""
-    return Board(
-        name="esp32-wroom-32",
-        cpu="Espressif ESP32 (Xtensa LX6)",
-        arch="xtensa-lx6",
-        mhz=64,
-        flash_kib=448,
-        ram_kib=520,
-        context_switch_cycles=300,
-        hook_dispatch_cycles=83,           # Table 4, empty hook
-        vm_costs=MappingProxyType({
-            "rbpf": _table(dispatch=25, alu=12, mul=18, div=30, load=36,
-                           store=36, branch=14, call=20, exit_=12, lddw=28,
-                           call_extra=18),
-            "femto-containers": _table(dispatch=26, alu=12, mul=18, div=30,
-                                       load=36, store=36, branch=14, call=20,
-                                       exit_=12, lddw=28, call_extra=18),
-            "certfc": _table(dispatch=42, alu=26, mul=38, div=64, load=80,
-                             store=80, branch=30, call=44, exit_=26,
-                             lddw=56, call_extra=28),
-            "jit": _table(dispatch=2, alu=2, mul=3, div=10, load=18,
-                          store=18, branch=2, call=20, exit_=2, lddw=3,
-                          call_extra=18),
-        }),
-        syscall_cycles=MappingProxyType({
-            "kv": 130, "saul": 110, "coap": 260, "fmt": 150, "time": 50,
-            "trace": 90, "mem": 70,
-        }),
-        active_ma=40.0,
-        sleep_ua=10.0,
-        code_size_factor=1.42,             # Xtensa code is larger
-        native_cpi=1.15,
-        vm_setup_cycles=56,
-    )
+    return _ESP32_WROOM32
+
+
+_GD32VF103 = Board(
+    name="gd32vf103",
+    cpu="GigaDevice GD32VF103 (RISC-V RV32IMAC)",
+    arch="rv32imac",
+    mhz=64,
+    flash_kib=128,
+    ram_kib=32,
+    context_switch_cycles=200,
+    hook_dispatch_cycles=106,          # Table 4, empty hook
+    vm_costs=MappingProxyType({
+        "rbpf": _table(dispatch=15, alu=8, mul=14, div=26, load=45,
+                       store=40, branch=10, call=12, exit_=8, lddw=30,
+                       call_extra=10),
+        "femto-containers": _table(dispatch=16, alu=8, mul=14, div=26,
+                                   load=45, store=40, branch=10, call=12,
+                                   exit_=8, lddw=30, call_extra=10),
+        "certfc": _table(dispatch=30, alu=18, mul=26, div=48, load=95,
+                         store=85, branch=22, call=28, exit_=18,
+                         lddw=60, call_extra=18),
+        "jit": _table(dispatch=2, alu=1, mul=2, div=9, load=26,
+                      store=22, branch=2, call=10, exit_=1, lddw=3,
+                      call_extra=10),
+    }),
+    syscall_cycles=MappingProxyType({
+        "kv": 30, "saul": 60, "coap": 120, "fmt": 80, "time": 30,
+        "trace": 50, "mem": 40,
+    }),
+    active_ma=14.0,
+    sleep_ua=5.0,
+    code_size_factor=0.90,             # RV32C compressed instructions
+    native_cpi=1.35,
+    vm_setup_cycles=40,
+)
 
 
 def gd32vf103() -> Board:
@@ -315,39 +361,7 @@ def gd32vf103() -> Board:
     board wins Table 4's syscall-heavy thread-counter (754 ticks) yet is
     not proportionally faster on load-dominated code.
     """
-    return Board(
-        name="gd32vf103",
-        cpu="GigaDevice GD32VF103 (RISC-V RV32IMAC)",
-        arch="rv32imac",
-        mhz=64,
-        flash_kib=128,
-        ram_kib=32,
-        context_switch_cycles=200,
-        hook_dispatch_cycles=106,          # Table 4, empty hook
-        vm_costs=MappingProxyType({
-            "rbpf": _table(dispatch=15, alu=8, mul=14, div=26, load=45,
-                           store=40, branch=10, call=12, exit_=8, lddw=30,
-                           call_extra=10),
-            "femto-containers": _table(dispatch=16, alu=8, mul=14, div=26,
-                                       load=45, store=40, branch=10, call=12,
-                                       exit_=8, lddw=30, call_extra=10),
-            "certfc": _table(dispatch=30, alu=18, mul=26, div=48, load=95,
-                             store=85, branch=22, call=28, exit_=18,
-                             lddw=60, call_extra=18),
-            "jit": _table(dispatch=2, alu=1, mul=2, div=9, load=26,
-                          store=22, branch=2, call=10, exit_=1, lddw=3,
-                          call_extra=10),
-        }),
-        syscall_cycles=MappingProxyType({
-            "kv": 30, "saul": 60, "coap": 120, "fmt": 80, "time": 30,
-            "trace": 50, "mem": 40,
-        }),
-        active_ma=14.0,
-        sleep_ua=5.0,
-        code_size_factor=0.90,             # RV32C compressed instructions
-        native_cpi=1.35,
-        vm_setup_cycles=40,
-    )
+    return _GD32VF103
 
 
 #: The paper's three evaluation platforms, by short name.
@@ -359,7 +373,7 @@ BOARDS = {
 
 
 def all_boards() -> list[Board]:
-    """Instantiate the three evaluation boards (paper order)."""
+    """The three evaluation boards (paper order)."""
     return [nrf52840(), esp32_wroom32(), gd32vf103()]
 
 

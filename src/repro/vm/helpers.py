@@ -86,7 +86,16 @@ class Helper:
 
 
 class HelperRegistry:
-    """The set of helpers a hosting engine exposes to its containers."""
+    """The set of helpers a hosting engine exposes to its containers.
+
+    Every engine's registry starts as a :meth:`share` of the one default
+    table (:data:`repro.core.syscalls.DEFAULT_HELPERS`), the way every
+    device's firmware links the same bpfapi: the table and its id set
+    are built once per process.  A :meth:`register` copies the table
+    first, so it changes this registry alone.
+    """
+
+    __slots__ = ("table", "_ids", "_shared")
 
     def __init__(self) -> None:
         #: helper id -> :class:`Helper`.  The interpreter dispatches a
@@ -94,6 +103,17 @@ class HelperRegistry:
         #: :meth:`register`.
         self.table: dict[int, Helper] = {}
         self._ids: frozenset[int] | None = None
+        #: ``table`` is also another registry's: copy before writing.
+        self._shared = False
+
+    def share(self) -> "HelperRegistry":
+        """A registry over this one's table (and id set), copied by
+        whichever of the two registers first."""
+        other = HelperRegistry.__new__(HelperRegistry)
+        other.table = self.table
+        other._ids = self.ids()
+        other._shared = self._shared = True
+        return other
 
     def register(self, helper_id: int, fn: HelperFn, name: str | None = None,
                  cost_key: str = "trace") -> Helper:
@@ -104,6 +124,9 @@ class HelperRegistry:
             fn=fn,
             cost_key=cost_key,
         )
+        if self._shared:
+            self.table = dict(self.table)
+            self._shared = False
         self.table[helper_id] = helper
         self._ids = None
         return helper

@@ -199,7 +199,10 @@ class Interpreter:
             regions.append(self.data_region)
         self.access_list = AccessList(regions)
         self._context_region: MemoryRegion | None = None
-        #: Opaque service object (the hosting engine) helpers may use.
+        #: The hosting engine that attached this instance (set by
+        #: :meth:`~repro.core.engine.HostingEngine.attach`): the one way a
+        #: helper of the shared table reaches its device.  ``None`` on a
+        #: standalone VM, whose engine-bound helper calls fault.
         self.services = None
         # Reusable per-run state (see the module docstring).
         self._regs: list[int] = [0] * isa.REG_COUNT

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.core import ContainerContract, FC_HOOK_FANOUT, FC_HOOK_TIMER
+from repro.core.policy import DEFAULT_CONTRACT
 from repro.core.hooks import HookMode
 from repro.deploy import (
     AttachmentSpec,
@@ -183,6 +184,41 @@ class TestJsonRoundTrip:
         policy = restored.tenant_policies["alice"]
         assert policy.allowed_helpers == frozenset({1})
         assert [grant.name for grant in policy.memory_grants] == ["packet"]
+
+
+class TestDefaultContract:
+    """A container that asks for nothing beyond the defaults carries the
+    one shared ``DEFAULT_CONTRACT`` object, however it was built, so the
+    engine's grant memo finds a slot shape by identity."""
+
+    def test_default_attachments_share_one_contract(self):
+        first = AttachmentSpec(image="seven", hook=FC_HOOK_TIMER)
+        second = AttachmentSpec(image="eight", hook=FC_HOOK_FANOUT)
+        assert first.contract is second.contract is DEFAULT_CONTRACT
+
+    def test_decoded_default_slots_share_one_contract(self):
+        spec = fanout_spec(tenants=2, instances_per_tenant=1)
+        for decoded in (DeploymentSpec.from_json(spec.to_json()),
+                        DeploymentSpec.from_cbor(spec.to_cbor())):
+            first, second = decoded.attachments[:2]
+            assert first.contract is second.contract is DEFAULT_CONTRACT
+
+    def test_spelled_out_defaults_decode_to_the_shared_contract(self):
+        doc = simple_spec().to_json()
+        doc["attachments"][0]["contract"] = {
+            "max_instructions": DEFAULT_CONTRACT.max_instructions,
+            "stack_size": DEFAULT_CONTRACT.stack_size,
+        }
+        restored = DeploymentSpec.from_json(doc).attachments[0]
+        assert restored.contract is DEFAULT_CONTRACT
+        doc["attachments"][0]["contract"] = {"max_instructions": 64}
+        narrower = DeploymentSpec.from_json(doc).attachments[0].contract
+        assert narrower.max_instructions == 64
+        assert narrower is not DEFAULT_CONTRACT
+
+    def test_engine_load_defaults_to_it(self, engine):
+        container = engine.load(assemble(RETURN_7))
+        assert container.contract is DEFAULT_CONTRACT
 
 
 class TestBuiltins:
