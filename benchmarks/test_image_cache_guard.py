@@ -2,19 +2,21 @@
 
 The paper charges verification and the §11 transpile on every attach,
 and the virtual clock keeps doing so.  The process-wide
-:data:`~repro.vm.imagecache.IMAGE_CACHE` only spares the *simulator*
-the host-side work: the first device to install an image builds its
-artifacts, every later device reuses them.  One parametrized test holds
-that contract on the four install paths -- ``engine.attach`` on each
-engine, :meth:`Fleet.apply`, :meth:`Fleet.canary_rollout` promotion and
+:data:`~repro.vm.imagecache.IMAGE_CACHE`, one memo of instance
+prototypes, only spares the *simulator* the host-side work: the first
+device to install an image derives its prototype, every later device
+clones from it.  One parametrized test holds that contract on the four
+install paths -- ``engine.attach`` on each engine, :meth:`Fleet.apply`,
+:meth:`Fleet.canary_rollout` promotion and
 :meth:`FleetPublisher.publish` -- with exact counts, so it cannot flake:
 
-* the cold row misses exactly once per artifact per new image;
+* the cold row misses exactly once per new image;
 * every warm row misses nothing and hits once per attachment: an attach
   is one instance-prototype lookup plus a clone;
-* every artifact built during the path was built on a miss (prototypes
-  included), so a warm row's zero misses means zero verifier passes,
-  zero transpiles and zero prototype derivations;
+* every build during the path ran inside a prototype miss, each miss
+  building everything once, so a warm row's zero misses means zero
+  verifier passes, zero pre-decodes, zero transpiles and zero prototype
+  derivations;
 * the cold row and every warm row charge identical virtual cycles.
 
 The file's one host-time ratio is the JIT attach bar, cached >= 5x
@@ -41,6 +43,7 @@ from repro.deploy import (
     ImageSpec,
     fanout_spec,
 )
+from repro.memo import Memo
 from repro.rtos import Kernel, nrf52840
 from repro.scenarios import build_fleet_publisher
 from repro.vm import Program
@@ -57,32 +60,42 @@ INSTANCES = 2
 #: Distinct content-addressed images in the published release.
 PUBLISH_IMAGES = 6
 
-#: Artifacts one attach builds for a new image: the instance prototype
-#: and the verifier report, plus, for an interpreter, the decoded slot
-#: table it executes, or, for the JIT, the template (whose codegen
-#: decodes the slot table).
+#: Builds one prototype miss runs: the base derivation, the verifier
+#: pass and the pre-decode, plus, for the JIT, the template (whose
+#: codegen reads the one decoded table).
 BUILDS = {"femto-containers": 3, "certfc": 3, "jit": 4}
-#: Image-cache lookups one attach makes: the instance prototype, whose
-#: derive looks up the artifacts above only on a miss.
-LOOKUPS = {"femto-containers": 1, "certfc": 1, "jit": 1}
+#: Image-cache lookups one attach makes: its instance prototype.
+LOOKUPS = 1
 
 #: Cached JIT attach vs cold JIT attach, median of the per-round ratios.
 JIT_SPEEDUP_BAR = 5.0
 _ROUNDS = 7
 
 
+def _in_prototype_miss(frame) -> bool:
+    """Whether ``frame`` runs under an :data:`IMAGE_CACHE` derive."""
+    while frame is not None:
+        if (frame.f_code is Memo.get_or_derive.__code__
+                and frame.f_locals.get("self") is IMAGE_CACHE):
+            return True
+        frame = frame.f_back
+    return False
+
+
 @contextmanager
 def _counting_builds():
-    """Count every artifact build in the process, whoever calls it."""
+    """Count every build in the process, whoever calls it: ``[all,
+    outside a prototype miss]``."""
     # Every eBPF engine's prototype derivation runs the base derive once
     # (the JIT's extends it).
     codes = {verify.__code__, predecode.__code__, _build_template.__code__,
              Interpreter.derive_prototype.__code__}
-    builds = [0]
+    builds = [0, 0]
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in codes:
             builds[0] += 1
+            builds[1] += not _in_prototype_miss(frame)
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -187,8 +200,8 @@ PATHS = {
 
 @pytest.mark.parametrize("path", PATHS)
 def test_image_cache_guard(path):
-    """Holds the exact-miss, zero-miss, exact-hit, builds-equal-misses
-    and equal-cycles bars on one install path."""
+    """Holds the exact-miss, zero-miss, exact-hit, builds-per-miss and
+    equal-cycles bars on one install path."""
     rows, implementation, images, attachments = PATHS[path]
     IMAGE_CACHE.clear()
     with _counting_builds() as builds:
@@ -197,13 +210,14 @@ def test_image_cache_guard(path):
     IMAGE_CACHE.clear()  # leave no benchmark state behind for other tests
 
     assert len(warm) == DEVICES - 1
-    assert cold.cache_misses == images * BUILDS[implementation], cold
+    assert cold.cache_misses == images, cold
     for row in warm:
         assert row.cache_misses == 0, row
-        assert row.cache_hits == attachments * LOOKUPS[implementation], row
+        assert row.cache_hits == attachments * LOOKUPS, row
         assert row.cycles_charged == cold.cycles_charged, (row, cold)
-    # Every build in the whole path came through a cache miss.
-    assert builds[0] == misses, (builds[0], misses)
+    # Every build in the whole path ran inside a prototype miss.
+    assert builds[1] == 0, builds
+    assert builds[0] == misses * BUILDS[implementation], (builds, misses)
 
 
 def test_jit_attach_speedup():

@@ -239,7 +239,6 @@ def cmd_fanout(args: argparse.Namespace) -> int:
     fire_s = time.perf_counter() - start
 
     instances = len(device.containers)
-    stats = IMAGE_CACHE.stats()
     print(f"image: {device.image.name!r} "
           f"({device.image.image_hash[:12]}..., "
           f"{device.image.code_size} B text)")
@@ -249,9 +248,8 @@ def cmd_fanout(args: argparse.Namespace) -> int:
     if args.impl == "jit":
         print(f"compiled templates shared: {device.shared_templates()} "
               f"(for {instances} instances)")
-    print(f"image cache: {stats['hits']} hits / {stats['misses']} misses "
-          f"({stats['template_entries']} templates, "
-          f"{stats['report_entries']} verdicts cached)")
+    print(f"image cache: {IMAGE_CACHE.hits} hits / {IMAGE_CACHE.misses} "
+          f"misses ({len(IMAGE_CACHE)} prototypes cached)")
     print(f"{args.fires} fires -> {runs} container runs "
           f"in {fire_s * 1e3:.2f} ms "
           f"({runs / fire_s:.0f} runs/s wall)")

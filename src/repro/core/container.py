@@ -174,8 +174,8 @@ class FemtoContainer:
     def image_hash(self) -> str:
         """Content hash of the deployed image (the shared-cache key).
 
-        Instances with equal hashes share verify results and JIT
-        templates through :data:`~repro.vm.imagecache.IMAGE_CACHE`; the
+        Instances with equal hashes (and equal limits) share one instance
+        prototype through :data:`~repro.vm.imagecache.IMAGE_CACHE`; the
         device shell and the fan-out tooling display it so operators can
         see which containers are stamped from the same image.
         """

@@ -5,13 +5,14 @@ containers, but across a large number of devices" (§2).  A :class:`Fleet`
 instantiates one spec on every device — boards may differ — and is the
 first scenario to drive the image cache's *cross-board* sharing path:
 the process-wide :data:`~repro.vm.imagecache.IMAGE_CACHE` is keyed by
-content hash only, so the first device pays the host-side verify and JIT
-compile and every later device attaches through pure cache hits.  Each
+content hash, not by board, so the first device pays the host-side
+verify and JIT compile and every later device attaches through pure
+cache hits.  Each
 device's **virtual clock is its own** and is always charged the full
 modelled verify+install cost — the cache is a wall-clock effect of the
 simulator, never a device-semantics change.
 ``benchmarks/test_image_cache_guard.py`` asserts both halves of that
-invariant: the cold device misses once per artifact, warm rows never
+invariant: the cold device misses once per new image, warm rows never
 miss, and cycles are equal.
 
 :meth:`Fleet.apply` and :meth:`Fleet.canary_rollout` return a

@@ -295,9 +295,11 @@ def plan(engine: "HostingEngine", spec: DeploymentSpec) -> DeploymentPlan:
             pre_detach.append(Detach(instance.name, instance.hook))
             converge.append(install)
         elif (_live_tenant(container) != instance.tenant
-              or container.contract != instance.contract):
+              or (container.contract is not instance.contract
+                  and container.contract != instance.contract)):
             # Tenancy or contract drift cannot hot-swap: re-install
-            # (the attach re-runs the grant intersection).
+            # (the attach re-runs the grant intersection).  Most slots
+            # hold the one shared DEFAULT_CONTRACT: identity settles them.
             converge.append(Detach(instance.name, instance.hook))
             converge.append(install)
         elif container.image_hash != instance.image.image_hash:

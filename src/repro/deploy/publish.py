@@ -19,7 +19,7 @@ device's apply resolves through the content-addressed
 :data:`~repro.vm.imagecache.IMAGE_CACHE` — device 1 pays the cold
 compile in its apply slice and devices 2..N ride it
 (``benchmarks/test_image_cache_guard.py`` asserts that per row: the
-cold device misses once per artifact, warm rows never miss, and cycles
+cold device misses once per new image, warm rows never miss, and cycles
 are equal).
 
 Each device keeps its **own virtual clock**, as everywhere in the fleet

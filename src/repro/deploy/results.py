@@ -21,7 +21,7 @@ record — never the live apply, so a kept result pins no replaced
 container or timer closure.  The image cache's effect shows in the
 rows' exact ``cache_hits``/``cache_misses`` counts, which
 ``benchmarks/test_image_cache_guard.py`` pins: the cold device misses
-once per artifact, warm rows never miss, and cycles are equal.
+once per new image, warm rows never miss, and cycles are equal.
 
 :class:`DeviceStatus` is the other row shape: one device's state at
 query time, streamed by
@@ -54,6 +54,10 @@ class DeviceRow:
     result: UpdateResult
     wall_s: float
     cycles_charged: int
+    #: Instance-prototype lookups in :data:`~repro.vm.imagecache
+    #: .IMAGE_CACHE` made during this device's own slices (its apply, or
+    #: its co-run windows on the radio), that found / derived the
+    #: prototype.  No other memo is counted.
     cache_hits: int
     cache_misses: int
     #: Trigger re-POSTs this device needed beyond the first.

@@ -24,7 +24,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Protocol
 
 from repro.rtos.board import Board, CostProfile
-from repro.vm.imagecache import IMAGE_CACHE
+from repro.vm.imagecache import lookup_prototype
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.container import FemtoContainer
@@ -141,7 +141,7 @@ def build_vm(runtime: ContainerRuntime, image: object, implementation: str,
     """``image``'s VM, as every attach builds it: one lookup of its
     prototype in the image cache (``runtime.prototype`` derives it on a
     miss), then ``runtime.instantiate``."""
-    prototype = IMAGE_CACHE.prototype(
+    prototype = lookup_prototype(
         image, implementation, verifier_config, vm_config,
         partial(runtime.prototype, image, implementation, verifier_config,
                 vm_config))

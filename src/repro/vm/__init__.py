@@ -30,7 +30,7 @@ from repro.vm.errors import (
     VMFault,
 )
 from repro.vm.helpers import HelperRegistry
-from repro.vm.imagecache import IMAGE_CACHE, CompiledTemplate, ImageCache
+from repro.vm.imagecache import IMAGE_CACHE, CompiledTemplate
 from repro.vm.instruction import Instruction
 from repro.vm.interpreter import (
     ExecutionResult,
@@ -63,7 +63,6 @@ __all__ = [
     "HelperFault",
     "HelperRegistry",
     "IMAGE_CACHE",
-    "ImageCache",
     "CompiledTemplate",
     "IllegalInstructionFault",
     "Instruction",

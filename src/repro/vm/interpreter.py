@@ -49,7 +49,7 @@ from repro.vm.errors import (
     VMFault,
 )
 from repro.vm.helpers import HelperRegistry
-from repro.vm.imagecache import IMAGE_CACHE, InstancePrototype
+from repro.vm.imagecache import InstancePrototype, lookup_prototype
 from repro.vm.memory import (
     CONTEXT_BASE,
     DATA_BASE,
@@ -59,8 +59,9 @@ from repro.vm.memory import (
     MemoryRegion,
     Permission,
 )
+from repro.vm.predecode import predecode
 from repro.vm.program import Program
-from repro.vm.verifier import VerifierConfig
+from repro.vm.verifier import VerifierConfig, verify
 
 _M64 = (1 << 64) - 1
 _M32 = (1 << 32) - 1
@@ -143,7 +144,7 @@ class Interpreter:
         """A standalone instance, cloned like an attach's from the image's
         shared prototype (derived with no verifier limits)."""
         config = config if config is not None else VMConfig()
-        prototype = IMAGE_CACHE.prototype(
+        prototype = lookup_prototype(
             program, self.implementation, None, config,
             lambda: self.derive_prototype(program, None, config))
         self._init(prototype, program, helpers, config, [])
@@ -155,12 +156,12 @@ class Interpreter:
         """Verify ``program`` (given a ``verifier_config``) and derive
         what its instances share.  Raises on rejection."""
         if verifier_config is not None:
-            IMAGE_CACHE.verify(program, verifier_config)  # raises on rejection
+            verify(program, verifier_config)  # raises on rejection
         # .rodata is read-only and immutable, so every instance maps one
         # region over the image's bytes (as a board executes it in place
         # from flash); a store into it faults on the permission check.
         return InstancePrototype(
-            code=program.decoded,
+            code=predecode(program.slots),
             rodata=(MemoryRegion(".rodata", RODATA_BASE,
                                  bytes(program.rodata), Permission.READ)
                     if program.rodata else None),

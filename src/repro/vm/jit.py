@@ -91,10 +91,11 @@ crossover.  The compiled template itself is **pure**: every piece of
 per-run state (registers, access list, stats, helper trampoline, branch
 budget) is passed in as an argument or lives in the call's own frame
 (count locals, memory windows), which is what lets the process-wide
-:data:`~repro.vm.imagecache.IMAGE_CACHE` share one template across all
-container instances of the same image (keyed by content hash) — attach
-re-charges the modelled install cost, but the host does the expensive
-transpile/compile work once per image, not once per instance.
+:data:`~repro.vm.imagecache.IMAGE_CACHE` share one template, inside the
+image's instance prototype, across all container instances of the same
+image (keyed by content hash) — attach re-charges the modelled install
+cost, but the host does the expensive transpile/compile work once per
+image, not once per instance.
 """
 
 from __future__ import annotations
@@ -104,13 +105,9 @@ from dataclasses import replace
 from typing import Callable
 
 from repro.vm import isa
-from repro.vm.imagecache import (
-    IMAGE_CACHE,
-    CompiledTemplate,
-    InstancePrototype,
-)
+from repro.vm.imagecache import CompiledTemplate, InstancePrototype
 from repro.vm.induction import AffineLoop, BaseRange, affine_loop
-from repro.vm.predecode import basic_blocks, find_leaders
+from repro.vm.predecode import Decoded, basic_blocks, find_leaders
 from repro.vm.errors import (
     BranchLimitFault,
     DivisionFault,
@@ -235,8 +232,9 @@ class _Codegen:
     #: extension (bounds generated-code growth; see :meth:`emit_block`).
     INLINE_CAP = 64
 
-    def __init__(self, program: Program, total_limit: int | None) -> None:
-        self.decoded = program.decoded
+    def __init__(self, decoded: list[Decoded],
+                 total_limit: int | None) -> None:
+        self.decoded = decoded
         self.total_limit = total_limit
         self.lines: list[str] = []
         self.pending: dict[str, int] = {}
@@ -987,10 +985,11 @@ def _plus(value: int) -> str:
 
 
 def _build_template(
-    program: Program, total_limit: int | None
+    program: Program, decoded: list[Decoded], total_limit: int | None
 ) -> CompiledTemplate:
-    """Transpile and compile one image's template (the cache-miss path)."""
-    codegen = _Codegen(program, total_limit)
+    """Transpile and compile ``program``'s template from its pre-decoded
+    slot table ``decoded`` (the prototype-miss path)."""
+    codegen = _Codegen(decoded, total_limit)
     source = codegen.generate()
     code = compile(source, f"<fc-jit:{program.name}>", "exec")
     namespace = dict(_JIT_GLOBALS)
@@ -1023,8 +1022,8 @@ class CompiledProgram(Interpreter):
         one image, on every engine, runs one compiled function."""
         verified = super().derive_prototype(
             program, verifier_config or VerifierConfig(), config)
-        template = IMAGE_CACHE.template(program, config.total_limit,
-                                        _build_template)
+        template = _build_template(program, verified.code,
+                                   config.total_limit)
         return replace(verified, code=template,
                        install_instruction_count=len(program.slots))
 

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 
 from repro.vm import isa
 from repro.vm.instruction import SLOT_SIZE, Instruction, decode_program, encode_program
-from repro.vm.predecode import Decoded
 
 
 @dataclass
@@ -52,14 +51,15 @@ class Program:
 
         Two :class:`Program` objects decoded from the same SUIT payload
         hash identically, which is what lets the process-wide
-        :data:`~repro.vm.imagecache.IMAGE_CACHE` share verify results,
-        pre-decoded slot tables and JIT templates across container
-        instances.  The name is deliberately excluded — the image is
-        content-addressed, like the flash slot it models.
+        :data:`~repro.vm.imagecache.IMAGE_CACHE` share one instance
+        prototype (verdict, pre-decoded slot table or JIT template) across
+        container instances.  The name is deliberately excluded — the
+        image is content-addressed, like the flash slot it models.
 
         Cached per object, invalidated when ``slots`` is replaced or
-        resized or when either data section is reassigned (the same
-        immutability convention as :attr:`decoded`).
+        resized or when either data section is reassigned.  Images are
+        immutable once installed (as in flash): a VM keeps what its
+        prototype was derived from.
         """
         slots, rodata, data = self.slots, self.rodata, self.data
         cache = getattr(self, "_hash_cache", None)
@@ -85,17 +85,6 @@ class Program:
         cache layout stays private to this module."""
         self._hash_cache = (self.slots, len(self.slots), self.rodata,
                             self.data, image_hash)
-
-    @property
-    def decoded(self) -> list[Decoded]:
-        """Pre-decoded slot table, computed once per image *content*
-        through the shared :data:`~repro.vm.imagecache.IMAGE_CACHE`, so N
-        instances deserialized from the same image bytes pre-decode
-        once.  Images are immutable once installed (as in flash): a VM
-        keeps the table its prototype was derived with."""
-        from repro.vm.imagecache import IMAGE_CACHE
-
-        return IMAGE_CACHE.decoded(self)
 
     @property
     def code_size(self) -> int:

@@ -1,10 +1,10 @@
 """Fleet rollouts and cross-board image-cache sharing.
 
-The process-wide IMAGE_CACHE is keyed by content hash only, so a fleet of
-*different* board models attaching the same image must share one verify
-report and one JIT template — while every board's own virtual clock is
-still charged its full modelled verify+install cost (the cache is a host
-wall-clock effect, never a device-semantics change).
+The process-wide IMAGE_CACHE is keyed by content hash, not by board, so a
+fleet of *different* board models attaching the same image must share one
+instance prototype (one verdict, one JIT template) — while every board's
+own virtual clock is still charged its full modelled verify+install cost
+(the cache is a host wall-clock effect, never a device-semantics change).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def expected_jit_attach_cycles(engine: HostingEngine) -> int:
 
 
 class TestCrossBoardSharing:
-    def test_two_boards_share_one_report_and_one_template(self):
+    def test_two_boards_share_one_prototype(self):
         raw = thread_counter_program().to_bytes()
         engines = [
             HostingEngine(Kernel(nrf52840()), implementation="jit"),
@@ -51,11 +51,10 @@ class TestCrossBoardSharing:
             engine.attach(container, FC_HOOK_TIMER)
             containers.append(container)
 
-        # One image -> one cached verdict, one compiled template, shared
-        # across board models.
-        stats = IMAGE_CACHE.stats()
-        assert stats["report_entries"] == 1
-        assert stats["template_entries"] == 1
+        # One image -> one prototype (verdict and compiled template),
+        # shared across board models.
+        assert (IMAGE_CACHE.hits, IMAGE_CACHE.misses) == (1, 1)
+        assert len(IMAGE_CACHE) == 1
         assert containers[0].vm.template is containers[1].vm.template
 
         # ...but each board's virtual clock paid its own full price.
@@ -88,10 +87,9 @@ class TestFleetApply:
         for device in fleet.devices:
             assert len(device.engine.containers()) == 6
             assert sorted(device.engine.tenants) == ["tenant-0", "tenant-1"]
-        # One image across three board models: one verdict, one template.
-        stats = IMAGE_CACHE.stats()
-        assert stats["report_entries"] == 1
-        assert stats["template_entries"] == 1
+        # One image across three board models: one prototype, built once.
+        assert (IMAGE_CACHE.hits, IMAGE_CACHE.misses) == (17, 1)
+        assert len(IMAGE_CACHE) == 1
         # Devices 2..N attach through pure cache hits.
         for row in rollout.rows()[1:]:
             assert row.cache_misses == 0

@@ -13,6 +13,7 @@ from repro.core import (
     HookMode,
     HostingEngine,
 )
+from repro.core.policy import ContainerContract
 from repro.deploy import (
     AttachmentSpec,
     CreateTenant,
@@ -49,7 +50,10 @@ def fresh_cache():
     IMAGE_CACHE.clear()
 
 
-def two_container_spec(second_source: str = RETURN_8) -> DeploymentSpec:
+def two_container_spec(second_source: str = RETURN_8,
+                       contract: ContainerContract | None = None
+                       ) -> DeploymentSpec:
+    extra = {} if contract is None else {"contract": contract}
     return DeploymentSpec(
         name="pair",
         tenants=("alice", "bob"),
@@ -59,11 +63,53 @@ def two_container_spec(second_source: str = RETURN_8) -> DeploymentSpec:
         },
         attachments=(
             AttachmentSpec(image="seven", hook=FC_HOOK_TIMER,
-                           tenant="alice", name="first"),
+                           tenant="alice", name="first", **extra),
             AttachmentSpec(image="eight", hook=FC_HOOK_TIMER,
-                           tenant="bob", name="second"),
+                           tenant="bob", name="second", **extra),
         ),
     )
+
+
+@pytest.fixture
+def contract_eq_calls(monkeypatch) -> list:
+    """Every ``ContainerContract.__eq__`` call made from here on."""
+    calls = []
+    eq = ContainerContract.__eq__
+
+    def counting(self, other):
+        calls.append((self, other))
+        return eq(self, other)
+
+    monkeypatch.setattr(ContainerContract, "__eq__", counting)
+    return calls
+
+
+class TestContractDrift:
+    def test_converged_default_slots_compare_no_contract(
+            self, engine, contract_eq_calls):
+        spec = two_container_spec()
+        apply_spec(engine, spec)
+        contract_eq_calls.clear()
+        assert plan(engine, spec).empty
+        assert contract_eq_calls == []  # one shared DEFAULT_CONTRACT
+
+    def test_equal_but_distinct_contract_converges(self, engine,
+                                                   contract_eq_calls):
+        apply_spec(engine, two_container_spec(
+            contract=ContainerContract(branch_limit=500)))
+        contract_eq_calls.clear()
+        again = two_container_spec(
+            contract=ContainerContract(branch_limit=500))
+        assert plan(engine, again).empty
+        assert contract_eq_calls  # settled by value, not identity
+
+    def test_changed_contract_reinstalls(self, engine):
+        apply_spec(engine, two_container_spec(
+            contract=ContainerContract(branch_limit=500)))
+        changed = two_container_spec(
+            contract=ContainerContract(branch_limit=501))
+        kinds = [type(action) for action in plan(engine, changed).actions]
+        assert kinds == [Detach, Install, Detach, Install]
 
 
 class TestPlanning:

@@ -47,7 +47,7 @@ from repro.vm import (
 )
 from repro.vm.induction import Gather, affine_loop
 from repro.vm.memory import GRANT_BASE, Permission
-from repro.vm.predecode import basic_blocks, find_leaders
+from repro.vm.predecode import basic_blocks, find_leaders, predecode
 from repro.workloads.fletcher32 import (
     FLETCHER32_INPUT,
     fletcher32_program,
@@ -371,7 +371,7 @@ def test_negative_stride_and_stack_pointer():
 # -- the install-time analysis ------------------------------------------------
 
 def _analyse(source: str):
-    decoded = assemble(source).decoded
+    decoded = predecode(assemble(source).slots)
     leaders, _ = find_leaders(decoded)
     blocks = basic_blocks(decoded, leaders)
     loop = next(block for block in blocks.values() if block.kind == "branch"
@@ -401,7 +401,7 @@ def test_analysis_rejects_other_exit_tests():
 
 
 def test_analysis_facts_for_fletcher32():
-    decoded = fletcher32_program().decoded
+    decoded = predecode(fletcher32_program().slots)
     leaders, _ = find_leaders(decoded)
     loop = affine_loop(decoded, basic_blocks(decoded, leaders)[13])
     assert loop.counter == 6
