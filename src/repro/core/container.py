@@ -19,6 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.tenant import Tenant
     from repro.rtos.board import CostProfile
     from repro.rtos.thread import Thread
+    from repro.vm.helpers import HelperRegistry
 
 #: implementation name -> interpreter class.
 VM_CLASSES = {
@@ -52,7 +53,7 @@ class FaultRecord:
     pc: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ContainerRun:
     """Outcome of one launchpad-triggered execution."""
 
@@ -69,25 +70,30 @@ class ContainerRun:
 
 
 def count_vector(stats: ExecutionStats) -> tuple:
-    """A hashable key equal for two runs exactly when their counts are.
+    """A hashable key equal for two runs of one container exactly when
+    their counts are.
 
-    Carries the kind names as well as their counts: the Wasm and script
-    runtimes report only the classes a run visited.
+    Carries the counts, not the kind names: every runtime reports every
+    cost class of its engine or profile, zeros included, in one fixed
+    order, so the names are the same for every run of a container.
+    Helper calls are ``(id, count)`` pairs, never equal to a count.
     """
-    kinds = stats.kind_counts
-    return (stats.executed, stats.branches_taken, tuple(kinds),
-            *kinds.values(), *stats.helper_calls.items())
+    return (stats.executed, stats.branches_taken,
+            *stats.kind_counts.values(), *stats.helper_calls.items())
 
 
 @dataclass(frozen=True, slots=True)
 class RunFacts:
     """What every run of a container shares, derived once at attach.
 
-    The hosting engine derives them in ``HostingEngine.attach``, so a run
+    The hosting engine derives them in ``HostingEngine.attach`` (one
+    process-wide memo per slot shape, board and implementation), so a run
     neither re-derives its context permissions nor re-walks the board's
-    cost tables.  ``cost`` reads the live helper registry, so a helper
-    registered again with another cost key is priced anew from the next
-    run on.
+    cost tables.  ``cost`` holds no helper registry: a run is priced with
+    it and the engine's live registry, and a tallied price is reused only
+    while both are unchanged (:meth:`FemtoContainer.record_run`), so a
+    helper registered again with another cost key is priced anew from the
+    next run on.
     """
 
     #: Permissions the hook context is mapped with.
@@ -96,6 +102,21 @@ class RunFacts:
     cost: "CostProfile"
     #: The board's per-run VM setup charge.
     setup_cycles: int
+
+
+class _TallyEntry:
+    """The runs of one count vector: how many, the stats of the first,
+    and their price with the cost profile and helper ids it was taken
+    under."""
+
+    __slots__ = ("runs", "stats", "cycles", "cost", "helper_ids")
+
+    def __init__(self, stats: ExecutionStats) -> None:
+        self.runs = 0
+        self.stats = stats
+        self.cycles = 0
+        self.cost: "CostProfile | None" = None
+        self.helper_ids: frozenset[int] | None = None
 
 
 def _add_runs(total: ExecutionStats, stats: ExecutionStats,
@@ -142,9 +163,9 @@ class FemtoContainer:
     runs: int = 0
     faults: list[FaultRecord] = field(default_factory=list)
     total_cycles: int = 0
-    #: count vector -> [runs, the stats of the first such run].
-    _tally: dict[tuple, list] = field(default_factory=dict, init=False,
-                                      repr=False)
+    #: count vector -> its :class:`_TallyEntry`.
+    _tally: dict[tuple, _TallyEntry] = field(default_factory=dict,
+                                            init=False, repr=False)
     #: Sum of the runs folded out of a full tally.
     _folded: ExecutionStats | None = field(default=None, init=False,
                                            repr=False)
@@ -187,21 +208,40 @@ class FemtoContainer:
         total = ExecutionStats()
         if self._folded is not None:
             _add_runs(total, self._folded, 1)
-        for runs, stats in self._tally.values():
-            _add_runs(total, stats, runs)
+        for entry in self._tally.values():
+            _add_runs(total, entry.stats, entry.runs)
         return total
 
-    def record_run(self, run: ContainerRun) -> None:
-        self.runs += 1
-        self.total_cycles += run.cycles
-        vector = count_vector(run.stats)
-        entry = self._tally.get(vector)
-        if entry is not None:
-            entry[0] += 1
-        else:
-            if len(self._tally) >= MAX_COUNT_VECTORS:
+    def record_run(self, stats: ExecutionStats, fault: FaultRecord | None,
+                   helpers: "HelperRegistry") -> int:
+        """Tally one run of the attached container and return its
+        execution cycles (the price of ``stats``, setup not included).
+
+        One lookup finds the run's tally entry.  Its price is reused only
+        if it was taken under this attach's cost profile and the registry
+        state ``helpers`` is in now (its id set, which every
+        :meth:`~repro.vm.helpers.HelperRegistry.register` replaces);
+        otherwise the run is priced anew, so a price always reads the
+        live registry.
+        """
+        facts = self.facts
+        vector = count_vector(stats)
+        tally = self._tally
+        entry = tally.get(vector)
+        if entry is None:
+            if len(tally) >= MAX_COUNT_VECTORS:
                 self._folded = self.lifetime_stats
-                self._tally.clear()
-            self._tally[vector] = [1, run.stats]
-        if run.fault is not None:
-            self.faults.append(run.fault)
+                tally.clear()
+            entry = tally[vector] = _TallyEntry(stats)
+        cost = facts.cost
+        helper_ids = helpers.ids()
+        if entry.cost is not cost or entry.helper_ids is not helper_ids:
+            entry.cycles = cost.cycles(stats, helpers)
+            entry.cost = cost
+            entry.helper_ids = helper_ids
+        entry.runs += 1
+        self.runs += 1
+        self.total_cycles += facts.setup_cycles + entry.cycles
+        if fault is not None:
+            self.faults.append(fault)
+        return entry.cycles

@@ -67,6 +67,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: pids it is handed.  One frozen value for every device's firmware.
 _SCHED_POLICY = HookPolicy(context_writable=False)
 
+#: ``(hook policy, contract, helper ids, runtime, board, implementation)``
+#: -> the granted policy, the verifier and VM configs derived from it and
+#: the :class:`RunFacts` its containers' runs share.  All are frozen
+#: values that depend on the key alone (the facts' cost profile is the
+#: board's or runtime's one shared profile, and holds no registry), so
+#: every attach of one slot shape on every device shares them; a changed
+#: ceiling, contract, helper set or board is a new key, and a
+#: :class:`~repro.core.policy.PolicyError` is never stored.
+_LIMITS = Memo(256)
+
 
 class SlotSnapshot(NamedTuple):
     """One slot's runtime baseline (see :meth:`HostingEngine
@@ -152,15 +162,6 @@ class HostingEngine:
         #: Crash-loop/overrun watchdog (``supervisor=None``: the default
         #: :class:`~repro.vm.supervisor.SupervisorConfig` policy).
         self.supervisor = ContainerSupervisor(self, supervisor)
-        #: ``(hook policy, contract, helper ids, runtime)`` -> the granted
-        #: policy, the verifier and VM configs derived from it and the
-        #: :class:`RunFacts` its containers' runs share.  All are frozen
-        #: values, so every attach of one slot shape under one ceiling
-        #: shares them; a changed ceiling, contract or helper set is a
-        #: new key, and a :class:`~repro.core.policy.PolicyError` is
-        #: never stored.  Per engine: the facts' cost profile reads this
-        #: engine's live helper registry.
-        self._grants = Memo(256)
         self._register_default_hooks()
 
     # -- firmware-provided hooks ------------------------------------------------
@@ -240,7 +241,7 @@ class HostingEngine:
         The *virtual* clock always pays the full verify+install price —
         that is the device model the evaluation reports.  The *host* does
         lookups plus a clone: the slot shape's limits and the
-        :class:`RunFacts` its runs share (:attr:`_grants`), and the
+        :class:`RunFacts` its runs share (:data:`_LIMITS`), and the
         image's shared :class:`~repro.vm.imagecache.InstancePrototype`
         (:func:`~repro.runtimes.base.build_vm`); only the stack,
         registers, ``.data`` and grant regions are built per instance.
@@ -292,9 +293,10 @@ class HostingEngine:
         runtime: "ContainerRuntime",
     ) -> tuple[GrantedPolicy, VerifierConfig, VMConfig, RunFacts]:
         """The grant, the verifier and VM limits and the :class:`RunFacts`
-        of one slot shape, derived once per key of :attr:`_grants`."""
-        return self._grants.get_or_derive(
-            (policy, contract, self.helpers.ids(), runtime),
+        of one slot shape, derived once per key of :data:`_LIMITS`."""
+        return _LIMITS.get_or_derive(
+            (policy, contract, self.helpers.ids(), runtime, self.board,
+             self.implementation),
             lambda: self._derive_limits(policy, contract, runtime))
 
     def _derive_limits(
@@ -318,8 +320,7 @@ class HostingEngine:
                 context_perms=(Permission.READ_WRITE
                                if granted.context_writable
                                else Permission.READ),
-                cost=runtime.cost_profile(self.board, self.implementation,
-                                          self.helpers),
+                cost=runtime.cost_profile(self.board, self.implementation),
                 setup_cycles=self.board.vm_setup_cycles,
             ),
         )
@@ -455,14 +456,18 @@ class HostingEngine:
         context: bytes = b"",
         pdu: CoapResponseContext | None = None,
     ) -> ContainerRun:
-        """Run one container once, containing any fault (Fig 3 flow)."""
+        """Run one container once, containing any fault (Fig 3 flow).
+
+        An empty ``context`` maps none for the run: r1 is 0 (see
+        :meth:`~repro.vm.interpreter.Interpreter.run`).
+        """
         vm = container.vm
         if vm is None:
             raise EngineError(f"container {container.name!r} is not attached")
         # Everything this run shares with the container's other runs was
-        # derived at attach (RunFacts): the context permissions and the
-        # cost profile.  The save/restore of the execution context is two
-        # plain attribute swaps.
+        # derived at attach (RunFacts): the context permissions, the cost
+        # profile and the setup charge.  The save/restore of the
+        # execution context is two plain attribute swaps.
         facts = container.facts
         clock = self.kernel.clock
         previous_container = self.current_container
@@ -473,8 +478,7 @@ class HostingEngine:
         fault: FaultRecord | None = None
         value: int | None = None
         try:
-            result = vm.run(context=context if context else None,
-                            context_perms=facts.context_perms)
+            result = vm.run(context, facts.context_perms)
             value = result.value
             stats = result.stats
         except VMFault as exc:
@@ -495,18 +499,13 @@ class HostingEngine:
                 # (AccessList.remove also invalidates its MRU region cache.)
                 vm.access_list.remove(pdu.region)
 
-        execution_cycles = facts.cost.cycles(stats)
+        # One tally lookup records the run and prices it (a repeat of a
+        # count vector reuses its price while profile and registry hold).
+        execution_cycles = container.record_run(stats, fault, self.helpers)
         clock.charge(execution_cycles)
         cycles = facts.setup_cycles + execution_cycles
-        run = ContainerRun(
-            container=container,
-            value=value,
-            stats=stats,
-            cycles=cycles,
-            duration_us=self.board.us(cycles),
-            fault=fault,
-        )
-        container.record_run(run)
+        run = ContainerRun(container, value, stats, cycles,
+                           cycles / self.board.mhz, fault)
         if fault is not None:
             self.fault_total += 1
         if pdu is not None and value is not None:

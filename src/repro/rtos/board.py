@@ -48,12 +48,14 @@ class VMCostTable:
 class CostProfile:
     """The prices of a run under one VM build or runtime on one board.
 
-    :meth:`Board.cost_profile` takes them from the board's tables (no
-    copy); the other container runtimes build one from their own
-    per-class tables (no dispatch term, no helpers).  :meth:`cycles` is
-    the one formula that turns a run's counts into cycles, so ``fc
-    run``, the hosting engine and the Table 1/2 rows all price a run the
-    same way.
+    A profile is a firmware constant, shared by every device and engine
+    that prices with it: :meth:`Board.cost_profile` returns the one
+    profile of each VM build on a board, built from the board's tables
+    (no copy); the other container runtimes hold one built from their own
+    per-class tables (no dispatch term, no helpers).  It holds no helper
+    registry: the caller passes its live one to :meth:`cycles`, the one
+    formula that turns a run's counts into cycles, so ``fc run``, the
+    hosting engine and the Table 1/2 rows all price a run the same way.
     """
 
     #: Cycles per executed instruction, on top of its class price.
@@ -64,19 +66,21 @@ class CostProfile:
     call_extra: int = 0
     #: Helper cost key -> cycles spent inside the RTOS service.
     syscall_cycles: Mapping[str, int] = field(default_factory=dict)
-    #: Names each helper's cost key; an id it does not hold (or no
-    #: registry at all) is charged as ``"trace"``.
-    helpers: HelperRegistry | None = None
 
-    def cycles(self, stats: ExecutionStats) -> int:
-        """Translate an execution's counts into cycles."""
+    def cycles(self, stats: ExecutionStats,
+               helpers: HelperRegistry | None = None) -> int:
+        """Translate an execution's counts into cycles.
+
+        ``helpers`` names each helper's cost key; an id it does not hold
+        (or no registry at all) is charged as ``"trace"``.
+        """
         op_cycles = self.op_cycles
         cycles = stats.executed * self.dispatch
         for kind, count in stats.kind_counts.items():
             if count:
                 cycles += count * op_cycles[kind]
         if stats.helper_calls:
-            table = self.helpers.table if self.helpers is not None else {}
+            table = helpers.table if helpers is not None else {}
             for helper_id, count in stats.helper_calls.items():
                 helper = table.get(helper_id)
                 cost_key = "trace" if helper is None else helper.cost_key
@@ -85,13 +89,14 @@ class CostProfile:
         return cycles
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Board:
     """One microcontroller platform model.
 
     A model is firmware-constant: :func:`nrf52840` and its siblings
     return one frozen instance per model, shared by every simulated
-    device of that board.
+    device of that board, with one :class:`CostProfile` per VM build.
+    Equality is identity, so a model keys a memo by the object.
     """
 
     name: str
@@ -133,6 +138,19 @@ class Board:
     nvm_erase_cycles_per_page: int = 85_000
     #: Cycles to program one NVM byte.
     nvm_write_cycles_per_byte: int = 40
+    #: implementation name -> its one :class:`CostProfile` on this board.
+    _profiles: Mapping[str, CostProfile] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_profiles", MappingProxyType({
+            implementation: CostProfile(
+                dispatch=table.dispatch,
+                op_cycles=table.op_cycles,
+                call_extra=table.call_extra,
+                syscall_cycles=self.syscall_cycles,
+            )
+            for implementation, table in self.vm_costs.items()
+        }))
 
     # -- conversions -------------------------------------------------------
 
@@ -154,20 +172,11 @@ class Board:
                 f"implementation {implementation!r}"
             ) from None
 
-    def cost_profile(
-        self,
-        implementation: str,
-        helpers: HelperRegistry | None = None,
-    ) -> CostProfile:
-        """The run prices of ``implementation`` with ``helpers``."""
-        table = self.cost_table(implementation)
-        return CostProfile(
-            dispatch=table.dispatch,
-            op_cycles=table.op_cycles,
-            call_extra=table.call_extra,
-            syscall_cycles=self.syscall_cycles,
-            helpers=helpers,
-        )
+    def cost_profile(self, implementation: str) -> CostProfile:
+        """The run prices of ``implementation`` on this board (one shared
+        profile per implementation)."""
+        self.cost_table(implementation)  # raises for an unknown build
+        return self._profiles[implementation]
 
     def vm_execution_cycles(
         self,
@@ -176,7 +185,7 @@ class Board:
         helpers: HelperRegistry | None = None,
     ) -> int:
         """Translate an execution's instruction counts into cycles."""
-        return self.cost_profile(implementation, helpers).cycles(stats)
+        return self.cost_profile(implementation).cycles(stats, helpers)
 
     def vm_execution_us(
         self,

@@ -124,12 +124,14 @@ class ContainerRuntime(Protocol):
         """
         ...
 
-    def cost_profile(self, board: Board, implementation: str,
-                     helpers: "HelperRegistry | None" = None) -> CostProfile:
-        """The prices of one run on ``board``.
+    def cost_profile(self, board: Board, implementation: str) -> CostProfile:
+        """The prices of one run on ``board``: one shared, immutable
+        profile per (board model, implementation), holding no helper
+        registry.
 
         The engine takes it once, into the run facts it gives the
-        container at attach, and prices every run with it.
+        container at attach, and prices every run with it and its own
+        live helper registry.
         """
         ...
 

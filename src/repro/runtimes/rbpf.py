@@ -81,7 +81,6 @@ class RbpfContainerRuntime:
             clock.charge(install * board.jit_install_cycles_per_slot)
         return vm
 
-    def cost_profile(self, board: "Board", implementation: str,
-                     helpers: "HelperRegistry | None" = None
-                     ) -> "CostProfile":
-        return board.cost_profile(implementation, helpers)
+    def cost_profile(self, board: "Board",
+                     implementation: str) -> "CostProfile":
+        return board.cost_profile(implementation)

@@ -20,7 +20,7 @@ bound runaway scripts with :class:`~repro.vm.errors.BranchLimitFault`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from repro.rtos.board import CostProfile
 from repro.runtimes.base import RUNTIME_SCRIPT, build_vm, tagged_image_hash
@@ -96,13 +96,16 @@ def _fault_from_error(error: ScriptRuntimeError):
     return IllegalInstructionFault(message)
 
 
-def _execution_stats(stats) -> ExecutionStats:
+def _execution_stats(stats, classes: Mapping[str, int]) -> ExecutionStats:
     """A run's node-visit counts in the engine's platform-independent
-    form."""
+    form: every class of ``classes``, zeros included, in its order, so
+    two runs with equal counts report equal dicts in one order."""
+    kind_counts = dict.fromkeys(classes, 0)
+    kind_counts.update(stats.class_counts)
     return ExecutionStats(
         executed=stats.visits,
         branches_taken=stats.class_counts.get("control", 0),
-        kind_counts=dict(stats.class_counts),
+        kind_counts=kind_counts,
     )
 
 
@@ -142,11 +145,13 @@ class ScriptContainerVM:
             fault = (BranchLimitFault("call stack exhausted")
                      if isinstance(error, RecursionError)
                      else _fault_from_error(error))
-            fault.stats = _execution_stats(interpreter.stats)
+            fault.stats = _execution_stats(interpreter.stats,
+                                           self.profile.visit_cycles)
             raise fault from error
         return ExecutionResult(
             value=(result & _M64 if isinstance(result, int) else 0),
-            stats=_execution_stats(interpreter.stats),
+            stats=_execution_stats(interpreter.stats,
+                                   self.profile.visit_cycles),
         )
 
 
@@ -199,6 +204,6 @@ class ScriptContainerRuntime:
         return build_vm(self, image, engine.implementation, engine.helpers,
                         vm_config, verifier_config, regions)
 
-    def cost_profile(self, board: "Board", implementation: str,
-                     helpers: "HelperRegistry | None" = None) -> CostProfile:
+    def cost_profile(self, board: "Board",
+                     implementation: str) -> CostProfile:
         return self._cost

@@ -90,13 +90,18 @@ class WasmImage:
 
 
 class _MeteredStats:
-    """Per-run stats with a control-op fuel budget (the wasm N_b)."""
+    """Per-run stats with a control-op fuel budget (the wasm N_b).
+
+    Counts start at zero for every cost class of the profile, in the
+    profile's order, so two runs with equal counts report equal dicts
+    in one order (the container's tally keys on the values alone).
+    """
 
     __slots__ = ("executed", "class_counts", "branch_limit")
 
-    def __init__(self, branch_limit: int):
+    def __init__(self, branch_limit: int, classes: tuple[str, ...]):
         self.executed = 0
-        self.class_counts: dict[str, int] = {}
+        self.class_counts: dict[str, int] = dict.fromkeys(classes, 0)
         self.branch_limit = branch_limit
 
     def count(self, cost_class: str) -> None:
@@ -130,11 +135,14 @@ class WasmContainerVM:
     """Engine-facing VM wrapper around one :class:`WasmInstance`."""
 
     def __init__(self, image: WasmImage, config: "VMConfig",
-                 access_list: "AccessList", prototype: InstancePrototype):
+                 access_list: "AccessList", prototype: InstancePrototype,
+                 classes: tuple[str, ...]):
         self.image = image
         self.config = config
         self.access_list = access_list
         self.prototype = prototype
+        #: The profile's cost classes, every run's count keys.
+        self.classes = classes
         # The module was validated once, when its prototype was derived;
         # the instance owns only its linear memory and run state.
         self.instance = WasmInstance(image.module, control=prototype.code)
@@ -151,7 +159,7 @@ class WasmContainerVM:
         payload = bytes(context) if context else b""
         memory = instance.memory
         memory[:] = bytes(len(memory))
-        stats = _MeteredStats(self.config.branch_limit)
+        stats = _MeteredStats(self.config.branch_limit, self.classes)
         instance.stats = stats  # type: ignore[assignment]
         try:
             if len(payload) > len(memory):
@@ -206,7 +214,7 @@ class WasmContainerRuntime:
                     vm_config: "VMConfig",
                     regions: "list[MemoryRegion]") -> WasmContainerVM:
         return WasmContainerVM(image, vm_config, AccessList(regions),
-                               prototype)
+                               prototype, tuple(self.profile.op_cycles))
 
     def attach(self, engine: "HostingEngine", container: "FemtoContainer",
                verifier_config: "VerifierConfig", vm_config: "VMConfig",
@@ -223,6 +231,6 @@ class WasmContainerRuntime:
         return build_vm(self, image, engine.implementation, engine.helpers,
                         vm_config, verifier_config, regions)
 
-    def cost_profile(self, board: "Board", implementation: str,
-                     helpers: "HelperRegistry | None" = None) -> CostProfile:
+    def cost_profile(self, board: "Board",
+                     implementation: str) -> CostProfile:
         return self._cost

@@ -26,14 +26,18 @@ build produce bit-identical :class:`ExecutionStats` for the same program.
 Per-run state is reused across executions: the register file lives on
 the instance and the stack's zero template on its shared prototype, so
 a run resets registers (from one shared entry template) and stack with
-one slice assignment each, and a hosting engine firing hooks at a high
-rate reallocates no VM state per event.  The :class:`ExecutionStats`
-object returned by :meth:`Interpreter.run` is always fresh (engines
-keep them in run histories), but its ``kind_counts`` dict is cloned from a prebuilt zero
-table instead of rebuilt key by key.  The dispatch loop is a single
-frame per run: ALU64 ``mov`` and ``add``, the bulk of real programs,
-are executed inline, and a ``call`` is dispatched straight from the
-helper registry's table.
+one slice assignment each, a same-shaped context is copied into the
+region the previous run mapped, and a hosting engine firing hooks at a
+high rate reallocates no VM state per event.  The
+:class:`ExecutionStats` object returned by :meth:`Interpreter.run` is
+always fresh (engines keep them in run histories), but its
+``kind_counts`` dict is cloned from a prebuilt zero table instead of
+rebuilt key by key, in the one order every eBPF engine reports.  The
+dispatch loop is a single frame per run: its constants arrive in one
+tuple unpack, ALU64 ``mov`` and ``add``, the bulk of real programs, are
+executed inline, a ``call`` is dispatched straight from the helper
+registry's table, and the run's instruction total is published from
+its local on the way out.
 """
 
 from __future__ import annotations
@@ -98,7 +102,7 @@ class VMConfig:
     stack_size: int = isa.STACK_SIZE
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecutionStats:
     """What one execution did, in platform-independent units."""
 
@@ -108,7 +112,7 @@ class ExecutionStats:
     helper_calls: dict[int, int] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecutionResult:
     """Return value and accounting of one container execution."""
 
@@ -123,6 +127,11 @@ _ZERO_KINDS = {kind: 0 for kind in isa.InstructionKind.ALL}
 _REGS_AT_ENTRY = tuple(STACK_BASE if index == isa.REG_STACK else 0
                        for index in range(isa.REG_COUNT))
 
+#: The dispatch loop's constants, unpacked into its locals in one step.
+_DISPATCH_CONSTANTS = (isa.CLS_ALU64, isa.CLS_ALU, isa.CLS_LDX, isa.CLS_STX,
+                       isa.CLS_ST, isa.CLS_LD, isa.ALU_END, isa.ALU_MOV,
+                       isa.ALU_ADD, isa.CALL, isa.EXIT)
+
 
 class Interpreter:
     """Baseline interpreter; also the base class for the CertFC variant.
@@ -134,6 +143,14 @@ class Interpreter:
     implementation = "femto-containers"
     #: Extra per-instance RAM beyond registers+stack (housekeeping structs).
     housekeeping_bytes = 24
+    #: Whether the dispatch loop calls :meth:`_pre_execute_check` before
+    #: every instruction: set for a subclass that overrides it (CertFC).
+    _checks_each_instruction = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._checks_each_instruction = (
+            cls._pre_execute_check is not Interpreter._pre_execute_check)
 
     def __init__(
         self,
@@ -229,9 +246,10 @@ class Interpreter:
         context switch), so when the previously-bound region matches in
         size and permissions its backing buffer is overwritten in place:
         no region allocation, no access-list churn, and the MRU region
-        cache stays warm across fires.  A shape or permission change
-        falls back to the remap path.  The context region is only ever
-        unmapped through this method, which is what keeps the in-place
+        cache stays warm across fires (:meth:`run` makes the same check
+        inline).  A shape or permission change falls back to the remap
+        path.  The context region is only ever unmapped here and by a
+        :meth:`run` without a context, which is what keeps the in-place
         reuse sound.
         """
         region = self._context_region
@@ -263,30 +281,43 @@ class Interpreter:
     ) -> ExecutionResult:
         """Execute the program once, from slot 0 until ``exit``.
 
-        ``context`` (when given) is copied into the context region and its
-        address passed in r1, mirroring the launchpad calling convention of
-        Listing 1.  Faults propagate as :class:`VMFault` subclasses that
+        A non-empty ``context`` is copied into the context region and its
+        address passed in r1, mirroring the launchpad calling convention
+        of Listing 1.  An empty one (``b""``, what the hosting engine
+        passes for a hook fired without a context) maps none: the region
+        a previous run mapped is unmapped, r1 is 0, and a read through it
+        is a contained memory fault.  ``None`` keeps whatever
+        :meth:`bind_context` mapped last, the way a standalone VM is
+        driven.  Faults propagate as :class:`VMFault` subclasses that
         carry the counts the run made up to the fault (``stats``); the
         hosting engine is responsible for catching them.
         """
-        if context is not None:
-            self.bind_context(context, context_perms)
+        region = self._context_region
+        if context:
+            if (region is not None and region.perms == context_perms
+                    and len(region.data) == len(context)):
+                region.data[:] = context  # bind_context's same-shape path
+            else:
+                region = self.bind_context(context, context_perms)
+        elif context is not None and region is not None:
+            self.access_list.remove(region)
+            region = self._context_region = None
         # Fresh stack for each run: the engine hands out a zeroed stack.
         # One slice assignment from the prebuilt template, not a byte loop.
         self.stack.data[:] = self.prototype.stack_zeros
 
         regs = self._regs
         regs[:] = _REGS_AT_ENTRY
-        if self._context_region is not None:
+        if region is not None:
             regs[isa.REG_CTX] = CONTEXT_BASE
 
-        stats = ExecutionStats(kind_counts=_ZERO_KINDS.copy())
+        stats = ExecutionStats(0, 0, _ZERO_KINDS.copy(), {})
         try:
             value = self._dispatch_loop(regs, stats)
         except VMFault as fault:
             fault.stats = stats  # the engine charges the aborted run's work
             raise
-        return ExecutionResult(value=value, stats=stats)
+        return ExecutionResult(value, stats)
 
     # Hook for the CertFC defensive variant.
     def _pre_execute_check(self, ins, regs: list[int], pc: int) -> None:
@@ -295,33 +326,24 @@ class Interpreter:
     def _dispatch_loop(self, regs: list[int], stats: ExecutionStats) -> int:
         decoded = self.prototype.code
         n_slots = len(decoded)
-        load = self.access_list.load
-        store = self.access_list.store
+        access_list = self.access_list
+        load = access_list.load
+        store = access_list.store
         kind_counts = stats.kind_counts
         helper_calls = stats.helper_calls
         helper_table = self.helpers.table
-        branch_limit = self.config.branch_limit
-        total_limit = self.config.total_limit
+        config = self.config
+        branch_limit = config.branch_limit
+        total_limit = config.total_limit
         pc = 0
         executed = 0
         branches = 0
         # CertFC hooks every instruction; the optimized build skips the
         # callback entirely instead of calling a no-op.
-        pre_check = None
-        if type(self)._pre_execute_check is not Interpreter._pre_execute_check:
-            pre_check = self._pre_execute_check
-
-        CLS_ALU64 = isa.CLS_ALU64
-        CLS_ALU = isa.CLS_ALU
-        CLS_LDX = isa.CLS_LDX
-        CLS_STX = isa.CLS_STX
-        CLS_ST = isa.CLS_ST
-        CLS_LD = isa.CLS_LD
-        ALU_END = isa.ALU_END
-        ALU_MOV = isa.ALU_MOV
-        ALU_ADD = isa.ALU_ADD
-        CALL = isa.CALL
-        EXIT = isa.EXIT
+        pre_check = (self._pre_execute_check
+                     if self._checks_each_instruction else None)
+        (CLS_ALU64, CLS_ALU, CLS_LDX, CLS_STX, CLS_ST, CLS_LD, ALU_END,
+         ALU_MOV, ALU_ADD, CALL, EXIT) = _DISPATCH_CONSTANTS
 
         try:
             while True:
@@ -426,10 +448,11 @@ class Interpreter:
         except VMFault as exc:  # from the access list, or a helper
             raise exc.at_pc(pc)
         finally:
-            # kind_counts is live-updated; derive the totals so that even a
-            # faulted execution carries exact accounting (the engine charges
-            # cycles for aborted runs too).
-            stats.executed = sum(kind_counts.values())
+            # kind_counts and branches_taken are live-updated (a helper
+            # sees the run so far); publish the total from its local so
+            # that even a faulted execution carries exact accounting (the
+            # engine charges cycles for aborted runs too).
+            stats.executed = executed
 
     # -- instruction groups ---------------------------------------------------
 

@@ -1049,26 +1049,27 @@ class CompiledProgram(Interpreter):
 
     # -- execution -----------------------------------------------------------
 
+    def _call_helper(self, helper_id: int, pc: int, r1: int, r2: int,
+                     r3: int, r4: int, r5: int) -> int:
+        """The template's ``call``: the helper's result, or a contained
+        fault that names the ``call``'s pc."""
+        try:
+            return self.helpers.call(self, helper_id, r1, r2, r3, r4, r5)
+        except VMFault as exc:
+            raise exc.at_pc(pc)
+        except Exception as exc:  # contain helper implementation bugs
+            raise HelperFault(
+                f"helper 0x{helper_id:02x} failed: {exc}", pc
+            ) from exc
+
     def _dispatch_loop(self, regs: list[int], stats: ExecutionStats) -> int:
-        helpers = self.helpers
-        vm = self
-
-        def _call(helper_id, pc, r1, r2, r3, r4, r5):
-            try:
-                return helpers.call(vm, helper_id, r1, r2, r3, r4, r5)
-            except VMFault as exc:
-                raise exc.at_pc(pc)
-            except Exception as exc:  # contain helper implementation bugs
-                raise HelperFault(
-                    f"helper 0x{helper_id:02x} failed: {exc}", pc
-                ) from exc
-
         kind_counts = stats.kind_counts
         template = self.prototype.code
         try:
             return template.entry(
                 regs, self.access_list, stats, kind_counts,
-                stats.helper_calls, _call, self.config.branch_limit,
+                stats.helper_calls, self._call_helper,
+                self.config.branch_limit,
             )
         except MemoryFault as exc:
             # A slow-path access faults on its own line of the template.

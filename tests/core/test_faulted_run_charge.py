@@ -83,7 +83,7 @@ def _charged_run(implementation: str, program: Program, branch_limit: int):
     clock = engine.kernel.clock
     before = clock.cycles
     run = engine.execute(container, b"\x01\x02")
-    return run, clock.cycles - before, container.facts
+    return run, clock.cycles - before, container.facts, engine.helpers
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,10 +92,11 @@ def test_every_run_is_charged_its_counts(source, branch_limit):
     program = assemble(source)
     outcomes = set()
     for implementation in IMPLEMENTATIONS:
-        run, charged, facts = _charged_run(implementation, program,
-                                           branch_limit)
+        run, charged, facts, helpers = _charged_run(implementation, program,
+                                                    branch_limit)
         assert charged == run.cycles
-        assert run.cycles == facts.setup_cycles + facts.cost.cycles(run.stats)
+        assert run.cycles == facts.setup_cycles + facts.cost.cycles(
+            run.stats, helpers)
         assert run.cycles <= facts.setup_cycles + (
             (branch_limit + 1) * len(program.slots)
             * _max_instruction_price(facts.cost))
@@ -110,11 +111,12 @@ def test_every_run_is_charged_its_counts(source, branch_limit):
 
 @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
 def test_runaway_is_charged_its_exhausted_budget(implementation):
-    run, charged, facts = _charged_run(implementation, assemble(SPIN),
-                                       10_000)
+    run, charged, facts, helpers = _charged_run(
+        implementation, assemble(SPIN), 10_000)
     assert run.fault is not None and run.fault.kind == "BranchLimitFault"
     assert run.stats.executed == run.stats.branches_taken == 10_001
-    assert charged == facts.setup_cycles + facts.cost.cycles(run.stats)
+    assert charged == facts.setup_cycles + facts.cost.cycles(run.stats,
+                                                             helpers)
     assert charged > 10_001 * facts.cost.dispatch
 
 

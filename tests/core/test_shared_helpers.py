@@ -120,6 +120,9 @@ class TestPerDeviceState:
         (first,), (second,) = one.containers(), two.containers()
         assert first.vm.prototype is second.vm.prototype
         assert one.helpers.table is two.helpers.table is DEFAULT_HELPERS.table
+        # One slot shape's limits and prices, shared by both devices.
+        assert first.facts is second.facts
+        assert first.facts.cost is one.board.cost_profile(one.implementation)
 
         assert one.fire_hook(FC_HOOK_FANOUT).results == [101]
         assert _state(one) == (101, 101, 101, ["v=101"])

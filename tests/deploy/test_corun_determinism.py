@@ -220,6 +220,7 @@ class TestMemoSafety:
                 plan(engine, spec)
 
     def test_grant_rederived_for_new_ceiling_or_helper(self, monkeypatch):
+        engine_module._LIMITS.clear()  # process-wide: start cold
         grants = []
         real_grant = engine_module.grant
         monkeypatch.setattr(engine_module, "grant",
@@ -249,6 +250,7 @@ class TestMemoSafety:
         assert engine.execute(caller).value == 5
 
     def test_plain_set_contract_is_coerced_and_shares_one_grant(self):
+        engine_module._LIMITS.clear()  # process-wide: start cold
         engine = HostingEngine(Kernel())
         engine.register_hook(Hook(FC_HOOK_FANOUT, mode=HookMode.SYNC))
         contract = ContainerContract(helpers={0x01})  # a plain set
@@ -258,8 +260,9 @@ class TestMemoSafety:
                 engine.load(assemble(GOOD), contract=contract, name=name),
                 FC_HOOK_FANOUT)
             assert container.granted.allowed_helpers == {0x01}
-        assert len(engine._grants) == 1
-        assert engine._grants.hits == 1
+        limits = engine_module._LIMITS
+        assert len(limits) == 1
+        assert limits.hits == 1
 
     def test_wrong_payload_after_cached_match_is_a_mismatch(self):
         publisher = build_fleet_publisher(devices=2)
