@@ -169,6 +169,10 @@ class FemtoContainer:
     #: Sum of the runs folded out of a full tally.
     _folded: ExecutionStats | None = field(default=None, init=False,
                                            repr=False)
+    #: The supervisor's :class:`~repro.vm.supervisor.SlotHealth` record
+    #: of this container, set by its first supervised run.  Until then
+    #: this class default reads ``None`` and the instance stores nothing.
+    health = None
 
     def __post_init__(self) -> None:
         if self.local_store is None:

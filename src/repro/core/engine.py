@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from repro.core.container import (
     ContainerRun,
@@ -60,7 +60,6 @@ from repro.vm.interpreter import ExecutionStats, VMConfig
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rtos.board import Board
     from repro.runtimes.base import ContainerRuntime
-    from repro.vm.supervisor import SlotHealth
 
 
 #: The scheduler launchpad's ceiling: it may read, never rewrite, the
@@ -81,13 +80,11 @@ _LIMITS = Memo(256)
 class SlotSnapshot(NamedTuple):
     """One slot's runtime baseline (see :meth:`HostingEngine
     .runtime_snapshot`): the container object plus its run/cycle
-    counters at snapshot time, and the supervisor's health record for
-    the slot (``None`` when never observed)."""
+    counters at snapshot time (its health is ``container.health``)."""
 
     container: FemtoContainer
     runs: int
     cycles: int
-    health: "SlotHealth | None"
 
 
 @dataclass
@@ -544,44 +541,35 @@ class HostingEngine:
             seen.extend(hook.containers)
         return seen
 
-    def runtime_snapshot(self) -> dict[tuple[str, str], SlotSnapshot]:
-        """Per-slot :class:`SlotSnapshot` baselines.
+    def slots(self) -> Iterator[tuple[FemtoContainer, str]]:
+        """Every ``(container, hook name)`` on the device: the attached
+        containers in hook order, then those the supervisor holds out of
+        service (quarantined or permanent), with the hook each left."""
+        for hook in self.hooks.values():
+            for container in hook.containers:
+                yield container, hook.name
+        yield from self.supervisor.detained.items()
 
-        Keyed by ``(hook name, container name)`` like
-        :meth:`fault_counts`.  The container *object* is part of the
-        snapshot on purpose: run and cycle counters live on the
-        instance, so a later reader can compute deltas even for a
-        container the engine fault-detached in the meantime (fleet
-        canary health gates rely on exactly that).  Every slot
-        additionally carries its live health record — including slots
-        whose container is currently *quarantined* (detached), so a
-        fleet health reader sees the sick slot, not a silent absence.
+    def runtime_snapshot(self) -> dict[tuple[str, str], SlotSnapshot]:
+        """Per-slot :class:`SlotSnapshot` baselines of :meth:`slots`.
+
+        Keyed by ``(hook name, container name)``, the planner's slot
+        identity (an attached container wins its key over a detained
+        one).  The container *object* is part of the snapshot on
+        purpose: run and cycle counters live on the instance, so a later
+        reader can compute deltas even for a container the engine
+        fault-detached in the meantime (fleet canary health gates rely
+        on exactly that).  A *quarantined* (detached) container keeps
+        its slot, so a fleet health reader sees the sick slot, not a
+        silent absence.
         """
         snapshot: dict[tuple[str, str], SlotSnapshot] = {}
-        for container in self.containers():
-            if container.hook is None:
-                continue
-            key = (container.hook.name, container.name)
-            snapshot[key] = SlotSnapshot(
-                container, container.runs, container.total_cycles,
-                self.supervisor.health(*key))
-        for key, health in self.supervisor.counters().items():
-            if key not in snapshot and health.quarantined:
-                snapshot[key] = SlotSnapshot(
-                    health.container, health.container.runs,
-                    health.container.total_cycles, health)
+        for container, hook_name in self.slots():
+            snapshot.setdefault(
+                (hook_name, container.name),
+                SlotSnapshot(container, container.runs,
+                             container.total_cycles))
         return snapshot
-
-    def fault_counts(self) -> dict[tuple[str, str], int]:
-        """Per-slot fault counts of currently attached containers.
-
-        Keyed by ``(hook name, container name)`` — the planner's slot
-        identity — because one container name may legally appear on
-        several hooks.
-        """
-        return {(container.hook.name, container.name): container.fault_count
-                for container in self.containers()
-                if container.hook is not None}
 
     def store_ram_bytes(self) -> int:
         """RAM of all key-value stores plus housekeeping (§10.3's 340 B)."""

@@ -272,7 +272,7 @@ class _Track:
             reboots=device.reboots - self.reboots_before,
             fault_delta=(self.faults_accum + device.engine.fault_total
                          - self.faults_before),
-            quarantined=len(device.engine.supervisor.quarantined_slots()),
+            quarantined=len(device.engine.supervisor.detained),
             radio_uj=_radio_uj(device) - self.radio_before,
         )
 
@@ -901,8 +901,7 @@ class FleetPublisher:
                 spec=(device.current_spec.name
                       if device.current_spec is not None else None),
                 reboots=device.reboots,
-                quarantined=len(
-                    device.engine.supervisor.quarantined_slots()),
+                quarantined=len(device.engine.supervisor.detained),
                 halted=device.kernel.halted,
                 cycles=device.kernel.clock.cycles,
                 radio_uj=_radio_uj(device),

@@ -91,68 +91,48 @@ class DeviceShell:
         return "\n".join(lines)
 
     def _cmd_fc(self, args: list[str]) -> str:
+        # Every command reads the engine's slots: the attached containers,
+        # then the ones the supervisor holds out of service (detached, so
+        # they would otherwise vanish from the shell).
         if not args or args[0] == "list":
             # The image column shows the content-hash prefix: instances
             # stamped from one image share it (and, through the image
-            # cache, share one verify report and one JIT template).
-            # The strikes/state columns surface the supervisor's verdict
-            # per slot; quarantined slots are *detached*, so they get
-            # their own rows below the live containers.
-            supervisor = self.engine.supervisor
+            # cache, one instance prototype).  The strikes/state columns
+            # surface the supervisor's verdict on each container.
             lines = [f"{'name':20} {'tenant':10} {'hook':24} "
                      f"{'runtime':8} "
                      f"{'image':12} {'runs':>6} {'faults':>6} {'ram B':>6} "
                      f"{'strikes':>7} {'state':>11}"]
-            for container in self.engine.containers():
+            for container, hook_name in self.engine.slots():
                 tenant = container.tenant.name if container.tenant else "-"
-                hook = container.hook.name if container.hook else "-"
-                runtime = container.program.runtime
-                health = (supervisor.health(hook, container.name)
-                          if container.hook else None)
+                health = container.health
                 lines.append(
-                    f"{container.name:20} {tenant:10} {hook:24} "
-                    f"{runtime:8} "
+                    f"{container.name:20} {tenant:10} {hook_name:24} "
+                    f"{container.program.runtime:8} "
                     f"{container.image_hash[:12]} "
                     f"{container.runs:>6} {container.fault_count:>6} "
                     f"{container.ram_bytes:>6} "
                     f"{health.strikes if health else 0:>7} "
                     f"{health.state if health else 'ok':>11}"
                 )
-            listed = {(c.hook.name, c.name)
-                      for c in self.engine.containers() if c.hook}
-            for (hook_name, name), record in sorted(
-                    supervisor.counters().items()):
-                if not record.quarantined or (hook_name, name) in listed:
-                    continue
-                detained = record.container
-                tenant = (detained.tenant.name if detained.tenant
-                          else "-")
-                runtime = detained.program.runtime
-                lines.append(
-                    f"{name:20} {tenant:10} {hook_name:24} "
-                    f"{runtime:8} "
-                    f"{detained.image_hash[:12]} "
-                    f"{detained.runs:>6} {detained.fault_count:>6} "
-                    f"{detained.ram_bytes:>6} "
-                    f"{record.strikes:>7} {record.state:>11}"
-                )
             return "\n".join(lines)
-        if args[0] == "detach" and len(args) == 2:
-            for container in self.engine.containers():
+        if args[0] in ("detach", "faults") and len(args) == 2:
+            for container, _hook_name in self.engine.slots():
                 if container.name == args[1]:
-                    self.engine.detach(container)
-                    return f"detached {args[1]}"
-            return f"no container named {args[1]!r}"
-        if args[0] == "faults" and len(args) == 2:
-            for container in self.engine.containers():
-                if container.name == args[1]:
-                    if not container.faults:
-                        return "no faults"
-                    return "\n".join(
-                        f"[{f.at_cycles}] {f.kind}: {f.message}"
-                        for f in container.faults
-                    )
-            return f"no container named {args[1]!r}"
+                    break
+            else:
+                return f"no container named {args[1]!r}"
+            if args[0] == "faults":
+                if not container.faults:
+                    return "no faults"
+                return "\n".join(f"[{f.at_cycles}] {f.kind}: {f.message}"
+                                 for f in container.faults)
+            if container.hook is None:
+                # Held by the supervisor: cancel its probation for good.
+                self.engine.supervisor.release(container)
+            else:
+                self.engine.detach(container)
+            return f"detached {args[1]}"
         return "usage: fc [list|detach <name>|faults <name>]"
 
     def _cmd_kv(self, args: list[str]) -> str:

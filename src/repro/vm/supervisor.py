@@ -1,4 +1,4 @@
-"""Per-slot container supervision: crash-loop quarantine with probation.
+"""Per-container supervision: crash-loop quarantine with probation.
 
 The paper's fault-isolation contract (§3, §5) contains each fault, but
 containment alone is not health: a container that faults on *every*
@@ -7,10 +7,11 @@ cannot spare.  TinyContainer-style middleware makes runtime health
 enforcement a middleware responsibility; this module is that layer for
 the hosting engine.
 
-A :class:`ContainerSupervisor` watches every
-:meth:`~repro.core.engine.HostingEngine.execute` outcome per slot
-(``(hook name, container name)`` — the planner's slot identity) and
-tracks two streaks:
+A container owns its health: the :class:`SlotHealth` record on
+``container.health``, allocated by its first supervised run.  A
+:class:`ContainerSupervisor` reads that record for every
+:meth:`~repro.core.engine.HostingEngine.execute` outcome and tracks two
+streaks:
 
 * **fault streak** — consecutive contained faults; reaching
   :attr:`SupervisorConfig.fault_streak` quarantines the container;
@@ -26,15 +27,17 @@ full verify+install path, so its cycle cost is charged to the virtual
 clock exactly like any install, and puts the container back at the
 index in the hook's run order it held when quarantined (clamped to the
 hook's current length), as a hot replace does.  After
-:attr:`SupervisorConfig.max_strikes` strikes the slot is
-**permanently** quarantined — no timer, no re-arm, an operator (or a
-fresh install over the slot) is the only way back.
+:attr:`SupervisorConfig.max_strikes` strikes the quarantine is
+**permanent** — no timer, no re-arm, an operator (or a fresh install
+over the slot) is the only way back.
 
-A fresh container attached over a supervised slot (hot replace, plan
-install, rollback) resets the slot's health: the supervisor cancels
-any stale probation timer and starts the new container clean, so a
-poisoned image that was quarantined can never be re-armed by a timer
-that outlived its rollback.
+The supervisor itself keeps only the containers it holds out of
+service, each with the hook it was quarantined from: the slot key
+``(hook name, container name)`` only names a detained container.  A
+container leaves that set when it is attached again, on any hook, or
+when a different container takes its slot (hot replace, plan install,
+rollback); either attach cancels the pending probation timer, so a
+timer never re-arms a container someone else already dealt with.
 
 The supervisor charges **nothing** on the fault-free path: observing a
 clean run is pure host-side bookkeeping, so modelled cycles of healthy
@@ -71,21 +74,19 @@ class SupervisorConfig:
 
 @dataclass
 class SlotHealth:
-    """Supervision state of one ``(hook, container name)`` slot."""
+    """Supervision state of one container (``container.health``)."""
 
-    hook_name: str
-    container: "FemtoContainer"
     #: Consecutive contained faults (reset by any clean run).
     fault_streak: int = 0
     #: Consecutive runs over the cycle ceiling (reset by a cheap run).
     overrun_streak: int = 0
     #: Lifetime over-ceiling runs.
     overruns: int = 0
-    #: Quarantines this container has earned on this slot.
+    #: Quarantines this container has earned.
     strikes: int = 0
     #: Probation re-attaches that actually happened.
     probations: int = 0
-    #: Currently detached by the supervisor.
+    #: Currently held out of service by the supervisor.
     quarantined: bool = False
     #: Struck out: no probation timer will ever re-arm it.
     permanent: bool = False
@@ -112,7 +113,9 @@ class ContainerSupervisor:
                  config: SupervisorConfig | None = None) -> None:
         self.engine = engine
         self.config = config if config is not None else SupervisorConfig()
-        self._records: dict[tuple[str, str], SlotHealth] = {}
+        #: Containers held out of service (quarantined or permanent) ->
+        #: the name of the hook each was quarantined from.
+        self.detained: dict["FemtoContainer", str] = {}
         #: Lifetime quarantine events (probation re-arms do not reset it).
         self.quarantines = 0
 
@@ -120,7 +123,7 @@ class ContainerSupervisor:
 
     def observe(self, container: "FemtoContainer",
                 run: "ContainerRun") -> None:
-        """Account one run; quarantine the slot when a streak trips.
+        """Account one run; quarantine the container when a streak trips.
 
         Called after the engine recorded the run and before
         ``execute`` returns — so a SYNC hook firing observes the
@@ -129,124 +132,102 @@ class ContainerSupervisor:
         hook = container.hook
         if hook is None:
             return
-        key = (hook.name, container.name)
-        record = self._records.get(key)
-        if record is None or record.container is not container:
-            record = SlotHealth(hook.name, container)
-            self._records[key] = record
+        health = container.health
+        if health is None:
+            health = container.health = SlotHealth()
         config = self.config
         if run.fault is not None:
-            record.fault_streak += 1
+            health.fault_streak += 1
         else:
-            record.fault_streak = 0
+            health.fault_streak = 0
         ceiling = config.cycle_ceiling
         if ceiling is not None:
             if run.cycles > ceiling:
-                record.overrun_streak += 1
-                record.overruns += 1
+                health.overrun_streak += 1
+                health.overruns += 1
             else:
-                record.overrun_streak = 0
-        if (record.fault_streak >= config.fault_streak
+                health.overrun_streak = 0
+        if (health.fault_streak >= config.fault_streak
                 or (ceiling is not None
-                    and record.overrun_streak >= config.overrun_streak)):
-            self._quarantine(record)
+                    and health.overrun_streak >= config.overrun_streak)):
+            self._quarantine(container, health)
 
-    def _quarantine(self, record: SlotHealth) -> None:
-        record.strikes += 1
-        record.fault_streak = 0
-        record.overrun_streak = 0
+    def _quarantine(self, container: "FemtoContainer",
+                    health: SlotHealth) -> None:
+        health.strikes += 1
+        health.fault_streak = 0
+        health.overrun_streak = 0
         self.quarantines += 1
-        container = record.container
-        record.position = container.hook.containers.index(container)
+        hook = container.hook
+        health.position = hook.containers.index(container)
         self.engine.detach(container)
-        record.quarantined = True
-        if record.strikes >= self.config.max_strikes:
-            record.permanent = True
-            record.rearm_at_us = None
+        health.quarantined = True
+        self.detained[container] = hook.name
+        if health.strikes >= self.config.max_strikes:
+            health.permanent = True
+            health.rearm_at_us = None
             return
         delay = min(
-            self.config.probation_base_us * 2 ** (record.strikes - 1),
+            self.config.probation_base_us * 2 ** (health.strikes - 1),
             self.config.probation_cap_us,
         )
-        record.rearm_at_us = self.engine.kernel.now_us + delay
-        record._rearm_entry = self.engine.kernel.timers.set(
-            lambda r=record: self._probation_rearm(r), delay,
+        health.rearm_at_us = self.engine.kernel.now_us + delay
+        health._rearm_entry = self.engine.kernel.timers.set(
+            lambda c=container: self._probation_rearm(c), delay,
         )
 
-    def _probation_rearm(self, record: SlotHealth) -> None:
+    def _probation_rearm(self, container: "FemtoContainer") -> None:
         """Timer-driven probation: re-attach the quarantined container.
 
-        Guarded against every way the world can have moved on while the
-        timer was pending: a permanent strike-out, a manual re-attach,
-        a fresh install that took the slot (rollback!), or a hook that
-        no longer exists.  A stale timer must never re-arm a container
-        someone else already dealt with.
+        Any attach of the container, or of another one into its slot,
+        cancels this timer (:meth:`release`), so a pending timer's
+        container is still detained here.
         """
-        record._rearm_entry = None
-        record.rearm_at_us = None
-        if record.permanent or not record.quarantined:
-            return
-        container = record.container
-        key = (record.hook_name, container.name)
-        if self._records.get(key) is not record:
-            return  # superseded by a newer container's health record
-        if container.hook is not None:
-            record.quarantined = False  # operator re-attached it manually
-            return
-        hook = self.engine.hooks.get(record.hook_name)
+        health = container.health
+        health._rearm_entry = None
+        health.rearm_at_us = None
+        hook_name = self.detained[container]
+        hook = self.engine.hooks.get(hook_name)
         if hook is None:
-            return
-        if any(c.name == container.name for c in hook.containers):
-            # A fresh install owns the slot now; this record is stale.
-            del self._records[key]
             return
         try:
             # Full verify+install price on the virtual clock, like any
             # attach — probation is never free.
-            self.engine.attach(container, record.hook_name,
-                               min(record.position, len(hook.containers)))
+            self.engine.attach(container, hook_name,
+                               min(health.position, len(hook.containers)))
         except Exception:
             # The image no longer passes pre-flight (policy changed,
             # hook repurposed): strike out rather than retry forever.
-            record.permanent = True
+            health.permanent = True
             return
-        record.quarantined = False
-        record.probations += 1
+        health.probations += 1
 
-    # -- lifecycle notifications ------------------------------------------
+    # -- lifecycle -----------------------------------------------------------
 
     def notify_attach(self, container: "FemtoContainer",
                       hook_name: str) -> None:
-        """A container was attached to ``hook_name`` — reconcile health.
+        """A container was attached to ``hook_name``: release it, and any
+        different container it displaces from that ``(hook, name)`` slot,
+        from detention — so a rolled-back slot can never be re-poisoned
+        by a stale probation timer."""
+        for held in [held for held, held_hook in self.detained.items()
+                     if held is container
+                     or (held_hook == hook_name
+                         and held.name == container.name)]:
+            self.release(held)
 
-        The same container coming back (manual or probation re-attach)
-        clears its quarantine flag; a *different* container taking the
-        slot starts with fresh health and kills any stale probation
-        timer, so a rolled-back slot can never be re-poisoned by it.
-        """
-        key = (hook_name, container.name)
-        record = self._records.get(key)
-        if record is None:
-            return
-        if record._rearm_entry is not None:
-            self.engine.kernel.timers.cancel(record._rearm_entry)
-            record._rearm_entry = None
-            record.rearm_at_us = None
-        if record.container is container:
-            record.quarantined = False
-        else:
-            del self._records[key]
-
-    # -- introspection ------------------------------------------------------
-
-    def health(self, hook_name: str, name: str) -> SlotHealth | None:
-        return self._records.get((hook_name, name))
-
-    def counters(self) -> dict[tuple[str, str], SlotHealth]:
-        """All per-slot health records, keyed like ``fault_counts()``."""
-        return dict(self._records)
+    def release(self, container: "FemtoContainer") -> None:
+        """Stop holding a detained ``container``: cancel its probation
+        timer and drop it from :attr:`detained`."""
+        del self.detained[container]
+        health = container.health
+        if health._rearm_entry is not None:
+            self.engine.kernel.timers.cancel(health._rearm_entry)
+            health._rearm_entry = None
+        health.rearm_at_us = None
+        health.quarantined = False
 
     def quarantined_slots(self) -> list[tuple[str, str]]:
         """Slots currently held out of service (incl. permanent)."""
-        return sorted(key for key, record in self._records.items()
-                      if record.quarantined)
+        return sorted((hook_name, container.name)
+                      for container, hook_name in self.detained.items())

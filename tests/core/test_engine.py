@@ -128,7 +128,9 @@ class TestLifecycle:
         engine.execute(faulty)
         engine.execute(faulty)
         assert engine.fault_total == 2
-        assert engine.fault_counts() == {(FC_HOOK_TIMER, "app"): 2}
+        assert {(hook, container.name): container.fault_count
+                for container, hook in engine.slots()} \
+            == {(FC_HOOK_TIMER, "app"): 2}
         engine.replace(faulty, assemble(RETURN_7))
         assert engine.fault_total == 2  # survives the hot swap
 

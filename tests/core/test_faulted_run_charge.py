@@ -132,6 +132,6 @@ def test_cycle_ceiling_quarantines_a_runaway(implementation):
                               FC_HOOK_TIMER)
     for _ in range(2):
         engine.execute(container)
-    health = engine.supervisor.health(FC_HOOK_TIMER, "spin")
+    health = container.health
     assert health.quarantined and container.hook is None
     assert health.overruns == 2

@@ -135,15 +135,16 @@ class TestFaultDetachMatchesReferenceLoop:
     @staticmethod
     def _state(engine: HostingEngine, containers: list) -> tuple:
         health = {
-            key: (h.container.name, h.fault_streak, h.overrun_streak,
-                  h.overruns, h.strikes, h.probations, h.quarantined,
-                  h.permanent, h.rearm_at_us, h.position)
-            for key, h in engine.supervisor.counters().items()}
+            c.name: (h.fault_streak, h.overrun_streak, h.overruns,
+                     h.strikes, h.probations, h.quarantined, h.permanent,
+                     h.rearm_at_us, h.position)
+            for c in containers if (h := c.health) is not None}
         return (
             [c.name for c in engine.hooks[FC_HOOK_FANOUT].containers],
             [(c.name, c.runs, c.total_cycles, c.lifetime_stats, c.faults)
              for c in containers],
             health,
+            engine.supervisor.quarantined_slots(),
             engine.supervisor.quarantines,
             engine.fault_total,
             engine.kernel.clock.cycles,

@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import FC_HOOK_SCHED, FC_HOOK_TIMER
-from repro.rtos import Sleep, synthetic_temperature
+from repro.core import (
+    FC_HOOK_SCHED,
+    FC_HOOK_TIMER,
+    ContainerState,
+    HostingEngine,
+)
+from repro.rtos import Kernel, Sleep, synthetic_temperature
 from repro.rtos.shell import DeviceShell
 from repro.vm import assemble
+from repro.vm.supervisor import SupervisorConfig
 
 
 @pytest.fixture
@@ -24,6 +30,18 @@ def populate(engine, kernel):
     engine.global_store.store(3, 99)
     tenant.store.store(1, 11)
     return container
+
+
+def quarantined(board):
+    """An engine whose supervisor has just quarantined ``bad``."""
+    engine = HostingEngine(Kernel(board),
+                           supervisor=SupervisorConfig(fault_streak=1))
+    bad = engine.attach(engine.load(assemble(
+        "lddw r1, 0x1\n    ldxb r0, [r1]\n    exit"), name="bad"),
+        FC_HOOK_TIMER)
+    engine.execute(bad)
+    assert bad.state is ContainerState.DETACHED
+    return engine, bad
 
 
 class TestShell:
@@ -110,6 +128,25 @@ class TestShell:
         text = shell.execute("fc faults crasher")
         assert "MemoryFault" in text
         assert shell.execute("fc faults sevener") != ""
+
+    def test_fc_faults_reaches_a_quarantined_container(self, board_m4):
+        engine, _bad = quarantined(board_m4)
+        shell = DeviceShell(engine)
+        assert "quarantined" in shell.execute("fc list")
+        assert "MemoryFault" in shell.execute("fc faults bad")
+
+    def test_fc_detach_keeps_a_quarantined_container_out(self, board_m4):
+        """Detaching a quarantined container cancels its probation: it
+        leaves the listing and no timer attaches it again."""
+        engine, bad = quarantined(board_m4)
+        shell = DeviceShell(engine)
+        assert shell.execute("fc detach bad") == "detached bad"
+        assert "bad" not in shell.execute("fc list")
+        engine.kernel.run(until_us=engine.kernel.now_us + 60_000_000.0)
+        assert bad.state is ContainerState.DETACHED
+        assert engine.hook(FC_HOOK_TIMER).containers == []
+        assert engine.supervisor.quarantined_slots() == []
+        assert "bad" not in shell.execute("fc list")
 
     def test_kv_dump_and_read(self, shell, engine, kernel):
         populate(engine, kernel)
