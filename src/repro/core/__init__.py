@@ -11,7 +11,7 @@ from repro.core.container import (
     FaultRecord,
     FemtoContainer,
 )
-from repro.core.engine import HookFiring, HostingEngine, SlotSnapshot
+from repro.core.engine import HookFiring, HostingEngine
 from repro.core.errors import AttachError, EngineError, UnknownHookError
 from repro.core.hooks import (
     FC_HOOK_COAP,
@@ -69,7 +69,6 @@ __all__ = [
     "KeyValueStore",
     "MemoryGrant",
     "PolicyError",
-    "SlotSnapshot",
     "Tenant",
     "UnknownHookError",
     "format_s16_dfp",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator
 
 from repro.core.container import (
     ContainerRun,
@@ -75,16 +75,6 @@ _SCHED_POLICY = HookPolicy(context_writable=False)
 #: ceiling, contract, helper set or board is a new key, and a
 #: :class:`~repro.core.policy.PolicyError` is never stored.
 _LIMITS = Memo(256)
-
-
-class SlotSnapshot(NamedTuple):
-    """One slot's runtime baseline (see :meth:`HostingEngine
-    .runtime_snapshot`): the container object plus its run/cycle
-    counters at snapshot time (its health is ``container.health``)."""
-
-    container: FemtoContainer
-    runs: int
-    cycles: int
 
 
 @dataclass
@@ -549,27 +539,6 @@ class HostingEngine:
             for container in hook.containers:
                 yield container, hook.name
         yield from self.supervisor.detained.items()
-
-    def runtime_snapshot(self) -> dict[tuple[str, str], SlotSnapshot]:
-        """Per-slot :class:`SlotSnapshot` baselines of :meth:`slots`.
-
-        Keyed by ``(hook name, container name)``, the planner's slot
-        identity (an attached container wins its key over a detained
-        one).  The container *object* is part of the snapshot on
-        purpose: run and cycle counters live on the instance, so a later
-        reader can compute deltas even for a container the engine
-        fault-detached in the meantime (fleet canary health gates rely
-        on exactly that).  A *quarantined* (detached) container keeps
-        its slot, so a fleet health reader sees the sick slot, not a
-        silent absence.
-        """
-        snapshot: dict[tuple[str, str], SlotSnapshot] = {}
-        for container, hook_name in self.slots():
-            snapshot.setdefault(
-                (hook_name, container.name),
-                SlotSnapshot(container, container.runs,
-                             container.total_cycles))
-        return snapshot
 
     def store_ram_bytes(self) -> int:
         """RAM of all key-value stores plus housekeeping (§10.3's 340 B)."""

@@ -72,45 +72,45 @@ class HealthGate:
     def breaches(
         self,
         device: FleetDevice,
-        before: dict,
+        before: Mapping,
         fault_delta: int,
         controls: Sequence[FleetDevice],
         history: Sequence[Mapping] | None = None,
     ) -> list[str]:
         """Health violations of one baked canary (empty when healthy).
 
-        ``before`` is the engine's
-        :meth:`~repro.core.engine.HostingEngine.runtime_snapshot` taken
-        after the canary converged on the spec but before the bake.
-        ``history`` (used with :attr:`window_runs`) is a series of
-        per-slot ``(runs, cycles)`` samples taken during the bake,
-        oldest first, as built by :meth:`StagedRollout.bake_and_gate`.
+        ``before`` maps each container of the canary's
+        :meth:`~repro.core.engine.HostingEngine.slots` to its
+        ``(runs, total_cycles)`` after the canary converged on the spec
+        but before the bake; budgets are looked up by container name, so
+        same-named containers are each held to theirs.  ``history``
+        (used with :attr:`window_runs`) is a series of per-container
+        ``(runs, cycles)`` samples taken during the bake, oldest first,
+        as built by :meth:`StagedRollout.bake_and_gate`.
         """
         problems: list[str] = []
         if fault_delta > self.max_fault_delta:
             problems.append(f"+{fault_delta} faults during bake")
-        for slot, snap in before.items():
-            # A SlotSnapshot — or any (container, runs, cycles, ...)
-            # tuple a custom gate hands in.
-            container, runs0, cycles0 = snap[0], snap[1], snap[2]
-            budget = self.cycle_budgets.get(slot[1])
+        for container, (runs0, cycles0) in before.items():
+            budget = self.cycle_budgets.get(container.name)
             if budget is None:
                 continue
             if (self.window_runs is not None and history
                     and len(history) >= 2):
-                judged, problem = self._window_verdict(slot, budget, history)
+                judged, problem = self._window_verdict(
+                    container, budget, history)
                 if judged:
                     if problem:
                         problems.append(problem)
                     continue
                 # Too few runs for a full window: fall back to totals.
-            # The snapshot pins the container object, so a slot that
+            # The baseline is keyed by the container object, so one that
             # fault-detached mid-bake is still accounted.
             runs = container.runs - runs0
             cycles = container.total_cycles - cycles0
             if runs > 0 and cycles > budget * runs:
                 problems.append(
-                    f"{slot[1]} burned {cycles // runs} cycles/run "
+                    f"{container.name} burned {cycles // runs} cycles/run "
                     f"(budget {budget})"
                 )
         if self.store_keys and controls:
@@ -128,9 +128,9 @@ class HealthGate:
                         break
         return problems
 
-    def _window_verdict(self, slot, budget: int,
+    def _window_verdict(self, container, budget: int,
                         history: Sequence[Mapping]) -> tuple[bool, str]:
-        """Judge one slot over the tightest trailing bake window.
+        """Judge one container over the tightest trailing bake window.
 
         Walks sample intervals newest-first, accumulating until the
         window holds at least :attr:`window_runs` runs, and holds that
@@ -141,8 +141,8 @@ class HealthGate:
         runs_acc = 0
         cycles_acc = 0
         for i in range(len(history) - 1, 0, -1):
-            newer = history[i].get(slot)
-            older = history[i - 1].get(slot)
+            newer = history[i].get(container)
+            older = history[i - 1].get(container)
             if newer is None or older is None:
                 continue
             runs_acc += newer[0] - older[0]
@@ -153,8 +153,9 @@ class HealthGate:
             return False, ""
         if cycles_acc > budget * runs_acc:
             return True, (
-                f"{slot[1]} burned {cycles_acc // runs_acc} cycles/run "
-                f"over the trailing {runs_acc}-run window (budget {budget})"
+                f"{container.name} burned {cycles_acc // runs_acc} "
+                f"cycles/run over the trailing {runs_acc}-run window "
+                f"(budget {budget})"
             )
         return True, ""
 
@@ -356,17 +357,16 @@ class StagedRollout:
         slices = 8 if gate.window_runs is not None else 1
         for device in canaries:
             faults_before = device.engine.fault_total
-            snapshot_before = device.engine.runtime_snapshot()
+            baked = [container for container, _ in device.engine.slots()]
 
             def sample() -> dict:
-                # Read the *pinned* container objects from the pre-bake
-                # snapshot, so a slot replaced or fault-detached
-                # mid-bake keeps a continuous series.
-                return {slot: (snap.container.runs,
-                               snap.container.total_cycles)
-                        for slot, snap in snapshot_before.items()}
+                # Read the pre-bake container objects, so one replaced or
+                # fault-detached mid-bake keeps a continuous series.
+                return {container: (container.runs, container.total_cycles)
+                        for container in baked}
 
-            history = [sample()]
+            before = sample()
+            history = [before]
             for index in range(slices):
                 _bake_device(
                     device, self.bake_us / slices,
@@ -377,6 +377,6 @@ class StagedRollout:
             delta = device.engine.fault_total - faults_before
             fault_deltas[device.name] = delta
             health[device.name] = gate.breaches(
-                device, snapshot_before, delta, controls,
+                device, before, delta, controls,
                 history=history if slices > 1 else None)
         return fault_deltas, health

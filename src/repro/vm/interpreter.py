@@ -91,13 +91,15 @@ def _byteswap(value: int, width_bits: int) -> int:
 
 @dataclass(frozen=True)
 class VMConfig:
-    """Runtime limits of one container execution."""
+    """Runtime limits of one container execution.
+
+    A run has one bound: the verifier caps a program at N_i instructions
+    and the VM caps it at N_b taken branches, so it executes at most
+    N_i * (N_b + 1) instructions on every engine.
+    """
 
     #: N_b — taken branches allowed before the execution is aborted.
     branch_limit: int = 10_000
-    #: Optional absolute cap on executed instructions (defense in depth;
-    #: N_i * N_b already bounds execution when None).
-    total_limit: int | None = None
     #: Size of the engine-provided stack (the eBPF spec mandates 512 B).
     stack_size: int = isa.STACK_SIZE
 
@@ -332,9 +334,7 @@ class Interpreter:
         kind_counts = stats.kind_counts
         helper_calls = stats.helper_calls
         helper_table = self.helpers.table
-        config = self.config
-        branch_limit = config.branch_limit
-        total_limit = config.total_limit
+        branch_limit = self.config.branch_limit
         pc = 0
         executed = 0
         branches = 0
@@ -359,12 +359,6 @@ class Interpreter:
                     pre_check(d.ins, regs, pc)
                 executed += 1
                 kind_counts[kind] += 1
-                if total_limit is not None and executed > total_limit:
-                    raise BranchLimitFault(
-                        f"execution exceeded the total budget of "
-                        f"{total_limit} instructions",
-                        pc,
-                    )
 
                 cls = d.cls
 

@@ -62,10 +62,12 @@ interpreter keeps on objects lives in the template's frame instead:
 
 * **counts** — one local per cost class the program contains
   (``_k_alu``, ``_k_load``, ...) and the taken-branch count ``_br``.
-  Straight-line counts are batched and bumped *before* every faultable
-  operation, and a ``try``/``finally`` around the dispatch loop publishes
-  the locals to ``kind_counts`` and ``branches_taken`` on every way out —
-  return or fault — so a faulted run carries exactly the same
+  Counts are always batched per straight-line segment and bumped
+  *before* every faultable operation (the N_b budget is checked at block
+  edges, so no instruction needs its own count), and a
+  ``try``/``finally`` around the dispatch loop publishes the locals to
+  ``kind_counts`` and ``branches_taken`` on every way out — return or
+  fault — so a faulted run carries exactly the same
   :class:`~repro.vm.interpreter.ExecutionStats` the interpreter would
   have produced.  The locals are also published before each helper call,
   so a helper sees the accounting of the run so far.  The per-platform
@@ -157,12 +159,6 @@ def _branch_fault(limit: int, pc: int) -> None:
     )
 
 
-def _total_fault(limit: int, pc: int) -> None:
-    raise BranchLimitFault(
-        f"execution exceeded the total budget of {limit} instructions", pc
-    )
-
-
 def _bad_target(target: int) -> None:  # pragma: no cover - verifier forbids
     raise IllegalInstructionFault(f"jump to unmapped block at pc {target}")
 
@@ -189,7 +185,6 @@ _JIT_GLOBALS = {
     "_div_fault": _div_fault,
     "_mod_fault": _mod_fault,
     "_branch_fault": _branch_fault,
-    "_total_fault": _total_fault,
     "_bad_target": _bad_target,
     "_window": _window,
     "_bswap16": _bswap16,
@@ -232,10 +227,8 @@ class _Codegen:
     #: extension (bounds generated-code growth; see :meth:`emit_block`).
     INLINE_CAP = 64
 
-    def __init__(self, decoded: list[Decoded],
-                 total_limit: int | None) -> None:
+    def __init__(self, decoded: list[Decoded]) -> None:
         self.decoded = decoded
-        self.total_limit = total_limit
         self.lines: list[str] = []
         self.pending: dict[str, int] = {}
         self.indent = ""
@@ -280,30 +273,16 @@ class _Codegen:
     def pop_indent(self) -> None:
         self.indent = self.indent[:-4]
 
-    def count(self, kind: str, pc: int) -> None:
+    def count(self, kind: str) -> None:
         if self.unchecked is not None:
             return  # bumped once per loop, from its per-iteration counts
         self.pending[kind] = self.pending.get(kind, 0) + 1
-        if self.total_limit is not None:
-            # With a total budget the abort point must match the
-            # interpreter instruction-for-instruction, so counts are
-            # bumped (and the budget checked) per instruction instead
-            # of batched per segment.
-            self.flush(pc)
 
-    def flush(self, pc: int) -> None:
+    def flush(self) -> None:
         """Bump the per-kind count locals (before any faultable point)."""
-        if not self.pending:
-            return
-        total = 0
         for kind, n in self.pending.items():
-            total += n
             self.emit(f"_k_{kind} += {n}")
         self.pending.clear()
-        if self.total_limit is not None:
-            self.emit(f"_ex += {total}")
-            self.emit(f"if _ex > {self.total_limit}: "
-                      f"_total_fault({self.total_limit}, {pc})")
 
     # -- loop discovery ----------------------------------------------------
 
@@ -381,8 +360,6 @@ class _Codegen:
         for window in self.windows:
             out.append(f"    {window}s = {window}e = 0")
             out.append(f"    {window}v = None")
-        if self.total_limit is not None:
-            out.append("    _ex = 0")
         out.append("    _t = 0")
         out.append("    try:")
         out.append("        while 1:")
@@ -498,9 +475,8 @@ class _Codegen:
             if self_loop:
                 # Counts batched from an inlined predecessor must be
                 # bumped before the loop, not once per iteration.
-                self.flush(current)
-                if self.total_limit is None:
-                    versioned = affine_loop(decoded, block)
+                self.flush()
+                versioned = affine_loop(decoded, block)
                 if versioned is not None:
                     self.emit_versioned(block, versioned)
                     self.emit("else:")
@@ -510,8 +486,8 @@ class _Codegen:
             for ipc in block.body:
                 self.emit_instruction(decoded[ipc], ipc)
             if kind == "exit":
-                self.count("exit", tpc)
-                self.flush(tpc)
+                self.count("exit")
+                self.flush()
                 self.emit("return r0")
                 return
             if kind == "branch":
@@ -532,7 +508,7 @@ class _Codegen:
                 inlined += len(self.blocks[tpc].body) + 1
                 current = tpc
                 continue
-            self.flush(tpc)
+            self.flush()
             self.goto(tpc)
             return
 
@@ -713,29 +689,29 @@ class _Codegen:
                 self.emit_unchecked(d, pc)
                 return
         if cls == isa.CLS_ALU64:
-            self.count(d.kind, pc)
+            self.count(d.kind)
             self.emit_alu64(d, pc)
         elif cls == isa.CLS_ALU:
-            self.count(d.kind, pc)
+            self.count(d.kind)
             self.emit_alu32(d, pc)
         elif cls == isa.CLS_LDX:
-            self.count("load", pc)
-            self.flush(pc)
+            self.count("load")
+            self.flush()
             self.emit_load(d, pc)
         elif cls == isa.CLS_STX:
-            self.count("store", pc)
-            self.flush(pc)
+            self.count("store")
+            self.flush()
             self.emit_store(d, pc, f"r{d.src}")
         elif cls == isa.CLS_ST:
-            self.count("store", pc)
-            self.flush(pc)
+            self.count("store")
+            self.flush()
             self.emit_store(d, pc, f"{d.imm64:#x}")
         elif cls == isa.CLS_LD:  # wide: fully resolved at pre-decode
-            self.count("lddw", pc)
+            self.count("lddw")
             self.emit(f"r{d.dst} = {d.wide_value:#x}")
         elif d.opcode == isa.CALL:
-            self.count("call", pc)
-            self.flush(pc)
+            self.count("call")
+            self.flush()
             self.publish()
             self.emit(f"_hc[{d.imm}] = _hc.get({d.imm}, 0) + 1")
             self.emit(f"r0 = _call({d.imm}, {pc}, r1, r2, r3, r4, r5)")
@@ -846,7 +822,7 @@ class _Codegen:
             sym = "//" if op == isa.ALU_DIV else "%"
             if d.use_reg:
                 fault = "_div_fault" if op == isa.ALU_DIV else "_mod_fault"
-                self.flush(pc)
+                self.flush()
                 self.emit(f"if not r{d.src}: {fault}({pc})")
                 self.emit(f"{dst} = {dst} {sym} r{d.src}")
             else:  # immediate divisor, non-zero by verification
@@ -896,7 +872,7 @@ class _Codegen:
             sym = "//" if op == isa.ALU_DIV else "%"
             if d.use_reg:
                 fault = "_div_fault" if op == isa.ALU_DIV else "_mod_fault"
-                self.flush(pc)
+                self.flush()
                 self.emit(f"if not (r{d.src} & {_H32}): {fault}({pc})")
                 self.emit(f"{dst} = ({dst} & {_H32}) {sym} "
                           f"(r{d.src} & {_H32})")
@@ -925,8 +901,8 @@ class _Codegen:
         self.goto(target, prefix=extra)
 
     def emit_branch(self, d, pc: int, self_loop: bool = False) -> None:
-        self.count("branch", pc)
-        self.flush(pc)
+        self.count("branch")
+        self.flush()
         if d.opcode == isa.JA:
             self.taken_edge(pc, d.target, nested=False)
             return
@@ -984,12 +960,11 @@ def _plus(value: int) -> str:
     return f" + {value}" if value > 0 else f" - {-value}"
 
 
-def _build_template(
-    program: Program, decoded: list[Decoded], total_limit: int | None
-) -> CompiledTemplate:
+def _build_template(program: Program,
+                    decoded: list[Decoded]) -> CompiledTemplate:
     """Transpile and compile ``program``'s template from its pre-decoded
     slot table ``decoded`` (the prototype-miss path)."""
-    codegen = _Codegen(decoded, total_limit)
+    codegen = _Codegen(decoded)
     source = codegen.generate()
     code = compile(source, f"<fc-jit:{program.name}>", "exec")
     namespace = dict(_JIT_GLOBALS)
@@ -1022,8 +997,7 @@ class CompiledProgram(Interpreter):
         one image, on every engine, runs one compiled function."""
         verified = super().derive_prototype(
             program, verifier_config or VerifierConfig(), config)
-        template = _build_template(program, verified.code,
-                                   config.total_limit)
+        template = _build_template(program, verified.code)
         return replace(verified, code=template,
                        install_instruction_count=len(program.slots))
 

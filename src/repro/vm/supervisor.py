@@ -218,7 +218,9 @@ class ContainerSupervisor:
 
     def release(self, container: "FemtoContainer") -> None:
         """Stop holding a detained ``container``: cancel its probation
-        timer and drop it from :attr:`detained`."""
+        timer, drop it from :attr:`detained` and clear both out-of-service
+        flags.  Its strikes stay, so a struck-out container's next
+        quarantine is permanent at once."""
         del self.detained[container]
         health = container.health
         if health._rearm_entry is not None:
@@ -226,6 +228,7 @@ class ContainerSupervisor:
             health._rearm_entry = None
         health.rearm_at_us = None
         health.quarantined = False
+        health.permanent = False
 
     def quarantined_slots(self) -> list[tuple[str, str]]:
         """Slots currently held out of service (incl. permanent)."""

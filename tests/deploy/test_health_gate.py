@@ -10,6 +10,8 @@ must still promote.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import FC_HOOK_FANOUT
@@ -22,6 +24,7 @@ from repro.deploy import (
     HookSpec,
     ImageSpec,
     PublishOptions,
+    StagedRollout,
     plan,
 )
 from repro.scenarios import build_fleet_publisher
@@ -139,6 +142,29 @@ class TestCycleBudget:
             health_gate=HealthGate(cycle_budgets={"worker": 1}),
         )
         assert rollout.promoted
+
+
+class TestSameNamedContainers:
+    def test_each_same_named_container_is_held_to_the_budget(self):
+        """Two containers named ``worker`` on one SYNC hook: the spec's
+        cheap one and, beside it, an operator's that burns over the
+        budget during the bake.  The gate judges each container, so the
+        second one's breach is reported."""
+        fleet = Fleet(1)
+        spec = make_spec("base", SPIN.format(count=4))
+        fleet.apply(spec)
+        device = fleet.devices[0]
+        engine = device.engine
+        engine.attach(engine.load(assemble(SPIN.format(count=400)),
+                                  name="worker"), FC_HOOK_FANOUT)
+        staged = StagedRollout(
+            fleet, transport=None, canary_count=1, bake_us=0.0,
+            bake_fires=2,
+            health_gate=HealthGate(cycle_budgets={"worker": 1_000}))
+        deltas, health = staged.bake_and_gate([device], [], spec)
+        assert deltas == {"dev0": 0}
+        assert health == {
+            "dev0": ["worker burned 3676 cycles/run (budget 1000)"]}
 
 
 class TestStoreDivergence:
@@ -330,37 +356,42 @@ class TestSlidingWindow:
         assert rollout.promoted, rollout.reason
 
 
+class _Worker(SimpleNamespace):
+    """A synthetic container: hashed by identity, as a real one is."""
+
+    __hash__ = object.__hash__
+
+
 class TestWindowVerdictUnit:
     """``breaches`` with a synthetic sample history (no fleet needed)."""
 
-    SLOT = ("fc.hook.fanout", "worker")
+    @staticmethod
+    def _container(runs: int, cycles: int) -> _Worker:
+        return _Worker(name="worker", runs=runs, total_cycles=cycles)
 
-    def _container(self, runs: int, cycles: int):
-        from types import SimpleNamespace
-
-        return SimpleNamespace(runs=runs, total_cycles=cycles)
-
-    def _history(self, *samples):
-        return [{self.SLOT: sample} for sample in samples]
+    @staticmethod
+    def _history(container, *samples):
+        return [{container: sample} for sample in samples]
 
     def test_trailing_window_breach_reported(self):
         gate = HealthGate(cycle_budgets={"worker": 100}, window_runs=4)
+        container = self._container(12, 2400)
         history = self._history(
+            container,
             (0, 0), (4, 200), (8, 400), (12, 2400))  # last 4 runs: 500/run
         problems = gate.breaches(
-            device=None,
-            before={self.SLOT: (self._container(12, 2400), 0, 0)},
+            device=None, before={container: (0, 0)},
             fault_delta=0, controls=(), history=history)
         assert problems == ["worker burned 500 cycles/run over the "
                             "trailing 4-run window (budget 100)"]
 
     def test_early_spike_outside_the_window_is_forgiven(self):
         gate = HealthGate(cycle_budgets={"worker": 100}, window_runs=4)
+        container = self._container(9, 20_400)
         history = self._history(
-            (0, 0), (1, 20_000), (5, 20_200), (9, 20_400))
+            container, (0, 0), (1, 20_000), (5, 20_200), (9, 20_400))
         problems = gate.breaches(
-            device=None,
-            before={self.SLOT: (self._container(9, 20_400), 0, 0)},
+            device=None, before={container: (0, 0)},
             fault_delta=0, controls=(), history=history)
         assert problems == []
 
@@ -368,17 +399,16 @@ class TestWindowVerdictUnit:
         gate = HealthGate(cycle_budgets={"worker": 100}, window_runs=50)
         container = self._container(2, 20_000)  # 10k/run: over budget
         problems = gate.breaches(
-            device=None,
-            before={self.SLOT: (container, 0, 0)},
+            device=None, before={container: (0, 0)},
             fault_delta=0, controls=(),
-            history=self._history((0, 0), (1, 10_000), (2, 20_000)))
+            history=self._history(container,
+                                  (0, 0), (1, 10_000), (2, 20_000)))
         assert problems == ["worker burned 10000 cycles/run (budget 100)"]
 
     def test_no_window_keeps_the_classic_rule(self):
         gate = HealthGate(cycle_budgets={"worker": 100})
         container = self._container(2, 20_000)
         problems = gate.breaches(
-            device=None,
-            before={self.SLOT: (container, 0, 0)},
+            device=None, before={container: (0, 0)},
             fault_delta=0, controls=(), history=None)
         assert problems == ["worker burned 10000 cycles/run (budget 100)"]

@@ -88,21 +88,25 @@ class TestBareWorkloads:
         _assert_identical(_bare_outcomes(pair.measured))
         _assert_identical(_bare_outcomes(pair.baseline))
 
-    def test_total_limit_abort_differential(self):
-        """An aborted run must carry identical accounting on every engine
-        (the engine charges modelled cycles for aborted runs too)."""
-        from repro.vm import VMConfig, VMFault
+    def test_branch_limit_abort_differential(self):
+        """A run aborted at N_b must carry identical accounting on every
+        engine (the engine charges modelled cycles for aborted runs too),
+        also when the JIT's versioned inner loop refuses its fast copy
+        because the trip count exceeds the remaining budget."""
+        from repro.vm import BranchLimitFault, VMConfig
 
-        config = VMConfig(total_limit=50)
+        config = VMConfig(branch_limit=5)
         outcomes = {}
         for name, factory in ENGINE_FACTORIES:
             vm = factory(fletcher32_program(), config=config)
             vm.access_list.grant_bytes(
                 "in", INPUT_BASE, FLETCHER32_INPUT, Permission.READ
             )
-            with pytest.raises(VMFault) as excinfo:
+            with pytest.raises(BranchLimitFault) as excinfo:
                 vm.run(context=make_context())
-            outcomes[name] = (str(excinfo.value), excinfo.value.pc)
+            fault = excinfo.value
+            outcomes[name] = (str(fault), fault.pc, fault.stats)
+        assert outcomes["interpreter"][2].branches_taken == 6
         reference = outcomes["interpreter"]
         for name, observed in outcomes.items():
             assert observed == reference, name

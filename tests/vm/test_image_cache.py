@@ -20,6 +20,7 @@ from repro.memo import memos_disabled
 from repro.rtos import Kernel, nrf52840
 from repro.runtimes.base import build_vm, container_runtime
 from repro.vm import (
+    BranchLimitFault,
     Interpreter,
     Program,
     VerificationError,
@@ -124,7 +125,9 @@ class TestSharedPrototypes:
         assert (r1.value, r1.stats.kind_counts) == (r2.value,
                                                     r2.stats.kind_counts)
 
-    def test_total_limit_keys_separate_prototypes(self):
+    def test_branch_limit_keys_separate_prototypes(self):
+        """``VMConfig`` is part of the prototype key: a warm attach under
+        another N_b gets its own prototype and runs to its own bound."""
         raw = assemble(LOOPY).to_bytes()
         rbpf = container_runtime("rbpf")
 
@@ -132,11 +135,14 @@ class TestSharedPrototypes:
             return build_vm(rbpf, Program.from_bytes(raw), "jit", None,
                             config, VerifierConfig())
 
-        plain, budgeted = vm(VMConfig()), vm(VMConfig(total_limit=1000))
+        plain, budgeted = vm(VMConfig()), vm(VMConfig(branch_limit=3))
         assert plain.prototype is not budgeted.prototype
-        assert plain._entry is not budgeted._entry
-        assert vm(VMConfig(total_limit=1000)).prototype is budgeted.prototype
+        assert vm(VMConfig(branch_limit=3)).prototype is budgeted.prototype
         assert len(IMAGE_CACHE) == 2
+        assert plain.run().value == 30
+        with pytest.raises(BranchLimitFault) as excinfo:
+            budgeted.run()
+        assert excinfo.value.stats.branches_taken == 4
 
     @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
     def test_helper_grants_key_separate_verdicts(self, implementation):

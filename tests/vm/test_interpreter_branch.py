@@ -5,7 +5,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.vm import BranchLimitFault, Interpreter, VMConfig, assemble
+from repro.vm import (
+    BranchLimitFault,
+    CertFCInterpreter,
+    Interpreter,
+    VMConfig,
+    assemble,
+    compile_program,
+)
 
 from tests.conftest import run_program
 
@@ -122,7 +129,9 @@ done:
         vm = Interpreter(program, config=VMConfig(branch_limit=2))
         assert vm.run().value == 7
 
-    def test_total_limit_defense_in_depth(self):
+    def test_default_budget_stops_a_long_loop_on_every_engine(self):
+        """Under the default ``VMConfig`` a 100,000-iteration loop ends at
+        N_b on every engine, at the same pc with the same accounting."""
         program = assemble("""
     mov r0, 0
 loop:
@@ -130,9 +139,20 @@ loop:
     jne r0, 100000, loop
     exit
 """)
-        vm = Interpreter(program, config=VMConfig(total_limit=1000))
-        with pytest.raises(BranchLimitFault):
-            vm.run()
+        limit = VMConfig().branch_limit
+        observed = {}
+        for name, factory in (("interpreter", Interpreter),
+                              ("certfc", CertFCInterpreter),
+                              ("jit", compile_program)):
+            with pytest.raises(BranchLimitFault) as excinfo:
+                factory(program).run()
+            fault = excinfo.value
+            observed[name] = (str(fault), fault.pc, fault.stats)
+        stats = observed["interpreter"][2]
+        assert stats.branches_taken == limit + 1
+        assert stats.executed <= len(program.slots) * (limit + 1)
+        assert observed["certfc"] == observed["interpreter"]
+        assert observed["jit"] == observed["interpreter"]
 
     @given(limit=st.integers(1, 50))
     def test_execution_bounded_by_ni_times_nb(self, limit):

@@ -109,13 +109,16 @@ SHAPES = {
 }
 
 
-def _outcomes(source: str, config: VMConfig | None = None):
+ENGINES = (("interpreter", Interpreter),
+           ("certfc", CertFCInterpreter),
+           ("jit", compile_program))
+
+
+def _outcomes(source: str):
     program = assemble(source)
     results = {}
-    for name, factory in (("interpreter", Interpreter),
-                          ("certfc", CertFCInterpreter),
-                          ("jit", compile_program)):
-        result = factory(program, config=config).run()
+    for name, factory in ENGINES:
+        result = factory(program).run()
         results[name] = (result.value, result.stats.kind_counts,
                          result.stats.branches_taken,
                          result.stats.executed)
@@ -127,13 +130,6 @@ def test_loop_shapes_differential(shape):
     results = _outcomes(SHAPES[shape])
     assert results["jit"] == results["interpreter"], shape
     assert results["certfc"] == results["interpreter"], shape
-
-
-@pytest.mark.parametrize("shape", sorted(SHAPES), ids=sorted(SHAPES))
-def test_loop_shapes_differential_with_total_limit(shape):
-    """Per-instruction publishing mode (total budget) on the same CFGs."""
-    results = _outcomes(SHAPES[shape], config=VMConfig(total_limit=100_000))
-    assert results["jit"] == results["interpreter"], shape
 
 
 class TestFoldStructure:
@@ -182,26 +178,22 @@ class TestFletcher32FastCopy:
 
 
 class TestFaultParity:
-    def test_branch_budget_fault_identical_in_folded_loop(self):
-        program = assemble(NESTED)
-        config = VMConfig(branch_limit=7)
-        observed = {}
-        for name, factory in (("interpreter", Interpreter),
-                              ("jit", compile_program)):
-            vm = factory(program, config=config)
-            with pytest.raises(BranchLimitFault) as excinfo:
-                vm.run()
-            observed[name] = (str(excinfo.value), excinfo.value.pc)
-        assert observed["jit"] == observed["interpreter"]
-
-    def test_total_budget_fault_identical_in_folded_loop(self):
-        program = assemble(DIAMOND)
-        config = VMConfig(total_limit=23)
-        observed = {}
-        for name, factory in (("interpreter", Interpreter),
-                              ("jit", compile_program)):
-            vm = factory(program, config=config)
-            with pytest.raises(BranchLimitFault) as excinfo:
-                vm.run()
-            observed[name] = (str(excinfo.value), excinfo.value.pc)
-        assert observed["jit"] == observed["interpreter"]
+    @pytest.mark.parametrize("shape", sorted(SHAPES), ids=sorted(SHAPES))
+    def test_branch_budget_fault_identical_in_folded_loop(self, shape):
+        """Every shape aborted at N_b, from the first taken branch to the
+        last, faults at the same pc with the same message and the same
+        accounting on the interpreter, CertFC and the folded JIT."""
+        program = assemble(SHAPES[shape])
+        taken = Interpreter(program).run().stats.branches_taken
+        assert taken > 1
+        for limit in sorted({0, taken // 2, taken - 1}):
+            observed = {}
+            for name, factory in ENGINES:
+                vm = factory(program, config=VMConfig(branch_limit=limit))
+                with pytest.raises(BranchLimitFault) as excinfo:
+                    vm.run()
+                fault = excinfo.value
+                observed[name] = (str(fault), fault.pc, fault.stats)
+            assert observed["interpreter"][2].branches_taken == limit + 1
+            assert observed["certfc"] == observed["interpreter"], limit
+            assert observed["jit"] == observed["interpreter"], limit

@@ -257,20 +257,18 @@ class TestSlotOwnership:
         assert engine.supervisor.quarantined_slots() == []
 
     def test_fresh_install_retires_a_permanent_slot(self, board_m4):
-        """A permanent slot leaves ``fc list`` and ``runtime_snapshot()``
-        once a fresh container takes it."""
+        """A permanent slot leaves ``fc list`` and ``slots()`` once a
+        fresh container takes it."""
         engine = make_engine(board_m4, fault_streak=1, max_strikes=1)
         shell = DeviceShell(engine)
         poison = engine.attach(engine.load(assemble(CRASHER), name="app"),
                                FC_HOOK_TIMER)
         engine.execute(poison)
-        key = (FC_HOOK_TIMER, "app")
-        assert engine.runtime_snapshot()[key].container is poison
+        assert list(engine.slots()) == [(poison, FC_HOOK_TIMER)]
         assert shell.execute("fc list").rstrip().endswith("permanent")
         fixed = engine.attach(engine.load(assemble(RETURN_7), name="app"),
                               FC_HOOK_TIMER)
-        snapshot = engine.runtime_snapshot()
-        assert list(snapshot) == [key] and snapshot[key].container is fixed
+        assert list(engine.slots()) == [(fixed, FC_HOOK_TIMER)]
         rows = shell.execute("fc list").splitlines()[1:]
         assert len(rows) == 1 and rows[0].rstrip().endswith("ok")
         assert engine.supervisor.quarantined_slots() == []
@@ -288,6 +286,26 @@ class TestSlotOwnership:
         # The cancelled timer must not fire a duplicate attach.
         engine.kernel.run(until_us=engine.kernel.now_us + 60_000.0)
         assert engine.hook(FC_HOOK_TIMER).containers == [container]
+
+    def test_manual_reattach_clears_permanent(self, board_m4):
+        """An operator re-attach brings a struck-out container back into
+        service: it reads ``ok``, not ``permanent``, and keeps its
+        strikes, so its next quarantine is permanent at once."""
+        engine = make_engine(board_m4, fault_streak=1, max_strikes=1)
+        shell = DeviceShell(engine)
+        container = engine.attach(engine.load(assemble(CONDITIONAL)),
+                                  FC_HOOK_TIMER)
+        engine.execute(container, context=BAD)
+        assert container.health.state == "permanent"
+        engine.attach(container, FC_HOOK_TIMER)  # operator override
+        assert container.health.state == "ok"
+        rows = shell.execute("fc list").splitlines()[1:]
+        assert len(rows) == 1 and rows[0].rstrip().endswith("ok")
+        assert container.health.strikes == 1
+        engine.execute(container, context=BAD)
+        assert container.health.state == "permanent"
+        assert container.health.rearm_at_us is None
+        assert container.state is ContainerState.DETACHED
 
 
 class TestSameNamedSiblings:
@@ -362,10 +380,9 @@ class TestSnapshotExposure:
         container = engine.attach(engine.load(assemble(CRASHER), name="bad"),
                                   FC_HOOK_TIMER)
         engine.execute(container)
-        snapshot = engine.runtime_snapshot()
-        key = (FC_HOOK_TIMER, "bad")
-        assert key in snapshot  # despite being detached
-        assert snapshot[key].container.health.quarantined
+        # Listed with the hook it left, despite being detached.
+        assert list(engine.slots()) == [(container, FC_HOOK_TIMER)]
+        assert container.health.quarantined
 
 
 # -- the reference: health in a table keyed by (hook, container name) --------
@@ -483,7 +500,7 @@ class RefSupervisor:
             record._rearm_entry = None
             record.rearm_at_us = None
         if record.container is container:
-            record.quarantined = False
+            record.quarantined = record.permanent = False
         else:
             del self._records[key]
 
