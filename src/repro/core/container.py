@@ -11,7 +11,7 @@ from repro.core.policy import DEFAULT_CONTRACT, ContainerContract, GrantedPolicy
 from repro.vm.certfc import CertFCInterpreter
 from repro.vm.interpreter import ExecutionStats, Interpreter, RbpfInterpreter
 from repro.vm.jit import CompiledProgram
-from repro.vm.memory import Permission
+from repro.vm.memory import MemoryRegion, Permission
 from repro.vm.program import Program
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -146,7 +146,6 @@ class FemtoContainer:
     contract: ContainerContract = DEFAULT_CONTRACT
     state: ContainerState = ContainerState.LOADED
     #: Filled at attach time by the hosting engine.
-    vm: Interpreter | None = None
     facts: RunFacts | None = None
     #: The :class:`~repro.runtimes.base.ContainerRuntime` that attached
     #: this container (set by the engine; ``None`` before first attach).
@@ -173,6 +172,12 @@ class FemtoContainer:
     #: of this container, set by its first supervised run.  Until then
     #: this class default reads ``None`` and the instance stores nothing.
     health = None
+    #: The VM instance once built (see :attr:`vm`), and until then the
+    #: attach's ``(engine, prototype, vm_config)``, from which the first
+    #: use builds it.  Both class defaults read ``None`` on a container
+    #: that was never attached.
+    _vm = None
+    _clone = None
 
     def __post_init__(self) -> None:
         if self.local_store is None:
@@ -181,6 +186,33 @@ class FemtoContainer:
             )
         if self.tenant is not None:
             self.tenant.adopt(self)
+
+    # -- the instance ---------------------------------------------------------
+
+    @property
+    def vm(self) -> "Interpreter | None":
+        """This container's VM instance (``None`` before its first attach).
+
+        An attach keeps the prototype it looked up; the first use — a run,
+        or any read of this attribute — clones the instance from it with
+        the runtime's ``instantiate`` under the attach's limits and grant
+        regions, exactly as an eager attach would have built it.  A later
+        attach starts a fresh instance the same way.
+        """
+        if self._vm is None and self._clone is not None:
+            engine, prototype, vm_config = self._clone
+            regions = [
+                MemoryRegion.zeroed(grant.name, grant.start, grant.size,
+                                    grant.perms)
+                for grant in self.granted.memory_grants
+            ]
+            vm = self.runtime.instantiate(
+                prototype, self.program, engine.implementation,
+                engine.helpers, vm_config, regions)
+            vm.services = engine  # how the shared helpers reach the engine
+            self._vm = vm
+            self._clone = None
+        return self._vm
 
     # -- accounting -----------------------------------------------------------
 

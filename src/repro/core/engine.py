@@ -51,7 +51,7 @@ from repro.rtos.saul import SaulRegistry
 from repro.rtos.thread import Wait
 from repro.runtimes.base import container_runtime
 from repro.vm.errors import VMFault
-from repro.vm.memory import MemoryRegion, Permission
+from repro.vm.memory import Permission
 from repro.vm.program import Program
 from repro.vm.supervisor import ContainerSupervisor, SupervisorConfig
 from repro.vm.verifier import VerifierConfig
@@ -227,11 +227,14 @@ class HostingEngine:
 
         The *virtual* clock always pays the full verify+install price —
         that is the device model the evaluation reports.  The *host* does
-        lookups plus a clone: the slot shape's limits and the
-        :class:`RunFacts` its runs share (:data:`_LIMITS`), and the
-        image's shared :class:`~repro.vm.imagecache.InstancePrototype`
-        (:func:`~repro.runtimes.base.build_vm`); only the stack,
-        registers, ``.data`` and grant regions are built per instance.
+        lookups only: the slot shape's limits and the :class:`RunFacts`
+        its runs share (:data:`_LIMITS`), and the image's shared
+        :class:`~repro.vm.imagecache.InstancePrototype` with the grant
+        layout checked against it
+        (:func:`~repro.runtimes.base.preflight`).  The instance itself
+        (stack, registers, ``.data``, grant regions) is cloned at the
+        container's first use (:attr:`FemtoContainer.vm`), so a container
+        replaced before it ever runs never builds one.
         """
         hook = self.hook(hook_name)
         if container.hook is not None:
@@ -244,21 +247,13 @@ class HostingEngine:
         try:
             granted, verifier_config, vm_config, facts = self._limits(
                 hook.policy_for(tenant_name), container.contract, runtime)
-        except Exception as exc:
-            raise self._rejected(container, exc) from exc
-        regions = [
-            MemoryRegion.zeroed(region_grant.name, region_grant.start,
-                                region_grant.size, region_grant.perms)
-            for region_grant in granted.memory_grants
-        ]
-        try:
-            vm = runtime.attach(self, container, verifier_config, vm_config,
-                                regions)
+            prototype = runtime.attach(self, container, verifier_config,
+                                       vm_config, granted.memory_grants)
         except Exception as exc:
             raise self._rejected(container, exc) from exc
 
-        vm.services = self  # how the shared helpers reach this engine
-        container.vm = vm
+        container._vm = None
+        container._clone = (self, prototype, vm_config)
         container.facts = facts
         container.runtime = runtime
         container.granted = granted
@@ -384,7 +379,7 @@ class HostingEngine:
             name=f"fc/{container.name}",
             body=worker,
             priority=9,
-            stack_size=container.vm.config.stack_size + 512,
+            stack_size=container.granted.stack_size + 512,
         )
 
     # -- execution ------------------------------------------------------------------
@@ -448,9 +443,12 @@ class HostingEngine:
         An empty ``context`` maps none for the run: r1 is 0 (see
         :meth:`~repro.vm.interpreter.Interpreter.run`).
         """
-        vm = container.vm
+        vm = container._vm
         if vm is None:
-            raise EngineError(f"container {container.name!r} is not attached")
+            vm = container.vm  # the first use clones the instance
+            if vm is None:
+                raise EngineError(
+                    f"container {container.name!r} is not attached")
         # Everything this run shares with the container's other runs was
         # derived at attach (RunFacts): the context permissions, the cost
         # profile and the setup charge.  The save/restore of the

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.memo import seal_hash
 from repro.vm.memory import Permission
 
 
@@ -58,6 +59,10 @@ class HookPolicy:
             object.__setattr__(self, "allowed_helpers",
                                frozenset(self.allowed_helpers))
         object.__setattr__(self, "memory_grants", tuple(self.memory_grants))
+        seal_hash(self)
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,10 @@ class ContainerContract:
         if self.helpers is not None:
             object.__setattr__(self, "helpers", frozenset(self.helpers))
         object.__setattr__(self, "memory_regions", tuple(self.memory_regions))
+        seal_hash(self)
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 #: The contract of a container that asks for nothing beyond the defaults:

@@ -29,6 +29,7 @@ insertion order is the LRU order) suffices.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import fields
 from typing import Any, Callable, Hashable, Iterator
 
 #: Set by :func:`memos_disabled`; read by every :meth:`Memo.get_or_derive`.
@@ -74,6 +75,17 @@ class Memo:
     def __iter__(self) -> Iterator[Hashable]:
         """The stored keys, least recently used first."""
         return iter(self._entries)
+
+
+def seal_hash(key: Any) -> None:
+    """Hash a frozen dataclass once, at construction, into ``_hash``.
+
+    A value that keys memos is hashed on every lookup; its class's
+    ``__hash__`` returns the stored field hash instead, the same number
+    the generated one computes.  Call it last in ``__post_init__``, after
+    any field coercion."""
+    object.__setattr__(key, "_hash",
+                       hash(tuple(getattr(key, f.name) for f in fields(key))))
 
 
 @contextmanager

@@ -12,9 +12,10 @@ Commands::
     ps                        thread table (pid, name, prio, state, runs)
     uptime                    virtual clock
     hooks                     launchpads and their containers
-    fc list                   containers with image hash and accounting
-    fc detach <name>          remove a container from its hook
-    fc faults <name>          show a container's contained faults
+    fc list                   numbered containers, image hash, accounting
+    fc detach <name|#N>       remove a container from its hook
+    fc faults <name|#N>       show a container's contained faults
+                              (a shared name lists its rows instead)
     kv global [key]           dump / read the global store
     kv tenant <tenant> [key]  dump / read a tenant store
     saul                      registered devices and read their values
@@ -93,35 +94,28 @@ class DeviceShell:
     def _cmd_fc(self, args: list[str]) -> str:
         # Every command reads the engine's slots: the attached containers,
         # then the ones the supervisor holds out of service (detached, so
-        # they would otherwise vanish from the shell).
+        # they would otherwise vanish from the shell).  Rows are numbered
+        # in that order, and ``#N`` names row N where a name is shared.
+        slots = list(enumerate(self.engine.slots(), 1))
         if not args or args[0] == "list":
-            # The image column shows the content-hash prefix: instances
-            # stamped from one image share it (and, through the image
-            # cache, one instance prototype).  The strikes/state columns
-            # surface the supervisor's verdict on each container.
-            lines = [f"{'name':20} {'tenant':10} {'hook':24} "
-                     f"{'runtime':8} "
-                     f"{'image':12} {'runs':>6} {'faults':>6} {'ram B':>6} "
-                     f"{'strikes':>7} {'state':>11}"]
-            for container, hook_name in self.engine.slots():
-                tenant = container.tenant.name if container.tenant else "-"
-                health = container.health
-                lines.append(
-                    f"{container.name:20} {tenant:10} {hook_name:24} "
-                    f"{container.program.runtime:8} "
-                    f"{container.image_hash[:12]} "
-                    f"{container.runs:>6} {container.fault_count:>6} "
-                    f"{container.ram_bytes:>6} "
-                    f"{health.strikes if health else 0:>7} "
-                    f"{health.state if health else 'ok':>11}"
-                )
-            return "\n".join(lines)
+            return self._fc_rows(slots)
         if args[0] in ("detach", "faults") and len(args) == 2:
-            for container, _hook_name in self.engine.slots():
-                if container.name == args[1]:
-                    break
+            target = args[1]
+            if target.startswith("#"):
+                matches = [slot for slot in slots
+                           if f"#{slot[0]}" == target]
+                if not matches:
+                    return f"no container {target}"
             else:
-                return f"no container named {args[1]!r}"
+                matches = [slot for slot in slots
+                           if slot[1][0].name == target]
+                if not matches:
+                    return f"no container named {target!r}"
+                if len(matches) > 1:
+                    return (f"{len(matches)} containers named {target!r}; "
+                            f"name one by number:\n"
+                            + self._fc_rows(matches))
+            container = matches[0][1][0]
             if args[0] == "faults":
                 if not container.faults:
                     return "no faults"
@@ -132,8 +126,35 @@ class DeviceShell:
                 self.engine.supervisor.release(container)
             else:
                 self.engine.detach(container)
-            return f"detached {args[1]}"
-        return "usage: fc [list|detach <name>|faults <name>]"
+            return f"detached {container.name}"
+        return "usage: fc [list|detach <name|#N>|faults <name|#N>]"
+
+    @staticmethod
+    def _fc_rows(slots) -> str:
+        """The ``fc list`` table over numbered ``(container, hook)`` slots.
+
+        The image column shows the content-hash prefix: instances stamped
+        from one image share it (and, through the image cache, one
+        instance prototype).  The strikes/state columns surface the
+        supervisor's verdict on each container."""
+        lines = [f"{'name':20} {'#':>3} {'tenant':10} {'hook':24} "
+                 f"{'runtime':8} "
+                 f"{'image':12} {'runs':>6} {'faults':>6} {'ram B':>6} "
+                 f"{'strikes':>7} {'state':>11}"]
+        for number, (container, hook_name) in slots:
+            tenant = container.tenant.name if container.tenant else "-"
+            health = container.health
+            lines.append(
+                f"{container.name:20} {'#' + str(number):>3} {tenant:10} "
+                f"{hook_name:24} "
+                f"{container.program.runtime:8} "
+                f"{container.image_hash[:12]} "
+                f"{container.runs:>6} {container.fault_count:>6} "
+                f"{container.ram_bytes:>6} "
+                f"{health.strikes if health else 0:>7} "
+                f"{health.state if health else 'ok':>11}"
+            )
+        return "\n".join(lines)
 
     def _cmd_kv(self, args: list[str]) -> str:
         if not args:

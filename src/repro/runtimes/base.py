@@ -21,14 +21,17 @@ from __future__ import annotations
 import hashlib
 import struct
 from functools import partial
+from operator import itemgetter
 from typing import TYPE_CHECKING, Protocol
 
 from repro.rtos.board import Board, CostProfile
 from repro.vm.imagecache import lookup_prototype
+from repro.vm.memory import check_disjoint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.container import FemtoContainer
     from repro.core.engine import HostingEngine
+    from repro.core.policy import MemoryGrant
     from repro.vm.helpers import HelperRegistry
     from repro.vm.interpreter import VMConfig
     from repro.vm.imagecache import InstancePrototype
@@ -107,20 +110,25 @@ class ContainerRuntime(Protocol):
                     vm_config: "VMConfig",
                     regions: "list[MemoryRegion]") -> object:
         """A fresh VM cloned from ``prototype``: only per-instance state,
-        under one access list over its own and the grant ``regions``."""
+        under one access list over its own and the grant ``regions``.
+
+        The VM exposes the engine's duck interface: ``run(context=...,
+        context_perms=...)`` (a fault carries the run's counts as
+        ``stats``), ``config``, ``access_list``, ``ram_bytes`` and a
+        settable ``services``.  An attached container's clone is built
+        at its first use, so this charges nothing and refuses nothing:
+        every rejection belongs to :meth:`attach`."""
         ...
 
     def attach(self, engine: "HostingEngine", container: "FemtoContainer",
                verifier_config: "VerifierConfig", vm_config: "VMConfig",
-               regions: "list[MemoryRegion]") -> object:
+               grants: "tuple[MemoryGrant, ...]") -> "InstancePrototype":
         """Charge the modelled verify/startup cost to the engine's clock
-        and build the container's VM with :func:`build_vm`.
+        and return the container's prototype from :func:`preflight`.
 
-        The VM exposes the engine's duck interface: ``run(context=...,
-        context_perms=...)`` (a fault carries the run's counts as
-        ``stats``), ``config``, ``access_list``, ``ram_bytes``.  Any
-        exception is a pre-flight rejection (the engine wraps it in
-        ``AttachError``).
+        Any exception is a pre-flight rejection (the engine wraps it in
+        ``AttachError``).  The engine clones the instance from the
+        returned prototype at the container's first use.
         """
         ...
 
@@ -136,20 +144,48 @@ class ContainerRuntime(Protocol):
         ...
 
 
+def _prototype(runtime: ContainerRuntime, image: object,
+               implementation: str, verifier_config: "VerifierConfig",
+               vm_config: "VMConfig") -> "InstancePrototype":
+    """One lookup of ``image``'s prototype in the image cache
+    (``runtime.prototype`` derives it on a miss)."""
+    return lookup_prototype(
+        image, implementation, verifier_config, vm_config,
+        partial(runtime.prototype, image, implementation, verifier_config,
+                vm_config))
+
+
+def preflight(runtime: ContainerRuntime, image: object, implementation: str,
+              verifier_config: "VerifierConfig", vm_config: "VMConfig",
+              grants: "tuple[MemoryGrant, ...]") -> "InstancePrototype":
+    """The host side of an attach's pre-flight: ``image``'s prototype
+    (verified on a miss) and the region layout, checked before any region
+    exists.  The grants may overlap neither each other nor the instance's
+    own regions (``prototype.layout``), exactly as the instance's access
+    list would refuse them; the own regions sit at fixed bases far apart.
+    """
+    prototype = _prototype(runtime, image, implementation, verifier_config,
+                           vm_config)
+    if grants:
+        spans = [(grant.start, grant.start + grant.size, grant.name)
+                 for grant in grants]
+        spans.extend(prototype.layout)
+        spans.sort(key=itemgetter(0))  # stable, as the access list sorts
+        check_disjoint(spans)
+    return prototype
+
+
 def build_vm(runtime: ContainerRuntime, image: object, implementation: str,
              helpers: "HelperRegistry | None", vm_config: "VMConfig",
              verifier_config: "VerifierConfig",
              regions: "list[MemoryRegion] | None" = None) -> object:
-    """``image``'s VM, as every attach builds it: one lookup of its
-    prototype in the image cache (``runtime.prototype`` derives it on a
-    miss), then ``runtime.instantiate``."""
-    prototype = lookup_prototype(
-        image, implementation, verifier_config, vm_config,
-        partial(runtime.prototype, image, implementation, verifier_config,
-                vm_config))
-    return runtime.instantiate(prototype, image, implementation, helpers,
-                               vm_config,
-                               [] if regions is None else regions)
+    """A standalone VM for ``image``: one prototype lookup, then the same
+    ``runtime.instantiate`` that clones an attached container's VM."""
+    return runtime.instantiate(
+        _prototype(runtime, image, implementation, verifier_config,
+                   vm_config),
+        image, implementation, helpers, vm_config,
+        [] if regions is None else regions)
 
 
 def tagged_image_hash(runtime: str, text: bytes, rodata: bytes = b"",

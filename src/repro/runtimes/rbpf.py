@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.container import VM_CLASSES
-from repro.runtimes.base import RUNTIME_RBPF, build_vm
+from repro.runtimes.base import RUNTIME_RBPF, preflight
 from repro.runtimes.profiles import RBPF_RUNTIME_ROM
 from repro.vm.interpreter import Interpreter
 from repro.vm.program import Program
@@ -23,6 +23,7 @@ from repro.vm.program import Program
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.container import FemtoContainer
     from repro.core.engine import HostingEngine
+    from repro.core.policy import MemoryGrant
     from repro.rtos.board import Board, CostProfile
     from repro.vm.helpers import HelperRegistry
     from repro.vm.imagecache import InstancePrototype
@@ -69,17 +70,17 @@ class RbpfContainerRuntime:
 
     def attach(self, engine: "HostingEngine", container: "FemtoContainer",
                verifier_config: "VerifierConfig", vm_config: "VMConfig",
-               regions: "list[MemoryRegion]") -> Interpreter:
+               grants: "tuple[MemoryGrant, ...]") -> "InstancePrototype":
         board = engine.board
         clock = engine.kernel.clock
         image = container.program
         clock.charge(len(image.slots) * board.verify_cycles_per_slot)
-        vm = build_vm(self, image, engine.implementation, engine.helpers,
-                      vm_config, verifier_config, regions)
-        install = vm.prototype.install_instruction_count
+        prototype = preflight(self, image, engine.implementation,
+                              verifier_config, vm_config, grants)
+        install = prototype.install_instruction_count
         if install:
             clock.charge(install * board.jit_install_cycles_per_slot)
-        return vm
+        return prototype
 
     def cost_profile(self, board: "Board",
                      implementation: str) -> "CostProfile":

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Mapping
 
 from repro.rtos.board import CostProfile
-from repro.runtimes.base import RUNTIME_SCRIPT, build_vm, tagged_image_hash
+from repro.runtimes.base import RUNTIME_SCRIPT, preflight, tagged_image_hash
 from repro.runtimes.profiles import MICROPYTHON_PROFILE, ScriptProfile
 from repro.runtimes.script.interp import Interpreter, ScriptRuntimeError
 from repro.runtimes.script.lexer import tokenize
@@ -41,6 +41,7 @@ from repro.vm.memory import AccessList
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.container import FemtoContainer
     from repro.core.engine import HostingEngine
+    from repro.core.policy import MemoryGrant
     from repro.rtos.board import Board
     from repro.vm.helpers import HelperRegistry
     from repro.vm.interpreter import VMConfig
@@ -197,12 +198,12 @@ class ScriptContainerRuntime:
 
     def attach(self, engine: "HostingEngine", container: "FemtoContainer",
                verifier_config: "VerifierConfig", vm_config: "VMConfig",
-               regions: "list[MemoryRegion]") -> ScriptContainerVM:
+               grants: "tuple[MemoryGrant, ...]") -> InstancePrototype:
         image = container.program
         # The attach-time cost a device pays to (re)load a script.
         engine.kernel.clock.charge(self.startup_cycles(image, engine.board))
-        return build_vm(self, image, engine.implementation, engine.helpers,
-                        vm_config, verifier_config, regions)
+        return preflight(self, image, engine.implementation,
+                         verifier_config, vm_config, grants)
 
     def cost_profile(self, board: "Board",
                      implementation: str) -> CostProfile:

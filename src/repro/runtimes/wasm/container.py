@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.rtos.board import CostProfile
-from repro.runtimes.base import RUNTIME_WASM, build_vm, tagged_image_hash
+from repro.runtimes.base import RUNTIME_WASM, preflight, tagged_image_hash
 from repro.runtimes.profiles import WASM3_PROFILE, WASM3_ROM, WasmProfile
 from repro.runtimes.wasm.interpreter import WasmInstance, WasmTrap, prepare
 from repro.runtimes.wasm.module import Module, WasmError
@@ -41,6 +41,7 @@ from repro.vm.memory import AccessList
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.container import FemtoContainer
     from repro.core.engine import HostingEngine
+    from repro.core.policy import MemoryGrant
     from repro.rtos.board import Board
     from repro.vm.helpers import HelperRegistry
     from repro.vm.interpreter import VMConfig
@@ -218,7 +219,7 @@ class WasmContainerRuntime:
 
     def attach(self, engine: "HostingEngine", container: "FemtoContainer",
                verifier_config: "VerifierConfig", vm_config: "VMConfig",
-               regions: "list[MemoryRegion]") -> WasmContainerVM:
+               grants: "tuple[MemoryGrant, ...]") -> InstancePrototype:
         image = container.program
         instructions = sum(len(fn.body) for fn in image.module.functions)
         if instructions > verifier_config.max_instructions:
@@ -228,8 +229,8 @@ class WasmContainerRuntime:
             )
         # Charged at attach like rBPF's verify (and JIT install) costs.
         engine.kernel.clock.charge(self.startup_cycles(image, engine.board))
-        return build_vm(self, image, engine.implementation, engine.helpers,
-                        vm_config, verifier_config, regions)
+        return preflight(self, image, engine.implementation,
+                         verifier_config, vm_config, grants)
 
     def cost_profile(self, board: "Board",
                      implementation: str) -> CostProfile:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 
+from repro.memo import Memo
+
 P = 2**255 - 19
 L = 2**252 + 27742317777372353535851937790883648493
 D = (-121665 * pow(121666, P - 2, P)) % P
@@ -110,14 +112,22 @@ def public_key(seed: bytes) -> bytes:
     return _compress(_scalar_mul(scalar, _B))
 
 
+#: seed -> its public key.  A maintainer signs every release with one
+#: seed, so the scalar multiplication that derives the key runs once per
+#: seed, not once per signature (host work only: nothing here is charged
+#: to a device clock).
+_PUBLIC_KEYS = Memo(16)
+
+
 def sign(message: bytes, seed: bytes) -> bytes:
     """Produce a 64-byte signature over ``message``."""
     if len(seed) != 32:
         raise ValueError("seed must be 32 bytes")
+    seed = bytes(seed)  # an exact, immutable memo key
     hashed = _sha512(seed)
     scalar = _clamp(hashed[:32])
     prefix = hashed[32:]
-    pub = _compress(_scalar_mul(scalar, _B))
+    pub = _PUBLIC_KEYS.get_or_derive(seed, lambda: public_key(seed))
     r = int.from_bytes(_sha512(prefix, message), "little") % L
     r_point = _compress(_scalar_mul(r, _B))
     k = int.from_bytes(_sha512(r_point, pub, message), "little") % L

@@ -7,8 +7,8 @@ deployment, and after the attach step an instance is only its
 registers, its stack and some housekeeping (624 B, §10.3).  So an attach
 looks up one :class:`InstancePrototype` per (image, runtime, engine
 implementation, :class:`~repro.vm.verifier.VerifierConfig`,
-:class:`~repro.vm.interpreter.VMConfig`) in :data:`IMAGE_CACHE` and
-clones the instance from it.
+:class:`~repro.vm.interpreter.VMConfig`) in :data:`IMAGE_CACHE`, and the
+container's first use clones the instance from it.
 
 A miss derives the prototype from scratch: the pre-flight check, the
 pre-decoded slot table (:mod:`repro.vm.predecode`) and, for the JIT, the
@@ -74,6 +74,11 @@ class InstancePrototype:
     data: bytes = b""
     #: The zero template a run resets the instance's stack from.
     stack_zeros: bytes = b""
+    #: ``(start, end, name)`` of every region an instance maps besides
+    #: its grants (stack, ``.rodata``, ``.data``), in the order the
+    #: instance adds them: an attach checks its grants against these
+    #: before any instance exists.
+    layout: tuple[tuple[int, int, str], ...] = ()
 
 
 #: The process-wide cache: one per board-simulating process, shared by

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.memo import seal_hash
 from repro.vm import isa
 from repro.vm.errors import (
     BranchLimitFault,
@@ -102,6 +103,12 @@ class VMConfig:
     branch_limit: int = 10_000
     #: Size of the engine-provided stack (the eBPF spec mandates 512 B).
     stack_size: int = isa.STACK_SIZE
+
+    def __post_init__(self) -> None:
+        seal_hash(self)
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(slots=True)
@@ -179,13 +186,21 @@ class Interpreter:
         # .rodata is read-only and immutable, so every instance maps one
         # region over the image's bytes (as a board executes it in place
         # from flash); a store into it faults on the permission check.
+        rodata = (MemoryRegion(".rodata", RODATA_BASE,
+                               bytes(program.rodata), Permission.READ)
+                  if program.rodata else None)
+        layout = [(STACK_BASE, STACK_BASE + config.stack_size, "stack")]
+        if rodata is not None:
+            layout.append((RODATA_BASE, rodata.end, ".rodata"))
+        if program.data:
+            layout.append((DATA_BASE, DATA_BASE + len(program.data),
+                           ".data"))
         return InstancePrototype(
             code=predecode(program.slots),
-            rodata=(MemoryRegion(".rodata", RODATA_BASE,
-                                 bytes(program.rodata), Permission.READ)
-                    if program.rodata else None),
+            rodata=rodata,
             data=bytes(program.data),
-            stack_zeros=bytes(config.stack_size))
+            stack_zeros=bytes(config.stack_size),
+            layout=tuple(layout))
 
     @classmethod
     def instantiate(cls, prototype: InstancePrototype, program: Program,
@@ -219,10 +234,11 @@ class Interpreter:
             regions.append(self.data_region)
         self.access_list = AccessList(regions)
         self._context_region: MemoryRegion | None = None
-        #: The hosting engine that attached this instance (set by
-        #: :meth:`~repro.core.engine.HostingEngine.attach`): the one way a
-        #: helper of the shared table reaches its device.  ``None`` on a
-        #: standalone VM, whose engine-bound helper calls fault.
+        #: The hosting engine that attached this instance (set when the
+        #: attached container clones it, :attr:`~repro.core.container
+        #: .FemtoContainer.vm`): the one way a helper of the shared table
+        #: reaches its device.  ``None`` on a standalone VM, whose
+        #: engine-bound helper calls fault.
         self.services = None
         # Reusable per-run state (see the module docstring).
         self._regs: list[int] = [0] * isa.REG_COUNT

@@ -159,6 +159,17 @@ class MemoryRegion:
 _start_of = attrgetter("start")
 
 
+def check_disjoint(spans: list[tuple[int, int, str]]) -> None:
+    """Refuse a region layout: ``spans`` are ``(start, end, name)``
+    sorted by start, and the first two that overlap raise a
+    ``ValueError`` naming both.  Building an :class:`AccessList` runs
+    this check, and so does an attach before any region exists."""
+    for index in range(1, len(spans)):
+        if spans[index - 1][1] > spans[index][0]:
+            raise ValueError(f"region {spans[index][2]!r} overlaps "
+                             f"{spans[index - 1][2]!r}")
+
+
 @dataclass
 class AccessList:
     """The allow list of Fig. 4: the only memory a container may touch.
@@ -167,7 +178,7 @@ class AccessList:
     the order is total); mutate it only through :meth:`add` and
     :meth:`remove` so the bisect index and the MRU cache stay coherent.
     Construction sorts and overlap-checks the given regions once, which
-    is how an attach builds an instance's list.
+    is how an instance's clone builds its list.
     """
 
     regions: list[MemoryRegion] = field(default_factory=list)
@@ -176,12 +187,8 @@ class AccessList:
         regions = self.regions
         regions.sort(key=_start_of)
         self._starts = [region.start for region in regions]
-        for index in range(1, len(regions)):
-            if regions[index - 1]._end > regions[index].start:
-                raise ValueError(
-                    f"region {regions[index].name!r} overlaps "
-                    f"{regions[index - 1].name!r}"
-                )
+        check_disjoint([(region.start, region._end, region.name)
+                        for region in regions])
         #: The region resolved last (the JIT's window refill reads it),
         #: and the one resolved before that.
         self._mru: MemoryRegion | None = None

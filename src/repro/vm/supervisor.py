@@ -210,6 +210,8 @@ class ContainerSupervisor:
         different container it displaces from that ``(hook, name)`` slot,
         from detention — so a rolled-back slot can never be re-poisoned
         by a stale probation timer."""
+        if not self.detained:
+            return
         for held in [held for held, held_hook in self.detained.items()
                      if held is container
                      or (held_hook == hook_name

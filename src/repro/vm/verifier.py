@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.memo import seal_hash
 from repro.vm import isa
 from repro.vm.errors import VerificationError
 from repro.vm.program import Program
@@ -55,6 +56,10 @@ class VerifierConfig:
             object.__setattr__(
                 self, "allowed_helpers", frozenset(self.allowed_helpers)
             )
+        seal_hash(self)
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass

@@ -148,6 +148,37 @@ class TestShell:
         assert engine.supervisor.quarantined_slots() == []
         assert "bad" not in shell.execute("fc list")
 
+    def test_fc_reaches_each_of_two_same_named_containers(self, shell,
+                                                          engine):
+        """``fc list`` numbers its rows and ``#N`` picks one; a shared
+        name answers with the matching rows and acts on nothing."""
+        clean = engine.attach(engine.load(assemble("mov r0, 7\n    exit"),
+                                          name="app"), FC_HOOK_SCHED)
+        crasher = engine.attach(engine.load(assemble(
+            "lddw r1, 0x1\n    ldxb r0, [r1]\n    exit"), name="app"),
+            FC_HOOK_SCHED)
+        for _ in range(2):
+            engine.fire_hook(FC_HOOK_SCHED, bytes(16))
+        rows = shell.execute("fc list").splitlines()[1:]
+        assert [row.split()[:2] for row in rows] == [["app", "#1"],
+                                                     ["app", "#2"]]
+        assert rows[1].split()[7] == "2"  # the crasher's faults column
+
+        for verb in ("faults", "detach"):
+            answer = shell.execute(f"fc {verb} app")
+            assert answer.startswith("2 containers named 'app'")
+            assert [line.split()[1] for line in answer.splitlines()[2:]] \
+                == ["#1", "#2"]
+        assert engine.hook(FC_HOOK_SCHED).containers == [clean, crasher]
+
+        assert shell.execute("fc faults #1") == "no faults"
+        assert "MemoryFault" in shell.execute("fc faults #2")
+        assert shell.execute("fc detach #2") == "detached app"
+        assert engine.hook(FC_HOOK_SCHED).containers == [clean]
+        assert crasher.state is ContainerState.DETACHED
+        assert shell.execute("fc faults app") == "no faults"
+        assert shell.execute("fc detach #2") == "no container #2"
+
     def test_kv_dump_and_read(self, shell, engine, kernel):
         populate(engine, kernel)
         assert "0x00000003 = 99" in shell.execute("kv global")
