@@ -272,7 +272,6 @@ class _Track:
             reboots=device.reboots - self.reboots_before,
             fault_delta=(self.faults_accum + device.engine.fault_total
                          - self.faults_before),
-            quarantined=len(device.engine.supervisor.detained),
             radio_uj=_radio_uj(device) - self.radio_before,
         )
 

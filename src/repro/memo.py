@@ -15,15 +15,15 @@ rule:
 * **Success only.**  A derive that raises stores nothing, nor does one
   that returns ``None`` or ``False`` (a failed verdict, a malformed
   body): a hit never stands in for a check that would fail.
-* **Bounded.**  Least-recently-used entries age out past
-  ``max_entries``; an evicted value is derived again.
+* **Bounded.**  Past ``max_entries`` the oldest-inserted entry ages
+  out; an evicted value is derived again.
 
 A memo's scope is where its instance lives: a module global is shared
 process-wide, an engine attribute per engine, a publisher attribute per
 publish.  :func:`memos_disabled` switches every memo off, wherever it
 was created — the check that no modelled state depends on a share.
 The simulator is single-threaded per process, so a plain dict (whose
-insertion order is the LRU order) suffices.
+insertion order is the eviction order) suffices.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ _disabled = False
 
 
 class Memo:
-    """Bounded LRU map from an exact key to a derived value."""
+    """Bounded map from an exact key to a derived value, evicting the
+    oldest-inserted entry first."""
 
     def __init__(self, max_entries: int) -> None:
         self.max_entries = max_entries
@@ -51,9 +52,8 @@ class Memo:
         stored unless it is ``None`` or ``False`` (or it raised)."""
         entries = self._entries
         if not _disabled:
-            value = entries.pop(key, None)
+            value = entries.get(key)
             if value is not None:
-                entries[key] = value  # reinsert: most recently used
                 self.hits += 1
                 return value
         self.misses += 1
@@ -73,7 +73,7 @@ class Memo:
         return len(self._entries)
 
     def __iter__(self) -> Iterator[Hashable]:
-        """The stored keys, least recently used first."""
+        """The stored keys, oldest inserted first."""
         return iter(self._entries)
 
 

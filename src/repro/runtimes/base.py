@@ -10,6 +10,11 @@ through it, and the paper's Tables 1 and 2 are measured through the
 same objects (:mod:`repro.runtimes.comparison`), so a profile edit
 reaches both.
 
+The two interpreted formats, Wasm and script, share one adapter here:
+:class:`InterpretedImage`, :class:`InterpretedRuntime` and
+:class:`InterpretedVM`.  A format supplies only its decode step, its
+startup formula, its prototype, its VM's ``run`` and its fault table.
+
 The registry (:func:`container_runtime`) maps the ``runtime`` tag carried
 by :class:`~repro.deploy.spec.ImageSpec` and SUIT manifests onto the
 implementation, so the whole plan/OTA/publish stack moves rBPF, Wasm and
@@ -22,16 +27,19 @@ import hashlib
 import struct
 from functools import partial
 from operator import itemgetter
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Mapping, Protocol
 
 from repro.rtos.board import Board, CostProfile
+from repro.vm.errors import IllegalInstructionFault
 from repro.vm.imagecache import lookup_prototype
-from repro.vm.memory import check_disjoint
+from repro.vm.interpreter import ExecutionStats
+from repro.vm.memory import AccessList, check_disjoint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.container import FemtoContainer
     from repro.core.engine import HostingEngine
     from repro.core.policy import MemoryGrant
+    from repro.vm.errors import VMFault
     from repro.vm.helpers import HelperRegistry
     from repro.vm.interpreter import VMConfig
     from repro.vm.imagecache import InstancePrototype
@@ -202,6 +210,149 @@ def tagged_image_hash(runtime: str, text: bytes, rodata: bytes = b"",
     digest.update(rodata)
     digest.update(data)
     return digest.hexdigest()
+
+
+class InterpretedImage:
+    """One decoded image, presenting the ``Program`` surface.
+
+    The payload is what a SUIT manifest ships, what content addressing
+    hashes and what both size columns count; ``code`` is the format's
+    decoded form of it.  Decoding is the format's pre-flight check, so a
+    malformed payload never becomes an image.
+    """
+
+    #: Constants live in the code, state in the interpreter's memory.
+    rodata = b""
+    data = b""
+
+    def __init__(self, runtime: str, payload: bytes, code: object,
+                 name: str = "app"):
+        self.runtime = runtime
+        self._payload = payload
+        self.code = code
+        self.name = name
+        self._hash: str | None = None
+
+    def to_bytes(self) -> bytes:
+        return self._payload
+
+    @property
+    def code_size(self) -> int:
+        return len(self._payload)
+
+    @property
+    def image_size(self) -> int:
+        return len(self._payload)
+
+    @property
+    def image_hash(self) -> str:
+        if self._hash is None:
+            self._hash = tagged_image_hash(self.runtime, self._payload)
+        return self._hash
+
+
+class InterpretedVM:
+    """Engine-facing VM of one instance, over its format's prototype.
+
+    A format's ``run`` reports a run's counts through
+    :meth:`execution_stats` and its error through :meth:`fault`.
+    """
+
+    #: ``(message substring, fault type)`` pairs: the first substring in
+    #: an error's message picks its fault; no match is an illegal
+    #: instruction.
+    FAULTS: "tuple[tuple[str, type[VMFault]], ...]" = ()
+
+    def __init__(self, image: InterpretedImage, config: "VMConfig",
+                 access_list: AccessList, prototype: "InstancePrototype",
+                 profile: object, classes: tuple[str, ...]):
+        self.image = image
+        self.config = config
+        self.access_list = access_list
+        self.prototype = prototype
+        self.profile = profile
+        #: The profile's count classes, every run's count keys.
+        self.classes = classes
+
+    def execution_stats(self, executed: int,
+                        class_counts: Mapping[str, int]) -> ExecutionStats:
+        """A run's counts in the engine's platform-independent form:
+        every class of the profile, zeros included, in its order, so two
+        runs with equal counts report equal dicts in one order."""
+        kind_counts = dict.fromkeys(self.classes, 0)
+        kind_counts.update(class_counts)
+        return ExecutionStats(
+            executed=executed,
+            branches_taken=class_counts.get("control", 0),
+            kind_counts=kind_counts,
+        )
+
+    def fault(self, message: str, executed: int,
+              class_counts: Mapping[str, int]) -> "VMFault":
+        """The contained fault of an error with ``message``, carrying the
+        counts of the run it aborted."""
+        for needle, fault_type in self.FAULTS:
+            if needle in message:
+                break
+        else:
+            fault_type = IllegalInstructionFault
+        fault = fault_type(message)
+        fault.stats = self.execution_stats(executed, class_counts)
+        return fault
+
+
+class InterpretedRuntime:
+    """Deploys one interpreted format through its §6 profile.
+
+    A subclass names its ``name`` tag and its ``vm`` class, and defines
+    ``decode_code(payload)`` (the decoded code; raises if malformed),
+    ``startup_cycles`` and ``prototype``.
+    """
+
+    name: str
+    vm: type[InterpretedVM]
+
+    def __init__(self, profile: object, rom_bytes: int,
+                 op_cycles: Mapping[str, int]):
+        self.profile = profile
+        self.rom_bytes = rom_bytes
+        self.classes = tuple(op_cycles)
+        # Per-class prices only: no dispatch term, no helper calls.
+        self._cost = CostProfile(dispatch=0, op_cycles=op_cycles)
+
+    def decode(self, payload: bytes, *, name: str = "app",
+               rodata: bytes = b"", data: bytes = b"") -> InterpretedImage:
+        if rodata or data:
+            raise ValueError(
+                f"{self.name} images carry no rodata/data sections")
+        payload = bytes(payload)
+        return InterpretedImage(self.name, payload,
+                                self.decode_code(payload), name)
+
+    def image_hash(self, text: bytes, rodata: bytes = b"",
+                   data: bytes = b"") -> str:
+        return tagged_image_hash(self.name, text, rodata, data)
+
+    def instantiate(self, prototype: "InstancePrototype",
+                    image: InterpretedImage, implementation: str,
+                    helpers: "HelperRegistry | None", vm_config: "VMConfig",
+                    regions: "list[MemoryRegion]") -> InterpretedVM:
+        return self.vm(image, vm_config, AccessList(regions), prototype,
+                       self.profile, self.classes)
+
+    def attach(self, engine: "HostingEngine", container: "FemtoContainer",
+               verifier_config: "VerifierConfig", vm_config: "VMConfig",
+               grants: "tuple[MemoryGrant, ...]") -> "InstancePrototype":
+        image = container.program
+        # The cold start a device pays to (re)load the image, charged at
+        # attach like rBPF's verify and JIT install.
+        engine.kernel.clock.charge(self.startup_cycles(image, engine.board))
+        return preflight(self, image, engine.implementation,
+                         verifier_config, vm_config, grants)
+
+    def cost_profile(self, board: "Board",
+                     implementation: str) -> CostProfile:
+        return self._cost
 
 
 #: Lazily imported built-in implementations (import cycles: the engine

@@ -122,14 +122,35 @@ ENGINES = [(implementation, lambda: IMAGES["counter"])
 ENGINE_IDS = list(IMPLEMENTATIONS) + ["wasm", "script"]
 
 
+def _verify_charge(engine: HostingEngine, image) -> int:
+    """rBPF's verify pass, charged before its pre-flight can refuse."""
+    return len(image.slots) * engine.board.verify_cycles_per_slot
+
+
+def _startup_charge(engine: HostingEngine, image) -> int:
+    """Wasm's or script's cold start, charged before the pre-flight."""
+    return container_runtime(image.runtime).startup_cycles(image,
+                                                           engine.board)
+
+
+#: What an attach refused by its pre-flight charges, per runtime.
+PREFLIGHT_CHARGE = {"rbpf": _verify_charge, "wasm": _startup_charge,
+                    "script": _startup_charge}
+
+
 def _assert_refused(engine: HostingEngine, spec: ImageSpec,
                     contract: ContainerContract, match: str,
-                    instantiations: list) -> None:
+                    instantiations: list, charge) -> None:
+    """The attach is refused with ``match``, leaves nothing behind and
+    charges exactly ``charge(engine, image)`` cycles."""
     tenant = engine.create_tenant("t")
-    container = engine.load(spec.instantiate("app"), tenant=tenant,
-                            contract=contract)
+    image = spec.instantiate("app")
+    container = engine.load(image, tenant=tenant, contract=contract)
+    clock = engine.kernel.clock
+    before = clock.cycles
     with pytest.raises(AttachError, match=match):
         engine.attach(container, PAD)
+    assert clock.cycles - before == charge(engine, image)
     assert container.hook is None
     assert container.state is ContainerState.LOADED
     assert engine.hook(PAD).containers == []
@@ -144,7 +165,8 @@ def test_grant_over_the_stack_is_refused_at_attach(implementation,
     engine = _pad_engine(implementation, MemoryGrant(
         "pkt", STACK_BASE + 64, 32, Permission.READ_WRITE))
     _assert_refused(engine, IMAGES["counter"], ContainerContract(),
-                    "region 'pkt' overlaps 'stack'", instantiations)
+                    "region 'pkt' overlaps 'stack'", instantiations,
+                    _verify_charge)
 
 
 @pytest.mark.parametrize(("implementation", "image"), ENGINES,
@@ -155,29 +177,35 @@ def test_overlapping_grants_are_refused_at_attach(implementation, image,
         implementation,
         MemoryGrant("a", GRANT_BASE, 64, Permission.READ),
         MemoryGrant("b", GRANT_BASE + 32, 64, Permission.READ))
-    _assert_refused(engine, image(), ContainerContract(),
-                    "region 'b' overlaps 'a'", instantiations)
+    spec = image()
+    _assert_refused(engine, spec, ContainerContract(),
+                    "region 'b' overlaps 'a'", instantiations,
+                    PREFLIGHT_CHARGE[spec.runtime])
 
 
-#: A verifier-refused image per engine and runtime.  Script has no
-#: attach-time verdict to refuse: its parse at decode is its pre-flight.
+#: A verifier-refused image per engine and runtime, and what its refusal
+#: charges: rBPF its verify pass, Wasm over its granted instruction limit
+#: nothing.  Script has no attach-time verdict to refuse: its parse at
+#: decode is its pre-flight.
 REFUSED = [(implementation, lambda: IMAGES["bad"], ContainerContract(),
-            "helper 0x77 not allowed")
+            "helper 0x77 not allowed", _verify_charge)
            for implementation in IMPLEMENTATIONS] + [
     ("femto-containers", lambda: ImageSpec.from_wasm(
         WASM_HEADER + "    i32.const 7\n    i32.const 1\n    i32.add\n"
         "    return\nend\n", name="app"),
-     ContainerContract(max_instructions=2), "granted limit is 2"),
+     ContainerContract(max_instructions=2), "granted limit is 2",
+     lambda engine, image: 0),
 ]
 
 
-@pytest.mark.parametrize(("implementation", "image", "contract", "match"),
-                         REFUSED, ids=list(IMPLEMENTATIONS) + ["wasm"])
+@pytest.mark.parametrize(
+    ("implementation", "image", "contract", "match", "charge"), REFUSED,
+    ids=list(IMPLEMENTATIONS) + ["wasm"])
 def test_verifier_rejection_is_refused_at_attach(implementation, image,
-                                                 contract, match,
+                                                 contract, match, charge,
                                                  instantiations):
     _assert_refused(_pad_engine(implementation), image(), contract, match,
-                    instantiations)
+                    instantiations, charge)
 
 
 #: Two distinct images per engine and runtime.

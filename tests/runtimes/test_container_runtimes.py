@@ -34,6 +34,7 @@ from repro.runtimes import (
     container_runtime,
     runtime_names,
 )
+from repro.runtimes.script import tokenize
 from repro.runtimes.sources import SCRIPT_FLETCHER32_PY, WASM_FLETCHER32
 from repro.vm import assemble
 from repro.vm.imagecache import IMAGE_CACHE
@@ -129,7 +130,7 @@ class TestProfileCycles:
         expected = (WASM3_PROFILE.startup_base_cycles
                     + WASM3_PROFILE.startup_cycles_per_byte
                     * len(spec.text))
-        assert charged >= expected
+        assert charged == expected
 
     def test_script_attach_charges_parsing(self):
         spec = ImageSpec.from_script(SCRIPT_FLETCHER32_PY)
@@ -142,8 +143,8 @@ class TestProfileCycles:
         charged = engine.kernel.clock.cycles - before
         expected = (MICROPYTHON_PROFILE.parse_base_cycles
                     + MICROPYTHON_PROFILE.parse_cycles_per_token
-                    * image.tokens)
-        assert charged >= expected
+                    * len(tokenize(SCRIPT_FLETCHER32_PY)))
+        assert charged == expected
 
     def test_script_dominates_wasm_dominates_rbpf_per_run(self):
         """The §6 ordering: script >> wasm > rBPF modelled cycles."""

@@ -44,12 +44,12 @@ def _derive(outcome: str, index: int, calls: list[int]):
                                 st.booleans()),
                       max_size=40))
 def test_memo_matches_a_dict_model(bound, steps):
-    """Stored keys in LRU order, returned values and hit/miss counts
+    """Stored keys in insertion order, returned values and hit/miss counts
     match the reference.  A raise or a falsy verdict is never stored,
     and under the switch every call derives and stores nothing — on an
     instance created before the switch was entered."""
     memo = Memo(bound)
-    model: dict = {}  # insertion order is the LRU order
+    model: dict = {}  # insertion order is the eviction order
     hits = misses = 0
     for index, (key, outcome, disabled) in enumerate(steps):
         calls: list[int] = []
@@ -61,7 +61,6 @@ def test_memo_matches_a_dict_model(bound, steps):
                 result = Boom
         if not disabled and key in model:
             hits += 1
-            model[key] = model.pop(key)
             assert calls == [] and result is model[key]
         else:
             misses += 1
@@ -78,11 +77,14 @@ def test_memo_matches_a_dict_model(bound, steps):
         assert (memo.hits, memo.misses) == (hits, misses)
 
 
-def test_lru_bound_is_respected():
+def test_bound_evicts_the_oldest_inserted():
     memo = Memo(4)
     for key in range(10):
         memo.get_or_derive(key, lambda: object())
     assert list(memo) == [6, 7, 8, 9]
+    memo.get_or_derive(6, lambda: object())  # a hit keeps its place
+    memo.get_or_derive(10, lambda: object())
+    assert list(memo) == [7, 8, 9, 10]
 
 
 def test_switch_covers_new_memos_nests_and_restores():
