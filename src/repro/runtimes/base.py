@@ -12,8 +12,10 @@ reaches both.
 
 The two interpreted formats, Wasm and script, share one adapter here:
 :class:`InterpretedImage`, :class:`InterpretedRuntime` and
-:class:`InterpretedVM`.  A format supplies only its decode step, its
-startup formula, its prototype, its VM's ``run`` and its fault table.
+:class:`InterpretedVM`, and both interpreters count every run through
+one :class:`RunMeter`.  A format supplies only its decode step, its
+startup formula, its prototype, its VM's ``execute`` and its error
+table.
 
 The registry (:func:`container_runtime`) maps the ``runtime`` tag carried
 by :class:`~repro.deploy.spec.ImageSpec` and SUIT manifests onto the
@@ -24,22 +26,26 @@ script containers through one code path.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from functools import partial
 from operator import itemgetter
-from typing import TYPE_CHECKING, Mapping, Protocol
+from typing import TYPE_CHECKING, Iterable, Mapping, Protocol
 
 from repro.rtos.board import Board, CostProfile
-from repro.vm.errors import IllegalInstructionFault
+from repro.vm.errors import (
+    BranchLimitFault,
+    IllegalInstructionFault,
+    VMFault,
+)
 from repro.vm.imagecache import lookup_prototype
-from repro.vm.interpreter import ExecutionStats
+from repro.vm.interpreter import ExecutionResult, ExecutionStats
 from repro.vm.memory import AccessList, check_disjoint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.container import FemtoContainer
     from repro.core.engine import HostingEngine
     from repro.core.policy import MemoryGrant
-    from repro.vm.errors import VMFault
     from repro.vm.helpers import HelperRegistry
     from repro.vm.interpreter import VMConfig
     from repro.vm.imagecache import InstancePrototype
@@ -251,13 +257,46 @@ class InterpretedImage:
         return self._hash
 
 
+class RunMeter:
+    """One run's counts and its N_b budget, for both interpreters.
+
+    ``count`` records one executed operation of ``cost_class``; the
+    run's (N_b + 1)-th ``control`` count raises
+    :class:`~repro.vm.errors.BranchLimitFault`, the interpreted analogue
+    of rBPF's taken-branch budget.  ``class_counts`` starts with
+    ``classes`` at zero, in their order, so two runs with equal counts
+    report equal dicts in one order.  A meter built without a
+    ``branch_limit`` has no budget.
+    """
+
+    __slots__ = ("executed", "class_counts", "branch_limit")
+
+    def __init__(self, classes: Iterable[str] = (),
+                 branch_limit: float = math.inf):
+        self.executed = 0
+        self.class_counts: dict[str, int] = dict.fromkeys(classes, 0)
+        self.branch_limit = branch_limit
+
+    def count(self, cost_class: str) -> None:
+        self.executed += 1
+        counts = self.class_counts
+        counts[cost_class] = counts.get(cost_class, 0) + 1
+        if cost_class == "control" and counts["control"] > self.branch_limit:
+            raise BranchLimitFault(
+                f"control budget N_b={self.branch_limit} exhausted")
+
+
 class InterpretedVM:
     """Engine-facing VM of one instance, over its format's prototype.
 
-    A format's ``run`` reports a run's counts through
-    :meth:`execution_stats` and its error through :meth:`fault`.
+    A format's ``execute(payload, meter)`` runs the image on the
+    context's bytes, counting through ``meter``, and returns the run's
+    value; :meth:`run` gives it a fresh meter per run and turns the
+    format's errors into contained faults.
     """
 
+    #: The format's own error types: every one a contained fault.
+    ERRORS: "tuple[type[Exception], ...]" = ()
     #: ``(message substring, fault type)`` pairs: the first substring in
     #: an error's message picks its fault; no match is an illegal
     #: instruction.
@@ -274,31 +313,36 @@ class InterpretedVM:
         #: The profile's count classes, every run's count keys.
         self.classes = classes
 
-    def execution_stats(self, executed: int,
-                        class_counts: Mapping[str, int]) -> ExecutionStats:
-        """A run's counts in the engine's platform-independent form:
-        every class of the profile, zeros included, in its order, so two
-        runs with equal counts report equal dicts in one order."""
-        kind_counts = dict.fromkeys(self.classes, 0)
-        kind_counts.update(class_counts)
-        return ExecutionStats(
-            executed=executed,
-            branches_taken=class_counts.get("control", 0),
-            kind_counts=kind_counts,
-        )
+    def run(self, context: bytes | None = None,
+            context_perms=None) -> ExecutionResult:
+        """One contained run under the granted N_b; a fault carries the
+        counts of the run it aborted, in the engine's form."""
+        meter = RunMeter(self.classes, self.config.branch_limit)
+        try:
+            try:
+                value = self.execute(bytes(context) if context else b"",
+                                     meter)
+            except self.ERRORS as error:
+                raise self.fault(str(error)) from error
+        except VMFault as fault:
+            fault.stats = _execution_stats(meter)
+            raise
+        return ExecutionResult(value=value, stats=_execution_stats(meter))
 
-    def fault(self, message: str, executed: int,
-              class_counts: Mapping[str, int]) -> "VMFault":
-        """The contained fault of an error with ``message``, carrying the
-        counts of the run it aborted."""
+    def fault(self, message: str) -> VMFault:
+        """The contained fault of an error with ``message``."""
         for needle, fault_type in self.FAULTS:
             if needle in message:
-                break
-        else:
-            fault_type = IllegalInstructionFault
-        fault = fault_type(message)
-        fault.stats = self.execution_stats(executed, class_counts)
-        return fault
+                return fault_type(message)
+        return IllegalInstructionFault(message)
+
+
+def _execution_stats(meter: RunMeter) -> ExecutionStats:
+    """A run's counts in the engine's platform-independent form."""
+    counts = meter.class_counts
+    return ExecutionStats(executed=meter.executed,
+                          branches_taken=counts.get("control", 0),
+                          kind_counts=counts)
 
 
 class InterpretedRuntime:

@@ -3,7 +3,6 @@
 from repro.runtimes.script.interp import (
     Interpreter,
     ScriptRuntimeError,
-    ScriptStats,
     run_source,
 )
 from repro.runtimes.script.lexer import ScriptSyntaxError, Token, tokenize
@@ -12,7 +11,6 @@ from repro.runtimes.script.parser import parse
 __all__ = [
     "Interpreter",
     "ScriptRuntimeError",
-    "ScriptStats",
     "ScriptSyntaxError",
     "Token",
     "parse",

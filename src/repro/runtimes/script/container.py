@@ -15,10 +15,13 @@ table at run time.  Table 2's RIOTjs and MicroPython rows are this
 runtime under their two profiles.
 
 Containment parity with rBPF: out-of-range indexing faults as
-:class:`~repro.vm.errors.MemoryFault`, division by zero as
-:class:`~repro.vm.errors.DivisionFault`, and the per-loop iteration
-ceiling (wired from the granted ``branch_limit``) plus a recursion guard
-bound runaway scripts with :class:`~repro.vm.errors.BranchLimitFault`.
+:class:`~repro.vm.errors.MemoryFault` and division by zero as
+:class:`~repro.vm.errors.DivisionFault`.  Each ``if``, each loop test and
+each ``return`` is one control count of the shared per-run
+:class:`~repro.runtimes.base.RunMeter`, so the granted ``branch_limit``
+N_b bounds the whole run, however deep its loops nest, and a recursion
+guard bounds the rest; both fault with
+:class:`~repro.vm.errors.BranchLimitFault`.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.runtimes.base import (
     InterpretedImage,
     InterpretedRuntime,
     InterpretedVM,
+    RunMeter,
 )
 from repro.runtimes.profiles import MICROPYTHON_PROFILE, ScriptProfile
 from repro.runtimes.script.interp import Interpreter, ScriptRuntimeError
@@ -37,7 +41,6 @@ from repro.runtimes.script.nodes import Script
 from repro.runtimes.script.parser import parse
 from repro.vm.errors import BranchLimitFault, DivisionFault, MemoryFault
 from repro.vm.imagecache import InstancePrototype
-from repro.vm.interpreter import ExecutionResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rtos.board import Board
@@ -50,11 +53,11 @@ _M64 = (1 << 64) - 1
 class ScriptContainerVM(InterpretedVM):
     """One fresh interpreter per execution."""
 
+    ERRORS = (ScriptRuntimeError,)
     FAULTS = (
         ("out of range", MemoryFault),
         ("not indexable", MemoryFault),
         ("division by zero", DivisionFault),
-        ("loop iteration limit exceeded", BranchLimitFault),
         ("call stack exhausted", BranchLimitFault),
     )
 
@@ -64,30 +67,13 @@ class ScriptContainerVM(InterpretedVM):
         footprint (the real heap is host-side Python)."""
         return self.profile.ram_bytes
 
-    def run(self, context: bytes | None = None,
-            context_perms=None) -> ExecutionResult:
-        payload = bytes(context) if context else b""
-        interpreter = Interpreter(
+    def execute(self, payload: bytes, meter: RunMeter) -> int:
+        result = Interpreter(
             self.prototype.code,
             builtins={"input": payload, "context": payload, "len": len},
-        )
-        # Per-instance loop ceiling: the script analogue of the granted
-        # N_b taken-branch budget.
-        interpreter.MAX_LOOP_ITERATIONS = self.config.branch_limit  # type: ignore[misc]
-        stats = interpreter.stats
-        try:
-            result = interpreter.run()
-        except (ScriptRuntimeError, RecursionError) as error:
-            # Unbounded script recursion rides the host stack; contain it
-            # exactly like an exhausted branch budget.
-            message = ("call stack exhausted"
-                       if isinstance(error, RecursionError) else str(error))
-            raise self.fault(message, stats.visits,
-                             stats.class_counts) from error
-        return ExecutionResult(
-            value=(result & _M64 if isinstance(result, int) else 0),
-            stats=self.execution_stats(stats.visits, stats.class_counts),
-        )
+            meter=meter,
+        ).run()
+        return result & _M64 if isinstance(result, int) else 0
 
 
 class ScriptContainerRuntime(InterpretedRuntime):

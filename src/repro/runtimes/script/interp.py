@@ -1,14 +1,17 @@
 """Tree-walking evaluator for the mini scripting language.
 
-Counts node visits per class and tracks a heap-allocation model, which the
-§6 profiles translate into cycles and RAM — startup cost comes from the
-real tokenizer/parser (per token), run cost from the real tree walk.
+Counts node visits per class through a
+:class:`~repro.runtimes.base.RunMeter`, which the §6 profiles translate
+into cycles — startup cost comes from the real tokenizer/parser (per
+token), run cost from the real tree walk.  Each ``if``, each loop test
+and each ``return`` is one control count of the meter's N_b budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.runtimes.base import RunMeter
 from repro.runtimes.script import nodes
 from repro.runtimes.script.parser import parse
 
@@ -25,21 +28,6 @@ class _ReturnSignal(Exception):
 
 
 @dataclass
-class ScriptStats:
-    """Node-visit counts per class plus allocation accounting."""
-
-    visits: int = 0
-    class_counts: dict[str, int] = field(default_factory=dict)
-    allocations: int = 0
-
-    def count(self, node_class: str) -> None:
-        self.visits += 1
-        self.class_counts[node_class] = (
-            self.class_counts.get(node_class, 0) + 1
-        )
-
-
-@dataclass
 class _Function:
     declaration: nodes.FuncDecl
 
@@ -47,27 +35,32 @@ class _Function:
 class Interpreter:
     """One script execution context with a global environment."""
 
-    MAX_LOOP_ITERATIONS = 10_000_000
-
     def __init__(self, script: nodes.Script,
-                 builtins: dict[str, object] | None = None):
+                 builtins: dict[str, object] | None = None,
+                 meter: RunMeter | None = None):
+        """Counts through ``meter``; without one, through a meter with
+        no budget."""
         self.script = script
         self.globals: dict[str, object] = dict(builtins or {})
-        self.stats = ScriptStats()
+        self.stats = RunMeter() if meter is None else meter
 
     @classmethod
     def from_source(cls, source: str,
-                    builtins: dict[str, object] | None = None) -> "Interpreter":
-        return cls(parse(source), builtins)
+                    builtins: dict[str, object] | None = None,
+                    meter: RunMeter | None = None) -> "Interpreter":
+        return cls(parse(source), builtins, meter)
 
     # -- public -----------------------------------------------------------
 
     def run(self) -> object:
-        """Execute the top-level statement list; `return` yields a value."""
+        """Execute the top-level statement list; `return` yields a value.
+        Recursion deeper than the host stack is a runtime error."""
         try:
             self._exec_block(self.script.body, self.globals)
         except _ReturnSignal as signal:
             return signal.value
+        except RecursionError:
+            raise ScriptRuntimeError("call stack exhausted") from None
         return None
 
     # -- statements -----------------------------------------------------------
@@ -80,7 +73,6 @@ class Interpreter:
     def _exec(self, node: nodes.Node, env: dict[str, object]) -> None:
         if isinstance(node, nodes.VarDecl):
             self.stats.count("assign")
-            self.stats.allocations += 1
             env[node.name] = (
                 self._eval(node.initializer, env)
                 if node.initializer is not None else None
@@ -97,20 +89,13 @@ class Interpreter:
             else:
                 self._exec_block(node.else_body, env)
         elif isinstance(node, nodes.While):
-            iterations = 0
             while True:
                 self.stats.count("control")
                 if not self._truthy(self._eval(node.condition, env)):
                     break
                 self._exec_block(node.body, env)
-                iterations += 1
-                if iterations > self.MAX_LOOP_ITERATIONS:
-                    raise ScriptRuntimeError(
-                        f"line {node.line}: loop iteration limit exceeded"
-                    )
         elif isinstance(node, nodes.FuncDecl):
             self.stats.count("assign")
-            self.stats.allocations += 1
             env[node.name] = _Function(node)
         elif isinstance(node, nodes.Return):
             self.stats.count("control")
@@ -197,7 +182,6 @@ class Interpreter:
         if operator == "!=":
             return left != right
         if operator == "+" and isinstance(left, str) and isinstance(right, str):
-            self.stats.allocations += 1
             return left + right
         lhs, rhs = self._int(left, node), self._int(right, node)
         if operator == "+":
@@ -245,7 +229,6 @@ class Interpreter:
                     f"{len(declaration.parameters)} args"
                 )
             frame = dict(zip(declaration.parameters, arguments))
-            self.stats.allocations += 1 + len(frame)
             try:
                 self._exec_block(declaration.body, frame)
             except _ReturnSignal as signal:
@@ -276,8 +259,8 @@ class Interpreter:
 
 
 def run_source(source: str,
-               builtins: dict[str, object] | None = None) -> tuple[object, ScriptStats]:
-    """Parse and execute; returns (result, stats)."""
+               builtins: dict[str, object] | None = None) -> tuple[object, RunMeter]:
+    """Parse and execute; returns (result, its unbudgeted meter)."""
     interpreter = Interpreter.from_source(source, builtins)
     result = interpreter.run()
     return result, interpreter.stats

@@ -1,7 +1,7 @@
 """Mini-WebAssembly VM (the WASM3-class §6 candidate)."""
 
 from repro.runtimes.wasm.asm import assemble
-from repro.runtimes.wasm.interpreter import WasmInstance, WasmStats, WasmTrap
+from repro.runtimes.wasm.interpreter import WasmInstance, WasmTrap
 from repro.runtimes.wasm.module import Function, Module, PAGE_SIZE, WasmError
 from repro.runtimes.wasm.validator import validate
 
@@ -11,7 +11,6 @@ __all__ = [
     "PAGE_SIZE",
     "WasmError",
     "WasmInstance",
-    "WasmStats",
     "WasmTrap",
     "assemble",
     "validate",

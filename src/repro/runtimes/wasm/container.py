@@ -10,10 +10,11 @@ granted instruction limit before it charges anything.  Table 2's WASM3
 row is measured through it.
 
 Containment parity with rBPF: out-of-bounds linear-memory accesses trap
-as :class:`~repro.vm.errors.MemoryFault`, division by zero as
-:class:`~repro.vm.errors.DivisionFault`, and a per-run control-op budget
-(the wasm analogue of the N_b taken-branch budget, wired from the granted
-``branch_limit``) bounds runaway loops with
+as :class:`~repro.vm.errors.MemoryFault` and division by zero as
+:class:`~repro.vm.errors.DivisionFault`.  Every control op (block, loop,
+if, else, end, br, br_if, return, call) is one control count of the
+shared per-run :class:`~repro.runtimes.base.RunMeter`, so the granted
+``branch_limit`` N_b, and a call-depth guard, bound runaway code with
 :class:`~repro.vm.errors.BranchLimitFault`.
 """
 
@@ -26,6 +27,7 @@ from repro.runtimes.base import (
     InterpretedImage,
     InterpretedRuntime,
     InterpretedVM,
+    RunMeter,
 )
 from repro.runtimes.profiles import WASM3_PROFILE, WASM3_ROM, WasmProfile
 from repro.runtimes.wasm.interpreter import WasmInstance, WasmTrap, prepare
@@ -37,7 +39,6 @@ from repro.vm.errors import (
     VerificationError,
 )
 from repro.vm.imagecache import InstancePrototype
-from repro.vm.interpreter import ExecutionResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.container import FemtoContainer
@@ -50,33 +51,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _M32 = (1 << 32) - 1
 
 
-class _MeteredStats:
-    """Per-run counts with a control-op fuel budget (the wasm N_b)."""
-
-    __slots__ = ("executed", "class_counts", "branch_limit")
-
-    def __init__(self, branch_limit: int):
-        self.executed = 0
-        self.class_counts: dict[str, int] = {}
-        self.branch_limit = branch_limit
-
-    def count(self, cost_class: str) -> None:
-        self.executed += 1
-        counts = self.class_counts
-        counts[cost_class] = counts.get(cost_class, 0) + 1
-        if cost_class == "control" and counts["control"] > self.branch_limit:
-            raise WasmTrap("control-op budget exhausted")
-
-
 class WasmContainerVM(InterpretedVM):
     """One :class:`WasmInstance`: linear memory and run state."""
 
+    ERRORS = (WasmTrap,)
     FAULTS = (
         ("out of bounds", MemoryFault),
         ("OOB", MemoryFault),
         ("divide by zero", DivisionFault),
         ("remainder by zero", DivisionFault),
-        ("budget exhausted", BranchLimitFault),
         ("call stack exhausted", BranchLimitFault),
     )
 
@@ -91,29 +74,14 @@ class WasmContainerVM(InterpretedVM):
     def ram_bytes(self) -> int:
         return self.instance.ram_bytes
 
-    def run(self, context: bytes | None = None,
-            context_perms=None) -> ExecutionResult:
-        """One contained execution: context at linear-memory offset 0,
-        entry function called with the context length, i32 result."""
+    def execute(self, payload: bytes, meter: RunMeter) -> int:
+        """Context at linear-memory offset 0, entry function called with
+        the context length, i32 result."""
         instance = self.instance
-        payload = bytes(context) if context else b""
         memory = instance.memory
         memory[:] = bytes(len(memory))
-        stats = _MeteredStats(self.config.branch_limit)
-        instance.stats = stats  # type: ignore[assignment]
-        try:
-            if len(payload) > len(memory):
-                raise WasmTrap(
-                    f"host write of {len(payload)} B at 0 OOB"
-                )
-            memory[: len(payload)] = payload
-            value = instance.run([len(payload)])
-        except WasmTrap as trap:
-            raise self.fault(str(trap), stats.executed,
-                             stats.class_counts) from trap
-        return ExecutionResult(
-            value=value & _M32,
-            stats=self.execution_stats(stats.executed, stats.class_counts))
+        instance.write_memory(0, payload)
+        return instance.run([len(payload)], meter=meter) & _M32
 
 
 class WasmContainerRuntime(InterpretedRuntime):

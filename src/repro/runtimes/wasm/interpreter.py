@@ -3,14 +3,17 @@
 A classic structured-control stack machine: operand stack, locals frame,
 label stack, one linear memory with bounds-checked accesses (out-of-bounds
 traps, it never touches host state).  Like the eBPF interpreter, it counts
-what it executes per cost class; the §6 comparison translates the counts
-through a WASM3-like cycle model.
+what it executes per cost class, through a
+:class:`~repro.runtimes.base.RunMeter`; the §6 comparison translates the
+counts through a WASM3-like cycle model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
+from repro.runtimes.base import RunMeter
 from repro.runtimes.wasm import isa
 from repro.runtimes.wasm.module import Function, Module, PAGE_SIZE, WasmError
 from repro.runtimes.wasm.validator import validate
@@ -20,20 +23,6 @@ _M32 = (1 << 32) - 1
 
 class WasmTrap(Exception):
     """Runtime trap: the instance aborts, the host survives."""
-
-
-@dataclass
-class WasmStats:
-    """Executed-instruction counts per cost class."""
-
-    executed: int = 0
-    class_counts: dict[str, int] = field(default_factory=dict)
-
-    def count(self, cost_class: str) -> None:
-        self.executed += 1
-        self.class_counts[cost_class] = (
-            self.class_counts.get(cost_class, 0) + 1
-        )
 
 
 @dataclass
@@ -89,7 +78,8 @@ class WasmInstance:
         self.memory = bytearray(module.memory_pages * PAGE_SIZE)
         self.max_call_depth = max_call_depth
         self._control = control if control is not None else prepare(module)
-        self.stats = WasmStats()
+        #: The counts of every run given no meter of its own (no budget).
+        self.stats = RunMeter()
 
     # -- memory (bounds-checked) -------------------------------------------
 
@@ -117,12 +107,16 @@ class WasmInstance:
     # -- execution ---------------------------------------------------------------
 
     def run(self, args: list[int] | None = None,
-            function: int | None = None) -> int:
-        """Execute the start (or given) function; returns its i32 result."""
+            function: int | None = None,
+            meter: RunMeter | None = None) -> int:
+        """Execute the start (or given) function, counting through
+        ``meter`` (default: ``stats``); returns its i32 result."""
         index = self.module.start if function is None else function
-        return self._call(index, [a & _M32 for a in (args or [])], depth=0)
+        count = (self.stats if meter is None else meter).count
+        return self._call(index, [a & _M32 for a in (args or [])], 0, count)
 
-    def _call(self, index: int, args: list[int], depth: int) -> int:
+    def _call(self, index: int, args: list[int], depth: int,
+              count: Callable[[str], None]) -> int:
         if depth > self.max_call_depth:
             raise WasmTrap("call stack exhausted")
         function = self.module.functions[index]
@@ -136,7 +130,6 @@ class WasmInstance:
         stack: list[int] = []
         labels: list[tuple[int, int]] = []  # (target_pc, label_stack_size)
         body = function.body
-        count = self.stats.count
         pc = 0
 
         while pc < len(body):
@@ -201,7 +194,8 @@ class WasmInstance:
                 callee = self.module.functions[immediate]
                 call_args = [stack.pop() for _ in range(callee.n_params)]
                 call_args.reverse()
-                stack.append(self._call(immediate, call_args, depth + 1))
+                stack.append(self._call(immediate, call_args, depth + 1,
+                                        count))
             elif opcode == isa.DROP:
                 stack.pop()
             elif opcode == isa.NOP:

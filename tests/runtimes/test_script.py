@@ -13,6 +13,8 @@ from repro.runtimes.script import (
     run_source,
     tokenize,
 )
+from repro.runtimes.base import RunMeter
+from repro.vm.errors import BranchLimitFault
 
 
 class TestLexer:
@@ -169,10 +171,11 @@ class TestRuntimeErrors:
             run_source("return missing();")
 
     def test_loop_budget(self):
-        interp = Interpreter.from_source("while (true) { }")
-        interp.MAX_LOOP_ITERATIONS = 100
-        with pytest.raises(ScriptRuntimeError, match="limit"):
+        interp = Interpreter.from_source("while (true) { }",
+                                         meter=RunMeter(branch_limit=100))
+        with pytest.raises(BranchLimitFault):
             interp.run()
+        assert interp.stats.class_counts["control"] == 101
 
     def test_type_error_indexing_int(self):
         with pytest.raises(ScriptRuntimeError, match="not indexable"):
@@ -184,7 +187,7 @@ class TestStats:
         _result, stats = run_source("var x = 1; return x + 1;")
         assert stats.class_counts["assign"] == 1
         assert stats.class_counts["binop"] == 1
-        assert stats.visits > 3
+        assert stats.executed > 3
 
     @given(n=st.integers(0, 50))
     def test_loop_visits_scale_linearly(self, n):

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, strategies as st
+import math
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import FC_HOOK_TIMER, ContainerContract, HostingEngine
+from repro.deploy import ImageSpec
+from repro.rtos import Kernel
+from repro.runtimes.base import build_vm, container_runtime
+from repro.runtimes.script import run_source
+from repro.runtimes.wasm import WasmInstance, assemble as wasm_assemble
 from repro.vm import (
     BranchLimitFault,
     CertFCInterpreter,
@@ -13,6 +21,7 @@ from repro.vm import (
     assemble,
     compile_program,
 )
+from repro.vm.verifier import VerifierConfig
 
 from tests.conftest import run_program
 
@@ -167,6 +176,95 @@ loop:
             vm.run()
         n_i = len(program.slots)
         assert vm_last_executed(vm) <= n_i * (limit + 1)
+
+
+    @settings(deadline=None)
+    @given(trips=st.lists(st.integers(0, 12), min_size=1, max_size=3),
+           limit=st.integers(1, 40))
+    def test_interpreted_run_bounded_by_nb(self, trips, limit):
+        """Wasm and script count N_b per run, however deep loops nest: a
+        run completes within N_b control counts, with the counts of an
+        unbudgeted run, or faults at its (N_b + 1)-th."""
+        for runtime, source in (("wasm", nested_wasm(trips)),
+                                ("script", nested_script(trips))):
+            value, meter = unbudgeted_run(runtime, source)
+            assert value == math.prod(trips)
+            over = meter.class_counts.get("control", 0) > limit
+            for stats, result in budgeted_runs(runtime, source, limit):
+                if over:
+                    assert result is BranchLimitFault, runtime
+                    assert stats.branches_taken == limit + 1, runtime
+                else:
+                    assert stats.branches_taken <= limit, runtime
+                    assert result == value, runtime
+                    assert stats.executed == meter.executed
+                    assert {kind: count
+                            for kind, count in stats.kind_counts.items()
+                            if count} == meter.class_counts
+
+
+def nested_script(trips: list[int]) -> str:
+    """``len(trips)`` nested while loops counting their innermost body."""
+    lines = ["var s = 0;"]
+    for depth, trip in enumerate(trips):
+        lines += [f"var i{depth} = 0;", f"while (i{depth} < {trip}) {{"]
+    lines.append("s = s + 1;")
+    for depth in reversed(range(len(trips))):
+        lines += [f"i{depth} = i{depth} + 1;", "}"]
+    return "\n".join(lines + ["return s;"])
+
+
+def nested_wasm(trips: list[int]) -> str:
+    """The same loops as :func:`nested_script`, as block/loop pairs; local
+    1 is the sum, local 2 + depth the depth's counter."""
+    lines = ["module pages=1",
+             f"func main params=1 locals={len(trips) + 1}"]
+    for depth, trip in enumerate(trips):
+        counter = 2 + depth
+        lines += ["i32.const 0", f"local.set {counter}", "block", "loop",
+                  f"local.get {counter}", f"i32.const {trip}", "i32.ge_u",
+                  "br_if 1"]
+    lines += ["local.get 1", "i32.const 1", "i32.add", "local.set 1"]
+    for depth in reversed(range(len(trips))):
+        counter = 2 + depth
+        lines += [f"local.get {counter}", "i32.const 1", "i32.add",
+                  f"local.set {counter}", "br 0", "end", "end"]
+    return "\n".join(lines + ["local.get 1", "return", "end"])
+
+
+def unbudgeted_run(runtime: str, source: str):
+    """(value, meter) of the standalone interpreter, with no budget."""
+    if runtime == "script":
+        return run_source(source)
+    instance = WasmInstance(wasm_assemble(source))
+    return instance.run([0]), instance.stats
+
+
+def budgeted_runs(runtime: str, source: str, limit: int):
+    """(stats, value or fault type) of one run under N_b = ``limit``
+    through ``build_vm``, then through engine attach and execute."""
+    spec = (ImageSpec.from_wasm if runtime == "wasm"
+            else ImageSpec.from_script)(source)
+    vm = build_vm(container_runtime(runtime), spec.instantiate(),
+                  "femto-containers", None, VMConfig(branch_limit=limit),
+                  VerifierConfig())
+    try:
+        result = vm.run()
+    except BranchLimitFault as fault:
+        yield fault.stats, BranchLimitFault
+    else:
+        yield result.stats, result.value
+    engine = HostingEngine(Kernel())
+    container = engine.attach(
+        engine.load(spec.instantiate(),
+                    contract=ContainerContract(branch_limit=limit)),
+        FC_HOOK_TIMER)
+    run = engine.execute(container)
+    if run.fault is None:
+        yield run.stats, run.value
+    else:
+        assert run.fault.kind == "BranchLimitFault", run.fault
+        yield run.stats, BranchLimitFault
 
 
 def vm_last_executed(vm: Interpreter) -> int:
