@@ -6,7 +6,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.kvstore import KeyValueStore
+from repro.core.kvstore import STORE_HEADER_BYTES, KeyValueStore
 from repro.core.policy import DEFAULT_CONTRACT, ContainerContract, GrantedPolicy
 from repro.vm.certfc import CertFCInterpreter
 from repro.vm.interpreter import ExecutionStats, Interpreter, RbpfInterpreter
@@ -152,7 +152,6 @@ class FemtoContainer:
     runtime: object = None
     granted: GrantedPolicy | None = None
     hook: "Hook | None" = None
-    local_store: KeyValueStore = field(default=None)  # type: ignore[assignment]
     #: Worker thread for HookMode.THREAD execution.
     worker: "Thread | None" = None
     #: Event queue feeding the worker thread (set by the engine).
@@ -178,14 +177,27 @@ class FemtoContainer:
     #: that was never attached.
     _vm = None
     _clone = None
+    #: The local store once built (see :attr:`local_store`).
+    _local_store = None
 
     def __post_init__(self) -> None:
-        if self.local_store is None:
-            self.local_store = KeyValueStore(
-                name=f"{self.name}-local", scope="local"
-            )
         if self.tenant is not None:
             self.tenant.adopt(self)
+
+    @property
+    def local_store(self) -> KeyValueStore:
+        """This container's private store, built at its first use: most
+        containers a fleet update loads are replaced before they run."""
+        if self._local_store is None:
+            self._local_store = KeyValueStore(name=f"{self.name}-local",
+                                              scope="local")
+        return self._local_store
+
+    @property
+    def local_store_bytes(self) -> int:
+        """RAM of the local store; one never used holds its header."""
+        store = self._local_store
+        return store.ram_bytes if store is not None else STORE_HEADER_BYTES
 
     # -- the instance ---------------------------------------------------------
 
@@ -221,7 +233,7 @@ class FemtoContainer:
         """RAM this instance pins: VM state + image (stored in RAM after a
         network deployment, per §5) + its local store."""
         vm_bytes = self.vm.ram_bytes if self.vm is not None else 0
-        return vm_bytes + self.program.image_size + self.local_store.ram_bytes
+        return vm_bytes + self.program.image_size + self.local_store_bytes
 
     @property
     def fault_count(self) -> int:

@@ -547,7 +547,7 @@ class HostingEngine:
             TENANT_STRUCT_BYTES + t.store.ram_bytes
             for t in self.tenants.values()
         )
-        total += sum(c.local_store.ram_bytes for c in self.containers())
+        total += sum(c.local_store_bytes for c in self.containers())
         return total
 
     def total_ram_bytes(self) -> int:

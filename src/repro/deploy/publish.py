@@ -186,7 +186,7 @@ class DeviceRadio:
 
 
 def _radio_uj(device: FleetDevice) -> float:
-    return device.meter.report().radio_uj if device.meter is not None else 0.0
+    return device.meter.radio_uj() if device.meter is not None else 0.0
 
 
 def _decode_mcast_body(raw: bytes) -> tuple | None:
@@ -649,10 +649,13 @@ class FleetPublisher:
         after ``mcast_grace_us``.  The backhaul kernel and each pending
         device kernel advance in interleaved :data:`CORUN_WINDOW_US`
         slices, in fleet order; wall time, cycles and image-cache
-        traffic are measured around each device's own slices.
+        traffic are measured around each device's own slices.  A device
+        whose kernel is idle (no ready thread, no armed timer) sits its
+        slice out: that run would execute nothing.
 
         A worker's ``on_result`` hook only queues its verdict on the
-        track; the loop consumes one per device per window.  The one
+        track; the loop consumes one per device per window, whether or
+        not the device ran in it.  The one
         done rule: finishing a row also stops the device's trigger, so
         a device that reported a verdict for this sequence is never
         triggered again, on either transport.
@@ -725,14 +728,15 @@ class FleetPublisher:
                 if (self.chaos is not None
                         and self.chaos.stalled(device.name)):
                     continue  # wedged: gets no scheduling this window
-                hits_before = IMAGE_CACHE.hits
-                misses_before = IMAGE_CACHE.misses
-                start = time.perf_counter()
-                device.kernel.run(
-                    until_us=device.kernel.now_us + CORUN_WINDOW_US)
-                track.wall_s += time.perf_counter() - start
-                track.hits += IMAGE_CACHE.hits - hits_before
-                track.misses += IMAGE_CACHE.misses - misses_before
+                kernel = device.kernel
+                if not kernel.idle:
+                    hits_before = IMAGE_CACHE.hits
+                    misses_before = IMAGE_CACHE.misses
+                    start = time.perf_counter()
+                    kernel.run(until_us=kernel.now_us + CORUN_WINDOW_US)
+                    track.wall_s += time.perf_counter() - start
+                    track.hits += IMAGE_CACHE.hits - hits_before
+                    track.misses += IMAGE_CACHE.misses - misses_before
                 if not track.verdicts:
                     continue
                 # The *first* queued verdict: a duplicate trigger (lost

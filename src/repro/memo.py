@@ -4,8 +4,9 @@ The paper charges verification, transpilation, signature checks and
 flash writes on every device, and so does the simulator: every modelled
 cycle lands on the device's own virtual clock.  What devices may share
 is the *host's* work of deriving one immutable value from the same
-inputs.  Every such share is a :class:`Memo`, and every memo keeps one
-rule:
+inputs.  Every such share is a :class:`Memo`, or an
+:func:`identity_memo` for one object that many devices handle in a row,
+and every memo keeps one rule:
 
 * **Wall-clock only.**  A hit spares host work and nothing else: the
   caller charges its modelled cycles either way.
@@ -75,6 +76,36 @@ class Memo:
     def __iter__(self) -> Iterator[Hashable]:
         """The stored keys, oldest inserted first."""
         return iter(self._entries)
+
+
+def identity_memo(derive: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """``derive`` behind a one-entry memo keyed by the *identity* of its
+    argument.
+
+    For host work that many devices repeat on one object in a row: every
+    radio of a group parses the one frame object they all heard.  A hit
+    costs one ``is`` test and never hashes or compares contents, so an
+    object seen once (a unicast frame is a new object on every send)
+    costs one call more than deriving it.  The entry holds its key, so
+    the key's identity cannot be reused while it is stored; pass only
+    immutable keys.  The rules of :class:`Memo` hold: wall-clock only,
+    immutable values, success only, and :func:`memos_disabled` switches
+    it off.  It is a closure, not a class, because it sits on the path
+    of every received frame and a closure call is the cheapest.
+    """
+    last_key: Any = object()  # matches no caller's key
+    last_value: Any = None
+
+    def lookup(key: Any) -> Any:
+        nonlocal last_key, last_value
+        if key is last_key and not _disabled:
+            return last_value
+        value = derive(key)
+        if value is not None and value is not False and not _disabled:
+            last_key, last_value = key, value
+        return value
+
+    return lookup
 
 
 def seal_hash(key: Any) -> None:

@@ -17,9 +17,12 @@ once per simulated frame, so neither builds a closure per message: a
 request is encoded once and its retransmissions resend those bytes, a
 retransmission timer is a ``partial`` of one client method, and a
 block-wise transfer is one :class:`_BlockFetch` that builds each block's
-GET from the transfer's Uri-Path options.  These are host-side savings
-only: the bytes sent, and the timers armed (their order and deadlines),
-are what the exchange defines.
+GET from the transfer's Uri-Path options.  The servers of a group share
+one decode of each group frame: every member's datagram carries the
+same payload object, so the request is decoded once and handed to each
+handler read-only.  These are host-side savings only: the bytes sent,
+and the timers armed (their order and deadlines), are what the exchange
+defines.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, TYPE_CHECKING
 
+from repro.memo import identity_memo
 from repro.net import coap
 from repro.net.block import BlockOption, slice_block
 from repro.net.coap import CoapMessage
@@ -42,7 +46,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: A handler takes the request and returns the response message, or
 #: ``None`` to suppress the response (group-addressed NON requests).
+#: The request is read-only: every member of a group shares it.
 Handler = Callable[[CoapMessage, Datagram], "CoapMessage | None"]
+
+
+def _decode_request(raw: bytes) -> CoapMessage:
+    """A request as the servers that heard it share it: its options are
+    a tuple, so no handler can change what the others read."""
+    request = CoapMessage.decode(raw)
+    request.options = tuple(request.options)
+    return request
+
+
+#: Every member of a group gets a datagram with the same payload object,
+#: so the request is decoded once, however many servers handle it.
+_decode = identity_memo(_decode_request)
 
 
 @dataclass
@@ -136,7 +154,7 @@ class CoapServer:
 
     def _handle(self, datagram: Datagram) -> None:
         try:
-            request = CoapMessage.decode(datagram.payload)
+            request = _decode(datagram.payload)
         except coap.CoapError:
             return  # malformed input is dropped, never crashes the server
         if request.mtype not in (coap.CON, coap.NON):

@@ -148,9 +148,16 @@ class Link:
         member with one ``getrandbits(64 * fragments)`` instead — on
         CPython each ``random()`` consumes two 32-bit words of the
         Mersenne Twister and ``getrandbits(k)`` consumes ceil(k / 32),
-        so the stream a later lossy frame reads is the same.  Deliveries
-        are armed in the same order on the same deadlines, and carry the
-        sender's bytes unchanged.
+        so the stream a later lossy frame reads is the same.
+
+        A group frame is **one** delivery event: after the dice, one
+        timer carries the members that survived them, and when it fires
+        it lands the frame on each of them in join order (a radio that
+        died in flight is skipped, member by member).  That is the order
+        and the instant one timer per member produced: those timers
+        shared one deadline and consecutive arming numbers, so nothing
+        could fire between them.  Every member hears the sender's one
+        ``bytes`` object, which lets the layers above parse it once.
         """
         size = len(payload)
         fragments = -(-size // FRAME_PAYLOAD) or 1
@@ -168,32 +175,31 @@ class Link:
         src_addr = src.addr
         loss = self.loss
         set_timer = self.kernel.timers.set
-        deliver = self._deliver
 
         members = self._groups.get(dst_addr)
         if members is not None:
             # Hot loops: the sender never hears itself, and a dead radio
             # is skipped before the dice, like a missing unicast dst.
+            heard = [member for member in members.values()
+                     if member is not src and member.receive is not None]
             if not loss:
                 draw, bits = self._rng.getrandbits, 64 * fragments
-                for member in members.values():
-                    if member is src or member.receive is None:
-                        continue
+                for _ in heard:
                     draw(bits)
-                    set_timer(partial(deliver, member, data, src_addr),
-                              airtime_us)
-                return
-            random = self._rng.random
-            for member in members.values():
-                if member is src or member.receive is None:
-                    continue
-                for _ in range(fragments):
-                    if random() < loss:
-                        stats.frames_dropped += 1
-                        break
-                else:
-                    set_timer(partial(deliver, member, data, src_addr),
-                              airtime_us)
+            else:
+                random = self._rng.random
+                survivors = []
+                for member in heard:
+                    for _ in range(fragments):
+                        if random() < loss:
+                            stats.frames_dropped += 1
+                            break
+                    else:
+                        survivors.append(member)
+                heard = survivors
+            if heard:
+                set_timer(partial(self._deliver_group, heard, data, src_addr),
+                          airtime_us)
             return
 
         dst = self._interfaces.get(dst_addr)
@@ -205,7 +211,15 @@ class Link:
                 stats.frames_dropped += 1
                 src_stats.frames_dropped += 1
                 return
-        set_timer(partial(deliver, dst, data, src_addr), airtime_us)
+        set_timer(partial(self._deliver, dst, data, src_addr), airtime_us)
+
+    def _deliver_group(self, members: list[Interface], data: bytes,
+                       src_addr: str) -> None:
+        """Timer callback: one group frame lands on every member that
+        survived the dice, in join order."""
+        deliver = self._deliver
+        for member in members:
+            deliver(member, data, src_addr)
 
     def _deliver(self, dst: Interface, data: bytes, src_addr: str) -> None:
         """Timer callback: one datagram lands on one radio."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import struct
 from typing import Callable, NamedTuple
 
+from repro.memo import identity_memo
 from repro.net.link import Interface
 
 _HEADER = struct.Struct("<HH")
@@ -17,6 +18,19 @@ class Datagram(NamedTuple):
     src_port: int
     dst_port: int
     payload: bytes
+
+
+def _parse_frame(frame: bytes) -> tuple[int, int, bytes] | None:
+    """The ports and payload one frame carries, or ``None`` for a runt."""
+    if len(frame) < _HEADER.size:
+        return None
+    return (*_HEADER.unpack_from(frame), frame[_HEADER.size:])
+
+
+#: Every member of a group hears the sender's one frame object, so its
+#: header is read and its payload sliced once, and every member's
+#: datagram carries the same payload object.
+_parse = identity_memo(_parse_frame)
 
 
 class UdpStack:
@@ -35,14 +49,14 @@ class UdpStack:
         return sock
 
     def _on_frame(self, frame: bytes, src_addr: str) -> None:
-        if len(frame) < _HEADER.size:
+        parsed = _parse(frame)
+        if parsed is None:
             return  # runt datagram: dropped silently, like real UDP
-        src_port, dst_port = _HEADER.unpack_from(frame)
+        src_port, dst_port, payload = parsed
         sock = self._sockets.get(dst_port)
         if sock is None:
             return  # no listener: ICMP-less world, silently dropped
-        sock.deliver(Datagram(src_addr, src_port, dst_port,
-                              frame[_HEADER.size:]))
+        sock.deliver(Datagram(src_addr, src_port, dst_port, payload))
 
     def send(self, src_port: int, dst_addr: str, dst_port: int,
              payload: bytes) -> None:

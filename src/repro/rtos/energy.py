@@ -81,13 +81,17 @@ class EnergyMeter:
             updated.append((stats, byte_now, frame_now))
         self._tracked = updated
 
-    def report(self) -> EnergyReport:
+    def radio_uj(self) -> float:
+        """Radio energy so far: every tracked byte and frame, priced."""
         self._collect_tracked()
+        return (self._radio_bytes * RADIO_UJ_PER_BYTE
+                + self._radio_frames * RADIO_UJ_PER_FRAME)
+
+    def report(self) -> EnergyReport:
         return EnergyReport(
             active_uj=self.board.active_energy_uj(self._active_cycles),
             sleep_uj=self.board.sleep_energy_uj(self._sleep_us),
-            radio_uj=(self._radio_bytes * RADIO_UJ_PER_BYTE
-                      + self._radio_frames * RADIO_UJ_PER_FRAME),
+            radio_uj=self.radio_uj(),
         )
 
 

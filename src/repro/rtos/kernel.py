@@ -54,8 +54,6 @@ class Kernel:
         self.scheduler = Scheduler(self)
         self.threads: dict[int, Thread] = {}
         self._next_pid = 1
-        #: Total scheduler steps executed (debug/limit accounting).
-        self.steps = 0
         #: True after :meth:`power_fail`: all RAM state is gone and the
         #: kernel refuses to run until the device is rebuilt.
         self.halted = False
@@ -137,7 +135,6 @@ class Kernel:
         """Run one scheduling step; False when the system is forever idle."""
         if self.halted:
             return False
-        self.steps += 1
         try:
             self.timers.fire_due()
             thread = self.scheduler.pick()
@@ -188,6 +185,14 @@ class Kernel:
     def _wake_sleeper(self, thread: Thread) -> None:
         if thread.state is ThreadState.SLEEPING:
             self.scheduler.make_ready(thread)
+
+    @property
+    def idle(self) -> bool:
+        """True when :meth:`run` would execute no step and change
+        nothing: the kernel is halted, or no thread is ready and no
+        timer is armed."""
+        return self.halted or (not self.scheduler.has_ready()
+                               and self.timers.next_deadline() is None)
 
     def run(self, until_us: float | None = None, max_steps: int = 1_000_000) -> int:
         """Run until the deadline, forever-idle, or the step budget.

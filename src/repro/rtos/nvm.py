@@ -212,26 +212,29 @@ class NvmStore:
 
     # -- wear-out model ----------------------------------------------------
 
-    def _erase_region(self, region: str, key: str, pages: int) -> None:
-        self._charge(pages * self.erase_cycles_per_page)
+    def _erase_region(self, region: str, key: str, pages: int) -> int:
+        """Erase ``pages`` of one region; returns the cycles it took."""
         self.erases += pages
         spot = (region, key)
         count = self._region_erases.get(spot, 0) + pages
         self._region_erases[spot] = count
+        cycles = pages * self.erase_cycles_per_page
         if self.erase_budget is None:
-            return
+            return cycles
         # The shadow area draws from the journal's spare pool (an FTL
         # retires bad blocks into reserve), so it outlives the data
         # region — which is what lets a worn primary keep being served.
         budget = self.erase_budget * (2 if region == "shadow" else 1)
         if count > budget:
             self._worn.add(spot)
+        return cycles
 
-    def _program(self, region: str, key: str, frame: bytes) -> bytes:
-        """Erase + program one region; a worn region corrupts the frame."""
+    def _program(self, region: str, key: str, frame: bytes) -> int:
+        """Erase + program one region; a worn region corrupts the frame.
+        Returns the cycles it took."""
         pages = max(1, -(-len(frame) // self.page_bytes))
-        self._erase_region(region, key, pages)
-        self._charge(len(frame) * self.write_cycles_per_byte)
+        cycles = (self._erase_region(region, key, pages)
+                  + len(frame) * self.write_cycles_per_byte)
         self.bytes_written += len(frame)
         if (region, key) in self._worn:
             # A cell past its erase budget reads back wrong: flip the
@@ -240,10 +243,12 @@ class NvmStore:
             self.worn_writes += 1
         store = self._primary if region == "primary" else self._shadow
         store[key] = frame
-        return frame
+        return cycles
 
-    def _maybe_tear(self, phase: str, key: str, frame: bytes) -> None:
-        """Fire an armed tear: leave a half-programmed frame and halt."""
+    def _maybe_tear(self, phase: str, key: str, frame: bytes,
+                    spent: int) -> None:
+        """Fire an armed tear: leave a half-programmed frame, charge the
+        write's ``spent`` cycles plus the torn program's, and halt."""
         if self._tear is None:
             return
         armed_phase, match = self._tear
@@ -257,8 +262,8 @@ class NvmStore:
         # The torn program still wore the page and burned the cycles of
         # the bytes that made it in before power died.
         pages = max(1, -(-len(frame) // self.page_bytes))
-        self._erase_region(region, key, pages)
-        self._charge(len(torn_frame) * self.write_cycles_per_byte)
+        self._charge(spent + self._erase_region(region, key, pages)
+                     + len(torn_frame) * self.write_cycles_per_byte)
         self.bytes_written += len(torn_frame)
         store[key] = torn_frame
         raise TornWrite(f"power failed mid-{phase} of {key!r}")
@@ -271,32 +276,38 @@ class NvmStore:
         ``redundant=True`` keeps the shadow copy as a standing replica
         after the commit (anti-rollback state wants two copies);
         ordinary records retire the shadow with one cheap erase.
+
+        The record's CRC, erases, programs and read-back are summed and
+        charged to the clock once, when the write completes; a torn
+        write charges what it spent up to the tear before it raises.
         """
         value = bytes(value)
-        self._charge(len(value) * self.crc_cycles_per_byte)
+        cycles = len(value) * self.crc_cycles_per_byte
         frame = _frames.get_or_derive(value, lambda: _frame(value))
         # Phase 1: program the shadow region.
-        self._maybe_tear("shadow", key, frame)
-        self._program("shadow", key, frame)
+        self._maybe_tear("shadow", key, frame, cycles)
+        cycles += self._program("shadow", key, frame)
         # Phase 2: program the primary region.
-        self._maybe_tear("commit", key, frame)
-        written = self._program("primary", key, frame)
+        self._maybe_tear("commit", key, frame, cycles)
+        cycles += self._program("primary", key, frame)
         # Read-back verify (every SUIT bootloader does).  A healthy
         # region programs the very frame built above, which is intact by
         # construction, so the host re-checks the CRC only of a frame a
         # worn region handed back altered.
-        self._charge(len(written) * self.read_cycles_per_byte)
+        written = self._primary[key]
+        cycles += len(written) * self.read_cycles_per_byte
         self.writes += 1
         if redundant:
             self._redundant.add(key)
         elif written is frame or _unframe(written) is not None:
             # Healthy commit: retire the shadow journal entry.
             self._shadow.pop(key, None)
-            self._charge(self.erase_cycles_per_page)
+            cycles += self.erase_cycles_per_page
             self.erases += 1
             self._redundant.discard(key)
         # else: the primary region is worn — keep the shadow so the
         # next read can serve (and the caller's data survives).
+        self._charge(cycles)
 
     def read(self, key: str) -> bytes | None:
         """Validated read: repair from shadow on a corrupt primary.
@@ -320,8 +331,8 @@ class NvmStore:
             # re-commit the journal entry — unless the primary region
             # is worn out, in which case the shadow keeps serving.
             if ("primary", key) not in self._worn:
-                self._program("primary", key, shadow)
-                self._charge(len(shadow) * self.read_cycles_per_byte)
+                self._charge(self._program("primary", key, shadow)
+                             + len(shadow) * self.read_cycles_per_byte)
                 self.repairs += 1
                 if key not in self._redundant:
                     self._shadow.pop(key, None)

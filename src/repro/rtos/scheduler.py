@@ -44,6 +44,14 @@ class Scheduler:
         thread.state = ThreadState.READY
         self._ready.setdefault(thread.priority, deque()).append(thread)
 
+    def has_ready(self) -> bool:
+        """Whether :meth:`pick` would find a thread to run."""
+        for queue in self._ready.values():
+            for thread in queue:
+                if thread.state is ThreadState.READY:
+                    return True
+        return False
+
     def pick(self) -> Thread | None:
         """Pop the next thread to run (highest priority, FIFO within)."""
         for priority in sorted(self._ready):

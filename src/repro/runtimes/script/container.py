@@ -70,7 +70,7 @@ class ScriptContainerVM(InterpretedVM):
     def execute(self, payload: bytes, meter: RunMeter) -> int:
         result = Interpreter(
             self.prototype.code,
-            builtins={"input": payload, "context": payload, "len": len},
+            builtins={"input": payload, "context": payload},
             meter=meter,
         ).run()
         return result & _M64 if isinstance(result, int) else 0

@@ -32,6 +32,23 @@ class _Function:
     declaration: nodes.FuncDecl
 
 
+def _len(node: nodes.Call, arguments: list[object]) -> int:
+    if len(arguments) != 1:
+        raise ScriptRuntimeError(f"line {node.line}: len expects 1 arg")
+    value = arguments[0]
+    if not isinstance(value, (bytes, bytearray, str)):
+        raise ScriptRuntimeError(
+            f"line {node.line}: len of {type(value).__name__}")
+    return len(value)
+
+
+#: The functions every script can call that it did not declare, by
+#: name.  Each takes the call node and its evaluated arguments, and
+#: checks their number and types itself: a bad call is a
+#: :class:`ScriptRuntimeError`, never a host exception.
+BUILTINS = {"len": _len}
+
+
 class Interpreter:
     """One script execution context with a global environment."""
 
@@ -234,10 +251,9 @@ class Interpreter:
             except _ReturnSignal as signal:
                 return signal.value
             return None
-        if callable(target):
-            return target(*arguments)
-        if node.callee == "len":
-            return len(arguments[0])  # type: ignore[arg-type]
+        builtin = BUILTINS.get(node.callee)
+        if builtin is not None:
+            return builtin(node, arguments)
         raise ScriptRuntimeError(
             f"line {node.line}: unknown function {node.callee!r}"
         )

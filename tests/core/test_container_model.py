@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.core import ContainerState, FC_HOOK_TIMER, Tenant
 from repro.core.container import VM_CLASSES, FemtoContainer
+from repro.core.kvstore import STORE_HEADER_BYTES
 from repro.vm import assemble
 
 
@@ -27,6 +28,18 @@ class TestContainerModel:
         # Adopting twice is idempotent.
         tenant.adopt(container)
         assert tenant.containers.count(container) == 1
+
+    def test_local_store_is_built_at_first_use(self):
+        container = FemtoContainer(name="c", program=assemble("exit"))
+        assert container._local_store is None
+        # A never-used store still counts its header.
+        assert container.local_store_bytes == STORE_HEADER_BYTES
+        store = container.local_store
+        assert container.local_store is store
+        assert (store.name, store.ram_bytes) == ("c-local",
+                                                 STORE_HEADER_BYTES)
+        store.store(1, 2)
+        assert container.local_store_bytes == store.ram_bytes
 
     def test_ram_without_vm_counts_image_and_store(self):
         program = assemble("mov r0, 1\n    exit")

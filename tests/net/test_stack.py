@@ -202,3 +202,44 @@ class TestCoapServerClient:
         client.request("node-b", 5683, request, replies.append)
         kernel.run_until_idle()
         assert replies[0].code == coap.INTERNAL_SERVER_ERROR
+
+
+class TestGroupFrameSharing:
+    """Every member of a group hears one frame object; the layers above
+    parse it once and hand each server the same read-only request."""
+
+    def test_members_share_one_payload_and_one_request(self, kernel):
+        link = Link(kernel, loss=0.0, seed=1)
+        sender = UdpStack(link.attach(Interface("sender")))
+        seen = []
+        for index in range(3):
+            iface = link.attach(Interface(f"member{index}"))
+            link.join("ff15::all", iface)
+            server = CoapServer(kernel, UdpStack(iface).socket(5683),
+                                threaded=False)
+            server.register("/hello", lambda request, datagram: seen.append(
+                (request, datagram)))
+        message = CoapMessage(mtype=coap.NON, code=coap.POST, payload=b"hi")
+        message.add_uri_path("/hello")
+        sender.socket(49000).send_to("ff15::all", 5683, message.encode())
+        kernel.run_until_idle()
+        assert len(seen) == 3
+        request, datagram = seen[0]
+        assert all(r is request and d.payload is datagram.payload
+                   for r, d in seen)
+        assert [d.src_addr for _, d in seen] == ["sender"] * 3
+        assert request.payload == b"hi"
+        assert request.option(coap.OPT_URI_PATH) == b"hello"
+        with pytest.raises(AttributeError):
+            request.add_option(coap.OPT_CONTENT_FORMAT, b"")
+
+    def test_unicast_frames_are_parsed_per_frame(self, kernel, network):
+        link, stack_a, stack_b = network
+        received = []
+        stack_b.socket(1).on_datagram = received.append
+        sender = stack_a.socket(2)
+        for _ in range(2):
+            sender.send_to("node-b", 1, b"same")
+            kernel.run_until_idle()
+        assert [dg.payload for dg in received] == [b"same", b"same"]
+        assert received[0].payload is not received[1].payload

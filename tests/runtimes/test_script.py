@@ -181,6 +181,16 @@ class TestRuntimeErrors:
         with pytest.raises(ScriptRuntimeError, match="not indexable"):
             run_source("var x = 1; return x[0];")
 
+    @pytest.mark.parametrize("source", [
+        "return len(5);", "return len();", "return len(data, data);"])
+    def test_bad_builtin_call(self, source):
+        with pytest.raises(ScriptRuntimeError, match="len"):
+            run_source(source, builtins={"data": b"ab"})
+
+    def test_builtin_needs_no_host_function(self):
+        assert run_source("return len(data) + len(\"xyz\");",
+                          builtins={"data": b"ab"})[0] == 5
+
 
 class TestStats:
     def test_visits_counted_by_class(self):

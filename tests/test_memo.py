@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memo import Memo, memos_disabled
+from repro.memo import Memo, identity_memo, memos_disabled
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -102,6 +102,37 @@ def test_switch_covers_new_memos_nests_and_restores():
     assert len(inner) == 0
     inner.get_or_derive("k", lambda: 4)
     assert inner.get_or_derive("k", lambda: 5) == 4
+
+
+def test_identity_memo_hits_only_the_same_object():
+    """A hit needs the very object of the stored call: an equal but
+    distinct key derives again, so no content is hashed or compared.
+    A failed derive stores nothing, and the off-switch makes every call
+    derive."""
+    calls = []
+
+    def derive(raw):
+        calls.append(raw)
+        return None if raw.startswith(b"bad") else (raw,)
+
+    memo = identity_memo(derive)
+    frame = bytes(range(64))
+    copy = frame[:32] + frame[32:]  # equal, but another object
+    first = memo(frame)
+    assert memo(frame) is first
+    assert calls == [frame]
+    assert memo(copy) == first
+    assert memo(copy) is memo(copy)  # the entry moved on
+    assert len(calls) == 2
+    bad = b"bad" + frame
+    assert memo(bad) is None
+    assert memo(bad) is None
+    assert len(calls) == 4
+    with memos_disabled():
+        memo(copy)
+    assert len(calls) == 5
+    memo(copy)
+    assert len(calls) == 5
 
 
 def test_clear_drops_entries_and_counters():

@@ -60,8 +60,18 @@ FAULTY = {
         "BranchLimitFault": lambda: ImageSpec.from_script(
             "var x = 0;\nwhile (1 > 0) { x = x + 1; }\nreturn x;",
             name="spin"),
+        # A builtin called with the wrong argument type (see
+        # BAD_BUILTIN_CALLS for every bad call shape).
+        "IllegalInstructionFault": lambda: ImageSpec.from_script(
+            "return len(5);", name="badcall"),
     },
 }
+
+#: Script calls a builtin refuses: a wrong argument type, too few and
+#: too many arguments.  Each must fault inside the container; none may
+#: reach the host as a Python ``TypeError``.
+BAD_BUILTIN_CALLS = ["return len(5);", "return len();",
+                     "return len(input, input);"]
 
 CASES = [(runtime, kind)
          for runtime, kinds in FAULTY.items()
@@ -134,6 +144,25 @@ class TestFaultMatrix:
         assert "bad" not in attached
         assert sorted(attached) == sorted(n.name for n in neighbours)
         assert (FC_HOOK_FANOUT, "bad") in engine.supervisor.quarantined_slots()
+
+
+@pytest.mark.parametrize("source", BAD_BUILTIN_CALLS)
+def test_bad_builtin_call_is_a_contained_fault(source):
+    engine = make_engine()
+    neighbours = attach_neighbours(engine)
+    bad = engine.load(ImageSpec.from_script(source, name="bad").instantiate(),
+                      name="bad")
+    engine.attach(bad, FC_HOOK_FANOUT)
+    run = engine.execute(bad, context=bytearray(16))
+    assert not run.ok
+    assert run.fault.kind == "IllegalInstructionFault"
+    assert "len" in run.fault.message
+    assert bad.fault_count == 1
+    firing = engine.fire_hook(FC_HOOK_FANOUT, context=bytearray(16))
+    assert [run.ok for run in firing.runs] == [
+        container is not bad for container in
+        engine.hook(FC_HOOK_FANOUT).containers]
+    assert all(neighbour.fault_count == 0 for neighbour in neighbours)
 
 
 #: Engines that host rBPF images: the interpreter builds and the JIT.
