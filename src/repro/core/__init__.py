@@ -22,7 +22,6 @@ from repro.core.hooks import (
     FC_HOOK_TIMER,
     Hook,
     HookMode,
-    hook_uuid,
 )
 from repro.core.kvstore import KeyValueStore
 from repro.core.policy import (
@@ -73,5 +72,4 @@ __all__ = [
     "UnknownHookError",
     "format_s16_dfp",
     "grant",
-    "hook_uuid",
 ]

@@ -59,11 +59,6 @@ DEFAULT_HOOK_POLICY = HookPolicy()
 _IDENTITIES = Memo(256)
 
 
-def hook_uuid(name: str) -> uuid_module.UUID:
-    """Deterministic UUID for a hook name (SUIT storage location id)."""
-    return _identity(name)[0]
-
-
 def _identity(name: str) -> tuple[uuid_module.UUID, str]:
     """A hook name's UUID and the string key engines index it by."""
 
@@ -115,6 +110,3 @@ class Hook:
     @property
     def occupied(self) -> bool:
         return bool(self.containers)
-
-    def __hash__(self) -> int:
-        return hash(self.uuid)

@@ -63,10 +63,6 @@ class KeyValueStore:
         return dict(self._entries)
 
     @property
-    def entry_count(self) -> int:
-        return len(self._entries)
-
-    @property
     def ram_bytes(self) -> int:
         """Current RAM footprint of this store (§10.3 accounting)."""
         return STORE_HEADER_BYTES + ENTRY_BYTES * len(self._entries)

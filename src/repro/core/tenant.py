@@ -54,6 +54,3 @@ class Tenant:
         return TENANT_STRUCT_BYTES + self.store.ram_bytes + sum(
             container.ram_bytes for container in self.containers
         )
-
-    def __hash__(self) -> int:
-        return hash(self.name)

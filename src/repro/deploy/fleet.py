@@ -184,10 +184,6 @@ class Fleet:
         except KeyError:
             raise KeyError(f"no fleet device named {name!r}") from None
 
-    def index_of(self, name: str) -> int:
-        """The device's permanent wiring (radio address) index."""
-        return self.device(name).index
-
     def evict(self, name: str) -> FleetDevice:
         """Remove one device; its wiring index is retired."""
         device = self.device(name)

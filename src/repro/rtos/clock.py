@@ -54,6 +54,3 @@ class Clock:
 
     def cycles_to_us(self, cycles: int) -> float:
         return cycles / self.mhz
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Clock({self._cycles} cycles, {self.time_us:.1f} us)"

@@ -84,23 +84,12 @@ class Kernel:
             self.scheduler.make_ready(thread)
         return thread
 
-    def thread_by_name(self, name: str) -> Thread:
-        for thread in self.threads.values():
-            if thread.name == name:
-                return thread
-        raise SchedulerError(f"no thread named {name!r}")
-
     def wake_with_event(self, thread: Thread, event: Event) -> None:
         """Unblock ``thread`` delivering ``event`` (event-queue use)."""
         if thread.state is not ThreadState.BLOCKED:
             return
         thread.deliver(event)
         self.scheduler.make_ready(thread)
-
-    def wake(self, thread: Thread) -> None:
-        """Unblock a sleeping/blocked thread with no payload."""
-        if thread.state in (ThreadState.SLEEPING, ThreadState.BLOCKED):
-            self.scheduler.make_ready(thread)
 
     def new_event_queue(self, name: str = "events") -> EventQueue:
         return EventQueue(kernel=self, name=name)

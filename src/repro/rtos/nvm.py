@@ -384,7 +384,3 @@ class NvmStore:
     def used_bytes(self) -> int:
         """Flash currently occupied by live record payloads."""
         return sum(len(payload) for _, payload in self.items())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"NvmStore({len(self)} records, "
-                f"{self.used_bytes} B, {self.erases} erases)")

@@ -105,9 +105,6 @@ class Thread:
         """Model CPU work done by this thread (advances the global clock)."""
         self.kernel.clock.charge(cycles)
 
-    def charge_us(self, us: float) -> None:
-        self.kernel.clock.charge_us(us)
-
     def resume(self) -> Syscall | None:
         """Advance the generator to its next syscall (kernel use only)."""
         if self._gen is None:
@@ -127,9 +124,3 @@ class Thread:
     def deliver(self, value: object) -> None:
         """Set the value the next ``resume`` sends into the generator."""
         self._send_value = value
-
-    def __hash__(self) -> int:
-        return self.pid
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Thread(pid={self.pid}, name={self.name!r}, {self.state.value})"

@@ -239,9 +239,6 @@ class InterpretedImage:
         self.name = name
         self._hash: str | None = None
 
-    def to_bytes(self) -> bytes:
-        return self._payload
-
     @property
     def code_size(self) -> int:
         return len(self._payload)

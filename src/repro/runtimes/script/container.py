@@ -16,11 +16,11 @@ runtime under their two profiles.
 
 Containment parity with rBPF: out-of-range indexing faults as
 :class:`~repro.vm.errors.MemoryFault` and division by zero as
-:class:`~repro.vm.errors.DivisionFault`.  Each ``if``, each loop test and
-each ``return`` is one control count of the shared per-run
-:class:`~repro.runtimes.base.RunMeter`, so the granted ``branch_limit``
-N_b bounds the whole run, however deep its loops nest, and a recursion
-guard bounds the rest; both fault with
+:class:`~repro.vm.errors.DivisionFault`.  Each ``if``, each loop test,
+each ``&&`` and ``||`` and each ``return`` is one control count of the
+shared per-run :class:`~repro.runtimes.base.RunMeter`, so the granted
+``branch_limit`` N_b bounds the whole run, however deep its loops nest,
+and a recursion guard bounds the rest; both fault with
 :class:`~repro.vm.errors.BranchLimitFault`.
 """
 

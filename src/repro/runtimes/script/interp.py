@@ -3,8 +3,9 @@
 Counts node visits per class through a
 :class:`~repro.runtimes.base.RunMeter`, which the §6 profiles translate
 into cycles — startup cost comes from the real tokenizer/parser (per
-token), run cost from the real tree walk.  Each ``if``, each loop test
-and each ``return`` is one control count of the meter's N_b budget.
+token), run cost from the real tree walk.  Each ``if``, each loop test,
+each short-circuit ``&&`` and ``||`` and each ``return`` is one control
+count of the meter's N_b budget.
 """
 
 from __future__ import annotations
@@ -156,7 +157,6 @@ class Interpreter:
                 return -self._int(operand, node)
             return not self._truthy(operand)
         if isinstance(node, nodes.Binary):
-            self.stats.count("binop")
             return self._binary(node, env)
         if isinstance(node, nodes.Index):
             self.stats.count("index")
@@ -183,15 +183,18 @@ class Interpreter:
     def _binary(self, node: nodes.Binary, env: dict[str, object]) -> object:
         operator = node.operator
         if operator == "&&":
+            self.stats.count("control")
             return (
                 self._truthy(self._eval(node.left, env))
                 and self._truthy(self._eval(node.right, env))
             )
         if operator == "||":
+            self.stats.count("control")
             return (
                 self._truthy(self._eval(node.left, env))
                 or self._truthy(self._eval(node.right, env))
             )
+        self.stats.count("binop")
         left = self._eval(node.left, env)
         right = self._eval(node.right, env)
         if operator == "==":

@@ -147,6 +147,3 @@ class HelperRegistry:
 
     def __contains__(self, helper_id: int) -> bool:
         return helper_id in self.table
-
-    def __len__(self) -> int:
-        return len(self.table)

@@ -49,11 +49,6 @@ class Instruction:
         """Canonical mnemonic, or ``data`` for continuation slots."""
         return isa.OPCODE_NAMES.get(self.opcode, "data")
 
-    @property
-    def is_wide(self) -> bool:
-        """True when this slot starts a two-slot instruction."""
-        return self.opcode in isa.WIDE_OPCODES
-
     def encode(self) -> bytes:
         """Encode this slot into its 8-byte binary form."""
         imm = self.imm

@@ -96,9 +96,6 @@ class Program:
         """Total size stored on the device: text plus data sections."""
         return self.code_size + len(self.rodata) + len(self.data)
 
-    def __len__(self) -> int:
-        return len(self.slots)
-
     def iter_logical(self):
         """Yield ``(pc, instruction)`` skipping wide continuation slots."""
         pc = 0
@@ -106,10 +103,3 @@ class Program:
             ins = self.slots[pc]
             yield pc, ins
             pc += 2 if ins.opcode in isa.WIDE_OPCODES else 1
-
-    def opcode_histogram(self) -> dict[str, int]:
-        """Static mnemonic counts (used by the compression analysis)."""
-        histogram: dict[str, int] = {}
-        for _, ins in self.iter_logical():
-            histogram[ins.name] = histogram.get(ins.name, 0) + 1
-        return histogram

@@ -12,7 +12,6 @@ from repro.workloads.fletcher32 import (
     FLETCHER32_INPUT,
     fletcher32_program,
     fletcher32_reference,
-    run_fletcher32,
 )
 from repro.workloads.thread_counter import (
     THREAD_COUNTER_EBPF,
@@ -39,7 +38,6 @@ __all__ = [
     "coap_handler_program",
     "fletcher32_program",
     "fletcher32_reference",
-    "run_fletcher32",
     "sensor_program",
     "thread_counter_program",
 ]

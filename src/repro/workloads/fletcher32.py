@@ -16,7 +16,7 @@ from __future__ import annotations
 import struct
 
 from repro.vm.asm import assemble
-from repro.vm.interpreter import ExecutionResult, Interpreter
+from repro.vm.interpreter import Interpreter
 from repro.vm.memory import Permission
 from repro.vm.program import Program
 
@@ -132,12 +132,3 @@ def prepare_vm(vm: Interpreter, data: bytes = FLETCHER32_INPUT) -> Interpreter:
     vm.access_list.grant_bytes("fletcher-input", INPUT_BASE, data,
                                Permission.READ)
     return vm
-
-
-def run_fletcher32(
-    vm_class=Interpreter, data: bytes = FLETCHER32_INPUT, **vm_kwargs
-) -> ExecutionResult:
-    """Convenience one-shot: build, grant, run; returns the result."""
-    vm = vm_class(fletcher32_program(), **vm_kwargs)
-    prepare_vm(vm, data)
-    return vm.run(context=make_context(len(data)))

@@ -19,8 +19,6 @@ the paper's C source does::
 
 from __future__ import annotations
 
-import struct
-
 from repro.vm.asm import assemble
 from repro.vm.program import Program
 
@@ -54,8 +52,3 @@ work:
 def thread_counter_program() -> Program:
     """Assemble the Listing 2 application."""
     return assemble(THREAD_COUNTER_EBPF, name="thread-counter")
-
-
-def make_context(previous_pid: int, next_pid: int) -> bytes:
-    """Pack the scheduler hook's ``sched_ctx_t``."""
-    return struct.pack("<QQ", previous_pid, next_pid)

@@ -33,7 +33,7 @@ class TestSemantics:
         store.store(5, 1)
         store.store(5, 2)
         assert store.fetch(5) == 2
-        assert store.entry_count == 1
+        assert len(store) == 1
 
     def test_delete(self):
         store = KeyValueStore("s")

@@ -10,10 +10,16 @@ from repro.core import (
     CoapResponseContext,
     FC_HOOK_COAP,
     FC_HOOK_TIMER,
+    HostingEngine,
     format_s16_dfp,
 )
 from repro.core.syscalls import PDU_PAYLOAD_BASE
-from repro.rtos import synthetic_switch, synthetic_temperature
+from repro.rtos import (
+    Kernel,
+    nrf52840,
+    synthetic_switch,
+    synthetic_temperature,
+)
 from repro.vm import assemble
 
 
@@ -213,3 +219,84 @@ class TestCoapHelpers:
         engine.attach(probe, FC_HOOK_COAP)
         run2 = engine.execute(probe)
         assert not run2.ok
+
+
+def on_both_engines(source, setup=lambda engine: None):
+    """One run of ``source`` on a fresh interpreter device and a fresh JIT
+    device: ``implementation -> (engine, container, run)``.  Both runs
+    complete with the same value and the same counts."""
+    outcomes = {}
+    for implementation in ("femto-containers", "jit"):
+        engine = HostingEngine(Kernel(nrf52840()),
+                               implementation=implementation)
+        setup(engine)
+        container = attach(engine, source)
+        outcomes[implementation] = (engine, container,
+                                    engine.execute(container))
+    interpreted = outcomes["femto-containers"][2]
+    compiled = outcomes["jit"][2]
+    assert interpreted.ok and compiled.ok
+    assert compiled.value == interpreted.value
+    assert compiled.stats == interpreted.stats
+    return outcomes
+
+
+class TestPaperHelpersOnBothEngines:
+    """Helpers of the paper's table that no shipped workload calls."""
+
+    @pytest.mark.parametrize("value,digits,text", [
+        (2150, -2, b"21.50"), (-525, -2, b"-5.25"), (42, 1, b"420")])
+    def test_fmt_s16_dfp(self, value, digits, text):
+        source = f"""
+    mov r1, r10
+    mov r2, {value}
+    mov r3, {digits}
+    call bpf_fmt_s16_dfp
+    exit
+"""
+        for _, container, run in on_both_engines(source).values():
+            assert run.value == len(text)
+            assert bytes(container.vm.stack.data[:len(text)]) == text
+
+    @pytest.mark.parametrize("index,handle,switched", [(1, 2, 1), (7, 0, 0)])
+    def test_saul_reg_find_nth(self, index, handle, switched):
+        """The n-th driver's handle (n + 1, or 0 past the end) is one
+        ``bpf_saul_reg_write`` accepts."""
+        source = f"""
+    mov r1, {index}
+    call bpf_saul_reg_find_nth
+    mov r6, r0
+    jeq r6, 0, done
+    mov r1, r6
+    mov r2, 1
+    call bpf_saul_reg_write
+done:
+    mov r0, r6
+    exit
+"""
+        switches = []
+
+        def setup(engine):
+            engine.saul.register(synthetic_temperature(engine.kernel))
+            switches.append(synthetic_switch())
+            engine.saul.register(switches[-1])
+
+        outcomes = on_both_engines(source, setup)
+        for (_, _, run), switch in zip(outcomes.values(), switches):
+            assert run.value == handle
+            assert switch.read().values == (switched,)
+
+    def test_ztimer_periodic_wakeup_is_an_acknowledgement(self):
+        """Periodic firing is configured on the hook, so inside the VM the
+        helper returns 0, writes nothing and arms no timer."""
+        source = """
+    stw [r10+0], 77
+    mov r1, r10
+    mov r2, 1000
+    call bpf_ztimer_periodic_wakeup
+    exit
+"""
+        for engine, container, run in on_both_engines(source).values():
+            assert run.value == 0
+            assert bytes(container.vm.stack.data[:4]) == struct.pack("<I", 77)
+            assert engine.kernel.timers.pending == 0

@@ -95,7 +95,7 @@ class TestRegistry:
         publisher.evict_device("dev2")
         replacement = publisher.add_device()
         assert replacement.name == "dev3"
-        assert publisher.fleet.index_of("dev3") == 3
+        assert publisher.fleet.device("dev3").index == 3
 
     def test_evict_unknown_device_raises(self):
         publisher = build_fleet_publisher(devices=2)

@@ -159,10 +159,10 @@ class TestMembership:
     def test_lookup_by_name_and_wiring_index(self):
         fleet = Fleet(3)
         assert fleet.device("dev1") is fleet.devices[1]
-        assert fleet.index_of("dev2") == 2
+        assert fleet.device("dev2").index == 2
         with pytest.raises(ValueError, match="already registered"):
             fleet.add_device(name="dev1")
-        for lookup in (fleet.device, fleet.index_of, fleet.evict):
+        for lookup in (fleet.device, fleet.evict):
             with pytest.raises(KeyError, match="no fleet device"):
                 lookup("dev9")
 
@@ -170,6 +170,6 @@ class TestMembership:
         fleet = Fleet(2)
         fleet.evict("dev1")
         assert fleet.add_device().name == "dev2"
-        assert fleet.index_of("dev2") == 2
+        assert fleet.device("dev2").index == 2
         named = fleet.add_device(name="spare")
-        assert fleet.index_of("spare") == named.index == 3
+        assert fleet.device("spare").index == named.index == 3

@@ -160,6 +160,8 @@ class TestPlanning:
         )
         deployment = plan(engine, shrunk)
         assert [type(a) for a in deployment.actions] == [Detach]
+        assert deployment.describe() \
+            == f"detach         second from {FC_HOOK_TIMER}"
         apply(engine, deployment)
         assert [c.name for c in engine.containers()] == ["first"]
         assert plan(engine, shrunk).empty
@@ -391,6 +393,46 @@ class TestTransactionalApply:
         fires = engine.hooks[FC_HOOK_TIMER].fires
         kernel.run(until_us=kernel.now_us + 10_000)
         assert engine.hooks[FC_HOOK_TIMER].fires == fires
+
+    def test_failed_apply_unregisters_the_hook_it_registered(self,
+                                                              engine):
+        spec = DeploymentSpec(
+            name="poisoned-hook",
+            tenants=("alice",),
+            hooks=(HookSpec(FC_HOOK_FANOUT, HookMode.SYNC),),
+            images=dict(self.poisoned_spec().images),
+            attachments=tuple(
+                AttachmentSpec(image=name, hook=FC_HOOK_FANOUT,
+                               tenant="alice", name=name)
+                for name in ("good", "bad")),
+        )
+        deployment = plan(engine, spec)
+        assert any(isinstance(action, RegisterHook)
+                   for action in deployment.actions)
+        with pytest.raises(AttachError):
+            apply(engine, deployment)
+        assert FC_HOOK_FANOUT not in engine.hooks
+        assert all(hook.name != FC_HOOK_FANOUT
+                   for hook in engine.hooks_by_uuid.values())
+        assert engine.containers() == []
+
+    def test_failed_apply_disarms_the_timer_it_armed(self, engine, kernel):
+        """The periodic install before the failing one leaves no cadence
+        behind: the hook never fires."""
+        spec = self.periodic_spec("ticker")
+        spec = DeploymentSpec(
+            name=spec.name, tenants=spec.tenants,
+            images={**spec.images,
+                    "bad": ImageSpec.from_program(assemble(UNVERIFIABLE))},
+            attachments=spec.attachments + (AttachmentSpec(
+                image="bad", hook=FC_HOOK_TIMER, tenant="alice",
+                name="bad"),),
+        )
+        with pytest.raises(AttachError):
+            apply_spec(engine, spec)
+        assert kernel.timers.pending == 0
+        kernel.run(until_us=10_000)
+        assert engine.hooks[FC_HOOK_TIMER].fires == 0
 
     def test_undecodable_image_rolls_back_too(self, engine):
         """A failure that is not an EngineError (here: EncodingError from

@@ -10,14 +10,17 @@ from repro.core import ContainerContract, FC_HOOK_FANOUT, FC_HOOK_TIMER
 from repro.core.policy import DEFAULT_CONTRACT
 from repro.core.hooks import HookMode
 from repro.deploy import (
+    BUILTIN_SPECS,
     AttachmentSpec,
     DeploymentSpec,
     HookSpec,
     ImageSpec,
     SpecError,
+    apply,
     builtin_spec,
     fanout_spec,
     multi_tenant_spec,
+    plan,
 )
 from repro.vm import assemble
 from repro.workloads import thread_counter_program
@@ -227,6 +230,13 @@ class TestBuiltins:
         assert builtin_spec("fanout").name == "fanout"
         with pytest.raises(SpecError):
             builtin_spec("ghost")
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SPECS))
+    def test_builtin_plans_and_applies(self, engine, name):
+        spec = builtin_spec(name)
+        result = apply(engine, plan(engine, spec))
+        assert len(result.containers) == len(spec.desired_instances())
+        assert plan(engine, spec).empty
 
     def test_multi_tenant_spec_shape(self):
         spec = multi_tenant_spec(sensor_period_us=250_000)

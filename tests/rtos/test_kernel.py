@@ -136,12 +136,6 @@ class TestThreads:
         t2 = kernel.create_thread("b", None, start=False)
         assert (t1.pid, t2.pid) == (1, 2)
 
-    def test_thread_by_name(self, kernel):
-        kernel.create_thread("finder", None, start=False)
-        assert kernel.thread_by_name("finder").pid == 1
-        with pytest.raises(Exception):
-            kernel.thread_by_name("missing")
-
 
 class TestEventQueues:
     def test_post_wakes_waiter(self, kernel):

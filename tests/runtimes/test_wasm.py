@@ -205,6 +205,20 @@ func add2 params=2 locals=0
 end
 """) == 42
 
+    @pytest.mark.parametrize("lhs,rhs,remainder", [
+        (17, 5, 2), (5, 17, 5), (42, 7, 0), (-1, 10, 5), (-1, -2, 1)])
+    def test_rem_u(self, lhs, rhs, remainder):
+        """``i32.rem_u`` treats both operands as unsigned 32-bit."""
+        assert self.run(f"""
+module pages=1
+func main params=0 locals=0
+    i32.const {lhs}
+    i32.const {rhs}
+    i32.rem_u
+    return
+end
+""") == remainder
+
     def test_wrap_around_32bit(self):
         assert self.run("""
 module pages=1
@@ -233,13 +247,14 @@ func main params=0 locals=0
 end
 """)
 
-    def test_division_by_zero_traps(self):
-        self.trap("""
+    @pytest.mark.parametrize("op", ["i32.div_u", "i32.rem_u"])
+    def test_division_by_zero_traps(self, op):
+        self.trap(f"""
 module pages=1
 func main params=0 locals=0
     i32.const 1
     i32.const 0
-    i32.div_u
+    {op}
     return
 end
 """)

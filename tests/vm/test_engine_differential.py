@@ -18,7 +18,13 @@ import pytest
 from repro.core import FC_HOOK_COAP, FC_HOOK_SCHED, FC_HOOK_TIMER, HostingEngine
 from repro.core.syscalls import CoapResponseContext
 from repro.rtos import Kernel, nrf52840, synthetic_temperature
-from repro.vm import CertFCInterpreter, Interpreter, compile_program
+from repro.vm import (
+    CertFCInterpreter,
+    Interpreter,
+    VMFault,
+    assemble,
+    compile_program,
+)
 from repro.vm.memory import Permission
 from repro.workloads import (
     FLETCHER32_INPUT,
@@ -39,6 +45,25 @@ ENGINE_FACTORIES = (
 #: Engine implementation names accepted by HostingEngine, for workloads
 #: that need helpers and therefore run under the full middleware.
 IMPLEMENTATIONS = ("femto-containers", "certfc", "jit")
+
+
+#: 32-bit shifts by immediate and by register (whose count is masked to
+#: five bits) and register divisors, zero ones included, each after
+#: ``lddw r0, 0x1234567887654321``: ``name -> (source, (r0, None) or
+#: (fault type, fault pc))``.
+ALU_EDGE_CASES = {
+    "lsh32-imm": ("lsh32 r0, 7", (0xB2A19080, None)),
+    "rsh32-imm": ("rsh32 r0, 9", (0x43B2A1, None)),
+    "arsh32-imm": ("arsh32 r0, 31", (0xFFFFFFFF, None)),
+    "lsh32-reg": ("mov r1, 35\n    lsh32 r0, r1", (0x3B2A1908, None)),
+    "rsh32-reg": ("mov r1, 36\n    rsh32 r0, r1", (0x08765432, None)),
+    "arsh32-reg": ("mov r1, 33\n    arsh32 r0, r1", (0xC3B2A190, None)),
+    "mod-reg": ("mov r1, 1000\n    mod r0, r1",
+                (0x1234567887654321 % 1000, None)),
+    "mod-reg-zero": ("mov r1, 0\n    mod r0, r1", ("DivisionFault", 3)),
+    "mod32-reg-zero": ("lddw r1, 0x100000000\n    mod32 r0, r1",
+                       ("DivisionFault", 4)),
+}
 
 
 def _bare_outcomes(program, context=None, grants=()):
@@ -87,6 +112,25 @@ class TestBareWorkloads:
         """All twelve Fig. 8 instruction programs, measured and baseline."""
         _assert_identical(_bare_outcomes(pair.measured))
         _assert_identical(_bare_outcomes(pair.baseline))
+
+    @pytest.mark.parametrize("body,expected", ALU_EDGE_CASES.values(),
+                             ids=ALU_EDGE_CASES)
+    def test_alu_edge_differential(self, body, expected):
+        """Value, or fault kind and pc, and the counts agree on every
+        engine."""
+        program = assemble(f"lddw r0, 0x1234567887654321\n    {body}\n"
+                           "    exit")
+        outcomes = {}
+        for name, factory in ENGINE_FACTORIES:
+            try:
+                result = factory(program).run()
+            except VMFault as fault:
+                outcomes[name] = (type(fault).__name__, fault.pc,
+                                  fault.stats)
+            else:
+                outcomes[name] = (result.value, None, result.stats)
+        _assert_identical(outcomes)
+        assert outcomes["interpreter"][:2] == expected
 
     def test_branch_limit_abort_differential(self):
         """A run aborted at N_b must carry identical accounting on every

@@ -93,7 +93,6 @@ class TestWide:
     def test_wide_name(self):
         first, _second = make_wide(isa.LDDW, dst=0, imm64=5)
         assert first.name == "lddw"
-        assert first.is_wide
 
 
 class TestProgramCodec:

@@ -202,6 +202,17 @@ loop:
                             for kind, count in stats.kind_counts.items()
                             if count} == meter.class_counts
 
+    @pytest.mark.parametrize("test", ["n > 0 &&", "n <= 0 ||"])
+    def test_short_circuit_is_a_control_count(self, test):
+        """A script that recurses through ``&&`` or ``||`` alone, with no
+        ``if``, loop or ``return`` on the way, still spends N_b: each
+        short-circuit operator is one control count."""
+        source = (f"func f(n) {{ {test} f(n - 1) == f(n - 1); }} "
+                  "f(12); return 1;")
+        for stats, result in budgeted_runs("script", source, 1):
+            assert result is BranchLimitFault
+            assert stats.branches_taken == 2
+
 
 def nested_script(trips: list[int]) -> str:
     """``len(trips)`` nested while loops counting their innermost body."""

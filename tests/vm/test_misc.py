@@ -33,10 +33,6 @@ class TestProgram:
         names = [ins.name for _pc, ins in program.iter_logical()]
         assert names == ["lddw", "exit"]
 
-    def test_opcode_histogram(self):
-        program = assemble("mov r0, 1\n    mov r1, 2\n    exit")
-        assert program.opcode_histogram() == {"mov": 2, "exit": 1}
-
 
 class TestHelperRegistry:
     def test_unknown_helper_faults(self):
