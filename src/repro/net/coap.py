@@ -5,22 +5,40 @@ header, tokens, option delta encoding (with the 13/269 extended forms),
 payload marker, CON/ACK exchange with binary exponential backoff, and the
 Block2 option (RFC 7959) used for SUIT payload fetches.
 
-Every simulated frame is encoded once and decoded once per hop, so the
-codec keeps a fast path.  An option header whose delta and length both
-fit the 4-bit nibble (< 13, nearly every option this stack sends) is
-read and written inline; the 13/269 extended forms and the reserved
-nibble 15 go through :func:`_decode_option_header` and
-:func:`_encode_option_header`.  Decode is one pass over the buffer and
-builds the message with one constructor call; encode sorts the options
-only when there is more than one.  The bytes on the air, the fields
-decoded and the errors raised are those of the straightforward codec
-that ``tests/net/test_coap_differential.py`` keeps as its reference.
+Every simulated frame is encoded once and decoded once per hop, and a
+block-wise fetch sends the same blocks to every device of a fleet: two
+messages for one block differ only in their header and token.  So the
+codec splits a message in two.
+
+* **Per frame:** the 4-byte header (type, code, message ID) and the
+  token are written and read for every message.
+* **Once per tail:** the *tail* — options, payload marker and payload —
+  is encoded by :func:`encode_tail` once by whoever builds many messages
+  with it (a repository's Block2 replies, a fetch's Block2 GETs), and a
+  message that carries it in :attr:`CoapMessage.tail` writes only its
+  header and token in front.  On receipt, :meth:`CoapMessage.decode`
+  parses a tail once: the options and payload come from a
+  :class:`~repro.memo.Memo` keyed by the tail's bytes (up to one
+  block's worth), so the devices that hear one block share one payload
+  object.  A decoded message gets its own options list; the option
+  values and the payload are immutable ``bytes``.
+
+Within a tail, an option header whose delta and length both fit the
+4-bit nibble (< 13, nearly every option this stack sends) is read and
+written inline; the 13/269 extended forms and the reserved nibble 15 go
+through :func:`_decode_option_header` and :func:`_encode_option_header`.
+Encode sorts the options only when there is more than one.  The bytes on
+the air, the fields decoded and the errors raised are those of the
+straightforward codec that ``tests/net/test_coap_differential.py`` keeps
+as its reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
+
+from repro.memo import Memo
 
 COAP_VERSION = 1
 COAP_PORT = 5683
@@ -81,6 +99,11 @@ class CoapMessage:
     token: bytes = b""
     options: list[tuple[int, bytes]] = field(default_factory=list)
     payload: bytes = b""
+    #: :func:`encode_tail` of ``options`` and ``payload``, when the
+    #: builder encoded it once for many messages; :meth:`encode` then
+    #: writes only the header and token in front of it.  Whoever sets it
+    #: leaves ``options`` and ``payload`` as they are.
+    tail: bytes | None = field(default=None, compare=False, repr=False)
 
     # -- option helpers -----------------------------------------------------
 
@@ -113,28 +136,12 @@ class CoapMessage:
         token = self.token
         if len(token) > 8:
             raise CoapError(f"token length {len(token)} out of range")
-        out = bytearray()
-        out.append((COAP_VERSION << 6) | (self.mtype << 4) | len(token))
-        out.append(self.code & 0xFF)
-        out += self.message_id.to_bytes(2, "big")
-        out += token
-        options = self.options
-        if len(options) > 1:
-            options = sorted(options, key=_option_number)
-        last_number = 0
-        for number, value in options:
-            delta = number - last_number
-            last_number = number
-            length = len(value)
-            if delta < 13 and length < 13:
-                out.append((delta << 4) | length)
-            else:
-                out += _encode_option_header(delta, length)
-            out += value
-        if self.payload:
-            out.append(0xFF)
-            out += self.payload
-        return bytes(out)
+        tail = self.tail
+        if tail is None:
+            tail = encode_tail(self.options, self.payload)
+        return (bytes(((COAP_VERSION << 6) | (self.mtype << 4) | len(token),
+                       self.code & 0xFF))
+                + self.message_id.to_bytes(2, "big") + token + tail)
 
     @classmethod
     def decode(cls, raw: bytes) -> "CoapMessage":
@@ -150,36 +157,84 @@ class CoapMessage:
         pos = 4 + tkl
         if pos > size:
             raise CoapError("truncated token")
-        options: list[tuple[int, bytes]] = []
-        payload = b""
-        number = 0
-        while pos < size:
-            byte = raw[pos]
-            if byte == 0xFF:
-                payload = raw[pos + 1:]
-                if not payload:
-                    raise CoapError("payload marker with empty payload")
-                break
-            delta = byte >> 4
-            length = byte & 0xF
-            if delta < 13 and length < 13:
-                pos += 1
-            else:
-                delta, length, pos = _decode_option_header(raw, pos)
-            number += delta
-            end = pos + length
-            if end > size:
-                raise CoapError("truncated option value")
-            options.append((number, raw[pos:end]))
-            pos = end
+        tail = raw[pos:]
+        if len(tail) > MEMO_TAIL_BYTES:
+            options, payload = _decode_tail(tail)
+        else:
+            options, payload = _tails.get_or_derive(tail, _decode_tail, tail)
         return cls((first >> 4) & 0x3, raw[1], (raw[2] << 8) | raw[3],
-                   raw[4:4 + tkl], options, payload)
+                   raw[4:pos], list(options), payload)
 
     def reply(self, response_code: int, payload: bytes = b"",
               mtype: int | None = None) -> "CoapMessage":
         """Build a piggybacked (ACK) response to this request."""
         return CoapMessage(ACK if mtype is None else mtype, response_code,
                            self.message_id, self.token, [], payload)
+
+
+def encode_tail(options, payload: bytes) -> bytes:
+    """A message's options, payload marker and payload, as encoded after
+    its header and token."""
+    out = bytearray()
+    if len(options) > 1:
+        options = sorted(options, key=_option_number)
+    last_number = 0
+    for number, value in options:
+        delta = number - last_number
+        last_number = number
+        length = len(value)
+        if delta < 13 and length < 13:
+            out.append((delta << 4) | length)
+        else:
+            out += _encode_option_header(delta, length)
+        out += value
+    if payload:
+        out.append(0xFF)
+        out += payload
+    return bytes(out)
+
+
+def _decode_tail(tail: bytes) -> tuple[tuple[tuple[int, bytes], ...], bytes]:
+    """The options and payload a message's tail encodes, in one pass."""
+    size = len(tail)
+    options = []
+    payload = b""
+    number = 0
+    pos = 0
+    while pos < size:
+        byte = tail[pos]
+        if byte == 0xFF:
+            payload = tail[pos + 1:]
+            if not payload:
+                raise CoapError("payload marker with empty payload")
+            break
+        delta = byte >> 4
+        length = byte & 0xF
+        if delta < 13 and length < 13:
+            pos += 1
+        else:
+            delta, length, pos = _decode_option_header(tail, pos)
+        number += delta
+        end = pos + length
+        if end > size:
+            raise CoapError("truncated option value")
+        options.append((number, tail[pos:end]))
+        pos = end
+    return tuple(options), payload
+
+
+#: Decoded tails keyed by their bytes: every device that hears one block
+#: of a fetch parses it once between them and shares its payload object.
+#: Sized for the distinct tails of one publish's exchanges (every block's
+#: reply and GET, the triggers and the empty tails of acknowledgements).
+_tails = Memo(128)
+
+#: The longest tail the memo keeps: a Block2 reply of the largest block
+#: (szx 6, 1,024 bytes) with its options and marker.  A longer message,
+#: such as a group trigger carrying a whole payload, reaches each device
+#: as one frame object that the receivers already parse once
+#: (:mod:`repro.net.gcoap`), so keeping it would only hold its bytes.
+MEMO_TAIL_BYTES = 1024 + 16
 
 
 def _split_extended(value: int) -> tuple[int, bytes]:

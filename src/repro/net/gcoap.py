@@ -13,16 +13,28 @@ flavours exist:
 
 The client implements CON retransmission with exponential backoff and
 block-wise GET reassembly, both driven by kernel timers.  Both sides run
-once per simulated frame, so neither builds a closure per message: a
-request is encoded once and its retransmissions resend those bytes, a
-retransmission timer is a ``partial`` of one client method, and a
-block-wise transfer is one :class:`_BlockFetch` that builds each block's
-GET from the transfer's Uri-Path options.  The servers of a group share
-one decode of each group frame: every member's datagram carries the
-same payload object, so the request is decoded once and handed to each
-handler read-only.  These are host-side savings only: the bytes sent,
-and the timers armed (their order and deadlines), are what the exchange
-defines.
+once per simulated frame, so each does per frame only what differs per
+frame:
+
+* **Once per blob and block:** a blob resource answers Block2 requests
+  from a table of reply tails (Block2 and Content-Format options,
+  payload marker, the block's bytes; see :mod:`repro.net.coap`), built
+  the first time a block is asked for and dropped when the resource's
+  blob becomes another object, so it holds one release's blocks.
+* **Once per path, block and size:** a block-wise fetch sends GETs
+  whose Uri-Path and Block2 tail is encoded once in a process-wide
+  memo, for every device fetching that block.
+* **Per frame:** the message ID, token, header and the exchange state —
+  each CON still goes through :meth:`CoapClient.request`, its
+  retransmissions resend the bytes it encoded first, a retransmission
+  timer is a ``partial`` of one client method, and a server answers a
+  retransmitted CON from its exchange cache.
+
+The servers of a group share one decode of each group frame: every
+member's datagram carries the same payload object, so the request is
+decoded once and handed to each handler read-only.  These are host-side
+savings only: the bytes sent, and the timers armed (their order and
+deadlines), are what the exchange defines.
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, TYPE_CHECKING
 
-from repro.memo import identity_memo
+from repro.memo import Memo, identity_memo
 from repro.net import coap
 from repro.net.block import BlockOption, slice_block
 from repro.net.coap import CoapMessage
@@ -61,6 +73,34 @@ def _decode_request(raw: bytes) -> CoapMessage:
 #: Every member of a group gets a datagram with the same payload object,
 #: so the request is decoded once, however many servers handle it.
 _decode = identity_memo(_decode_request)
+
+
+#: Reply tails one blob resource keeps: the blocks of one blob at the
+#: sizes its clients ask for.
+_BLOCK_TABLE_ENTRIES = 1024
+
+
+def _block_reply(blob: bytes, option: bytes | None, format_value: bytes):
+    """The options, payload and encoded tail of the Block2 reply that
+    answers ``option`` (block 0 at szx 5 when it is absent or empty)."""
+    block = BlockOption.decode(option) if option else BlockOption(0, False, 5)
+    chunk, more = slice_block(blob, block)
+    block2 = BlockOption(block.num, more, block.szx).encode()
+    options = ((coap.OPT_BLOCK2, block2),
+               (coap.OPT_CONTENT_FORMAT, format_value))
+    return options, chunk, coap.encode_tail(options, chunk)
+
+
+def _block_get(path: str, num: int, szx: int):
+    """The options and encoded tail of the GET for one block of ``path``."""
+    options = (*CoapMessage().add_uri_path(path).options,
+               (coap.OPT_BLOCK2, BlockOption(num, False, szx).encode()))
+    return options, coap.encode_tail(options, b"")
+
+
+#: GET tails keyed by (path, block number, szx): every device fetching a
+#: block of one release sends the same options.
+_block_gets = Memo(256)
 
 
 @dataclass
@@ -94,21 +134,26 @@ class CoapServer:
 
     def register_blob(self, path: str, get_blob: Callable[[], bytes],
                       content_format: int = 42) -> Resource:
-        """Serve a byte blob with Block2 slicing (SUIT payload store)."""
+        """Serve a byte blob with Block2 slicing (SUIT payload store).
+
+        Each reply's tail comes from a table keyed by the request's
+        Block2 value and scoped to one blob object: the table starts
+        over when ``get_blob()`` returns another object."""
         format_value = bytes([content_format])
+        table = Memo(_BLOCK_TABLE_ENTRIES)
+        served = None
 
         def handler(request: CoapMessage, _dg: Datagram) -> CoapMessage:
+            nonlocal served
             blob = get_blob()
+            if blob is not served:
+                table.clear()
+                served = blob
             option = request.option(coap.OPT_BLOCK2)
-            block = BlockOption.decode(option) if option else BlockOption(0, False, 5)
-            chunk, more = slice_block(blob, block)
-            reply = request.reply(coap.CONTENT, payload=chunk)
-            reply.add_option(
-                coap.OPT_BLOCK2,
-                BlockOption(block.num, more, block.szx).encode(),
-            )
-            reply.add_option(coap.OPT_CONTENT_FORMAT, format_value)
-            return reply
+            options, chunk, tail = table.get_or_derive(
+                option, _block_reply, blob, option, format_value)
+            return CoapMessage(coap.ACK, coap.CONTENT, request.message_id,
+                               request.token, options, chunk, tail)
 
         return self.register(path, handler)
 
@@ -298,8 +343,7 @@ class CoapClient:
         block_bytes = 1 << (szx + 4)
         whole_blocks = len(resume_from) // block_bytes
         transfer = _BlockFetch(
-            self, dst_addr, dst_port, path,
-            CoapMessage().add_uri_path(path).options, on_complete, on_error,
+            self, dst_addr, dst_port, path, on_complete, on_error,
             szx, max_size, on_block,
             [resume_from[i * block_bytes:(i + 1) * block_bytes]
              for i in range(whole_blocks)],
@@ -318,8 +362,6 @@ class _BlockFetch:
     dst_addr: str
     dst_port: int
     path: str
-    #: Uri-Path options of every block's request, built once.
-    path_options: list[tuple[int, bytes]]
     on_complete: Callable[[bytes], None]
     on_error: Callable[[str], None] | None
     szx: int
@@ -331,10 +373,10 @@ class _BlockFetch:
 
     def fetch(self, num: int) -> None:
         self.num = num
-        request = CoapMessage(coap.CON, coap.GET, 0, b"", [
-            *self.path_options,
-            (coap.OPT_BLOCK2, BlockOption(num, False, self.szx).encode()),
-        ])
+        path, szx = self.path, self.szx
+        options, tail = _block_gets.get_or_derive(
+            (path, num, szx), _block_get, path, num, szx)
+        request = CoapMessage(coap.CON, coap.GET, 0, b"", options, b"", tail)
         self.client.request(self.dst_addr, self.dst_port, request,
                             self.on_response, self.on_timeout)
 

@@ -21,6 +21,7 @@ from repro.rtos.events import Event, EventQueue
 from repro.rtos.scheduler import Scheduler
 from repro.rtos.thread import (
     DEFAULT_STACK_SIZE,
+    PID_UNDEF,
     Exit,
     Sleep,
     Thread,
@@ -125,14 +126,22 @@ class Kernel:
         if self.halted:
             return False
         try:
-            self.timers.fire_due()
+            heap = self.timers._heap
+            if heap and heap[0][0] <= self.clock._cycles:
+                self.timers.fire_due()
             thread = self.scheduler.pick()
             if thread is None:
+                # A callback may have power-failed this kernel: read the
+                # wheel again.
                 deadline = self.timers.next_deadline()
                 if deadline is None:
                     return False
-                self.scheduler.enter_idle()
-                self.clock.advance_to(max(deadline, self.clock.cycles))
+                scheduler = self.scheduler
+                if scheduler.last_pid != PID_UNDEF:
+                    scheduler.enter_idle()
+                clock = self.clock
+                if deadline > clock._cycles:
+                    clock.advance_to(deadline)
                 return True
 
             self.scheduler.dispatch(thread)
@@ -180,8 +189,13 @@ class Kernel:
         """True when :meth:`run` would execute no step and change
         nothing: the kernel is halted, or no thread is ready and no
         timer is armed."""
-        return self.halted or (not self.scheduler.has_ready()
-                               and self.timers.next_deadline() is None)
+        if self.halted:
+            return True
+        heap = self.timers._heap
+        if heap and not heap[0][2].cancelled:
+            return False  # a live timer is armed
+        return (not self.scheduler.has_ready()
+                and self.timers.next_deadline() is None)
 
     def run(self, until_us: float | None = None, max_steps: int = 1_000_000) -> int:
         """Run until the deadline, forever-idle, or the step budget.
@@ -189,10 +203,14 @@ class Kernel:
         Returns the number of steps executed.
         """
         executed = 0
+        clock = self.clock
+        mhz = clock.mhz
+        step = self.step
         while executed < max_steps:
-            if until_us is not None and self.clock.time_us >= until_us:
+            # ``clock.time_us``, without the property call.
+            if until_us is not None and clock._cycles / mhz >= until_us:
                 break
-            if not self.step():
+            if not step():
                 break
             executed += 1
         return executed

@@ -28,6 +28,8 @@ class Scheduler:
 
     def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
+        #: Ready queues by priority, kept in priority order so that
+        #: :meth:`pick` (every kernel step) never sorts.
         self._ready: dict[int, deque[Thread]] = {}
         #: Pid of the thread that ran last (PID_UNDEF when idle).
         self.last_pid: int = PID_UNDEF
@@ -42,7 +44,12 @@ class Scheduler:
         if thread.state is ThreadState.ENDED:
             raise SchedulerError(f"cannot ready ended thread {thread.name!r}")
         thread.state = ThreadState.READY
-        self._ready.setdefault(thread.priority, deque()).append(thread)
+        queue = self._ready.get(thread.priority)
+        if queue is None:
+            queue = deque()
+            self._ready[thread.priority] = queue
+            self._ready = dict(sorted(self._ready.items()))
+        queue.append(thread)
 
     def has_ready(self) -> bool:
         """Whether :meth:`pick` would find a thread to run."""
@@ -54,8 +61,7 @@ class Scheduler:
 
     def pick(self) -> Thread | None:
         """Pop the next thread to run (highest priority, FIFO within)."""
-        for priority in sorted(self._ready):
-            queue = self._ready[priority]
+        for queue in self._ready.values():
             while queue:
                 thread = queue.popleft()
                 if thread.state is ThreadState.READY:

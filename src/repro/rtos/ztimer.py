@@ -12,6 +12,12 @@ so timers sharing a deadline fire in the order they were armed (a
 periodic timer's re-arm is a fresh arming).  Cancelling
 marks the entry and drops its callback; the entry itself is dropped
 when it reaches the top of the heap.
+
+The kernel checks the wheel on every step, and a co-run slice usually
+finds nothing due, so :class:`~repro.rtos.kernel.Kernel` reads the top
+of :attr:`TimerWheel._heap` itself and calls :meth:`TimerWheel.fire_due`
+only when a deadline has passed; the wheel and the kernel read the
+clock's cycle count as ``Clock._cycles``, without the property call.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ class TimerWheel:
         if delay_us < 0:
             raise TimerError(f"negative timer delay: {delay_us}")
         clock = self._clock
-        deadline = clock.cycles + clock.us_to_cycles(delay_us)
+        deadline = clock._cycles + round(delay_us * clock.mhz)
         entry = _TimerEntry(deadline, callback)
         heapq.heappush(self._heap, (deadline, next(self._seq), entry))
         return entry
@@ -105,14 +111,14 @@ class TimerWheel:
         heap = self._heap
         clock = self._clock
         fired = 0
-        now = clock.cycles
+        now = clock._cycles
         while heap and heap[0][0] <= now:
             entry = heapq.heappop(heap)[2]
             if entry.cancelled:
                 continue
             entry.callback()
             fired += 1
-            now = clock.cycles
+            now = clock._cycles
         return fired
 
     @property

@@ -6,6 +6,15 @@ into cycles — startup cost comes from the real tokenizer/parser (per
 token), run cost from the real tree walk.  Each ``if``, each loop test,
 each short-circuit ``&&`` and ``||`` and each ``return`` is one control
 count of the meter's N_b budget.
+
+Calls are bounded by a modelled stack of :data:`MAX_STACK_DEPTH`
+levels, not by the host's: a run pushes the top level's frame and each
+call its function's (the deepest nesting of the body, from the parser,
+plus one for the call), and a call that would overflow the stack faults
+"call stack exhausted".  So a runaway recursion faults at the same
+count whoever calls the interpreter, and since the parser refuses
+sources nested past its own bound, the evaluator's host recursion stays
+a few hundred frames deep at most.
 """
 
 from __future__ import annotations
@@ -17,6 +26,10 @@ from repro.runtimes.script import nodes
 from repro.runtimes.script.parser import parse
 
 _M64 = (1 << 64) - 1
+
+#: The interpreter's stack, in nesting levels: what the frames of every
+#: active call (and of the top level) may take together.
+MAX_STACK_DEPTH = 192
 
 
 class ScriptRuntimeError(Exception):
@@ -61,6 +74,8 @@ class Interpreter:
         self.script = script
         self.globals: dict[str, object] = dict(builtins or {})
         self.stats = RunMeter() if meter is None else meter
+        #: Stack levels the active frames take.
+        self.depth = 0
 
     @classmethod
     def from_source(cls, source: str,
@@ -72,14 +87,22 @@ class Interpreter:
 
     def run(self) -> object:
         """Execute the top-level statement list; `return` yields a value.
-        Recursion deeper than the host stack is a runtime error."""
+        A top level or call that overflows the modelled stack is a
+        runtime error."""
+        self._push(self.script.frame)
         try:
             self._exec_block(self.script.body, self.globals)
         except _ReturnSignal as signal:
             return signal.value
-        except RecursionError:
-            raise ScriptRuntimeError("call stack exhausted") from None
+        finally:
+            self.depth -= self.script.frame
         return None
+
+    def _push(self, frame: int) -> None:
+        depth = self.depth + frame
+        if depth > MAX_STACK_DEPTH:
+            raise ScriptRuntimeError("call stack exhausted")
+        self.depth = depth
 
     # -- statements -----------------------------------------------------------
 
@@ -248,11 +271,15 @@ class Interpreter:
                     f"line {node.line}: {node.callee} expects "
                     f"{len(declaration.parameters)} args"
                 )
-            frame = dict(zip(declaration.parameters, arguments))
+            frame = declaration.frame + 1
+            self._push(frame)
             try:
-                self._exec_block(declaration.body, frame)
+                self._exec_block(declaration.body,
+                                 dict(zip(declaration.parameters, arguments)))
             except _ReturnSignal as signal:
                 return signal.value
+            finally:
+                self.depth -= frame
             return None
         builtin = BUILTINS.get(node.callee)
         if builtin is not None:

@@ -87,6 +87,10 @@ class FuncDecl(Node):
     parameters: list[str] = field(default_factory=list)
     body: list[Node] = field(default_factory=list)
     line: int = 0
+    #: Stack levels a call pushes: the deepest nesting of the body, set
+    #: by the parser (see :data:`~repro.runtimes.script.interp
+    #: .MAX_STACK_DEPTH`).
+    frame: int = 0
 
 
 @dataclass
@@ -109,3 +113,5 @@ class Script(Node):
     #: Token count, kept for the startup (parse) cost model.
     token_count: int = 0
     source_bytes: int = 0
+    #: Stack levels the top level takes: the deepest nesting of the body.
+    frame: int = 0

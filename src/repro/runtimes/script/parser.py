@@ -1,4 +1,13 @@
-"""Recursive-descent / Pratt parser for the mini scripting language."""
+"""Recursive-descent / Pratt parser for the mini scripting language.
+
+The parser recurses once per nesting level of the source (parentheses,
+operands, blocks), so it refuses a source nested deeper than
+:data:`MAX_NESTING` levels as a syntax error, before the host stack
+could run out.  It also gives the top level and every function its
+*frame*: the deepest nesting of its body, counted over the finished
+tree (where a chain like ``a + b + c`` nests one level per operator),
+which the interpreter pushes on its modelled stack per call.
+"""
 
 from __future__ import annotations
 
@@ -20,11 +29,61 @@ _PRECEDENCE = {
 }
 
 
+#: Nesting levels the parser descends into before it refuses a source.
+MAX_NESTING = 64
+
+
+def _children(node: nodes.Node) -> list:
+    """The nodes one level below ``node`` in its frame.  A function
+    declaration has none: its body is a frame of its own."""
+    if isinstance(node, nodes.Binary):
+        return [node.left, node.right]
+    if isinstance(node, nodes.Unary):
+        return [node.operand]
+    if isinstance(node, nodes.Index):
+        return [node.subject, node.index]
+    if isinstance(node, nodes.Call):
+        return node.arguments
+    if isinstance(node, nodes.Assign):
+        return [node.value]
+    if isinstance(node, nodes.VarDecl):
+        return [] if node.initializer is None else [node.initializer]
+    if isinstance(node, nodes.Return):
+        return [] if node.value is None else [node.value]
+    if isinstance(node, nodes.ExprStatement):
+        return [node.expression]
+    if isinstance(node, nodes.If):
+        return [node.condition, *node.then_body, *node.else_body]
+    if isinstance(node, nodes.While):
+        return [node.condition, *node.body]
+    return []
+
+
+def _frame_depth(body: list[nodes.Node]) -> int:
+    """The deepest nesting of a statement list, in levels (a statement
+    is level 1), walked without recursion."""
+    deepest = 0
+    pending = [(node, 1) for node in body]
+    while pending:
+        node, depth = pending.pop()
+        deepest = max(deepest, depth)
+        pending.extend((child, depth + 1) for child in _children(node))
+    return deepest
+
+
 class Parser:
     def __init__(self, source: str):
         self.tokens = tokenize(source)
         self.pos = 0
         self.source_bytes = len(source.encode())
+        self.nesting = 0
+
+    def _nest(self) -> None:
+        """Enter one nesting level; past :data:`MAX_NESTING`, refuse."""
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ScriptSyntaxError(
+                f"nesting deeper than {MAX_NESTING} levels", self.current.line)
 
     # -- token plumbing ------------------------------------------------------
 
@@ -67,16 +126,19 @@ class Parser:
             body=body,
             token_count=len(self.tokens),
             source_bytes=self.source_bytes,
+            frame=_frame_depth(body),
         )
 
     def block(self) -> list[nodes.Node]:
         self.expect("op", "{")
+        self._nest()
         body: list[nodes.Node] = []
         while not self.check("op", "}"):
             if self.check("eof"):
                 raise ScriptSyntaxError("unterminated block", self.current.line)
             body.append(self.statement())
         self.expect("op", "}")
+        self.nesting -= 1
         return body
 
     def statement(self) -> nodes.Node:
@@ -127,8 +189,9 @@ class Parser:
             if not self.match("op", ","):
                 break
         self.expect("op", ")")
-        return nodes.FuncDecl(name=name, parameters=parameters,
-                              body=self.block(), line=keyword.line)
+        body = self.block()
+        return nodes.FuncDecl(name=name, parameters=parameters, body=body,
+                              line=keyword.line, frame=_frame_depth(body))
 
     def if_statement(self) -> nodes.If:
         keyword = self.expect("keyword", "if")
@@ -156,12 +219,14 @@ class Parser:
     # -- expressions (Pratt) --------------------------------------------------------
 
     def expression(self, min_precedence: int = 0) -> nodes.Node:
+        self._nest()
         left = self.unary()
         while True:
             token = self.current
             precedence = _PRECEDENCE.get(token.text, 0) \
                 if token.kind == "op" else 0
             if precedence <= min_precedence:
+                self.nesting -= 1
                 return left
             self.advance()
             right = self.expression(precedence)
@@ -172,7 +237,10 @@ class Parser:
         token = self.current
         if token.kind == "op" and token.text in ("-", "!"):
             self.advance()
-            return nodes.Unary(operator=token.text, operand=self.unary(),
+            self._nest()
+            operand = self.unary()
+            self.nesting -= 1
+            return nodes.Unary(operator=token.text, operand=operand,
                                line=token.line)
         return self.postfix()
 

@@ -14,6 +14,15 @@ inputs must give the same answer from both:
   nibble / 13 / 269 boundaries, empty option values and 0-8 byte
   tokens: the same bytes on the air, and a decode that gives the
   message back.
+
+The fast codec parses a message's tail (options, marker, payload) once
+and keeps it in a memo keyed by the tail's bytes, and a sender may hand
+it a tail encoded once for many messages.  So both kinds of input are
+also decoded three ways — cold, as a memo hit under another header, and
+under ``memos_disabled()`` — and each answer equals the reference's,
+errors included; a message built around a pre-encoded tail puts the
+reference's bytes on the air; and a decoded message's options are its
+own to change.
 """
 
 from __future__ import annotations
@@ -22,6 +31,8 @@ from dataclasses import dataclass, field
 
 from hypothesis import given, settings, strategies as st
 
+from repro.memo import memos_disabled
+from repro.net import coap
 from repro.net.coap import COAP_VERSION, CoapError, CoapMessage
 
 # -- the reference codec ------------------------------------------------------
@@ -223,3 +234,72 @@ def test_overlong_token_is_refused_alike(token):
         return "encoded"
 
     assert refusal(CoapMessage(token=token)) == refusal(RefMessage(token=token))
+
+
+# -- the tail memo ------------------------------------------------------------
+
+
+def other_header(raw: bytes) -> bytes:
+    """``raw`` with another message ID: the same tail, another frame."""
+    if len(raw) < 4:
+        return raw
+    return raw[:2] + bytes([raw[2] ^ 0x5A, raw[3] ^ 0xA5]) + raw[4:]
+
+
+def assert_three_ways(raw: bytes) -> None:
+    """Cold, as a memo hit under another header, and with every memo
+    off, the decode of ``raw`` is the reference's."""
+    coap._tails.clear()
+    assert outcome(CoapMessage.decode, raw) == outcome(RefMessage.decode, raw)
+    stored = len(coap._tails)
+    warm = other_header(raw)
+    assert outcome(CoapMessage.decode, warm) == outcome(RefMessage.decode,
+                                                         warm)
+    assert coap._tails.hits == stored  # a stored tail was a hit
+    with memos_disabled():
+        assert (outcome(CoapMessage.decode, raw)
+                == outcome(RefMessage.decode, raw))
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=raw_inputs)
+def test_arbitrary_bytes_decode_alike_cold_warm_and_unshared(raw):
+    assert_three_ways(raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(message=messages)
+def test_messages_decode_alike_cold_warm_and_unshared(message):
+    mtype, code, mid, token, options, payload = message
+    raw = RefMessage(mtype, code, mid, token, list(options), payload).encode()
+    assert_three_ways(raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(message=messages)
+def test_a_pre_encoded_tail_sends_the_reference_bytes(message):
+    mtype, code, mid, token, options, payload = message
+    raw = RefMessage(mtype, code, mid, token, list(options), payload).encode()
+    tail = coap.encode_tail(tuple(options), payload)
+    assert CoapMessage(mtype, code, mid, token, tuple(options), payload,
+                       tail).encode() == raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(message=messages, extra=st.tuples(option_number, option_value))
+def test_a_decoded_message_owns_its_options(message, extra):
+    mtype, code, mid, token, options, payload = message
+    raw = RefMessage(mtype, code, mid, token, list(options), payload).encode()
+    first = CoapMessage.decode(raw)
+    first.add_option(*extra)
+    first.options.reverse()
+    first.options[:1] = []
+    assert fields(CoapMessage.decode(raw)) == fields(RefMessage.decode(raw))
+
+
+def test_a_tail_longer_than_a_block_is_parsed_but_not_kept():
+    raw = RefMessage(2, 0x45, 7, b"\x01", [(23, b"\x0d")],
+                     bytes(range(256)) * 8).encode()
+    coap._tails.clear()
+    assert outcome(CoapMessage.decode, raw) == outcome(RefMessage.decode, raw)
+    assert len(coap._tails) == 0

@@ -13,8 +13,11 @@ from repro.runtimes.script import (
     run_source,
     tokenize,
 )
-from repro.runtimes.base import RunMeter
+from repro.deploy import ImageSpec
+from repro.runtimes.base import RunMeter, build_vm, container_runtime
+from repro.vm import VMConfig
 from repro.vm.errors import BranchLimitFault
+from repro.vm.verifier import VerifierConfig
 
 
 class TestLexer:
@@ -190,6 +193,66 @@ class TestRuntimeErrors:
     def test_builtin_needs_no_host_function(self):
         assert run_source("return len(data) + len(\"xyz\");",
                           builtins={"data": b"ab"})[0] == 5
+
+
+RUNAWAY = "func f(n) { return f(n + 1); } return f(0);"
+
+
+def runaway_fault(frames: int) -> tuple[str, int, int]:
+    """The fault of :data:`RUNAWAY` through ``build_vm`` under a huge
+    N_b, run ``frames`` Python frames below this call."""
+    if frames:
+        return runaway_fault(frames - 1)
+    spec = ImageSpec.from_script(RUNAWAY)
+    vm = build_vm(container_runtime("script"), spec.instantiate(),
+                  "femto-containers", None, VMConfig(branch_limit=10**6),
+                  VerifierConfig())
+    with pytest.raises(BranchLimitFault) as caught:
+        vm.run()
+    stats = caught.value.stats
+    return str(caught.value), stats.branches_taken, stats.executed
+
+
+class TestModelledStack:
+    """Call depth is bounded by the interpreter's modelled stack, and
+    nesting by the parser, never by the host's recursion limit."""
+
+    def test_runaway_recursion_faults_at_one_count_whatever_the_caller(self):
+        shallow = runaway_fault(0)
+        assert shallow[0] == "call stack exhausted"
+        # The top level's frame (3 levels) plus 37 calls of f (5 each)
+        # fill the 192-level stack; each level of f ran one return.
+        assert shallow[1] == 38
+        assert runaway_fault(100) == shallow
+
+    def test_a_call_that_fits_the_stack_runs(self):
+        source = ("func down(n) { if (n == 0) { return 0; } "
+                  "return 1 + down(n - 1); } return down(20);")
+        assert run_source(source)[0] == 20
+
+    @pytest.mark.parametrize("source", [
+        "return " + "(" * 2000 + "1" + ")" * 2000 + ";",
+        "return " + "-" * 2000 + "1;",
+        "if (true) { " * 2000 + "}" * 2000,
+    ], ids=["parentheses", "unary", "blocks"])
+    def test_deep_nesting_is_refused_at_parse(self, source):
+        with pytest.raises(ScriptSyntaxError, match="nesting deeper"):
+            parse(source)
+        with pytest.raises(ScriptSyntaxError, match="nesting deeper"):
+            ImageSpec.from_script(source).instantiate()
+
+    def test_a_long_operator_chain_overflows_the_stack_not_the_host(self):
+        source = "return " + " + ".join(["1"] * 3000) + ";"
+        assert parse(source).frame == 3001
+        with pytest.raises(ScriptRuntimeError, match="call stack exhausted"):
+            run_source(source)
+
+    def test_frames_count_the_deepest_nesting_of_each_body(self):
+        script = parse("func g(a) { if (a) { return -a; } return 0; } "
+                       "return g(1) + 2;")
+        assert script.frame == 4  # return, +, g(1), 1
+        # if, its then-block's return, the negation, and a
+        assert script.body[0].frame == 4
 
 
 class TestStats:
